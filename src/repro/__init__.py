@@ -26,11 +26,10 @@ Quickstart::
 
 __version__ = "1.0.0"
 
-from .api import CompilationResult, compile_and_measure, measure_cells
+from .api import CompilationResult, compile_and_measure
 
 __all__ = [
     "CompilationResult",
     "compile_and_measure",
-    "measure_cells",
     "__version__",
 ]

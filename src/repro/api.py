@@ -30,7 +30,6 @@ from .targets.machine import Machine, get_target
 __all__ = [
     "CompilationResult",
     "compile_and_measure",
-    "measure_cells",
     "POLICIES",
 ]
 
@@ -60,53 +59,6 @@ class CompilationResult:
     @property
     def exit_code(self) -> int:
         return self.measurement.exit_code
-
-
-def measure_cells(
-    specs,
-    workers: Optional[int] = None,
-    cache=None,
-    server: Optional[str] = None,
-    on_result=None,
-    fallback: bool = True,
-):
-    """Execute matrix cells — through a daemon, or locally.
-
-    The one entry point the CLI, benchmarks and experiments share:
-
-    * ``server`` names a ``repro serve`` Unix socket; cells are
-      submitted there and coalesce with whatever the daemon is already
-      computing.  When no daemon is listening and ``fallback`` is true,
-      execution silently degrades to the local path (a note lands on
-      the result list's ``served`` attribute either way).
-    * locally, cells fan out over a
-      :class:`~repro.exec.runner.ParallelRunner` (``workers`` processes
-      through the optional persistent ``cache``).
-
-    Returns the list of :class:`~repro.exec.envelope.CellResult` in
-    input order; the list additionally carries a ``served`` bool
-    attribute naming which path ran.
-    """
-    from .exec import ParallelRunner
-
-    class _Results(list):
-        served = False
-
-    if server is not None:
-        from .serve import ServeClient, ServeUnavailable
-
-        client = ServeClient.try_connect(server)
-        if client is None and not fallback:
-            raise ServeUnavailable(f"no daemon at {server}")
-        if client is not None:
-            with client:
-                results = _Results(
-                    client.run_matrix(list(specs), on_result=on_result)
-                )
-            results.served = True
-            return results
-    runner = ParallelRunner(workers=workers, cache=cache)
-    return _Results(runner.run(list(specs), on_result=on_result))
 
 
 def compile_and_measure(

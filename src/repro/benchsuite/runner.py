@@ -2,7 +2,7 @@
 
 Since the parallel execution layer landed this module is a thin facade
 over :mod:`repro.exec`: every measurement goes through
-:func:`repro.exec.runner.execute_cell`, results are memoized in-process
+:class:`~repro.exec.runner.ParallelRunner`, results are memoized in-process
 per (program, target, configuration, trace) — the Tables 4, 5 and 6
 harnesses reuse the same runs — and an optional persistent
 :class:`~repro.exec.cache.ResultCache` survives across processes.
@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..cfg.block import Program
 from ..core.replication import Policy
 from ..ease.measure import Measurement
-from ..exec import CellResult, CellSpec, ParallelRunner, ResultCache, execute_cell
+from ..exec import CellResult, CellSpec, ParallelRunner, ResultCache
 from ..frontend.codegen import compile_c
 from ..opt.driver import OptimizationConfig, optimize_program
 from ..targets.machine import Machine, get_target
@@ -141,27 +141,12 @@ def run_benchmark(
     ``cache`` (or the ``REPRO_CACHE_DIR`` environment variable) adds a
     persistent on-disk layer underneath the in-process memo.
     """
-    from ..obs import active as _active_observer
-
     spec = _spec_for(name, target, replication, policy, max_rtls, trace)
     key = _memo_key(spec)
     if use_cache and key in _measure_cache:
         return _measure_cache[key]
     disk = cache if cache is not None else persistent_cache_from_env()
-    result: Optional[CellResult] = None
-    if disk is not None:
-        result = disk.get_spec(spec)
-    if result is None:
-        # single_flight dedups against concurrent processes computing
-        # the same cold key (and publishes the envelope on success).
-        from ..exec.singleflight import single_flight
-
-        result, fresh = single_flight(disk, spec, execute_cell)
-        # Fresh run: fold the cell's observability snapshot into the
-        # ambient observer (cache hits describe an earlier run's work).
-        observer = _active_observer()
-        if fresh and observer is not None and result.obs is not None:
-            observer.merge_snapshot(result.obs)
+    (result,) = ParallelRunner(workers=1, cache=disk).run([spec])
     measurement = _unwrap(result)
     if use_cache:
         _measure_cache[key] = measurement
@@ -190,16 +175,13 @@ def run_matrix(
     workers: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     use_memo: bool = True,
-    server: Optional[str] = None,
 ) -> Dict[Tuple[str, str, str], Measurement]:
     """Measure the full (target × config × program) cross-product.
 
     Fans out over ``workers`` processes (``None`` = one per core,
     ``0``/``1`` = inline) through the optional persistent ``cache``,
     and seeds the in-process memo so later :func:`run_benchmark` calls
-    on the same cells are free.  ``server`` routes the cells through a
-    running ``repro serve`` daemon instead (falling back to the local
-    path when none is listening).  Returns ``{(target, config, name):
+    on the same cells are free.  Returns ``{(target, config, name):
     Measurement}`` — the shape the Table 4/5/6 harnesses consume.
     Raises ``RuntimeError`` listing every failed cell, if any.
     """
@@ -227,11 +209,7 @@ def run_matrix(
             pending_specs.append(spec)
             pending_keys.append(matrix_key)
 
-    from ..api import measure_cells
-
-    cell_results = measure_cells(
-        pending_specs, workers=workers, cache=disk, server=server
-    )
+    cell_results = ParallelRunner(workers=workers, cache=disk).run(pending_specs)
     failures: List[str] = []
     for matrix_key, result in zip(pending_keys, cell_results):
         if not result.ok:

@@ -13,12 +13,7 @@ Commands
 ``dot``       Graphviz DOT rendering of the control-flow graphs
 ``list``      list the Table-3 benchmark programs
 ``bench``     run the (program × target × config) evaluation matrix in
-              parallel through the persistent result cache; ``--server``
-              routes it through a running daemon instead
-``serve``     run the compilation-as-a-service job daemon (coalescing,
-              single-flight caching, sharded matrix scheduling)
-``submit``    submit one cell to the daemon (``--detach`` for fire and
-              forget); ``await`` collects a detached job later
+              parallel through the persistent result cache
 ``trace``     render the digest of a JSONL observability trace
 ``fuzz``      fuzz generated programs through the optimizer under the
               translation validator (CI's verify-smoke job)
@@ -527,30 +522,10 @@ def cmd_bench(args) -> int:
         )
 
     on_result = progress if not args.quiet else None
-    cache = None
-    runner = None
-    served_stats = None
-    client = None
-    if args.server is not None:
-        from .serve import ServeClient
-
-        client = ServeClient.try_connect(args.server)
-        if client is None:
-            print(
-                f"warning: no daemon listening on {args.server}; "
-                "falling back to local execution",
-                file=sys.stderr,
-            )
-
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    runner = ParallelRunner(workers=args.parallel, cache=cache)
     start = time.perf_counter()
-    if client is not None:
-        with client:
-            results = client.run_matrix(specs, on_result=on_result)
-            served_stats = client.stats()
-    else:
-        cache = None if args.no_cache else ResultCache(args.cache_dir)
-        runner = ParallelRunner(workers=args.parallel, cache=cache)
-        results = runner.run(specs, on_result=on_result)
+    results = runner.run(specs, on_result=on_result)
     elapsed = time.perf_counter() - start
 
     from .obs.metrics import MetricsRegistry
@@ -599,20 +574,10 @@ def cmd_bench(args) -> int:
         )
     )
     hits = sum(1 for r in results if r.cache_hit)
-    workers = served_stats["workers"] if served_stats is not None else runner.workers
-    where = "daemon workers" if served_stats is not None else "workers"
     print(
         f"\n{len(results)} cells in {elapsed:.2f}s "
-        f"({workers} {where}, {hits} cache hits, {len(failures)} failed)"
+        f"({runner.workers} workers, {hits} cache hits, {len(failures)} failed)"
     )
-    if served_stats is not None:
-        jobs = served_stats["jobs"]
-        print(
-            f"daemon: {jobs['submitted']} submitted, {jobs['coalesced']} "
-            f"coalesced, {jobs['skipped']} cache-skipped, "
-            f"{jobs['sharded']} sharded, queue depth "
-            f"{served_stats['queue_depth']}"
-        )
     if cache is not None:
         print(format_cache_stats(cache.stats()))
     if args.passes and instrumentation.records:
@@ -624,13 +589,7 @@ def cmd_bench(args) -> int:
 
         payload = {
             "machine": {"cpu_count": os.cpu_count()},
-            "workers": workers,
-            "server": {
-                "socket": args.server,
-                "stats": served_stats,
-            }
-            if served_stats is not None
-            else None,
+            "workers": runner.workers,
             # The resolved measurement engine for this invocation; each
             # cell additionally carries the engine that actually
             # produced its (possibly cached) measurement.
@@ -716,7 +675,6 @@ def cmd_tune(args) -> int:
             grid=grid,
             workers=args.parallel,
             cache=cache,
-            server=args.server,
             verify_gate=not args.no_verify_gate,
             on_progress=say,
         )
@@ -758,7 +716,7 @@ def cmd_tune(args) -> int:
         f"{tuned.dynamic_change_mean * 100:+.2f}% vs baseline "
         f"{baseline.dynamic_change_mean * 100:+.2f}% "
         f"({len(report.programs)} programs, grid {report.grid_size}, "
-        f"{elapsed:.1f}s{', served' if report.served else ''})"
+        f"{elapsed:.1f}s)"
     )
     gate_failures = [p for p in report.programs if p.gate_failure]
     for failure in gate_failures:
@@ -832,115 +790,6 @@ def cmd_trace(args) -> int:
         return 1
     print(format_trace_digest(events))
     return 0
-
-
-def cmd_serve(args) -> int:
-    """Run the compilation-and-measurement job daemon."""
-    import asyncio
-
-    from .serve import ServeDaemon
-
-    daemon = ServeDaemon(
-        socket_path=args.socket,
-        workers=args.workers,
-        cache_dir=None if args.no_cache else args.cache_dir,
-        prewarm=not args.no_prewarm,
-    )
-    asyncio.run(daemon.run())
-    return 0
-
-
-def _spec_from_args(args) -> "CellSpec":
-    from .exec import CellSpec
-
-    source, stdin = _resolve(args)
-    return CellSpec(
-        program=source,
-        target=args.target,
-        replication=args.replication,
-        policy=args.policy,
-        max_rtls=args.max_rtls,
-        trace=args.trace_blocks,
-        stdin=stdin,
-        spm_engine=args.spm_engine,
-        verify=args.verify,
-        ease_engine=args.ease_engine,
-    )
-
-
-def _print_cell_result(result) -> int:
-    if not result.ok:
-        print(f"--- {result.spec.label} failed ---", file=sys.stderr)
-        print(result.error, file=sys.stderr)
-        return 1
-    m = result.measurement
-    origin = "cached" if result.cache_hit else "fresh"
-    print(
-        f"{result.spec.label}: exit {m.exit_code}, "
-        f"{m.dynamic_insns} instructions, {m.dynamic_jumps} jumps, "
-        f"{m.dynamic_nops} no-ops ({origin})"
-    )
-    return 0
-
-
-def cmd_submit(args) -> int:
-    """Submit one cell to the daemon (or run it locally as fallback)."""
-    from .serve import ServeClient
-
-    spec = _spec_from_args(args)
-    client = ServeClient.try_connect(args.server)
-    if client is None:
-        if args.detach:
-            raise SystemExit(
-                f"error: no daemon listening on {args.server} "
-                "(--detach needs a daemon)"
-            )
-        print(
-            f"warning: no daemon listening on {args.server}; "
-            "running locally",
-            file=sys.stderr,
-        )
-        from .exec import execute_cell
-
-        return _print_cell_result(execute_cell(spec))
-    with client:
-        descriptor = client.submit(spec)
-        state = descriptor["state"]
-        note = " (coalesced)" if descriptor.get("coalesced") else ""
-        print(
-            f"job {descriptor['job']} [{descriptor['key'][:16]}] "
-            f"{state}{note}",
-            file=sys.stderr,
-        )
-        if args.detach:
-            print(descriptor["job"])
-            return 0
-        result = client.result(
-            descriptor["job"], wait=True, timeout=args.timeout
-        )
-    if result is None:
-        print(f"job {descriptor['job']} was cancelled", file=sys.stderr)
-        return 1
-    return _print_cell_result(result)
-
-
-def cmd_await(args) -> int:
-    """Wait for a previously submitted daemon job and print its result."""
-    from .serve import ServeClient, ServeError
-
-    client = ServeClient.try_connect(args.server)
-    if client is None:
-        raise SystemExit(f"error: no daemon listening on {args.server}")
-    with client:
-        try:
-            result = client.result(args.job, wait=True, timeout=args.timeout)
-        except ServeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    if result is None:
-        print(f"job {args.job} was cancelled", file=sys.stderr)
-        return 1
-    return _print_cell_result(result)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1120,13 +969,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--quiet", action="store_true", help="suppress per-cell progress on stderr"
     )
-    p.add_argument(
-        "--server",
-        default=None,
-        metavar="SOCK",
-        help="route cells through the `repro serve` daemon on this Unix "
-        "socket (falls back to local execution when none is listening)",
-    )
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
@@ -1212,13 +1054,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true", help="bypass the persistent cache"
     )
     p.add_argument(
-        "--server",
-        default=None,
-        metavar="SOCK",
-        help="route cells through the `repro serve` daemon on this Unix "
-        "socket (falls back to local execution when none is listening)",
-    )
-    p.add_argument(
         "--no-verify-gate",
         action="store_true",
         help="skip the full-verification gate on combined winners "
@@ -1290,93 +1125,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSONL trace written by --trace FILE or REPRO_TRACE=FILE",
     )
     p.set_defaults(func=cmd_trace)
-
-    from .serve.server import DEFAULT_SOCKET
-
-    p = sub.add_parser(
-        "serve",
-        help="run the compilation-and-measurement job daemon "
-        "(Unix-socket JSON-line protocol)",
-    )
-    p.add_argument(
-        "--socket",
-        default=DEFAULT_SOCKET,
-        metavar="SOCK",
-        help=f"Unix socket path (default: {DEFAULT_SOCKET})",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="warm worker processes (default: one per core)",
-    )
-    p.add_argument(
-        "--cache-dir",
-        default=".repro-cache",
-        help="persistent result cache directory (default: .repro-cache)",
-    )
-    p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="serve without the persistent cache (coalescing still applies)",
-    )
-    p.add_argument(
-        "--no-prewarm",
-        action="store_true",
-        help="skip the worker prewarm probes at startup",
-    )
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "submit", help="submit one cell to the `repro serve` daemon"
-    )
-    _source_argument(p)
-    _config_arguments(p)
-    p.add_argument(
-        "--trace-blocks",
-        action="store_true",
-        help="record the block trace (needed for cache simulation)",
-    )
-    p.add_argument(
-        "--server",
-        default=DEFAULT_SOCKET,
-        metavar="SOCK",
-        help=f"daemon socket (default: {DEFAULT_SOCKET})",
-    )
-    p.add_argument(
-        "--detach",
-        action="store_true",
-        help="print the job id and exit without waiting "
-        "(collect with `repro await`)",
-    )
-    p.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="give up waiting after this long (default: wait forever)",
-    )
-    p.set_defaults(func=cmd_submit)
-
-    p = sub.add_parser(
-        "await", help="wait for a daemon job submitted with --detach"
-    )
-    p.add_argument("job", help="job id printed by `repro submit --detach`")
-    p.add_argument(
-        "--server",
-        default=DEFAULT_SOCKET,
-        metavar="SOCK",
-        help=f"daemon socket (default: {DEFAULT_SOCKET})",
-    )
-    p.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="give up waiting after this long (default: wait forever)",
-    )
-    p.set_defaults(func=cmd_await)
 
     return parser
 

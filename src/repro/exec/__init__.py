@@ -8,13 +8,15 @@ the matrix the unit of work:
 * :class:`CellSpec` / :class:`CellResult` — pickle-safe work units;
 * :class:`ResultCache` — content-addressed on-disk result cache;
 * :class:`ParallelRunner` — process-pool fan-out with graceful per-cell
-  failure capture.
+  failure capture; the one execution path every caller shares;
+* :class:`SingleFlight` — lock-file coalescing, so concurrent processes
+  on one cache compute each cold cell once.
 """
 
 from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .envelope import CACHE_SCHEMA_VERSION, CellResult, CellSpec
 from .runner import ParallelRunner, default_worker_count, execute_cell, warm_worker
-from .singleflight import SingleFlight, single_flight
+from .singleflight import SingleFlight
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -26,6 +28,5 @@ __all__ = [
     "SingleFlight",
     "default_worker_count",
     "execute_cell",
-    "single_flight",
     "warm_worker",
 ]

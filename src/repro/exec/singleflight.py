@@ -2,8 +2,8 @@
 
 Two ``repro bench`` processes racing on the same cold cache key used to
 *both* compute the cell — correct (last atomic write wins) but wasteful:
-the matrix cells are seconds each, and concurrent CI shards or a daemon
-plus a stray CLI invocation duplicate the whole cold set.  This module
+the matrix cells are seconds each, and concurrent CI shards or two CLI
+invocations on one cache duplicate the whole cold set.  This module
 adds the classic lock-file sentinel protocol around a cell computation:
 
 * the first process to create ``<entry>.lock`` (``O_CREAT | O_EXCL``,
@@ -30,12 +30,12 @@ from __future__ import annotations
 import os
 import time
 from pathlib import Path
-from typing import Callable, Optional, Tuple
+from typing import Optional
 
 from .cache import ResultCache
-from .envelope import CellResult, CellSpec
+from .envelope import CellResult
 
-__all__ = ["SingleFlight", "single_flight"]
+__all__ = ["SingleFlight"]
 
 #: A lock older than this is presumed abandoned and may be broken.
 DEFAULT_STALE_AFTER = 300.0
@@ -169,49 +169,3 @@ class SingleFlight:
                     obs.metrics.inc("exec.singleflight.recomputed")
                 return None
             time.sleep(self.poll)
-
-
-def single_flight(
-    cache: Optional[ResultCache],
-    spec: CellSpec,
-    compute: Callable[[CellSpec], CellResult],
-    flight: Optional[SingleFlight] = None,
-) -> Tuple[CellResult, bool]:
-    """Compute ``spec`` through the single-flight protocol.
-
-    Returns ``(result, fresh)`` — ``fresh`` is ``False`` when the
-    envelope was published by a concurrent process we waited on.  With
-    no cache there is nothing to coordinate on; just compute.  Failed
-    computations are returned but never published, and the lock is
-    always released.
-    """
-    if cache is None:
-        return compute(spec), True
-    sf = flight if flight is not None else SingleFlight(cache)
-    key = cache.key(spec)
-    owned = sf.try_acquire(key)
-    if owned:
-        # Double-check under the lock: the previous owner may have
-        # published and released between our cache miss and our claim.
-        published = cache.get(key)
-        if published is not None and published.ok:
-            sf.release(key)
-            published.cache_hit = True
-            return published, False
-    else:
-        waited = sf.wait_for(key)
-        if waited is not None and waited.ok:
-            waited.cache_hit = True
-            return waited, False
-        # Owner died or published garbage: fall through and compute,
-        # claiming the lock if possible (losing this race is harmless —
-        # but never release a lock some third process now owns).
-        owned = sf.try_acquire(key)
-    try:
-        result = compute(spec)
-        if result.ok:
-            cache.put(key, result)
-        return result, True
-    finally:
-        if owned:
-            sf.release(key)

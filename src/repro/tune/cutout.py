@@ -7,7 +7,7 @@ contribution to the program's Table-5/6 metrics.  A :class:`Cutout`
 names one such isolation — (program, function) — and builds the
 :class:`~repro.exec.envelope.CellSpec` for any candidate, normalizing
 candidates identical to the global baseline to ``tuned=None`` so they
-share the baseline's cache entry (and the daemon's single-flight slot).
+share the baseline's cache entry (and its single-flight lock).
 """
 
 from __future__ import annotations

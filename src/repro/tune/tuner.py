@@ -1,10 +1,9 @@
 """The per-function replication-policy autotuner.
 
 One :func:`tune` call sweeps, per function of each requested program,
-the candidate grid of (policy × max-RTL bound × pass order) through the
-cached execution layer (`measure_cells` — so a ``repro serve`` daemon's
-coalescing and sharded scheduling are reused verbatim when ``server``
-is given), scores every candidate against the program's SIMPLE
+the candidate grid of (policy × max-RTL bound × pass order) through a
+:class:`~repro.exec.runner.ParallelRunner` over the optional result
+cache, scores every candidate against the program's SIMPLE
 configuration with the shared Table-5/6 scoring library, and emits a
 versioned :class:`~repro.tune.config.TunedConfig` of per-function
 winners.
@@ -39,6 +38,7 @@ from ..benchsuite.scoring import (
     score_measurement,
 )
 from ..exec.envelope import CellResult, CellSpec
+from ..exec.runner import ParallelRunner
 from ..obs import ReplicationDecision
 from ..obs import active as _active_observer
 from .config import TunedConfig
@@ -118,7 +118,6 @@ class TuneReport:
     grid_size: int
     config: TunedConfig
     programs: List[ProgramTuneReport] = field(default_factory=list)
-    served: bool = False
     #: Valve/guard accounting summed over every cell the sweep ran
     #: (candidates, baselines, fixed policies, combined winners).  The
     #: §5.2 convergence guard should keep all ``valve_*`` keys at zero.
@@ -145,7 +144,6 @@ class TuneReport:
             "target": self.target,
             "replication": self.replication,
             "grid_size": self.grid_size,
-            "served": self.served,
             "tuned_aggregate": self.tuned_aggregate.as_dict(),
             "baseline_aggregate": self.baseline_aggregate.as_dict(),
             "replication_totals": dict(sorted(self.replication_totals.items())),
@@ -194,7 +192,6 @@ def tune(
     grid: Optional[TuneGrid] = None,
     workers: Optional[int] = None,
     cache=None,
-    server: Optional[str] = None,
     verify_gate: bool = True,
     on_progress=None,
 ) -> TuneReport:
@@ -203,8 +200,6 @@ def tune(
     Raises :class:`RuntimeError` if any required cell fails outright —
     a tuner that silently drops programs would report a biased aggregate.
     """
-    from ..api import measure_cells
-
     grid = grid or TuneGrid()
     say = on_progress or (lambda _message: None)
 
@@ -259,11 +254,8 @@ def tune(
         f"sweeping {len(sweep)} cells "
         f"({len(programs)} programs x {len(grid)} grid points, deduplicated)"
     )
-    results = measure_cells(
-        sweep, workers=workers, cache=cache, server=server
-    )
-    by_spec = dict(zip(sweep, results))
-    served = bool(getattr(results, "served", False))
+    runner = ParallelRunner(workers=workers, cache=cache)
+    by_spec = dict(zip(sweep, runner.run(sweep)))
 
     failures = [r for r in by_spec.values() if not r.ok]
     if failures:
@@ -356,10 +348,7 @@ def tune(
             f"verifying {len(to_run)} combined winner(s) "
             f"({'full differential oracle' if verify_gate else 'no gate'})"
         )
-        combined_results = measure_cells(
-            to_run, workers=workers, cache=cache, server=server
-        )
-        by_spec.update(zip(to_run, combined_results))
+        by_spec.update(zip(to_run, runner.run(to_run)))
 
     totals: Dict[str, int] = {}
     for result in by_spec.values():
@@ -378,7 +367,6 @@ def tune(
         replication=replication,
         grid_size=len(grid),
         config=config,
-        served=served,
         replication_totals=totals,
     )
     for program in programs:

@@ -3,7 +3,14 @@
 import pytest
 
 from repro.benchsuite import clear_cache, run_benchmark, run_matrix
-from repro.exec import CellResult, CellSpec, ParallelRunner, ResultCache, execute_cell
+from repro.exec import (
+    CellResult,
+    CellSpec,
+    ParallelRunner,
+    ResultCache,
+    SingleFlight,
+    execute_cell,
+)
 
 GOOD = CellSpec(program="int main() { return 41; }")
 CRASHING = CellSpec(program="int main( {")  # syntax error
@@ -66,16 +73,20 @@ def test_runner_preserves_order_and_isolates_failures(workers):
 
 def test_runner_uses_and_fills_cache(tmp_path):
     cache = ResultCache(tmp_path)
+    flight = SingleFlight(cache)
     specs = [GOOD, CRASHING]
     cold = ParallelRunner(workers=1, cache=cache).run(specs)
     assert not any(r.cache_hit for r in cold)
-    assert len(cache) == 1  # failures are never cached
+    assert len(cache) == 1 and cache.writes == 1  # failures are never cached
+    # Every single-flight lock is released, failed cell included.
+    assert not any(flight.holder_active(cache.key(spec)) for spec in specs)
 
     warm_cache = ResultCache(tmp_path)
     warm = ParallelRunner(workers=1, cache=warm_cache).run(specs)
     assert warm[0].cache_hit and warm[0].measurement.exit_code == 41
     assert not warm[1].cache_hit and not warm[1].ok  # recomputed, fails again
     assert warm_cache.hits == 1
+    assert warm_cache.writes == 0  # the published entry is adopted, not redone
 
 
 def test_runner_on_result_callback():
@@ -117,15 +128,10 @@ def test_run_matrix_shape_and_memo(tmp_path):
 
 
 def test_run_matrix_reports_failures(monkeypatch):
-    import repro.benchsuite.runner as runner_module
-
     def explode(spec):
         return CellResult(spec=spec, error="boom")
 
-    monkeypatch.setattr(runner_module, "execute_cell", explode)
-    monkeypatch.setattr(
-        "repro.exec.runner.execute_cell", explode
-    )
+    monkeypatch.setattr("repro.exec.runner.execute_cell", explode)
     clear_cache()
     try:
         with pytest.raises(RuntimeError, match="matrix cell"):
@@ -145,6 +151,22 @@ def test_run_benchmark_uses_persistent_cache(tmp_path):
         assert again.dynamic_insns == first.dynamic_insns
     finally:
         clear_cache()
+
+
+def test_run_benchmark_verified_run_bypasses_cache(tmp_path, monkeypatch):
+    """Under REPRO_VERIFY=full a warm cache neither answers nor is written."""
+    cache = ResultCache(tmp_path)
+    monkeypatch.setenv("REPRO_VERIFY", "full")
+    run_benchmark("wc", "sparc", "jumps", use_cache=False, cache=cache)
+    assert cache.writes == 0 and len(cache) == 0
+
+    monkeypatch.delenv("REPRO_VERIFY")
+    run_benchmark("wc", "sparc", "jumps", use_cache=False, cache=cache)
+    assert cache.writes == 1  # now warm
+
+    monkeypatch.setenv("REPRO_VERIFY", "full")
+    run_benchmark("wc", "sparc", "jumps", use_cache=False, cache=cache)
+    assert cache.hits == 0 and cache.writes == 1
 
 
 def test_run_benchmark_unknown_name():

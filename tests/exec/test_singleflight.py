@@ -1,4 +1,8 @@
-"""Unit + regression tests for cross-process single-flight deduplication."""
+"""Unit + regression tests for cross-process single-flight deduplication.
+
+The lock primitives are tested directly; the protocol is tested through
+:class:`ParallelRunner`, the one execution path that uses it.
+"""
 
 import os
 import subprocess
@@ -6,8 +10,7 @@ import sys
 import threading
 import time
 
-from repro.exec import CellResult, CellSpec, ResultCache, SingleFlight, single_flight
-from repro.exec.cache import CACHE_SCHEMA_VERSION
+from repro.exec import CellResult, CellSpec, ParallelRunner, ResultCache, SingleFlight
 
 SPEC = CellSpec(program="int main() { return 7; }", target="sparc")
 
@@ -122,10 +125,10 @@ def test_wait_for_times_out(tmp_path):
         flight.release(key)
 
 
-# --- the single_flight protocol ------------------------------------------------
+# --- the runner's single-flight path ------------------------------------------
 
 
-def test_single_flight_computes_and_publishes(tmp_path):
+def test_single_flight_computes_and_publishes(tmp_path, monkeypatch):
     cache = ResultCache(tmp_path)
     calls = []
 
@@ -133,43 +136,46 @@ def test_single_flight_computes_and_publishes(tmp_path):
         calls.append(spec)
         return small_result(spec)
 
-    result, fresh = single_flight(cache, SPEC, compute)
-    assert fresh and result.ok and len(calls) == 1
-    assert cache.get_spec(SPEC) is not None
+    monkeypatch.setattr("repro.exec.runner.execute_cell", compute)
+    (result,) = ParallelRunner(workers=1, cache=cache).run([SPEC])
+    assert result.ok and not result.cache_hit and len(calls) == 1
+    assert cache.get_spec(SPEC) is not None and cache.writes == 1
     assert not SingleFlight(cache).holder_active(cache.key(SPEC))
 
 
-def test_single_flight_without_cache_just_computes():
-    result, fresh = single_flight(None, SPEC, small_result)
-    assert fresh and result.ok
-
-
-def test_single_flight_never_publishes_failures(tmp_path):
+def test_single_flight_never_publishes_failures(tmp_path, monkeypatch):
     cache = ResultCache(tmp_path)
 
     def fail(spec):
         return CellResult(spec=spec, error="boom")
 
-    result, fresh = single_flight(cache, SPEC, fail)
-    assert fresh and not result.ok
+    monkeypatch.setattr("repro.exec.runner.execute_cell", fail)
+    (result,) = ParallelRunner(workers=1, cache=cache).run([SPEC])
+    assert not result.ok and not result.cache_hit
     assert cache.get_spec(SPEC) is None
     # And the lock is released so the next caller isn't parked.
     assert not SingleFlight(cache).holder_active(cache.key(SPEC))
 
 
-def test_single_flight_adopts_already_published_entry(tmp_path):
-    """Double-check under the lock: a published entry is never recomputed."""
+def test_single_flight_adopts_already_published_entry(tmp_path, monkeypatch):
+    """A published entry is adopted as a hit, never recomputed."""
     cache = ResultCache(tmp_path)
     cache.put_spec(SPEC, small_result())
-    result, fresh = single_flight(
-        cache, SPEC, lambda spec: (_ for _ in ()).throw(AssertionError)
-    )
-    assert not fresh
+
+    def recompute(spec):
+        raise AssertionError("recomputed")
+
+    monkeypatch.setattr("repro.exec.runner.execute_cell", recompute)
+    warm_cache = ResultCache(tmp_path)
+    (result,) = ParallelRunner(workers=1, cache=warm_cache).run([SPEC])
     assert result.cache_hit
     assert result.measurement.exit_code == 7
+    assert warm_cache.writes == 0
+    assert not SingleFlight(cache).holder_active(cache.key(SPEC))
 
 
-def test_single_flight_waiter_adopts_owners_envelope(tmp_path):
+def test_runner_waiter_adopts_owners_envelope(tmp_path, monkeypatch):
+    """A cell another process is computing is adopted, never recomputed."""
     cache = ResultCache(tmp_path)
     flight = SingleFlight(cache, poll=0.01)
     key = cache.key(SPEC)
@@ -180,18 +186,16 @@ def test_single_flight_waiter_adopts_owners_envelope(tmp_path):
         cache.put(key, small_result())
         flight.release(key)
 
+    def recompute(spec):
+        raise AssertionError("recomputed")
+
+    monkeypatch.setattr("repro.exec.runner.execute_cell", recompute)
     thread = threading.Thread(target=owner)
     thread.start()
     try:
-        result, fresh = single_flight(
-            cache,
-            SPEC,
-            lambda spec: (_ for _ in ()).throw(AssertionError("recomputed")),
-            flight=SingleFlight(cache, poll=0.01),
-        )
+        (result,) = ParallelRunner(workers=1, cache=cache).run([SPEC])
     finally:
         thread.join()
-    assert not fresh
     assert result.cache_hit
     assert result.measurement.exit_code == 7
 
@@ -200,32 +204,34 @@ def test_single_flight_waiter_adopts_owners_envelope(tmp_path):
 
 _RACER = """
 import sys, time
-from repro.exec import CellSpec, ResultCache
-from repro.exec.singleflight import SingleFlight, single_flight
+import repro.exec.runner as runner
+from repro.exec import CellSpec, ParallelRunner, ResultCache
 
 cache_dir, marker_dir, tag = sys.argv[1], sys.argv[2], sys.argv[3]
-cache = ResultCache(cache_dir)
-spec = CellSpec(program="int main() { return 7; }", target="sparc")
+execute_cell = runner.execute_cell
 
-def compute(spec):
+def slow_execute(spec):
     # Record that THIS process did the work, slowly enough that the
     # other process is guaranteed to arrive while the lock is held.
-    with open(f"{marker_dir}/computed-{tag}", "w") as fh:
+    with open(f"{marker_dir}/{spec.program[-4]}-{tag}", "w") as fh:
         fh.write(tag)
-    time.sleep(1.0)
-    from repro.exec import execute_cell
+    time.sleep(0.5)
     return execute_cell(spec)
 
-result, fresh = single_flight(
-    cache, spec, compute, flight=SingleFlight(cache, poll=0.01)
-)
-assert result.ok, result.error
-print(f"{tag} fresh={fresh} exit={result.measurement.exit_code}")
+runner.execute_cell = slow_execute
+specs = [
+    CellSpec(program=f"int main() {{ return {code}; }}", target="sparc")
+    for code in (7, 8)
+]
+cache = ResultCache(cache_dir)
+results = ParallelRunner(workers=1, cache=cache).run(specs)
+assert all(result.ok for result in results), [r.error for r in results]
+print(f"{tag} writes={cache.writes} hits={sum(r.cache_hit for r in results)}")
 """
 
 
 def test_two_racing_processes_compute_once(tmp_path):
-    """Two processes race on the same cold key; exactly one computes."""
+    """Two runners race on the same cold cache; each cell is computed once."""
     cache_dir = tmp_path / "cache"
     marker_dir = tmp_path / "markers"
     marker_dir.mkdir()
@@ -244,13 +250,17 @@ def test_two_racing_processes_compute_once(tmp_path):
     for proc, (out, err) in zip(procs, outputs):
         assert proc.returncode == 0, err
     markers = sorted(p.name for p in marker_dir.iterdir())
-    assert len(markers) == 1, (
-        f"both processes computed: {markers}\n"
+    assert sorted(m.split("-")[0] for m in markers) == ["7", "8"], (
+        f"a cell was computed twice: {markers}\n"
         + "\n".join(out for out, _ in outputs)
     )
-    # Both got a usable envelope: one fresh, one adopted.
-    freshness = sorted(out.split("fresh=")[1].split()[0] for out, _ in outputs)
-    assert freshness == ["False", "True"]
+    # The work of one: total writes equal the cell count, and every cell
+    # the other process did not compute it adopted as a hit.
+    counts = [
+        dict(field.split("=") for field in out.split()[1:]) for out, _ in outputs
+    ]
+    assert sum(int(c["writes"]) for c in counts) == 2
+    assert sum(int(c["hits"]) for c in counts) == 2
     assert ResultCache(cache_dir).get_spec(SPEC) is not None
 
 

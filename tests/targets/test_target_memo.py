@@ -51,7 +51,7 @@ def test_warm_worker_initializer_prewarms_targets(fresh_observer):
     warm_worker(("sparc", "m68020"))
     counters = fresh_observer.metrics.snapshot()["counters"]
     assert counters["targets.machine.constructed"] == 2
-    # A cell executing afterwards (the warm re-use the daemon relies on)
+    # A cell executing afterwards (the warm re-use pool workers rely on)
     # only ever sees memoized machines.
     get_target("sparc")
     get_target("m68020")

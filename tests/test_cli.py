@@ -76,6 +76,27 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["run", "/nonexistent/file.c"])
 
+    def test_parser_build_imports_no_event_loop(self):
+        """Building the parser must not drag asyncio into every invocation."""
+        import os
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys, repro.cli; repro.cli.build_parser(); "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'asyncio' or m.startswith('repro.serve')))"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.strip() == "[]"
+
     def test_policy_and_maxlen_flags(self, c_file):
         assert (
             main(

@@ -111,8 +111,8 @@ class TestCutout:
     def test_candidate_equal_to_baseline_shares_the_baseline_cell(self):
         # The normalization invariant the cache sharing relies on: a
         # cutout candidate identical to the global config produces the
-        # very same spec (hence the same cache key, the same
-        # single-flight slot in the daemon).
+        # very same spec (hence the same cache key and the same
+        # single-flight lock).
         cutout = Cutout("wc", "main")
         spec = cutout.spec_for(self.BASE, Candidate("shortest", None, "standard"))
         assert spec == self.BASE
