@@ -5,10 +5,11 @@ suite and records the results in ``BENCH_CACHE.json`` at the repository
 root:
 
 * **reference** — the raw ``List[int]`` block trace replayed once per
-  cache size through :func:`repro.cache.simulate_cache` (the pre-PR
-  pipeline: 4 sizes x 2 context-switch settings = 8 full trace walks
+  cache size through :func:`repro.cache.simulate_cache` (the test
+  oracle: 4 sizes x 2 context-switch settings = 8 full trace walks
   per program/configuration);
-* **multi** — the RLE :class:`~repro.ease.trace.CompressedTrace` walked
+* **multi** — the product path: the RLE
+  :class:`~repro.ease.trace.CompressedTrace` walked
   **once** with all eight cache states (4 sizes x 2 context-switch
   settings) side by side, fast-forwarding steady-state loop iterations
   (:func:`repro.cache.simulate_multi_cache`).

@@ -2,7 +2,7 @@
 
 These use pytest-benchmark conventionally (multiple rounds) to time:
 
-* the Floyd/Warshall shortest-path matrix (step 1 of JUMPS),
+* the Floyd/Warshall shortest-path matrix (the step-1 test oracle),
 * one full JUMPS run on a branchy function,
 * the Figure-3 optimizer pipeline on a mid-size program,
 * the direct-mapped cache simulator's replay loop.
@@ -13,11 +13,12 @@ from __future__ import annotations
 from repro.benchsuite import PROGRAMS, run_benchmark
 from repro.cache import CacheConfig, simulate_cache
 from repro.cfg import build_function
-from repro.core import ShortestPathMatrix, clone_function, replicate_jumps
+from repro.core import clone_function, replicate_jumps
 from repro.frontend import compile_c
 from repro.opt import OptimizationConfig, optimize_program
 from repro.rtl import parse_insns
 from repro.targets import get_target
+from repro.verify.floyd_warshall import ShortestPathMatrix
 
 _BRANCHY = """
   NZ=d[0]?1;

@@ -1,8 +1,12 @@
 """Acceptance benchmark for the demand-driven step-1 engine (PR 3).
 
 Measures the optimizer's replication hot path — the JUMPS pass and its
-step-1 shortest-path share — under both engines and records the results
-in ``BENCH_OPT.json`` at the repository root:
+step-1 shortest-path share — under demand-driven Dijkstra (``lazy``, the
+product :class:`repro.core.ShortestPaths`) and the paper's Floyd/Warshall
+matrix (``dense``, the test oracle
+:class:`repro.verify.floyd_warshall.ShortestPathMatrix`, swapped in by
+patching ``repro.core.replication.ShortestPaths``), and records the
+results in ``BENCH_OPT.json`` at the repository root:
 
 1. **Table-3 suite** — the 14 benchmark programs through the full JUMPS
    pipeline, dense vs lazy, with the per-pass time split read off the
@@ -32,7 +36,9 @@ import platform
 import random
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
+from unittest import mock
 
 from repro.benchsuite import PROGRAMS, program_names
 from repro.cfg import get_analyses
@@ -54,10 +60,18 @@ from repro.rtl import (
     format_function,
 )
 from repro.targets import get_target
+from repro.verify.floyd_warshall import ShortestPathMatrix
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 ENGINES = ("dense", "lazy")
+
+
+def step1(engine: str):
+    """Context running replication on ``engine``: the product or the oracle."""
+    if engine == "lazy":
+        return nullcontext()
+    return mock.patch("repro.core.replication.ShortestPaths", ShortestPathMatrix)
 
 
 # --------------------------------------------------------------- fuzzed CFGs
@@ -125,8 +139,8 @@ def run_suite(engine: str, programs):
     step1_seconds = 0.0
     for name in programs:
         program = compile_c(PROGRAMS[name].source)
-        config = OptimizationConfig(replication="jumps", spm_engine=engine)
-        with observing() as obs:
+        config = OptimizationConfig(replication="jumps")
+        with observing() as obs, step1(engine):
             start = time.perf_counter()
             optimize_program(program, get_target("sparc"), config)
             opt_seconds += time.perf_counter() - start
@@ -167,9 +181,8 @@ def run_fuzz_case(func: Function, engine: str):
         max_replications_per_function=80,
         max_function_blocks=len(func.blocks) * 2,
         max_rtls=FUZZ_MAX_RTLS,
-        engine=engine,
     )
-    with observing() as obs:
+    with observing() as obs, step1(engine):
         start = time.perf_counter()
         replicator.run(work)
         wall = time.perf_counter() - start

@@ -70,9 +70,7 @@ def compile_and_measure(
     policy: Union[str, Policy] = Policy.SHORTEST,
     max_rtls: Optional[int] = None,
     max_steps: int = 200_000_000,
-    spm_engine: Optional[str] = None,
     verify: Optional[str] = None,
-    ease_engine: Optional[str] = None,
     overrides: Optional[dict] = None,
 ) -> CompilationResult:
     """Compile, optimize, run and measure one program.
@@ -87,18 +85,11 @@ def compile_and_measure(
     :param trace: record the block-level trace for cache simulation.
     :param policy: JUMPS step-2 heuristic: "shortest", "returns", "loops".
     :param max_rtls: §6 bound on replication sequence length.
-    :param spm_engine: step-1 shortest-path engine ("lazy" / "dense");
-        both produce identical decisions, "dense" is the differential oracle.
     :param verify: translation-validation mode: ``"off"``, ``"sanitize"``
         (structural invariants after every pass) or ``"full"`` (sanitize
         plus the differential execution oracle with pass bisection);
         ``None`` defers to the ``REPRO_VERIFY`` environment variable.
         Failures raise :class:`repro.verify.VerificationError`.
-    :param ease_engine: measurement execution engine: ``"compiled"``
-        (RTL compiled to Python code objects) or ``"interp"`` (the
-        closure interpreter, the differential reference); ``None``
-        defers to ``REPRO_EASE_ENGINE``, then the compiled default.
-        Both engines are parity-gated to identical results.
     :param overrides: per-function replication tunings — a mapping of
         function name to :class:`repro.opt.driver.FunctionTuning`, as
         produced by the autotuner (see :mod:`repro.tune`); unnamed
@@ -122,7 +113,6 @@ def compile_and_measure(
         replication=replication,
         policy=policy,
         max_rtls=max_rtls,
-        spm_engine=spm_engine,
         overrides=dict(overrides) if overrides else {},
     )
     from .verify.verifier import Verifier, resolve_mode
@@ -138,7 +128,6 @@ def compile_and_measure(
         stdin=stdin,
         trace=trace,
         max_steps=max_steps,
-        engine=ease_engine,
     )
     return CompilationResult(
         program,

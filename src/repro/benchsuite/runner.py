@@ -4,8 +4,9 @@ Since the parallel execution layer landed this module is a thin facade
 over :mod:`repro.exec`: every measurement goes through
 :class:`~repro.exec.runner.ParallelRunner`, results are memoized in-process
 per (program, target, configuration, trace) — the Tables 4, 5 and 6
-harnesses reuse the same runs — and an optional persistent
-:class:`~repro.exec.cache.ResultCache` survives across processes.
+harnesses reuse the same runs; verified runs bypass the memo — and an
+optional persistent :class:`~repro.exec.cache.ResultCache` survives
+across processes.
 
 ``run_matrix`` is the bulk entry point: it fans the whole
 (program × target × configuration) cross-product out over a
@@ -29,6 +30,7 @@ from ..cfg.block import Program
 from ..core.replication import Policy
 from ..ease.measure import Measurement
 from ..exec import CellResult, CellSpec, ParallelRunner, ResultCache
+from ..exec.runner import _effective_verify_mode
 from ..frontend.codegen import compile_c
 from ..opt.driver import OptimizationConfig, optimize_program
 from ..targets.machine import Machine, get_target
@@ -107,7 +109,15 @@ def _spec_for(
     )
 
 
-def _memo_key(spec: CellSpec) -> tuple:
+def _memo_key(spec: CellSpec) -> Optional[tuple]:
+    """The in-process memo key, or ``None`` when the memo must be bypassed.
+
+    The rule :class:`~repro.exec.runner.ParallelRunner` applies to the
+    disk cache: a cell under translation validation must actually run,
+    so it neither reads nor seeds the memo.
+    """
+    if _effective_verify_mode(spec) != "off":
+        return None
     return (
         spec.program,
         spec.target,
@@ -142,13 +152,13 @@ def run_benchmark(
     persistent on-disk layer underneath the in-process memo.
     """
     spec = _spec_for(name, target, replication, policy, max_rtls, trace)
-    key = _memo_key(spec)
-    if use_cache and key in _measure_cache:
+    key = _memo_key(spec) if use_cache else None
+    if key in _measure_cache:
         return _measure_cache[key]
     disk = cache if cache is not None else persistent_cache_from_env()
     (result,) = ParallelRunner(workers=1, cache=disk).run([spec])
     measurement = _unwrap(result)
-    if use_cache:
+    if key is not None:
         _measure_cache[key] = measurement
     return measurement
 
@@ -202,8 +212,8 @@ def run_matrix(
     pending_specs: List[CellSpec] = []
     pending_keys: List[Tuple[str, str, str]] = []
     for matrix_key, spec in zip(order, specs):
-        memo_key = _memo_key(spec)
-        if use_memo and memo_key in _measure_cache:
+        memo_key = _memo_key(spec) if use_memo else None
+        if memo_key in _measure_cache:
             measurements[matrix_key] = _measure_cache[memo_key]
         else:
             pending_specs.append(spec)
@@ -216,8 +226,9 @@ def run_matrix(
             failures.append(f"{result.spec.label}:\n{result.error}")
             continue
         measurements[matrix_key] = result.measurement
-        if use_memo:
-            _measure_cache[_memo_key(result.spec)] = result.measurement
+        memo_key = _memo_key(result.spec) if use_memo else None
+        if memo_key is not None:
+            _measure_cache[memo_key] = result.measurement
     if failures:
         raise RuntimeError(
             f"{len(failures)} matrix cell(s) failed:\n" + "\n".join(failures)

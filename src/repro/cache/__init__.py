@@ -1,20 +1,17 @@
 """Instruction-cache simulation (Table 6 substrate + associative extension).
 
-Two Table-6 engines exist: the per-configuration reference replay
-(:func:`simulate_cache`, the differential oracle) and the single-pass
-multi-configuration engine with steady-state loop fast-forwarding
-(:func:`simulate_multi_cache`).  :func:`simulate_paper_configurations`
-selects between them (``engine=`` argument or ``REPRO_CACHESIM_ENGINE``;
-default ``multi``); both produce byte-identical :class:`CacheResult`\\ s.
+Table 6 runs on the single-pass multi-configuration engine with
+steady-state loop fast-forwarding (:func:`simulate_multi_cache`, behind
+:func:`simulate_paper_configurations` and ``repro cache``).  The
+per-configuration replay :func:`simulate_cache` is its test oracle: the
+parity suites check both produce byte-identical :class:`CacheResult`\\ s.
 """
 
 from .associative import AssociativeCacheConfig, simulate_associative_cache
 from .direct_mapped import (
-    CACHESIM_ENGINES,
     PAPER_CACHE_SIZES,
     CacheConfig,
     CacheResult,
-    resolve_cachesim_engine,
     simulate_cache,
     simulate_paper_configurations,
 )
@@ -22,10 +19,8 @@ from .multi import MultiCacheStats, simulate_multi_cache
 
 __all__ = [
     "PAPER_CACHE_SIZES",
-    "CACHESIM_ENGINES",
     "CacheConfig",
     "CacheResult",
-    "resolve_cachesim_engine",
     "simulate_cache",
     "simulate_paper_configurations",
     "simulate_multi_cache",

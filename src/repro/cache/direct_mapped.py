@@ -15,38 +15,17 @@ addresses produced by :func:`repro.ease.measure.measure_program`.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 __all__ = [
     "CacheConfig",
     "CacheResult",
     "simulate_cache",
     "PAPER_CACHE_SIZES",
-    "CACHESIM_ENGINES",
-    "resolve_cachesim_engine",
 ]
 
 PAPER_CACHE_SIZES = (1024, 2048, 4096, 8192)
-
-#: Known Table-6 simulation engines: ``reference`` replays the raw trace
-#: once per configuration (the differential oracle); ``multi`` walks the
-#: (compressed) trace once with all configurations side by side and
-#: fast-forwards steady-state loops (see :mod:`repro.cache.multi`).
-CACHESIM_ENGINES = ("reference", "multi")
-
-
-def resolve_cachesim_engine(engine: Optional[str] = None) -> str:
-    """Pick the Table-6 engine: argument > ``REPRO_CACHESIM_ENGINE`` > multi."""
-    chosen = engine or os.environ.get("REPRO_CACHESIM_ENGINE") or "multi"
-    if chosen not in CACHESIM_ENGINES:
-        raise ValueError(
-            f"unknown cache-simulation engine {chosen!r}; "
-            f"expected one of {CACHESIM_ENGINES}"
-        )
-    return chosen
-
 
 @dataclass(frozen=True)
 class CacheConfig:
@@ -154,27 +133,16 @@ def simulate_paper_configurations(
     trace: Sequence[int],
     block_fetches: Dict[int, List[int]],
     context_switches: bool = False,
-    engine: Optional[str] = None,
 ) -> Dict[int, CacheResult]:
     """Run the four cache sizes of Table 6; keyed by size in bytes.
 
-    ``engine`` selects the simulator: ``"multi"`` (the default) walks
-    the trace once with all four cache states side by side and
-    fast-forwards steady-state loops; ``"reference"`` replays the trace
-    per size through :func:`simulate_cache`.  Both produce identical
-    :class:`CacheResult`\\ s (property-tested and CI-gated parity).
+    One pass of :func:`repro.cache.simulate_multi_cache` walks the trace
+    with all four cache states side by side and fast-forwards
+    steady-state loops; :func:`simulate_cache` is its per-size test
+    oracle (property-tested and CI-gated parity).
     """
-    if resolve_cachesim_engine(engine) == "multi":
-        from .multi import simulate_multi_cache
+    from .multi import simulate_multi_cache
 
-        configs = [CacheConfig(size=size) for size in PAPER_CACHE_SIZES]
-        results = simulate_multi_cache(
-            trace, block_fetches, configs, context_switches
-        )
-        return dict(zip(PAPER_CACHE_SIZES, results))
-    return {
-        size: simulate_cache(
-            trace, block_fetches, CacheConfig(size=size), context_switches
-        )
-        for size in PAPER_CACHE_SIZES
-    }
+    configs = [CacheConfig(size=size) for size in PAPER_CACHE_SIZES]
+    results = simulate_multi_cache(trace, block_fetches, configs, context_switches)
+    return dict(zip(PAPER_CACHE_SIZES, results))

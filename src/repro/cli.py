@@ -42,7 +42,7 @@ from typing import List, Optional
 
 from .api import POLICIES, compile_and_measure
 from .benchsuite import PROGRAMS, program_names
-from .cache import CacheConfig, simulate_cache
+from .cache import CacheConfig, simulate_multi_cache
 from .report import format_table, pct
 from .rtl import format_function
 
@@ -83,27 +83,12 @@ def _config_arguments(parser: argparse.ArgumentParser) -> None:
         help="bound on the replication sequence length (§6 extension)",
     )
     parser.add_argument(
-        "--spm-engine",
-        choices=["lazy", "dense"],
-        default=None,
-        help="step-1 shortest-path engine (default: lazy, or REPRO_SPM_ENGINE; "
-        "dense is the differential oracle)",
-    )
-    parser.add_argument(
         "--verify",
         choices=["off", "sanitize", "full"],
         default=None,
         help="translation validation: sanitize = CFG/RTL invariants after "
         "every pass; full = also the differential execution oracle with "
         "pass bisection (default: off, or REPRO_VERIFY)",
-    )
-    parser.add_argument(
-        "--ease-engine",
-        choices=["compiled", "interp"],
-        default=None,
-        help="measurement execution engine (default: compiled, or "
-        "REPRO_EASE_ENGINE; interp is the closure-interpreter "
-        "differential reference)",
     )
     parser.add_argument(
         "--tuned-config",
@@ -169,9 +154,7 @@ def _measure(args, replication: Optional[str] = None, trace: bool = False):
         policy=args.policy,
         max_rtls=args.max_rtls,
         trace=trace,
-        spm_engine=args.spm_engine,
         verify=args.verify,
-        ease_engine=args.ease_engine,
         overrides=_overrides(args),
     )
 
@@ -353,24 +336,11 @@ def cmd_cache(args) -> int:
     """Instruction-cache sweep, or result-cache gc/stats maintenance."""
     if args.program in ("gc", "stats"):
         return _cmd_cache_maintenance(args)
-    from .cache import resolve_cachesim_engine, simulate_multi_cache
-
     result = _measure(args, trace=True)
     m = result.measurement
-    engine = resolve_cachesim_engine(args.cachesim_engine)
     configs = [CacheConfig(size=size) for size in args.sizes]
-    if engine == "multi":
-        plain = simulate_multi_cache(m.trace, m.block_fetches, configs, False)
-        flushed = simulate_multi_cache(m.trace, m.block_fetches, configs, True)
-    else:
-        plain = [
-            simulate_cache(m.trace, m.block_fetches, config, False)
-            for config in configs
-        ]
-        flushed = [
-            simulate_cache(m.trace, m.block_fetches, config, True)
-            for config in configs
-        ]
+    plain = simulate_multi_cache(m.trace, m.block_fetches, configs, False)
+    flushed = simulate_multi_cache(m.trace, m.block_fetches, configs, True)
     rows = []
     for size, cold, warm in zip(args.sizes, plain, flushed):
         rows.append(
@@ -503,9 +473,7 @@ def cmd_bench(args) -> int:
             policy=args.policy,
             max_rtls=args.max_rtls,
             trace=args.trace,
-            spm_engine=args.spm_engine,
             verify=args.verify,
-            ease_engine=args.ease_engine,
         )
         for target in args.targets
         for config in args.configs
@@ -585,15 +553,9 @@ def cmd_bench(args) -> int:
         print(format_pass_table(instrumentation.aggregate()))
 
     if args.json is not None:
-        from .ease.compile import resolve_ease_engine
-
         payload = {
             "machine": {"cpu_count": os.cpu_count()},
             "workers": runner.workers,
-            # The resolved measurement engine for this invocation; each
-            # cell additionally carries the engine that actually
-            # produced its (possibly cached) measurement.
-            "ease_engine": resolve_ease_engine(args.ease_engine),
             "elapsed_seconds": elapsed,
             "cache": cache.stats() if cache is not None else None,
             # Aggregated over fresh (non-cache-hit) cells only.
@@ -611,11 +573,6 @@ def cmd_bench(args) -> int:
                     "dynamic_jumps": r.measurement.dynamic_jumps if r.ok else None,
                     "dynamic_nops": r.measurement.dynamic_nops if r.ok else None,
                     "code_bytes": r.measurement.code_bytes if r.ok else None,
-                    "ease_engine": (
-                        getattr(r.measurement, "ease_engine", "interp")
-                        if r.ok
-                        else None
-                    ),
                     "compile_seconds": r.compile_seconds,
                     "optimize_seconds": r.optimize_seconds,
                     "measure_seconds": r.measure_seconds,
@@ -858,13 +815,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[128, 256, 512, 1024, 2048, 4096, 8192],
         help="cache sizes in bytes",
     )
-    p.add_argument(
-        "--cachesim-engine",
-        choices=["reference", "multi"],
-        default=None,
-        help="cache simulator (default: multi, or REPRO_CACHESIM_ENGINE; "
-        "reference replays the trace once per size — the differential oracle)",
-    )
     p.set_defaults(func=cmd_cache)
 
     p = sub.add_parser("stats", help="static analysis census")
@@ -932,19 +882,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="bound on the replication sequence length (§6 extension)",
-    )
-    p.add_argument(
-        "--spm-engine",
-        choices=["lazy", "dense"],
-        default=None,
-        help="step-1 shortest-path engine (default: lazy)",
-    )
-    p.add_argument(
-        "--ease-engine",
-        choices=["compiled", "interp"],
-        default=None,
-        help="EASE execution engine "
-        "(default: compiled, or REPRO_EASE_ENGINE)",
     )
     p.add_argument(
         "--trace",

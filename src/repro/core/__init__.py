@@ -13,8 +13,7 @@ from .replication import (
     ReplicationStats,
     clone_function,
 )
-from .shortest_path import ShortestPathBase, ShortestPathMatrix, make_shortest_paths
-from .sssp import LazyShortestPaths
+from .shortest_path import ShortestPaths
 
 __all__ = [
     "replicate_jumps",
@@ -26,10 +25,7 @@ __all__ = [
     "ReplicationMode",
     "ReplicationStats",
     "clone_function",
-    "ShortestPathBase",
-    "ShortestPathMatrix",
-    "LazyShortestPaths",
-    "make_shortest_paths",
+    "ShortestPaths",
     "ProfileGuidedResult",
     "profile_guided_replication",
 ]

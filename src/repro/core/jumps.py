@@ -32,7 +32,6 @@ def replicate_jumps(
     policy: Policy = Policy.SHORTEST,
     max_rtls: Optional[int] = None,
     allow_irreducible: bool = False,
-    engine: Optional[str] = None,
 ) -> ReplicationStats:
     """Run the JUMPS algorithm on ``func`` (in place).
 
@@ -42,15 +41,12 @@ def replicate_jumps(
         in RTLs (the paper's §6 future-work extension).
     :param allow_irreducible: skip the step-6 reducibility rollback; used by
         the optimizer driver for the final invocation (§5.1).
-    :param engine: the step-1 shortest-path engine ("lazy" / "dense");
-        ``None`` defers to ``REPRO_SPM_ENGINE`` and the default.
     """
     replicator = CodeReplicator(
         mode=ReplicationMode.JUMPS,
         policy=policy,
         max_rtls=max_rtls,
         allow_irreducible=allow_irreducible,
-        engine=engine,
     )
     return replicator.run(func)
 
@@ -60,12 +56,11 @@ def replicate_jumps_in_program(
     policy: Policy = Policy.SHORTEST,
     max_rtls: Optional[int] = None,
     allow_irreducible: bool = False,
-    engine: Optional[str] = None,
 ) -> ReplicationStats:
     """Run JUMPS over every function of ``program``; return merged stats."""
     total = ReplicationStats()
     for func in program.functions.values():
         total.merge(
-            replicate_jumps(func, policy, max_rtls, allow_irreducible, engine)
+            replicate_jumps(func, policy, max_rtls, allow_irreducible)
         )
     return total

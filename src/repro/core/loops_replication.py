@@ -14,31 +14,24 @@ are the test of a loop adjacent to the jump are admissible.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..cfg.block import Function, Program
 from .replication import CodeReplicator, Policy, ReplicationMode, ReplicationStats
 
 __all__ = ["replicate_loop_tests", "replicate_loop_tests_in_program"]
 
 
-def replicate_loop_tests(
-    func: Function, engine: Optional[str] = None
-) -> ReplicationStats:
+def replicate_loop_tests(func: Function) -> ReplicationStats:
     """Run the LOOPS configuration on ``func`` (in place)."""
     replicator = CodeReplicator(
         mode=ReplicationMode.LOOPS,
         policy=Policy.FAVOR_LOOPS,
-        engine=engine,
     )
     return replicator.run(func)
 
 
-def replicate_loop_tests_in_program(
-    program: Program, engine: Optional[str] = None
-) -> ReplicationStats:
+def replicate_loop_tests_in_program(program: Program) -> ReplicationStats:
     """Run LOOPS over every function of ``program``; return merged stats."""
     total = ReplicationStats()
     for func in program.functions.values():
-        total.merge(replicate_loop_tests(func, engine))
+        total.merge(replicate_loop_tests(func))
     return total

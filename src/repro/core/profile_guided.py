@@ -84,14 +84,12 @@ def profile_guided_replication(
     policy: Policy = Policy.SHORTEST,
     max_rtls: Optional[int] = None,
     max_steps: int = 200_000_000,
-    engine: Optional[str] = None,
 ) -> ProfileGuidedResult:
     """Optimize ``program`` in place with profile-guided JUMPS.
 
     :param threshold: minimum fraction of the program's executed jumps a
         jump must account for to be replicated.  ``0.0`` means "executed
         at least once".
-    :param engine: the step-1 shortest-path engine ("lazy" / "dense").
     """
     if isinstance(target, str):
         target = get_target(target)
@@ -138,7 +136,6 @@ def profile_guided_replication(
             policy=policy,
             max_rtls=max_rtls,
             jump_filter=is_hot,
-            engine=engine,
         )
         stats.merge(replicator.run(func))
 

@@ -40,7 +40,7 @@ from ..obs import active as _active_observer
 from ..obs.decisions import ReplicationDecision
 from ..obs.tracer import NULL_SPAN
 from ..rtl.insn import CondBranch, IndirectJump, Jump, Return
-from .shortest_path import ShortestPathBase, make_shortest_paths
+from .shortest_path import ShortestPaths
 
 __all__ = [
     "ReplicationMode",
@@ -157,7 +157,6 @@ class CodeReplicator:
         jump_filter: Optional[
             Callable[[Function, BasicBlock, Jump], bool]
         ] = None,
-        engine: Optional[str] = None,
         after_sweep: Optional[Callable[[Function, int], None]] = None,
         convergence_guard: bool = True,
     ) -> None:
@@ -174,11 +173,6 @@ class CodeReplicator:
         # structure inside its own expansion, the non-terminating cascade
         # of §5.2.  Disabled only by tests pinning the safety valves.
         self.convergence_guard = convergence_guard
-        # Which step-1 shortest-path engine to use ("lazy" / "dense");
-        # ``None`` defers to the ``REPRO_SPM_ENGINE`` environment variable
-        # and ultimately the default.  Both engines produce byte-identical
-        # replication decisions; "dense" is kept as a differential oracle.
-        self.engine = engine
         # Optional predicate deciding whether a particular jump should be
         # replaced at all — the hook used by profile-guided replication.
         self.jump_filter = jump_filter
@@ -218,8 +212,8 @@ class CodeReplicator:
                     if tracer is not None
                     else NULL_SPAN
                 ):
-                    matrix = make_shortest_paths(func, self.engine)  # step 1
-                # Step 2: traverse the blocks sequentially.  The matrix stays
+                    paths = ShortestPaths(func)  # step 1
+                # Step 2: traverse the blocks sequentially.  The snapshot stays
                 # valid across replacements within one sweep: replication only
                 # adds blocks, so recorded shortest paths remain intact.
                 position = 0
@@ -232,7 +226,7 @@ class CodeReplicator:
                         self.allow_irreducible or not term.no_replicate
                     ):
                         if self._replace_jump(
-                            func, block, term, matrix, stats, obs, tracer
+                            func, block, term, paths, stats, obs, tracer
                         ):
                             progress = True
                             budget -= 1
@@ -275,7 +269,7 @@ class CodeReplicator:
         func: Function,
         block: BasicBlock,
         jump: Jump,
-        matrix: ShortestPathBase,
+        paths: ShortestPaths,
         stats: ReplicationStats,
         obs=None,
         tracer=None,
@@ -317,9 +311,9 @@ class CodeReplicator:
             decide("kept", "self_loop")
             return False
         follow = func.next_block(block)
-        if id(target) not in matrix.index and target is not follow:
+        if id(target) not in paths.index and target is not follow:
             # The target was created by a replication during this sweep and
-            # is not in the matrix yet; retry with a fresh matrix next sweep.
+            # is not in the snapshot yet; retry with a fresh one next sweep.
             decide("kept", "stale_target")
             return False
 
@@ -356,7 +350,7 @@ class CodeReplicator:
             if tracer is not None
             else NULL_SPAN
         ) as select_span:
-            options = self._candidate_sequences(target, follow, matrix)
+            options = self._candidate_sequences(target, follow, paths)
         select_span.set(options=len(options))
         attempts = 0
         rollbacks = 0
@@ -448,12 +442,12 @@ class CodeReplicator:
         self,
         target: BasicBlock,
         follow: Optional[BasicBlock],
-        matrix: ShortestPathBase,
+        paths: ShortestPaths,
     ) -> List[Tuple[List[BasicBlock], bool]]:
         """The (sequence, ends-by-falling-through) options, in policy order."""
-        to_return = matrix.shortest_sequence_to_return(target)
+        to_return = paths.shortest_sequence_to_return(target)
         to_follow = (
-            matrix.shortest_sequence_to_fallthrough(target, follow)
+            paths.shortest_sequence_to_fallthrough(target, follow)
             if follow is not None
             else None
         )

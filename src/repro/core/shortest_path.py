@@ -4,14 +4,17 @@ The paper finds the replacement for an unconditional jump by following the
 *shortest path* in the control-flow graph, where the length of a path is the
 number of RTLs in the traversed blocks.  The paper computes all-pairs
 shortest paths with the Floyd/Warshall algorithm ([Wa62], [Fl62]) "once per
-invocation" — :class:`ShortestPathMatrix` keeps that dense implementation
-as the differential oracle.  The optimizer's hot path, however, only ever
-asks about a handful of sources (the actual jump targets of one sweep), so
-the default engine is the demand-driven :class:`repro.core.sssp.LazyShortestPaths`
-(per-source Dijkstra, memoized across the sweep); :func:`make_shortest_paths`
-selects between them.
+invocation of JUMPS", but the optimizer driver invokes JUMPS once per
+*sweep*, and a sweep only ever queries a handful of sources: the targets of
+the unconditional jumps under consideration (plus, transitively, the blocks
+of the chosen sequences).  :class:`ShortestPaths` therefore answers the
+same queries by running one binary-heap Dijkstra per *queried* source,
+memoized for the lifetime of the object (one sweep).  The paper's dense
+Floyd/Warshall matrix survives as a test oracle
+(:class:`repro.verify.floyd_warshall.ShortestPathMatrix`); both compute
+true shortest distances under the conventions below.
 
-Conventions (shared by both engines):
+Conventions:
 
 * ``dist(u, v)`` is the minimum total number of RTLs over all paths from
   ``u`` to ``v``, counting the RTLs of *both* endpoints and of every block
@@ -26,73 +29,47 @@ Canonical paths
 ---------------
 
 Ties between equally short paths are broken *canonically*, from distance
-values alone, so every engine reconstructs the identical block sequence:
-among all minimum-weight paths the hop-minimal one is chosen, and within a
-hop layer the smallest-index predecessor wins.  This is what makes the lazy
-engine and the dense oracle produce byte-identical replication decisions.
+values alone, so any distance source reconstructs the identical block
+sequence: among all minimum-weight paths the hop-minimal one is chosen,
+and within a hop layer the smallest-index predecessor wins.  This is what
+makes Dijkstra and the Floyd/Warshall oracle produce byte-identical
+replication decisions.
+
+Observability: each Dijkstra run increments ``sssp.dijkstra_runs`` and
+its relaxation count lands in ``sssp.relaxations``, so ``repro trace``
+shows exactly how much of the all-pairs work the sweep avoided.
 """
 
 from __future__ import annotations
 
-import os
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence
-
-import numpy as np
 
 from ..cfg.block import BasicBlock, Function
 from ..obs import active as _active_observer
 
-__all__ = ["ShortestPathMatrix", "ShortestPathBase", "make_shortest_paths"]
+__all__ = ["ShortestPaths"]
 
 _INF = float("inf")
 
-#: Environment override for the engine choice (``lazy`` or ``dense``);
-#: an explicit ``engine=`` argument wins over the environment.
-ENGINE_ENV = "REPRO_SPM_ENGINE"
 
+class ShortestPaths:
+    """Step-1 queries over a snapshot of one function's blocks.
 
-class ShortestPathBase:
-    """Queries shared by every shortest-path engine.
-
-    A concrete engine snapshots the function at construction (the engine
-    stays valid across replacements within one sweep: replication only
-    adds blocks, so recorded shortest paths remain intact) and provides:
-
-    * ``blocks`` / ``index`` — the block snapshot and its ``id`` index;
-    * ``_sizes`` — per-block RTL counts, indexable by block index;
-    * ``_succ_idx`` / ``_pred_idx`` — the snapshot adjacency with the
-      paper's exclusions applied (no self edges, no edges out of blocks
-      ending in indirect jumps);
-    * ``_return_idx`` — indices of blocks ending in a return;
-    * :meth:`_distances_from` — the distance row of one source;
-    * :meth:`_best_return_from` — nearest return block for one source.
+    The snapshot is taken at construction and stays valid across
+    replacements within one sweep: replication only adds blocks, so
+    recorded shortest paths remain intact.  Distances come from the two
+    hooks :meth:`_distances_from` (per-source Dijkstra, memoized) and
+    :meth:`_best_return_from`; everything else is shared with any
+    subclass that supplies distances another way.
     """
 
-    func: Function
-    blocks: List[BasicBlock]
-    index: Dict[int, int]
-
-    # --- engine hooks ---------------------------------------------------------
-
-    def _distances_from(self, i: int):
-        """Distances from source ``i`` to every block index (indexable).
-
-        Entry ``[i]`` itself is unspecified — the relation is
-        non-reflexive and every query path treats the source specially.
-        """
-        raise NotImplementedError
-
-    def _best_return_from(self, i: int) -> Optional[int]:
-        """Index of the nearest return block (smallest index on ties)."""
-        raise NotImplementedError
-
-    # --- snapshot helpers -----------------------------------------------------
-
-    def _snapshot(self, func: Function) -> None:
-        """Capture blocks, sizes, filtered adjacency and return blocks."""
+    def __init__(self, func: Function) -> None:
         self.func = func
-        self.blocks = list(func.blocks)
-        self.index = {id(block): i for i, block in enumerate(self.blocks)}
+        self.blocks: List[BasicBlock] = list(func.blocks)
+        self.index: Dict[int, int] = {
+            id(block): i for i, block in enumerate(self.blocks)
+        }
         self._sizes = [block.size() for block in self.blocks]
         succ_idx: List[List[int]] = []
         for i, block in enumerate(self.blocks):
@@ -115,13 +92,78 @@ class ShortestPathBase:
         self._return_idx = [
             i for i, block in enumerate(self.blocks) if block.ends_in_return()
         ]
+        self._rows: Dict[int, List[float]] = {}
+        #: Nearest-return index per queried source (memoized like rows).
+        self._ret_best: Dict[int, Optional[int]] = {}
+
+    # --- distance hooks -------------------------------------------------------
+
+    def _distances_from(self, i: int):
+        """Distances from source ``i`` to every block index (indexable).
+
+        Entry ``[i]`` itself is unspecified — the relation is
+        non-reflexive and every query path treats the source specially.
+        """
+        row = self._rows.get(i)
+        if row is None:
+            row = self._dijkstra(i)
+            self._rows[i] = row
+        return row
+
+    def _best_return_from(self, i: int) -> Optional[int]:
+        """Index of the nearest return block (smallest index on ties)."""
+        if i not in self._ret_best:
+            d = self._distances_from(i)
+            best: Optional[int] = None
+            best_d = _INF
+            # Ascending index order + strict improvement: the smallest
+            # index among minimal distances wins.
+            for j in self._return_idx:
+                if j != i and d[j] < best_d:
+                    best_d = d[j]
+                    best = j
+            self._ret_best[i] = best
+        return self._ret_best[i]
+
+    def _dijkstra(self, i: int) -> List[float]:
+        """Distances from block ``i`` under the paper's conventions.
+
+        The weight of a path is the RTL count of every block on it,
+        both endpoints included, realized as node weights: entering
+        block ``v`` costs ``size(v)``, and the source's own size seeds
+        the frontier.  The source is never re-entered (the relation is
+        non-reflexive; queries mask ``dist(i, i)`` anyway).
+        """
+        sizes = self._sizes
+        succ = self._succ_idx
+        d = [_INF] * len(self.blocks)
+        d[i] = float(sizes[i])
+        heap: List[tuple] = [(d[i], i)]
+        relaxations = 0
+        while heap:
+            du, u = heappop(heap)
+            if du > d[u]:
+                continue  # stale entry
+            for v in succ[u]:
+                if v == i:
+                    continue
+                nd = du + sizes[v]
+                relaxations += 1
+                if nd < d[v]:
+                    d[v] = nd
+                    heappush(heap, (nd, v))
+        obs = _active_observer()
+        if obs is not None:
+            obs.metrics.inc("sssp.dijkstra_runs")
+            obs.metrics.inc("sssp.relaxations", relaxations)
+        return d
 
     # --- canonical path reconstruction ----------------------------------------
 
     def _canonical_path_idx(self, i: int, j: int) -> Optional[List[int]]:
         """The canonical shortest path ``i .. j`` as block indices.
 
-        Built purely from distance values, so every engine agrees: BFS
+        Built purely from distance values, so every distance source agrees: BFS
         over the shortest-path subgraph (edges that settle the distance
         equation) finds minimal hop counts, then a backward walk picks
         the smallest-index predecessor in the previous hop layer.  All
@@ -218,8 +260,8 @@ class ShortestPathBase:
         else:
             direct = None
         path = self.path(start, follow)
-        via_engine = path[:-1] if path is not None and len(path) > 1 else None
-        candidates = [c for c in (direct, via_engine) if c is not None]
+        via_path = path[:-1] if path is not None and len(path) > 1 else None
+        candidates = [c for c in (direct, via_path) if c is not None]
         if not candidates:
             return None
         return min(candidates, key=lambda seq: sum(b.size() for b in seq))
@@ -227,77 +269,3 @@ class ShortestPathBase:
     @staticmethod
     def sequence_cost(sequence: Sequence[BasicBlock]) -> int:
         return sum(block.size() for block in sequence)
-
-
-class ShortestPathMatrix(ShortestPathBase):
-    """All-pairs shortest paths, computed densely with Floyd/Warshall.
-
-    This is the paper's step-1 algorithm, kept as the differential
-    oracle behind ``engine="dense"`` / ``REPRO_SPM_ENGINE=dense``.
-    """
-
-    def __init__(self, func: Function) -> None:
-        self._snapshot(func)
-        n = len(self.blocks)
-        sizes = np.array(self._sizes, dtype=np.float64)
-        dist = np.full((n, n), _INF, dtype=np.float64)
-        for i, row in enumerate(self._succ_idx):
-            for j in row:
-                weight = sizes[i] + sizes[j]
-                if weight < dist[i, j]:
-                    dist[i, j] = weight
-        # Floyd/Warshall, vectorized over the (i, j) plane for each pivot k.
-        # Intermediate block k is counted once: dist[i,k] + dist[k,j] counts
-        # it twice, so subtract its size.
-        for k in range(n):
-            through_k = dist[:, k, None] + dist[None, k, :] - sizes[k]
-            np.minimum(dist, through_k, out=dist)
-        self._dist = dist
-        # Nearest-return vector, filled on first use (the satellite fix:
-        # one vectorized argmin instead of an all-blocks scan per query).
-        self._ret_best: Optional[np.ndarray] = None
-
-    def _distances_from(self, i: int):
-        return self._dist[i]
-
-    def _best_return_from(self, i: int) -> Optional[int]:
-        if self._ret_best is None:
-            n = len(self.blocks)
-            ridx = self._return_idx
-            if not ridx:
-                self._ret_best = np.full(n, -1, dtype=np.int64)
-            else:
-                sub = self._dist[:, ridx].copy()
-                for pos, j in enumerate(ridx):
-                    sub[j, pos] = _INF  # non-reflexive: skip dist(j, j)
-                best_pos = np.argmin(sub, axis=1)  # first minimum wins ties
-                best = np.array(ridx, dtype=np.int64)[best_pos]
-                best[sub[np.arange(n), best_pos] == _INF] = -1
-                self._ret_best = best
-        j = int(self._ret_best[i])
-        return None if j < 0 else j
-
-
-def make_shortest_paths(
-    func: Function, engine: Optional[str] = None
-) -> ShortestPathBase:
-    """Build the step-1 engine for ``func``.
-
-    ``engine`` is ``"lazy"`` (the default: demand-driven per-source
-    Dijkstra) or ``"dense"`` (the paper's Floyd/Warshall matrix, kept as
-    the differential oracle).  ``None`` defers to the ``REPRO_SPM_ENGINE``
-    environment variable, then to ``"lazy"``.
-    """
-    name = engine or os.environ.get(ENGINE_ENV) or "lazy"
-    if name == "dense":
-        cls = ShortestPathMatrix
-    elif name == "lazy":
-        from .sssp import LazyShortestPaths
-
-        cls = LazyShortestPaths
-    else:
-        raise ValueError(f"shortest-path engine must be lazy/dense, got {name!r}")
-    obs = _active_observer()
-    if obs is not None:
-        obs.metrics.inc(f"sssp.engine.{name}")
-    return cls(func)

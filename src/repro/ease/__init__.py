@@ -1,12 +1,6 @@
 """EASE-like measurement: RTL interpreter, compiled engine, and counting."""
 
-from .compile import (
-    DEFAULT_EASE_ENGINE,
-    EASE_ENGINES,
-    CompiledInterpreter,
-    make_interpreter,
-    resolve_ease_engine,
-)
+from .compile import CompiledInterpreter, make_interpreter
 from .interp import ExecutionResult, Interpreter, MachineState, StepLimitExceeded
 from .measure import Measurement, measure_program
 from .pipeline import (
@@ -18,11 +12,8 @@ from .pipeline import (
 from .runtime import ProgramExit, is_builtin
 
 __all__ = [
-    "DEFAULT_EASE_ENGINE",
-    "EASE_ENGINES",
     "CompiledInterpreter",
     "make_interpreter",
-    "resolve_ease_engine",
     "ExecutionResult",
     "Interpreter",
     "MachineState",

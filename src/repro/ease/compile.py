@@ -35,15 +35,14 @@ threaded-code path, with a decision-log event and an
 ``ease.compile.fallbacks`` metric recording the reason; the two engines
 interoperate freely through ``_do_call`` within one run.
 
-Engine selection follows the established pattern: ``--ease-engine
-{compiled,interp}`` / ``REPRO_EASE_ENGINE`` / :func:`make_interpreter`,
-with the closure interpreter kept as the differential reference
+Product measurement runs on this engine only
+(:func:`make_interpreter`).  The closure interpreter stays the
+verification oracle's engine and the differential reference
 (`tests/ease/test_compiled_parity.py` is the parity gate).
 """
 
 from __future__ import annotations
 
-import os
 from struct import pack_into as _pack_into
 from struct import unpack_from as _unpack_from
 from time import perf_counter
@@ -72,20 +71,9 @@ from .trace import TraceSink
 __all__ = [
     "CompiledInterpreter",
     "CompileDeclined",
-    "resolve_ease_engine",
     "make_interpreter",
-    "EASE_ENGINES",
-    "DEFAULT_EASE_ENGINE",
     "MAX_COMPILED_BLOCKS",
 ]
-
-#: Engines selectable via ``--ease-engine`` / ``REPRO_EASE_ENGINE``.
-EASE_ENGINES = ("compiled", "interp")
-
-#: The default execution engine for dynamic measurement.  The closure
-#: interpreter remains the differential reference (and the engine the
-#: verification oracle runs on).
-DEFAULT_EASE_ENGINE = "compiled"
 
 #: Functions with more basic blocks than this are declined and fall
 #: back to the interpreter: generating and ``compile()``ing a dispatch
@@ -95,30 +83,12 @@ MAX_COMPILED_BLOCKS = 1024
 _WRAP_LO = -(1 << 31)
 
 
-def resolve_ease_engine(engine: Optional[str] = None) -> str:
-    """Pick the EASE engine: argument > ``REPRO_EASE_ENGINE`` > compiled."""
-    chosen = engine or os.environ.get("REPRO_EASE_ENGINE") or DEFAULT_EASE_ENGINE
-    if chosen not in EASE_ENGINES:
-        raise ValueError(
-            f"unknown EASE engine {chosen!r}; expected one of {EASE_ENGINES}"
-        )
-    return chosen
+def make_interpreter(program: Program, **kwargs) -> CompiledInterpreter:
+    """Build the measurement engine for ``program``.
 
-
-def make_interpreter(
-    program: Program,
-    engine: Optional[str] = None,
-    **kwargs,
-) -> Interpreter:
-    """Build the selected execution engine for ``program``.
-
-    ``engine`` is ``"compiled"``, ``"interp"`` or ``None`` (defer to
-    ``REPRO_EASE_ENGINE`` and ultimately the default); remaining keyword
-    arguments go to the engine constructor (``mem_size``, ``max_steps``).
+    Keyword arguments go to the constructor (``mem_size``, ``max_steps``).
     """
-    if resolve_ease_engine(engine) == "compiled":
-        return CompiledInterpreter(program, **kwargs)
-    return Interpreter(program, **kwargs)
+    return CompiledInterpreter(program, **kwargs)
 
 
 class CompileDeclined(Exception):

@@ -25,7 +25,7 @@ from ..obs import active as _active_observer
 from ..obs.tracer import NULL_SPAN
 from ..rtl.insn import Call, CondBranch, IndirectJump, Insn, Jump, Nop, Return
 from ..targets.machine import Machine
-from .compile import CompiledInterpreter, make_interpreter
+from .compile import make_interpreter
 from .interp import Interpreter
 from .trace import CompressedTrace, TraceSink
 
@@ -52,10 +52,6 @@ class Measurement:
         # Block-level trace: ``CompressedTrace`` by default (iterates as
         # raw global block ids), a plain list under a ``RawListSink``.
         self.trace = None
-        # Which execution engine produced the dynamic counts
-        # ("compiled" or "interp"); the two are parity-gated, so this
-        # is provenance, not a semantic knob.
-        self.ease_engine = "interp"
 
     @property
     def insns_between_branches(self) -> float:
@@ -82,7 +78,6 @@ def measure_program(
     trace: Union[bool, TraceSink] = False,
     interpreter: Optional[Interpreter] = None,
     max_steps: int = 200_000_000,
-    engine: Optional[str] = None,
 ) -> Measurement:
     """Run ``program`` and measure it with the target's size/count model.
 
@@ -90,19 +85,12 @@ def measure_program(
     ``True`` records through the default compressing sink; pass a
     :class:`~repro.ease.trace.TraceSink` to pick the representation.
 
-    ``engine`` picks the execution engine ("compiled" / "interp";
-    ``None`` defers to ``REPRO_EASE_ENGINE``, then the compiled
-    default).  An explicit ``interpreter`` wins over ``engine`` — the
-    caller already chose.
+    Runs on the compiled engine unless an ``interpreter`` is passed in
+    (the closure :class:`~repro.ease.interp.Interpreter`, for instance).
     """
     measurement = Measurement()
-    interp = interpreter or make_interpreter(program, engine, max_steps=max_steps)
-    measurement.ease_engine = (
-        "compiled" if isinstance(interp, CompiledInterpreter) else "interp"
-    )
+    interp = interpreter or make_interpreter(program, max_steps=max_steps)
     obs = _active_observer()
-    if obs is not None:
-        obs.metrics.inc(f"ease.engine.{measurement.ease_engine}")
     tracer = obs.tracer if obs is not None and obs.tracer.enabled else None
 
     # --- static layout ---------------------------------------------------------

@@ -20,7 +20,7 @@ this model exceeds the raw instruction-count saving.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..cfg.block import Program
 from .interp import Interpreter
@@ -105,16 +105,12 @@ def measure_pipeline(
     stdin: bytes = b"",
     model: PipelineModel = PipelineModel(),
     max_steps: int = 200_000_000,
-    engine: Optional[str] = None,
 ) -> PipelineResult:
-    """Convenience wrapper: trace ``program`` and apply the pipeline model.
-
-    ``engine`` follows :func:`repro.ease.measure.measure_program`.
-    """
+    """Convenience wrapper: trace ``program`` and apply the pipeline model."""
     from .compile import make_interpreter
     from .measure import measure_program
 
-    interpreter = make_interpreter(program, engine, max_steps=max_steps)
+    interpreter = make_interpreter(program, max_steps=max_steps)
     measurement = measure_program(
         program, target, stdin=stdin, trace=True, interpreter=interpreter
     )

@@ -60,16 +60,7 @@ class ResultCache:
 
     def key(self, spec: CellSpec) -> str:
         """Content hash of everything that determines the cell's result."""
-        from ..ease.compile import resolve_ease_engine
-
         source, stdin = spec.resolve()
-        # Key on the *resolved* engine: a spec left at the default must
-        # not serve an envelope produced under a different
-        # REPRO_EASE_ENGINE (the counts agree, the timings do not).
-        try:
-            ease_engine = resolve_ease_engine(spec.ease_engine)
-        except ValueError:
-            ease_engine = f"<invalid:{spec.ease_engine}>"
         hasher = hashlib.sha256()
         for part in (
             f"schema={self.schema_version}",
@@ -84,8 +75,8 @@ class ResultCache:
             f"tuned={spec.tuned}",
             f"trace={spec.trace}",
             f"optimize={spec.optimize}",
-            f"spm_engine={spec.spm_engine}",
-            f"ease_engine={ease_engine}",
+            # ``None`` is the compiled default: one entry for both.
+            f"ease_engine={spec.ease_engine or 'compiled'}",
             f"source={source}",
         ):
             hasher.update(part.encode("utf-8"))

@@ -24,7 +24,7 @@ __all__ = ["CellSpec", "CellResult", "CACHE_SCHEMA_VERSION"]
 #: changes; old cache entries become unreachable (different keys).
 #: v2: CellSpec grew ``observe``; CellResult grew ``obs`` (the
 #: observability snapshot: spans, metrics, replication decision log).
-#: v3: CellSpec grew ``spm_engine`` (the step-1 shortest-path engine).
+#: v3: CellSpec grew a step-1 shortest-path engine selector.
 #: v4: traced measurements carry an RLE ``CompressedTrace`` instead of
 #: the raw ``List[int]`` (the streaming dynamic-measurement pipeline);
 #: old raw-list envelopes must not shadow compressed ones, and the
@@ -41,7 +41,11 @@ __all__ = ["CellSpec", "CellResult", "CACHE_SCHEMA_VERSION"]
 #: the autotuner) and the replication engine gained the §5.2 convergence
 #: guard, which can change replication results on cascading shapes;
 #: guard-less envelopes must not shadow guarded ones.
-CACHE_SCHEMA_VERSION = 7
+#: v8: CellSpec lost the shortest-path engine selector (the key no
+#: longer hashes it, and ``ease_engine=None`` keys as ``"compiled"``
+#: without consulting the environment) and ``Measurement`` lost its
+#: ``ease_engine`` provenance field, so v7 pickles carry a stale layout.
+CACHE_SCHEMA_VERSION = 8
 
 
 @dataclass(frozen=True)
@@ -70,17 +74,11 @@ class CellSpec:
     #: cache key — a cached cell may carry a sparser snapshot than a
     #: fresh observed run would produce.
     observe: bool = False
-    #: Step-1 shortest-path engine ("lazy" / "dense"; ``None`` = default).
-    #: Decision parity makes the *result* engine-independent, but the
-    #: engines differ in timing/metrics, so the engine is part of the
-    #: cache key — a dense differential run never shadows a lazy one.
-    spm_engine: Optional[str] = None
-    #: Measurement execution engine ("compiled" / "interp"; ``None`` =
-    #: default, i.e. ``REPRO_EASE_ENGINE`` or compiled).  Engine parity
-    #: makes the *counts* engine-independent, but the engines differ in
-    #: wall time (``measure_seconds``), so the engine is part of the
-    #: cache key — an interpreter differential run never shadows a
-    #: compiled one.
+    #: Measurement engine: ``None``/``"compiled"`` (the product engine)
+    #: or ``"interp"`` (the closure interpreter, which differential
+    #: references run on).  Parity makes the counts engine-independent,
+    #: but wall time (``measure_seconds``) differs, so the engine is part
+    #: of the cache key; ``None`` and ``"compiled"`` share one entry.
     ease_engine: Optional[str] = None
     #: Translation-validation mode ("off" / "sanitize" / "full");
     #: ``None`` defers to ``REPRO_VERIFY``.  A cell whose effective mode
@@ -96,6 +94,12 @@ class CellSpec:
     #: candidate identical to the global setting must be normalized to
     #: ``None`` by the caller so it shares the baseline's cache entry.
     tuned: Optional[Tuple[Tuple[str, str, Optional[int], str], ...]] = None
+
+    def __post_init__(self) -> None:
+        if self.ease_engine not in (None, "compiled", "interp"):
+            raise ValueError(
+                f"ease_engine must be compiled/interp, got {self.ease_engine!r}"
+            )
 
     def resolve(self) -> Tuple[str, bytes]:
         """The (source text, stdin bytes) this cell actually runs."""

@@ -94,6 +94,7 @@ def execute_cell(spec: CellSpec) -> CellResult:
     try:
         from dataclasses import asdict
 
+        from ..ease.interp import Interpreter
         from ..ease.measure import measure_program
         from ..frontend.codegen import compile_c
         from ..opt.driver import OptimizationConfig, optimize_program
@@ -125,7 +126,6 @@ def execute_cell(spec: CellSpec) -> CellResult:
                     policy=POLICIES[spec.policy],
                     max_rtls=spec.max_rtls,
                     validate_cfg=spec.validate_cfg,
-                    spm_engine=spec.spm_engine,
                     overrides=overrides,
                 )
                 from ..verify.verifier import Verifier, resolve_mode
@@ -148,7 +148,9 @@ def execute_cell(spec: CellSpec) -> CellResult:
                 target,
                 stdin=stdin,
                 trace=spec.trace,
-                engine=spec.ease_engine,
+                interpreter=(
+                    Interpreter(program) if spec.ease_engine == "interp" else None
+                ),
             )
             result.measure_seconds = perf_counter() - start
     except BaseException:

@@ -123,9 +123,6 @@ class OptimizationConfig:
     fill_delay_slots: bool = True
     #: Debug: run the CFG invariant validator after every pass.
     validate_cfg: bool = False
-    #: Step-1 shortest-path engine for replication ("lazy" / "dense");
-    #: ``None`` defers to ``REPRO_SPM_ENGINE`` and the default ("lazy").
-    spm_engine: Optional[str] = None
     #: Per-function (policy, max_rtls, order) overrides emitted by the
     #: autotuner; functions not named here use the global settings above.
     overrides: Dict[str, FunctionTuning] = field(default_factory=dict)
@@ -137,10 +134,6 @@ class OptimizationConfig:
         if self.replication not in ("none", "loops", "jumps"):
             raise ValueError(
                 f"replication must be none/loops/jumps, got {self.replication!r}"
-            )
-        if self.spm_engine not in (None, "lazy", "dense"):
-            raise ValueError(
-                f"spm_engine must be lazy/dense, got {self.spm_engine!r}"
             )
 
     def tuning_for(self, function_name: str) -> FunctionTuning:
@@ -165,7 +158,6 @@ def _make_replicator(
         return CodeReplicator(
             mode=ReplicationMode.LOOPS,
             policy=Policy.FAVOR_LOOPS,
-            engine=config.spm_engine,
             after_sweep=after_sweep,
             convergence_guard=config.convergence_guard,
         )
@@ -174,7 +166,6 @@ def _make_replicator(
         policy=tuning.policy,
         max_rtls=tuning.max_rtls,
         allow_irreducible=allow_irreducible,
-        engine=config.spm_engine,
         after_sweep=after_sweep,
         convergence_guard=config.convergence_guard,
     )

@@ -12,7 +12,6 @@ from repro.cache import (
     PAPER_CACHE_SIZES,
     CacheConfig,
     MultiCacheStats,
-    resolve_cachesim_engine,
     simulate_cache,
     simulate_multi_cache,
     simulate_paper_configurations,
@@ -202,11 +201,14 @@ class TestDispatch:
         trace = [0, 1, 2] * 300 + [3]
         fetches = {i: [i * 32 + j * 4 for j in range(4)] for i in range(4)}
         for ctx in (False, True):
-            ref = simulate_paper_configurations(
-                trace, fetches, context_switches=ctx, engine="reference"
-            )
+            ref = {
+                size: simulate_cache(
+                    trace, fetches, CacheConfig(size=size), context_switches=ctx
+                )
+                for size in PAPER_CACHE_SIZES
+            }
             fast = simulate_paper_configurations(
-                trace, fetches, context_switches=ctx, engine="multi"
+                trace, fetches, context_switches=ctx
             )
             assert ref.keys() == fast.keys()
             for size in ref:
@@ -221,13 +223,3 @@ class TestDispatch:
                     fast[size].fetch_cost,
                     fast[size].flushes,
                 )
-
-    def test_resolver_precedence(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHESIM_ENGINE", raising=False)
-        assert resolve_cachesim_engine() == "multi"
-        assert resolve_cachesim_engine("reference") == "reference"
-        monkeypatch.setenv("REPRO_CACHESIM_ENGINE", "reference")
-        assert resolve_cachesim_engine() == "reference"
-        assert resolve_cachesim_engine("multi") == "multi"
-        with pytest.raises(ValueError):
-            resolve_cachesim_engine("turbo")

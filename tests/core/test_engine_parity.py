@@ -1,14 +1,18 @@
-"""End-to-end decision parity: lazy and dense engines, same decisions.
+"""End-to-end decision parity: Dijkstra and the Floyd/Warshall oracle.
 
-The acceptance bar for the lazy step-1 engine is not "equally good"
-replication but *the same* replication: identical decision logs (every
-candidate jump examined, in order, with the same outcome, sequence kind
-and sizes) and identical final RTL.  This is checked on the adversarial
+The acceptance bar for demand-driven step 1 is not "equally good"
+replication but *the same* replication as the paper's dense matrix:
+identical decision logs (every candidate jump examined, in order, with
+the same outcome, sequence kind and sizes) and identical final RTL.  This is checked on the adversarial
 random-CFG fuzzer (unstructured graphs: backward branches, multiple
 returns) and on random mini-C programs (while / do-while / bounded
 forward goto — the shapes the paper is about), through the full
-optimizer pipeline.
+optimizer pipeline.  The oracle is swapped in by patching the one name
+the replicator builds step 1 from.
 """
+
+from contextlib import nullcontext
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 
@@ -16,26 +20,37 @@ from repro.cfg import check_function
 from repro.core import CodeReplicator, Policy, ReplicationMode, clone_function
 from repro.obs import observing
 from repro.rtl import format_function
+from repro.verify.floyd_warshall import ShortestPathMatrix
 from tests.core.test_random_cfgs import random_functions
 from tests.integration.test_random_programs import programs
 
+ENGINES = ("lazy", "dense")
 
-def _bounded(engine):
+
+def step1(engine):
+    """Context running replication on ``engine``: the product or the oracle."""
+    if engine == "lazy":
+        return nullcontext()
+    return mock.patch("repro.core.replication.ShortestPaths", ShortestPathMatrix)
+
+
+def _bounded():
     return CodeReplicator(
         mode=ReplicationMode.JUMPS,
         policy=Policy.SHORTEST,
         max_replications_per_function=60,
         max_function_blocks=120,
-        engine=engine,
     )
 
 
 def _run_engine(func, engine):
     """(decision rows, final RTL text) of one bounded JUMPS run."""
     work = clone_function(func)
-    with observing(spans=False) as obs:
-        _bounded(engine).run(work)
+    with observing(spans=False) as obs, step1(engine):
+        _bounded().run(work)
     check_function(work)
+    if engine == "dense":  # the patch took: no Dijkstra ran
+        assert "sssp.dijkstra_runs" not in obs.metrics.counters
     return obs.decisions.as_dicts(), format_function(work)
 
 
@@ -52,13 +67,12 @@ class TestFuzzedCFGParity:
     @given(random_functions())
     def test_loops_mode_parity(self, func):
         results = {}
-        for engine in ("lazy", "dense"):
+        for engine in ENGINES:
             work = clone_function(func)
-            with observing(spans=False) as obs:
+            with observing(spans=False) as obs, step1(engine):
                 CodeReplicator(
                     mode=ReplicationMode.LOOPS,
                     policy=Policy.FAVOR_LOOPS,
-                    engine=engine,
                 ).run(work)
             results[engine] = (obs.decisions.as_dicts(), format_function(work))
         assert results["lazy"] == results["dense"]
@@ -77,13 +91,13 @@ class TestMiniCPipelineParity:
         from repro.targets import get_target
 
         results = {}
-        for engine in ("lazy", "dense"):
+        for engine in ENGINES:
             program = compile_c(source)
-            with observing(spans=False) as obs:
+            with observing(spans=False) as obs, step1(engine):
                 optimize_program(
                     program,
                     get_target("sparc"),
-                    OptimizationConfig(replication="jumps", spm_engine=engine),
+                    OptimizationConfig(replication="jumps"),
                 )
             rtl = "\n\n".join(
                 format_function(f) for f in program.functions.values()

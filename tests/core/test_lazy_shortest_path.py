@@ -1,25 +1,20 @@
-"""Differential tests: the lazy Dijkstra engine vs the dense matrix.
+"""Differential tests: demand-driven Dijkstra vs the dense matrix.
 
-Decision parity is the load-bearing property of this PR: the lazy engine
-must answer every step-1 query *identically* to the Floyd/Warshall
-oracle — not merely with equal costs, but with the very same canonical
-paths and sequences — so the replication engine makes byte-identical
-decisions regardless of which engine ran.  These tests compare the two
-engines query-by-query on fuzzer CFGs and check the lazy distances
-against networkx as an independent oracle.
+Decision parity is the load-bearing property of step 1: the product
+:class:`ShortestPaths` must answer every query *identically* to the
+Floyd/Warshall oracle — not merely with equal costs, but with the very
+same canonical paths and sequences — so the replication engine makes
+byte-identical decisions either way.  These tests compare the two
+query-by-query on fuzzer CFGs and check the Dijkstra distances against
+networkx as an independent oracle.
 """
 
 import networkx as nx
-import pytest
 from hypothesis import given, settings
 
-from repro.core import (
-    LazyShortestPaths,
-    ShortestPathMatrix,
-    make_shortest_paths,
-)
-from repro.core.shortest_path import ENGINE_ENV
+from repro.core import ShortestPaths
 from repro.obs import observing
+from repro.verify.floyd_warshall import ShortestPathMatrix
 from tests.cfg.test_dominators import build_graph, random_edge_lists
 from tests.conftest import function_from_text
 
@@ -35,7 +30,7 @@ class TestLazyAgainstDense:
         n, edges = data
         func = build_graph(edges, n)
         dense = ShortestPathMatrix(func)
-        lazy = LazyShortestPaths(func)
+        lazy = ShortestPaths(func)
         for src in func.blocks:
             for dst in func.blocks:
                 assert lazy.dist(src, dst) == dense.dist(src, dst), (
@@ -48,11 +43,11 @@ class TestLazyAgainstDense:
     def test_all_pairs_paths_are_identical(self, data):
         # Stronger than equal cost: the canonical reconstruction makes
         # the chosen path a pure function of the distance values, so the
-        # engines must return the *same block sequence*.
+        # two must return the *same block sequence*.
         n, edges = data
         func = build_graph(edges, n)
         dense = ShortestPathMatrix(func)
-        lazy = LazyShortestPaths(func)
+        lazy = ShortestPaths(func)
         for src in func.blocks:
             for dst in func.blocks:
                 if dst is src:
@@ -67,7 +62,7 @@ class TestLazyAgainstDense:
         n, edges = data
         func = build_graph(edges, n)
         dense = ShortestPathMatrix(func)
-        lazy = LazyShortestPaths(func)
+        lazy = ShortestPaths(func)
         for start in func.blocks:
             assert _labels(lazy.shortest_sequence_to_return(start)) == _labels(
                 dense.shortest_sequence_to_return(start)
@@ -88,7 +83,7 @@ class TestLazyAgainstNetworkx:
     def test_distances_match_dijkstra(self, data):
         n, edges = data
         func = build_graph(edges, n)
-        engine = LazyShortestPaths(func)
+        engine = ShortestPaths(func)
 
         graph = nx.DiGraph()
         for block in func.blocks:
@@ -110,38 +105,6 @@ class TestLazyAgainstNetworkx:
                     assert mine == float("inf")
 
 
-class TestEngineSelection:
-    def _func(self):
-        return function_from_text("f", "PC=L1;\nL1:\n  PC=RT;")
-
-    def test_factory_resolves_explicit_engine(self):
-        assert isinstance(make_shortest_paths(self._func(), "dense"), ShortestPathMatrix)
-        assert isinstance(make_shortest_paths(self._func(), "lazy"), LazyShortestPaths)
-
-    def test_factory_defaults_to_lazy(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        assert isinstance(make_shortest_paths(self._func()), LazyShortestPaths)
-
-    def test_factory_reads_environment(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "dense")
-        assert isinstance(make_shortest_paths(self._func()), ShortestPathMatrix)
-        # An explicit argument beats the environment.
-        assert isinstance(
-            make_shortest_paths(self._func(), "lazy"), LazyShortestPaths
-        )
-
-    def test_factory_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="lazy/dense"):
-            make_shortest_paths(self._func(), "quantum")
-
-    def test_engine_choice_is_counted(self):
-        with observing(spans=False) as obs:
-            make_shortest_paths(self._func(), "lazy")
-            make_shortest_paths(self._func(), "dense")
-        assert obs.metrics.counters["sssp.engine.lazy"] == 1
-        assert obs.metrics.counters["sssp.engine.dense"] == 1
-
-
 class TestLaziness:
     def test_only_queried_sources_run_dijkstra(self):
         # A diamond with several blocks: querying two sources must run
@@ -159,7 +122,7 @@ class TestLaziness:
             """,
         )
         with observing(spans=False) as obs:
-            engine = LazyShortestPaths(func)
+            engine = ShortestPaths(func)
             a, b = func.blocks[0], func.blocks[1]
             engine.dist(a, func.blocks[-1])
             engine.dist(a, func.blocks[2])  # memoized row — no new run

@@ -1,9 +1,9 @@
-"""Tests for the Floyd/Warshall shortest-path matrix (step 1 of JUMPS)."""
+"""Tests for the Floyd/Warshall shortest-path matrix (the step-1 oracle)."""
 
 import networkx as nx
 from hypothesis import given, settings, strategies as st
 
-from repro.core import ShortestPathMatrix
+from repro.verify.floyd_warshall import ShortestPathMatrix
 from tests.cfg.test_dominators import build_graph, random_edge_lists
 from tests.conftest import function_from_text
 

@@ -186,25 +186,13 @@ class TestStepLimitParity:
 
 
 class TestEngineSelection:
-    def test_make_interpreter_default_is_compiled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EASE_ENGINE", raising=False)
+    def test_make_interpreter_default_is_compiled(self):
         program = compile_c("int main() { return 7; }")
         assert isinstance(make_interpreter(program), CompiledInterpreter)
 
-    def test_env_selects_interp(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EASE_ENGINE", "interp")
-        program = compile_c("int main() { return 7; }")
-        interp = make_interpreter(program)
-        assert not isinstance(interp, CompiledInterpreter)
-
-    def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EASE_ENGINE", "interp")
-        program = compile_c("int main() { return 7; }")
-        assert isinstance(
-            make_interpreter(program, "compiled"), CompiledInterpreter
-        )
-
     def test_unknown_engine_rejected(self):
-        program = compile_c("int main() { return 7; }")
-        with pytest.raises(ValueError):
-            make_interpreter(program, "turbo")
+        # The one engine selector left is CellSpec.ease_engine.
+        from repro.exec import CellSpec
+
+        with pytest.raises(ValueError, match="compiled/interp"):
+            CellSpec(program="wc", ease_engine="turbo")

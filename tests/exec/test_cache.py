@@ -4,7 +4,7 @@ import multiprocessing
 import pickle
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -56,39 +56,44 @@ def test_key_ignores_cache_root(tmp_path):
     )
 
 
-@pytest.mark.parametrize(
-    "variant",
-    [
-        {"program": "int main() { return 8; }"},
-        {"target": "m68020"},
-        {"replication": "jumps"},
-        {"policy": "returns"},
-        {"max_rtls": 12},
-        {"trace": True},
-        {"optimize": False},
-        {"stdin": b"abc"},
-        {"ease_engine": "interp"},
-        {"tuned": (("main", "returns", None, "standard"),)},
-        {"tuned": (("main", "shortest", 8, "late"),)},
-    ],
-)
-def test_key_changes_when_config_changes(tmp_path, variant, monkeypatch):
-    monkeypatch.delenv("REPRO_EASE_ENGINE", raising=False)
+#: Result-affecting CellSpec fields, each with a value that must change
+#: the key.
+KEYED_VARIANTS = [
+    {"program": "int main() { return 8; }"},
+    {"target": "m68020"},
+    {"replication": "jumps"},
+    {"policy": "returns"},
+    {"max_rtls": 12},
+    {"trace": True},
+    {"optimize": False},
+    {"stdin": b"abc"},
+    {"ease_engine": "interp"},
+    {"tuned": (("main", "returns", None, "standard"),)},
+    {"tuned": (("main", "shortest", 8, "late"),)},
+]
+
+#: CellSpec fields that do not change the result, so must not change the
+#: key: CFG validation and observability only watch the run, and verified
+#: runs bypass the cache altogether.
+UNKEYED_VARIANTS = {"validate_cfg": True, "observe": True, "verify": "full"}
+
+
+@pytest.mark.parametrize("variant", KEYED_VARIANTS)
+def test_key_changes_when_config_changes(tmp_path, variant):
+    # Every CellSpec field is classified: a new field must be added to
+    # one of the two tables before any variant passes.
+    keyed = {name for v in KEYED_VARIANTS for name in v}
+    assert keyed.isdisjoint(UNKEYED_VARIANTS)
+    assert keyed | set(UNKEYED_VARIANTS) == {f.name for f in fields(CellSpec)}
     cache = ResultCache(tmp_path)
     assert cache.key(replace(SPEC, **variant)) != cache.key(SPEC)
 
 
-def test_key_hashes_resolved_ease_engine(tmp_path, monkeypatch):
-    """The key carries the *resolved* engine: a spec left at the default
-    and one pinned to the default engine are the same cell, while an
-    environment-variable switch must not serve stale entries."""
-    monkeypatch.delenv("REPRO_EASE_ENGINE", raising=False)
+def test_key_hashes_resolved_ease_engine(tmp_path):
+    """A spec left at the default and one pinned to the compiled engine
+    are the same cell."""
     cache = ResultCache(tmp_path)
     assert cache.key(SPEC) == cache.key(replace(SPEC, ease_engine="compiled"))
-    monkeypatch.setenv("REPRO_EASE_ENGINE", "interp")
-    env_key = cache.key(SPEC)
-    assert env_key == cache.key(replace(SPEC, ease_engine="interp"))
-    assert env_key != cache.key(replace(SPEC, ease_engine="compiled"))
 
 
 def test_key_distinguishes_tuned_rows(tmp_path):
@@ -119,8 +124,11 @@ def test_key_resolves_benchmark_source():
 
 
 def test_validate_cfg_does_not_change_key(tmp_path):
+    """Nor do the other fields that leave the result alone."""
     cache = ResultCache(tmp_path)
     assert cache.key(replace(SPEC, validate_cfg=True)) == cache.key(SPEC)
+    for name, value in UNKEYED_VARIANTS.items():
+        assert cache.key(replace(SPEC, **{name: value})) == cache.key(SPEC), name
 
 
 def test_schema_version_changes_key_and_namespace(tmp_path):
@@ -160,15 +168,17 @@ def test_executed_cell_round_trips_with_instrumentation(tmp_path):
 
 
 def test_cached_envelope_carries_ease_engine(tmp_path):
-    """The engine that produced a measurement rides in the cached
-    envelope, so ``repro bench --json`` can report it for cache hits."""
+    """An interpreter run is its own cell: its envelope (spec included)
+    round-trips, and it does not answer for the compiled default."""
     cache = ResultCache(tmp_path)
     spec = CellSpec(program="wc", ease_engine="interp")
     result = execute_cell(spec)
-    assert result.ok and result.measurement.ease_engine == "interp"
+    assert result.ok
     cache.put_spec(spec, result)
     loaded = ResultCache(tmp_path).get_spec(spec)
-    assert loaded.measurement.ease_engine == "interp"
+    assert loaded.spec.ease_engine == "interp"
+    assert loaded.measurement.dynamic_insns == result.measurement.dynamic_insns
+    assert cache.get_spec(CellSpec(program="wc")) is None
 
 
 def test_clear(tmp_path):

@@ -38,16 +38,17 @@ def test_execute_cell_reference_run():
 
 
 def test_execute_cell_records_ease_engine():
-    compiled = execute_cell(CellSpec(program="wc", ease_engine="compiled"))
+    """``ease_engine="interp"`` runs the closure interpreter (no compiled
+    functions are counted) and gives counts identical to the default."""
+    default = execute_cell(CellSpec(program="wc"))
     interp = execute_cell(CellSpec(program="wc", ease_engine="interp"))
-    assert compiled.ok and interp.ok
-    assert compiled.measurement.ease_engine == "compiled"
-    assert interp.measurement.ease_engine == "interp"
-    # Engine choice is provenance, not semantics: identical counts.
-    assert (
-        compiled.measurement.dynamic_insns == interp.measurement.dynamic_insns
-    )
-    assert compiled.measurement.output == interp.measurement.output
+    assert default.ok and interp.ok
+    assert default.obs["metrics"]["counters"]["ease.compile.functions"] > 0
+    assert "ease.compile.functions" not in interp.obs["metrics"]["counters"]
+    for field in ("static_insns", "dynamic_insns", "dynamic_jumps", "output"):
+        assert getattr(interp.measurement, field) == getattr(
+            default.measurement, field
+        ), field
 
 
 def test_execute_cell_captures_failure():
@@ -167,6 +168,32 @@ def test_run_benchmark_verified_run_bypasses_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_VERIFY", "full")
     run_benchmark("wc", "sparc", "jumps", use_cache=False, cache=cache)
     assert cache.hits == 0 and cache.writes == 1
+
+
+def test_memo_is_bypassed_under_verification(monkeypatch):
+    """Under REPRO_VERIFY=full the in-process memo neither answers nor is
+    seeded: a verified run must actually run, as with the disk cache."""
+    clear_cache()
+    try:
+        plain = run_benchmark("wc", "sparc", "jumps")
+        matrix = run_matrix(
+            names=["wc"], targets=["sparc"], configs=["jumps"], workers=1
+        )
+        assert matrix[("sparc", "jumps", "wc")] is plain  # memo hit
+
+        monkeypatch.setenv("REPRO_VERIFY", "full")
+        verified = run_benchmark("wc", "sparc", "jumps")
+        assert verified is not plain
+        assert verified.dynamic_insns == plain.dynamic_insns
+        matrix = run_matrix(
+            names=["wc"], targets=["sparc"], configs=["jumps"], workers=1
+        )
+        assert matrix[("sparc", "jumps", "wc")] not in (plain, verified)
+
+        monkeypatch.delenv("REPRO_VERIFY")
+        assert run_benchmark("wc", "sparc", "jumps") is plain  # not reseeded
+    finally:
+        clear_cache()
 
 
 def test_run_benchmark_unknown_name():

@@ -77,7 +77,9 @@ class TestCommands:
             main(["run", "/nonexistent/file.c"])
 
     def test_parser_build_imports_no_event_loop(self):
-        """Building the parser must not drag asyncio into every invocation."""
+        """Building the parser must not drag asyncio into every invocation,
+        and warming a worker must not import numpy (only the step-1 test
+        oracle uses it)."""
         import os
         import subprocess
         import sys
@@ -85,7 +87,9 @@ class TestCommands:
         probe = (
             "import sys, repro.cli; repro.cli.build_parser(); "
             "print(sorted(m for m in sys.modules "
-            "if m == 'asyncio' or m.startswith('repro.serve')))"
+            "if m == 'asyncio' or m.startswith('repro.serve'))); "
+            "from repro.exec.runner import warm_worker; warm_worker(); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         out = subprocess.run(
@@ -95,7 +99,7 @@ class TestCommands:
             text=True,
             check=True,
         ).stdout
-        assert out.strip() == "[]"
+        assert out.splitlines() == ["[]", "[]"]
 
     def test_policy_and_maxlen_flags(self, c_file):
         assert (
@@ -113,51 +117,6 @@ class TestCommands:
             )
             == 0
         )
-
-
-class TestEaseEngineFlag:
-    def _bench_json(self, tmp_path, *extra):
-        import json
-
-        out = tmp_path / "bench.json"
-        code = main(
-            [
-                "bench",
-                "--no-cache",
-                "--parallel",
-                "1",
-                "--quiet",
-                "--programs",
-                "wc",
-                "--configs",
-                "none",
-                "--json",
-                str(out),
-                *extra,
-            ]
-        )
-        assert code == 0
-        return json.loads(out.read_text())
-
-    def test_bench_json_reports_default_engine(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_EASE_ENGINE", raising=False)
-        data = self._bench_json(tmp_path)
-        assert data["ease_engine"] == "compiled"
-        assert data["cells"]
-        for cell in data["cells"]:
-            assert cell["ease_engine"] == "compiled"
-
-    def test_bench_json_reports_selected_engine(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_EASE_ENGINE", raising=False)
-        data = self._bench_json(tmp_path, "--ease-engine", "interp")
-        assert data["ease_engine"] == "interp"
-        for cell in data["cells"]:
-            assert cell["ease_engine"] == "interp"
-
-    def test_measure_accepts_engine_flag(self, c_file, capsys):
-        for engine in ("compiled", "interp"):
-            assert main(["measure", str(c_file), "--ease-engine", engine]) == 0
-            assert "dynamic instructions" in capsys.readouterr().out
 
 
 class TestDotCommand:
