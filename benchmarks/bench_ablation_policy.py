@@ -21,12 +21,6 @@ from conftest import selected_programs
 POLICIES = ("shortest", "returns", "loops")
 
 
-def _as_policy(name):
-    from repro.api import POLICIES as P
-
-    return P[name]
-
-
 def test_policy_ablation(benchmark, suite_measurements):
     def build():
         rows = []
@@ -36,7 +30,7 @@ def test_policy_ablation(benchmark, suite_measurements):
             row = [name]
             for policy in POLICIES:
                 m = run_benchmark(
-                    name, target="sparc", replication="jumps", policy=_as_policy(policy)
+                    name, target="sparc", replication="jumps", policy=policy
                 )
                 score = score_measurement(name, m, simple)
                 scores[policy].append(score)

@@ -3,10 +3,11 @@
 Each ``bench_table*.py`` regenerates one table or figure of the paper.
 The whole (program × target × configuration) matrix is produced in one
 :func:`repro.benchsuite.run_matrix` call, which fans out over worker
-processes and consults the persistent on-disk result cache, then seeds
-the in-process memo — so the full suite compiles and interprets each
-combination exactly once per pytest session (or not at all when the
-cache is warm).
+processes through the benchsuite's default result cache — in memory, or
+on disk under ``REPRO_CACHE_DIR`` — so the full suite compiles and
+interprets each combination exactly once per pytest session (or not at
+all when an on-disk cache is warm), and later ``run_benchmark`` calls on
+the same cells are cache hits.
 
 Environment knobs:
 
@@ -15,7 +16,7 @@ Environment knobs:
 * ``REPRO_BENCH_PARALLEL`` — worker processes for the matrix (default
   ``0`` = inline; ``repro bench --parallel N`` is the CLI equivalent).
 * ``REPRO_CACHE_DIR`` — persistent result cache directory (honoured by
-  the runner itself; unset = no on-disk caching).
+  the runner itself; unset = an in-memory cache per process).
 """
 
 from __future__ import annotations

@@ -6,7 +6,6 @@ from .runner import (
     compile_benchmark,
     run_benchmark,
     run_matrix,
-    run_suite,
 )
 from .scoring import (
     AggregateScore,
@@ -26,7 +25,6 @@ __all__ = [
     "compile_benchmark",
     "run_benchmark",
     "run_matrix",
-    "run_suite",
     "AggregateScore",
     "TableScore",
     "aggregate_scores",

@@ -1,68 +1,68 @@
-"""Compile-optimize-measure pipeline shared by every experiment.
+"""Compile-optimize-measure entry points shared by every experiment.
 
-Since the parallel execution layer landed this module is a thin facade
-over :mod:`repro.exec`: every measurement goes through
-:class:`~repro.exec.runner.ParallelRunner`, results are memoized in-process
-per (program, target, configuration, trace) — the Tables 4, 5 and 6
-harnesses reuse the same runs; verified runs bypass the memo — and an
-optional persistent :class:`~repro.exec.cache.ResultCache` survives
-across processes.
-
-``run_matrix`` is the bulk entry point: it fans the whole
-(program × target × configuration) cross-product out over a
-:class:`~repro.exec.runner.ParallelRunner` and seeds the in-process memo,
-so the per-cell accessors below become cache hits afterwards.
-
-Traced measurements (``trace=True``, the Table-6 input) carry an RLE
-:class:`~repro.ease.trace.CompressedTrace` — it iterates as raw global
-block ids for compatibility, and the single-pass multi-configuration
-cache engine (:func:`repro.cache.simulate_multi_cache`) consumes its
-compressed records directly, so memoized envelopes stay small and the
-four-size sweep fast-forwards steady-state loops.
+A spec builder over :mod:`repro.exec`: :func:`run_benchmark` and
+:func:`run_matrix` turn (target, configuration, program) cells into
+:class:`~repro.exec.CellSpec` s and run them through one
+:class:`~repro.exec.ParallelRunner`.  Without an explicit ``cache`` they
+share one process-wide :class:`~repro.exec.ResultCache`: in memory, or
+on disk under ``REPRO_CACHE_DIR`` when that is set.  So the Tables 4, 5
+and 6 harnesses reuse each other's runs; verified runs bypass it, as
+:class:`~repro.exec.ParallelRunner` does for every cache.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..cfg.block import Program
 from ..core.replication import Policy
 from ..ease.measure import Measurement
-from ..exec import CellResult, CellSpec, ParallelRunner, ResultCache
-from ..exec.runner import _effective_verify_mode
+from ..exec import CellSpec, ParallelRunner, ResultCache
 from ..frontend.codegen import compile_c
 from ..opt.driver import OptimizationConfig, optimize_program
-from ..targets.machine import Machine, get_target
+from ..targets.machine import Machine
 from .programs import PROGRAMS, program_names
 
-__all__ = [
-    "run_benchmark",
-    "run_suite",
-    "run_matrix",
-    "compile_benchmark",
-    "clear_cache",
-    "persistent_cache_from_env",
-]
+__all__ = ["run_benchmark", "run_matrix", "compile_benchmark", "clear_cache"]
 
-_measure_cache: Dict[tuple, Measurement] = {}
-
-_POLICY_NAMES = {
-    Policy.SHORTEST: "shortest",
-    Policy.FAVOR_RETURNS: "returns",
-    Policy.FAVOR_LOOPS: "loops",
-}
+Cell = Tuple[str, str, str]
+_default_cache: Optional[ResultCache] = None
 
 
 def clear_cache() -> None:
-    """Drop all memoized measurements (frees their traces)."""
-    _measure_cache.clear()
+    """Drop the default cache (frees in-memory entries and their traces;
+    on-disk entries stay)."""
+    global _default_cache
+    _default_cache = None
 
 
-def persistent_cache_from_env() -> Optional[ResultCache]:
-    """The on-disk cache named by ``REPRO_CACHE_DIR``, if set."""
-    cache_dir = os.environ.get("REPRO_CACHE_DIR")
-    return ResultCache(cache_dir) if cache_dir else None
+def _cache(cache: Optional[ResultCache], use_default: bool) -> Optional[ResultCache]:
+    """``cache``, else (if ``use_default``) the lazily built default."""
+    global _default_cache
+    if cache is not None or not use_default:
+        return cache
+    if _default_cache is None:
+        _default_cache = ResultCache(os.environ.get("REPRO_CACHE_DIR") or None)
+    return _default_cache
+
+
+def _check_name(name: str) -> None:
+    if name not in PROGRAMS:
+        raise KeyError(
+            f"unknown benchmark {name!r}; expected one of {program_names()}"
+        )
+
+
+def _policy_name(policy: Union[Policy, str]) -> str:
+    """The :data:`repro.api.POLICIES` name of ``policy`` (a name or a
+    :class:`Policy`); ``KeyError`` if it is neither."""
+    from ..api import POLICIES
+
+    for name, value in POLICIES.items():
+        if policy == name or policy is value:
+            return name
+    raise KeyError(f"unknown policy {policy!r}; expected one of {list(POLICIES)}")
 
 
 def compile_benchmark(
@@ -73,13 +73,8 @@ def compile_benchmark(
     max_rtls: Optional[int] = None,
 ) -> Program:
     """Compile + optimize one benchmark program for one configuration."""
-    try:
-        bench = PROGRAMS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown benchmark {name!r}; expected one of {program_names()}"
-        ) from None
-    program = compile_c(bench.source)
+    _check_name(name)
+    program = compile_c(PROGRAMS[name].source)
     config = OptimizationConfig(
         replication=replication, policy=policy, max_rtls=max_rtls
     )
@@ -87,94 +82,53 @@ def compile_benchmark(
     return program
 
 
-def _spec_for(
-    name: str,
-    target: str,
-    replication: str,
-    policy: Policy,
-    max_rtls: Optional[int],
-    trace: bool,
-) -> CellSpec:
-    if name not in PROGRAMS:
-        raise KeyError(
-            f"unknown benchmark {name!r}; expected one of {program_names()}"
-        )
-    return CellSpec(
-        program=name,
-        target=target,
-        replication=replication,
-        policy=_POLICY_NAMES.get(policy, "shortest"),
-        max_rtls=max_rtls,
-        trace=trace,
-    )
-
-
-def _memo_key(spec: CellSpec) -> Optional[tuple]:
-    """The in-process memo key, or ``None`` when the memo must be bypassed.
-
-    The rule :class:`~repro.exec.runner.ParallelRunner` applies to the
-    disk cache: a cell under translation validation must actually run,
-    so it neither reads nor seeds the memo.
-    """
-    if _effective_verify_mode(spec) != "off":
-        return None
-    return (
-        spec.program,
-        spec.target,
-        spec.replication,
-        spec.policy,
-        spec.max_rtls,
-        spec.trace,
-    )
-
-
-def _unwrap(result: CellResult) -> Measurement:
-    if not result.ok:
+def _measure(
+    cells: Sequence[Cell],
+    cache: Optional[ResultCache],
+    workers: Optional[int],
+    **config,
+) -> List[Measurement]:
+    """Measure ``(target, replication, name)`` cells in order; raises
+    ``RuntimeError`` listing every failed cell."""
+    for _, _, name in cells:
+        _check_name(name)
+    specs = [
+        CellSpec(program=name, target=target, replication=replication, **config)
+        for target, replication, name in cells
+    ]
+    results = ParallelRunner(workers=workers, cache=cache).run(specs)
+    failures = [f"{r.spec.label}:\n{r.error}" for r in results if not r.ok]
+    if failures:
         raise RuntimeError(
-            f"benchmark cell {result.spec.label} failed:\n{result.error}"
+            f"{len(failures)} matrix cell(s) failed:\n" + "\n".join(failures)
         )
-    return result.measurement
+    return [result.measurement for result in results]
 
 
 def run_benchmark(
     name: str,
     target: str = "sparc",
     replication: str = "none",
-    policy: Policy = Policy.SHORTEST,
+    policy: Union[Policy, str] = Policy.SHORTEST,
     max_rtls: Optional[int] = None,
     trace: bool = False,
     use_cache: bool = True,
     cache: Optional[ResultCache] = None,
 ) -> Measurement:
-    """Measure one benchmark under one configuration (memoized).
+    """Measure one benchmark under one configuration.
 
-    ``cache`` (or the ``REPRO_CACHE_DIR`` environment variable) adds a
-    persistent on-disk layer underneath the in-process memo.
+    ``policy`` is a :class:`Policy` or a :data:`repro.api.POLICIES` name.
+    Runs through ``cache``, else (with ``use_cache``) the default cache.
     """
-    spec = _spec_for(name, target, replication, policy, max_rtls, trace)
-    key = _memo_key(spec) if use_cache else None
-    if key in _measure_cache:
-        return _measure_cache[key]
-    disk = cache if cache is not None else persistent_cache_from_env()
-    (result,) = ParallelRunner(workers=1, cache=disk).run([spec])
-    measurement = _unwrap(result)
-    if key is not None:
-        _measure_cache[key] = measurement
+    (measurement,) = _measure(
+        [(target, replication, name)],
+        _cache(cache, use_cache),
+        workers=1,
+        policy=_policy_name(policy),
+        max_rtls=max_rtls,
+        trace=trace,
+    )
     return measurement
-
-
-def run_suite(
-    target: str = "sparc",
-    replication: str = "none",
-    names: Optional[Iterable[str]] = None,
-    trace: bool = False,
-) -> Dict[str, Measurement]:
-    """Measure the whole test set (Table 3) under one configuration."""
-    selected = list(names) if names is not None else program_names()
-    return {
-        name: run_benchmark(name, target, replication, trace=trace)
-        for name in selected
-    }
 
 
 def run_matrix(
@@ -185,52 +139,16 @@ def run_matrix(
     workers: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     use_memo: bool = True,
-) -> Dict[Tuple[str, str, str], Measurement]:
+) -> Dict[Cell, Measurement]:
     """Measure the full (target × config × program) cross-product.
 
     Fans out over ``workers`` processes (``None`` = one per core,
-    ``0``/``1`` = inline) through the optional persistent ``cache``,
-    and seeds the in-process memo so later :func:`run_benchmark` calls
-    on the same cells are free.  Returns ``{(target, config, name):
-    Measurement}`` — the shape the Table 4/5/6 harnesses consume.
-    Raises ``RuntimeError`` listing every failed cell, if any.
+    ``0``/``1`` = inline) through ``cache``, else (with ``use_memo``)
+    the default cache.  Returns ``{(target, config, name): Measurement}``
+    — the shape the Table 4/5/6 harnesses consume.  Raises
+    ``RuntimeError`` listing every failed cell, if any.
     """
-    selected: List[str] = list(names) if names is not None else program_names()
-    order: List[Tuple[str, str, str]] = [
-        (target, config, name)
-        for target in targets
-        for config in configs
-        for name in selected
-    ]
-    specs = [
-        _spec_for(name, target, config, Policy.SHORTEST, None, trace)
-        for (target, config, name) in order
-    ]
-    disk = cache if cache is not None else persistent_cache_from_env()
-
-    measurements: Dict[Tuple[str, str, str], Measurement] = {}
-    pending_specs: List[CellSpec] = []
-    pending_keys: List[Tuple[str, str, str]] = []
-    for matrix_key, spec in zip(order, specs):
-        memo_key = _memo_key(spec) if use_memo else None
-        if memo_key in _measure_cache:
-            measurements[matrix_key] = _measure_cache[memo_key]
-        else:
-            pending_specs.append(spec)
-            pending_keys.append(matrix_key)
-
-    cell_results = ParallelRunner(workers=workers, cache=disk).run(pending_specs)
-    failures: List[str] = []
-    for matrix_key, result in zip(pending_keys, cell_results):
-        if not result.ok:
-            failures.append(f"{result.spec.label}:\n{result.error}")
-            continue
-        measurements[matrix_key] = result.measurement
-        memo_key = _memo_key(result.spec) if use_memo else None
-        if memo_key is not None:
-            _measure_cache[memo_key] = result.measurement
-    if failures:
-        raise RuntimeError(
-            f"{len(failures)} matrix cell(s) failed:\n" + "\n".join(failures)
-        )
-    return measurements
+    selected = list(names) if names is not None else program_names()
+    order = [(t, c, name) for t in targets for c in configs for name in selected]
+    measurements = _measure(order, _cache(cache, use_memo), workers, trace=trace)
+    return dict(zip(order, measurements))

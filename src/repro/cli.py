@@ -327,7 +327,8 @@ def _cmd_cache_maintenance(args) -> int:
         f"({_human_bytes(report['freed_bytes'])} freed, "
         f"{report['remaining_entries']} entries / "
         f"{_human_bytes(report['remaining_bytes'])} kept, "
-        f"{report['tmp_removed']} stale tmp files)"
+        f"{report['tmp_removed']} stale tmp files, "
+        f"{report['locks_removed']} stale locks)"
     )
     return 0
 
@@ -455,7 +456,7 @@ def cmd_bench(args) -> int:
     import time
 
     from .exec import CellSpec, ParallelRunner, ResultCache
-    from .opt.instrument import PassInstrumentation
+    from .obs.passes import PassTimeline
     from .report import format_cache_stats, format_pass_table
 
     names = args.programs if args.programs else program_names()
@@ -500,7 +501,7 @@ def cmd_bench(args) -> int:
 
     rows = []
     failures = []
-    instrumentation = PassInstrumentation()
+    instrumentation = PassTimeline()
     metrics = MetricsRegistry()
     for result in results:
         if not result.ok:
@@ -523,7 +524,7 @@ def cmd_bench(args) -> int:
                 "yes" if result.cache_hit else "",
             ]
         )
-        instrumentation.merge(PassInstrumentation.from_dicts(result.passes))
+        instrumentation.merge(PassTimeline.from_dicts(result.passes))
     print(
         format_table(
             [

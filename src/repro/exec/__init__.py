@@ -6,7 +6,8 @@ tests, ablations) re-measures cells of that matrix.  This package makes
 the matrix the unit of work:
 
 * :class:`CellSpec` / :class:`CellResult` — pickle-safe work units;
-* :class:`ResultCache` — content-addressed on-disk result cache;
+* :class:`ResultCache` — content-addressed result cache, on disk or in
+  memory (``root=None``);
 * :class:`ParallelRunner` — process-pool fan-out with graceful per-cell
   failure capture; the one execution path every caller shares;
 * :class:`SingleFlight` — lock-file coalescing, so concurrent processes

@@ -1,4 +1,9 @@
-"""Content-addressed on-disk cache for measured matrix cells.
+"""Content-addressed cache for measured matrix cells.
+
+``ResultCache(root)`` keeps its entries on disk; ``ResultCache(None)``
+keeps them in a per-instance dict (the in-process cache the benchsuite
+facade defaults to).  Both share the key, the counters and the
+``exec.cache.*`` metrics.
 
 Layout (under the cache root, default ``.repro-cache/``)::
 
@@ -21,35 +26,44 @@ Robustness properties, each covered by unit tests:
 * **concurrent writers** are safe: entries are written to a unique
   temporary file and published with an atomic ``os.replace``, so readers
   only ever see complete entries;
-* hit/miss/eviction/write counters are kept per instance for reporting.
+* hit/miss/eviction/write counters are kept per instance for reporting;
+* a memory-store hit is a shallow copy, so flagging it (``cache_hit``)
+  never mutates the stored envelope.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import os
 import pickle
 import tempfile
 import time
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Dict, Iterator, Optional
 
 from .envelope import CACHE_SCHEMA_VERSION, CellResult, CellSpec
 
-__all__ = ["ResultCache", "DEFAULT_CACHE_DIR"]
+__all__ = ["ResultCache", "DEFAULT_CACHE_DIR", "LOCK_STALE_AFTER"]
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 
+#: A single-flight lock older than this (seconds) is presumed abandoned:
+#: waiters break it and :meth:`ResultCache.gc` sweeps it.
+LOCK_STALE_AFTER = 300.0
+
 
 class ResultCache:
-    """Persistent (process-shared) cache of :class:`CellResult` envelopes."""
+    """Cache of :class:`CellResult` envelopes: on disk, or in memory."""
 
     def __init__(
         self,
-        root: os.PathLike = DEFAULT_CACHE_DIR,
+        root: Optional[os.PathLike] = DEFAULT_CACHE_DIR,
         schema_version: int = CACHE_SCHEMA_VERSION,
     ) -> None:
-        self.root = Path(root)
+        self.root = None if root is None else Path(root)
+        #: The in-memory store's entries (empty for a disk cache).
+        self._memory: Dict[str, CellResult] = {}
         self.schema_version = schema_version
         self.hits = 0
         self.misses = 0
@@ -89,49 +103,58 @@ class ResultCache:
 
     # --- read/write -----------------------------------------------------------
 
+    def _count(self, counter: str) -> None:
+        setattr(self, counter, getattr(self, counter) + 1)
+        from ..obs import active as _active_observer
+
+        obs = _active_observer()
+        if obs is not None:
+            obs.metrics.inc(f"exec.cache.{counter}")
+
     def get(self, key: str) -> Optional[CellResult]:
         """The cached envelope for ``key``, or ``None`` (counted as a miss).
 
         A corrupted entry is deleted (counted as an eviction) and reported
         as a miss, so the caller recomputes and heals the cache.
         """
-        from ..obs import active as _active_observer
+        if self.root is None:
+            stored = self._memory.get(key)
+            result = None if stored is None else copy.copy(stored)
+        else:
+            result = self._load(self._path(key))
+        self._count("misses" if result is None else "hits")
+        return result
 
-        obs = _active_observer()
-        path = self._path(key)
+    def _load(self, path: Path) -> Optional[CellResult]:
         try:
-            blob = path.read_bytes()
-            result = pickle.loads(blob)
+            result = pickle.loads(path.read_bytes())
             if not isinstance(result, CellResult):
                 raise pickle.UnpicklingError(f"expected CellResult, got {type(result)}")
         except FileNotFoundError:
-            self.misses += 1
-            if obs is not None:
-                obs.metrics.inc("exec.cache.misses")
             return None
         except Exception:
             # Truncated write, foreign object, unpicklable garbage: evict.
-            self.evictions += 1
-            self.misses += 1
-            if obs is not None:
-                obs.metrics.inc("exec.cache.evictions")
-                obs.metrics.inc("exec.cache.misses")
+            self._count("evictions")
             try:
                 path.unlink()
             except OSError:
                 pass
             return None
-        self.hits += 1
-        if obs is not None:
-            obs.metrics.inc("exec.cache.hits")
         return result
 
     def put(self, key: str, result: CellResult) -> None:
         """Store ``result`` under ``key`` (atomic, last writer wins)."""
-        path = self._path(key)
+        if self.root is None:
+            self._memory[key] = result
+        else:
+            self._write(self._path(key), result)
+        self._count("writes")
+
+    @staticmethod
+    def _write(path: Path, result: CellResult) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
-            prefix=f".{key[:8]}-", suffix=".tmp", dir=path.parent
+            prefix=f".{path.stem[:8]}-", suffix=".tmp", dir=path.parent
         )
         try:
             with os.fdopen(fd, "wb") as handle:
@@ -143,12 +166,6 @@ class ResultCache:
             except OSError:
                 pass
             raise
-        self.writes += 1
-        from ..obs import active as _active_observer
-
-        obs = _active_observer()
-        if obs is not None:
-            obs.metrics.inc("exec.cache.writes")
 
     def get_spec(self, spec: CellSpec) -> Optional[CellResult]:
         return self.get(self.key(spec))
@@ -159,17 +176,19 @@ class ResultCache:
     # --- maintenance ----------------------------------------------------------
 
     def _entries(self) -> Iterator[Path]:
-        version_dir = self.root / f"v{self.schema_version}"
-        if not version_dir.is_dir():
+        if self.root is None:
             return
-        yield from sorted(version_dir.glob("*/*.pkl"))
+        version_dir = self.root / f"v{self.schema_version}"
+        if version_dir.is_dir():
+            yield from sorted(version_dir.glob("*/*.pkl"))
 
     def __len__(self) -> int:
-        return sum(1 for _ in self._entries())
+        return len(self._memory) + sum(1 for _ in self._entries())
 
     def clear(self) -> int:
         """Delete every entry of this schema version; return the count."""
-        removed = 0
+        removed = len(self._memory)
+        self._memory.clear()
         for path in self._entries():
             try:
                 path.unlink()
@@ -180,7 +199,7 @@ class ResultCache:
 
     def stats(self) -> dict:
         return {
-            "root": str(self.root),
+            "root": "<memory>" if self.root is None else str(self.root),
             "schema_version": self.schema_version,
             "entries": len(self),
             "hits": self.hits,
@@ -191,13 +210,14 @@ class ResultCache:
 
     # --- garbage collection ---------------------------------------------------
 
-    def _all_entries(self) -> Iterator[Path]:
-        """Every entry across *all* schema versions (gc sweeps old ones too)."""
-        if not self.root.is_dir():
+    def _files(self, pattern: str) -> Iterator[Path]:
+        """Files matching ``pattern`` in every shard of *all* schema
+        versions (gc sweeps old ones too)."""
+        if self.root is None or not self.root.is_dir():
             return
         for version_dir in sorted(self.root.glob("v*")):
             if version_dir.is_dir():
-                yield from sorted(version_dir.glob("*/*.pkl"))
+                yield from sorted(version_dir.glob(f"*/{pattern}"))
 
     def disk_stats(self) -> dict:
         """On-disk census: entries, bytes and age range, per schema version.
@@ -210,7 +230,7 @@ class ResultCache:
         total_entries = 0
         oldest: Optional[float] = None
         newest: Optional[float] = None
-        for path in self._all_entries():
+        for path in self._files("*.pkl"):
             try:
                 info = path.stat()
             except OSError:
@@ -256,7 +276,7 @@ class ResultCache:
         """
         clock = time.time() if now is None else now
         entries = []
-        for path in self._all_entries():
+        for path in self._files("*.pkl"):
             try:
                 info = path.stat()
             except OSError:
@@ -291,17 +311,21 @@ class ResultCache:
                     break
                 survivors_bytes -= _evict(mtime, size, path, "bytes")
 
-        # Orphaned temporary files: a writer that died between mkstemp
-        # and os.replace leaves a .tmp behind; anything older than an
-        # hour cannot still be in flight.
-        tmp_removed = 0
-        if self.root.is_dir():
-            for tmp in self.root.glob("v*/*/.*.tmp"):
+        # Orphans: a writer that died between mkstemp and
+        # os.replace leaves a .tmp behind (none older than an hour can
+        # still be in flight); a SIGKILLed single-flight owner leaves a
+        # .lock that waiters would judge stale.
+        orphans = {"tmp": 0, "lock": 0}
+        for kind, pattern, max_orphan_age in (
+            ("tmp", ".*.tmp", 3600.0),
+            ("lock", "*.lock", LOCK_STALE_AFTER),
+        ):
+            for path in self._files(pattern):
                 try:
-                    if clock - tmp.stat().st_mtime > 3600:
+                    if clock - path.stat().st_mtime > max_orphan_age:
                         if not dry_run:
-                            tmp.unlink()
-                        tmp_removed += 1
+                            path.unlink()
+                        orphans[kind] += 1
                 except OSError:
                     failed += 1
         freed = sum(item["bytes"] for item in removed)
@@ -313,7 +337,8 @@ class ResultCache:
             "freed_bytes": freed,
             "remaining_entries": len(entries) - len(removed),
             "remaining_bytes": survivors_bytes,
-            "tmp_removed": tmp_removed,
+            "tmp_removed": orphans["tmp"],
+            "locks_removed": orphans["lock"],
             "unlink_failures": failed,
             "dry_run": dry_run,
             "entries": removed,

@@ -13,7 +13,7 @@ and live in the on-disk result cache unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..ease.measure import Measurement
@@ -119,9 +119,6 @@ class CellSpec:
         suffix = "+trace" if self.trace else ""
         return f"{name}/{self.target}/{config}{suffix}"
 
-    def with_trace(self, trace: bool = True) -> "CellSpec":
-        return replace(self, trace=trace)
-
 
 @dataclass
 class CellResult:
@@ -132,7 +129,7 @@ class CellResult:
     #: ``ReplicationStats`` flattened to a plain dict (stable to pickle).
     replication_stats: Optional[dict] = None
     #: Per-pass instrumentation records as plain dicts
-    #: (see :class:`repro.opt.instrument.PassRecord`).
+    #: (see :class:`repro.obs.passes.PassRecord`).
     passes: List[dict] = field(default_factory=list)
     #: Observability snapshot (``repro.obs.Observer.snapshot()``): spans
     #: (when the spec asked for them), metrics, replication decisions.

@@ -4,8 +4,9 @@
 (instrumented), interpret, measure — with every exception captured into
 the result envelope instead of propagating.  :class:`ParallelRunner`
 fans a list of :class:`CellSpec` out over a ``ProcessPoolExecutor``,
-short-circuiting cells already present in the on-disk
-:class:`~repro.exec.cache.ResultCache` and writing fresh results back.
+short-circuiting cells already present in the
+:class:`~repro.exec.cache.ResultCache` (on disk or in memory) and writing
+fresh results back.
 
 A crashing cell reports (``result.error`` carries the traceback); it
 never kills the run.  ``workers <= 1`` executes inline in the calling
@@ -97,8 +98,8 @@ def execute_cell(spec: CellSpec) -> CellResult:
         from ..ease.interp import Interpreter
         from ..ease.measure import measure_program
         from ..frontend.codegen import compile_c
+        from ..obs.passes import PassTimeline
         from ..opt.driver import OptimizationConfig, optimize_program
-        from ..opt.instrument import PassInstrumentation
         from ..targets.machine import get_target
 
         with observer.span("exec.cell", label=spec.label):
@@ -133,7 +134,7 @@ def execute_cell(spec: CellSpec) -> CellResult:
                 verify_mode = resolve_mode(spec.verify)
                 if verify_mode != "off":
                     verifier = Verifier(verify_mode, inputs=[stdin])
-                instrumentation = PassInstrumentation()
+                instrumentation = PassTimeline()
                 start = perf_counter()
                 stats = optimize_program(
                     program, target, config, instrumentation, verifier=verifier
@@ -228,7 +229,12 @@ class ParallelRunner:
         # Verified cells never participate: they must actually run.
         from .singleflight import SingleFlight
 
-        flight = SingleFlight(self.cache) if self.cache is not None else None
+        # An in-memory cache is private to this process: nothing to share.
+        flight = (
+            SingleFlight(self.cache)
+            if self.cache is not None and self.cache.root is not None
+            else None
+        )
         owned_locks: Dict[int, str] = {}
         parked: List[tuple] = []
         compute_now: List[int] = []
@@ -331,11 +337,3 @@ class ParallelRunner:
             owned_locks.clear()
 
         return [result for result in results if result is not None]
-
-    def run_indexed(
-        self,
-        specs: Sequence[CellSpec],
-        on_result: Optional[Callable[[CellResult], None]] = None,
-    ) -> Dict[CellSpec, CellResult]:
-        """Like :meth:`run`, keyed by spec for random-access consumers."""
-        return {res.spec: res for res in self.run(specs, on_result)}

@@ -17,6 +17,7 @@ adds the classic lock-file sentinel protocol around a cell computation:
   and is broken: the waiter deletes it and computes itself.  The
   envelope write stays atomic, so the worst case of a mis-judged "stale"
   lock is the duplicated work we had before, never a torn entry.
+  ``ResultCache.gc`` sweeps locks past the same timeout.
 
 The protocol is advisory and crash-tolerant by construction — nothing
 ever blocks on a kernel lock, and correctness never depends on the lock
@@ -32,13 +33,11 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from .cache import ResultCache
+from .cache import LOCK_STALE_AFTER, ResultCache
 from .envelope import CellResult
 
 __all__ = ["SingleFlight"]
 
-#: A lock older than this is presumed abandoned and may be broken.
-DEFAULT_STALE_AFTER = 300.0
 #: How long a waiter polls before giving up and computing anyway.
 DEFAULT_WAIT_TIMEOUT = 900.0
 #: Poll interval while waiting on another process's computation.
@@ -57,7 +56,7 @@ class SingleFlight:
     def __init__(
         self,
         cache: ResultCache,
-        stale_after: float = DEFAULT_STALE_AFTER,
+        stale_after: float = LOCK_STALE_AFTER,
         wait_timeout: float = DEFAULT_WAIT_TIMEOUT,
         poll: float = DEFAULT_POLL,
     ) -> None:

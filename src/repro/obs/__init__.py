@@ -13,8 +13,8 @@ The unified observability subsystem (zero external dependencies):
   ``REPRO_TRACE=path`` and the ``--trace`` CLI flag;
 * :mod:`repro.obs.digest` — aggregation for ``repro trace`` and the
   terminal summary;
-* :mod:`repro.obs.passes` — per-pass timing records (the storage behind
-  the ``repro.opt.instrument`` compatibility shim).
+* :mod:`repro.obs.passes` — per-pass timing records
+  (:class:`~repro.obs.passes.PassTimeline`).
 
 Quickstart::
 

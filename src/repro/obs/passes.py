@@ -1,11 +1,8 @@
 """Per-pass timing records — the storage behind pass instrumentation.
 
-This is the observability-layer home of what PR 1 introduced as
-``repro.opt.instrument``: one :class:`PassRecord` per optimizer-pass
-invocation (wall time plus an RTL / unconditional-jump census delta),
-accumulated and aggregated by a :class:`PassTimeline`.
-``repro.opt.instrument.PassInstrumentation`` remains as a thin
-compatibility shim subclassing :class:`PassTimeline`.
+One :class:`PassRecord` per optimizer-pass invocation (wall time plus
+an RTL / unconditional-jump census delta), accumulated and aggregated
+by a :class:`PassTimeline`.
 
 Everything here is plain data (dataclasses of ints/floats/strings) so
 the records travel unharmed through ``pickle`` — the parallel execution

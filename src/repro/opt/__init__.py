@@ -9,7 +9,6 @@ from .dead_code import eliminate_dead_code, merge_blocks, remove_unreachable
 from .dead_vars import eliminate_dead_variables
 from .driver import OptimizationConfig, optimize_function, optimize_program
 from .instruction_selection import RegFactory, combine, legalize
-from .instrument import PassInstrumentation, PassRecord
 from .liveness import Liveness
 from .regalloc import color_registers, promote_locals
 from .reorder import reorder_blocks
@@ -31,8 +30,6 @@ __all__ = [
     "OptimizationConfig",
     "optimize_function",
     "optimize_program",
-    "PassInstrumentation",
-    "PassRecord",
     "RegFactory",
     "combine",
     "legalize",

@@ -49,7 +49,7 @@ from ..obs.tracer import NULL_SPAN
 from ..targets.delay_slots import fill_delay_slots
 from ..targets.machine import Machine, get_target
 from .branch_chaining import branch_chaining
-from .instrument import PassInstrumentation, jump_count, rtl_count
+from ..obs.passes import PassTimeline, jump_count, rtl_count
 from .code_motion import loop_invariant_code_motion
 from .const_fold import fold_branches, fold_constants
 from .copy_prop import propagate_copies
@@ -175,13 +175,13 @@ def optimize_function(
     func: Function,
     target: Machine,
     config: OptimizationConfig,
-    instrumentation: Optional[PassInstrumentation] = None,
+    instrumentation: Optional[PassTimeline] = None,
     verifier=None,
 ) -> ReplicationStats:
     """Run the Figure-3 pipeline over ``func`` in place.
 
     With ``instrumentation`` given, every pass invocation is timed and
-    bracketed by an RTL / jump census (see :mod:`repro.opt.instrument`).
+    bracketed by an RTL / jump census (see :mod:`repro.obs.passes`).
     With an ambient observer installed (:func:`repro.obs.active`), every
     pass additionally becomes a tracer span nested under an
     ``opt.function`` root, and pass/change counters land in the metrics
@@ -332,7 +332,7 @@ def optimize_program(
     program: Program,
     target,
     config: Optional[OptimizationConfig] = None,
-    instrumentation: Optional[PassInstrumentation] = None,
+    instrumentation: Optional[PassTimeline] = None,
     verifier=None,
 ) -> ReplicationStats:
     """Optimize every function of ``program``; return merged replication stats.

@@ -70,7 +70,7 @@ def format_pass_table(aggregate: Mapping[str, Dict[str, float]]) -> str:
     """Render aggregated per-pass instrumentation, slowest pass first.
 
     ``aggregate`` is the shape produced by
-    :meth:`repro.opt.instrument.PassInstrumentation.aggregate`: pass name
+    :meth:`repro.obs.passes.PassTimeline.aggregate`: pass name
     to calls / changed / seconds / rtl_delta / jumps_removed totals.
     """
     rows = [

@@ -1,4 +1,4 @@
-"""Unit tests for the content-addressed on-disk result cache."""
+"""Unit tests for the content-addressed result cache (disk and memory)."""
 
 import multiprocessing
 import pickle
@@ -9,9 +9,20 @@ from dataclasses import fields, replace
 import pytest
 
 from repro.ease.measure import Measurement
-from repro.exec import CellResult, CellSpec, ResultCache, execute_cell
+from repro.exec import CellResult, CellSpec, ParallelRunner, ResultCache, execute_cell
 
 SPEC = CellSpec(program="int main() { return 7; }", target="sparc")
+STORES = ("disk", "memory")
+
+
+def make_cache(store: str, root) -> ResultCache:
+    """The same cache on disk under ``root``, or in memory."""
+    return ResultCache(root if store == "disk" else None)
+
+
+@pytest.fixture(params=STORES)
+def store(request, tmp_path) -> ResultCache:
+    return make_cache(request.param, tmp_path)
 
 
 def small_result(spec=SPEC) -> CellResult:
@@ -78,15 +89,27 @@ KEYED_VARIANTS = [
 UNKEYED_VARIANTS = {"validate_cfg": True, "observe": True, "verify": "full"}
 
 
-@pytest.mark.parametrize("variant", KEYED_VARIANTS)
-def test_key_changes_when_config_changes(tmp_path, variant):
+@pytest.mark.parametrize(
+    "store_kind, variant",
+    [(kind, variant) for kind in STORES for variant in KEYED_VARIANTS],
+    # The disk cases keep their historical ids (variant0, ...).
+    ids=[
+        f"{'' if kind == 'disk' else kind + '-'}variant{index}"
+        for kind in STORES
+        for index in range(len(KEYED_VARIANTS))
+    ],
+)
+def test_key_changes_when_config_changes(tmp_path, store_kind, variant):
     # Every CellSpec field is classified: a new field must be added to
     # one of the two tables before any variant passes.
     keyed = {name for v in KEYED_VARIANTS for name in v}
     assert keyed.isdisjoint(UNKEYED_VARIANTS)
     assert keyed | set(UNKEYED_VARIANTS) == {f.name for f in fields(CellSpec)}
-    cache = ResultCache(tmp_path)
+    cache = make_cache(store_kind, tmp_path)
     assert cache.key(replace(SPEC, **variant)) != cache.key(SPEC)
+    # A distinct key is a distinct entry in either store.
+    cache.put_spec(SPEC, small_result())
+    assert cache.get_spec(replace(SPEC, **variant)) is None
 
 
 def test_key_hashes_resolved_ease_engine(tmp_path):
@@ -143,8 +166,8 @@ def test_schema_version_changes_key_and_namespace(tmp_path):
 # --- round trips ----------------------------------------------------------------
 
 
-def test_round_trip(tmp_path):
-    cache = ResultCache(tmp_path)
+def test_round_trip(store):
+    cache = store
     assert cache.get_spec(SPEC) is None
     cache.put_spec(SPEC, small_result())
     loaded = cache.get_spec(SPEC)
@@ -181,12 +204,38 @@ def test_cached_envelope_carries_ease_engine(tmp_path):
     assert cache.get_spec(CellSpec(program="wc")) is None
 
 
-def test_clear(tmp_path):
-    cache = ResultCache(tmp_path)
+def test_clear(store):
+    cache = store
     cache.put_spec(SPEC, small_result())
+    assert len(cache) == 1
     assert cache.clear() == 1
     assert len(cache) == 0
     assert cache.get_spec(SPEC) is None
+
+
+# --- the in-memory store -----------------------------------------------------------
+
+
+def test_memory_hit_is_a_copy():
+    """A hit is flagged on a copy: the first caller's envelope, which is
+    the stored one, never turns into a cache hit behind its back."""
+    cache = ResultCache(None)
+    (first,) = ParallelRunner(workers=1, cache=cache).run([SPEC])
+    (again,) = ParallelRunner(workers=1, cache=cache).run([SPEC])
+    assert again.cache_hit and not first.cache_hit
+    assert again is not first and again.measurement is first.measurement
+    assert not cache.get_spec(SPEC).cache_hit
+
+
+def test_memory_store_touches_no_disk(tmp_path, monkeypatch):
+    """No entry, tmp file or single-flight lock: not even the default
+    cache directory is created."""
+    monkeypatch.chdir(tmp_path)
+    cache = ResultCache(None)
+    for _ in range(2):
+        ParallelRunner(workers=1, cache=cache).run([SPEC])
+    assert cache.stats()["writes"] == 1 and cache.stats()["hits"] == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- corruption recovery ----------------------------------------------------------

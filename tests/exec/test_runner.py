@@ -3,6 +3,8 @@
 import pytest
 
 from repro.benchsuite import clear_cache, run_benchmark, run_matrix
+from repro.benchsuite import runner as benchsuite_runner
+from repro.core.replication import Policy
 from repro.exec import (
     CellResult,
     CellSpec,
@@ -114,44 +116,53 @@ def test_runner_parallel_matches_serial():
 # --- the benchsuite facade --------------------------------------------------------
 
 
-def test_run_matrix_shape_and_memo(tmp_path):
+@pytest.fixture
+def default_cache(monkeypatch):
+    """A fresh in-memory default cache for the benchsuite facade."""
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     clear_cache()
-    try:
-        matrix = run_matrix(
-            names=["wc"], targets=["sparc"], configs=["none", "jumps"], workers=1
-        )
-        assert set(matrix) == {("sparc", "none", "wc"), ("sparc", "jumps", "wc")}
-        # The matrix seeded the in-process memo: run_benchmark is now free
-        # and returns the very same Measurement objects.
-        assert run_benchmark("wc", "sparc", "jumps") is matrix[("sparc", "jumps", "wc")]
-    finally:
-        clear_cache()
+    yield lambda: benchsuite_runner._cache(None, True)
+    clear_cache()
 
 
-def test_run_matrix_reports_failures(monkeypatch):
+def test_run_matrix_shape_and_memo(default_cache):
+    matrix = run_matrix(
+        names=["wc"], targets=["sparc"], configs=["none", "jumps"], workers=1
+    )
+    assert set(matrix) == {("sparc", "none", "wc"), ("sparc", "jumps", "wc")}
+    # The matrix seeded the default cache: run_benchmark is now a hit
+    # and returns the very same Measurement objects.
+    assert run_benchmark("wc", "sparc", "jumps") is matrix[("sparc", "jumps", "wc")]
+    stats = default_cache().stats()
+    assert (stats["entries"], stats["writes"], stats["hits"]) == (2, 2, 1)
+    # Opting out of the default cache runs the cell afresh.
+    fresh = run_benchmark("wc", "sparc", "jumps", use_cache=False)
+    assert fresh is not matrix[("sparc", "jumps", "wc")]
+    assert default_cache().stats()["hits"] == 1
+
+
+def test_run_matrix_reports_failures(default_cache, monkeypatch):
     def explode(spec):
         return CellResult(spec=spec, error="boom")
 
     monkeypatch.setattr("repro.exec.runner.execute_cell", explode)
-    clear_cache()
-    try:
-        with pytest.raises(RuntimeError, match="matrix cell"):
-            run_matrix(names=["wc"], targets=["sparc"], configs=["none"], workers=1)
-    finally:
-        clear_cache()
+    with pytest.raises(RuntimeError, match="matrix cell"):
+        run_matrix(names=["wc"], targets=["sparc"], configs=["none"], workers=1)
 
 
-def test_run_benchmark_uses_persistent_cache(tmp_path):
+def test_run_benchmark_uses_persistent_cache(tmp_path, monkeypatch, default_cache):
+    cache = ResultCache(tmp_path)
+    first = run_benchmark("wc", "sparc", "jumps", cache=cache)
+    again = run_benchmark("wc", "sparc", "jumps", cache=cache)
+    assert cache.hits == 1 and cache.writes == 1
+    assert again.dynamic_insns == first.dynamic_insns
+    # REPRO_CACHE_DIR makes that directory the default cache.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     clear_cache()
-    try:
-        cache = ResultCache(tmp_path)
-        first = run_benchmark("wc", "sparc", "jumps", cache=cache)
-        clear_cache()  # drop the in-process memo, keep the disk
-        again = run_benchmark("wc", "sparc", "jumps", cache=cache)
-        assert cache.hits == 1
-        assert again.dynamic_insns == first.dynamic_insns
-    finally:
-        clear_cache()
+    from_env = run_benchmark("wc", "sparc", "jumps")
+    assert from_env.dynamic_insns == first.dynamic_insns
+    assert default_cache().root == tmp_path
+    assert default_cache().stats()["hits"] == 1
 
 
 def test_run_benchmark_verified_run_bypasses_cache(tmp_path, monkeypatch):
@@ -170,30 +181,36 @@ def test_run_benchmark_verified_run_bypasses_cache(tmp_path, monkeypatch):
     assert cache.hits == 0 and cache.writes == 1
 
 
-def test_memo_is_bypassed_under_verification(monkeypatch):
-    """Under REPRO_VERIFY=full the in-process memo neither answers nor is
-    seeded: a verified run must actually run, as with the disk cache."""
-    clear_cache()
-    try:
-        plain = run_benchmark("wc", "sparc", "jumps")
-        matrix = run_matrix(
-            names=["wc"], targets=["sparc"], configs=["jumps"], workers=1
-        )
-        assert matrix[("sparc", "jumps", "wc")] is plain  # memo hit
+def test_memo_is_bypassed_under_verification(default_cache, monkeypatch):
+    """Under REPRO_VERIFY=full the default in-memory cache neither
+    answers nor is seeded: a verified run must actually run."""
+    plain = run_benchmark("wc", "sparc", "jumps")
+    matrix = run_matrix(names=["wc"], targets=["sparc"], configs=["jumps"], workers=1)
+    assert matrix[("sparc", "jumps", "wc")] is plain  # cache hit
 
-        monkeypatch.setenv("REPRO_VERIFY", "full")
-        verified = run_benchmark("wc", "sparc", "jumps")
-        assert verified is not plain
-        assert verified.dynamic_insns == plain.dynamic_insns
-        matrix = run_matrix(
-            names=["wc"], targets=["sparc"], configs=["jumps"], workers=1
-        )
-        assert matrix[("sparc", "jumps", "wc")] not in (plain, verified)
+    monkeypatch.setenv("REPRO_VERIFY", "full")
+    verified = run_benchmark("wc", "sparc", "jumps")
+    assert verified is not plain
+    assert verified.dynamic_insns == plain.dynamic_insns
+    matrix = run_matrix(names=["wc"], targets=["sparc"], configs=["jumps"], workers=1)
+    assert matrix[("sparc", "jumps", "wc")] not in (plain, verified)
 
-        monkeypatch.delenv("REPRO_VERIFY")
-        assert run_benchmark("wc", "sparc", "jumps") is plain  # not reseeded
-    finally:
-        clear_cache()
+    monkeypatch.delenv("REPRO_VERIFY")
+    assert run_benchmark("wc", "sparc", "jumps") is plain  # not reseeded
+    stats = default_cache().stats()
+    assert (stats["writes"], stats["hits"]) == (1, 2)
+
+
+@pytest.mark.parametrize("policy", ["returns", Policy.FAVOR_RETURNS])
+def test_run_benchmark_resolves_policy(tmp_path, policy):
+    """A policy given by name or by value is the cell measured; an
+    unknown name is an error, as an unknown benchmark is."""
+    cache = ResultCache(tmp_path)
+    run_benchmark("wc", "sparc", "jumps", policy=policy, cache=cache)
+    returns = CellSpec(program="wc", replication="jumps", policy="returns")
+    assert cache.get_spec(returns) is not None
+    with pytest.raises(KeyError, match="unknown policy"):
+        run_benchmark("wc", "sparc", "jumps", policy="bogus", cache=cache)
 
 
 def test_run_benchmark_unknown_name():

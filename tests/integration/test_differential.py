@@ -22,8 +22,7 @@ import os
 
 import pytest
 
-from repro.benchsuite.runner import persistent_cache_from_env
-from repro.exec import CellSpec, ParallelRunner
+from repro.exec import CellSpec, ParallelRunner, ResultCache
 
 # Small programs run in every configuration; the heavyweights get a
 # reduced matrix so the suite stays fast.
@@ -76,7 +75,10 @@ def _matrix_specs():
 @pytest.fixture(scope="session")
 def matrix():
     workers = int(os.environ.get("REPRO_TEST_PARALLEL", "0") or 0)
-    runner = ParallelRunner(workers=workers, cache=persistent_cache_from_env())
+    cache_dir = os.environ.get("REPRO_CACHE_DIR")
+    runner = ParallelRunner(
+        workers=workers, cache=ResultCache(cache_dir) if cache_dir else None
+    )
     results = {}
     for result in runner.run(_matrix_specs()):
         key = (

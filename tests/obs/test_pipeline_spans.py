@@ -3,7 +3,6 @@
 from repro.api import compile_and_measure
 from repro.obs import active, observing
 from repro.obs.passes import PassTimeline
-from repro.opt.instrument import PassInstrumentation
 
 JUMPS_STEPS = {
     "jumps.sweep",
@@ -81,12 +80,10 @@ class TestSpanCoverage:
 
 
 class TestInstrumentShim:
-    def test_shim_is_a_pass_timeline(self):
-        inst = PassInstrumentation()
-        assert isinstance(inst, PassTimeline)
+    """Per-pass instrumentation: :class:`repro.obs.passes.PassTimeline`."""
 
-    def test_shim_from_dicts_returns_shim_type(self):
-        inst = PassInstrumentation.from_dicts(
+    def test_from_dicts_rebuilds_records(self):
+        inst = PassTimeline.from_dicts(
             [
                 dict(
                     name="dead_code",
@@ -97,7 +94,7 @@ class TestInstrumentShim:
                 )
             ]
         )
-        assert isinstance(inst, PassInstrumentation)
+        assert isinstance(inst, PassTimeline)
         assert inst.aggregate()["dead_code"]["calls"] == 1
 
     def test_instrumentation_still_fills_alongside_observer(self):
@@ -107,7 +104,7 @@ class TestInstrumentShim:
         from repro.benchsuite.programs import PROGRAMS
 
         program = compile_c(PROGRAMS["wc"].source)
-        inst = PassInstrumentation()
+        inst = PassTimeline()
         with observing():
             optimize_program(
                 program,

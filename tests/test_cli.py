@@ -76,10 +76,10 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["run", "/nonexistent/file.c"])
 
-    def test_parser_build_imports_no_event_loop(self):
+    def test_parser_build_imports_no_event_loop(self, tmp_path):
         """Building the parser must not drag asyncio into every invocation,
-        and warming a worker must not import numpy (only the step-1 test
-        oracle uses it)."""
+        warming a worker must not import numpy (only the step-1 test
+        oracle uses it), and neither builds a result cache on disk."""
         import os
         import subprocess
         import sys
@@ -95,11 +95,13 @@ class TestCommands:
         out = subprocess.run(
             [sys.executable, "-c", probe],
             env=env,
+            cwd=tmp_path,
             capture_output=True,
             text=True,
             check=True,
         ).stdout
         assert out.splitlines() == ["[]", "[]"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_policy_and_maxlen_flags(self, c_file):
         assert (
