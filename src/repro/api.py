@@ -17,14 +17,14 @@ paper configuration, executes, and measures::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Tuple, Union
 
-from .benchsuite.programs import PROGRAMS
 from .cfg.block import Program
-from .core.replication import Policy, ReplicationStats
-from .ease.measure import Measurement, measure_program
-from .frontend.codegen import compile_c
-from .opt.driver import OptimizationConfig, optimize_program
+from .core.replication import POLICIES, Policy, ReplicationStats
+from .ease.measure import Measurement
+from .exec.envelope import CellResult, CellSpec
+from .exec.runner import run_pipeline
+from .opt.driver import OptimizationConfig
 from .targets.machine import Machine, get_target
 
 __all__ = [
@@ -32,12 +32,6 @@ __all__ = [
     "compile_and_measure",
     "POLICIES",
 ]
-
-POLICIES = {
-    "shortest": Policy.SHORTEST,
-    "returns": Policy.FAVOR_RETURNS,
-    "loops": Policy.FAVOR_LOOPS,
-}
 
 
 @dataclass
@@ -69,71 +63,53 @@ def compile_and_measure(
     trace: bool = False,
     policy: Union[str, Policy] = Policy.SHORTEST,
     max_rtls: Optional[int] = None,
-    max_steps: int = 200_000_000,
     verify: Optional[str] = None,
-    overrides: Optional[dict] = None,
+    tuned: Optional[Sequence[Tuple[str, str, Optional[int], str]]] = None,
 ) -> CompilationResult:
     """Compile, optimize, run and measure one program.
 
+    Runs :func:`repro.exec.runner.run_pipeline`, the code every matrix
+    cell runs, on a :class:`~repro.exec.CellSpec` built from the arguments.
+
     :param source_or_benchmark: mini-C source text, or the name of one of
         the 14 Table-3 benchmarks (e.g. ``"wc"``).
-    :param target: ``"m68020"`` or ``"sparc"`` (or a Machine instance).
+    :param target: ``"m68020"`` or ``"sparc"`` (or a Machine, by name).
     :param replication: ``"none"`` (the paper's SIMPLE), ``"loops"`` or
         ``"jumps"``.
     :param stdin: program input; defaults to the benchmark's workload for
         named benchmarks, empty otherwise.
     :param trace: record the block-level trace for cache simulation.
-    :param policy: JUMPS step-2 heuristic: "shortest", "returns", "loops".
+    :param policy: JUMPS step-2 heuristic: "shortest", "returns", "loops"
+        (or a :class:`Policy`); an unknown name raises ``KeyError``.
     :param max_rtls: §6 bound on replication sequence length.
     :param verify: translation-validation mode: ``"off"``, ``"sanitize"``
         (structural invariants after every pass) or ``"full"`` (sanitize
         plus the differential execution oracle with pass bisection);
         ``None`` defers to the ``REPRO_VERIFY`` environment variable.
         Failures raise :class:`repro.verify.VerificationError`.
-    :param overrides: per-function replication tunings — a mapping of
-        function name to :class:`repro.opt.driver.FunctionTuning`, as
-        produced by the autotuner (see :mod:`repro.tune`); unnamed
-        functions use the global ``policy``/``max_rtls`` above.
+    :param tuned: per-function replication tunings — ``(function, policy,
+        max_rtls, order)`` rows, as in ``CellSpec.tuned`` and
+        :meth:`repro.tune.TunedConfig.overrides_for`; unnamed functions
+        use the global ``policy``/``max_rtls`` above.
     """
-    if source_or_benchmark in PROGRAMS:
-        bench = PROGRAMS[source_or_benchmark]
-        source = bench.source
-        if stdin is None:
-            stdin = bench.stdin
-    else:
-        source = source_or_benchmark
-    if stdin is None:
-        stdin = b""
-    if isinstance(target, str):
-        target = get_target(target)
-    if isinstance(policy, str):
-        policy = POLICIES[policy]
-    program = compile_c(source)
-    config = OptimizationConfig(
+    spec = CellSpec(
+        program=source_or_benchmark,
+        target=target if isinstance(target, str) else target.name,
         replication=replication,
-        policy=policy,
+        policy=policy.value if isinstance(policy, Policy) else policy,
         max_rtls=max_rtls,
-        overrides=dict(overrides) if overrides else {},
-    )
-    from .verify.verifier import Verifier, resolve_mode
-
-    verify_mode = resolve_mode(verify)
-    verifier = (
-        Verifier(verify_mode, inputs=[stdin]) if verify_mode != "off" else None
-    )
-    stats = optimize_program(program, target, config, verifier=verifier)
-    measurement = measure_program(
-        program,
-        target,
-        stdin=stdin,
         trace=trace,
-        max_steps=max_steps,
+        stdin=stdin,
+        verify=verify,
+        tuned=tuple(tuned) if tuned else None,
     )
+    result = CellResult(spec=spec)
+    program, config, stats = run_pipeline(spec, result)
     return CompilationResult(
         program,
-        target,
+        get_target(spec.target),
         config,
         stats,
-        measurement,
-        verification=verifier.report() if verifier is not None else None,
+        result.measurement,
+        verification=result.verification,
     )

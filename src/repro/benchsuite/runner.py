@@ -54,17 +54,6 @@ def _check_name(name: str) -> None:
         )
 
 
-def _policy_name(policy: Union[Policy, str]) -> str:
-    """The :data:`repro.api.POLICIES` name of ``policy`` (a name or a
-    :class:`Policy`); ``KeyError`` if it is neither."""
-    from ..api import POLICIES
-
-    for name, value in POLICIES.items():
-        if policy == name or policy is value:
-            return name
-    raise KeyError(f"unknown policy {policy!r}; expected one of {list(POLICIES)}")
-
-
 def compile_benchmark(
     name: str,
     target: Machine,
@@ -117,14 +106,15 @@ def run_benchmark(
 ) -> Measurement:
     """Measure one benchmark under one configuration.
 
-    ``policy`` is a :class:`Policy` or a :data:`repro.api.POLICIES` name.
+    ``policy`` is a :class:`Policy` or one of its
+    :data:`~repro.core.replication.POLICIES` names (``KeyError`` otherwise).
     Runs through ``cache``, else (with ``use_cache``) the default cache.
     """
     (measurement,) = _measure(
         [(target, replication, name)],
         _cache(cache, use_cache),
         workers=1,
-        policy=_policy_name(policy),
+        policy=policy.value if isinstance(policy, Policy) else policy,
         max_rtls=max_rtls,
         trace=trace,
     )

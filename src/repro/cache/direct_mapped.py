@@ -42,8 +42,10 @@ class CacheConfig:
         return self.size // self.line_size
 
     def __post_init__(self) -> None:
-        if self.size % self.line_size != 0:
-            raise ValueError("cache size must be a multiple of the line size")
+        if self.size <= 0 or self.size % self.line_size != 0:
+            raise ValueError(
+                "cache size must be a positive multiple of the line size"
+            )
         if self.lines & (self.lines - 1):
             raise ValueError("number of cache lines must be a power of two")
 

@@ -181,7 +181,12 @@ class Function:
 
     def jump_count(self) -> int:
         """Number of unconditional jump instructions (the paper's metric)."""
-        return sum(1 for insn in self.insns() if isinstance(insn, Jump))
+        return sum(
+            1
+            for block in self.blocks
+            for insn in block.insns
+            if isinstance(insn, Jump)
+        )
 
     def __repr__(self) -> str:
         return f"<Function {self.name} ({len(self.blocks)} blocks)>"

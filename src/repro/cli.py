@@ -130,8 +130,9 @@ def _resolve(args) -> tuple:
     return path.read_text(), stdin
 
 
-def _overrides(args) -> Optional[dict]:
-    """Per-function tunings from ``--tuned-config`` (keyed by program name)."""
+def _tuned(args) -> Optional[tuple]:
+    """Per-function ``tuned`` rows from ``--tuned-config`` (keyed by
+    program name)."""
     path = getattr(args, "tuned_config", None)
     if path is None:
         return None
@@ -155,7 +156,7 @@ def _measure(args, replication: Optional[str] = None, trace: bool = False):
         max_rtls=args.max_rtls,
         trace=trace,
         verify=args.verify,
-        overrides=_overrides(args),
+        tuned=_tuned(args),
     )
 
 
@@ -245,6 +246,16 @@ def _parse_size(text: str) -> int:
         return int(float(text) * factor)
     except ValueError:
         raise SystemExit(f"error: unparseable size {text!r}") from None
+
+
+def _cache_size(text: str) -> int:
+    """An instruction-cache size in bytes that :class:`CacheConfig` accepts."""
+    try:
+        size = int(text)
+        CacheConfig(size=size)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid cache size {text!r}: {exc}")
+    return size
 
 
 def _parse_age(text: str) -> float:
@@ -456,7 +467,7 @@ def cmd_bench(args) -> int:
     import time
 
     from .exec import CellSpec, ParallelRunner, ResultCache
-    from .obs.passes import PassTimeline
+    from .obs.digest import pass_table
     from .report import format_cache_stats, format_pass_table
 
     names = args.programs if args.programs else program_names()
@@ -475,6 +486,7 @@ def cmd_bench(args) -> int:
             max_rtls=args.max_rtls,
             trace=args.trace,
             verify=args.verify,
+            observe=args.passes,
         )
         for target in args.targets
         for config in args.configs
@@ -501,14 +513,16 @@ def cmd_bench(args) -> int:
 
     rows = []
     failures = []
-    instrumentation = PassTimeline()
+    spans = []
     metrics = MetricsRegistry()
     for result in results:
         if not result.ok:
             failures.append(result)
             continue
+        # A cache hit's snapshot describes work an earlier run performed.
         if not result.cache_hit and result.obs is not None:
             metrics.merge_snapshot(result.obs.get("metrics"))
+            spans.extend(result.obs.get("spans") or ())
         m = result.measurement
         rows.append(
             [
@@ -524,7 +538,7 @@ def cmd_bench(args) -> int:
                 "yes" if result.cache_hit else "",
             ]
         )
-        instrumentation.merge(PassTimeline.from_dicts(result.passes))
+    passes = pass_table(spans) if args.passes else {}
     print(
         format_table(
             [
@@ -549,9 +563,9 @@ def cmd_bench(args) -> int:
     )
     if cache is not None:
         print(format_cache_stats(cache.stats()))
-    if args.passes and instrumentation.records:
-        print("\nPer-pass instrumentation (aggregated over fresh cells):")
-        print(format_pass_table(instrumentation.aggregate()))
+    if passes:
+        print("\nPer-pass table (opt.<pass> spans of fresh cells):")
+        print(format_pass_table(passes))
 
     if args.json is not None:
         payload = {
@@ -559,8 +573,8 @@ def cmd_bench(args) -> int:
             "workers": runner.workers,
             "elapsed_seconds": elapsed,
             "cache": cache.stats() if cache is not None else None,
-            # Aggregated over fresh (non-cache-hit) cells only.
-            "passes": instrumentation.aggregate(),
+            # --passes only; folded over fresh (non-cache-hit) cells.
+            "passes": passes,
             "metrics": metrics.snapshot(),
             "cells": [
                 {
@@ -811,7 +825,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--sizes",
-        type=int,
+        type=_cache_size,
         nargs="+",
         default=[128, 256, 512, 1024, 2048, 4096, 8192],
         help="cache sizes in bytes",
@@ -892,7 +906,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--passes",
         action="store_true",
-        help="print aggregated per-pass instrumentation",
+        help="record opt.<pass> spans and print the per-pass table "
+        "(calls, changes, time, RTL and jump deltas) of fresh cells",
     )
     p.add_argument(
         "--json", type=Path, default=None, help="write results to a JSON file"

@@ -45,6 +45,7 @@ from .shortest_path import ShortestPaths
 __all__ = [
     "ReplicationMode",
     "Policy",
+    "POLICIES",
     "ReplicationStats",
     "CodeReplicator",
     "clone_function",
@@ -64,6 +65,10 @@ class Policy(enum.Enum):
     SHORTEST = "shortest"  # fewest replicated RTLs first (minimal growth)
     FAVOR_RETURNS = "returns"
     FAVOR_LOOPS = "loops"
+
+
+#: Policies by wire name: ``CellSpec.policy``, tuned rows, ``--policy``.
+POLICIES = {policy.value: policy for policy in Policy}
 
 
 @dataclass

@@ -6,16 +6,17 @@ plus the knobs that change what a run produces (tracing, the JUMPS
 policy, the §6 RTL bound, or skipping optimization entirely for the
 differential-testing reference).  A :class:`CellResult` is the envelope
 a worker process ships back: the measurement, replication statistics,
-per-pass instrumentation and timings on success, or a captured traceback
-on failure.  Both sides are plain data so they cross process boundaries
-and live in the on-disk result cache unchanged.
+the observability snapshot and timings on success, or a captured
+traceback on failure.  Both sides are plain data so they cross process
+boundaries and live in the on-disk result cache unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
+from ..core.replication import POLICIES
 from ..ease.measure import Measurement
 
 __all__ = ["CellSpec", "CellResult", "CACHE_SCHEMA_VERSION"]
@@ -45,7 +46,10 @@ __all__ = ["CellSpec", "CellResult", "CACHE_SCHEMA_VERSION"]
 #: longer hashes it, and ``ease_engine=None`` keys as ``"compiled"``
 #: without consulting the environment) and ``Measurement`` lost its
 #: ``ease_engine`` provenance field, so v7 pickles carry a stale layout.
-CACHE_SCHEMA_VERSION = 8
+#: v9: CellSpec lost its CFG-validation debug flag (the sanitizer is the
+#: one per-pass check) and CellResult lost its per-pass record list (the
+#: ``opt.<pass>`` spans in ``obs`` are the one per-pass record).
+CACHE_SCHEMA_VERSION = 9
 
 
 @dataclass(frozen=True)
@@ -65,9 +69,6 @@ class CellSpec:
     optimize: bool = True
     #: Standard input override; ``None`` uses the benchmark's workload.
     stdin: Optional[bytes] = None
-    #: Debug: validate CFG invariants after every optimizer pass.  Does
-    #: not change the result, so it is excluded from the cache key.
-    validate_cfg: bool = False
     #: Collect tracer spans while executing the cell (metrics and the
     #: replication decision log are always collected).  Observability
     #: does not change the result, so this too is excluded from the
@@ -96,6 +97,10 @@ class CellSpec:
     tuned: Optional[Tuple[Tuple[str, str, Optional[int], str], ...]] = None
 
     def __post_init__(self) -> None:
+        if self.policy not in POLICIES:
+            raise KeyError(
+                f"unknown policy {self.policy!r}; expected one of {list(POLICIES)}"
+            )
         if self.ease_engine not in (None, "compiled", "interp"):
             raise ValueError(
                 f"ease_engine must be compiled/interp, got {self.ease_engine!r}"
@@ -128,11 +133,9 @@ class CellResult:
     measurement: Optional[Measurement] = None
     #: ``ReplicationStats`` flattened to a plain dict (stable to pickle).
     replication_stats: Optional[dict] = None
-    #: Per-pass instrumentation records as plain dicts
-    #: (see :class:`repro.obs.passes.PassRecord`).
-    passes: List[dict] = field(default_factory=list)
     #: Observability snapshot (``repro.obs.Observer.snapshot()``): spans
-    #: (when the spec asked for them), metrics, replication decisions.
+    #: (when the spec asked for them, ``opt.<pass>`` spans included),
+    #: metrics, replication decisions.
     obs: Optional[dict] = None
     compile_seconds: float = 0.0
     optimize_seconds: float = 0.0

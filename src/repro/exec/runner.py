@@ -1,12 +1,13 @@
 """Parallel, cached execution of the evaluation matrix.
 
-:func:`execute_cell` is the single-cell pipeline — compile, optimize
-(instrumented), interpret, measure — with every exception captured into
-the result envelope instead of propagating.  :class:`ParallelRunner`
-fans a list of :class:`CellSpec` out over a ``ProcessPoolExecutor``,
-short-circuiting cells already present in the
-:class:`~repro.exec.cache.ResultCache` (on disk or in memory) and writing
-fresh results back.
+:func:`run_pipeline` is the single-program pipeline — compile,
+optimize, interpret, measure — that :func:`repro.api.compile_and_measure`
+also runs; :func:`execute_cell` wraps it with a per-cell observer and
+captures every exception into the result envelope instead of
+propagating.  :class:`ParallelRunner` fans a list of :class:`CellSpec`
+out over a ``ProcessPoolExecutor``, short-circuiting cells already
+present in the :class:`~repro.exec.cache.ResultCache` (on disk or in
+memory) and writing fresh results back.
 
 A crashing cell reports (``result.error`` carries the traceback); it
 never kills the run.  ``workers <= 1`` executes inline in the calling
@@ -28,6 +29,7 @@ from .envelope import CellResult, CellSpec
 __all__ = [
     "ParallelRunner",
     "execute_cell",
+    "run_pipeline",
     "default_worker_count",
     "warm_worker",
 ]
@@ -74,86 +76,90 @@ def _effective_verify_mode(spec: CellSpec) -> str:
         return "invalid"
 
 
+def run_pipeline(spec: CellSpec, result: CellResult) -> tuple:
+    """The single-program pipeline: front end, Figure-3 optimizer, EASE.
+
+    Resolves the spec's source and stdin, turns its policy names and
+    ``tuned`` rows into an :class:`~repro.opt.driver.OptimizationConfig`,
+    optimizes under a :class:`~repro.verify.verifier.Verifier` when the
+    effective verify mode is not ``"off"``, and measures.  Timings,
+    replication stats, the measurement and the verification report (also
+    when verification fails) land in ``result``; failures raise.  Returns
+    ``(program, config, stats)``; ``config`` and ``stats`` are ``None``
+    for an unoptimized reference run.
+    """
+    from ..core.replication import POLICIES
+    from ..ease.interp import Interpreter
+    from ..ease.measure import measure_program
+    from ..frontend.codegen import compile_c
+    from ..opt.driver import FunctionTuning, OptimizationConfig, optimize_program
+    from ..targets.machine import get_target
+    from ..verify.verifier import Verifier, resolve_mode
+
+    source, stdin = spec.resolve()
+    target = get_target(spec.target)
+
+    start = perf_counter()
+    program = compile_c(source)
+    result.compile_seconds = perf_counter() - start
+
+    config = stats = None
+    if spec.optimize:
+        config = OptimizationConfig(
+            replication=spec.replication,
+            policy=POLICIES[spec.policy],
+            max_rtls=spec.max_rtls,
+            overrides={
+                function: FunctionTuning(POLICIES[policy], max_rtls, order)
+                for function, policy, max_rtls, order in spec.tuned or ()
+            },
+        )
+        verify_mode = resolve_mode(spec.verify)
+        verifier = (
+            Verifier(verify_mode, inputs=[stdin]) if verify_mode != "off" else None
+        )
+        start = perf_counter()
+        try:
+            stats = optimize_program(program, target, config, verifier=verifier)
+        finally:
+            # A failed verification's report carries the bisection verdict.
+            if verifier is not None:
+                result.verification = verifier.report()
+        result.optimize_seconds = perf_counter() - start
+        result.replication_stats = stats.as_dict()
+
+    start = perf_counter()
+    result.measurement = measure_program(
+        program,
+        target,
+        stdin=stdin,
+        trace=spec.trace,
+        interpreter=Interpreter(program) if spec.ease_engine == "interp" else None,
+    )
+    result.measure_seconds = perf_counter() - start
+    return program, config, stats
+
+
 def execute_cell(spec: CellSpec) -> CellResult:
     """Run one matrix cell; never raises — failures land in the envelope.
 
-    Every cell runs under its own :class:`repro.obs.Observer` (spans only
-    when ``spec.observe`` asks for them, or when the calling process is
-    itself tracing; metrics and the replication decision log always).
-    The snapshot ships back in ``result.obs`` so the parent process can
-    fold worker observations into its ambient observer.
+    :func:`run_pipeline` under the cell's own :class:`repro.obs.Observer`
+    (spans only when ``spec.observe`` asks for them, or when the calling
+    process is itself tracing; metrics and the replication decision log
+    always).  The snapshot ships back in ``result.obs`` so the parent
+    process can fold worker observations into its ambient observer.
     """
     from ..obs import Observer, active, deactivate, install
 
     result = CellResult(spec=spec)
-    verifier = None
     previous = active()
     observer = Observer(
         spans=spec.observe or (previous is not None and previous.tracer.enabled)
     )
     install(observer)
     try:
-        from dataclasses import asdict
-
-        from ..ease.interp import Interpreter
-        from ..ease.measure import measure_program
-        from ..frontend.codegen import compile_c
-        from ..obs.passes import PassTimeline
-        from ..opt.driver import OptimizationConfig, optimize_program
-        from ..targets.machine import get_target
-
         with observer.span("exec.cell", label=spec.label):
-            source, stdin = spec.resolve()
-            target = get_target(spec.target)
-
-            start = perf_counter()
-            program = compile_c(source)
-            result.compile_seconds = perf_counter() - start
-
-            if spec.optimize:
-                from ..api import POLICIES
-                from ..opt.driver import FunctionTuning
-
-                overrides = {}
-                if spec.tuned:
-                    for function, policy_name, max_rtls, order in spec.tuned:
-                        overrides[function] = FunctionTuning(
-                            policy=POLICIES[policy_name],
-                            max_rtls=max_rtls,
-                            order=order,
-                        )
-                config = OptimizationConfig(
-                    replication=spec.replication,
-                    policy=POLICIES[spec.policy],
-                    max_rtls=spec.max_rtls,
-                    validate_cfg=spec.validate_cfg,
-                    overrides=overrides,
-                )
-                from ..verify.verifier import Verifier, resolve_mode
-
-                verify_mode = resolve_mode(spec.verify)
-                if verify_mode != "off":
-                    verifier = Verifier(verify_mode, inputs=[stdin])
-                instrumentation = PassTimeline()
-                start = perf_counter()
-                stats = optimize_program(
-                    program, target, config, instrumentation, verifier=verifier
-                )
-                result.optimize_seconds = perf_counter() - start
-                result.replication_stats = stats.as_dict()
-                result.passes = [asdict(rec) for rec in instrumentation.records]
-
-            start = perf_counter()
-            result.measurement = measure_program(
-                program,
-                target,
-                stdin=stdin,
-                trace=spec.trace,
-                interpreter=(
-                    Interpreter(program) if spec.ease_engine == "interp" else None
-                ),
-            )
-            result.measure_seconds = perf_counter() - start
+            run_pipeline(spec, result)
     except BaseException:
         result.error = traceback.format_exc()
         result.measurement = None
@@ -163,10 +169,6 @@ def execute_cell(spec: CellSpec) -> CellResult:
         else:
             deactivate()
         result.obs = observer.snapshot()
-        if verifier is not None:
-            # Attach the report even when verification *failed* — the
-            # error envelope then carries the bisection verdict too.
-            result.verification = verifier.report()
     return result
 
 

@@ -11,10 +11,8 @@ The unified observability subsystem (zero external dependencies):
   talks to (``active()`` is the single hot-path check);
 * :mod:`repro.obs.sink` — the JSONL trace writer/reader behind
   ``REPRO_TRACE=path`` and the ``--trace`` CLI flag;
-* :mod:`repro.obs.digest` — aggregation for ``repro trace`` and the
-  terminal summary;
-* :mod:`repro.obs.passes` — per-pass timing records
-  (:class:`~repro.obs.passes.PassTimeline`).
+* :mod:`repro.obs.digest` — aggregation for ``repro trace``, the
+  terminal summary and the ``repro bench --passes`` table.
 
 Quickstart::
 
@@ -26,10 +24,9 @@ Quickstart::
 """
 
 from .decisions import DecisionLog, ReplicationDecision
-from .digest import aggregate_spans, decision_digest, split_events
+from .digest import aggregate_spans, decision_digest, pass_table, split_events
 from .metrics import DEFAULT_BUCKETS, MetricsRegistry
 from .observer import Observer, active, deactivate, install, observing
-from .passes import PassRecord, PassTimeline, jump_count, rtl_count
 from .sink import (
     TRACE_SCHEMA_VERSION,
     read_events,
@@ -43,6 +40,7 @@ __all__ = [
     "ReplicationDecision",
     "aggregate_spans",
     "decision_digest",
+    "pass_table",
     "split_events",
     "DEFAULT_BUCKETS",
     "MetricsRegistry",
@@ -51,10 +49,6 @@ __all__ = [
     "deactivate",
     "install",
     "observing",
-    "PassRecord",
-    "PassTimeline",
-    "jump_count",
-    "rtl_count",
     "TRACE_SCHEMA_VERSION",
     "read_events",
     "trace_path_from_env",

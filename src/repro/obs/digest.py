@@ -3,16 +3,17 @@
 The JSONL sink writes flat events; the terminal renderers in
 :mod:`repro.report` want aggregates — a flame-style span tree (calls /
 total / self time per span path) and a decision-log digest (outcomes,
-reasons, per-function replication cost).  This module is the pure-data
-middle layer both the ``repro trace`` subcommand and the post-run
-terminal summary share.
+reasons, per-function replication cost) and the per-pass table of
+``repro bench --passes``.  This module is the pure-data middle layer the
+``repro trace`` subcommand, the post-run terminal summary and the bench
+report share.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-__all__ = ["split_events", "aggregate_spans", "decision_digest"]
+__all__ = ["split_events", "aggregate_spans", "decision_digest", "pass_table"]
 
 
 def split_events(
@@ -153,3 +154,35 @@ def decision_digest(decisions: List[dict]) -> dict:
         "rtls_replicated": total_rtls,
         "blocks_copied": total_copies,
     }
+
+
+def pass_table(spans: Iterable[dict]) -> Dict[str, Dict[str, float]]:
+    """Fold the optimizer's ``opt.<pass>`` spans into per-pass totals.
+
+    Keys are pass names in first-seen order; each value sums ``calls``,
+    ``changed`` (invocations reporting a change), ``seconds`` (span
+    durations), ``rtl_delta`` and ``jumps_removed`` over every invocation.
+    Other spans (``opt.function`` included) carry no census and are
+    skipped.
+    """
+    table: Dict[str, Dict[str, float]] = {}
+    for span in spans:
+        attrs = span.get("attrs") or {}
+        if not span["name"].startswith("opt.") or "rtl_delta" not in attrs:
+            continue
+        row = table.setdefault(
+            span["name"][len("opt."):],
+            {
+                "calls": 0,
+                "changed": 0,
+                "seconds": 0.0,
+                "rtl_delta": 0,
+                "jumps_removed": 0,
+            },
+        )
+        row["calls"] += 1
+        row["changed"] += 1 if attrs.get("changed") else 0
+        row["seconds"] += float(span.get("duration") or 0.0)
+        row["rtl_delta"] += attrs["rtl_delta"]
+        row["jumps_removed"] += attrs["jumps_removed"]
+    return table

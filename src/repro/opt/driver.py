@@ -38,18 +38,16 @@ to pick up jumps kept for reducibility, as described in §5.1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Callable, Dict, Optional
 
 from ..cfg.block import Function, Program
-from ..cfg.graph import check_function, compute_flow
+from ..cfg.graph import compute_flow
 from ..core.replication import CodeReplicator, Policy, ReplicationMode, ReplicationStats
 from ..obs import active as _active_observer
 from ..obs.tracer import NULL_SPAN
 from ..targets.delay_slots import fill_delay_slots
 from ..targets.machine import Machine, get_target
 from .branch_chaining import branch_chaining
-from ..obs.passes import PassTimeline, jump_count, rtl_count
 from .code_motion import loop_invariant_code_motion
 from .const_fold import fold_branches, fold_constants
 from .copy_prop import propagate_copies
@@ -121,8 +119,6 @@ class OptimizationConfig:
     #: Fill RISC delay slots at the end (disabled by the profile-guided
     #: extension, which replicates after an instrumented training run).
     fill_delay_slots: bool = True
-    #: Debug: run the CFG invariant validator after every pass.
-    validate_cfg: bool = False
     #: Per-function (policy, max_rtls, order) overrides emitted by the
     #: autotuner; functions not named here use the global settings above.
     overrides: Dict[str, FunctionTuning] = field(default_factory=dict)
@@ -175,19 +171,16 @@ def optimize_function(
     func: Function,
     target: Machine,
     config: OptimizationConfig,
-    instrumentation: Optional[PassTimeline] = None,
     verifier=None,
 ) -> ReplicationStats:
     """Run the Figure-3 pipeline over ``func`` in place.
 
-    With ``instrumentation`` given, every pass invocation is timed and
-    bracketed by an RTL / jump census (see :mod:`repro.obs.passes`).
     With an ambient observer installed (:func:`repro.obs.active`), every
-    pass additionally becomes a tracer span nested under an
-    ``opt.function`` root, and pass/change counters land in the metrics
-    registry.  With ``config.validate_cfg`` set, the CFG invariant
-    validator runs after every pass and raises ``AssertionError`` on the
-    first pass that leaves the graph inconsistent.
+    pass invocation is bracketed by an RTL / jump census and becomes an
+    ``opt.<pass>`` tracer span nested under an ``opt.function`` root,
+    carrying ``rtl_delta``, ``jumps_removed`` and ``changed`` (the one
+    per-pass record; :func:`repro.obs.digest.pass_table` folds them), and
+    pass/change counters land in the metrics registry.
 
     ``verifier`` is a translation-validation hook object (see
     :mod:`repro.verify.verifier`): ``allow_pass`` gates every pass
@@ -198,49 +191,30 @@ def optimize_function(
     stats = ReplicationStats()
     obs = _active_observer()
     tracer = obs.tracer if obs is not None and obs.tracer.enabled else None
-    observe = (
-        instrumentation is not None or config.validate_cfg or obs is not None
-    )
     tuning = config.tuning_for(func.name)
 
     def step(name: str, pass_fn: Callable[[], object]) -> bool:
         if verifier is not None and not verifier.allow_pass(func, name):
             return False
-        if not observe:
+        if obs is None:
             outcome = bool(pass_fn())
             if verifier is not None:
                 verifier.after_pass(func, name)
             return outcome
-        rtls_before = rtl_count(func)
-        jumps_before = jump_count(func)
-        start = perf_counter()
+        rtls_before = func.insn_count()
+        jumps_before = func.jump_count()
         with (
             tracer.span(f"opt.{name}") if tracer is not None else NULL_SPAN
         ) as span:
             outcome = pass_fn()
-        elapsed = perf_counter() - start
-        rtl_delta = rtl_count(func) - rtls_before
-        jumps_removed = jumps_before - jump_count(func)
         span.set(
-            rtl_delta=rtl_delta,
-            jumps_removed=jumps_removed,
+            rtl_delta=func.insn_count() - rtls_before,
+            jumps_removed=jumps_before - func.jump_count(),
             changed=bool(outcome),
         )
-        if instrumentation is not None:
-            instrumentation.record(
-                name, elapsed, rtl_delta, jumps_removed, bool(outcome)
-            )
-        if obs is not None:
-            obs.metrics.inc("opt.pass_invocations")
-            if outcome:
-                obs.metrics.inc("opt.pass_changes")
-        if config.validate_cfg:
-            try:
-                check_function(func)
-            except AssertionError as exc:
-                raise AssertionError(
-                    f"CFG invariants violated after pass {name!r}: {exc}"
-                ) from exc
+        obs.metrics.inc("opt.pass_invocations")
+        if outcome:
+            obs.metrics.inc("opt.pass_changes")
         if verifier is not None:
             verifier.after_pass(func, name)
         return bool(outcome)
@@ -332,7 +306,6 @@ def optimize_program(
     program: Program,
     target,
     config: Optional[OptimizationConfig] = None,
-    instrumentation: Optional[PassTimeline] = None,
     verifier=None,
 ) -> ReplicationStats:
     """Optimize every function of ``program``; return merged replication stats.
@@ -352,9 +325,7 @@ def optimize_program(
         verifier.begin(program, target, config)
     total = ReplicationStats()
     for func in program.functions.values():
-        total.merge(
-            optimize_function(func, target, config, instrumentation, verifier)
-        )
+        total.merge(optimize_function(func, target, config, verifier))
         if verifier is not None:
             verifier.after_function(func)
     if verifier is not None:

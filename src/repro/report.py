@@ -67,10 +67,10 @@ def format_table(
 
 
 def format_pass_table(aggregate: Mapping[str, Dict[str, float]]) -> str:
-    """Render aggregated per-pass instrumentation, slowest pass first.
+    """Render the per-pass table, slowest pass first.
 
     ``aggregate`` is the shape produced by
-    :meth:`repro.obs.passes.PassTimeline.aggregate`: pass name
+    :func:`repro.obs.digest.pass_table`: pass name
     to calls / changed / seconds / rtl_delta / jumps_removed totals.
     """
     rows = [

@@ -2,8 +2,8 @@
 
 The file is the tuner's one durable artifact: per program, per function,
 the winning (policy, max_rtls, order).  ``repro --tuned-config FILE``
-replays it through :class:`repro.opt.driver.OptimizationConfig`
-overrides, and :func:`repro.tune.tuner.tune` writes it.  The format is
+replays it as ``tuned`` rows (the :class:`~repro.exec.CellSpec`
+vocabulary), and :func:`repro.tune.tuner.tune` writes it.  The format is
 versioned and strictly validated — a config written by a future
 incompatible tuner must fail loudly, not silently detune.
 """
@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
-from ..opt.driver import PASS_ORDERS, FunctionTuning
+from ..core.replication import POLICIES
+from ..opt.driver import PASS_ORDERS
 from .grid import Candidate
 
 __all__ = [
@@ -44,12 +45,18 @@ class TunedConfig:
     programs: Dict[str, Dict[str, Candidate]] = field(default_factory=dict)
     version: int = TUNED_CONFIG_VERSION
 
-    def overrides_for(self, program: str) -> Dict[str, FunctionTuning]:
-        """Driver-ready overrides for one program (empty if untuned)."""
-        return {
-            function: candidate.as_tuning()
-            for function, candidate in self.programs.get(program, {}).items()
-        }
+    def overrides_for(
+        self, program: str
+    ) -> Tuple[Tuple[str, str, Optional[int], str], ...]:
+        """``tuned`` rows pinning every recorded winner of one program.
+
+        Unlike :meth:`tuned_rows` nothing is normalized away: a winner
+        equal to the file's baseline still pins its function when the
+        replay runs under a different global ``--policy``/``--max-rtls``.
+        Empty if the program is untuned.
+        """
+        functions = self.programs.get(program, {})
+        return tuple(functions[name].as_row(name) for name in sorted(functions))
 
     def tuned_rows(
         self, program: str
@@ -86,8 +93,6 @@ class TunedConfig:
 
 
 def _candidate_from_dict(raw: object, where: str) -> Candidate:
-    from ..api import POLICIES
-
     if not isinstance(raw, dict):
         raise TunedConfigError(f"{where}: expected an object, got {type(raw).__name__}")
     policy = raw.get("policy", "shortest")

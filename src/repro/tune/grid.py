@@ -14,38 +14,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
 
-from ..opt.driver import PASS_ORDERS, FunctionTuning
+from ..core.replication import POLICIES
+from ..opt.driver import PASS_ORDERS
 
 __all__ = ["Candidate", "TuneGrid", "DEFAULT_BOUNDS"]
 
 #: §6 sequence-length bounds swept per function; ``None`` is unbounded.
 DEFAULT_BOUNDS: Tuple[Optional[int], ...] = (None, 4, 8, 16)
 
-#: Step-2 policy names, in :data:`repro.api.POLICIES` vocabulary.
-DEFAULT_POLICIES: Tuple[str, ...] = ("shortest", "returns", "loops")
+#: Step-2 policy names, all of :data:`~repro.core.replication.POLICIES`.
+DEFAULT_POLICIES: Tuple[str, ...] = tuple(POLICIES)
 
 
 @dataclass(frozen=True)
 class Candidate:
     """One point of the per-function sweep, in wire vocabulary.
 
-    ``policy`` is a :data:`repro.api.POLICIES` name (strings travel in
-    :class:`~repro.exec.envelope.CellSpec` tuned rows and in the tuned
-    config JSON; the enum never crosses a process boundary).
+    ``policy`` is a :data:`~repro.core.replication.POLICIES` name
+    (strings travel in :class:`~repro.exec.envelope.CellSpec` tuned rows
+    and in the tuned config JSON; the enum never crosses a process
+    boundary).
     """
 
     policy: str = "shortest"
     max_rtls: Optional[int] = None
     order: str = "standard"
-
-    def as_tuning(self) -> FunctionTuning:
-        from ..api import POLICIES
-
-        return FunctionTuning(
-            policy=POLICIES[self.policy],
-            max_rtls=self.max_rtls,
-            order=self.order,
-        )
 
     def as_row(self, function: str) -> Tuple[str, str, Optional[int], str]:
         """The spec's ``tuned`` row for ``function`` under this candidate."""
@@ -66,8 +59,6 @@ class TuneGrid:
     orders: Tuple[str, ...] = PASS_ORDERS
 
     def __post_init__(self) -> None:
-        from ..api import POLICIES
-
         for policy in self.policies:
             if policy not in POLICIES:
                 raise ValueError(f"unknown policy {policy!r}")

@@ -12,6 +12,7 @@ from repro.frontend import compile_c
 from repro.opt import OptimizationConfig, optimize_program
 from repro.rtl import parse_insns
 from repro.targets import get_target
+from repro.verify import Verifier
 
 
 def function_from_text(name: str, text: str) -> Function:
@@ -25,21 +26,21 @@ def run_c(
     target: Optional[str] = None,
     replication: str = "none",
     max_steps: int = 20_000_000,
-    validate_cfg: bool = True,
 ) -> Tuple[bytes, int]:
     """Compile mini-C (optionally optimizing) and run it.
 
     With ``target=None`` the raw front-end output is interpreted —
     the semantic reference used throughout the test suite.  Optimized
-    runs validate CFG invariants after every pass by default, so any
-    test going through this helper doubles as an invariant check.
+    runs go through the sanitizer after every pass, so any test going
+    through this helper doubles as an invariant check.
     """
     program = compile_c(source)
     if target is not None:
         optimize_program(
             program,
             get_target(target),
-            OptimizationConfig(replication=replication, validate_cfg=validate_cfg),
+            OptimizationConfig(replication=replication),
+            verifier=Verifier("sanitize"),
         )
     result = Interpreter(program, max_steps=max_steps).run(stdin=stdin)
     return result.output, result.exit_code

@@ -84,9 +84,9 @@ KEYED_VARIANTS = [
 ]
 
 #: CellSpec fields that do not change the result, so must not change the
-#: key: CFG validation and observability only watch the run, and verified
-#: runs bypass the cache altogether.
-UNKEYED_VARIANTS = {"validate_cfg": True, "observe": True, "verify": "full"}
+#: key: observability only watches the run, and verified runs bypass the
+#: cache altogether.
+UNKEYED_VARIANTS = {"observe": True, "verify": "full"}
 
 
 @pytest.mark.parametrize(
@@ -146,10 +146,9 @@ def test_key_resolves_benchmark_source():
     assert by_name == by_source
 
 
-def test_validate_cfg_does_not_change_key(tmp_path):
-    """Nor do the other fields that leave the result alone."""
+def test_unkeyed_fields_do_not_change_key(tmp_path):
+    """Fields that leave the result alone share the plain spec's key."""
     cache = ResultCache(tmp_path)
-    assert cache.key(replace(SPEC, validate_cfg=True)) == cache.key(SPEC)
     for name, value in UNKEYED_VARIANTS.items():
         assert cache.key(replace(SPEC, **{name: value})) == cache.key(SPEC), name
 
@@ -179,15 +178,18 @@ def test_round_trip(store):
 
 
 def test_executed_cell_round_trips_with_instrumentation(tmp_path):
+    """The observability snapshot (``opt.<pass>`` spans included) survives
+    the disk round trip with the measurement."""
     cache = ResultCache(tmp_path)
-    spec = CellSpec(program="wc", replication="jumps")
+    spec = CellSpec(program="wc", replication="jumps", observe=True)
     result = execute_cell(spec)
     assert result.ok
     cache.put_spec(spec, result)
     loaded = ResultCache(tmp_path).get_spec(spec)  # fresh instance, same disk
     assert loaded.measurement.dynamic_insns == result.measurement.dynamic_insns
     assert loaded.replication_stats == result.replication_stats
-    assert loaded.passes == result.passes and loaded.passes
+    assert loaded.obs == result.obs
+    assert any(s["name"] == "opt.dead_code" for s in loaded.obs["spans"])
 
 
 def test_cached_envelope_carries_ease_engine(tmp_path):

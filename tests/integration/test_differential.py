@@ -7,9 +7,9 @@ all three paper configurations (SIMPLE / LOOPS / JUMPS).
 The whole matrix — optimized cells plus the unoptimized references — is
 produced once per session by the parallel execution layer
 (:class:`repro.exec.ParallelRunner`); each test then only asserts over
-the envelopes.  Every optimized cell runs with ``validate_cfg`` on, so
-the CFG invariant validator executes after every optimizer pass across
-the entire differential matrix.
+the envelopes.  Every optimized cell runs with ``verify="sanitize"``, so
+the sanitizer executes after every optimizer pass across the entire
+differential matrix (verified cells bypass the result cache).
 
 Environment knobs:
 
@@ -51,19 +51,25 @@ def _matrix_specs():
                         program=name,
                         target=target,
                         replication=replication,
-                        validate_cfg=True,
+                        verify="sanitize",
                     )
                 )
     for name in HEAVY_PROGRAMS:
         specs.append(
             CellSpec(
-                program=name, target="sparc", replication="jumps", validate_cfg=True
+                program=name,
+                target="sparc",
+                replication="jumps",
+                verify="sanitize",
             )
         )
     for name in HEAVY_M68020:
         specs.append(
             CellSpec(
-                program=name, target="m68020", replication="jumps", validate_cfg=True
+                program=name,
+                target="m68020",
+                replication="jumps",
+                verify="sanitize",
             )
         )
     # Unoptimized front-end runs: the semantic references.

@@ -109,30 +109,28 @@ class TestTraceCommand:
         assert "warning" in captured.err
 
 
+BENCH_WC = [
+    "bench",
+    "--programs",
+    "wc",
+    "--targets",
+    "sparc",
+    "--configs",
+    "jumps",
+    "--parallel",
+    "1",
+    "--quiet",
+]
+
+
 class TestBenchJson:
     def test_json_payload_has_passes_and_metrics(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
-        code = main(
-            [
-                "bench",
-                "--programs",
-                "wc",
-                "--targets",
-                "sparc",
-                "--configs",
-                "jumps",
-                "--no-cache",
-                "--parallel",
-                "1",
-                "--quiet",
-                "--json",
-                str(out),
-            ]
-        )
+        code = main(BENCH_WC + ["--no-cache", "--passes", "--json", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
         assert "passes" in payload
-        assert payload["passes"], "fresh cells must aggregate pass records"
+        assert payload["passes"], "fresh cells must fold their pass spans"
         sample = next(iter(payload["passes"].values()))
         assert {"calls", "changed", "seconds", "rtl_delta", "jumps_removed"} == set(
             sample
@@ -140,3 +138,20 @@ class TestBenchJson:
         assert "metrics" in payload
         assert payload["metrics"]["counters"]["ease.runs"] == 1
         assert payload["metrics"]["counters"]["replication.accepted"] >= 1
+
+    def test_passes_skip_cache_hits(self, tmp_path, capsys):
+        """A warm re-run is all hits: no fresh metrics, no pass table."""
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+        assert main(BENCH_WC + cache + ["--passes", "--json", str(cold)]) == 0
+        assert main(BENCH_WC + cache + ["--passes", "--json", str(warm)]) == 0
+        assert json.loads(cold.read_text())["passes"]
+        payload = json.loads(warm.read_text())
+        assert all(cell["cache_hit"] for cell in payload["cells"])
+        assert payload["metrics"]["counters"] == {}
+        assert payload["passes"] == {}
+
+    def test_passes_empty_without_flag(self, tmp_path, capsys):
+        out = tmp_path / "bench.json"
+        assert main(BENCH_WC + ["--no-cache", "--json", str(out)]) == 0
+        assert json.loads(out.read_text())["passes"] == {}

@@ -1,8 +1,13 @@
 """End-to-end span coverage: the phases the tentpole promises to trace."""
 
+import pytest
+
 from repro.api import compile_and_measure
-from repro.obs import active, observing
-from repro.obs.passes import PassTimeline
+from repro.benchsuite.programs import PROGRAMS
+from repro.frontend.codegen import compile_c
+from repro.obs import active, observing, pass_table
+from repro.opt.driver import OptimizationConfig, optimize_program
+from repro.targets.machine import get_target
 
 JUMPS_STEPS = {
     "jumps.sweep",
@@ -79,38 +84,54 @@ class TestSpanCoverage:
         assert len(obs.decisions) >= 1
 
 
-class TestInstrumentShim:
-    """Per-pass instrumentation: :class:`repro.obs.passes.PassTimeline`."""
+class TestPassTable:
+    """The ``opt.<pass>`` spans are the one per-pass record;
+    :func:`repro.obs.digest.pass_table` folds them."""
 
-    def test_from_dicts_rebuilds_records(self):
-        inst = PassTimeline.from_dicts(
-            [
-                dict(
-                    name="dead_code",
-                    seconds=0.1,
-                    rtl_delta=-1,
-                    jumps_removed=0,
-                    changed=True,
-                )
-            ]
-        )
-        assert isinstance(inst, PassTimeline)
-        assert inst.aggregate()["dead_code"]["calls"] == 1
+    def test_fold_sums_pass_spans(self):
+        census = dict(rtl_delta=-2, jumps_removed=1, changed=True)
+        spans = [
+            {"name": "opt.function", "duration": 1.0, "attrs": {"function": "f"}},
+            {"name": "opt.dead_code", "duration": 0.25, "attrs": census},
+            {
+                "name": "opt.dead_code",
+                "duration": 0.5,
+                "attrs": dict(rtl_delta=0, jumps_removed=0, changed=False),
+            },
+            {"name": "jumps.sweep", "duration": 0.1, "attrs": {}},
+        ]
+        assert pass_table(spans) == {
+            "dead_code": {
+                "calls": 2,
+                "changed": 1,
+                "seconds": 0.75,
+                "rtl_delta": -2,
+                "jumps_removed": 1,
+            }
+        }
 
-    def test_instrumentation_still_fills_alongside_observer(self):
-        from repro.opt.driver import OptimizationConfig, optimize_program
-        from repro.frontend.codegen import compile_c
-        from repro.targets.machine import get_target
-        from repro.benchsuite.programs import PROGRAMS
+    def test_driver_spans_carry_the_census(self):
+        with observing() as obs:
+            compile_and_measure("wc", replication="jumps")
+        table = pass_table(span.as_dict() for span in obs.tracer.spans)
+        assert {"dead_code", "replication", "regalloc"} <= set(table)
+        calls = sum(row["calls"] for row in table.values())
+        assert calls == obs.metrics.counters["opt.pass_invocations"]
+        assert sum(row["seconds"] for row in table.values()) > 0
 
-        program = compile_c(PROGRAMS["wc"].source)
-        inst = PassTimeline()
-        with observing():
+    @pytest.mark.parametrize("replication", ["none", "loops", "jumps"])
+    @pytest.mark.parametrize("target", ["sparc", "m68020"])
+    @pytest.mark.parametrize("name", ["wc", "queens", "sieve"])
+    def test_census_adds_up(self, name, target, replication):
+        """Per-pass deltas sum exactly to the program's static change."""
+        program = compile_c(PROGRAMS[name].source)
+        insns, jumps = program.insn_count(), program.jump_count()
+        with observing() as obs:
             optimize_program(
-                program,
-                get_target("sparc"),
-                OptimizationConfig(replication="jumps"),
-                inst,
+                program, get_target(target), OptimizationConfig(replication)
             )
-        assert inst.records
-        assert inst.total_seconds > 0
+        table = pass_table(span.as_dict() for span in obs.tracer.spans)
+        rtl_delta = sum(row["rtl_delta"] for row in table.values())
+        jumps_removed = sum(row["jumps_removed"] for row in table.values())
+        assert rtl_delta == program.insn_count() - insns
+        assert jumps_removed == jumps - program.jump_count()

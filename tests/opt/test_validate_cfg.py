@@ -1,9 +1,10 @@
-"""The CFG invariant validator wired into the optimizer driver.
+"""CFG invariant checks: the validator and the driver's per-pass check.
 
-Covers the ``validate_cfg`` debug flag end to end: a clean optimization
-run passes with validation on, a corrupted CFG is caught by
-:func:`repro.cfg.graph.check_function`, and a pass that corrupts the
-graph mid-pipeline is named by the driver's post-pass check.
+A corrupted CFG is caught by :func:`repro.cfg.graph.check_function`; in
+the driver the one per-pass check is the sanitizer
+(``Verifier("sanitize")``, a non-mutating superset of the validator): a
+clean optimization run passes it, and a pass that corrupts the graph
+mid-pipeline is named by it.
 """
 
 import pytest
@@ -14,6 +15,7 @@ from repro.opt import OptimizationConfig, optimize_program
 from repro.opt import driver as driver_module
 from repro.rtl.insn import Jump
 from repro.targets import get_target
+from repro.verify import SanitizeError, Verifier
 
 SOURCE = """
 int main() {
@@ -43,7 +45,8 @@ def test_validation_passes_on_clean_pipeline(target_name, replication):
     optimize_program(
         program,
         get_target(target_name),
-        OptimizationConfig(replication=replication, validate_cfg=True),
+        OptimizationConfig(replication=replication),
+        verifier=Verifier("sanitize"),
     )
 
 
@@ -92,14 +95,17 @@ def test_driver_flags_corrupting_pass(monkeypatch):
         driver_module, "branch_chaining", corrupting_branch_chaining
     )
     program, _ = compiled_main()
-    with pytest.raises(AssertionError, match="after pass 'branch_chaining'"):
+    with pytest.raises(
+        SanitizeError, match="sanitizer failed for 'main' after branch_chaining"
+    ):
         optimize_program(
-            program, get_target("sparc"), OptimizationConfig(validate_cfg=True)
+            program,
+            get_target("sparc"),
+            OptimizationConfig(),
+            verifier=Verifier("sanitize"),
         )
 
-    # Without the flag the corruption goes unnoticed (compute_flow later
-    # repairs the edges) — which is exactly why the flag exists.
+    # Without the sanitizer the corruption goes unnoticed (compute_flow
+    # later repairs the edges) — which is exactly why the check exists.
     program, _ = compiled_main()
-    optimize_program(
-        program, get_target("sparc"), OptimizationConfig(validate_cfg=False)
-    )
+    optimize_program(program, get_target("sparc"), OptimizationConfig())

@@ -61,6 +61,19 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "128B" in out and "1KB" in out
 
+    @pytest.mark.parametrize("size", ["100", "0", "1k"])
+    def test_cache_rejects_bad_size_before_any_work(
+        self, c_file, capsys, monkeypatch, size
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("measured before validating --sizes")
+
+        monkeypatch.setattr("repro.cli._measure", no_work)
+        with pytest.raises(SystemExit) as exc:
+            main(["cache", str(c_file), "--sizes", "128", size])
+        assert exc.value.code == 2
+        assert f"invalid cache size {size!r}" in capsys.readouterr().err
+
     def test_stdin_file(self, tmp_path, capsys):
         prog = tmp_path / "echo.c"
         prog.write_text(

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.core import Policy
 from repro.tune import (
     TUNED_CONFIG_VERSION,
     Candidate,
@@ -41,13 +40,14 @@ class TestRoundTrip:
         assert raw["version"] == TUNED_CONFIG_VERSION
         assert raw["programs"]["wc"]["main"]["policy"] == "returns"
 
-    def test_overrides_for_builds_driver_tunings(self):
-        overrides = sample_config().overrides_for("wc")
-        assert set(overrides) == {"main"}
-        assert overrides["main"].policy is Policy.FAVOR_RETURNS
-        assert overrides["main"].max_rtls == 8
-        assert overrides["main"].order == "late"
-        assert sample_config().overrides_for("unknown-program") == {}
+    def test_overrides_for_pins_every_recorded_function(self):
+        config = sample_config()
+        assert config.overrides_for("wc") == (("main", "returns", 8, "late"),)
+        # A winner equal to the baseline is still pinned (unlike tuned_rows).
+        config.programs["wc"]["main"] = config.baseline
+        pinned = (("main", "shortest", None, "standard"),)
+        assert config.overrides_for("wc") == pinned
+        assert config.overrides_for("unknown-program") == ()
 
     def test_tuned_rows_are_canonical(self):
         config = sample_config()

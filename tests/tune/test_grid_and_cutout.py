@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exec.envelope import CellSpec
-from repro.opt.driver import PASS_ORDERS, FunctionTuning
+from repro.opt.driver import PASS_ORDERS
 from repro.tune import (
     Candidate,
     Cutout,
@@ -46,12 +46,9 @@ class TestGrid:
         with pytest.raises(ValueError):
             TuneGrid(**kwargs)
 
-    def test_candidate_as_tuning(self):
-        tuning = Candidate("returns", 8, "late").as_tuning()
-        assert isinstance(tuning, FunctionTuning)
-        assert tuning.max_rtls == 8
-        assert tuning.order == "late"
-        assert tuning.policy.value == "returns"
+    def test_candidate_as_row(self):
+        row = Candidate("returns", 8, "late").as_row("main")
+        assert row == ("main", "returns", 8, "late")
 
     def test_orders_match_driver_vocabulary(self):
         assert TuneGrid().orders == PASS_ORDERS

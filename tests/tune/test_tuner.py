@@ -6,11 +6,14 @@ are the tuner's contract, not the suite numbers (those live in
 
 * the winner of every function scores no worse than the global baseline
   (the baseline is a grid point, so this holds by construction);
-* applying the emitted tuned config through the driver's override path
-  reproduces the winning candidate's metrics *exactly*;
+* applying the emitted tuned config as ``tuned`` rows reproduces the
+  winning candidate's metrics *exactly*, through the API, the cell
+  runner and ``repro measure --tuned-config`` alike;
 * identical sweeps reuse the persistent result cache;
 * the sweep emits ``tune.candidates.*`` metrics and decision-log events.
 """
+
+import re
 
 import pytest
 
@@ -18,7 +21,13 @@ from repro.api import compile_and_measure
 from repro.benchsuite.scoring import candidate_key
 from repro.exec import ResultCache
 from repro.obs import observing
-from repro.tune import TuneGrid, load_tuned_config, tune
+from repro.tune import (
+    Candidate,
+    TunedConfig,
+    TuneGrid,
+    load_tuned_config,
+    tune,
+)
 
 TWO_FUNCTIONS = """
 int scale(int x) {
@@ -112,8 +121,8 @@ class TestEmittedConfig:
         self, report, tmp_path
     ):
         # The property the whole artifact hangs on: replaying the tuned
-        # config through the driver's override path yields the very
-        # numbers the tuner reported for the combined winner.
+        # config's rows yields the very numbers the tuner reported for
+        # the combined winner.
         path = tmp_path / "tuned.json"
         report.config.save(path)
         config = load_tuned_config(path)
@@ -122,15 +131,15 @@ class TestEmittedConfig:
             TWO_FUNCTIONS,
             replication="jumps",
             policy=config.baseline.policy,
-            overrides=config.overrides_for(TWO_FUNCTIONS) or None,
+            tuned=config.overrides_for(TWO_FUNCTIONS),
         )
         assert replayed.measurement.dynamic_insns == program_report.tuned.dynamic_insns
         assert replayed.measurement.static_insns == program_report.tuned.static_insns
         assert replayed.measurement.code_bytes == program_report.tuned.code_bytes
 
     def test_execute_cell_threads_tuned_rows(self, report):
-        # The worker path (CellSpec.tuned -> OptimizationConfig.overrides)
-        # agrees with the in-process API path for the same overrides.
+        # The cell runner and the API run one pipeline: the same rows
+        # give the same counts either way, and the tuner's numbers.
         from repro.exec.envelope import CellSpec
         from repro.exec.runner import execute_cell
 
@@ -148,6 +157,35 @@ class TestEmittedConfig:
         [program_report] = report.programs
         assert result.measurement.dynamic_insns == program_report.tuned.dynamic_insns
         assert result.measurement.static_insns == program_report.tuned.static_insns
+        api = compile_and_measure(
+            TWO_FUNCTIONS, replication="jumps", policy=BASELINE_POLICY, tuned=rows
+        ).measurement
+        for field in ("static_insns", "dynamic_insns", "code_bytes"):
+            assert getattr(api, field) == getattr(result.measurement, field), field
+
+    def test_measure_cli_pins_winners_equal_to_the_baseline(
+        self, tmp_path, capsys
+    ):
+        # ``shortest`` wins wc's main and is also the file's baseline; a
+        # replay under ``--policy returns`` must still run main under
+        # ``shortest`` (the two differ in static size on wc).
+        from repro.cli import main
+
+        path = tmp_path / "tuned.json"
+        TunedConfig(
+            baseline=Candidate("shortest"),
+            programs={"wc": {"main": Candidate("shortest")}},
+        ).save(path)
+        argv = ["measure", "wc", "--replication", "jumps", "--policy", "returns"]
+
+        def static_insns(extra):
+            assert main(argv + extra) == 0
+            out = capsys.readouterr().out
+            return int(re.search(r"static instructions\s+(\d+)", out).group(1))
+
+        shortest = compile_and_measure("wc", replication="jumps").measurement
+        assert static_insns([]) != shortest.static_insns
+        assert static_insns(["--tuned-config", str(path)]) == shortest.static_insns
 
 
 class TestCacheReuse:
