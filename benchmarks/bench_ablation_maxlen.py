@@ -5,20 +5,14 @@ length of a replication sequence to a specified number of RTLs.  The
 improvements in the dynamic behavior may drop slightly for this case
 while the performance of small caches should benefit."
 
-This harness sweeps the bound and reports static growth and dynamic
-savings relative to SIMPLE, scored via :mod:`repro.benchsuite.scoring`
-(the autotuner's code path; a parity test pins the equivalence).
+This harness sweeps the global bound (``--max-rtls``) and reports the
+mean static growth and dynamic savings relative to SIMPLE.
 """
 
 from __future__ import annotations
 
 from repro.benchsuite import run_benchmark
-from repro.benchsuite.scoring import (
-    aggregate_scores,
-    format_change,
-    score_measurement,
-)
-from repro.report import format_table
+from repro.report import format_table, mean
 
 from conftest import selected_programs
 
@@ -29,21 +23,21 @@ def test_maxlen_ablation(benchmark, suite_measurements):
     def build():
         rows = []
         for bound in BOUNDS:
-            scores = []
+            static, dynamic = [], []
             for name in selected_programs():
                 simple = suite_measurements[("sparc", "none", name)]
                 m = run_benchmark(
                     name, target="sparc", replication="jumps", max_rtls=bound
                 )
-                scores.append(score_measurement(name, m, simple))
-            aggregate = aggregate_scores(scores)
+                static.append(
+                    (m.static_insns - simple.static_insns) / simple.static_insns
+                )
+                dynamic.append(
+                    (m.dynamic_insns - simple.dynamic_insns) / simple.dynamic_insns
+                )
             label = str(bound) if bound is not None else "unbounded"
             rows.append(
-                [
-                    label,
-                    format_change(aggregate.static_change_mean),
-                    format_change(aggregate.dynamic_change_mean),
-                ]
+                [label, f"{mean(static) * 100:+.2f}%", f"{mean(dynamic) * 100:+.2f}%"]
             )
         return rows
 

@@ -3,18 +3,15 @@
 The paper leaves the choice between "favoring returns" and "favoring
 loops" to a heuristic.  This harness compares three policies: shortest
 sequence (the default), always-favor-returns and always-favor-loops, on
-static growth and dynamic savings.
-
-Scores come from :mod:`repro.benchsuite.scoring` — the same code path
-the per-function autotuner uses, so a bench row and a tuner decision can
-never disagree (a parity test pins this).
+static growth and dynamic savings.  The policy is one global knob
+(``--policy``), as in the paper: every function of a program runs under
+the same heuristic.
 """
 
 from __future__ import annotations
 
 from repro.benchsuite import run_benchmark
-from repro.benchsuite.scoring import aggregate_scores, score_measurement
-from repro.report import format_table
+from repro.report import format_table, mean, pct
 
 from conftest import selected_programs
 
@@ -24,7 +21,7 @@ POLICIES = ("shortest", "returns", "loops")
 def test_policy_ablation(benchmark, suite_measurements):
     def build():
         rows = []
-        scores = {policy: [] for policy in POLICIES}
+        static = {policy: [] for policy in POLICIES}
         for name in selected_programs():
             simple = suite_measurements[("sparc", "none", name)]
             row = [name]
@@ -32,13 +29,13 @@ def test_policy_ablation(benchmark, suite_measurements):
                 m = run_benchmark(
                     name, target="sparc", replication="jumps", policy=policy
                 )
-                score = score_measurement(name, m, simple)
-                scores[policy].append(score)
-                row.extend(score.formatted())
+                static[policy].append(m.static_insns)
+                row.append(pct(m.static_insns, simple.static_insns))
+                row.append(pct(m.dynamic_insns, simple.dynamic_insns))
             rows.append(row)
-        return rows, scores
+        return rows, static
 
-    (rows, scores) = benchmark.pedantic(build, rounds=1, iterations=1)
+    (rows, static) = benchmark.pedantic(build, rounds=1, iterations=1)
     headers = ["program"]
     for p in POLICIES:
         headers += [f"{p} st", f"{p} dyn"]
@@ -49,8 +46,4 @@ def test_policy_ablation(benchmark, suite_measurements):
     # All policies must preserve behaviour and eliminate the jumps; the
     # shortest policy should not replicate more than favoring returns on
     # average (it minimizes growth by construction).
-    shortest = aggregate_scores(scores["shortest"])
-    returns = aggregate_scores(scores["returns"])
-    shortest_static = shortest.static_insns_total / shortest.programs
-    returns_static = returns.static_insns_total / returns.programs
-    assert shortest_static <= returns_static * 1.05
+    assert mean(static["shortest"]) <= mean(static["returns"]) * 1.05

@@ -17,7 +17,7 @@ paper configuration, executes, and measures::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Union
 
 from .cfg.block import Program
 from .core.replication import POLICIES, Policy, ReplicationStats
@@ -64,7 +64,6 @@ def compile_and_measure(
     policy: Union[str, Policy] = Policy.SHORTEST,
     max_rtls: Optional[int] = None,
     verify: Optional[str] = None,
-    tuned: Optional[Sequence[Tuple[str, str, Optional[int], str]]] = None,
 ) -> CompilationResult:
     """Compile, optimize, run and measure one program.
 
@@ -87,10 +86,6 @@ def compile_and_measure(
         plus the differential execution oracle with pass bisection);
         ``None`` defers to the ``REPRO_VERIFY`` environment variable.
         Failures raise :class:`repro.verify.VerificationError`.
-    :param tuned: per-function replication tunings — ``(function, policy,
-        max_rtls, order)`` rows, as in ``CellSpec.tuned`` and
-        :meth:`repro.tune.TunedConfig.overrides_for`; unnamed functions
-        use the global ``policy``/``max_rtls`` above.
     """
     spec = CellSpec(
         program=source_or_benchmark,
@@ -101,7 +96,6 @@ def compile_and_measure(
         trace=trace,
         stdin=stdin,
         verify=verify,
-        tuned=tuple(tuned) if tuned else None,
     )
     result = CellResult(spec=spec)
     program, config, stats = run_pipeline(spec, result)

@@ -7,15 +7,6 @@ from .runner import (
     run_benchmark,
     run_matrix,
 )
-from .scoring import (
-    AggregateScore,
-    TableScore,
-    aggregate_scores,
-    candidate_key,
-    format_change,
-    relative_change,
-    score_measurement,
-)
 
 __all__ = [
     "PROGRAMS",
@@ -25,11 +16,4 @@ __all__ = [
     "compile_benchmark",
     "run_benchmark",
     "run_matrix",
-    "AggregateScore",
-    "TableScore",
-    "aggregate_scores",
-    "candidate_key",
-    "format_change",
-    "relative_change",
-    "score_measurement",
 ]

@@ -57,6 +57,30 @@ def _source_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _non_negative(text: str) -> int:
+    """An integer >= 0 (``--max-rtls``, ``fuzz --count``)."""
+    try:
+        value = int(text)
+        if value < 0:
+            raise ValueError(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        ) from None
+    return value
+
+
+def _max_rtls_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--max-rtls",
+        type=_non_negative,
+        default=None,
+        metavar="N",
+        help="bound on the replication sequence length (§6 extension; "
+        "default: unbounded)",
+    )
+
+
 def _config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--target",
@@ -76,12 +100,7 @@ def _config_arguments(parser: argparse.ArgumentParser) -> None:
         default="shortest",
         help="JUMPS step-2 heuristic (default: shortest)",
     )
-    parser.add_argument(
-        "--max-rtls",
-        type=int,
-        default=None,
-        help="bound on the replication sequence length (§6 extension)",
-    )
+    _max_rtls_argument(parser)
     parser.add_argument(
         "--verify",
         choices=["off", "sanitize", "full"],
@@ -89,14 +108,6 @@ def _config_arguments(parser: argparse.ArgumentParser) -> None:
         help="translation validation: sanitize = CFG/RTL invariants after "
         "every pass; full = also the differential execution oracle with "
         "pass bisection (default: off, or REPRO_VERIFY)",
-    )
-    parser.add_argument(
-        "--tuned-config",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="per-function replication overrides emitted by `repro tune`; "
-        "functions not named there use the global --policy/--max-rtls",
     )
     parser.add_argument(
         "--stdin",
@@ -130,21 +141,6 @@ def _resolve(args) -> tuple:
     return path.read_text(), stdin
 
 
-def _tuned(args) -> Optional[tuple]:
-    """Per-function ``tuned`` rows from ``--tuned-config`` (keyed by
-    program name)."""
-    path = getattr(args, "tuned_config", None)
-    if path is None:
-        return None
-    from .tune import TunedConfigError, load_tuned_config
-
-    try:
-        config = load_tuned_config(path)
-    except TunedConfigError as exc:
-        raise SystemExit(f"error: {exc}")
-    return config.overrides_for(args.program) or None
-
-
 def _measure(args, replication: Optional[str] = None, trace: bool = False):
     source, stdin = _resolve(args)
     return compile_and_measure(
@@ -156,7 +152,6 @@ def _measure(args, replication: Optional[str] = None, trace: bool = False):
         max_rtls=args.max_rtls,
         trace=trace,
         verify=args.verify,
-        tuned=_tuned(args),
     )
 
 
@@ -605,106 +600,6 @@ def cmd_bench(args) -> int:
     return 1 if failures else 0
 
 
-def cmd_tune(args) -> int:
-    """Autotune per-function replication policies over the suite."""
-    import json
-    import time
-
-    from .exec import ResultCache
-    from .tune import TuneGrid, tune
-
-    names = args.programs if args.programs else program_names()
-    unknown = [name for name in names if name not in PROGRAMS]
-    if unknown:
-        raise SystemExit(
-            f"error: unknown benchmark(s) {', '.join(unknown)}; "
-            f"expected one of {', '.join(program_names())}"
-        )
-    bounds = None
-    if args.bounds is not None:
-        bounds = tuple(
-            None if raw.lower() in ("none", "inf", "unbounded") else int(raw)
-            for raw in args.bounds
-        )
-    try:
-        grid = TuneGrid.parse(
-            policies=args.policies, bounds=bounds, orders=args.orders
-        )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    say = (lambda _m: None) if args.quiet else (
-        lambda message: print(message, file=sys.stderr)
-    )
-    start = time.perf_counter()
-    try:
-        report = tune(
-            names,
-            target=args.target,
-            policy=args.policy,
-            max_rtls=args.max_rtls,
-            grid=grid,
-            workers=args.parallel,
-            cache=cache,
-            verify_gate=not args.no_verify_gate,
-            on_progress=say,
-        )
-    except RuntimeError as exc:
-        raise SystemExit(f"error: {exc}")
-    elapsed = time.perf_counter() - start
-
-    rows = []
-    for program_report in report.programs:
-        winners = ", ".join(
-            f"{f.function}={f.winner.label}"
-            for f in program_report.functions
-            if f.improved
-        )
-        rows.append(
-            [
-                program_report.program,
-                program_report.baseline.formatted()[1],
-                program_report.tuned.formatted()[1],
-                program_report.fixed[
-                    min(
-                        program_report.fixed,
-                        key=lambda p: program_report.fixed[p].dynamic_insns,
-                    )
-                ].formatted()[1],
-                winners or "(baseline)",
-            ]
-        )
-    print(
-        format_table(
-            ["program", "Δdyn base", "Δdyn tuned", "Δdyn best fixed", "winners"],
-            rows,
-        )
-    )
-    tuned = report.tuned_aggregate
-    baseline = report.baseline_aggregate
-    print(
-        f"\naggregate dynamic change: tuned "
-        f"{tuned.dynamic_change_mean * 100:+.2f}% vs baseline "
-        f"{baseline.dynamic_change_mean * 100:+.2f}% "
-        f"({len(report.programs)} programs, grid {report.grid_size}, "
-        f"{elapsed:.1f}s)"
-    )
-    gate_failures = [p for p in report.programs if p.gate_failure]
-    for failure in gate_failures:
-        print(
-            f"verify gate REJECTED {failure.program}: {failure.gate_failure}",
-            file=sys.stderr,
-        )
-
-    report.config.save(args.output)
-    print(f"wrote tuned config to {args.output}")
-    if args.json is not None:
-        args.json.write_text(json.dumps(report.as_dict(), indent=2) + "\n")
-        print(f"wrote full report to {args.json}")
-    return 1 if gate_failures else 0
-
-
 def cmd_fuzz(args) -> int:
     """Fuzz generated programs through the optimizer under verification."""
     import time
@@ -719,7 +614,7 @@ def cmd_fuzz(args) -> int:
         replication=args.replication,
         mode=args.mode,
         minimize=not args.no_minimize,
-        max_rtls=args.max_rtls if args.max_rtls > 0 else None,
+        max_rtls=args.max_rtls,
     )
     elapsed = time.perf_counter() - start
     print(
@@ -892,12 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="shortest",
         help="JUMPS step-2 heuristic (default: shortest)",
     )
-    p.add_argument(
-        "--max-rtls",
-        type=int,
-        default=None,
-        help="bound on the replication sequence length (§6 extension)",
-    )
+    _max_rtls_argument(p)
     p.add_argument(
         "--trace",
         action="store_true",
@@ -925,106 +815,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
-        "tune",
-        help="autotune per-function replication policies over the suite",
-    )
-    p.add_argument(
-        "--programs",
-        nargs="+",
-        default=None,
-        metavar="NAME",
-        help="subset of benchmark programs (default: all 14)",
-    )
-    p.add_argument(
-        "--target",
-        choices=["m68020", "sparc"],
-        default="sparc",
-        help="machine model (default: sparc)",
-    )
-    p.add_argument(
-        "--policy",
-        choices=sorted(POLICIES),
-        default="shortest",
-        help="global baseline policy the overrides are tuned against "
-        "(default: shortest)",
-    )
-    p.add_argument(
-        "--max-rtls",
-        type=int,
-        default=None,
-        help="global baseline bound on replication sequence length",
-    )
-    p.add_argument(
-        "--policies",
-        nargs="+",
-        choices=sorted(POLICIES),
-        default=None,
-        metavar="POLICY",
-        help="candidate policies to sweep (default: all three)",
-    )
-    p.add_argument(
-        "--bounds",
-        nargs="+",
-        default=None,
-        metavar="N|none",
-        help="candidate max-RTL bounds to sweep (default: none 4 8 16)",
-    )
-    p.add_argument(
-        "--orders",
-        nargs="+",
-        choices=["standard", "late", "nofinal"],
-        default=None,
-        metavar="ORDER",
-        help="candidate pass orderings to sweep (default: all three)",
-    )
-    p.add_argument(
-        "--output",
-        type=Path,
-        default=Path("tuned.json"),
-        metavar="FILE",
-        help="tuned-config file to write (default: tuned.json)",
-    )
-    p.add_argument(
-        "--json",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="also write the full tuning report as JSON",
-    )
-    p.add_argument(
-        "--parallel",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes (default: one per core)",
-    )
-    p.add_argument(
-        "--cache-dir",
-        default=".repro-cache",
-        help="persistent result cache directory (default: .repro-cache)",
-    )
-    p.add_argument(
-        "--no-cache", action="store_true", help="bypass the persistent cache"
-    )
-    p.add_argument(
-        "--no-verify-gate",
-        action="store_true",
-        help="skip the full-verification gate on combined winners "
-        "(the gate is on by default: tuned output must be byte-identical "
-        "under the differential oracle)",
-    )
-    p.add_argument(
-        "--quiet", action="store_true", help="suppress progress on stderr"
-    )
-    p.set_defaults(func=cmd_tune)
-
-    p = sub.add_parser(
         "fuzz",
         help="fuzz generated programs through the optimizer under the "
         "translation validator",
     )
     p.add_argument(
-        "--count", type=int, default=50, metavar="N", help="programs to fuzz"
+        "--count",
+        type=_non_negative,
+        default=50,
+        metavar="N",
+        help="programs to fuzz",
     )
     p.add_argument(
         "--seed", type=int, default=0, help="base seed (program i uses seed+i)"
@@ -1047,14 +847,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="full",
         help="verification mode (default: full)",
     )
-    p.add_argument(
-        "--max-rtls",
-        type=int,
-        default=0,
-        help="replication sequence-length bound for fuzzed programs "
-        "(default: 0 = unbounded; the convergence guard keeps "
-        "unbounded campaigns fast)",
-    )
+    _max_rtls_argument(p)
     p.add_argument(
         "--no-minimize",
         action="store_true",

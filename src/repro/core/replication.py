@@ -67,7 +67,7 @@ class Policy(enum.Enum):
     FAVOR_LOOPS = "loops"
 
 
-#: Policies by wire name: ``CellSpec.policy``, tuned rows, ``--policy``.
+#: Policies by wire name: ``CellSpec.policy``, ``--policy``.
 POLICIES = {policy.value: policy for policy in Policy}
 
 
@@ -92,8 +92,7 @@ class ReplicationStats:
     valve_block_trips: int = 0
     #: Times the per-run replication budget ran out while sweeps were
     #: still finding work.  Kept separate from the block valve so callers
-    #: (the autotuner in particular) can tell "the function exploded"
-    #: from "the run was cut short" instead of mis-scoring both the same.
+    #: can tell "the function exploded" from "the run was cut short".
     valve_budget_trips: int = 0
     #: Jumps the convergence guard refused because their identity already
     #: appeared in their own block's replication ancestry — the §5.2

@@ -82,11 +82,6 @@ class ResultCache:
             f"replication={spec.replication if spec.optimize else '<reference>'}",
             f"policy={spec.policy}",
             f"max_rtls={spec.max_rtls}",
-            # Per-function autotuner overrides: already a sorted tuple of
-            # (function, policy, max_rtls, order) rows, so the repr is
-            # canonical; ``None`` (the untuned common case) keys the same
-            # as before the field existed within this schema version.
-            f"tuned={spec.tuned}",
             f"trace={spec.trace}",
             f"optimize={spec.optimize}",
             # ``None`` is the compiled default: one entry for both.

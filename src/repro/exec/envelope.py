@@ -38,10 +38,10 @@ __all__ = ["CellSpec", "CellResult", "CACHE_SCHEMA_VERSION"]
 #: and measurements carry an ``ease_engine`` provenance field; the
 #: engines are parity-gated but differ in timing, so pre-engine
 #: envelopes must not shadow engine-tagged ones.
-#: v7: CellSpec grew ``tuned`` (per-function replication overrides from
-#: the autotuner) and the replication engine gained the §5.2 convergence
-#: guard, which can change replication results on cascading shapes;
-#: guard-less envelopes must not shadow guarded ones.
+#: v7: CellSpec grew per-function replication rows and the replication
+#: engine gained the §5.2 convergence guard, which can change replication
+#: results on cascading shapes; guard-less envelopes must not shadow
+#: guarded ones.
 #: v8: CellSpec lost the shortest-path engine selector (the key no
 #: longer hashes it, and ``ease_engine=None`` keys as ``"compiled"``
 #: without consulting the environment) and ``Measurement`` lost its
@@ -49,7 +49,9 @@ __all__ = ["CellSpec", "CellResult", "CACHE_SCHEMA_VERSION"]
 #: v9: CellSpec lost its CFG-validation debug flag (the sanitizer is the
 #: one per-pass check) and CellResult lost its per-pass record list (the
 #: ``opt.<pass>`` spans in ``obs`` are the one per-pass record).
-CACHE_SCHEMA_VERSION = 9
+#: v10: CellSpec lost its per-function replication rows (one global
+#: policy/max_rtls per cell); the key no longer hashes them.
+CACHE_SCHEMA_VERSION = 10
 
 
 @dataclass(frozen=True)
@@ -88,13 +90,6 @@ class CellSpec:
     #: nothing), and its timings are poisoned by oracle overhead, so it
     #: must not shadow a clean run either.
     verify: Optional[str] = None
-    #: Per-function replication overrides from the autotuner: sorted
-    #: ``(function, policy, max_rtls, order)`` tuples (hashable, so the
-    #: spec stays frozen/picklable).  ``None`` — the common case — means
-    #: the global policy/max_rtls above apply to every function; a tuned
-    #: candidate identical to the global setting must be normalized to
-    #: ``None`` by the caller so it shares the baseline's cache entry.
-    tuned: Optional[Tuple[Tuple[str, str, Optional[int], str], ...]] = None
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:

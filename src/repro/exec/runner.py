@@ -79,8 +79,8 @@ def _effective_verify_mode(spec: CellSpec) -> str:
 def run_pipeline(spec: CellSpec, result: CellResult) -> tuple:
     """The single-program pipeline: front end, Figure-3 optimizer, EASE.
 
-    Resolves the spec's source and stdin, turns its policy names and
-    ``tuned`` rows into an :class:`~repro.opt.driver.OptimizationConfig`,
+    Resolves the spec's source and stdin, turns its policy name into an
+    :class:`~repro.opt.driver.OptimizationConfig`,
     optimizes under a :class:`~repro.verify.verifier.Verifier` when the
     effective verify mode is not ``"off"``, and measures.  Timings,
     replication stats, the measurement and the verification report (also
@@ -92,7 +92,7 @@ def run_pipeline(spec: CellSpec, result: CellResult) -> tuple:
     from ..ease.interp import Interpreter
     from ..ease.measure import measure_program
     from ..frontend.codegen import compile_c
-    from ..opt.driver import FunctionTuning, OptimizationConfig, optimize_program
+    from ..opt.driver import OptimizationConfig, optimize_program
     from ..targets.machine import get_target
     from ..verify.verifier import Verifier, resolve_mode
 
@@ -109,10 +109,6 @@ def run_pipeline(spec: CellSpec, result: CellResult) -> tuple:
             replication=spec.replication,
             policy=POLICIES[spec.policy],
             max_rtls=spec.max_rtls,
-            overrides={
-                function: FunctionTuning(POLICIES[policy], max_rtls, order)
-                for function, policy, max_rtls, order in spec.tuned or ()
-            },
         )
         verify_mode = resolve_mode(spec.verify)
         verifier = (

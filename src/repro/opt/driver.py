@@ -37,8 +37,8 @@ to pick up jumps kept for reducibility, as described in §5.1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from ..cfg.block import Function, Program
 from ..cfg.graph import compute_flow
@@ -60,46 +60,13 @@ from .regalloc import color_registers, promote_locals
 from .strength_reduction import strength_reduce
 
 __all__ = [
-    "PASS_ORDERS",
-    "FunctionTuning",
     "OptimizationConfig",
     "optimize_function",
     "optimize_program",
 ]
 
-
-#: Pass-ordering variants the autotuner may choose per function.
-#:
-#: * ``standard`` — the Figure-3 pipeline exactly as the paper gives it.
-#: * ``late`` — skip the prologue replication invocation; replication
-#:   first runs inside the do-while loop, over already-selected and
-#:   promoted code (some functions replicate better once dead code and
-#:   branch chaining have settled).
-#: * ``nofinal`` — skip the final ``allow_irreducible`` invocation
-#:   (§5.1); keeps jumps whose replication would make the graph
-#:   irreducible, trading a few dynamic jumps for less growth.
-PASS_ORDERS = ("standard", "late", "nofinal")
-
-
-@dataclass(frozen=True)
-class FunctionTuning:
-    """A per-function replication setting chosen by the autotuner.
-
-    Fully specified (no inherit-from-global semantics): the tuner always
-    emits a complete (policy, max_rtls, order) triple per function, so a
-    tuned run is reproducible without knowing the global defaults it was
-    swept against.
-    """
-
-    policy: Policy = Policy.SHORTEST
-    max_rtls: Optional[int] = None
-    order: str = "standard"
-
-    def __post_init__(self) -> None:
-        if self.order not in PASS_ORDERS:
-            raise ValueError(
-                f"order must be one of {PASS_ORDERS}, got {self.order!r}"
-            )
+#: Iteration bound on Figure 3's do-while optimization loop.
+MAX_ITERATIONS = 8
 
 
 @dataclass
@@ -112,16 +79,9 @@ class OptimizationConfig:
     policy: Policy = Policy.SHORTEST
     #: §6 future-work bound on replication sequence length (RTLs).
     max_rtls: Optional[int] = None
-    #: Maximum iterations of the do-while optimization loop.
-    max_iterations: int = 8
-    #: Run the final allow-irreducible replication invocation (§5.1).
-    final_replication: bool = True
     #: Fill RISC delay slots at the end (disabled by the profile-guided
     #: extension, which replicates after an instrumented training run).
     fill_delay_slots: bool = True
-    #: Per-function (policy, max_rtls, order) overrides emitted by the
-    #: autotuner; functions not named here use the global settings above.
-    overrides: Dict[str, FunctionTuning] = field(default_factory=dict)
     #: The replication engine's §5.2 convergence guard.  Always on in
     #: production; tests pinning the backstop valves switch it off.
     convergence_guard: bool = True
@@ -132,19 +92,9 @@ class OptimizationConfig:
                 f"replication must be none/loops/jumps, got {self.replication!r}"
             )
 
-    def tuning_for(self, function_name: str) -> FunctionTuning:
-        """The effective replication tuning for one function."""
-        tuning = self.overrides.get(function_name)
-        if tuning is not None:
-            return tuning
-        return FunctionTuning(
-            policy=self.policy, max_rtls=self.max_rtls, order="standard"
-        )
-
 
 def _make_replicator(
     config: OptimizationConfig,
-    tuning: FunctionTuning,
     allow_irreducible: bool = False,
     after_sweep: Optional[Callable] = None,
 ):
@@ -159,8 +109,8 @@ def _make_replicator(
         )
     return CodeReplicator(
         mode=ReplicationMode.JUMPS,
-        policy=tuning.policy,
-        max_rtls=tuning.max_rtls,
+        policy=config.policy,
+        max_rtls=config.max_rtls,
         allow_irreducible=allow_irreducible,
         after_sweep=after_sweep,
         convergence_guard=config.convergence_guard,
@@ -191,7 +141,6 @@ def optimize_function(
     stats = ReplicationStats()
     obs = _active_observer()
     tracer = obs.tracer if obs is not None and obs.tracer.enabled else None
-    tuning = config.tuning_for(func.name)
 
     def step(name: str, pass_fn: Callable[[], object]) -> bool:
         if verifier is not None and not verifier.allow_pass(func, name):
@@ -221,9 +170,7 @@ def optimize_function(
 
     def replicate(allow_irreducible: bool = False) -> bool:
         after_sweep = verifier.after_sweep if verifier is not None else None
-        replicator = _make_replicator(
-            config, tuning, allow_irreducible, after_sweep
-        )
+        replicator = _make_replicator(config, allow_irreducible, after_sweep)
         if replicator is None:
             return False
         run_stats = replicator.run(func)
@@ -242,9 +189,8 @@ def optimize_function(
         step("dead_code", lambda: eliminate_dead_code(func))
         step("reorder_blocks", lambda: reorder_blocks(func))
         step("dead_code", lambda: eliminate_dead_code(func))
-        if tuning.order != "late":
-            step("replication", replicate)
-            step("dead_code", lambda: eliminate_dead_code(func))
+        step("replication", replicate)
+        step("dead_code", lambda: eliminate_dead_code(func))
 
         # --- instruction selection & register assignment ----------------------
         step("const_fold", lambda: fold_constants(func))
@@ -257,7 +203,7 @@ def optimize_function(
 
         # --- the do-while optimization loop -----------------------------------
         iterations = 0
-        for _ in range(config.max_iterations):
+        for _ in range(MAX_ITERATIONS):
             iterations += 1
             changed = False
             changed |= step("local_cse", lambda: local_cse(func, target))
@@ -277,11 +223,7 @@ def optimize_function(
                 break
 
         # --- epilogue ----------------------------------------------------------
-        if (
-            config.final_replication
-            and config.replication == "jumps"
-            and tuning.order != "nofinal"
-        ):
+        if config.replication == "jumps":
             if step("replication_final", lambda: replicate(allow_irreducible=True)):
                 step("dead_code", lambda: eliminate_dead_code(func))
                 step("dead_vars", lambda: eliminate_dead_variables(func))

@@ -79,8 +79,9 @@ KEYED_VARIANTS = [
     {"optimize": False},
     {"stdin": b"abc"},
     {"ease_engine": "interp"},
-    {"tuned": (("main", "returns", None, "standard"),)},
-    {"tuned": (("main", "shortest", 8, "late"),)},
+    # A zero bound is a bound, not "unbounded" (None).
+    {"max_rtls": 0},
+    {"policy": "loops"},
 ]
 
 #: CellSpec fields that do not change the result, so must not change the
@@ -117,22 +118,6 @@ def test_key_hashes_resolved_ease_engine(tmp_path):
     are the same cell."""
     cache = ResultCache(tmp_path)
     assert cache.key(SPEC) == cache.key(replace(SPEC, ease_engine="compiled"))
-
-
-def test_key_distinguishes_tuned_rows(tmp_path):
-    """Different per-function overrides are different cells; the sorted
-    tuple form is canonical, so equal choices share one entry."""
-    cache = ResultCache(tmp_path)
-    rows_a = (("f", "loops", None, "standard"), ("main", "returns", 4, "late"))
-    rows_b = (("f", "loops", 16, "standard"), ("main", "returns", 4, "late"))
-    untuned = cache.key(SPEC)
-    assert cache.key(replace(SPEC, tuned=rows_a)) != untuned
-    assert cache.key(replace(SPEC, tuned=rows_a)) != cache.key(
-        replace(SPEC, tuned=rows_b)
-    )
-    assert cache.key(replace(SPEC, tuned=rows_a)) == cache.key(
-        replace(SPEC, tuned=rows_a)
-    )
 
 
 def test_key_resolves_benchmark_source():

@@ -87,9 +87,15 @@ class TestPipeline:
         optimize_program(program, get_target("m68020"), OptimizationConfig())
         assert program.insn_count() < naive
 
-    def test_max_iterations_respected(self):
+    def test_max_iterations_respected(self, monkeypatch):
+        from repro.obs import observing
+
+        monkeypatch.setattr("repro.opt.driver.MAX_ITERATIONS", 1)
         program = compile_c(SOURCE)
-        config = OptimizationConfig(replication="jumps", max_iterations=1)
-        optimize_program(program, get_target("sparc"), config)
+        config = OptimizationConfig(replication="jumps")
+        with observing() as obs:
+            optimize_program(program, get_target("sparc"), config)
+        spans = [s for s in obs.tracer.spans if s.name == "opt.function"]
+        assert spans and all(s.attrs["iterations"] == 1 for s in spans)
         for func in program.functions.values():
             check_function(func)

@@ -133,6 +133,56 @@ class TestCommands:
             == 0
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["measure", "wc", "--max-rtls", "-5"],
+            ["bench", "--max-rtls", "-1"],
+            ["fuzz", "--max-rtls", "-1"],
+            ["fuzz", "--count", "-3"],
+            ["fuzz", "--count", "three"],
+        ],
+        ids=[
+            "measure-max-rtls",
+            "bench-max-rtls",
+            "fuzz-max-rtls",
+            "fuzz-count",
+            "fuzz-count-text",
+        ],
+    )
+    def test_negative_counts_rejected_before_any_work(
+        self, argv, capsys, monkeypatch
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran before validating the arguments")
+
+        for command in ("cmd_measure", "cmd_bench", "cmd_fuzz"):
+            monkeypatch.setattr(f"repro.cli.{command}", no_work)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", [["measure", "wc"], ["bench"], ["fuzz"]])
+    def test_max_rtls_defaults_to_unbounded(self, verb):
+        from repro.cli import build_parser
+
+        assert build_parser().parse_args(verb).max_rtls is None
+
+    def test_fuzz_max_rtls_zero_is_a_bound(self, monkeypatch, capsys):
+        """``0`` means a zero-RTL bound in every verb, fuzz included."""
+        from repro.verify.fuzz import CampaignResult
+
+        seen = {}
+
+        def fake_campaign(count, **kwargs):
+            seen.update(kwargs, count=count)
+            return CampaignResult()
+
+        monkeypatch.setattr("repro.verify.run_campaign", fake_campaign)
+        assert main(["fuzz", "--count", "0", "--max-rtls", "0"]) == 0
+        assert seen["max_rtls"] == 0 and seen["count"] == 0
+
 
 class TestDotCommand:
     def test_dot_output(self, capsys):
