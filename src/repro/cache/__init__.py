@@ -2,9 +2,10 @@
 
 Table 6 runs on the single-pass multi-configuration engine with
 steady-state loop fast-forwarding (:func:`simulate_multi_cache`, behind
-:func:`simulate_paper_configurations` and ``repro cache``).  The
-per-configuration replay :func:`simulate_cache` is its test oracle: the
-parity suites check both produce byte-identical :class:`CacheResult`\\ s.
+the Table-6 harness and ``repro cache``).  The per-configuration replay
+:func:`simulate_cache` is its test oracle: the tier-1 parity suite
+(``tests/cache/test_engine_parity.py``) checks both produce
+byte-identical :class:`CacheResult`\\ s on fuzzed and real traces.
 """
 
 from .associative import AssociativeCacheConfig, simulate_associative_cache
@@ -13,7 +14,6 @@ from .direct_mapped import (
     CacheConfig,
     CacheResult,
     simulate_cache,
-    simulate_paper_configurations,
 )
 from .multi import MultiCacheStats, simulate_multi_cache
 
@@ -22,7 +22,6 @@ __all__ = [
     "CacheConfig",
     "CacheResult",
     "simulate_cache",
-    "simulate_paper_configurations",
     "simulate_multi_cache",
     "MultiCacheStats",
     "AssociativeCacheConfig",

@@ -129,22 +129,3 @@ def simulate_cache(
                 flushes += 1
                 next_flush += interval
     return CacheResult(accesses, misses, cost, flushes)
-
-
-def simulate_paper_configurations(
-    trace: Sequence[int],
-    block_fetches: Dict[int, List[int]],
-    context_switches: bool = False,
-) -> Dict[int, CacheResult]:
-    """Run the four cache sizes of Table 6; keyed by size in bytes.
-
-    One pass of :func:`repro.cache.simulate_multi_cache` walks the trace
-    with all four cache states side by side and fast-forwards
-    steady-state loops; :func:`simulate_cache` is its per-size test
-    oracle (property-tested and CI-gated parity).
-    """
-    from .multi import simulate_multi_cache
-
-    configs = [CacheConfig(size=size) for size in PAPER_CACHE_SIZES]
-    results = simulate_multi_cache(trace, block_fetches, configs, context_switches)
-    return dict(zip(PAPER_CACHE_SIZES, results))

@@ -229,18 +229,30 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _parse_size(text: str) -> int:
-    """A byte count with an optional K/M/G suffix (``"64M"`` → bytes)."""
-    text = text.strip().upper().removesuffix("B")
+def _scaled(text: str, number: str, units, what: str) -> float:
+    """``number`` (``text`` normalized) with an optional unit suffix, in
+    base units; an argparse error unless it is finite and >= 0."""
     factor = 1
-    for suffix, mult in (("K", 1024), ("M", 1024**2), ("G", 1024**3)):
-        if text.endswith(suffix):
-            text, factor = text[: -len(suffix)], mult
+    for suffix, mult in units:
+        if number.endswith(suffix):
+            number, factor = number[: -len(suffix)], mult
             break
     try:
-        return int(float(text) * factor)
+        value = float(number) * factor
     except ValueError:
-        raise SystemExit(f"error: unparseable size {text!r}") from None
+        value = float("nan")
+    if not 0 <= value < float("inf"):  # also rejects nan
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative {what}, got {text!r}"
+        )
+    return value
+
+
+def _parse_size(text: str) -> int:
+    """A byte count with an optional K/M/G suffix (``"64M"`` → bytes)."""
+    units = (("K", 1024), ("M", 1024**2), ("G", 1024**3))
+    number = text.strip().upper().removesuffix("B")
+    return int(_scaled(text, number, units, "size"))
 
 
 def _cache_size(text: str) -> int:
@@ -255,16 +267,8 @@ def _cache_size(text: str) -> int:
 
 def _parse_age(text: str) -> float:
     """Seconds with an optional s/m/h/d suffix (``"7d"`` → seconds)."""
-    text = text.strip().lower()
-    factor = 1.0
-    for suffix, mult in (("s", 1.0), ("m", 60.0), ("h", 3600.0), ("d", 86400.0)):
-        if text.endswith(suffix):
-            text, factor = text[: -len(suffix)], mult
-            break
-    try:
-        return float(text) * factor
-    except ValueError:
-        raise SystemExit(f"error: unparseable age {text!r}") from None
+    units = (("s", 1), ("m", 60), ("h", 3600), ("d", 86400))
+    return _scaled(text, text.strip().lower(), units, "age")
 
 
 def _human_bytes(count: Optional[float]) -> str:
@@ -323,8 +327,8 @@ def _cmd_cache_maintenance(args) -> int:
             "error: repro cache gc needs --max-bytes and/or --max-age"
         )
     report = cache.gc(
-        max_bytes=_parse_size(args.max_bytes) if args.max_bytes else None,
-        max_age=_parse_age(args.max_age) if args.max_age else None,
+        max_bytes=args.max_bytes,
+        max_age=args.max_age,
         dry_run=args.dry_run,
     )
     verb = "would remove" if report["dry_run"] else "removed"
@@ -702,6 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-bytes",
+        type=_parse_size,
         default=None,
         metavar="SIZE",
         help="gc: evict least-recently-used entries until the cache fits "
@@ -709,6 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-age",
+        type=_parse_age,
         default=None,
         metavar="AGE",
         help="gc: evict entries older than AGE (suffixes s/m/h/d)",

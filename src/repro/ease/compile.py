@@ -946,10 +946,6 @@ class CompiledInterpreter(Interpreter):
             "ease.compile.time_ms", round(self.compile_seconds * 1000.0, 3)
         )
 
-    @property
-    def compiled_functions(self) -> List[str]:
-        return sorted(self._plain)
-
     # ------------------------------------------------------------ execution
 
     def run(

@@ -6,8 +6,8 @@ the same queries with demand-driven Dijkstra
 (:class:`repro.core.shortest_path.ShortestPaths`); this dense matrix
 overrides only its two distance hooks, so canonical path reconstruction
 is shared and the two must agree decision for decision.  No product path
-imports this module (it is the only numpy user); the parity suites and
-``benchmarks/bench_opt_hotpath.py`` swap it in by patching
+imports this module (it is the only numpy user); the parity suite
+(``tests/core/test_engine_parity.py``) swaps it in by patching
 ``repro.core.replication.ShortestPaths``.
 """
 

@@ -14,7 +14,6 @@ from repro.cache import (
     MultiCacheStats,
     simulate_cache,
     simulate_multi_cache,
-    simulate_paper_configurations,
 )
 from repro.ease import measure_program
 from repro.ease.trace import RleTraceSink
@@ -138,7 +137,7 @@ class TestRealPrograms:
     def measurements(self):
         out = {}
         target = get_target("sparc")
-        for name in ("wc", "sieve", "bubblesort"):
+        for name in ("wc", "sieve", "bubblesort", "queens"):
             for replication in ("none", "jumps"):
                 bench = PROGRAMS[name]
                 program = compile_c(bench.source)
@@ -201,25 +200,22 @@ class TestDispatch:
         trace = [0, 1, 2] * 300 + [3]
         fetches = {i: [i * 32 + j * 4 for j in range(4)] for i in range(4)}
         for ctx in (False, True):
-            ref = {
-                size: simulate_cache(
-                    trace, fetches, CacheConfig(size=size), context_switches=ctx
-                )
-                for size in PAPER_CACHE_SIZES
-            }
-            fast = simulate_paper_configurations(
-                trace, fetches, context_switches=ctx
+            fast = simulate_multi_cache(
+                trace, fetches, PAPER_CONFIGS, context_switches=ctx
             )
-            assert ref.keys() == fast.keys()
-            for size in ref:
+            assert len(fast) == len(PAPER_CACHE_SIZES)
+            for config, got in zip(PAPER_CONFIGS, fast):
+                want = simulate_cache(
+                    trace, fetches, config, context_switches=ctx
+                )
                 assert (
-                    ref[size].accesses,
-                    ref[size].misses,
-                    ref[size].fetch_cost,
-                    ref[size].flushes,
+                    want.accesses,
+                    want.misses,
+                    want.fetch_cost,
+                    want.flushes,
                 ) == (
-                    fast[size].accesses,
-                    fast[size].misses,
-                    fast[size].fetch_cost,
-                    fast[size].flushes,
+                    got.accesses,
+                    got.misses,
+                    got.fetch_cost,
+                    got.flushes,
                 )

@@ -16,6 +16,8 @@ Checked properties, per generated function:
 * a reducible input stays reducible (step 6).
 """
 
+import random
+
 from hypothesis import given, settings, strategies as st
 
 from repro.cfg import Program, check_function, compute_flow, is_reducible
@@ -89,6 +91,48 @@ def random_functions(draw):
                 block.insns.append(Compare(FUEL, Const(0)))
                 block.insns.append(CondBranch(">", f"N{target}"))
         # "fall": implicit fall-through to the next block.
+    compute_flow(func)
+    return func
+
+
+def fuzzed_function(n_blocks: int, seed: int) -> Function:
+    """A deterministic unstructured CFG of ``n_blocks`` blocks (plus entry).
+
+    The large-graph counterpart of :func:`random_functions`, for sizes
+    Hypothesis never reaches (≥200 blocks, where a dense all-pairs
+    matrix hurts).  Fuel-bounded the same way: every block burns one
+    unit, backward conditional branches stop once the fuel is gone, and
+    unconditional jumps (~6% of blocks — Table 2 reports jumps are 4-8%
+    of instructions in real code) only go forward.
+    """
+    rng = random.Random(seed)
+    func = Function(f"fuzz{seed}")
+    entry = BasicBlock("INIT")
+    entry.insns.append(Assign(FUEL, Const(n_blocks * 3)))
+    for k in range(4):
+        entry.insns.append(Assign(Reg("d", k), Const(rng.randint(-9, 9))))
+    blocks = [BasicBlock(f"N{i}") for i in range(n_blocks)]
+    func.blocks = [entry] + blocks
+    for index, block in enumerate(blocks):
+        block.insns.append(Assign(FUEL, BinOp("-", FUEL, Const(1))))
+        for _ in range(rng.randint(0, 2)):
+            dst = Reg("d", rng.randint(0, 3))
+            op = rng.choice(["+", "-", "*", "^", "&", "|"])
+            left = Reg("d", rng.randint(0, 3))
+            block.insns.append(Assign(dst, BinOp(op, left, Const(rng.randint(-7, 7)))))
+        is_last = index == n_blocks - 1
+        roll = rng.random()
+        if is_last or roll < 0.04:
+            block.insns.append(Assign(Reg("rv", 0), ACC))
+            block.insns.append(Return())
+        elif roll < 0.10:  # ~6% unconditional forward jumps
+            block.insns.append(Jump(f"N{rng.randint(index + 1, n_blocks - 1)}"))
+        elif roll < 0.55:
+            target = rng.randint(0, n_blocks - 1)
+            if target != index:
+                block.insns.append(Compare(FUEL, Const(0)))
+                block.insns.append(CondBranch(">", f"N{target}"))
+        # otherwise: fall through.
     compute_flow(func)
     return func
 

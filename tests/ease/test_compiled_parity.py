@@ -85,6 +85,9 @@ class TestSuitePrograms:
         # a silent fallback would make this parity test vacuous for the
         # functions that matter.
         assert compiled.fallbacks == {}, compiled.fallbacks
+        # Block fusion must engage on the shapes Table 5 runs, not just
+        # be correct when idle.
+        assert compiled.blocks_fused > 0
 
     def test_unoptimized_parity(self, suite):
         # The engines must also agree on front-end output (no
