@@ -3,12 +3,7 @@
 from .analyses import AnalysisManager, get_analyses
 from .block import BasicBlock, Function, GlobalData, Program
 from .dominators import DominatorTree, compute_dominators, dominates
-from .graph import (
-    build_function,
-    check_function,
-    compute_flow,
-    reachable_blocks,
-)
+from .graph import build_function, compute_flow, reachable_blocks
 from .loops import Loop, LoopInfo, find_loops
 from .reducibility import is_reducible
 from .traversal import dfs_preorder, postorder, reverse_postorder
@@ -24,7 +19,6 @@ __all__ = [
     "compute_dominators",
     "dominates",
     "build_function",
-    "check_function",
     "compute_flow",
     "reachable_blocks",
     "Loop",

@@ -19,7 +19,6 @@ from .block import BasicBlock, Function
 __all__ = [
     "build_function",
     "compute_flow",
-    "check_function",
     "reachable_blocks",
     "split_into_blocks",
 ]
@@ -146,38 +145,3 @@ def reachable_blocks(func: Function) -> Set[BasicBlock]:
         result.add(block)
         stack.extend(block.succs)
     return result
-
-
-def check_function(func: Function) -> None:
-    """Validate structural invariants; raise ``AssertionError`` on violation.
-
-    Used by tests and (cheaply) by passes in debug scenarios:
-
-    * labels are unique,
-    * only the final instruction of a block is a transfer,
-    * the final block does not fall off the end of the function,
-    * edge sets are consistent with a fresh :func:`compute_flow`.
-    """
-    labels = [block.label for block in func.blocks]
-    assert len(labels) == len(set(labels)), f"duplicate labels in {func.name}"
-    for block in func.blocks:
-        for insn in block.insns[:-1]:
-            assert not insn.is_transfer(), (
-                f"{func.name}/{block.label}: transfer {insn!r} not at block end"
-            )
-    if func.blocks:
-        last = func.blocks[-1]
-        assert not last.falls_through(), (
-            f"{func.name}: final block {last.label} falls off the function end"
-        )
-    snapshot = {
-        block.label: ([p.label for p in block.preds], [s.label for s in block.succs])
-        for block in func.blocks
-    }
-    compute_flow(func)
-    for block in func.blocks:
-        fresh = ([p.label for p in block.preds], [s.label for s in block.succs])
-        assert snapshot[block.label] == fresh, (
-            f"{func.name}/{block.label}: stale edges {snapshot[block.label]} "
-            f"vs {fresh}"
-        )

@@ -58,7 +58,7 @@ def _source_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def _non_negative(text: str) -> int:
-    """An integer >= 0 (``--max-rtls``, ``fuzz --count``)."""
+    """An integer >= 0 (``--max-rtls``, ``fuzz --count``, ``--parallel``)."""
     try:
         value = int(text)
         if value < 0:
@@ -337,8 +337,7 @@ def _cmd_cache_maintenance(args) -> int:
         f"({_human_bytes(report['freed_bytes'])} freed, "
         f"{report['remaining_entries']} entries / "
         f"{_human_bytes(report['remaining_bytes'])} kept, "
-        f"{report['tmp_removed']} stale tmp files, "
-        f"{report['locks_removed']} stale locks)"
+        f"{report['tmp_removed']} stale tmp files)"
     )
     return 0
 
@@ -433,11 +432,19 @@ def cmd_dot(args) -> int:
     from .viz import to_dot
 
     result = _measure(args)
+    functions = result.program.functions
+    if args.function is not None and args.function not in functions:
+        print(
+            f"error: no function {args.function!r} in {args.program}; "
+            f"expected one of {', '.join(functions)}",
+            file=sys.stderr,
+        )
+        return 2
     observer = _active_observer()
     funcs = (
-        [result.program.functions[args.function]]
-        if args.function
-        else result.program.functions.values()
+        [functions[args.function]]
+        if args.function is not None
+        else functions.values()
     )
     for func in funcs:
         replicated = (
@@ -469,7 +476,8 @@ def cmd_bench(args) -> int:
     from .obs.digest import pass_table
     from .report import format_cache_stats, format_pass_table
 
-    names = args.programs if args.programs else program_names()
+    # A repeated name is one cell, computed and printed once.
+    names = list(dict.fromkeys(args.programs or program_names()))
     unknown = [name for name in names if name not in PROGRAMS]
     if unknown:
         raise SystemExit(
@@ -487,8 +495,8 @@ def cmd_bench(args) -> int:
             verify=args.verify,
             observe=args.passes,
         )
-        for target in args.targets
-        for config in args.configs
+        for target in dict.fromkeys(args.targets)
+        for config in dict.fromkeys(args.configs)
         for name in names
     ]
     done = [0]
@@ -753,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--parallel",
-        type=int,
+        type=_non_negative,
         default=None,
         metavar="N",
         help="worker processes (default: one per core; 0/1 = inline)",

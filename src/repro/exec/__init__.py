@@ -9,15 +9,15 @@ the matrix the unit of work:
 * :class:`ResultCache` — content-addressed result cache, on disk or in
   memory (``root=None``);
 * :class:`ParallelRunner` — process-pool fan-out with graceful per-cell
-  failure capture; the one execution path every caller shares;
-* :class:`SingleFlight` — lock-file coalescing, so concurrent processes
-  on one cache compute each cold cell once.
+  failure capture; the one execution path every caller shares.
+
+Concurrent processes may share one on-disk cache: the atomic publish of
+each entry is the cache's one concurrency rule (last writer wins).
 """
 
 from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .envelope import CACHE_SCHEMA_VERSION, CellResult, CellSpec
 from .runner import ParallelRunner, default_worker_count, execute_cell, warm_worker
-from .singleflight import SingleFlight
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -26,7 +26,6 @@ __all__ = [
     "CellSpec",
     "ParallelRunner",
     "ResultCache",
-    "SingleFlight",
     "default_worker_count",
     "execute_cell",
     "warm_worker",

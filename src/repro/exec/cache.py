@@ -25,7 +25,9 @@ Robustness properties, each covered by unit tests:
   and treated as a miss;
 * **concurrent writers** are safe: entries are written to a unique
   temporary file and published with an atomic ``os.replace``, so readers
-  only ever see complete entries;
+  only ever see complete entries.  This is the cache's one concurrency
+  rule: processes that miss the same key both compute it, and the last
+  writer wins;
 * hit/miss/eviction/write counters are kept per instance for reporting;
 * a memory-store hit is a shallow copy, so flagging it (``cache_hit``)
   never mutates the stored envelope.
@@ -44,13 +46,9 @@ from typing import Dict, Iterator, Optional
 
 from .envelope import CACHE_SCHEMA_VERSION, CellResult, CellSpec
 
-__all__ = ["ResultCache", "DEFAULT_CACHE_DIR", "LOCK_STALE_AFTER"]
+__all__ = ["ResultCache", "DEFAULT_CACHE_DIR"]
 
 DEFAULT_CACHE_DIR = ".repro-cache"
-
-#: A single-flight lock older than this (seconds) is presumed abandoned:
-#: waiters break it and :meth:`ResultCache.gc` sweeps it.
-LOCK_STALE_AFTER = 300.0
 
 
 class ResultCache:
@@ -306,23 +304,18 @@ class ResultCache:
                     break
                 survivors_bytes -= _evict(mtime, size, path, "bytes")
 
-        # Orphans: a writer that died between mkstemp and
-        # os.replace leaves a .tmp behind (none older than an hour can
-        # still be in flight); a SIGKILLed single-flight owner leaves a
-        # .lock that waiters would judge stale.
-        orphans = {"tmp": 0, "lock": 0}
-        for kind, pattern, max_orphan_age in (
-            ("tmp", ".*.tmp", 3600.0),
-            ("lock", "*.lock", LOCK_STALE_AFTER),
-        ):
-            for path in self._files(pattern):
-                try:
-                    if clock - path.stat().st_mtime > max_orphan_age:
-                        if not dry_run:
-                            path.unlink()
-                        orphans[kind] += 1
-                except OSError:
-                    failed += 1
+        # Orphans: a writer that died between mkstemp and os.replace
+        # leaves a .tmp behind (none older than an hour can still be in
+        # flight).
+        tmp_removed = 0
+        for path in self._files(".*.tmp"):
+            try:
+                if clock - path.stat().st_mtime > 3600.0:
+                    if not dry_run:
+                        path.unlink()
+                    tmp_removed += 1
+            except OSError:
+                failed += 1
         freed = sum(item["bytes"] for item in removed)
         if removed and not dry_run:
             self.evictions += len(removed)
@@ -332,8 +325,7 @@ class ResultCache:
             "freed_bytes": freed,
             "remaining_entries": len(entries) - len(removed),
             "remaining_bytes": survivors_bytes,
-            "tmp_removed": orphans["tmp"],
-            "locks_removed": orphans["lock"],
+            "tmp_removed": tmp_removed,
             "unlink_failures": failed,
             "dry_run": dry_run,
             "entries": removed,

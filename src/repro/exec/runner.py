@@ -7,7 +7,10 @@ captures every exception into the result envelope instead of
 propagating.  :class:`ParallelRunner` fans a list of :class:`CellSpec`
 out over a ``ProcessPoolExecutor``, short-circuiting cells already
 present in the :class:`~repro.exec.cache.ResultCache` (on disk or in
-memory) and writing fresh results back.
+memory) and writing fresh results back.  Processes sharing one on-disk
+cache need no coordination: the cache's atomic publish keeps every entry
+whole, so a cold cell two of them compute at once is merely written
+twice (last writer wins).
 
 A crashing cell reports (``result.error`` carries the traceback); it
 never kills the run.  ``workers <= 1`` executes inline in the calling
@@ -21,7 +24,7 @@ import os
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from .cache import ResultCache
 from .envelope import CellResult, CellSpec
@@ -220,51 +223,16 @@ class ParallelRunner:
                     continue
             pending.append(index)
 
-        # Pass 1.5: cross-process single-flight.  A cold key another
-        # process is already computing (lock-file sentinel next to the
-        # cache entry) is *parked* — we wait for that process's
-        # published envelope instead of duplicating seconds of work.
-        # Verified cells never participate: they must actually run.
-        from .singleflight import SingleFlight
-
-        # An in-memory cache is private to this process: nothing to share.
-        flight = (
-            SingleFlight(self.cache)
-            if self.cache is not None and self.cache.root is not None
-            else None
-        )
-        owned_locks: Dict[int, str] = {}
-        parked: List[tuple] = []
-        compute_now: List[int] = []
-        for index in pending:
-            spec = specs[index]
-            if flight is None or _effective_verify_mode(spec) != "off":
-                compute_now.append(index)
-                continue
-            key = self.cache.key(spec)
-            if flight.try_acquire(key):
-                owned_locks[index] = key
-                compute_now.append(index)
-            else:
-                parked.append((index, key))
-
         # Pass 2: compute the misses (in a pool, or inline for workers<=1).
         def finish(index: int, result: CellResult) -> None:
             # Verified runs also never *write* the cache: their timings
             # carry oracle overhead and would poison clean-run entries.
-            try:
-                if (
-                    self.cache is not None
-                    and result.ok
-                    and _effective_verify_mode(specs[index]) == "off"
-                ):
-                    self.cache.put_spec(specs[index], result)
-            finally:
-                # Publish-then-release: a waiter that sees the lock gone
-                # re-checks the cache, so the entry must land first.
-                lock_key = owned_locks.pop(index, None)
-                if lock_key is not None and flight is not None:
-                    flight.release(lock_key)
+            if (
+                self.cache is not None
+                and result.ok
+                and _effective_verify_mode(specs[index]) == "off"
+            ):
+                self.cache.put_spec(specs[index], result)
             results[index] = result
             # Fold the cell's observability snapshot into this process's
             # ambient observer.  execute_cell always records into its own
@@ -278,60 +246,35 @@ class ParallelRunner:
             if on_result is not None:
                 on_result(result)
 
-        try:
-            if self.workers <= 1 or len(compute_now) <= 1:
-                for index in compute_now:
-                    finish(index, execute_cell(specs[index]))
-            else:
-                targets = tuple(sorted({specs[i].target for i in compute_now}))
-                with ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=warm_worker,
-                    initargs=(targets,),
-                ) as pool:
-                    futures = {
-                        pool.submit(execute_cell, specs[index]): index
-                        for index in compute_now
-                    }
-                    remaining = set(futures)
-                    while remaining:
-                        done, remaining = wait(
-                            remaining, return_when=FIRST_COMPLETED
-                        )
-                        for future in done:
-                            index = futures[future]
-                            try:
-                                result = future.result()
-                            except BaseException:
-                                # A worker died mid-cell (OOM kill,
-                                # interpreter crash): report the cell,
-                                # keep the run alive.
-                                result = CellResult(
-                                    spec=specs[index],
-                                    error=traceback.format_exc(),
-                                )
-                            finish(index, result)
-
-            # Pass 3: collect the parked cells.  Normally the concurrent
-            # owner publishes and we adopt its envelope as a cache hit;
-            # if it died or timed out, compute locally after all.
-            for index, key in parked:
-                waited = flight.wait_for(key) if flight is not None else None
-                if waited is not None and waited.ok:
-                    waited.cache_hit = True
-                    results[index] = waited
-                    if on_result is not None:
-                        on_result(waited)
-                    continue
-                if flight is not None and flight.try_acquire(key):
-                    owned_locks[index] = key
+        if self.workers <= 1 or len(pending) <= 1:
+            for index in pending:
                 finish(index, execute_cell(specs[index]))
-        finally:
-            # A crash above must not leave lock files pinning other
-            # processes into their staleness timeout.
-            if flight is not None:
-                for lock_key in owned_locks.values():
-                    flight.release(lock_key)
-            owned_locks.clear()
+        else:
+            targets = tuple(sorted({specs[i].target for i in pending}))
+            with ProcessPoolExecutor(
+                max_workers=self.workers,
+                initializer=warm_worker,
+                initargs=(targets,),
+            ) as pool:
+                futures = {
+                    pool.submit(execute_cell, specs[index]): index
+                    for index in pending
+                }
+                remaining = set(futures)
+                while remaining:
+                    done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        index = futures[future]
+                        try:
+                            result = future.result()
+                        except BaseException:
+                            # A worker died mid-cell (OOM kill,
+                            # interpreter crash): report the cell,
+                            # keep the run alive.
+                            result = CellResult(
+                                spec=specs[index],
+                                error=traceback.format_exc(),
+                            )
+                        finish(index, result)
 
         return [result for result in results if result is not None]

@@ -26,7 +26,7 @@ from typing import Iterator, List, Optional, Union
 
 from .decisions import DecisionLog
 from .metrics import MetricsRegistry
-from .sink import trace_path_from_env, write_events
+from .sink import write_events
 from .tracer import Tracer
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "deactivate",
     "active",
     "observing",
-    "observer_from_env",
 ]
 
 _ACTIVE: Optional[Observer] = None
@@ -143,8 +142,3 @@ def observing(
         _ACTIVE = previous
         if jsonl_path is not None:
             observer.write_jsonl(jsonl_path, label=label)
-
-
-def observer_from_env() -> Optional[str]:
-    """The ``REPRO_TRACE`` trace destination, if configured."""
-    return trace_path_from_env()

@@ -17,7 +17,7 @@ from .errors import MiscompileError, SanitizeError, VerificationError
 from .fuzz import generate_program, run_campaign, verify_source
 from .minimize import ddmin_lines, minimize_source
 from .oracle import Behavior, behavior_diff, capture_behavior, clone_program
-from .sanitize import check_sanitized, sanitize_function, sanitize_program
+from .sanitize import check_sanitized, sanitize_function
 from .verifier import ReplayGate, Verifier, VERIFY_MODES, resolve_mode
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "capture_behavior",
     "clone_program",
     "sanitize_function",
-    "sanitize_program",
     "check_sanitized",
     "Verifier",
     "ReplayGate",

@@ -3,10 +3,10 @@
 This is the cheap half of translation validation.  After every optimizer
 pass (and after every JUMPS/LOOPS replication sweep) the sanitizer walks
 one function and verifies every invariant the rest of the system leans
-on.  Unlike :func:`repro.cfg.graph.check_function` it never mutates the
-function — edges are recomputed into local tables and *compared*, so a
-sanitizer run can be interposed anywhere (including inside a bisection
-replay) without perturbing the very state it is checking.
+on.  It is the one CFG checker, and it never mutates the function —
+edges are recomputed into local tables and *compared*, so a sanitizer
+run can be interposed anywhere (including inside a bisection replay)
+without perturbing the very state it is checking.
 
 Invariant groups
 ----------------
@@ -63,7 +63,7 @@ from ..rtl.insn import (
 )
 from .errors import SanitizeError
 
-__all__ = ["sanitize_function", "sanitize_program", "check_sanitized"]
+__all__ = ["sanitize_function", "check_sanitized"]
 
 _KNOWN_BANKS = {"d", "a", "r", "v", "arg", "rv", "cc"}
 _KNOWN_WIDTHS = {"B", "W", "L"}
@@ -410,18 +410,6 @@ def sanitize_function(
     _check_insns(func, program, post_regalloc, problems)
     _check_vreg_defined_before_use(func, problems)
     return problems
-
-
-def sanitize_program(
-    program: Program, post_regalloc: bool = False
-) -> Dict[str, List[str]]:
-    """Per-function violations over a whole program (clean functions omitted)."""
-    report: Dict[str, List[str]] = {}
-    for func in program.functions.values():
-        problems = sanitize_function(func, program, post_regalloc)
-        if problems:
-            report[func.name] = problems
-    return report
 
 
 def check_sanitized(

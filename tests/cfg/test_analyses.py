@@ -2,7 +2,6 @@
 
 from repro.cfg import (
     BasicBlock,
-    check_function,
     compute_dominators,
     compute_flow,
     dominates,
@@ -11,6 +10,7 @@ from repro.cfg import (
 )
 from repro.obs import observing
 from repro.rtl import Jump, Return
+from repro.verify import check_sanitized
 from tests.conftest import function_from_text
 
 
@@ -95,10 +95,10 @@ class TestEditionCounter:
         compute_flow(func)
         assert func.cfg_edition == before
 
-    def test_check_function_does_not_invalidate(self):
+    def test_sanitizer_does_not_invalidate(self):
         func = _loop_func()
         before = func.cfg_edition
-        check_function(func)
+        check_sanitized(func, "build_function")
         assert func.cfg_edition == before
 
     def test_edge_change_bumps(self):

@@ -4,11 +4,11 @@ import pytest
 
 from repro.cfg import (
     build_function,
-    check_function,
     compute_flow,
     reachable_blocks,
 )
 from repro.rtl import parse_insns
+from repro.verify import SanitizeError, check_sanitized
 from tests.conftest import function_from_text
 
 
@@ -128,7 +128,7 @@ class TestReachability:
         labels = {b.label for b in reachable}
         assert labels == {"B1", "L2"}
 
-    def test_check_function_passes_on_wellformed(self):
+    def test_sanitizer_passes_on_wellformed(self):
         func = function_from_text(
             "f",
             """
@@ -139,11 +139,11 @@ class TestReachability:
               PC=RT;
             """,
         )
-        check_function(func)
+        check_sanitized(func, "build_function")
 
-    def test_check_function_rejects_fallthrough_off_end(self):
+    def test_sanitizer_rejects_fallthrough_off_end(self):
         func = function_from_text("f", "PC=RT;")
         func.blocks[0].insns.pop()
         compute_flow(func)
-        with pytest.raises(AssertionError):
-            check_function(func)
+        with pytest.raises(SanitizeError, match="falls off"):
+            check_sanitized(func, "build_function")

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.benchsuite import PROGRAMS, program_names
-from repro.cfg import check_function
 from repro.core import CodeReplicator, Policy, ReplicationMode, clone_function
 from repro.frontend import compile_c
 from repro.obs import observing
@@ -28,6 +27,7 @@ from repro.opt import OptimizationConfig, optimize_program
 from repro.rtl import format_function
 from repro.targets import get_target
 from repro.verify.floyd_warshall import ShortestPathMatrix
+from repro.verify import check_sanitized
 from tests.core.test_random_cfgs import fuzzed_function, random_functions
 from tests.integration.test_random_programs import programs
 
@@ -60,7 +60,7 @@ def _run_engine(func, engine, make_replicator=_bounded):
     work = clone_function(func)
     with observing(spans=False) as obs, step1(engine):
         make_replicator().run(work)
-    check_function(work)
+    check_sanitized(work, "jumps")
     _assert_engine_ran(obs, engine)
     return obs.decisions.as_dicts(), format_function(work)
 

@@ -9,8 +9,9 @@ of that loop, conditional branches of uncopied members that target copied
 blocks are retargeted to the copies, avoiding partially overlapping loops.
 """
 
-from repro.cfg import check_function, find_loops, is_reducible
+from repro.cfg import find_loops, is_reducible
 from repro.core import replicate_jumps
+from repro.verify import check_sanitized
 from tests.conftest import function_from_text
 
 # Figure 1's control flow: blocks 1..7 with a loop {4,5,6}, an unconditional
@@ -56,7 +57,7 @@ class TestFigure1:
         loop_size_before = len(info_before.loops[0].blocks)
 
         stats = replicate_jumps(func)
-        check_function(func)
+        check_sanitized(func, "jumps")
         assert func.jump_count() == 0
         assert is_reducible(func)
 
@@ -110,7 +111,7 @@ class TestFigure2:
     def test_no_partially_overlapping_loops(self):
         func = function_from_text("fig2", FIGURE_2)
         replicate_jumps(func)
-        check_function(func)
+        check_sanitized(func, "jumps")
         assert is_reducible(func)
         assert func.jump_count() == 0
 

@@ -6,12 +6,13 @@ notation, run the relevant part of the pipeline, and assert the
 distinctive features of the "with replication" column.
 """
 
-from repro.cfg import build_function, check_function, find_loops
+from repro.cfg import build_function, find_loops
 from repro.core import replicate_jumps
 from repro.frontend import compile_c
 from repro.opt import OptimizationConfig, optimize_function
 from repro.rtl import Compare, CondBranch, Jump, Return, parse_insns
 from repro.targets import get_target
+from repro.verify import check_sanitized
 
 
 class TestTable1:
@@ -34,7 +35,7 @@ class TestTable1:
     def _replicated(self):
         func = build_function("t1", parse_insns(self.WITHOUT))
         replicate_jumps(func)
-        check_function(func)
+        check_sanitized(func, "jumps")
         return func
 
     def test_jump_per_iteration_eliminated(self):

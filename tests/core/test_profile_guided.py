@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.cfg import check_function
 from repro.core import profile_guided_replication
 from repro.ease import Interpreter, measure_program
 from repro.frontend import compile_c
 from repro.opt import OptimizationConfig, optimize_program
 from repro.targets import get_target
+from repro.verify import check_sanitized
 
 # A program with one hot loop jump and one cold (error-path) jump.
 SOURCE = """
@@ -43,7 +43,7 @@ class TestProfileGuided:
         target = get_target(target_name)
         profile_guided_replication(program, target, threshold=threshold)
         for func in program.functions.values():
-            check_function(func)
+            check_sanitized(func, "profile_guided_replication", post_regalloc=True)
         got = Interpreter(program).run()
         assert got.output == ref.output
         assert got.exit_code == ref.exit_code

@@ -20,7 +20,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cfg import Program, check_function, compute_flow, is_reducible
+from repro.cfg import Program, compute_flow, is_reducible
 from repro.cfg.block import BasicBlock, Function
 from repro.core import (
     CodeReplicator,
@@ -40,6 +40,7 @@ from repro.rtl import (
     Reg,
     Return,
 )
+from repro.verify import check_sanitized
 
 FUEL = Reg("d", 6)
 ACC = Reg("d", 0)
@@ -161,7 +162,7 @@ class TestEngineOnRandomCFGs:
         was_reducible = is_reducible(func)
         replicated = clone_function(func)
         bounded_jumps(replicated)
-        check_function(replicated)
+        check_sanitized(replicated, "jumps")
         assert run(replicated) == reference
         if was_reducible:
             assert is_reducible(replicated)
@@ -172,7 +173,7 @@ class TestEngineOnRandomCFGs:
         reference = run(func)
         replicated = clone_function(func)
         replicate_loop_tests(replicated)
-        check_function(replicated)
+        check_sanitized(replicated, "loops")
         assert run(replicated) == reference
 
     @settings(max_examples=40, deadline=None)

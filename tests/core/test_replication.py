@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cfg import check_function, compute_flow, find_loops, is_reducible
+from repro.cfg import find_loops, is_reducible
 from repro.core import (
     CodeReplicator,
     Policy,
@@ -12,6 +12,7 @@ from repro.core import (
     replicate_loop_tests,
 )
 from repro.rtl import Jump
+from repro.verify import check_sanitized
 from tests.conftest import function_from_text
 
 
@@ -68,14 +69,23 @@ L2:
 """
 
 
+def framed_function(text: str):
+    """``function_from_text`` plus frame slots for the locals
+    IF_THEN_ELSE addresses, so the sanitizer sees a complete function."""
+    func = function_from_text("f", text)
+    for name in ("i", "n", "old"):
+        func.add_local(name, 4)
+    return func
+
+
 class TestJumps:
     @pytest.mark.parametrize(
         "text", [MID_EXIT_LOOP, IF_THEN_ELSE, FOR_LOOP, WHILE_LOOP]
     )
     def test_all_jumps_eliminated(self, text):
-        func = function_from_text("f", text)
+        func = framed_function(text)
         stats = replicate_jumps(func)
-        check_function(func)
+        check_sanitized(func, "jumps")
         assert func.jump_count() == 0
         assert stats.jumps_replaced >= 1
         assert is_reducible(func)
@@ -212,7 +222,7 @@ class TestLoopsMode:
     def test_for_loop_rotation(self):
         func = function_from_text("f", FOR_LOOP)
         stats = replicate_loop_tests(func)
-        check_function(func)
+        check_sanitized(func, "loops")
         assert stats.jumps_replaced == 1
         assert func.jump_count() == 0
         # The test block now appears twice: before the body and at the end.
@@ -255,9 +265,9 @@ class TestStructuralInvariants:
         "text", [MID_EXIT_LOOP, IF_THEN_ELSE, FOR_LOOP, WHILE_LOOP]
     )
     def test_wellformed_after_replication(self, text):
-        func = function_from_text("f", text)
+        func = framed_function(text)
         replicate_jumps(func)
-        check_function(func)
+        check_sanitized(func, "jumps")
 
     def test_no_replicate_flag_respected(self):
         func = function_from_text("f", IF_THEN_ELSE)
@@ -309,7 +319,7 @@ class TestIndirectJumpsInLoops:
             """,
         )
         replicate_jumps(func)
-        check_function(func)
+        check_sanitized(func, "jumps")
         assert is_reducible(func)
 
     def test_jump_targeting_indirect_block_directly_kept(self):

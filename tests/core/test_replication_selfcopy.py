@@ -17,7 +17,7 @@ instead of to completion, and execution fell through into unrelated code
 These tests pin ``_apply``'s contract directly with such a sequence.
 """
 
-from repro.cfg import Program, check_function, compute_flow
+from repro.cfg import Program, compute_flow
 from repro.cfg.analyses import get_analyses
 from repro.cfg.block import BasicBlock, Function
 from repro.core import CodeReplicator, Policy, ReplicationMode, clone_function
@@ -32,6 +32,7 @@ from repro.rtl import (
     Reg,
     Return,
 )
+from repro.verify import check_sanitized
 
 OUTER = Reg("d", 0)
 INNER = Reg("d", 1)
@@ -112,7 +113,7 @@ class TestJumpBlockInOwnSequence:
     def test_jump_block_copy_keeps_its_back_edge(self):
         func = nested_while_function()
         apply_self_copy(func)
-        check_function(func)
+        check_sanitized(func, "jumps")
 
         [b_copy] = [bl for bl in func.blocks if bl.replica_origin == "B"]
         term = b_copy.terminator
@@ -133,7 +134,7 @@ class TestJumpBlockInOwnSequence:
         func = nested_while_function()
         assert run(func) == EXPECTED
         apply_self_copy(func)
-        check_function(func)
+        check_sanitized(func, "jumps")
         # The pop-before-copy bug made the copied inner loop fall through
         # to E after one iteration instead of looping: acc lost the
         # third inner term of every outer iteration.
@@ -157,6 +158,6 @@ class TestJumpBlockInOwnSequence:
         stats = CodeReplicator(
             mode=ReplicationMode.JUMPS, policy=Policy.SHORTEST
         ).run(replicated)
-        check_function(replicated)
+        check_sanitized(replicated, "jumps")
         assert run(replicated) == EXPECTED
         assert stats.valve_trips == 0

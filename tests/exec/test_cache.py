@@ -1,9 +1,12 @@
 """Unit tests for the content-addressed result cache (disk and memory)."""
 
+import json
 import multiprocessing
+import os
 import pickle
 import subprocess
 import sys
+import time
 from dataclasses import fields, replace
 
 import pytest
@@ -215,8 +218,8 @@ def test_memory_hit_is_a_copy():
 
 
 def test_memory_store_touches_no_disk(tmp_path, monkeypatch):
-    """No entry, tmp file or single-flight lock: not even the default
-    cache directory is created."""
+    """No entry or tmp file: not even the default cache directory is
+    created."""
     monkeypatch.chdir(tmp_path)
     cache = ResultCache(None)
     for _ in range(2):
@@ -272,3 +275,71 @@ def test_concurrent_writers_never_corrupt(tmp_path):
         assert cache.get_spec(spec) is not None
     # No temporary files leaked by the atomic-rename protocol.
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+_RACER = """
+import json, sys, time
+import repro.exec.runner as runner
+from repro.exec import CellSpec, ParallelRunner, ResultCache
+
+execute_cell = runner.execute_cell
+
+def slow_execute(spec):
+    # Slow enough that both processes miss the cold key and compute it.
+    time.sleep(0.5)
+    return execute_cell(spec)
+
+runner.execute_cell = slow_execute
+spec = CellSpec(program="int main() { return 7; }", target="sparc")
+(result,) = ParallelRunner(workers=1, cache=ResultCache(sys.argv[1])).run([spec])
+assert result.ok, result.error
+m = result.measurement
+print(json.dumps([m.static_insns, m.dynamic_insns, m.dynamic_jumps, m.exit_code]))
+"""
+
+
+def test_two_racing_processes_agree(tmp_path):
+    """Two runners race on one cold key: both succeed with the same
+    measurement, and the cache ends with one whole entry."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _RACER, str(tmp_path)],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for _ in range(2)
+    ]
+    outputs = [proc.communicate(timeout=120) for proc in procs]
+    for proc, (_, err) in zip(procs, outputs):
+        assert proc.returncode == 0, err
+    first, second = (json.loads(out) for out, _ in outputs)
+    assert first == second
+    cache = ResultCache(tmp_path)
+    assert len(cache) == 1
+    stored = cache.get_spec(SPEC).measurement
+    assert [
+        stored.static_insns, stored.dynamic_insns, stored.dynamic_jumps,
+        stored.exit_code,
+    ] == first
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_lock_file_beside_a_cold_key_is_ignored(tmp_path, monkeypatch):
+    """A ``.lock`` left beside an entry by an older version (or a killed
+    run) never parks the runner: the cold cell is computed at once."""
+    cache = ResultCache(tmp_path)
+    lock = cache._path(cache.key(SPEC)).with_suffix(".lock")
+    lock.parent.mkdir(parents=True)
+    lock.write_text(f"{os.getpid()} {time.time():.3f}\n")
+
+    def no_waiting(seconds):
+        raise AssertionError("waited on a lock file")
+
+    monkeypatch.setattr(time, "sleep", no_waiting)
+    (result,) = ParallelRunner(workers=1, cache=cache).run([SPEC])
+    assert result.ok and not result.cache_hit
+    assert result.measurement.exit_code == 7
+    assert cache.writes == 1 and cache.get_spec(SPEC) is not None

@@ -4,7 +4,6 @@ import os
 import time
 
 from repro.exec import CellResult, CellSpec, ResultCache
-from repro.exec.cache import LOCK_STALE_AFTER
 
 
 def _result(tag: str) -> CellResult:
@@ -125,8 +124,8 @@ def test_gc_tolerates_corrupted_entries(tmp_path):
 
 
 def test_gc_cleans_orphaned_tmp_files(tmp_path):
-    """Half-written entries and single-flight locks left by dead
-    processes go; ones that could still belong to a live one stay."""
+    """Half-written entries left by dead writers go; ones that could
+    still belong to a live writer stay."""
     cache = ResultCache(tmp_path)
     _fill(cache, 1)
     shard = next(iter((tmp_path / f"v{cache.schema_version}").iterdir()))
@@ -136,19 +135,10 @@ def test_gc_cleans_orphaned_tmp_files(tmp_path):
     os.utime(stale_tmp, (old, old))
     fresh_tmp = shard / ".cafebabe-y.tmp"
     fresh_tmp.write_bytes(b"in flight")
-    # A SIGKILLed owner's lock, just past the staleness timeout, and a
-    # live owner's lock.
-    stale_lock = shard / ("a" * 64 + ".lock")
-    stale_lock.write_text("4242 0.0\n")
-    killed = time.time() - LOCK_STALE_AFTER - 5.0
-    os.utime(stale_lock, (killed, killed))
-    fresh_lock = shard / ("b" * 64 + ".lock")
-    fresh_lock.write_text("4243 0.0\n")
     report = cache.gc(max_age=86400.0)
     assert report["tmp_removed"] == 1
-    assert report["locks_removed"] == 1
-    assert not stale_tmp.exists() and not stale_lock.exists()
-    assert fresh_tmp.exists() and fresh_lock.exists()  # could still be live
+    assert not stale_tmp.exists()
+    assert fresh_tmp.exists()  # could still be live
 
 
 def test_gc_without_policies_is_a_census(tmp_path):

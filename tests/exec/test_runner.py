@@ -10,7 +10,6 @@ from repro.exec import (
     CellSpec,
     ParallelRunner,
     ResultCache,
-    SingleFlight,
     execute_cell,
 )
 
@@ -76,13 +75,10 @@ def test_runner_preserves_order_and_isolates_failures(workers):
 
 def test_runner_uses_and_fills_cache(tmp_path):
     cache = ResultCache(tmp_path)
-    flight = SingleFlight(cache)
     specs = [GOOD, CRASHING]
     cold = ParallelRunner(workers=1, cache=cache).run(specs)
     assert not any(r.cache_hit for r in cold)
     assert len(cache) == 1 and cache.writes == 1  # failures are never cached
-    # Every single-flight lock is released, failed cell included.
-    assert not any(flight.holder_active(cache.key(spec)) for spec in specs)
 
     warm_cache = ResultCache(tmp_path)
     warm = ParallelRunner(workers=1, cache=warm_cache).run(specs)

@@ -1,8 +1,9 @@
 """Loop-invariant code motion and preheader tests."""
 
-from repro.cfg import check_function, find_loops
+from repro.cfg import find_loops
 from repro.opt import ensure_preheader, loop_invariant_code_motion
 from repro.rtl import format_insn
+from repro.verify import check_sanitized
 from tests.conftest import function_from_text
 
 
@@ -35,7 +36,7 @@ class TestLICM:
             """,
         )
         assert loop_invariant_code_motion(func)
-        check_function(func)
+        check_sanitized(func, "loop_invariant_code_motion")
         assert "v[1]=d[7]*4;" not in loop_insns(func)
         assert "v[1]=d[7]*4;" in insn_texts(func)
 
@@ -175,7 +176,7 @@ class TestEnsurePreheader:
         info = find_loops(func)
         loop = info.loops[0]
         preheader = ensure_preheader(func, loop)
-        check_function(func)
+        check_sanitized(func, "ensure_preheader")
         assert func.next_block(preheader) is loop.header
         assert preheader not in loop.blocks
 
@@ -215,7 +216,7 @@ class TestEnsurePreheader:
         )
         loop = find_loops(func).loops[0]
         preheader = ensure_preheader(func, loop)
-        check_function(func)
+        check_sanitized(func, "ensure_preheader")
         entry_branch = func.blocks[0].terminator
         assert entry_branch.target == preheader.label
         # The back edge still targets the header itself.

@@ -1,8 +1,8 @@
 """Edge cases of the control-flow cleanup pass."""
 
-from repro.cfg import check_function
 from repro.opt import eliminate_dead_code
 from repro.opt.dead_code import merge_blocks, remove_redundant_jumps, remove_unreachable
+from repro.verify import check_sanitized
 from tests.conftest import function_from_text
 
 
@@ -56,7 +56,7 @@ class TestRedundantJumps:
         )
         assert remove_redundant_jumps(func)
         assert func.jump_count() == 0
-        check_function(func)
+        check_sanitized(func, "remove_redundant_jumps")
 
     def test_non_adjacent_jump_kept(self):
         func = function_from_text(
@@ -114,7 +114,7 @@ class TestMergeBlocks:
         func = function_from_text("f", "d[0]=1;\nPC=RT;\n")
         assert not eliminate_dead_code(func)
         assert [b.label for b in func.blocks] == ["B1"]
-        check_function(func)
+        check_sanitized(func, "eliminate_dead_code")
 
     def test_jump_to_adjacent_last_label_removed_and_merged(self):
         func = function_from_text(
@@ -129,7 +129,7 @@ class TestMergeBlocks:
         assert eliminate_dead_code(func)
         assert len(func.blocks) == 1
         assert func.jump_count() == 0
-        check_function(func)
+        check_sanitized(func, "eliminate_dead_code")
 
     def test_jump_to_nonadjacent_last_label_kept(self):
         # L9 has two predecessors (the jump and L1's fall-through): the
@@ -150,7 +150,7 @@ class TestMergeBlocks:
         assert not eliminate_dead_code(func)
         assert [b.label for b in func.blocks] == ["B1", "B2", "L1", "L9"]
         assert func.jump_count() == 1
-        check_function(func)
+        check_sanitized(func, "eliminate_dead_code")
 
     def test_unreachable_empty_final_block_removed(self):
         from repro.cfg.graph import compute_flow
@@ -160,7 +160,7 @@ class TestMergeBlocks:
         compute_flow(func)
         assert eliminate_dead_code(func)
         assert [b.label for b in func.blocks] == ["B1"]
-        check_function(func)
+        check_sanitized(func, "eliminate_dead_code")
 
     def test_reachable_empty_final_block_preserved(self):
         # An empty final block that is a live branch target must survive

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.cfg import check_function
 from repro.frontend import compile_c
 from repro.opt import OptimizationConfig, optimize_program
 from repro.rtl import Nop
 from repro.targets import get_target
+from repro.verify import check_sanitized
 
 SOURCE = """
 int total;
@@ -40,7 +40,7 @@ class TestPipeline:
         target = get_target(target_name)
         optimize_program(program, target, OptimizationConfig(replication=replication))
         for func in program.functions.values():
-            check_function(func)
+            check_sanitized(func, "optimize_program", post_regalloc=True)
             for insn in func.insns():
                 assert target.legal(insn)
                 # No virtual registers survive allocation.
@@ -98,4 +98,4 @@ class TestPipeline:
         spans = [s for s in obs.tracer.spans if s.name == "opt.function"]
         assert spans and all(s.attrs["iterations"] == 1 for s in spans)
         for func in program.functions.values():
-            check_function(func)
+            check_sanitized(func, "optimize_program", post_regalloc=True)

@@ -6,9 +6,9 @@ registers (with a dominance check) rather than only at syntactic
 constants.
 """
 
-from repro.cfg import check_function
 from repro.opt import fold_branches
 from repro.rtl import CondBranch, Jump
+from repro.verify import check_sanitized
 from tests.conftest import function_from_text
 
 
@@ -32,7 +32,7 @@ class TestGlobalConstantBranches:
             """,
         )
         assert fold_branches(func)
-        check_function(func)
+        check_sanitized(func, "fold_branches")
         # The r[8]==1 comparison is decided: the always-taken branch became
         # an unconditional jump (new replication fodder, §3.3.1).
         jumps = [i for i in func.insns() if isinstance(i, Jump)]

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cfg import check_function, compute_flow
 from repro.opt import (
     branch_chaining,
     eliminate_dead_code,
@@ -13,6 +12,7 @@ from repro.opt import (
     reorder_blocks,
 )
 from repro.rtl import Assign, Compare, Const, Jump, Reg, format_function, parse_insn
+from repro.verify import check_sanitized
 from tests.conftest import function_from_text
 
 
@@ -60,7 +60,7 @@ class TestBranchChaining:
             """,
         )
         branch_chaining(func)  # must terminate
-        check_function(func)
+        check_sanitized(func, "branch_chaining")
 
     def test_chain_of_three(self):
         func = function_from_text(
@@ -155,7 +155,7 @@ class TestReorder:
         )
         reorder_blocks(func)
         eliminate_dead_code(func)
-        check_function(func)
+        check_sanitized(func, "eliminate_dead_code")
         assert func.jump_count() == 0
         # The reordered layout executes d[0]=1 then returns, all jumps died
         # (the blocks may even have merged into a straight line).
@@ -195,7 +195,7 @@ class TestReorder:
         # Block B2 (d[0]=1) must keep following the conditional branch, and
         # L3 must keep following L2.
         reorder_blocks(func)
-        check_function(func)
+        check_sanitized(func, "reorder_blocks")
         labels = [b.label for b in func.blocks]
         assert labels.index("B2") == labels.index("B1") + 1
         assert labels.index("L3") == labels.index("L2") + 1

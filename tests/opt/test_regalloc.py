@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.cfg import check_function
 from repro.opt import color_registers, legalize, promote_locals
 from repro.rtl import Local, Mem, Reg, format_insn
 from repro.targets import get_target
+from repro.verify import check_sanitized
 from tests.conftest import function_from_text, run_c
 
 
@@ -139,7 +139,7 @@ class TestColoring:
         target = get_target("sparc")
         legalize(func, target)
         result = color_registers(func, target)
-        check_function(func)
+        check_sanitized(func, "color_registers", post_regalloc=True)
         assert result.spilled  # pressure forced spills
         for insn in func.insns():
             assert target.legal(insn), format_insn(insn)

@@ -2,10 +2,11 @@
 
 from hypothesis import given, settings
 
-from repro.cfg import Program, check_function
+from repro.cfg import Program
 from repro.core import clone_function
 from repro.ease import Interpreter
 from repro.opt import eliminate_dead_code, reorder_blocks
+from repro.verify import check_sanitized
 from tests.core.test_random_cfgs import random_functions
 
 
@@ -22,7 +23,7 @@ class TestReorderProperties:
         reference = run(clone_function(func))
         candidate = clone_function(func)
         reorder_blocks(candidate)
-        check_function(candidate)
+        check_sanitized(candidate, "reorder_blocks")
         assert run(candidate) == reference
 
     @settings(max_examples=60, deadline=None)

@@ -1,8 +1,9 @@
 """Induction-variable strength reduction tests."""
 
-from repro.cfg import check_function, find_loops
+from repro.cfg import find_loops
 from repro.opt import strength_reduce
 from repro.rtl import format_insn
+from repro.verify import check_sanitized
 from tests.conftest import function_from_text, run_c
 
 
@@ -31,7 +32,7 @@ class TestStrengthReduction:
             """,
         )
         assert strength_reduce(func)
-        check_function(func)
+        check_sanitized(func, "strength_reduce")
         assert not any("*4" in t for t in loop_insns(func))
         # The derived register advances additively inside the loop.
         assert any("+4;" in t for t in loop_insns(func))

@@ -1,21 +1,20 @@
-"""CFG invariant checks: the validator and the driver's per-pass check.
+"""CFG invariant checks: the sanitizer, directly and as the driver's
+per-pass check.
 
-A corrupted CFG is caught by :func:`repro.cfg.graph.check_function`; in
-the driver the one per-pass check is the sanitizer
-(``Verifier("sanitize")``, a non-mutating superset of the validator): a
-clean optimization run passes it, and a pass that corrupts the graph
-mid-pipeline is named by it.
+A corrupted CFG is caught by :func:`repro.verify.check_sanitized`, the
+one CFG checker; in the driver it runs after every pass
+(``Verifier("sanitize")``): a clean optimization run passes it, and a
+pass that corrupts the graph mid-pipeline is named by it.
 """
 
 import pytest
 
-from repro.cfg.graph import check_function
 from repro.frontend import compile_c
 from repro.opt import OptimizationConfig, optimize_program
 from repro.opt import driver as driver_module
 from repro.rtl.insn import Jump
 from repro.targets import get_target
-from repro.verify import SanitizeError, Verifier
+from repro.verify import SanitizeError, Verifier, check_sanitized
 
 SOURCE = """
 int main() {
@@ -54,23 +53,23 @@ def test_validator_catches_duplicate_labels():
     _, func = compiled_main()
     assert len(func.blocks) >= 2
     func.blocks[1].label = func.blocks[0].label
-    with pytest.raises(AssertionError, match="duplicate labels"):
-        check_function(func)
+    with pytest.raises(SanitizeError, match="duplicate label"):
+        check_sanitized(func, "corruption")
 
 
 def test_validator_catches_transfer_mid_block():
     _, func = compiled_main()
     victim = next(block for block in func.blocks if len(block.insns) >= 2)
     victim.insns.insert(0, Jump(func.blocks[0].label))
-    with pytest.raises(AssertionError, match="not at block end"):
-        check_function(func)
+    with pytest.raises(SanitizeError, match="not at block end"):
+        check_sanitized(func, "corruption")
 
 
 def test_validator_catches_stale_edges():
     _, func = compiled_main()
     func.blocks[0].preds.append(func.blocks[0])
-    with pytest.raises(AssertionError, match="stale edges"):
-        check_function(func)
+    with pytest.raises(SanitizeError, match="stale predecessors"):
+        check_sanitized(func, "corruption")
 
 
 def test_validator_catches_fall_off_function_end():
@@ -80,8 +79,8 @@ def test_validator_catches_fall_off_function_end():
     del last.insns[-1]  # drop the return; the block now falls off the end
     if not last.insns:
         last.insns = func.blocks[0].insns[:1]  # keep the block non-empty
-    with pytest.raises(AssertionError, match="falls off"):
-        check_function(func)
+    with pytest.raises(SanitizeError, match="falls off"):
+        check_sanitized(func, "corruption")
 
 
 def test_driver_flags_corrupting_pass(monkeypatch):

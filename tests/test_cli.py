@@ -111,7 +111,7 @@ class TestCommands:
             return {
                 "dry_run": dry_run, "removed": 0, "examined": 0,
                 "freed_bytes": 0, "remaining_entries": 0,
-                "remaining_bytes": 0, "tmp_removed": 0, "locks_removed": 0,
+                "remaining_bytes": 0, "tmp_removed": 0,
             }
 
         monkeypatch.setattr("repro.exec.ResultCache.gc", fake_gc)
@@ -183,6 +183,7 @@ class TestCommands:
         [
             ["measure", "wc", "--max-rtls", "-5"],
             ["bench", "--max-rtls", "-1"],
+            ["bench", "--parallel", "-3"],
             ["fuzz", "--max-rtls", "-1"],
             ["fuzz", "--count", "-3"],
             ["fuzz", "--count", "three"],
@@ -190,6 +191,7 @@ class TestCommands:
         ids=[
             "measure-max-rtls",
             "bench-max-rtls",
+            "bench-parallel",
             "fuzz-max-rtls",
             "fuzz-count",
             "fuzz-count-text",
@@ -207,6 +209,24 @@ class TestCommands:
             main(argv)
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("store", ["memory", "disk"])
+    def test_bench_repeated_names_are_one_cell(self, tmp_path, capsys, store):
+        import json
+
+        cache = ["--cache-dir", str(tmp_path)] if store == "disk" else ["--no-cache"]
+        out = tmp_path / "bench.json"
+        argv = [
+            "bench", "--parallel", "1", "--quiet", "--json", str(out),
+            "--programs", "wc", "wc", "--targets", "sparc", "sparc",
+            "--configs", "none", "none",
+        ]
+        assert main(argv + cache) == 0
+        cells = json.loads(out.read_text())["cells"]
+        assert [(c["program"], c["target"], c["config"]) for c in cells] == [
+            ("wc", "sparc", "none")
+        ]
+        assert "1 cells in" in capsys.readouterr().out
 
     @pytest.mark.parametrize("verb", [["measure", "wc"], ["bench"], ["fuzz"]])
     def test_max_rtls_defaults_to_unbounded(self, verb):
@@ -235,6 +255,13 @@ class TestDotCommand:
         out = capsys.readouterr().out
         assert out.startswith('digraph "place"')
         assert "->" in out
+
+    def test_dot_unknown_function_is_a_clean_error(self, capsys):
+        assert main(["dot", "queens", "--function", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: no function 'nope' in queens" in captured.err
+        assert "place" in captured.err and "main" in captured.err
 
 
 class TestStatsCommand:
