@@ -188,12 +188,17 @@ def cmd_measure(args) -> int:
     ]
     print(format_table(["metric", "value"], rows))
     if result.verification is not None:
-        v = result.verification
-        print(
-            f"verified: mode={v['mode']} passes={v['pass_invocations']} "
-            f"sanitize={v['sanitize_checks']} oracle_runs={v['oracle_runs']}"
-        )
+        print(_verified_line(result.verification))
     return 0
+
+
+def _verified_line(v) -> str:
+    """One line summing up a cell's verification report."""
+    return (
+        f"verified: mode={v['mode']} passes={v['pass_invocations']} "
+        f"sanitize={v['sanitize_checks']} skipped={v.get('sanitize_skipped', 0)} "
+        f"oracle_runs={v['oracle_runs']}"
+    )
 
 
 def cmd_compare(args) -> int:
@@ -204,7 +209,8 @@ def cmd_compare(args) -> int:
     base = results["none"].measurement
     outputs = {r.output for r in results.values()}
     rows = []
-    for label, key in (("SIMPLE", "none"), ("LOOPS", "loops"), ("JUMPS", "jumps")):
+    configs = (("SIMPLE", "none"), ("LOOPS", "loops"), ("JUMPS", "jumps"))
+    for label, key in configs:
         m = results[key].measurement
         rows.append(
             [
@@ -223,6 +229,9 @@ def cmd_compare(args) -> int:
             rows,
         )
     )
+    for label, key in configs:
+        if results[key].verification is not None:
+            print(f"{label}: {_verified_line(results[key].verification)}")
     if len(outputs) != 1:
         print("WARNING: configurations produced different outputs!", file=sys.stderr)
         return 1
@@ -632,7 +641,8 @@ def cmd_fuzz(args) -> int:
     print(
         f"{result.programs_run} programs fuzzed in {elapsed:.1f}s "
         f"({result.totals.get('pass_invocations', 0)} pass invocations, "
-        f"{result.totals.get('sanitize_checks', 0)} sanitizer checks, "
+        f"{result.totals.get('sanitize_checks', 0)} sanitizer checks "
+        f"({result.totals.get('sanitize_skipped', 0)} skipped), "
         f"{result.totals.get('oracle_runs', 0)} oracle runs, "
         f"{result.totals.get('valve_trips', 0)} valve trips, "
         f"{result.totals.get('guard_stops', 0)} guard stops, "

@@ -19,7 +19,7 @@ from ..cfg.analyses import get_analyses
 from ..cfg.block import BasicBlock, Function
 from ..cfg.graph import compute_flow
 from ..cfg.loops import Loop
-from ..rtl.expr import Expr, Mem, Reg, walk
+from ..rtl.expr import Expr, Mem, Reg, reg_set, walk
 from ..rtl.insn import Assign, Call, Insn
 from .liveness import Liveness
 
@@ -111,15 +111,22 @@ def loop_invariant_code_motion(func: Function) -> bool:
     # the loop structure is *recomputed from scratch*: hoisting creates
     # preheader blocks inside enclosing loops, and stale member sets would
     # otherwise miss the definitions they carry.
+    #
+    # One liveness serves a whole round: ``_hoist_from_loop`` either
+    # hoists (and the round ends) or returns False without mutating
+    # anything, so the facts stay exact for every loop tried.
     guard = 0
     while True:
         guard += 1
         if guard > 100:
             break
         info = get_analyses(func).loops()
+        if not info.loops:
+            break
+        liveness = Liveness(func)
         progress = False
         for loop in sorted(info.loops, key=lambda l: len(l.blocks)):
-            if _hoist_from_loop(func, loop):
+            if _hoist_from_loop(func, loop, liveness):
                 progress = True
                 changed = True
                 break
@@ -128,11 +135,11 @@ def loop_invariant_code_motion(func: Function) -> bool:
     return changed
 
 
-def _hoist_from_loop(func: Function, loop: Loop) -> bool:
+def _hoist_from_loop(func: Function, loop: Loop, liveness: Liveness) -> bool:
+    """Hoist ``loop``'s invariants; False (and nothing mutated) if none."""
     defs = _defined_regs_in_loop(loop)
     loop_writes_mem = _loop_has_stores_or_calls(loop)
     dom = get_analyses(func).dominators()
-    liveness = Liveness(func)
     exits = loop.exits()
     header_live_in = liveness.block_live_in(loop.header)
 
@@ -163,10 +170,7 @@ def _hoist_from_loop(func: Function, loop: Loop) -> bool:
                 continue
             if defs.get(reg, 0) != 1:
                 continue
-            src_regs = set()
-            for node in walk(insn.src):
-                if isinstance(node, Reg):
-                    src_regs.add(node)
+            src_regs = reg_set(insn.src)
             if any(r in defs or r in hoisted_regs for r in src_regs):
                 continue  # operands vary within the loop
             if reg in src_regs:
@@ -230,7 +234,7 @@ def _identical_invariant_defs(
         first_src = places[0][1].src
         if any(insn.src != first_src for _, insn in places[1:]):
             continue
-        src_regs = {node for node in walk(first_src) if isinstance(node, Reg)}
+        src_regs = reg_set(first_src)
         if reg in src_regs or any(r in defs for r in src_regs):
             continue
         if _may_trap(first_src):

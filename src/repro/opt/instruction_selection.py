@@ -21,7 +21,7 @@ import itertools
 from typing import List, Optional
 
 from ..cfg.block import BasicBlock, Function
-from ..rtl.expr import BinOp, Const, Expr, Mem, Reg, UnOp, regs_in
+from ..rtl.expr import BinOp, Const, Expr, Mem, Reg, UnOp, reg_set, walk
 from ..rtl.insn import Assign, Call, Compare, Insn
 from ..targets.machine import Machine
 from .liveness import Liveness
@@ -217,25 +217,27 @@ def _is_combinable_def(insn: Insn) -> bool:
 
 
 def _src_reads_mem(expr: Expr) -> bool:
-    return any(isinstance(node, Mem) for node in _walk(expr))
-
-
-def _walk(expr: Expr):
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(node.children())
+    return any(isinstance(node, Mem) for node in walk(expr))
 
 
 def combine(func: Function, target: Machine) -> bool:
-    """Forward-substitute single-use register definitions (per block)."""
+    """Forward-substitute single-use register definitions (per block).
+
+    One :class:`Liveness` serves the whole call: combining never changes
+    any block's live-in or live-out set.  A rewrite deletes ``r = e`` at
+    index *i* and substitutes ``e`` into the sole use of ``r`` at *j* of
+    the same block.  No instruction strictly between *i* and *j*
+    redefines a register of ``e`` (the barrier check), so the block's
+    upward-exposed uses are unchanged; the registers the block defines
+    change at most by ``r``, and ``r`` is either redefined at or after
+    *j* or not live out of the block.  Every block's transfer function
+    is therefore the same, and so is the fixpoint.
+    """
     changed = False
     liveness = Liveness(func)
     for block in func.blocks:
         if _combine_block(block, target, liveness):
             changed = True
-            liveness = Liveness(func)  # block contents changed
     return changed
 
 
@@ -261,9 +263,9 @@ def _try_combine_at(
     reg = insn.dst
     assert isinstance(reg, Reg)
     expr = insn.src
-    if reg in set(regs_in(expr)):
+    expr_regs = reg_set(expr)
+    if reg in expr_regs:
         return False  # e.g. r = r + 1: nothing to forward
-    expr_regs = set(regs_in(expr))
     expr_reads_mem = _src_reads_mem(expr)
 
     use_at: Optional[int] = None

@@ -11,6 +11,15 @@ Special registers:
   so it is naturally live where it matters;
 * argument registers are used by ``Call`` instructions;
 * the condition-code register ``cc`` behaves like any other register.
+
+A :class:`Liveness` is a snapshot: it is exact until an instruction or
+edge changes in a way that moves some block's use or def set.  Passes
+build one per run of work that keeps those sets fixed rather than one
+per change — ``combine`` builds one per call (its rewrites never move
+any block's live-in or live-out set; the argument is in its docstring)
+and code motion one per hoisting round (a loop it fails to hoist from is
+left untouched).  With an observer active, every build counts toward
+``opt.liveness.builds``.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Set, Tuple
 
 from ..cfg.block import BasicBlock, Function
+from ..obs import active as _active_observer
 from ..rtl.expr import Reg
 from ..rtl.insn import Insn
 
@@ -32,6 +42,9 @@ class Liveness:
         self.live_in: Dict[int, Set[Reg]] = {}
         self.live_out: Dict[int, Set[Reg]] = {}
         self._compute()
+        obs = _active_observer()
+        if obs is not None:
+            obs.metrics.inc("opt.liveness.builds")
 
     def _compute(self) -> None:
         use: Dict[int, Set[Reg]] = {}

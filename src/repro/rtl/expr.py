@@ -17,7 +17,7 @@ The vocabulary follows the paper's notation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, Tuple
 
 __all__ = [
     "Expr",
@@ -31,6 +31,7 @@ __all__ = [
     "walk",
     "subst",
     "regs_in",
+    "reg_set",
     "mems_in",
     "locals_in",
     "map_expr",
@@ -169,6 +170,36 @@ def regs_in(expr: Expr) -> Iterator[Reg]:
     for node in walk(expr):
         if isinstance(node, Reg):
             yield node
+
+
+_NO_REGS: FrozenSet["Reg"] = frozenset()
+
+
+def reg_set(expr: Expr) -> FrozenSet[Reg]:
+    """The registers occurring in ``expr``, memoized on the node.
+
+    Expressions are immutable, so the set is computed once per node and
+    stored in the instance ``__dict__`` (outside the dataclass fields, so
+    it never enters ``__eq__``, ``__hash__`` or ``repr``).  Sub-trees
+    shared between expressions and between cloned instructions share the
+    memo too.
+    """
+    try:
+        return expr.__dict__["_reg_set"]
+    except KeyError:
+        pass
+    if isinstance(expr, Reg):
+        regs: FrozenSet[Reg] = frozenset((expr,))
+    else:
+        children = expr.children()
+        if not children:
+            regs = _NO_REGS
+        elif len(children) == 1:
+            regs = reg_set(children[0])
+        else:
+            regs = reg_set(children[0]).union(*map(reg_set, children[1:]))
+    object.__setattr__(expr, "_reg_set", regs)
+    return regs
 
 
 def mems_in(expr: Expr) -> Iterator[Mem]:

@@ -23,9 +23,9 @@ Class              Meaning                        Printed form
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
-from .expr import NZ, Expr, Mem, Reg, regs_in, subst
+from .expr import NZ, Expr, Mem, Reg, reg_set, subst
 
 __all__ = [
     "Insn",
@@ -81,11 +81,16 @@ class Insn:
         """Expressions read by this instruction."""
         return ()
 
-    def used_regs(self) -> Set[Reg]:
-        used: Set[Reg] = set()
-        for expr in self.used_exprs():
-            used.update(regs_in(expr))
-        return used
+    def used_regs(self) -> FrozenSet[Reg]:
+        """Registers read by this instruction.
+
+        Built from the expressions' memoized :func:`~repro.rtl.expr.reg_set`,
+        so the (immutable) set may be shared with other instructions.
+        """
+        exprs = self.used_exprs()
+        if len(exprs) == 1:
+            return reg_set(exprs[0])
+        return frozenset().union(*map(reg_set, exprs))
 
     def stores_mem(self) -> bool:
         return False

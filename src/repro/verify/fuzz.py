@@ -272,6 +272,7 @@ def run_campaign(
         else:
             for key in (
                 "sanitize_checks",
+                "sanitize_skipped",
                 "oracle_runs",
                 "pass_invocations",
                 "valve_trips",

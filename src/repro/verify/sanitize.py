@@ -44,10 +44,12 @@ RTL:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from operator import attrgetter, is_
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..cfg.block import BasicBlock, Function, Program
 from ..cfg.traversal import reverse_postorder
+from ..ease.runtime import is_builtin
 from ..rtl.expr import BinOp, Const, Expr, Local, Mem, Reg, Sym, UnOp
 from ..rtl.insn import (
     Assign,
@@ -63,7 +65,7 @@ from ..rtl.insn import (
 )
 from .errors import SanitizeError
 
-__all__ = ["sanitize_function", "check_sanitized"]
+__all__ = ["sanitize_function", "check_sanitized", "sanitize_inputs", "same_inputs"]
 
 _KNOWN_BANKS = {"d", "a", "r", "v", "arg", "rv", "cc"}
 _KNOWN_WIDTHS = {"B", "W", "L"}
@@ -231,45 +233,80 @@ def _check_expr(
     expr: Expr,
     func: Function,
     program: Optional[Program],
-    where: str,
-    problems: List[str],
+    faults: List[str],
 ) -> None:
     stack = [expr]
     while stack:
         node = stack.pop()
         if isinstance(node, Const):
             if not isinstance(node.value, int):
-                problems.append(f"{where}: Const holds {node.value!r} (not int)")
+                faults.append(f"Const holds {node.value!r} (not int)")
         elif isinstance(node, Reg):
             if node.bank not in _KNOWN_BANKS:
-                problems.append(f"{where}: unknown register bank {node.bank!r}")
+                faults.append(f"unknown register bank {node.bank!r}")
             if not isinstance(node.index, int) or node.index < 0:
-                problems.append(f"{where}: bad register index {node.index!r}")
+                faults.append(f"bad register index {node.index!r}")
         elif isinstance(node, Sym):
             if program is not None and node.name not in program.globals:
-                problems.append(
-                    f"{where}: Sym {node.name!r} names no program global"
-                )
+                faults.append(f"Sym {node.name!r} names no program global")
         elif isinstance(node, Local):
             if node.name not in func.frame:
-                problems.append(
-                    f"{where}: Local {node.name!r} names no frame slot"
-                )
+                faults.append(f"Local {node.name!r} names no frame slot")
         elif isinstance(node, Mem):
             if node.width not in _KNOWN_WIDTHS:
-                problems.append(f"{where}: bad memory width {node.width!r}")
+                faults.append(f"bad memory width {node.width!r}")
             stack.append(node.addr)
         elif isinstance(node, BinOp):
             if node.op not in _KNOWN_BINOPS:
-                problems.append(f"{where}: unknown binary operator {node.op!r}")
+                faults.append(f"unknown binary operator {node.op!r}")
             stack.append(node.left)
             stack.append(node.right)
         elif isinstance(node, UnOp):
             if node.op not in _KNOWN_UNOPS:
-                problems.append(f"{where}: unknown unary operator {node.op!r}")
+                faults.append(f"unknown unary operator {node.op!r}")
             stack.append(node.operand)
         else:
-            problems.append(f"{where}: unknown expression node {node!r}")
+            faults.append(f"unknown expression node {node!r}")
+
+
+def _insn_faults(
+    insn: Insn,
+    func: Function,
+    program: Optional[Program],
+    post_regalloc: bool,
+) -> List[str]:
+    """The violations of one instruction, without their location."""
+    if not isinstance(insn, _KNOWN_INSNS):
+        return ["unknown instruction kind"]
+    faults: List[str] = []
+    if isinstance(insn, Assign) and not isinstance(insn.dst, (Reg, Mem)):
+        faults.append(
+            f"assignment destination {insn.dst!r} is neither Reg nor Mem"
+        )
+    if isinstance(insn, CondBranch) and insn.rel not in RELATIONS:
+        faults.append(f"bad branch relation {insn.rel!r}")
+    if isinstance(insn, Call):
+        if (
+            program is not None
+            and insn.func not in program.functions
+            and not is_builtin(insn.func)
+        ):
+            faults.append(f"call to unknown function {insn.func!r}")
+    for expr in insn.used_exprs():
+        _check_expr(expr, func, program, faults)
+    if isinstance(insn, Assign) and isinstance(insn.dst, Reg):
+        _check_expr(insn.dst, func, program, faults)
+    if post_regalloc:
+        regs = set(insn.used_regs())
+        defined = insn.defined_reg()
+        if defined is not None:
+            regs.add(defined)
+        for reg in regs:
+            if reg.bank == "v":
+                faults.append(
+                    f"virtual register {reg!r} survived register allocation"
+                )
+    return faults
 
 
 def _check_insns(
@@ -278,45 +315,13 @@ def _check_insns(
     post_regalloc: bool,
     problems: List[str],
 ) -> None:
-    from ..ease.runtime import is_builtin
-
     for block in func.blocks:
         for insn in block.insns:
-            where = f"{block.label}/{insn!r}"
-            if not isinstance(insn, _KNOWN_INSNS):
-                problems.append(f"{where}: unknown instruction kind")
-                continue
-            if isinstance(insn, Assign) and not isinstance(insn.dst, (Reg, Mem)):
-                problems.append(
-                    f"{where}: assignment destination {insn.dst!r} is "
-                    "neither Reg nor Mem"
-                )
-            if isinstance(insn, CondBranch) and insn.rel not in RELATIONS:
-                problems.append(f"{where}: bad branch relation {insn.rel!r}")
-            if isinstance(insn, Call):
-                if (
-                    program is not None
-                    and insn.func not in program.functions
-                    and not is_builtin(insn.func)
-                ):
-                    problems.append(
-                        f"{where}: call to unknown function {insn.func!r}"
-                    )
-            for expr in insn.used_exprs():
-                _check_expr(expr, func, program, where, problems)
-            if isinstance(insn, Assign) and isinstance(insn.dst, Reg):
-                _check_expr(insn.dst, func, program, where, problems)
-            if post_regalloc:
-                regs = set(insn.used_regs())
-                defined = insn.defined_reg()
-                if defined is not None:
-                    regs.add(defined)
-                for reg in regs:
-                    if reg.bank == "v":
-                        problems.append(
-                            f"{where}: virtual register {reg!r} survived "
-                            "register allocation"
-                        )
+            faults = _insn_faults(insn, func, program, post_regalloc)
+            if faults:
+                # The location costs a repr; build it only for a report.
+                where = f"{block.label}/{insn!r}"
+                problems.extend(f"{where}: {fault}" for fault in faults)
 
 
 def _check_vreg_defined_before_use(func: Function, problems: List[str]) -> None:
@@ -422,3 +427,92 @@ def check_sanitized(
     problems = sanitize_function(func, program, post_regalloc)
     if problems:
         raise SanitizeError(func.name, stage, problems)
+
+
+# --------------------------------------------------------------------------
+# What the sanitizer reads (the verifier's skip rule)
+# --------------------------------------------------------------------------
+
+#: Closes every variable-length run in a snapshot, so two different
+#: layouts can never flatten to the same sequence.
+_END = object()
+
+def _field_getter(cls: type) -> Callable[[Insn], Tuple[object, ...]]:
+    """A function returning every slot of an instruction class."""
+    names = [
+        name
+        for klass in reversed(cls.__mro__)
+        for name in klass.__dict__.get("__slots__", ())
+    ]
+    getter: Callable[[Insn], Tuple[object, ...]]
+    if not names:
+        getter = lambda insn: ()  # noqa: E731
+    elif len(names) == 1:
+        name = names[0]
+        getter = lambda insn: (getattr(insn, name),)  # noqa: E731
+    else:
+        getter = attrgetter(*names)
+    if issubclass(cls, IndirectJump):
+        # The one list-valued field: its labels count elementwise.
+        fields = getter
+        getter = lambda insn: (*fields(insn), *insn.targets, _END)  # noqa: E731
+    return getter
+
+
+_FIELD_GETTERS = {cls: _field_getter(cls) for cls in _KNOWN_INSNS}
+
+
+def sanitize_inputs(
+    func: Function,
+    program: Optional[Program] = None,
+    post_regalloc: bool = False,
+) -> List[object]:
+    """Everything :func:`sanitize_function` reads, as one flat list.
+
+    The list holds the post-regalloc flag, ``cfg_edition``, the analysis
+    manager's edition and cached reverse postorder, the frame slot names,
+    the program's global and function names, and per block the block,
+    its label, ``preds`` and ``succs``, and per instruction the object
+    and each of its fields (list fields elementwise).  Expressions are
+    immutable, so an expression object stands for its whole tree.
+
+    Two snapshots that agree element by element *by identity*
+    (:func:`same_inputs`) describe states on which the sanitizer gives the
+    same verdict.  Identity, not ``==``: frozen-dataclass equality says
+    ``Const(1.0) == Const(1)``, and the sanitizer rejects the first.
+    Holding a snapshot keeps its objects alive, so their identities
+    cannot be reused by new objects.
+    """
+    manager = getattr(func, "_analysis_manager", None)
+    flat: List[object] = [func, post_regalloc, func.cfg_edition, program, manager]
+    if manager is not None:
+        rpo = manager._cache.get("rpo")
+        flat += (manager._edition, rpo)
+        if rpo is not None:
+            flat.extend(rpo)
+            flat.append(_END)
+    flat.extend(func.frame)
+    flat.append(_END)
+    if program is not None:
+        flat.extend(program.globals)
+        flat.append(_END)
+        flat.extend(program.functions)
+        flat.append(_END)
+    getters = _FIELD_GETTERS
+    for block in func.blocks:
+        flat += (block, block.label)
+        flat.extend(block.preds)
+        flat.append(_END)
+        flat.extend(block.succs)
+        flat.append(_END)
+        for insn in block.insns:
+            cls = insn.__class__
+            flat.append(insn)
+            flat.extend((getters.get(cls) or _field_getter(cls))(insn))
+        flat.append(_END)
+    return flat
+
+
+def same_inputs(old: Sequence[object], new: Sequence[object]) -> bool:
+    """True when two :func:`sanitize_inputs` snapshots match by identity."""
+    return len(old) == len(new) and all(map(is_, old, new))

@@ -15,6 +15,16 @@ The driver consults it at four points:
   ``full`` mode: the current program is interpreted against the recorded
   inputs and compared with the pristine program's behaviour.
 
+A sanitizer check is skipped when the function is in exactly the state
+of its last clean check: after each clean check the verifier keeps
+:func:`~repro.verify.sanitize.sanitize_inputs` — a flat snapshot of
+everything the sanitizer reads — and the next check of that function
+runs only if some element of a fresh snapshot is not the *same object*
+(``is``) as before.  The rule trusts no pass's "changed" flag and needs
+no edit API.  ``sanitize_checks`` counts requested checks,
+``sanitize_skipped`` the ones skipped (metric ``verify.sanitize.skipped``);
+``verify.sanitize.pass``/``fail`` count the checks that ran.
+
 Bisection
 ---------
 
@@ -42,7 +52,7 @@ from .oracle import (
     clone_program,
     diff_behaviors,
 )
-from .sanitize import sanitize_function
+from .sanitize import same_inputs, sanitize_function, sanitize_inputs
 
 __all__ = ["Verifier", "ReplayGate", "VERIFY_MODES", "resolve_mode"]
 
@@ -115,6 +125,7 @@ class Verifier:
         self.pass_trace: List[Tuple[str, str]] = []
         self.executed = 0
         self.sanitize_checks = 0
+        self.sanitize_skipped = 0
         self.oracle_runs = 0
         self.bisect_steps = 0
         self.program: Optional[Program] = None
@@ -123,6 +134,8 @@ class Verifier:
         self.pristine: Optional[Program] = None
         self.reference = None
         self._post_regalloc: set = set()
+        #: Per function name, the sanitizer inputs of its last clean check.
+        self._clean: Dict[str, List[object]] = {}
         self._failure: Optional[Dict[str, object]] = None
 
     # ------------------------------------------------------------ lifecycle
@@ -135,6 +148,7 @@ class Verifier:
         self.pass_trace.clear()
         self.executed = 0
         self._post_regalloc.clear()
+        self._clean.clear()
         self._failure = None
         if self.mode == "full":
             self.pristine = clone_program(program)
@@ -153,6 +167,7 @@ class Verifier:
             "mode": self.mode,
             "pass_invocations": self.executed,
             "sanitize_checks": self.sanitize_checks,
+            "sanitize_skipped": self.sanitize_skipped,
             "oracle_runs": self.oracle_runs,
             "bisect_steps": self.bisect_steps,
         }
@@ -188,12 +203,18 @@ class Verifier:
 
     def _sanitize(self, func: Function, stage: str) -> None:
         self.sanitize_checks += 1
-        violations = sanitize_function(
-            func,
-            program=self.program,
-            post_regalloc=func.name in self._post_regalloc,
-        )
+        post_regalloc = func.name in self._post_regalloc
+        inputs = sanitize_inputs(func, self.program, post_regalloc)
+        last = self._clean.get(func.name)
         obs = _active_observer()
+        if last is not None and same_inputs(last, inputs):
+            self.sanitize_skipped += 1
+            if obs is not None:
+                obs.metrics.inc("verify.sanitize.skipped")
+            return
+        violations = sanitize_function(
+            func, program=self.program, post_regalloc=post_regalloc
+        )
         if obs is not None:
             obs.metrics.inc(
                 "verify.sanitize.fail" if violations else "verify.sanitize.pass"
@@ -206,6 +227,7 @@ class Verifier:
                 "violations": violations,
             }
             raise SanitizeError(func.name, stage, violations)
+        self._clean[func.name] = inputs
 
     # ------------------------------------------------------------ the oracle
 

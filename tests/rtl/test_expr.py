@@ -13,6 +13,7 @@ from repro.rtl import (
     locals_in,
     map_expr,
     mems_in,
+    reg_set,
     regs_in,
     subst,
     walk,
@@ -55,6 +56,21 @@ class TestWalk:
     def test_regs_in_finds_nested_registers(self):
         expr = Mem(BinOp("+", Reg("a", 6), BinOp("*", Reg("d", 1), Const(4))), "L")
         assert set(regs_in(expr)) == {Reg("a", 6), Reg("d", 1)}
+
+    def test_reg_set_is_memoized_frozenset(self):
+        expr = Mem(BinOp("+", Reg("a", 6), BinOp("*", Reg("d", 1), Const(4))), "L")
+        regs = reg_set(expr)
+        assert isinstance(regs, frozenset)
+        assert regs == set(regs_in(expr))
+        assert reg_set(expr) is regs
+        assert reg_set(Const(3)) == frozenset()
+
+    def test_reg_set_memo_is_invisible(self):
+        cached = BinOp("+", Reg("d", 1), Const(4))
+        fresh = BinOp("+", Reg("d", 1), Const(4))
+        reg_set(cached)
+        assert cached == fresh and hash(cached) == hash(fresh)
+        assert repr(cached) == repr(fresh)
 
     def test_mems_in_finds_nested_memory(self):
         inner = Mem(Reg("a", 0), "L")

@@ -103,6 +103,10 @@ class TestCloning:
         assert copy.target == "L2"
         assert original.uid != copy.uid
 
+    def test_clones_share_the_used_register_set(self):
+        original = Assign(Reg("d", 0), BinOp("+", Reg("d", 1), Const(1)))
+        assert original.clone().used_regs() is original.used_regs()
+
     def test_clone_does_not_copy_no_replicate_flag(self):
         jump = Jump("L1")
         jump.no_replicate = True

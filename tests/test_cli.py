@@ -51,6 +51,15 @@ class TestCommands:
         assert "dynamic instructions" in out
         assert "exit code" in out
 
+    def test_verified_lines_report_skipped_checks(self, c_file, capsys):
+        assert main(["measure", str(c_file), "--verify", "sanitize"]) == 0
+        out = capsys.readouterr().out
+        assert "verified: mode=sanitize" in out and " skipped=" in out
+        assert main(["compare", str(c_file), "--verify", "sanitize"]) == 0
+        out = capsys.readouterr().out
+        for label in ("SIMPLE", "LOOPS", "JUMPS"):
+            assert f"{label}: verified: mode=sanitize" in out
+
     def test_compare_consistent_outputs(self, c_file, capsys):
         assert main(["compare", str(c_file)]) == 0
         out = capsys.readouterr().out

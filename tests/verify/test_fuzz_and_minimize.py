@@ -42,6 +42,7 @@ class TestVerifySource:
         assert result.totals["pass_invocations"] > 0
         assert result.totals["oracle_runs"] >= 8
         assert result.totals["valve_trips"] == 0
+        assert 0 < result.totals["sanitize_skipped"] < result.totals["sanitize_checks"]
 
     def test_unbounded_campaign_covers_cascading_seed(self):
         # Seed 10 is the historical switch-into-loop cascade shape; an

@@ -139,6 +139,7 @@ class TestVerifierReportShape:
             "mode",
             "pass_invocations",
             "sanitize_checks",
+            "sanitize_skipped",
             "oracle_runs",
             "bisect_steps",
         }

@@ -8,15 +8,21 @@ the corruption, and — for behavioural mutations — (c) bisect to the
 guilty pass.  Mutations must be one-directional (never undo themselves
 on a later invocation) and actually behaviour-changing on the test
 input, otherwise the oracle is *correctly* silent.
+
+The sanitizer-skip tests hide structural damage behind a pass that
+reports "no change"; the skip must still see it.  The last class checks
+the flag itself: over the suite, no pass reports "no change" after
+changing its function.
 """
 
 import pytest
 
 import repro.opt.driver as driver
+from repro.benchsuite import PROGRAMS, program_names
 from repro.frontend import compile_c
 from repro.opt.driver import OptimizationConfig, optimize_program
 from repro.rtl.expr import Const
-from repro.rtl.insn import Assign, CondBranch
+from repro.rtl.insn import Assign, Compare, CondBranch
 from repro.targets import get_target
 from repro.verify import MiscompileError, SanitizeError, Verifier
 
@@ -167,6 +173,162 @@ class TestSanitizerCatchesStructuralDamage:
             _verify(LOOP_SUM)
         assert exc.value.stage == "local_cse"
         assert any("stale" in v for v in exc.value.violations)
+
+
+def _floaten_first_const(func) -> bool:
+    """Turn the first ``Const(n)`` operand into ``Const(float(n))``.
+
+    ``Const(5.0) == Const(5)`` and both hash alike, so only an identity
+    comparison of the sanitizer's inputs notices the swap.
+    """
+    for block in func.blocks:
+        for insn in block.insns:
+            if isinstance(insn, Assign) and isinstance(insn.src, Const):
+                insn.src = Const(float(insn.src.value))
+                return True
+            if isinstance(insn, Compare) and isinstance(insn.right, Const):
+                insn.right = Const(float(insn.right.value))
+                return True
+    return False
+
+
+class TestSanitizerSkip:
+    """The verifier skips a function unchanged since its last clean check.
+
+    The skip compares what the sanitizer reads, by identity, and never
+    trusts the pass's "changed" flag: damage done by a pass that claims
+    no change is still caught at that pass.
+    """
+
+    def test_broken_branch_target_behind_false_outcome(self, monkeypatch):
+        real = driver.fold_constants
+
+        def evil(func):
+            real(func)
+            for block in func.blocks:
+                term = block.terminator
+                if isinstance(term, CondBranch):
+                    term.target = "L_nowhere"
+                    break
+            return False
+
+        monkeypatch.setattr(driver, "fold_constants", evil)
+        with pytest.raises(SanitizeError) as exc:
+            _verify(LOOP_SUM, mode="sanitize")
+        assert exc.value.stage == "const_fold"
+        assert any("resolves to no block" in v for v in exc.value.violations)
+
+    def test_equal_but_not_identical_const_behind_false_outcome(self, monkeypatch):
+        real = driver.fold_branches
+
+        def evil(func):
+            if real(func):
+                return True
+            _floaten_first_const(func)
+            return False
+
+        monkeypatch.setattr(driver, "fold_branches", evil)
+        with pytest.raises(SanitizeError) as exc:
+            _verify(LOOP_SUM, mode="sanitize")
+        assert exc.value.stage == "fold_branches"
+        assert any("(not int)" in v for v in exc.value.violations)
+
+    def test_clean_run_skips_and_counts(self):
+        from repro.obs import Observer, deactivate, install
+
+        observer = Observer()
+        install(observer)
+        try:
+            report = _verify(LOOP_SUM, mode="sanitize").report()
+        finally:
+            deactivate()
+        counters = observer.snapshot()["metrics"]["counters"]
+        assert report["sanitize_skipped"] > 0
+        assert counters["verify.sanitize.skipped"] == report["sanitize_skipped"]
+        assert (
+            counters["verify.sanitize.pass"] + counters["verify.sanitize.skipped"]
+            == report["sanitize_checks"]
+        )
+
+
+#: The driver's pass functions, by the name its step lambdas resolve.
+DRIVER_PASSES = (
+    "branch_chaining",
+    "eliminate_dead_code",
+    "reorder_blocks",
+    "fold_constants",
+    "legalize",
+    "combine",
+    "promote_locals",
+    "local_cse",
+    "propagate_copies",
+    "eliminate_dead_variables",
+    "loop_invariant_code_motion",
+    "strength_reduce",
+    "fold_branches",
+    "color_registers",
+    "fill_delay_slots",
+)
+
+
+def _content(func):
+    """Everything a pass can change, as comparable text."""
+    return [
+        (
+            block.label,
+            [repr(insn) for insn in block.insns],
+            [succ.label for succ in block.succs],
+        )
+        for block in func.blocks
+    ]
+
+
+class TestPassOutcomesAreHonest:
+    """No pass reports "no change" after changing the function.
+
+    The driver's do-while loop trusts that flag to converge.  This is a
+    test rather than a sanitizer rule because ``Verifier.after_pass``
+    receives no outcome, and that hook signature is subclassed elsewhere.
+    """
+
+    @pytest.mark.parametrize("replication", ["none", "jumps"])
+    @pytest.mark.parametrize("target_name", ["m68020", "sparc"])
+    @pytest.mark.parametrize("name", program_names())
+    def test_suite_program(self, name, target_name, replication, monkeypatch):
+        lapses = []
+
+        def honest(pass_name, real, outcome_of=bool):
+            def wrapper(func, *args, **kwargs):
+                before = _content(func)
+                result = real(func, *args, **kwargs)
+                if not outcome_of(result) and _content(func) != before:
+                    lapses.append((func.name, pass_name))
+                return result
+
+            return wrapper
+
+        for pass_name in DRIVER_PASSES:
+            monkeypatch.setattr(
+                driver, pass_name, honest(pass_name, getattr(driver, pass_name))
+            )
+        make_replicator = driver._make_replicator
+
+        def replicator(*args, **kwargs):
+            made = make_replicator(*args, **kwargs)
+            if made is not None:
+                made.run = honest(
+                    "replication", made.run, lambda stats: stats.jumps_replaced > 0
+                )
+            return made
+
+        monkeypatch.setattr(driver, "_make_replicator", replicator)
+        program = compile_c(PROGRAMS[name].source)
+        optimize_program(
+            program,
+            get_target(target_name),
+            OptimizationConfig(replication=replication),
+        )
+        assert lapses == []
 
 
 class TestObservability:
