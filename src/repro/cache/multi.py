@@ -429,16 +429,14 @@ def simulate_multi_cache(
 
 
 def _observe(states: List[_CacheState], stats: Optional[MultiCacheStats]) -> None:
-    """Publish fast-forward coverage to the ambient observer, if any."""
+    """Publish fast-forward coverage to the ambient observer."""
     from ..obs import active as _active_observer
 
-    obs = _active_observer()
-    if obs is None:
-        return
-    obs.metrics.inc("cachesim.multi.runs")
-    obs.metrics.inc(
+    metrics = _active_observer().metrics
+    metrics.inc("cachesim.multi.runs")
+    metrics.inc(
         "cachesim.fastforward.iters", sum(state.ff_iters for state in states)
     )
-    obs.metrics.inc(
+    metrics.inc(
         "cachesim.fastforward.hits", sum(state.ff_hits for state in states)
     )

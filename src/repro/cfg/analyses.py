@@ -67,13 +67,11 @@ class AnalysisManager:
             self._edition = edition
         obs = _active_observer()
         if kind in self._cache:
-            if obs is not None:
-                obs.metrics.inc("analysis.cache.hit")
-                obs.metrics.inc(f"analysis.cache.hit.{kind}")
+            obs.metrics.inc("analysis.cache.hit")
+            obs.metrics.inc(f"analysis.cache.hit.{kind}")
             return self._cache[kind]
-        if obs is not None:
-            obs.metrics.inc("analysis.cache.miss")
-            obs.metrics.inc(f"analysis.cache.miss.{kind}")
+        obs.metrics.inc("analysis.cache.miss")
+        obs.metrics.inc(f"analysis.cache.miss.{kind}")
         result = compute()
         self._cache[kind] = result
         return result

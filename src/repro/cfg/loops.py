@@ -59,9 +59,6 @@ class LoopInfo:
     def loop_with_header(self, block: BasicBlock) -> Optional[Loop]:
         return self._header_map.get(block)
 
-    def is_header(self, block: BasicBlock) -> bool:
-        return block in self._header_map
-
     def innermost_loop_of(self, block: BasicBlock) -> Optional[Loop]:
         """The smallest loop containing ``block`` (``None`` if not in a loop)."""
         best: Optional[Loop] = None

@@ -70,6 +70,28 @@ def _non_negative(text: str) -> int:
     return value
 
 
+def _input_bytes(text: str) -> bytes:
+    """The contents of a readable file (``--stdin``)."""
+    try:
+        return Path(text).read_bytes()
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(
+            f"cannot read {text!r}: {exc.strerror}"
+        ) from None
+
+
+def _trace_file(text: str) -> Path:
+    """A path a trace can be written to (``--trace``), checked up front."""
+    path = Path(text)
+    if path.is_dir():
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    if not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(
+            f"no such directory: {str(path.parent)!r}"
+        )
+    return path
+
+
 def _max_rtls_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-rtls",
@@ -111,13 +133,13 @@ def _config_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--stdin",
-        type=Path,
+        type=_input_bytes,
         default=None,
         help="file supplying the program's standard input",
     )
     parser.add_argument(
         "--trace",
-        type=Path,
+        type=_trace_file,
         default=None,
         metavar="FILE",
         help="record spans, metrics and the replication decision log "
@@ -128,17 +150,14 @@ def _config_arguments(parser: argparse.ArgumentParser) -> None:
 def _resolve(args) -> tuple:
     """(source-or-name, stdin bytes or None)."""
     name = args.program
-    stdin: Optional[bytes] = None
-    if args.stdin is not None:
-        stdin = args.stdin.read_bytes()
     if name in PROGRAMS:
-        return name, stdin
+        return name, args.stdin
     path = Path(name)
     if not path.exists():
         raise SystemExit(
             f"error: {name!r} is neither a benchmark name nor an existing file"
         )
-    return path.read_text(), stdin
+    return path.read_text(), args.stdin
 
 
 def _measure(args, replication: Optional[str] = None, trace: bool = False):
@@ -458,7 +477,7 @@ def cmd_dot(args) -> int:
     for func in funcs:
         replicated = (
             observer.decisions.replicated_labels(func.name)
-            if observer is not None
+            if observer.decisions.enabled
             else None
         )
         print(to_dot(func, replicated=replicated))
@@ -668,7 +687,7 @@ def cmd_trace(args) -> int:
     from .obs.sink import read_events
     from .report import format_trace_digest
 
-    if not args.file.exists():
+    if not args.file.is_file():
         print(f"error: no such trace file: {args.file}", file=sys.stderr)
         return 1
     events, problems = read_events(args.file)
@@ -944,6 +963,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "verify", "") is None:
+        # No --verify given: REPRO_VERIFY decides, so check it now, not
+        # after compiling.
+        from .verify.verifier import resolve_mode
+
+        try:
+            resolve_mode(None)
+        except ValueError as exc:
+            parser.error(f"REPRO_VERIFY: {exc}")
     try:
         destination = _trace_destination(args)
         if destination is not None:

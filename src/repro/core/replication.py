@@ -38,7 +38,6 @@ from ..cfg.graph import compute_flow
 from ..cfg.loops import Loop, LoopInfo
 from ..obs import active as _active_observer
 from ..obs.decisions import ReplicationDecision
-from ..obs.tracer import NULL_SPAN
 from ..rtl.insn import CondBranch, IndirectJump, Jump, Return
 from .shortest_path import ShortestPaths
 
@@ -194,7 +193,6 @@ class CodeReplicator:
         """Replace unconditional jumps in ``func``; return statistics."""
         stats = ReplicationStats()
         obs = _active_observer()
-        tracer = obs.tracer if obs is not None and obs.tracer.enabled else None
         budget = self.max_replications
         progress = True
         sweep = 0
@@ -205,17 +203,9 @@ class CodeReplicator:
                 break
             progress = False
             sweep += 1
-            with (
-                tracer.span("jumps.sweep", function=func.name, sweep=sweep)
-                if tracer is not None
-                else NULL_SPAN
-            ):
+            with obs.span("jumps.sweep", function=func.name, sweep=sweep):
                 compute_flow(func)
-                with (
-                    tracer.span("jumps.step1.shortest_paths")
-                    if tracer is not None
-                    else NULL_SPAN
-                ):
+                with obs.span("jumps.step1.shortest_paths"):
                     paths = ShortestPaths(func)  # step 1
                 # Step 2: traverse the blocks sequentially.  The snapshot stays
                 # valid across replacements within one sweep: replication only
@@ -230,7 +220,7 @@ class CodeReplicator:
                         self.allow_irreducible or not term.no_replicate
                     ):
                         if self._replace_jump(
-                            func, block, term, paths, stats, obs, tracer
+                            func, block, term, paths, stats, obs
                         ):
                             progress = True
                             budget -= 1
@@ -249,8 +239,6 @@ class CodeReplicator:
         """Count a valve trip, labelled by cause (the two are distinct:
         ``max_function_blocks`` means the function exploded,
         ``budget_exhausted`` means the run was cut short mid-progress)."""
-        if obs is None:
-            return
         obs.metrics.inc("replication.valve_trips")
         obs.metrics.inc(f"replication.valve_trips.{reason}")
         if obs.decisions.enabled:
@@ -275,13 +263,10 @@ class CodeReplicator:
         jump: Jump,
         paths: ShortestPaths,
         stats: ReplicationStats,
-        obs=None,
-        tracer=None,
+        obs,
     ) -> bool:
         def decide(outcome: str, reason: str = "", **extra) -> None:
             """Emit one decision-log event + outcome counters."""
-            if obs is None:
-                return
             obs.metrics.inc(f"replication.{outcome}")
             if reason:
                 obs.metrics.inc(f"replication.reason.{reason}")
@@ -343,17 +328,12 @@ class CodeReplicator:
             jump.no_replicate = True
             stats.jumps_kept += 1
             stats.guard_stops += 1
-            if obs is not None:
-                obs.metrics.inc("replication.convergence_guard")
+            obs.metrics.inc("replication.convergence_guard")
             decide("kept", "convergence_guard")
             return False
 
         loops = get_analyses(func).loops()
-        with (
-            tracer.span("jumps.step2.select", block=block.label)
-            if tracer is not None
-            else NULL_SPAN
-        ) as select_span:
+        with obs.span("jumps.step2.select", block=block.label) as select_span:
             options = self._candidate_sequences(target, follow, paths)
         select_span.set(options=len(options))
         attempts = 0
@@ -365,11 +345,7 @@ class CodeReplicator:
         for sequence, ends_by_fallthrough in options:
             attempts += 1
             last_kind = "fallthrough" if ends_by_fallthrough else "returns"
-            with (
-                tracer.span("jumps.step3.complete_loops")
-                if tracer is not None
-                else NULL_SPAN
-            ):
+            with obs.span("jumps.step3.complete_loops"):
                 completed = self._complete_loops(func, block, sequence, loops)
             if completed is None:
                 last_reason = "loop_completion"
@@ -384,11 +360,7 @@ class CodeReplicator:
             if not self._admissible(block, completed, follow, loops, ends_by_fallthrough):
                 last_reason = "inadmissible"
                 continue
-            with (
-                tracer.span("jumps.step4_5.apply", blocks=last_blocks)
-                if tracer is not None
-                else NULL_SPAN
-            ):
+            with obs.span("jumps.step4_5.apply", blocks=last_blocks):
                 undo, copies = self._apply(
                     func,
                     block,
@@ -398,11 +370,7 @@ class CodeReplicator:
                     loops,
                     identity,
                 )
-            with (
-                tracer.span("jumps.step6.reducibility")
-                if tracer is not None
-                else NULL_SPAN
-            ):
+            with obs.span("jumps.step6.reducibility"):
                 reducible = self.allow_irreducible or get_analyses(func).reducible()
             if reducible:
                 stats.jumps_replaced += 1
@@ -416,18 +384,14 @@ class CodeReplicator:
                     rollbacks=rollbacks,
                     copies=copies,
                 )
-                if obs is not None:
-                    obs.metrics.inc("replication.rtls_replicated", last_rtls)
-                    obs.metrics.observe("replication.sequence_rtls", last_rtls)
-                    obs.metrics.observe(
-                        "replication.sequence_blocks", last_blocks
-                    )
+                obs.metrics.inc("replication.rtls_replicated", last_rtls)
+                obs.metrics.observe("replication.sequence_rtls", last_rtls)
+                obs.metrics.observe("replication.sequence_blocks", last_blocks)
                 return True
             undo()  # step 6: roll back and try the alternative sequence
             stats.rollbacks += 1
             rollbacks += 1
-            if obs is not None:
-                obs.metrics.inc("replication.rollback")
+            obs.metrics.inc("replication.rollback")
             last_reason = "irreducible"
         jump.no_replicate = True
         stats.jumps_kept += 1

@@ -43,7 +43,7 @@ shows exactly how much of the all-pairs work the sweep avoided.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..cfg.block import BasicBlock, Function
 from ..obs import active as _active_observer
@@ -152,10 +152,9 @@ class ShortestPaths:
                 if nd < d[v]:
                     d[v] = nd
                     heappush(heap, (nd, v))
-        obs = _active_observer()
-        if obs is not None:
-            obs.metrics.inc("sssp.dijkstra_runs")
-            obs.metrics.inc("sssp.relaxations", relaxations)
+        metrics = _active_observer().metrics
+        metrics.inc("sssp.dijkstra_runs")
+        metrics.inc("sssp.relaxations", relaxations)
         return d
 
     # --- canonical path reconstruction ----------------------------------------
@@ -265,7 +264,3 @@ class ShortestPaths:
         if not candidates:
             return None
         return min(candidates, key=lambda seq: sum(b.size() for b in seq))
-
-    @staticmethod
-    def sequence_cost(sequence: Sequence[BasicBlock]) -> int:
-        return sum(block.size() for block in sequence)

@@ -921,25 +921,22 @@ class CompiledInterpreter(Interpreter):
             if name in callees:
                 namespace[key] = None
         obs = _active_observer()
-        if obs is not None:
-            obs.metrics.inc("ease.compile.fallbacks")
-            if obs.decisions.enabled:
-                obs.decisions.record(
-                    ReplicationDecision(
-                        function=name,
-                        block="",
-                        target="",
-                        mode="ease",
-                        policy="compile",
-                        outcome="ease_fallback",
-                        reason=reason,
-                    )
+        obs.metrics.inc("ease.compile.fallbacks")
+        if obs.decisions.enabled:
+            obs.decisions.record(
+                ReplicationDecision(
+                    function=name,
+                    block="",
+                    target="",
+                    mode="ease",
+                    policy="compile",
+                    outcome="ease_fallback",
+                    reason=reason,
                 )
+            )
 
     def _report_compile_metrics(self) -> None:
         obs = _active_observer()
-        if obs is None:
-            return
         obs.metrics.inc("ease.compile.functions", len(self._plain))
         obs.metrics.inc("ease.compiled.blocks_fused", self.blocks_fused)
         obs.metrics.inc(

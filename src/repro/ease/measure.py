@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..cfg.block import Program
 from ..obs import active as _active_observer
-from ..obs.tracer import NULL_SPAN
 from ..rtl.insn import Call, CondBranch, IndirectJump, Insn, Jump, Nop, Return
 from ..targets.machine import Machine
 from .compile import make_interpreter
@@ -91,12 +90,9 @@ def measure_program(
     measurement = Measurement()
     interp = interpreter or make_interpreter(program, max_steps=max_steps)
     obs = _active_observer()
-    tracer = obs.tracer if obs is not None and obs.tracer.enabled else None
 
     # --- static layout ---------------------------------------------------------
-    with (
-        tracer.span("ease.layout") if tracer is not None else NULL_SPAN
-    ) as layout_span:
+    with obs.span("ease.layout") as layout_span:
         address = 0x1000
         block_weights: Dict[int, Tuple[int, int, int, int]] = {}
         for func in program.functions.values():
@@ -139,24 +135,20 @@ def measure_program(
         )
 
     # --- dynamic run --------------------------------------------------------------
-    with (
-        tracer.span("ease.interp", trace=trace) if tracer is not None else NULL_SPAN
-    ) as interp_span:
+    with obs.span("ease.interp", trace=trace) as interp_span:
         result = interp.run(stdin=stdin, trace=trace)
     measurement.output = result.output
     measurement.exit_code = result.exit_code
     if trace:
         measurement.trace = result.trace
-        if obs is not None and isinstance(result.trace, CompressedTrace):
+        if isinstance(result.trace, CompressedTrace):
             obs.metrics.inc("trace.rle.records", result.trace.record_count)
             obs.metrics.set_gauge(
                 "trace.compression_ratio",
                 round(result.trace.compression_ratio, 2),
             )
 
-    with (
-        tracer.span("ease.account") if tracer is not None else NULL_SPAN
-    ):
+    with obs.span("ease.account"):
         for (func_name, block_index), count in result.block_counts.items():
             global_id = interp.global_block_id(func_name, block_index)
             weight, jumps, nops, branches = block_weights[global_id]
@@ -169,8 +161,7 @@ def measure_program(
         dynamic_jumps=measurement.dynamic_jumps,
         exit_code=measurement.exit_code,
     )
-    if obs is not None:
-        obs.metrics.inc("ease.runs")
-        obs.metrics.inc("ease.dynamic_insns", measurement.dynamic_insns)
-        obs.metrics.inc("ease.dynamic_jumps", measurement.dynamic_jumps)
+    obs.metrics.inc("ease.runs")
+    obs.metrics.inc("ease.dynamic_insns", measurement.dynamic_insns)
+    obs.metrics.inc("ease.dynamic_jumps", measurement.dynamic_jumps)
     return measurement

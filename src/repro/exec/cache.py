@@ -100,9 +100,7 @@ class ResultCache:
         setattr(self, counter, getattr(self, counter) + 1)
         from ..obs import active as _active_observer
 
-        obs = _active_observer()
-        if obs is not None:
-            obs.metrics.inc(f"exec.cache.{counter}")
+        _active_observer().metrics.inc(f"exec.cache.{counter}")
 
     def get(self, key: str) -> Optional[CellResult]:
         """The cached envelope for ``key``, or ``None`` (counted as a miss).

@@ -148,14 +148,11 @@ def execute_cell(spec: CellSpec) -> CellResult:
     always).  The snapshot ships back in ``result.obs`` so the parent
     process can fold worker observations into its ambient observer.
     """
-    from ..obs import Observer, active, deactivate, install
+    from ..obs import Observer, active, install
 
     result = CellResult(spec=spec)
     previous = active()
-    observer = Observer(
-        spans=spec.observe or (previous is not None and previous.tracer.enabled)
-    )
-    install(observer)
+    observer = install(Observer(spans=spec.observe or previous.tracer.enabled))
     try:
         with observer.span("exec.cell", label=spec.label):
             run_pipeline(spec, result)
@@ -163,10 +160,7 @@ def execute_cell(spec: CellSpec) -> CellResult:
         result.error = traceback.format_exc()
         result.measurement = None
     finally:
-        if previous is not None:
-            install(previous)
-        else:
-            deactivate()
+        install(previous)
         result.obs = observer.snapshot()
     return result
 
@@ -197,10 +191,10 @@ class ParallelRunner:
         from ..obs import active as _active_observer
 
         # When this process is tracing, ask the cells for spans too —
-        # worker processes have no ambient observer, so the intent must
-        # travel inside the spec (it is excluded from the cache key).
-        ambient = _active_observer()
-        if ambient is not None and ambient.tracer.enabled:
+        # worker processes start with the quiet default observer, so the
+        # intent must travel inside the spec (it is excluded from the
+        # cache key).
+        if _active_observer().tracer.enabled:
             specs = [
                 spec if spec.observe else replace(spec, observe=True)
                 for spec in specs
@@ -240,9 +234,7 @@ class ParallelRunner:
             # point for both pool and inline execution.  Only fresh
             # results: a cache hit's snapshot describes work an *earlier*
             # run performed.
-            observer = _active_observer()
-            if observer is not None and result.obs is not None:
-                observer.merge_snapshot(result.obs)
+            _active_observer().merge_snapshot(result.obs)
             if on_result is not None:
                 on_result(result)
 

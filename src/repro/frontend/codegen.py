@@ -714,20 +714,11 @@ def _encode_global(decl: ast.GlobalDecl, env: _UnitEnv) -> GlobalData:
 def compile_c(source: str) -> Program:
     """Compile mini-C source text into an (unoptimized) RTL program."""
     from ..obs import active as _active_observer
-    from ..obs.tracer import NULL_SPAN
 
     obs = _active_observer()
-    tracer = obs.tracer if obs is not None and obs.tracer.enabled else None
-
-    with (
-        tracer.span("frontend.parse", bytes=len(source))
-        if tracer is not None
-        else NULL_SPAN
-    ):
+    with obs.span("frontend.parse", bytes=len(source)):
         unit = parse(source)
-    with (
-        tracer.span("frontend.codegen") if tracer is not None else NULL_SPAN
-    ) as codegen_span:
+    with obs.span("frontend.codegen") as codegen_span:
         program = Program()
         env = _UnitEnv(program)
 

@@ -8,7 +8,9 @@ The unified observability subsystem (zero external dependencies):
 * :mod:`repro.obs.decisions` — one structured event per candidate jump
   the replication engine examined (accept / reject / rollback + reason);
 * :mod:`repro.obs.observer` — the ambient bundle instrumented code
-  talks to (``active()`` is the single hot-path check);
+  talks to; ``active()`` always returns one (a quiet default with spans
+  and decisions off when nothing is installed), so no caller asks
+  whether an observer exists;
 * :mod:`repro.obs.sink` — the JSONL trace writer/reader behind
   ``REPRO_TRACE=path`` and the ``--trace`` CLI flag;
 * :mod:`repro.obs.digest` — aggregation for ``repro trace``, the

@@ -90,6 +90,8 @@ class DecisionLog:
         return [d.as_dict() for d in self.decisions]
 
     def merge_dicts(self, rows: Optional[List[dict]]) -> None:
+        if not self.enabled:
+            return
         for row in rows or []:
             self.decisions.append(ReplicationDecision(**row))
 

@@ -2,9 +2,13 @@
 
 An :class:`Observer` is what the rest of the code base talks to.  It is
 installed *ambiently* — :func:`install` makes it the process-wide active
-observer, :func:`active` retrieves it (or ``None``), and instrumented
-code guards every touch with that single ``None`` check, so the
-un-observed hot path costs one global read.
+observer and :func:`active` retrieves it.  An observer is never absent:
+with nothing installed, :func:`active` returns one quiet default
+(``Observer(spans=False, decisions=False)``) whose tracer hands out the
+shared no-op span and whose counters are live but unread.  Instrumented
+code therefore calls ``obs.span(...)`` and ``obs.metrics.inc(...)``
+unconditionally; only building a decision event is guarded, by
+``obs.decisions.enabled``.
 
 :func:`observing` is the ergonomic front door::
 
@@ -37,9 +41,6 @@ __all__ = [
     "observing",
 ]
 
-_ACTIVE: Optional[Observer] = None
-
-
 class Observer:
     """Tracer + metrics + replication decision log, as one unit."""
 
@@ -52,12 +53,6 @@ class Observer:
 
     def span(self, name: str, **attrs):
         return self.tracer.span(name, **attrs)
-
-    def inc(self, name: str, amount: float = 1) -> None:
-        self.metrics.inc(name, amount)
-
-    def observe_value(self, name: str, value: float, **kwargs) -> None:
-        self.metrics.observe(name, value, **kwargs)
 
     # --- export / merge -------------------------------------------------------
 
@@ -99,6 +94,11 @@ class Observer:
 
 # --- ambient installation ------------------------------------------------------
 
+#: What :func:`active` returns with nothing installed: no spans, no
+#: decisions, counters nobody reads.
+_DEFAULT = Observer(spans=False, decisions=False)
+_ACTIVE: Observer = _DEFAULT
+
 
 def install(observer: Observer) -> Observer:
     """Make ``observer`` the process-wide active observer."""
@@ -107,15 +107,15 @@ def install(observer: Observer) -> Observer:
     return observer
 
 
-def deactivate() -> Optional[Observer]:
-    """Clear the active observer; returns what was installed."""
+def deactivate() -> Observer:
+    """Restore the quiet default; returns what was installed."""
     global _ACTIVE
-    previous, _ACTIVE = _ACTIVE, None
+    previous, _ACTIVE = _ACTIVE, _DEFAULT
     return previous
 
 
-def active() -> Optional[Observer]:
-    """The installed observer, or ``None`` — the one hot-path check."""
+def active() -> Observer:
+    """The installed observer, or the quiet default — never ``None``."""
     return _ACTIVE
 
 
@@ -128,7 +128,7 @@ def observing(
 ) -> Iterator[Observer]:
     """Install a fresh observer for the duration of the block.
 
-    The previously active observer (if any) is restored on exit, and the
+    The previously active observer is restored on exit, and the
     trace is written to ``jsonl_path`` when given — also on exceptions,
     so a crashed run still leaves its trace behind.
     """

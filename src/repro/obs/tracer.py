@@ -17,8 +17,10 @@ layer ships worker traces back inside result envelopes) and serializes
 to JSON without custom encoders.
 
 A disabled tracer (``Tracer(enabled=False)``) hands out a shared no-op
-span and records nothing; the hot paths in the replication engine rely
-on this costing nearly nothing.
+span, records nothing and drops merged worker spans.  The quiet default
+observer (:func:`repro.obs.active` with nothing installed) carries one,
+so every instrumented region opens ``obs.span(...)`` unconditionally and
+pays only for that no-op enter and exit when spans are off.
 """
 
 from __future__ import annotations
@@ -119,38 +121,6 @@ class Tracer:
         self._stack.append(span.span_id)
         return _ActiveSpan(self, span)
 
-    def record(
-        self,
-        name: str,
-        duration: float,
-        start: Optional[float] = None,
-        **attrs: Any,
-    ) -> Optional[Span]:
-        """Append an already-completed span.
-
-        For regions timed outside the context-manager stack — e.g. an
-        async job whose lifetime spans many event-loop turns, where
-        ``with tracer.span(...)`` would interleave wrongly with other
-        concurrent jobs.  ``start`` is seconds since the tracer's epoch;
-        when omitted the span is back-dated so it *ends* now.  The span
-        becomes a child of the currently open span, if any.
-        """
-        if not self.enabled:
-            return None
-        if start is None:
-            start = (perf_counter() - self.epoch) - duration
-        span = Span(
-            name=name,
-            span_id=self._next_id,
-            parent_id=self._stack[-1] if self._stack else None,
-            start=start,
-            duration=duration,
-            attrs=dict(attrs),
-        )
-        self._next_id += 1
-        self.spans.append(span)
-        return span
-
     def _close(self, span: Span) -> None:
         span.duration = (perf_counter() - self.epoch) - span.start
         # Close any spans left open below this one (defensive: an
@@ -171,10 +141,10 @@ class Tracer:
 
         Ids are re-based so they cannot collide with local spans; the
         merged spans keep their relative tree structure and become roots
-        under the currently open span, if any.
+        under the currently open span, if any.  A disabled tracer drops
+        them, as it drops its own spans.
         """
-        rows = rows or []
-        if not rows:
+        if not self.enabled or not rows:
             return
         base = self._next_id
         attach_to = self._stack[-1] if self._stack else None

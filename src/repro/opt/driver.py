@@ -44,7 +44,6 @@ from ..cfg.block import Function, Program
 from ..cfg.graph import compute_flow
 from ..core.replication import CodeReplicator, Policy, ReplicationMode, ReplicationStats
 from ..obs import active as _active_observer
-from ..obs.tracer import NULL_SPAN
 from ..targets.delay_slots import fill_delay_slots
 from ..targets.machine import Machine, get_target
 from .branch_chaining import branch_chaining
@@ -125,12 +124,14 @@ def optimize_function(
 ) -> ReplicationStats:
     """Run the Figure-3 pipeline over ``func`` in place.
 
-    With an ambient observer installed (:func:`repro.obs.active`), every
-    pass invocation is bracketed by an RTL / jump census and becomes an
-    ``opt.<pass>`` tracer span nested under an ``opt.function`` root,
-    carrying ``rtl_delta``, ``jumps_removed`` and ``changed`` (the one
-    per-pass record; :func:`repro.obs.digest.pass_table` folds them), and
-    pass/change counters land in the metrics registry.
+    Every pass invocation counts ``opt.pass_invocations`` (and
+    ``opt.pass_changes``) on the active observer (:func:`repro.obs.active`).
+    When that observer records spans, each invocation also becomes an
+    ``opt.<pass>`` span nested under an ``opt.function`` root, carrying
+    ``rtl_delta``, ``jumps_removed`` and ``changed`` from an RTL / jump
+    census around the pass (the one per-pass record;
+    :func:`repro.obs.digest.pass_table` folds them).  The census feeds
+    only those attributes, so it runs only under spans.
 
     ``verifier`` is a translation-validation hook object (see
     :mod:`repro.verify.verifier`): ``allow_pass`` gates every pass
@@ -140,33 +141,28 @@ def optimize_function(
     """
     stats = ReplicationStats()
     obs = _active_observer()
-    tracer = obs.tracer if obs is not None and obs.tracer.enabled else None
+    census = obs.tracer.enabled
 
     def step(name: str, pass_fn: Callable[[], object]) -> bool:
         if verifier is not None and not verifier.allow_pass(func, name):
             return False
-        if obs is None:
+        if census:
+            rtls_before = func.insn_count()
+            jumps_before = func.jump_count()
+        with obs.span(f"opt.{name}") as span:
             outcome = bool(pass_fn())
-            if verifier is not None:
-                verifier.after_pass(func, name)
-            return outcome
-        rtls_before = func.insn_count()
-        jumps_before = func.jump_count()
-        with (
-            tracer.span(f"opt.{name}") if tracer is not None else NULL_SPAN
-        ) as span:
-            outcome = pass_fn()
-        span.set(
-            rtl_delta=func.insn_count() - rtls_before,
-            jumps_removed=jumps_before - func.jump_count(),
-            changed=bool(outcome),
-        )
+        if census:
+            span.set(
+                rtl_delta=func.insn_count() - rtls_before,
+                jumps_removed=jumps_before - func.jump_count(),
+                changed=outcome,
+            )
         obs.metrics.inc("opt.pass_invocations")
         if outcome:
             obs.metrics.inc("opt.pass_changes")
         if verifier is not None:
             verifier.after_pass(func, name)
-        return bool(outcome)
+        return outcome
 
     def replicate(allow_irreducible: bool = False) -> bool:
         after_sweep = verifier.after_sweep if verifier is not None else None
@@ -177,12 +173,8 @@ def optimize_function(
         stats.merge(run_stats)
         return run_stats.jumps_replaced > 0
 
-    with (
-        tracer.span(
-            "opt.function", function=func.name, replication=config.replication
-        )
-        if tracer is not None
-        else NULL_SPAN
+    with obs.span(
+        "opt.function", function=func.name, replication=config.replication
     ) as function_span:
         # --- prologue --------------------------------------------------------
         step("branch_chaining", lambda: branch_chaining(func))
@@ -239,8 +231,7 @@ def optimize_function(
             jumps_replaced=stats.jumps_replaced,
             rtls_replicated=stats.rtls_replicated,
         )
-    if obs is not None:
-        obs.metrics.observe("opt.loop_iterations", iterations)
+    obs.metrics.observe("opt.loop_iterations", iterations)
     return stats
 
 

@@ -24,7 +24,7 @@ left untouched).  With an observer active, every build counts toward
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, Set, Tuple
 
 from ..cfg.block import BasicBlock, Function
 from ..obs import active as _active_observer
@@ -42,9 +42,7 @@ class Liveness:
         self.live_in: Dict[int, Set[Reg]] = {}
         self.live_out: Dict[int, Set[Reg]] = {}
         self._compute()
-        obs = _active_observer()
-        if obs is not None:
-            obs.metrics.inc("opt.liveness.builds")
+        _active_observer().metrics.inc("opt.liveness.builds")
 
     def _compute(self) -> None:
         use: Dict[int, Set[Reg]] = {}
@@ -102,9 +100,3 @@ class Liveness:
             if defined is not None:
                 live.discard(defined)
             live.update(insn.used_regs())
-
-    def live_after_each(self, block: BasicBlock) -> List[Set[Reg]]:
-        """Live-after set per instruction, in forward order (copied sets)."""
-        result = [set(live) for _, live in self.walk_backward(block)]
-        result.reverse()
-        return result

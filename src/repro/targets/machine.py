@@ -148,8 +148,7 @@ def get_target(name: str) -> Machine:
     key = name.lower()
     machine = _INSTANCES.get(key)
     if machine is not None:
-        if obs is not None:
-            obs.metrics.inc("targets.machine.reused")
+        obs.metrics.inc("targets.machine.reused")
         return machine
 
     from .m68020 import M68020
@@ -167,6 +166,5 @@ def get_target(name: str) -> Machine:
             f"unknown target {name!r}; expected one of {sorted(table)}"
         ) from None
     _INSTANCES[key] = machine
-    if obs is not None:
-        obs.metrics.inc("targets.machine.constructed")
+    obs.metrics.inc("targets.machine.constructed")
     return machine

@@ -209,16 +209,14 @@ class Verifier:
         obs = _active_observer()
         if last is not None and same_inputs(last, inputs):
             self.sanitize_skipped += 1
-            if obs is not None:
-                obs.metrics.inc("verify.sanitize.skipped")
+            obs.metrics.inc("verify.sanitize.skipped")
             return
         violations = sanitize_function(
             func, program=self.program, post_regalloc=post_regalloc
         )
-        if obs is not None:
-            obs.metrics.inc(
-                "verify.sanitize.fail" if violations else "verify.sanitize.pass"
-            )
+        obs.metrics.inc(
+            "verify.sanitize.fail" if violations else "verify.sanitize.pass"
+        )
         if violations:
             self._failure = {
                 "kind": "sanitize",
@@ -233,9 +231,7 @@ class Verifier:
 
     def _capture(self, program: Program) -> List:
         self.oracle_runs += 1
-        obs = _active_observer()
-        if obs is not None:
-            obs.metrics.inc("verify.oracle.runs")
+        _active_observer().metrics.inc("verify.oracle.runs")
         return capture_behavior(program, self.inputs, self.max_steps)
 
     def _oracle_checkpoint(self, checkpoint: str) -> None:
@@ -253,20 +249,19 @@ class Verifier:
         self._failure = failure
         guilty = (failure.get("bisection") or {}).get("guilty_pass")
         obs = _active_observer()
-        if obs is not None:
-            obs.metrics.inc("verify.miscompiles")
-            if obs.decisions.enabled:
-                obs.decisions.record(
-                    ReplicationDecision(
-                        function=checkpoint,
-                        block="",
-                        target="",
-                        mode="verify",
-                        policy="oracle",
-                        outcome="verify_miscompile",
-                        reason=str(guilty or divergence["diff"]),
-                    )
+        obs.metrics.inc("verify.miscompiles")
+        if obs.decisions.enabled:
+            obs.decisions.record(
+                ReplicationDecision(
+                    function=checkpoint,
+                    block="",
+                    target="",
+                    mode="verify",
+                    policy="oracle",
+                    outcome="verify_miscompile",
+                    reason=str(guilty or divergence["diff"]),
                 )
+            )
         message = (
             f"miscompile detected at checkpoint {checkpoint!r} "
             f"(input #{divergence['input_index']}): {divergence['diff']}"
@@ -294,8 +289,7 @@ class Verifier:
 
         def probe(k: int) -> Tuple[bool, ReplayGate]:
             self.bisect_steps += 1
-            if obs is not None:
-                obs.metrics.inc("verify.bisect.steps")
+            obs.metrics.inc("verify.bisect.steps")
             return self._replay(k)
 
         hi = self.executed

@@ -38,7 +38,7 @@ class TestExecuteCell:
             # is restored untouched (merging is the runner's job).
             assert active() is obs
             assert len(obs.tracer.spans) == before
-        assert active() is None
+        assert not active().tracer.enabled
 
     def test_failed_cell_still_ships_snapshot(self):
         result = execute_cell(CellSpec(program="int main( {"))
@@ -73,9 +73,19 @@ class TestRunnerMerging:
         assert obs.metrics.counters["ease.runs"] == 2
 
     def test_no_ambient_observer_is_fine(self):
-        assert active() is None
+        default = active()
+        assert not default.tracer.enabled and not default.decisions.enabled
         results = ParallelRunner(workers=1).run(self._specs())
         assert all(r.ok for r in results)
+
+    def test_disabled_streams_drop_worker_spans_and_decisions(self):
+        spec = CellSpec(program="wc", replication="jumps", observe=True)
+        with observing(spans=False, decisions=False) as obs:
+            (result,) = ParallelRunner(workers=1).run([spec])
+        assert result.obs["spans"] and result.obs["decisions"]
+        assert obs.tracer.spans == []
+        assert len(obs.decisions) == 0
+        assert obs.metrics.counters["ease.runs"] == 1
 
     def test_cache_hits_not_double_counted(self, tmp_path):
         cache = ResultCache(tmp_path)

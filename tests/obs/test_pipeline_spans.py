@@ -72,9 +72,12 @@ class TestSpanCoverage:
         assert "opt.loop_iterations" in hist
 
     def test_no_observer_records_nothing(self):
-        assert active() is None
+        default = active()
+        assert not default.tracer.enabled and not default.decisions.enabled
         result = compile_and_measure("wc", replication="jumps")
         assert result.replication_stats.jumps_replaced >= 1
+        assert default.tracer.spans == []
+        assert len(default.decisions) == 0
 
     def test_spans_disabled_still_collects_metrics_and_decisions(self):
         with observing(spans=False) as obs:

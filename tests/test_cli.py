@@ -219,6 +219,45 @@ class TestCommands:
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, verify_env, code, message",
+        [
+            (["trace", "{tmp}"], None, 1, "error: no such trace file"),
+            (
+                ["run", "wc", "--stdin", "{tmp}/missing.txt"],
+                None,
+                2,
+                "error: argument --stdin",
+            ),
+            (
+                ["measure", "wc", "--trace", "{tmp}/no/such/dir/x.jsonl"],
+                None,
+                2,
+                "error: argument --trace",
+            ),
+            (["measure", "wc"], "bogus", 2, "error: REPRO_VERIFY"),
+        ],
+        ids=["trace-directory", "stdin-missing", "trace-dir-missing", "verify-env"],
+    )
+    def test_bad_outside_input_is_an_error_line(
+        self, argv, verify_env, code, message, tmp_path, capsys, monkeypatch
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("compiled before validating the input")
+
+        monkeypatch.setattr("repro.cli._measure", no_work)
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        if verify_env is None:
+            monkeypatch.delenv("REPRO_VERIFY", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_VERIFY", verify_env)
+        try:
+            result = main([arg.format(tmp=tmp_path) for arg in argv])
+        except SystemExit as exc:
+            result = exc.code
+        assert result == code
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("store", ["memory", "disk"])
     def test_bench_repeated_names_are_one_cell(self, tmp_path, capsys, store):
         import json
