@@ -5,9 +5,9 @@ A spec builder over :mod:`repro.exec`: :func:`run_benchmark` and
 :class:`~repro.exec.CellSpec` s and run them through one
 :class:`~repro.exec.ParallelRunner`.  Without an explicit ``cache`` they
 share one process-wide :class:`~repro.exec.ResultCache`: in memory, or
-on disk under ``REPRO_CACHE_DIR`` when that is set.  So the Tables 4, 5
-and 6 harnesses reuse each other's runs; verified runs bypass it, as
-:class:`~repro.exec.ParallelRunner` does for every cache.
+on disk under ``REPRO_CACHE_DIR`` when that is set.  So the tables of
+:func:`repro.report.collect` reuse each other's runs; verified runs
+bypass it, as :class:`~repro.exec.ParallelRunner` does for every cache.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def run_matrix(
     Fans out over ``workers`` processes (``None`` = one per core,
     ``0``/``1`` = inline) through ``cache``, else (with ``use_memo``)
     the default cache.  Returns ``{(target, config, name): Measurement}``
-    — the shape the Table 4/5/6 harnesses consume.  Raises
+    — the shape :func:`repro.report.matrix_cells` consumes.  Raises
     ``RuntimeError`` listing every failed cell, if any.
     """
     selected = list(names) if names is not None else program_names()

@@ -2,7 +2,7 @@
 
 Table 6 runs on the single-pass multi-configuration engine with
 steady-state loop fast-forwarding (:func:`simulate_multi_cache`, behind
-the Table-6 harness and ``repro cache``).  The per-configuration replay
+``repro tables`` and ``repro cache``).  The per-configuration replay
 :func:`simulate_cache` is its test oracle: the tier-1 parity suite
 (``tests/cache/test_engine_parity.py``) checks both produce
 byte-identical :class:`CacheResult`\\ s on fuzzed and real traces.

@@ -15,6 +15,7 @@ Commands
 ``bench``     run the (program × target × config) evaluation matrix in
               parallel through the persistent result cache
 ``trace``     render the digest of a JSONL observability trace
+``tables``    measure and print every EXPERIMENTS.md table
 ``fuzz``      fuzz generated programs through the optimizer under the
               translation validator (CI's verify-smoke job)
 
@@ -700,6 +701,15 @@ def cmd_trace(args) -> int:
     return 0
 
 
+def cmd_tables(args) -> int:
+    """Measure and print every table EXPERIMENTS.md reports."""
+    from .report import TABLE_TITLES, collect, render
+
+    for name, table in render(collect()).items():
+        print(f"## {TABLE_TITLES[name]}\n\n{table}\n")
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse command-line parser."""
     parser = argparse.ArgumentParser(
@@ -914,6 +924,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSONL trace written by --trace FILE or REPRO_TRACE=FILE",
     )
     p.set_defaults(func=cmd_trace)
+
+    p = sub.add_parser("tables", help="measure and print every EXPERIMENTS table")
+    p.set_defaults(func=cmd_tables)
 
     return parser
 

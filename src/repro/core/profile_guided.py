@@ -16,8 +16,8 @@ same idea to replication:
 
 ``threshold=0`` replicates everything measured as executed at least once
 (cold code keeps its jumps); higher thresholds trade dynamic savings for
-smaller static growth.  The ablation harness
-``benchmarks/bench_ablation_profile.py`` sweeps the threshold.
+smaller static growth.  ``repro tables`` sweeps the threshold (the
+profile-guided section of :func:`repro.report.render`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..cfg.block import BasicBlock, Function, Program
-from ..ease.interp import Interpreter
+from ..ease.compile import make_interpreter
 from ..opt.branch_chaining import branch_chaining
 from ..opt.dead_code import eliminate_dead_code
 from ..opt.dead_vars import eliminate_dead_variables
@@ -60,7 +60,7 @@ def _collect_profile(
     program: Program, stdin: bytes, max_steps: int
 ) -> Dict[Tuple[str, str], int]:
     """(function, block label) -> execution count, from one training run."""
-    interp = Interpreter(program, max_steps=max_steps)
+    interp = make_interpreter(program, max_steps=max_steps)
     result = interp.run(stdin=stdin)
     # Every existing block gets an entry (0 when never executed) so that
     # blocks *created later by replication* are distinguishable: they are

@@ -11,7 +11,7 @@ of the chosen sequences).  :class:`ShortestPaths` therefore answers the
 same queries by running one binary-heap Dijkstra per *queried* source,
 memoized for the lifetime of the object (one sweep).  The paper's dense
 Floyd/Warshall matrix survives as a test oracle
-(:class:`repro.verify.floyd_warshall.ShortestPathMatrix`); both compute
+(``ShortestPathMatrix`` in ``tests/core/floyd_warshall.py``); both compute
 true shortest distances under the conventions below.
 
 Conventions:

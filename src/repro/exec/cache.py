@@ -28,6 +28,8 @@ Robustness properties, each covered by unit tests:
   only ever see complete entries.  This is the cache's one concurrency
   rule: processes that miss the same key both compute it, and the last
   writer wins;
+* a failed write (full disk, read-only directory) is counted in
+  ``write_errors``, never raised: the caller keeps its result;
 * hit/miss/eviction/write counters are kept per instance for reporting;
 * a memory-store hit is a shallow copy, so flagging it (``cache_hit``)
   never mutates the stored envelope.
@@ -67,6 +69,7 @@ class ResultCache:
         self.misses = 0
         self.evictions = 0
         self.writes = 0
+        self.write_errors = 0
 
     # --- keying ---------------------------------------------------------------
 
@@ -134,11 +137,19 @@ class ResultCache:
         return result
 
     def put(self, key: str, result: CellResult) -> None:
-        """Store ``result`` under ``key`` (atomic, last writer wins)."""
+        """Store ``result`` under ``key`` (atomic, last writer wins).
+
+        An ``OSError`` while writing is counted in ``write_errors``, not
+        raised: losing a cache entry must not lose the computed cell.
+        """
         if self.root is None:
             self._memory[key] = result
         else:
-            self._write(self._path(key), result)
+            try:
+                self._write(self._path(key), result)
+            except OSError:
+                self._count("write_errors")
+                return
         self._count("writes")
 
     @staticmethod
@@ -197,6 +208,7 @@ class ResultCache:
             "misses": self.misses,
             "evictions": self.evictions,
             "writes": self.writes,
+            "write_errors": self.write_errors,
         }
 
     # --- garbage collection ---------------------------------------------------

@@ -1,7 +1,6 @@
-"""Table formatting used by the benchmark harnesses.
-
-The experiment scripts print rows shaped like the paper's tables; this
-module keeps the formatting in one place.
+"""Terminal and markdown tables: the CLI's reports, the trace digest and
+the paper's Tables 4–6, §5.2 and §6 (:func:`collect`, :func:`render`,
+printed by ``repro tables`` and kept in EXPERIMENTS.md).
 """
 
 from __future__ import annotations
@@ -12,13 +11,14 @@ __all__ = [
     "format_table",
     "pct",
     "mean",
-    "stddev",
     "format_pass_table",
     "format_cache_stats",
     "format_span_tree",
     "format_metrics",
     "format_decision_digest",
     "format_trace_digest",
+    "collect",
+    "render",
 ]
 
 
@@ -36,15 +36,6 @@ def mean(values: Sequence[float]) -> float:
     if not values:
         return 0.0
     return sum(values) / len(values)
-
-
-def stddev(values: Sequence[float]) -> float:
-    """Sample standard deviation (0.0 below two items)."""
-    values = list(values)
-    if len(values) < 2:
-        return 0.0
-    centre = mean(values)
-    return (sum((v - centre) ** 2 for v in values) / (len(values) - 1)) ** 0.5
 
 
 def format_table(
@@ -252,3 +243,289 @@ def format_trace_digest(events: Sequence[dict]) -> str:
     sections.append("Replication decision log:")
     sections.append(format_decision_digest(decision_digest(decisions)))
     return "\n\n".join(sections)
+
+
+# --- the paper's tables --------------------------------------------------------
+#
+# ``collect`` measures every cell EXPERIMENTS.md reports, as integers per
+# section (the goldens under ``tests/golden/``); ``render`` turns them into
+# markdown.  Pipeline imports stay inside: ``import repro.cli`` loads no compiler.
+
+TARGETS = ("sparc", "m68020")
+CONFIGS = ("none", "loops", "jumps")
+CACHE_SIZES = (128, 256, 512, 1024, 2048, 4096, 8192)  # scaled [:4], paper [3:]
+MAX_RTLS_BOUNDS = (2, 4, 8, 16)
+PROFILE_THRESHOLDS = (0.0, 0.02, 0.1, 0.5)
+ASSOC_SIZES = (128, 256, 512)
+ASSOC_WAYS = (2, 4)
+
+_TARGET = {"sparc": "SPARC", "m68020": "68020"}
+_CONFIG = {"none": "SIMPLE", "loops": "LOOPS", "jumps": "JUMPS"}
+_FIELDS = ("static_insns", "dynamic_insns")
+_MATRIX_FIELDS = {
+    "table45": ("static_insns", "static_jumps", "dynamic_insns", "dynamic_jumps"),
+    "sec52": ("dynamic_nops", "dynamic_branches"),
+}
+
+
+def _key(*parts: object) -> str:
+    return "/".join(f"{p:g}" if isinstance(p, float) else str(p) for p in parts)
+
+
+def matrix_cells(matrix: Mapping[tuple, object]) -> Dict[str, dict]:
+    """Tables 4, 5, 6 and §5.2 as integers, from a traced ``run_matrix``.
+
+    Table 6 is one multi-configuration cache walk per cell: every size
+    from 128 B to 8 KB, context switches on and off.
+    """
+    from .cache import CacheConfig, simulate_multi_cache
+
+    sweep = [(size, ctx) for size in CACHE_SIZES for ctx in ("on", "off")]
+    configs = [CacheConfig(size=size) for size, _ in sweep]
+    flags = [ctx == "on" for _, ctx in sweep]
+    cells: Dict[str, dict] = {"table45": {}, "sec52": {}, "table6": {}}
+    for (target, config, name), m in sorted(matrix.items()):
+        key = _key(target, config, name)
+        for section, fields in _MATRIX_FIELDS.items():
+            cells[section][key] = {field: getattr(m, field) for field in fields}
+        results = simulate_multi_cache(
+            m.trace, m.block_fetches, configs, context_switches=flags
+        )
+        row = cells["table6"][key] = {"accesses": results[0].accesses}
+        for (size, ctx), result in zip(sweep, results):
+            row[_key(size, ctx)] = [result.misses, result.fetch_cost]
+    return cells
+
+
+def extension_cells(matrix: Mapping[tuple, object]) -> Dict[str, dict]:
+    """The five §6 tables as integers (SPARC, all 14 programs).
+
+    ``matrix`` must be traced: its SPARC SIMPLE and JUMPS cells are the
+    baseline, the ``shortest``/unbounded rows and the 1-way caches.
+    """
+    from .benchsuite import PROGRAMS, compile_benchmark, program_names, run_benchmark
+    from .cache import AssociativeCacheConfig, simulate_associative_cache
+    from .core.profile_guided import profile_guided_replication
+    from .ease import measure_pipeline, measure_program
+    from .frontend import compile_c
+    from .targets import get_target
+
+    sparc = get_target("sparc")
+    cells: Dict[str, dict] = {s: {} for s in ("maxlen", "policy", "profile", "assoc", "pipeline")}
+    for name in program_names():
+        bench = PROGRAMS[name]
+        for bound in MAX_RTLS_BOUNDS:
+            m = run_benchmark(name, "sparc", "jumps", max_rtls=bound)
+            cells["maxlen"][_key(bound, name)] = [m.static_insns, m.dynamic_insns]
+        for policy in ("returns", "loops"):
+            m = run_benchmark(name, "sparc", "jumps", policy=policy)
+            cells["policy"][_key(policy, name)] = [m.static_insns, m.dynamic_insns]
+        for threshold in PROFILE_THRESHOLDS:
+            program = compile_c(bench.source)
+            result = profile_guided_replication(
+                program, sparc, train_stdin=bench.stdin, threshold=threshold
+            )
+            m = measure_program(program, sparc, stdin=bench.stdin)
+            if m.output != matrix[("sparc", "none", name)].output:
+                raise RuntimeError(f"profile-guided {name} changed its output")
+            cells["profile"][_key(threshold, name)] = [
+                m.static_insns, m.dynamic_insns, result.hot_jumps, result.cold_jumps
+            ]
+        for config in ("none", "jumps"):
+            m = matrix[("sparc", config, name)]
+            for size in ASSOC_SIZES:
+                for ways in ASSOC_WAYS:
+                    cache = AssociativeCacheConfig(size=size, associativity=ways)
+                    r = simulate_associative_cache(m.trace, m.block_fetches, cache)
+                    cells["assoc"][_key(ways, size, config, name)] = [r.misses, r.fetch_cost]
+            program = compile_benchmark(name, sparc, config)
+            p = measure_pipeline(program, sparc, stdin=bench.stdin)
+            cells["pipeline"][_key(config, name)] = [p.instructions, p.transfers_taken, p.cycles]
+    return cells
+
+
+def collect() -> Dict[str, dict]:
+    """Measure every EXPERIMENTS table: one traced matrix, its Table-6
+    sweep and the §6 extension cells."""
+    from .benchsuite import run_matrix
+
+    matrix = run_matrix(trace=True)
+    return {**matrix_cells(matrix), **extension_cells(matrix)}
+
+
+#: Section name -> title, in ``render`` order.
+TABLE_TITLES = {
+    "table4": "Table 4 — percent of instructions that are unconditional jumps",
+    "table5": "Table 5 — mean change in instructions vs SIMPLE",
+    **{f"table6-{sizes}-{ctx}": f"Table 6 — mean change vs SIMPLE, {sizes} sizes, "
+       f"context switches {ctx}" for sizes in ("scaled", "paper") for ctx in ("on", "off")},
+    "sec52": "§5.2 — block size and delay-slot no-ops (SPARC)",
+    "maxlen": "§6 — bounded replication length (SPARC, mean vs SIMPLE)",
+    "policy": "§6 — step-2 policy (SPARC, vs SIMPLE)",
+    "profile": "§6 — profile-guided replication (SPARC, mean vs SIMPLE)",
+    "assoc": "§6 — associativity × replication (SPARC, no context switches)",
+    "pipeline": "§6 — pipeline model (SPARC, taken-branch penalty 2)",
+}
+
+# The paper's own columns: Table 4 (static, dynamic) and Table 5 (SPARC, 68020).
+_PAPER_TABLE4 = {
+    ("sparc", "none"): ("3.74 %", "3.28 %"), ("sparc", "loops"): ("2.40 %", "1.89 %"),
+    ("sparc", "jumps"): ("0.03 %", "0.10 %"), ("m68020", "none"): ("5.08 %", "4.14 %"),
+    ("m68020", "loops"): ("3.42 %", "2.47 %"), ("m68020", "jumps"): ("0.04 %", "0.13 %"),
+}
+_PAPER_TABLE5 = {
+    ("loops", "static"): ("+3.97 %", "+2.62 %"), ("jumps", "static"): ("+56.53 %", "~+53 %"),
+    ("loops", "dynamic"): ("−2.39 %", "−2.92 %"), ("jumps", "dynamic"): ("−5.71 %", "−6.9 %"),
+}
+
+
+def _signed(value: float) -> str:
+    return f"{value:+.2f} %".replace("-", "−")
+
+
+def _change(new: float, base: float) -> float:
+    return (new - base) / base * 100.0
+
+
+def _markdown(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    def line(cells: Sequence[object]) -> str:
+        return "|" + "".join(f" {cell} |" if cell != "" else " |" for cell in cells)
+
+    return "\n".join([line(headers), "|" + "---|" * len(headers), *map(line, rows)])
+
+
+def render(cells: Mapping[str, dict]) -> Dict[str, str]:
+    """Every EXPERIMENTS table as markdown, keyed like :data:`TABLE_TITLES`."""
+    from .benchsuite.programs import program_names
+
+    names = program_names()
+    t45, t6 = cells["table45"], cells["table6"]
+
+    def over(per_program) -> float:  # the mean over the 14 programs
+        return mean([per_program(n) for n in names])
+
+    def count(target: str, config: str, n: str, field: str) -> int:
+        return t45[_key(target, config, n)][field]
+
+    def change(target: str, config: str, field: str):
+        return lambda n: _change(count(target, config, n, field), count(target, "none", n, field))
+
+    def vs_simple(section: str, label: object, index: int, field: str):
+        return lambda n: _change(cells[section][_key(label, n)][index],
+                                 count("sparc", "none", n, field))
+
+    tables: Dict[str, str] = {}
+    rows = []
+    for (target, config), paper in _PAPER_TABLE4.items():
+        row = [f"{_TARGET[target]} {_CONFIG[config]}"]
+        for kind, paper_value in zip(("static", "dynamic"), paper):
+            share = over(lambda n: 100.0 * count(target, config, n, f"{kind}_jumps")
+                         / max(1, count(target, config, n, f"{kind}_insns")))
+            row += [paper_value, f"{share:.2f} %"]
+        rows.append(row)
+    tables["table4"] = _markdown(["", "paper (static)", "measured (static)",
+                                  "paper (dynamic)", "measured (dynamic)"], rows)
+
+    rows = [
+        [f"{_CONFIG[config]} {kind}"]
+        + [value for target, paper_value in zip(TARGETS, paper) for value in
+           (paper_value, _signed(over(change(target, config, f"{kind}_insns"))))]
+        for (config, kind), paper in _PAPER_TABLE5.items()
+    ]
+    tables["table5"] = _markdown(["", "paper SPARC", "measured SPARC",
+                                  "paper 68020", "measured 68020"], rows)
+
+    def cache_change(target: str, config: str, size: int, ctx: str, metric: str):
+        def one(n: str) -> float:
+            row, base = t6[_key(target, config, n)], t6[_key(target, "none", n)]
+            (misses, cost), (base_misses, base_cost) = row[_key(size, ctx)], base[_key(size, ctx)]
+            if metric == "fetch cost":
+                return _change(cost, base_cost)
+            return (misses / row["accesses"] - base_misses / base["accesses"]) * 100
+        return _signed(over(one))
+
+    for label, sizes in (("scaled", CACHE_SIZES[:4]), ("paper", CACHE_SIZES[3:])):
+        for ctx in ("on", "off"):
+            rows = [
+                [f"Δ {metric} ({_TARGET[target]})", _CONFIG[config]]
+                + [cache_change(target, config, size, ctx, metric) for size in sizes]
+                for metric in ("miss ratio", "fetch cost")
+                for target in TARGETS
+                for config in ("loops", "jumps")
+            ]
+            headers = [f"{s // 1024} KB" if s >= 1024 else f"{s} B" for s in sizes]
+            tables[f"table6-{label}-{ctx}"] = _markdown(["metric", "config"] + headers, rows)
+
+    gap, nops = {}, {}
+    for config in ("none", "jumps"):
+        sec52 = {n: cells["sec52"][_key("sparc", config, n)] for n in names}
+        gap[config] = over(lambda n: count("sparc", config, n, "dynamic_insns")
+                           / max(1, sec52[n]["dynamic_branches"]))
+        nops[config] = sum(sec52[n]["dynamic_nops"] for n in names)
+    eliminated = 100.0 * (nops["none"] - nops["jumps"]) / max(1, nops["none"])
+    tables["sec52"] = _markdown(["", "paper", "measured"], [
+        ["extra instructions between branches (JUMPS vs SIMPLE)", "+1.5",
+         f"{gap['jumps'] - gap['none']:+.2f} ({gap['none']:.2f} → {gap['jumps']:.2f})"],
+        ["executed no-ops eliminated", "50 %", f"{eliminated:.0f} %"],
+    ])
+
+    rows = [[str(bound)] + [_signed(over(vs_simple("maxlen", bound, i, f)))
+                            for i, f in enumerate(_FIELDS)] for bound in MAX_RTLS_BOUNDS]
+    rows.append(["unbounded"] + [_signed(over(change("sparc", "jumps", f))) for f in _FIELDS])
+    tables["maxlen"] = _markdown(["max RTLs", "Δ static", "Δ dynamic"], rows)
+
+    columns = [
+        (f"{policy} Δ {field[:-6]}", change("sparc", "jumps", field) if policy == "shortest"
+         else vs_simple("policy", policy, index, field))
+        for index, field in enumerate(_FIELDS)
+        for policy in ("shortest", "returns", "loops")
+    ]
+    rows = [[n] + [_signed(column(n)) for _, column in columns] for n in names]
+    rows.append(["mean"] + [_signed(over(column)) for _, column in columns])
+    tables["policy"] = _markdown(["program"] + [title for title, _ in columns], rows)
+
+    rows = []
+    for threshold in PROFILE_THRESHOLDS:
+        hot, cold = (sum(cells["profile"][_key(threshold, n)][i] for n in names) for i in (2, 3))
+        rows.append([f"{threshold * 100:g} %" if threshold else "0 (any executed)"]
+                    + [_signed(over(vs_simple("profile", threshold, i, f)))
+                       for i, f in enumerate(_FIELDS)] + [f"{hot} / {cold}"])
+    tables["profile"] = _markdown(
+        ["hotness threshold", "Δ static", "Δ dynamic", "hot / cold jumps"], rows)
+
+    def assoc(ways: int, size: int, config: str, n: str) -> list:
+        """[misses, fetch cost]; 1-way is Table 6's direct-mapped cell."""
+        if ways == 1:
+            return t6[_key("sparc", config, n)][_key(size, "off")]
+        return cells["assoc"][_key(ways, size, config, n)]
+
+    rows = []
+    for size in ASSOC_SIZES:
+        for ways in (1,) + ASSOC_WAYS:
+            ratios = [
+                over(lambda n: 100.0 * assoc(ways, size, config, n)[0]
+                     / t6[_key("sparc", config, n)]["accesses"])
+                for config in ("none", "jumps")
+            ]
+            cost = over(lambda n: _change(assoc(ways, size, "jumps", n)[1],
+                                          assoc(ways, size, "none", n)[1]))
+            rows.append([f"{size} B {ways}-way"]
+                        + [f"{ratio:.2f} %" for ratio in ratios] + [_signed(cost)])
+    tables["assoc"] = _markdown(
+        ["cache", "SIMPLE miss", "JUMPS miss", "JUMPS Δ fetch cost"], rows)
+
+    pipeline = {(c, n): cells["pipeline"][_key(c, n)] for c in ("none", "jumps") for n in names}
+    savings = [
+        lambda n, i=i: _change(pipeline[("jumps", n)][i], pipeline[("none", n)][i])
+        for i in (0, 2)  # instructions, cycles
+    ]
+    rows = [
+        [n] + [f"{pipeline[(c, n)][1]:,}" for c in ("none", "jumps")]
+        + [f"{pipeline[(c, n)][2] / pipeline[(c, n)][0]:.3f}" for c in ("none", "jumps")]
+        + [_signed(saving(n)) for saving in savings]
+        for n in names
+    ]
+    rows.append(["mean", "", "", "", ""] + [_signed(over(saving)) for saving in savings])
+    tables["pipeline"] = _markdown(["program", "taken (SIMPLE)", "taken (JUMPS)", "CPI (SIMPLE)",
+                                    "CPI (JUMPS)", "Δ insns", "Δ cycles"], rows)
+    return tables

@@ -5,10 +5,10 @@ Floyd/Warshall "once per invocation" of JUMPS.  The optimizer answers
 the same queries with demand-driven Dijkstra
 (:class:`repro.core.shortest_path.ShortestPaths`); this dense matrix
 overrides only its two distance hooks, so canonical path reconstruction
-is shared and the two must agree decision for decision.  No product path
-imports this module (it is the only numpy user); the parity suite
-(``tests/core/test_engine_parity.py``) swaps it in by patching
-``repro.core.replication.ShortestPaths``.
+is shared and the two must agree decision for decision.  It lives beside
+the parity suites that use it, outside the installed package, because it
+needs numpy (a test-only dependency); ``test_engine_parity.py`` swaps it
+in by patching ``repro.core.replication.ShortestPaths``.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..cfg.block import Function
-from ..core.shortest_path import _INF, ShortestPaths
+from repro.cfg.block import Function
+from repro.core.shortest_path import _INF, ShortestPaths
 
 __all__ = ["ShortestPathMatrix"]
 

@@ -26,7 +26,7 @@ from repro.obs import observing
 from repro.opt import OptimizationConfig, optimize_program
 from repro.rtl import format_function
 from repro.targets import get_target
-from repro.verify.floyd_warshall import ShortestPathMatrix
+from tests.core.floyd_warshall import ShortestPathMatrix
 from repro.verify import check_sanitized
 from tests.core.test_random_cfgs import fuzzed_function, random_functions
 from tests.integration.test_random_programs import programs

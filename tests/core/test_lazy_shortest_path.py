@@ -14,7 +14,7 @@ from hypothesis import given, settings
 
 from repro.core import ShortestPaths
 from repro.obs import observing
-from repro.verify.floyd_warshall import ShortestPathMatrix
+from tests.core.floyd_warshall import ShortestPathMatrix
 from tests.cfg.test_dominators import build_graph, random_edge_lists
 from tests.conftest import function_from_text
 

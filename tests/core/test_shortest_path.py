@@ -3,7 +3,7 @@
 import networkx as nx
 from hypothesis import given, settings, strategies as st
 
-from repro.verify.floyd_warshall import ShortestPathMatrix
+from tests.core.floyd_warshall import ShortestPathMatrix
 from tests.cfg.test_dominators import build_graph, random_edge_lists
 from tests.conftest import function_from_text
 

@@ -88,6 +88,28 @@ def test_runner_uses_and_fills_cache(tmp_path):
     assert warm_cache.writes == 0  # the published entry is adopted, not redone
 
 
+def test_failed_cache_write_keeps_every_cell(tmp_path, monkeypatch):
+    """A full disk loses cache entries, never computed cells: every cell
+    comes back ok, each failed write is counted, and no ``.tmp`` is left."""
+    import errno
+    import os
+
+    from repro.obs import observing
+
+    def disk_full(src, dst):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), dst)
+
+    monkeypatch.setattr(os, "replace", disk_full)
+    cache = ResultCache(tmp_path)
+    specs = [CellSpec(program=name) for name in ("wc", "sieve", "queens")]
+    with observing(spans=False) as obs:
+        results = ParallelRunner(workers=1, cache=cache).run(specs)
+    assert [r.spec for r in results] == specs and all(r.ok for r in results)
+    assert cache.write_errors == 3 and cache.writes == 0 and len(cache) == 0
+    assert obs.metrics.counters["exec.cache.write_errors"] == 3
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_runner_on_result_callback():
     seen = []
     ParallelRunner(workers=1).run([GOOD, GOOD2], on_result=seen.append)

@@ -1,31 +1,59 @@
-"""Regenerate ``table45_counts.json`` from the current pipeline.
+"""Regenerate the table goldens and EXPERIMENTS.md's rendered tables.
 
-Run after an *intended* change to the reproduced Table 4/5 numbers::
+Run after an *intended* change to a reproduced number::
 
     PYTHONPATH=src python tests/golden/regen_table_snapshots.py
 
-and commit the resulting JSON diff together with the pass change.
+It measures every table once (:func:`repro.report.collect`, about
+80 s on two cores), writes each section's integers to
+``<section>_counts.json`` next to this file, and rewrites every block of
+EXPERIMENTS.md between ``<!-- repro tables: NAME -->`` and
+``<!-- /repro tables -->`` with :func:`repro.report.render` of them.
+Commit the JSON and EXPERIMENTS.md diffs with the change that moved them.
 """
 
 import json
+import re
 from pathlib import Path
 
-from repro.benchsuite import run_matrix
+GOLDEN_DIR = Path(__file__).parent
+EXPERIMENTS = GOLDEN_DIR.parents[1] / "EXPERIMENTS.md"
+SECTIONS = ("table45", "sec52", "table6", "maxlen", "policy", "profile", "assoc", "pipeline")
+MARKED = re.compile(
+    r"(<!-- repro tables: (\S+) -->\n)(.*?)(\n<!-- /repro tables -->)", re.DOTALL
+)
 
-GOLDEN_PATH = Path(__file__).with_name("table45_counts.json")
-PINNED = ("static_insns", "static_jumps", "dynamic_insns", "dynamic_jumps")
+
+def golden_path(section: str) -> Path:
+    return GOLDEN_DIR / f"{section}_counts.json"
+
+
+def load_goldens() -> dict:
+    return {section: json.loads(golden_path(section).read_text()) for section in SECTIONS}
+
+
+def marked_tables(text: str) -> dict:
+    """EXPERIMENTS.md's rendered blocks, by table name."""
+    return {match.group(2): match.group(3) for match in MARKED.finditer(text)}
 
 
 def main() -> None:
-    matrix = run_matrix()
-    golden = {
-        f"{target}/{config}/{name}": {
-            field: getattr(measurement, field) for field in PINNED
-        }
-        for (target, config, name), measurement in sorted(matrix.items())
-    }
-    GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN_PATH} ({len(golden)} cells)")
+    from repro.report import collect, render
+
+    cells = collect()
+    for section in SECTIONS:
+        golden_path(section).write_text(
+            json.dumps(cells[section], indent=1, sort_keys=True) + "\n"
+        )
+    tables = render(cells)
+    text = EXPERIMENTS.read_text()
+    unmatched = set(tables) ^ set(marked_tables(text))
+    if unmatched:
+        raise SystemExit(f"EXPERIMENTS.md markers and tables differ: {sorted(unmatched)}")
+    EXPERIMENTS.write_text(
+        MARKED.sub(lambda m: m.group(1) + tables[m.group(2)] + m.group(4), text)
+    )
+    print(f"wrote {len(SECTIONS)} goldens in {GOLDEN_DIR} and {len(tables)} tables")
 
 
 if __name__ == "__main__":

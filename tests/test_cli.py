@@ -29,6 +29,19 @@ class TestCommands:
         for name in ("wc", "sieve", "mincost"):
             assert name in out
 
+    def test_tables_prints_every_rendered_table(self, capsys, monkeypatch):
+        """``repro tables`` prints ``render(collect())`` under each title;
+        here the goldens stand in for the minute-long ``collect``."""
+        from repro import report
+        from tests.golden.regen_table_snapshots import load_goldens
+
+        goldens = load_goldens()
+        monkeypatch.setattr(report, "collect", lambda: goldens)
+        assert main(["tables"]) == 0
+        out = capsys.readouterr().out
+        for name, table in report.render(goldens).items():
+            assert f"## {report.TABLE_TITLES[name]}\n\n{table}\n" in out
+
     def test_run_exit_code_and_output(self, c_file, capsys):
         code = main(["run", str(c_file)])
         assert code == 45
