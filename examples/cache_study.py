@@ -10,9 +10,11 @@ Run:  python examples/cache_study.py [program]
 
 import sys
 
-from repro.benchsuite import run_benchmark
-from repro.cache import PAPER_CACHE_SIZES, CacheConfig, simulate_cache
+from repro import compile_and_measure
+from repro.cache import PAPER_CACHE_SIZES, CacheConfig, simulate_multi_cache
 from repro.report import format_table
+
+CONFIGS = ("none", "loops", "jumps")
 
 
 def main() -> None:
@@ -20,18 +22,24 @@ def main() -> None:
     print(f"program: {name} (SPARC, direct-mapped, 16-byte lines)")
 
     measurements = {
-        config: run_benchmark(name, target="sparc", replication=config, trace=True)
-        for config in ("none", "loops", "jumps")
+        config: compile_and_measure(
+            name, target="sparc", replication=config, trace=True
+        ).measurement
+        for config in CONFIGS
+    }
+    caches = [CacheConfig(size=size) for size in PAPER_CACHE_SIZES]
+    # One trace walk per configuration covers all four cache sizes.
+    results = {
+        config: simulate_multi_cache(m.trace, m.block_fetches, caches)
+        for config, m in measurements.items()
     }
     rows = []
-    for size in PAPER_CACHE_SIZES:
+    for i, size in enumerate(PAPER_CACHE_SIZES):
         row = [f"{size // 1024}Kb"]
-        base = None
-        for config in ("none", "loops", "jumps"):
-            m = measurements[config]
-            r = simulate_cache(m.trace, m.block_fetches, CacheConfig(size=size))
-            if base is None:
-                base = r.fetch_cost
+        base = results["none"][i].fetch_cost
+        for config in CONFIGS:
+            r = results[config][i]
+            if config == "none":
                 row.append(f"{r.miss_ratio * 100:.2f}% / {r.fetch_cost}")
             else:
                 delta = (r.fetch_cost - base) / base * 100

@@ -63,7 +63,7 @@ def compile_and_measure(
     trace: bool = False,
     policy: Union[str, Policy] = Policy.SHORTEST,
     max_rtls: Optional[int] = None,
-    verify: Optional[str] = None,
+    verify: str = "off",
 ) -> CompilationResult:
     """Compile, optimize, run and measure one program.
 
@@ -83,9 +83,9 @@ def compile_and_measure(
     :param max_rtls: §6 bound on replication sequence length.
     :param verify: translation-validation mode: ``"off"``, ``"sanitize"``
         (structural invariants after every pass) or ``"full"`` (sanitize
-        plus the differential execution oracle with pass bisection);
-        ``None`` defers to the ``REPRO_VERIFY`` environment variable.
-        Failures raise :class:`repro.verify.VerificationError`.
+        plus the differential execution oracle with pass bisection); any
+        other value raises ``ValueError``.  Failures raise
+        :class:`repro.verify.VerificationError`.
     """
     spec = CellSpec(
         program=source_or_benchmark,

@@ -7,8 +7,8 @@ replication trade-off can be examined when conflict misses are softened:
 code replication's extra conflict misses on small caches are partly an
 artifact of direct mapping, and associativity recovers some of them.
 
-``associativity=1`` reduces to the direct-mapped behaviour of
-:mod:`repro.cache.direct_mapped` (property-tested equivalence).
+``associativity=1`` reduces to direct-mapped behaviour (property-tested
+against the direct-mapped reference replay).
 """
 
 from __future__ import annotations

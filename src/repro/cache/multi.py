@@ -31,9 +31,9 @@ taken when the record's final cost provably stays below the next flush
 boundary (cost grows monotonically, so no intermediate access can
 trigger the flush either); a record that might cross the boundary is
 simulated line by line, so flush counts, positions and post-flush cold
-misses match the reference engine bit for bit.  Parity with
-:func:`repro.cache.direct_mapped.simulate_cache` over every program,
-size and context-switch setting is asserted in
+misses match the reference engine bit for bit.  Parity with the
+per-configuration reference replay (``tests/cache/reference_cache.py``)
+over every program, size and context-switch setting is asserted in
 ``tests/cache/test_engine_parity.py`` and gated in CI.
 """
 
@@ -333,7 +333,7 @@ def simulate_multi_cache(
     :param stats: optional accounting object filled with fast-forward
         coverage counters.
     :returns: one :class:`CacheResult` per config, in input order —
-        each byte-identical to a reference ``simulate_cache`` run.
+        each byte-identical to the per-configuration reference replay.
     """
     if isinstance(context_switches, bool):
         ctx_flags = [context_switches] * len(configs)

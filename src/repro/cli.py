@@ -20,7 +20,7 @@ Commands
               translation validator (CI's verify-smoke job)
 
 Translation validation: every compiling command accepts ``--verify
-{off,sanitize,full}`` (or ``REPRO_VERIFY``): ``sanitize`` checks CFG/RTL
+{off,sanitize,full}`` (default ``off``): ``sanitize`` checks CFG/RTL
 invariants after every optimizer pass, ``full`` additionally interprets
 the program before and after optimization and — on a behaviour change —
 bisects to the guilty pass.
@@ -44,6 +44,7 @@ from typing import List, Optional
 from .api import POLICIES, compile_and_measure
 from .benchsuite import PROGRAMS, program_names
 from .cache import CacheConfig, simulate_multi_cache
+from .exec.envelope import VERIFY_MODES
 from .report import format_table, pct
 from .rtl import format_function
 
@@ -126,11 +127,11 @@ def _config_arguments(parser: argparse.ArgumentParser) -> None:
     _max_rtls_argument(parser)
     parser.add_argument(
         "--verify",
-        choices=["off", "sanitize", "full"],
-        default=None,
+        choices=VERIFY_MODES,
+        default="off",
         help="translation validation: sanitize = CFG/RTL invariants after "
         "every pass; full = also the differential execution oracle with "
-        "pass bisection (default: off, or REPRO_VERIFY)",
+        "pass bisection (default: off)",
     )
     parser.add_argument(
         "--stdin",
@@ -857,10 +858,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--verify",
-        choices=["off", "sanitize", "full"],
-        default=None,
+        choices=VERIFY_MODES,
+        default="off",
         help="run every cell under translation validation "
-        "(bypasses the result cache; default: off, or REPRO_VERIFY)",
+        "(bypasses the result cache; default: off)",
     )
     p.add_argument(
         "--quiet", action="store_true", help="suppress per-cell progress on stderr"
@@ -976,15 +977,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "verify", "") is None:
-        # No --verify given: REPRO_VERIFY decides, so check it now, not
-        # after compiling.
-        from .verify.verifier import resolve_mode
-
-        try:
-            resolve_mode(None)
-        except ValueError as exc:
-            parser.error(f"REPRO_VERIFY: {exc}")
     try:
         destination = _trace_destination(args)
         if destination is not None:

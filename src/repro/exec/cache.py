@@ -1,9 +1,9 @@
 """Content-addressed cache for measured matrix cells.
 
 ``ResultCache(root)`` keeps its entries on disk; ``ResultCache(None)``
-keeps them in a per-instance dict (the in-process cache the benchsuite
-facade defaults to).  Both share the key, the counters and the
-``exec.cache.*`` metrics.
+keeps them in a per-instance dict (the in-process cache
+:func:`repro.benchsuite.run_matrix` defaults to).  Both share the key,
+the counters and the ``exec.cache.*`` metrics.
 
 Layout (under the cache root, default ``.repro-cache/``)::
 
@@ -109,7 +109,9 @@ class ResultCache:
         """The cached envelope for ``key``, or ``None`` (counted as a miss).
 
         A corrupted entry is deleted (counted as an eviction) and reported
-        as a miss, so the caller recomputes and heals the cache.
+        as a miss, so the caller recomputes and heals the cache; an entry
+        that cannot be read at all (say, the root is a regular file) is
+        a plain miss.
         """
         if self.root is None:
             stored = self._memory.get(key)
@@ -121,11 +123,14 @@ class ResultCache:
 
     def _load(self, path: Path) -> Optional[CellResult]:
         try:
-            result = pickle.loads(path.read_bytes())
+            data = path.read_bytes()
+        except OSError:
+            # Absent, or the cache directory is unusable: a plain miss.
+            return None
+        try:
+            result = pickle.loads(data)
             if not isinstance(result, CellResult):
                 raise pickle.UnpicklingError(f"expected CellResult, got {type(result)}")
-        except FileNotFoundError:
-            return None
         except Exception:
             # Truncated write, foreign object, unpicklable garbage: evict.
             self._count("evictions")

@@ -19,7 +19,10 @@ from typing import Optional, Tuple
 from ..core.replication import POLICIES
 from ..ease.measure import Measurement
 
-__all__ = ["CellSpec", "CellResult", "CACHE_SCHEMA_VERSION"]
+__all__ = ["CellSpec", "CellResult", "CACHE_SCHEMA_VERSION", "VERIFY_MODES"]
+
+#: Translation-validation modes, weakest first (see :mod:`repro.verify`).
+VERIFY_MODES = ("off", "sanitize", "full")
 
 #: Bump whenever the envelope layout or the meaning of a measurement
 #: changes; old cache entries become unreachable (different keys).
@@ -83,13 +86,12 @@ class CellSpec:
     #: but wall time (``measure_seconds``) differs, so the engine is part
     #: of the cache key; ``None`` and ``"compiled"`` share one entry.
     ease_engine: Optional[str] = None
-    #: Translation-validation mode ("off" / "sanitize" / "full");
-    #: ``None`` defers to ``REPRO_VERIFY``.  A cell whose effective mode
-    #: is not "off" bypasses the result cache in both directions: a
+    #: Translation-validation mode, one of :data:`VERIFY_MODES`.  A cell
+    #: not "off" bypasses the result cache in both directions: a
     #: verified run must actually *run* (a cache hit would validate
     #: nothing), and its timings are poisoned by oracle overhead, so it
     #: must not shadow a clean run either.
-    verify: Optional[str] = None
+    verify: str = "off"
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
@@ -99,6 +101,11 @@ class CellSpec:
         if self.ease_engine not in (None, "compiled", "interp"):
             raise ValueError(
                 f"ease_engine must be compiled/interp, got {self.ease_engine!r}"
+            )
+        if self.verify not in VERIFY_MODES:
+            raise ValueError(
+                f"verify mode must be one of {'/'.join(VERIFY_MODES)}, "
+                f"got {self.verify!r}"
             )
 
     def resolve(self) -> Tuple[str, bytes]:

@@ -13,16 +13,20 @@ whole, so a cold cell two of them compute at once is merely written
 twice (last writer wins).
 
 A crashing cell reports (``result.error`` carries the traceback); it
-never kills the run.  ``workers <= 1`` executes inline in the calling
-process — the same code path, minus the pool — which is what the test
-suite uses and what keeps single-core machines overhead-free.
+never kills the run.  A cell that kills its worker process fails alone:
+the cells its broken pool lost are rerun one per fresh pool, and only a
+cell that kills that worker too is reported (``exec.worker_deaths``).
+``workers <= 1`` executes inline in the calling process — the same code
+path, minus the pool — which is what the test suite uses and what keeps
+single-core machines overhead-free.
 """
 
 from __future__ import annotations
 
 import os
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from time import perf_counter
 from typing import Callable, List, Optional, Sequence
 
@@ -64,28 +68,13 @@ def warm_worker(target_names: Sequence[str] = ("sparc", "m68020")) -> None:
         get_target(name)
 
 
-def _effective_verify_mode(spec: CellSpec) -> str:
-    """The cell's resolved translation-validation mode.
-
-    An unparseable ``REPRO_VERIFY`` counts as active ("bypass the
-    cache"): the configuration error must surface from an actual run,
-    not be papered over by a stale cache hit.
-    """
-    from ..verify.verifier import resolve_mode
-
-    try:
-        return resolve_mode(spec.verify)
-    except ValueError:
-        return "invalid"
-
-
 def run_pipeline(spec: CellSpec, result: CellResult) -> tuple:
     """The single-program pipeline: front end, Figure-3 optimizer, EASE.
 
     Resolves the spec's source and stdin, turns its policy name into an
     :class:`~repro.opt.driver.OptimizationConfig`,
     optimizes under a :class:`~repro.verify.verifier.Verifier` when the
-    effective verify mode is not ``"off"``, and measures.  Timings,
+    spec's verify mode is not ``"off"``, and measures.  Timings,
     replication stats, the measurement and the verification report (also
     when verification fails) land in ``result``; failures raise.  Returns
     ``(program, config, stats)``; ``config`` and ``stats`` are ``None``
@@ -97,7 +86,7 @@ def run_pipeline(spec: CellSpec, result: CellResult) -> tuple:
     from ..frontend.codegen import compile_c
     from ..opt.driver import OptimizationConfig, optimize_program
     from ..targets.machine import get_target
-    from ..verify.verifier import Verifier, resolve_mode
+    from ..verify.verifier import Verifier
 
     source, stdin = spec.resolve()
     target = get_target(spec.target)
@@ -113,9 +102,8 @@ def run_pipeline(spec: CellSpec, result: CellResult) -> tuple:
             policy=POLICIES[spec.policy],
             max_rtls=spec.max_rtls,
         )
-        verify_mode = resolve_mode(spec.verify)
         verifier = (
-            Verifier(verify_mode, inputs=[stdin]) if verify_mode != "off" else None
+            Verifier(spec.verify, inputs=[stdin]) if spec.verify != "off" else None
         )
         start = perf_counter()
         try:
@@ -202,13 +190,16 @@ class ParallelRunner:
 
         results: List[Optional[CellResult]] = [None] * len(specs)
         pending: List[int] = []
+        # Cells under translation validation bypass the cache both ways:
+        # a hit would skip the verified pipeline run, which is the entire
+        # point, and a verified run's timings carry oracle overhead that
+        # must not shadow a clean entry.
+        caches = [self.cache if spec.verify == "off" else None for spec in specs]
 
-        # Pass 1: serve what the cache already has.  Cells running under
-        # translation validation never read the cache — a hit would skip
-        # the verified pipeline run, which is the entire point.
+        # Pass 1: serve what the cache already has.
         for index, spec in enumerate(specs):
-            if self.cache is not None and _effective_verify_mode(spec) == "off":
-                cached = self.cache.get_spec(spec)
+            if caches[index] is not None:
+                cached = caches[index].get_spec(spec)
                 if cached is not None and cached.ok:
                     cached.cache_hit = True
                     results[index] = cached
@@ -219,14 +210,8 @@ class ParallelRunner:
 
         # Pass 2: compute the misses (in a pool, or inline for workers<=1).
         def finish(index: int, result: CellResult) -> None:
-            # Verified runs also never *write* the cache: their timings
-            # carry oracle overhead and would poison clean-run entries.
-            if (
-                self.cache is not None
-                and result.ok
-                and _effective_verify_mode(specs[index]) == "off"
-            ):
-                self.cache.put_spec(specs[index], result)
+            if caches[index] is not None and result.ok:
+                caches[index].put_spec(specs[index], result)
             results[index] = result
             # Fold the cell's observability snapshot into this process's
             # ambient observer.  execute_cell always records into its own
@@ -241,32 +226,44 @@ class ParallelRunner:
         if self.workers <= 1 or len(pending) <= 1:
             for index in pending:
                 finish(index, execute_cell(specs[index]))
-        else:
-            targets = tuple(sorted({specs[i].target for i in pending}))
-            with ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=warm_worker,
-                initargs=(targets,),
-            ) as pool:
-                futures = {
-                    pool.submit(execute_cell, specs[index]): index
-                    for index in pending
-                }
-                remaining = set(futures)
-                while remaining:
-                    done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        index = futures[future]
-                        try:
-                            result = future.result()
-                        except BaseException:
-                            # A worker died mid-cell (OOM kill,
-                            # interpreter crash): report the cell,
-                            # keep the run alive.
-                            result = CellResult(
-                                spec=specs[index],
-                                error=traceback.format_exc(),
-                            )
-                        finish(index, result)
+            return [result for result in results if result is not None]
 
+        # A worker that dies mid-cell (OOM kill, interpreter crash) breaks
+        # its pool, and every cell still in that pool fails with it.  So
+        # each unfinished cell then runs alone in a fresh one-worker pool:
+        # only a cell that kills that worker too becomes an error envelope.
+        unfinished = self._pool(specs, pending, self.workers, finish)
+        for index in unfinished:
+            if self._pool(specs, [index], 1, finish):
+                _active_observer().metrics.inc("exec.worker_deaths")
+                label = specs[index].label
+                error = f"BrokenProcessPool: the worker died running {label}"
+                finish(index, CellResult(spec=specs[index], error=error))
         return [result for result in results if result is not None]
+
+    @staticmethod
+    def _pool(
+        specs: Sequence[CellSpec],
+        indices: Sequence[int],
+        workers: int,
+        finish: Callable[[int, CellResult], None],
+    ) -> List[int]:
+        """Run ``indices`` in one pool; return those its breaking lost."""
+        targets = tuple(sorted({specs[i].target for i in indices}))
+        lost: List[int] = []
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=warm_worker, initargs=(targets,)
+        ) as pool:
+            futures = {pool.submit(execute_cell, specs[i]): i for i in indices}
+            for future in as_completed(futures):
+                index = futures[future]
+                try:
+                    result = future.result()
+                except BrokenProcessPool:
+                    lost.append(index)
+                    continue
+                except Exception:
+                    # The result could not come back (unpicklable).
+                    result = CellResult(spec=specs[index], error=traceback.format_exc())
+                finish(index, result)
+        return sorted(lost)

@@ -88,7 +88,7 @@ def format_cache_stats(stats: Mapping[str, object]) -> str:
         f"cache {stats['root']} (schema v{stats['schema_version']}): "
         f"{stats['entries']} entries, {stats['hits']} hits, "
         f"{stats['misses']} misses, {stats['writes']} writes, "
-        f"{stats['evictions']} evictions"
+        f"{stats['write_errors']} write errors, {stats['evictions']} evictions"
     )
 
 
@@ -303,11 +303,13 @@ def extension_cells(matrix: Mapping[tuple, object]) -> Dict[str, dict]:
     ``matrix`` must be traced: its SPARC SIMPLE and JUMPS cells are the
     baseline, the ``shortest``/unbounded rows and the 1-way caches.
     """
-    from .benchsuite import PROGRAMS, compile_benchmark, program_names, run_benchmark
+    from .api import compile_and_measure
+    from .benchsuite import PROGRAMS, program_names
     from .cache import AssociativeCacheConfig, simulate_associative_cache
     from .core.profile_guided import profile_guided_replication
     from .ease import measure_pipeline, measure_program
     from .frontend import compile_c
+    from .opt.driver import OptimizationConfig, optimize_program
     from .targets import get_target
 
     sparc = get_target("sparc")
@@ -315,10 +317,10 @@ def extension_cells(matrix: Mapping[tuple, object]) -> Dict[str, dict]:
     for name in program_names():
         bench = PROGRAMS[name]
         for bound in MAX_RTLS_BOUNDS:
-            m = run_benchmark(name, "sparc", "jumps", max_rtls=bound)
+            m = compile_and_measure(name, "sparc", "jumps", max_rtls=bound).measurement
             cells["maxlen"][_key(bound, name)] = [m.static_insns, m.dynamic_insns]
         for policy in ("returns", "loops"):
-            m = run_benchmark(name, "sparc", "jumps", policy=policy)
+            m = compile_and_measure(name, "sparc", "jumps", policy=policy).measurement
             cells["policy"][_key(policy, name)] = [m.static_insns, m.dynamic_insns]
         for threshold in PROFILE_THRESHOLDS:
             program = compile_c(bench.source)
@@ -338,7 +340,8 @@ def extension_cells(matrix: Mapping[tuple, object]) -> Dict[str, dict]:
                     cache = AssociativeCacheConfig(size=size, associativity=ways)
                     r = simulate_associative_cache(m.trace, m.block_fetches, cache)
                     cells["assoc"][_key(ways, size, config, name)] = [r.misses, r.fetch_cost]
-            program = compile_benchmark(name, sparc, config)
+            program = compile_c(bench.source)
+            optimize_program(program, sparc, OptimizationConfig(replication=config))
             p = measure_pipeline(program, sparc, stdin=bench.stdin)
             cells["pipeline"][_key(config, name)] = [p.instructions, p.transfers_taken, p.cycles]
     return cells

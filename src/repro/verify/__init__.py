@@ -1,6 +1,6 @@
 """Translation validation: sanitizer, differential oracle, bisection.
 
-The subsystem behind ``--verify {off,sanitize,full}`` / ``REPRO_VERIFY``:
+The subsystem behind ``--verify {off,sanitize,full}`` (``CellSpec.verify``):
 
 * :mod:`repro.verify.sanitize` — non-mutating CFG/RTL invariant checks
   run after every pass and replication sweep;
@@ -18,7 +18,7 @@ from .fuzz import generate_program, run_campaign, verify_source
 from .minimize import ddmin_lines, minimize_source
 from .oracle import Behavior, behavior_diff, capture_behavior, clone_program
 from .sanitize import check_sanitized, sanitize_function
-from .verifier import ReplayGate, Verifier, VERIFY_MODES, resolve_mode
+from .verifier import ReplayGate, Verifier, VERIFY_MODES
 
 __all__ = [
     "VerificationError",
@@ -33,7 +33,6 @@ __all__ = [
     "Verifier",
     "ReplayGate",
     "VERIFY_MODES",
-    "resolve_mode",
     "ddmin_lines",
     "minimize_source",
     "generate_program",

@@ -43,6 +43,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cfg.block import Function, Program
+from ..exec.envelope import VERIFY_MODES
 from ..obs import active as _active_observer
 from ..obs.decisions import ReplicationDecision
 from .errors import MiscompileError, SanitizeError
@@ -54,22 +55,7 @@ from .oracle import (
 )
 from .sanitize import same_inputs, sanitize_function, sanitize_inputs
 
-__all__ = ["Verifier", "ReplayGate", "VERIFY_MODES", "resolve_mode"]
-
-VERIFY_MODES = ("off", "sanitize", "full")
-
-
-def resolve_mode(mode: Optional[str]) -> str:
-    """Resolve an explicit mode or fall back to ``REPRO_VERIFY``/off."""
-    if mode is None:
-        import os
-
-        mode = os.environ.get("REPRO_VERIFY", "off").strip().lower() or "off"
-    if mode not in VERIFY_MODES:
-        raise ValueError(
-            f"verify mode must be one of {'/'.join(VERIFY_MODES)}, got {mode!r}"
-        )
-    return mode
+__all__ = ["Verifier", "ReplayGate", "VERIFY_MODES"]
 
 
 class ReplayGate:
@@ -113,12 +99,16 @@ class Verifier:
 
     def __init__(
         self,
-        mode: str = "sanitize",
+        mode: str = "off",
         inputs: Optional[Sequence[bytes]] = None,
         bisect: bool = True,
         max_steps: int = ORACLE_MAX_STEPS,
     ) -> None:
-        self.mode = resolve_mode(mode)
+        if mode not in VERIFY_MODES:
+            raise ValueError(
+                f"verify mode must be one of {'/'.join(VERIFY_MODES)}, got {mode!r}"
+            )
+        self.mode = mode
         self.inputs: List[bytes] = list(inputs) if inputs else [b""]
         self.bisect = bisect
         self.max_steps = max_steps

@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.benchsuite import (
-    PROGRAMS,
-    compile_benchmark,
-    program_names,
-    run_benchmark,
-)
-from repro.targets import get_target
+from repro import compile_and_measure
+from repro.benchsuite import PROGRAMS, clear_cache, program_names, run_matrix
 
 
 class TestCatalog:
@@ -31,24 +26,35 @@ class TestCatalog:
 
 
 class TestRunner:
-    def test_unknown_program_raises(self):
-        with pytest.raises(KeyError):
-            run_benchmark("doom")
+    @pytest.fixture(autouse=True)
+    def fresh_default_cache(self):
+        clear_cache()
+        yield
+        clear_cache()
 
-    def test_compile_benchmark_returns_program(self):
-        program = compile_benchmark("wc", get_target("sparc"), "none")
+    def test_unknown_program_raises(self):
+        with pytest.raises(KeyError, match="unknown benchmark 'doom'"):
+            run_matrix(names=["doom"], workers=1)
+
+    def test_compile_and_measure_returns_program(self):
+        program = compile_and_measure("wc", target="sparc").program
         assert "main" in program.functions
 
     def test_memoization_returns_same_object(self):
-        a = run_benchmark("wc", target="sparc", replication="none")
-        b = run_benchmark("wc", target="sparc", replication="none")
-        assert a is b
+        cell = ("sparc", "none", "wc")
+        a = run_matrix(names=["wc"], targets=["sparc"], configs=["none"], workers=1)
+        b = run_matrix(names=["wc"], targets=["sparc"], configs=["none"], workers=1)
+        assert a[cell] is b[cell]
 
     def test_cache_bypass(self):
-        a = run_benchmark("wc", target="sparc", replication="none")
-        b = run_benchmark("wc", target="sparc", replication="none", use_cache=False)
-        assert a is not b
-        assert a.dynamic_insns == b.dynamic_insns
+        cell = ("sparc", "none", "wc")
+        a = run_matrix(names=["wc"], targets=["sparc"], configs=["none"], workers=1)
+        b = run_matrix(
+            names=["wc"], targets=["sparc"], configs=["none"], workers=1,
+            use_memo=False,
+        )
+        assert a[cell] is not b[cell]
+        assert a[cell].dynamic_insns == b[cell].dynamic_insns
 
     @pytest.mark.parametrize("name", ["wc", "sieve", "queens"])
     def test_known_outputs(self, name):
@@ -57,5 +63,5 @@ class TestRunner:
             "sieve": b"564 primes\n",
             "queens": b"92 solutions\n",
         }
-        m = run_benchmark(name, target="m68020", replication="jumps")
+        m = compile_and_measure(name, target="m68020", replication="jumps").measurement
         assert m.output == expected[name]

@@ -7,8 +7,8 @@ from repro.cache import (
     AssociativeCacheConfig,
     CacheConfig,
     simulate_associative_cache,
-    simulate_cache,
 )
+from tests.cache.reference_cache import simulate_cache
 from tests.cache.test_direct_mapped import traces
 
 

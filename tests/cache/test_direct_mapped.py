@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache import CacheConfig, CacheResult, simulate_cache
+from repro.cache import CacheConfig, CacheResult
+from tests.cache.reference_cache import simulate_cache
 
 
 def run(addresses, size=64, line=16, ctx=False, interval=10_000):

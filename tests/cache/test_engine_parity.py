@@ -12,7 +12,6 @@ from repro.cache import (
     PAPER_CACHE_SIZES,
     CacheConfig,
     MultiCacheStats,
-    simulate_cache,
     simulate_multi_cache,
 )
 from repro.ease import measure_program
@@ -20,6 +19,7 @@ from repro.ease.trace import RleTraceSink
 from repro.frontend import compile_c
 from repro.opt import OptimizationConfig, optimize_program
 from repro.targets import get_target
+from tests.cache.reference_cache import simulate_cache
 
 PAPER_CONFIGS = [CacheConfig(size=size) for size in PAPER_CACHE_SIZES]
 

@@ -1,11 +1,7 @@
 """Tests for the Table-6 sweep: the four paper sizes in one pass."""
 
-from repro.cache import (
-    PAPER_CACHE_SIZES,
-    CacheConfig,
-    simulate_cache,
-    simulate_multi_cache,
-)
+from repro.cache import PAPER_CACHE_SIZES, CacheConfig, simulate_multi_cache
+from tests.cache.reference_cache import simulate_cache
 
 PAPER_CONFIGS = [CacheConfig(size) for size in PAPER_CACHE_SIZES]
 

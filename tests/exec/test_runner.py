@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.benchsuite import clear_cache, run_benchmark, run_matrix
+from repro import compile_and_measure
+from repro.benchsuite import clear_cache, run_matrix
 from repro.benchsuite import runner as benchsuite_runner
 from repro.core.replication import Policy
 from repro.exec import (
@@ -12,6 +13,7 @@ from repro.exec import (
     ResultCache,
     execute_cell,
 )
+from repro.obs import observing
 
 GOOD = CellSpec(program="int main() { return 41; }")
 CRASHING = CellSpec(program="int main( {")  # syntax error
@@ -94,8 +96,6 @@ def test_failed_cache_write_keeps_every_cell(tmp_path, monkeypatch):
     import errno
     import os
 
-    from repro.obs import observing
-
     def disk_full(src, dst):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), dst)
 
@@ -131,15 +131,50 @@ def test_runner_parallel_matches_serial():
         assert s.measurement.output == p.measurement.output
 
 
-# --- the benchsuite facade --------------------------------------------------------
+def _die_on_sieve(spec):
+    """``execute_cell``, except that a sieve cell kills its worker."""
+    import os
+
+    if spec.program == "sieve":
+        os._exit(137)
+    return execute_cell(spec)
+
+
+def test_dying_worker_fails_only_its_own_cell(monkeypatch):
+    """A worker killed mid-cell breaks its pool; the cells that pool lost
+    rerun alone, so only the killer's cells fail, and each death counts."""
+    import multiprocessing
+
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched execute_cell reaches workers only by fork")
+    specs = [
+        CellSpec(program=name, replication=config)
+        for name in ("wc", "sieve", "queens", "od")
+        for config in ("none", "loops", "jumps")
+    ]
+    serial = ParallelRunner(workers=1).run(specs)
+    monkeypatch.setattr("repro.exec.runner.execute_cell", _die_on_sieve)
+    with observing(spans=False) as obs:
+        results = ParallelRunner(workers=2, cache=None).run(specs)
+    assert [r.spec for r in results] == specs
+    for want, got in zip(serial, results):
+        if got.spec.program == "sieve":
+            assert not got.ok and "worker died" in got.error
+            assert got.measurement is None
+        else:
+            assert got.ok, got.error
+            assert vars(got.measurement) == vars(want.measurement)
+    assert obs.metrics.counters["exec.worker_deaths"] == 3
+
+
+# --- the benchsuite matrix --------------------------------------------------------
 
 
 @pytest.fixture
-def default_cache(monkeypatch):
-    """A fresh in-memory default cache for the benchsuite facade."""
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+def default_cache():
+    """A fresh in-memory default cache for ``run_matrix``."""
     clear_cache()
-    yield lambda: benchsuite_runner._cache(None, True)
+    yield lambda: benchsuite_runner._default_cache
     clear_cache()
 
 
@@ -148,14 +183,18 @@ def test_run_matrix_shape_and_memo(default_cache):
         names=["wc"], targets=["sparc"], configs=["none", "jumps"], workers=1
     )
     assert set(matrix) == {("sparc", "none", "wc"), ("sparc", "jumps", "wc")}
-    # The matrix seeded the default cache: run_benchmark is now a hit
-    # and returns the very same Measurement objects.
-    assert run_benchmark("wc", "sparc", "jumps") is matrix[("sparc", "jumps", "wc")]
+    assert default_cache().root is None  # in memory, whatever the environment
+    # The matrix seeded the default cache: a rerun hits and returns the
+    # very same Measurement objects.
+    again = run_matrix(names=["wc"], targets=["sparc"], configs=["jumps"], workers=1)
+    assert again[("sparc", "jumps", "wc")] is matrix[("sparc", "jumps", "wc")]
     stats = default_cache().stats()
     assert (stats["entries"], stats["writes"], stats["hits"]) == (2, 2, 1)
     # Opting out of the default cache runs the cell afresh.
-    fresh = run_benchmark("wc", "sparc", "jumps", use_cache=False)
-    assert fresh is not matrix[("sparc", "jumps", "wc")]
+    fresh = run_matrix(
+        names=["wc"], targets=["sparc"], configs=["jumps"], workers=1, use_memo=False
+    )
+    assert fresh[("sparc", "jumps", "wc")] is not matrix[("sparc", "jumps", "wc")]
     assert default_cache().stats()["hits"] == 1
 
 
@@ -168,69 +207,13 @@ def test_run_matrix_reports_failures(default_cache, monkeypatch):
         run_matrix(names=["wc"], targets=["sparc"], configs=["none"], workers=1)
 
 
-def test_run_benchmark_uses_persistent_cache(tmp_path, monkeypatch, default_cache):
-    cache = ResultCache(tmp_path)
-    first = run_benchmark("wc", "sparc", "jumps", cache=cache)
-    again = run_benchmark("wc", "sparc", "jumps", cache=cache)
-    assert cache.hits == 1 and cache.writes == 1
-    assert again.dynamic_insns == first.dynamic_insns
-    # REPRO_CACHE_DIR makes that directory the default cache.
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    clear_cache()
-    from_env = run_benchmark("wc", "sparc", "jumps")
-    assert from_env.dynamic_insns == first.dynamic_insns
-    assert default_cache().root == tmp_path
-    assert default_cache().stats()["hits"] == 1
-
-
-def test_run_benchmark_verified_run_bypasses_cache(tmp_path, monkeypatch):
-    """Under REPRO_VERIFY=full a warm cache neither answers nor is written."""
-    cache = ResultCache(tmp_path)
-    monkeypatch.setenv("REPRO_VERIFY", "full")
-    run_benchmark("wc", "sparc", "jumps", use_cache=False, cache=cache)
-    assert cache.writes == 0 and len(cache) == 0
-
-    monkeypatch.delenv("REPRO_VERIFY")
-    run_benchmark("wc", "sparc", "jumps", use_cache=False, cache=cache)
-    assert cache.writes == 1  # now warm
-
-    monkeypatch.setenv("REPRO_VERIFY", "full")
-    run_benchmark("wc", "sparc", "jumps", use_cache=False, cache=cache)
-    assert cache.hits == 0 and cache.writes == 1
-
-
-def test_memo_is_bypassed_under_verification(default_cache, monkeypatch):
-    """Under REPRO_VERIFY=full the default in-memory cache neither
-    answers nor is seeded: a verified run must actually run."""
-    plain = run_benchmark("wc", "sparc", "jumps")
-    matrix = run_matrix(names=["wc"], targets=["sparc"], configs=["jumps"], workers=1)
-    assert matrix[("sparc", "jumps", "wc")] is plain  # cache hit
-
-    monkeypatch.setenv("REPRO_VERIFY", "full")
-    verified = run_benchmark("wc", "sparc", "jumps")
-    assert verified is not plain
-    assert verified.dynamic_insns == plain.dynamic_insns
-    matrix = run_matrix(names=["wc"], targets=["sparc"], configs=["jumps"], workers=1)
-    assert matrix[("sparc", "jumps", "wc")] not in (plain, verified)
-
-    monkeypatch.delenv("REPRO_VERIFY")
-    assert run_benchmark("wc", "sparc", "jumps") is plain  # not reseeded
-    stats = default_cache().stats()
-    assert (stats["writes"], stats["hits"]) == (1, 2)
-
-
 @pytest.mark.parametrize("policy", ["returns", Policy.FAVOR_RETURNS])
-def test_run_benchmark_resolves_policy(tmp_path, policy):
+def test_compile_and_measure_resolves_policy(policy):
     """A policy given by name or by value is the cell measured; an
-    unknown name is an error, as an unknown benchmark is."""
-    cache = ResultCache(tmp_path)
-    run_benchmark("wc", "sparc", "jumps", policy=policy, cache=cache)
-    returns = CellSpec(program="wc", replication="jumps", policy="returns")
-    assert cache.get_spec(returns) is not None
+    unknown name is an error."""
+    got = compile_and_measure("wc", "sparc", "jumps", policy=policy)
+    returns = execute_cell(CellSpec(program="wc", replication="jumps", policy="returns"))
+    assert got.config.policy is Policy.FAVOR_RETURNS
+    assert vars(got.measurement) == vars(returns.measurement)
     with pytest.raises(KeyError, match="unknown policy"):
-        run_benchmark("wc", "sparc", "jumps", policy="bogus", cache=cache)
-
-
-def test_run_benchmark_unknown_name():
-    with pytest.raises(KeyError, match="unknown benchmark"):
-        run_benchmark("nonesuch")
+        compile_and_measure("wc", "sparc", "jumps", policy="bogus")

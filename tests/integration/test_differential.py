@@ -11,18 +11,15 @@ the envelopes.  Every optimized cell runs with ``verify="sanitize"``, so
 the sanitizer executes after every optimizer pass across the entire
 differential matrix (verified cells bypass the result cache).
 
-Environment knobs:
-
-* ``REPRO_TEST_PARALLEL`` — worker processes for the matrix (default
-  ``0`` = inline in this process);
-* ``REPRO_CACHE_DIR`` — reuse/populate a persistent result cache.
+``REPRO_TEST_PARALLEL`` sets the worker processes for the matrix
+(default ``0`` = inline in this process).
 """
 
 import os
 
 import pytest
 
-from repro.exec import CellSpec, ParallelRunner, ResultCache
+from repro.exec import CellSpec, ParallelRunner
 
 # Small programs run in every configuration; the heavyweights get a
 # reduced matrix so the suite stays fast.
@@ -81,10 +78,7 @@ def _matrix_specs():
 @pytest.fixture(scope="session")
 def matrix():
     workers = int(os.environ.get("REPRO_TEST_PARALLEL", "0") or 0)
-    cache_dir = os.environ.get("REPRO_CACHE_DIR")
-    runner = ParallelRunner(
-        workers=workers, cache=ResultCache(cache_dir) if cache_dir else None
-    )
+    runner = ParallelRunner(workers=workers)
     results = {}
     for result in runner.run(_matrix_specs()):
         key = (

@@ -109,17 +109,16 @@ class TestRunnerMerging:
 
 
 class TestBenchsuiteRunner:
-    def test_run_benchmark_merges_fresh_run(self):
-        from repro.benchsuite.runner import clear_cache, run_benchmark
+    def test_run_matrix_merges_fresh_run(self):
+        from repro.benchsuite import run_matrix
 
-        clear_cache()
-        try:
-            with observing(spans=False) as obs:
-                run_benchmark("wc", replication="jumps", use_cache=False)
-            assert obs.metrics.counters["ease.runs"] == 1
-            assert len(obs.decisions) >= 1
-        finally:
-            clear_cache()
+        with observing(spans=False) as obs:
+            run_matrix(
+                names=["wc"], targets=["sparc"], configs=["jumps"],
+                workers=1, use_memo=False,
+            )
+        assert obs.metrics.counters["ease.runs"] == 1
+        assert len(obs.decisions) >= 1
 
     def teardown_method(self):
         deactivate()

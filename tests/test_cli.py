@@ -47,7 +47,7 @@ class TestCommands:
         assert code == 45
         assert capsys.readouterr().out == "45\n"
 
-    def test_run_benchmark_by_name(self, capsys):
+    def test_run_by_benchmark_name(self, capsys):
         assert main(["run", "queens"]) == 0
         assert "92 solutions" in capsys.readouterr().out
 
@@ -157,7 +157,8 @@ class TestCommands:
             main(["run", "/nonexistent/file.c"])
 
     def test_parser_build_imports_no_event_loop(self, tmp_path):
-        """Building the parser must not drag asyncio into every invocation,
+        """Building the parser must not drag asyncio or the compiler front
+        end into every invocation (a warm ``repro bench`` never compiles),
         warming a worker must not import numpy (only the step-1 test
         oracle uses it), and neither builds a result cache on disk."""
         import os
@@ -167,7 +168,7 @@ class TestCommands:
         probe = (
             "import sys, repro.cli; repro.cli.build_parser(); "
             "print(sorted(m for m in sys.modules "
-            "if m == 'asyncio' or m.startswith('repro.serve'))); "
+            "if m == 'asyncio' or m.startswith(('repro.serve', 'repro.frontend')))); "
             "from repro.exec.runner import warm_worker; warm_worker(); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
         )
@@ -233,43 +234,72 @@ class TestCommands:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv, verify_env, code, message",
+        "argv, code, message",
         [
-            (["trace", "{tmp}"], None, 1, "error: no such trace file"),
+            (["trace", "{tmp}"], 1, "error: no such trace file"),
             (
                 ["run", "wc", "--stdin", "{tmp}/missing.txt"],
-                None,
                 2,
                 "error: argument --stdin",
             ),
             (
                 ["measure", "wc", "--trace", "{tmp}/no/such/dir/x.jsonl"],
-                None,
                 2,
                 "error: argument --trace",
             ),
-            (["measure", "wc"], "bogus", 2, "error: REPRO_VERIFY"),
         ],
-        ids=["trace-directory", "stdin-missing", "trace-dir-missing", "verify-env"],
+        ids=["trace-directory", "stdin-missing", "trace-dir-missing"],
     )
     def test_bad_outside_input_is_an_error_line(
-        self, argv, verify_env, code, message, tmp_path, capsys, monkeypatch
+        self, argv, code, message, tmp_path, capsys, monkeypatch
     ):
         def no_work(*args, **kwargs):
             raise AssertionError("compiled before validating the input")
 
         monkeypatch.setattr("repro.cli._measure", no_work)
         monkeypatch.delenv("REPRO_TRACE", raising=False)
-        if verify_env is None:
-            monkeypatch.delenv("REPRO_VERIFY", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_VERIFY", verify_env)
         try:
             result = main([arg.format(tmp=tmp_path) for arg in argv])
         except SystemExit as exc:
             result = exc.code
         assert result == code
         assert message in capsys.readouterr().err
+
+    def test_bench_verified_cells_bypass_the_cache(self, tmp_path):
+        import json
+
+        out = tmp_path / "bench.json"
+        argv = [
+            "bench", "--parallel", "1", "--quiet", "--json", str(out),
+            "--programs", "wc", "--targets", "sparc", "--configs", "jumps",
+            "--cache-dir", str(tmp_path / "cache"),
+        ]
+        assert main(argv + ["--verify", "full"]) == 0
+        stats = json.loads(out.read_text())["cache"]
+        assert (stats["hits"], stats["misses"], stats["writes"]) == (0, 0, 0)
+        assert main(argv) == 0  # a clean run fills the cache ...
+        assert main(argv + ["--verify", "full"]) == 0  # ... and is not served
+        payload = json.loads(out.read_text())
+        assert not payload["cells"][0]["cache_hit"]
+        assert (payload["cache"]["hits"], payload["cache"]["writes"]) == (0, 0)
+
+    def test_bench_cache_under_a_regular_file(self, tmp_path, capsys):
+        """An unusable cache directory reads as misses and write errors,
+        never as evictions, and the summary line says so."""
+        import json
+
+        blocker = tmp_path / "notadir"
+        blocker.write_text("")
+        out = tmp_path / "bench.json"
+        argv = [
+            "bench", "--parallel", "1", "--quiet", "--json", str(out),
+            "--programs", "wc", "--targets", "sparc", "--configs", "none",
+            "--cache-dir", str(blocker / "cache"),
+        ]
+        assert main(argv) == 0
+        stats = json.loads(out.read_text())["cache"]
+        assert (stats["misses"], stats["evictions"], stats["write_errors"]) == (1, 0, 1)
+        assert "0 writes, 1 write errors, 0 evictions" in capsys.readouterr().out
 
     @pytest.mark.parametrize("store", ["memory", "disk"])
     def test_bench_repeated_names_are_one_cell(self, tmp_path, capsys, store):

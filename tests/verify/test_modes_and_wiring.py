@@ -1,39 +1,27 @@
-"""Mode resolution and how verification threads through the layers:
-the high-level API, the exec layer's cache hygiene, and the CLI flag.
+"""The verify mode and how it threads through the layers: the
+high-level API, the exec layer's cache hygiene, and the CLI flag.
 """
 
 import pytest
 
 from repro.exec import CellSpec, CellResult, ParallelRunner, ResultCache
 from repro.verify import MiscompileError, Verifier
-from repro.verify.verifier import resolve_mode
 
 SRC = "int main() { int a; a = 6; return a * 7; }"
 
 
 class TestResolveMode:
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VERIFY", "full")
-        assert resolve_mode("off") == "off"
+    def test_default_is_off(self):
+        assert CellSpec(program="wc").verify == "off"
+        assert Verifier().mode == "off"
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VERIFY", "sanitize")
-        assert resolve_mode(None) == "sanitize"
-        monkeypatch.delenv("REPRO_VERIFY")
-        assert resolve_mode(None) == "off"
-
-    def test_env_normalized(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VERIFY", "  FULL ")
-        assert resolve_mode(None) == "full"
-        monkeypatch.setenv("REPRO_VERIFY", "")
-        assert resolve_mode(None) == "off"
-
-    def test_bad_mode_rejected(self, monkeypatch):
+    def test_bad_mode_rejected(self):
+        with pytest.raises(ValueError, match="paranoid"):
+            CellSpec(program="wc", verify="paranoid")
+        with pytest.raises(ValueError, match="paranoid"):
+            Verifier("paranoid")
         with pytest.raises(ValueError):
-            resolve_mode("paranoid")
-        monkeypatch.setenv("REPRO_VERIFY", "paranoid")
-        with pytest.raises(ValueError):
-            resolve_mode(None)
+            CellSpec(program="wc", verify=None)
 
 
 class TestApiWiring:
@@ -82,11 +70,15 @@ class TestApiWiring:
 
 
 class TestExecCacheHygiene:
-    def _runner(self, tmp_path):
-        return ParallelRunner(workers=1, cache=ResultCache(tmp_path / "cache"))
+    """Verified cells and the result cache, on disk; the subclass below
+    runs every case again on an in-memory cache."""
 
-    def test_verified_cell_bypasses_cache_both_ways(self, tmp_path):
-        runner = self._runner(tmp_path)
+    @pytest.fixture
+    def cache(self, tmp_path):
+        return ResultCache(tmp_path / "cache")
+
+    def test_verified_cell_bypasses_cache_both_ways(self, cache):
+        runner = ParallelRunner(workers=1, cache=cache)
         spec = CellSpec(program=SRC, replication="jumps", verify="full")
         first = runner.run([spec])[0]
         assert first.ok and not first.cache_hit
@@ -94,41 +86,36 @@ class TestExecCacheHygiene:
         # Nothing was written: a second verified run is also fresh.
         second = runner.run([spec])[0]
         assert not second.cache_hit
+        assert (cache.hits, cache.misses, cache.writes) == (0, 0, 0)
         # And a clean run of the same cell doesn't see a verified entry.
         clean = runner.run([CellSpec(program=SRC, replication="jumps")])[0]
         assert not clean.cache_hit
         assert clean.verification is None
 
-    def test_clean_cell_still_caches(self, tmp_path):
-        runner = self._runner(tmp_path)
+    @pytest.mark.parametrize("mode", ["sanitize", "full"])
+    def test_warm_cache_skips_verified(self, cache, mode):
+        runner = ParallelRunner(workers=1, cache=cache)
+        spec = CellSpec(program=SRC, replication="jumps")
+        runner.run([spec])  # seed the cache with a clean entry
+        verified = CellSpec(program=SRC, replication="jumps", verify=mode)
+        assert cache.key(verified) == cache.key(spec)  # one entry, two modes
+        result = runner.run([verified])[0]
+        assert not result.cache_hit
+        assert result.verification["mode"] == mode
+        assert cache.writes == 1  # the verified run wrote nothing
+        assert runner.run([spec])[0].cache_hit
+
+    def test_clean_cell_still_caches(self, cache):
+        runner = ParallelRunner(workers=1, cache=cache)
         spec = CellSpec(program=SRC, replication="jumps")
         assert not runner.run([spec])[0].cache_hit
         assert runner.run([spec])[0].cache_hit
 
-    def test_env_mode_bypasses_cache(self, tmp_path, monkeypatch):
-        runner = self._runner(tmp_path)
-        spec = CellSpec(program=SRC, replication="jumps")
-        runner.run([spec])  # seed the cache with a clean entry
-        monkeypatch.setenv("REPRO_VERIFY", "sanitize")
-        result = runner.run([spec])[0]
-        assert not result.cache_hit
-        assert result.verification is not None
-        monkeypatch.delenv("REPRO_VERIFY")
-        assert runner.run([spec])[0].cache_hit
 
-    def test_invalid_env_mode_fails_the_run_not_the_cache(
-        self, tmp_path, monkeypatch
-    ):
-        runner = self._runner(tmp_path)
-        spec = CellSpec(program=SRC, replication="jumps")
-        runner.run([spec])
-        monkeypatch.setenv("REPRO_VERIFY", "bogus")
-        result = runner.run([spec])[0]
-        # The configuration error surfaces from an actual run (captured
-        # in the envelope) instead of being masked by a stale cache hit.
-        assert not result.cache_hit
-        assert not result.ok
-        assert "bogus" in (result.error or "")
+class TestMemoryCacheHygiene(TestExecCacheHygiene):
+    @pytest.fixture
+    def cache(self):
+        return ResultCache(None)
 
 
 class TestVerifierReportShape:
