@@ -12,7 +12,7 @@ Run:  python examples/loop_rotation.py
 
 from repro import compile_and_measure
 from repro.cfg import build_function
-from repro.core import clone_function, replicate_jumps, replicate_loop_tests
+from repro.core import CodeReplicator, clone_function
 from repro.rtl import format_function, parse_insns
 
 # The paper's Table 1 RTLs (68020 notation), verbatim shape:
@@ -61,7 +61,7 @@ def main() -> None:
     print("before replication:")
     print(format_function(func))
     rotated = clone_function(func)
-    stats = replicate_jumps(rotated)
+    stats = CodeReplicator().run(rotated)
     print(f"\nafter JUMPS ({stats.jumps_replaced} jump replaced, "
           f"{stats.rtls_replicated} RTLs replicated):")
     print(format_function(rotated))

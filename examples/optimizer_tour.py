@@ -8,7 +8,7 @@ allocation, and delay-slot filling — the full journey of the paper's §5.1.
 Run:  python examples/optimizer_tour.py
 """
 
-from repro.core import replicate_jumps
+from repro.core import CodeReplicator
 from repro.frontend import compile_c
 from repro.opt import (
     OptimizationConfig,
@@ -63,7 +63,7 @@ def main() -> None:
     eliminate_dead_code(func)
     show("after branch chaining / dead code / reordering", func)
 
-    replicate_jumps(func)
+    CodeReplicator().run(func)
     eliminate_dead_code(func)
     show("after code replication (JUMPS)", func)
 

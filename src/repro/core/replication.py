@@ -78,7 +78,7 @@ class ReplicationStats:
     ``dataclasses.fields``, so a counter added to this class is merged
     automatically — a regression test asserts no field can be silently
     dropped when stats from per-function runs are combined (e.g. by
-    :func:`repro.core.jumps.replicate_jumps_in_program`).
+    :func:`repro.opt.driver.optimize_program`).
     """
 
     jumps_replaced: int = 0
@@ -146,8 +146,25 @@ def clone_function(func: Function) -> Function:
     return copy
 
 
+def _no_sweep_hook(func: Function, sweep: int) -> None:
+    """The default ``after_sweep``: nothing to check."""
+
+
 class CodeReplicator:
-    """Applies code replication to one function until no jump can be replaced."""
+    """Applies code replication to one function until no jump can be replaced.
+
+    The one way to run either configuration of Figure 3's "code
+    replication (either JUMPS or LOOPS)" step::
+
+        CodeReplicator().run(func)                       # JUMPS (§4)
+        CodeReplicator(ReplicationMode.LOOPS).run(func)  # LOOPS (§5)
+
+    LOOPS is the conventional replication of loop termination tests: a
+    single-block favoring-loops sequence ending in the loop's
+    conditional branch (see :meth:`_admissible`).  So in that mode the
+    step-2 policy is always :attr:`Policy.FAVOR_LOOPS` and the §6
+    ``max_rtls`` bound does not apply; the arguments are ignored.
+    """
 
     def __init__(
         self,
@@ -160,12 +177,13 @@ class CodeReplicator:
         jump_filter: Optional[
             Callable[[Function, BasicBlock, Jump], bool]
         ] = None,
-        after_sweep: Optional[Callable[[Function, int], None]] = None,
+        after_sweep: Callable[[Function, int], None] = _no_sweep_hook,
         convergence_guard: bool = True,
     ) -> None:
+        loops = mode is ReplicationMode.LOOPS
         self.mode = mode
-        self.policy = policy
-        self.max_rtls = max_rtls
+        self.policy = Policy.FAVOR_LOOPS if loops else policy
+        self.max_rtls = None if loops else max_rtls
         self.allow_irreducible = allow_irreducible
         self.max_replications = max_replications_per_function
         # The primary termination mechanism: refuse to replicate a jump
@@ -225,8 +243,7 @@ class CodeReplicator:
                             progress = True
                             budget -= 1
                     position += 1
-            if self.after_sweep is not None:
-                self.after_sweep(func, sweep)
+            self.after_sweep(func, sweep)
         if progress and budget <= 0:
             # The replication budget ran out while sweeps were still
             # finding work — the cascade valve, not a fixpoint.

@@ -18,6 +18,7 @@ from typing import Optional, Tuple
 
 from ..core.replication import POLICIES
 from ..ease.measure import Measurement
+from ..targets.machine import TARGETS
 
 __all__ = ["CellSpec", "CellResult", "CACHE_SCHEMA_VERSION", "VERIFY_MODES"]
 
@@ -94,6 +95,12 @@ class CellSpec:
     verify: str = "off"
 
     def __post_init__(self) -> None:
+        if self.target not in TARGETS:
+            raise ValueError(
+                f"unknown target {self.target!r}; expected one of {list(TARGETS)}"
+            )
+        if self.max_rtls is not None and self.max_rtls < 0:
+            raise ValueError(f"max_rtls must be non-negative, got {self.max_rtls}")
         if self.policy not in POLICIES:
             raise KeyError(
                 f"unknown policy {self.policy!r}; expected one of {list(POLICIES)}"

@@ -73,10 +73,11 @@ def run_pipeline(spec: CellSpec, result: CellResult) -> tuple:
 
     Resolves the spec's source and stdin, turns its policy name into an
     :class:`~repro.opt.driver.OptimizationConfig`,
-    optimizes under a :class:`~repro.verify.verifier.Verifier` when the
-    spec's verify mode is not ``"off"``, and measures.  Timings,
-    replication stats, the measurement and the verification report (also
-    when verification fails) land in ``result``; failures raise.  Returns
+    optimizes under a :class:`~repro.verify.verifier.Verifier` in the
+    spec's verify mode, and measures.  Timings, replication stats, the
+    measurement and — unless the mode is ``"off"`` — the verification
+    report (also when verification fails) land in ``result``; failures
+    raise.  Returns
     ``(program, config, stats)``; ``config`` and ``stats`` are ``None``
     for an unoptimized reference run.
     """
@@ -102,15 +103,13 @@ def run_pipeline(spec: CellSpec, result: CellResult) -> tuple:
             policy=POLICIES[spec.policy],
             max_rtls=spec.max_rtls,
         )
-        verifier = (
-            Verifier(spec.verify, inputs=[stdin]) if spec.verify != "off" else None
-        )
+        verifier = Verifier(spec.verify, inputs=[stdin])
         start = perf_counter()
         try:
             stats = optimize_program(program, target, config, verifier=verifier)
         finally:
             # A failed verification's report carries the bisection verdict.
-            if verifier is not None:
+            if spec.verify != "off":
                 result.verification = verifier.report()
         result.optimize_seconds = perf_counter() - start
         result.replication_stats = stats.as_dict()
@@ -144,7 +143,7 @@ def execute_cell(spec: CellSpec) -> CellResult:
     try:
         with observer.span("exec.cell", label=spec.label):
             run_pipeline(spec, result)
-    except BaseException:
+    except Exception:
         result.error = traceback.format_exc()
         result.measurement = None
     finally:

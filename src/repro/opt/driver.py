@@ -92,30 +92,6 @@ class OptimizationConfig:
             )
 
 
-def _make_replicator(
-    config: OptimizationConfig,
-    allow_irreducible: bool = False,
-    after_sweep: Optional[Callable] = None,
-):
-    if config.replication == "none":
-        return None
-    if config.replication == "loops":
-        return CodeReplicator(
-            mode=ReplicationMode.LOOPS,
-            policy=Policy.FAVOR_LOOPS,
-            after_sweep=after_sweep,
-            convergence_guard=config.convergence_guard,
-        )
-    return CodeReplicator(
-        mode=ReplicationMode.JUMPS,
-        policy=config.policy,
-        max_rtls=config.max_rtls,
-        allow_irreducible=allow_irreducible,
-        after_sweep=after_sweep,
-        convergence_guard=config.convergence_guard,
-    )
-
-
 def optimize_function(
     func: Function,
     target: Machine,
@@ -133,18 +109,22 @@ def optimize_function(
     :func:`repro.obs.digest.pass_table` folds them).  The census feeds
     only those attributes, so it runs only under spans.
 
-    ``verifier`` is a translation-validation hook object (see
-    :mod:`repro.verify.verifier`): ``allow_pass`` gates every pass
-    invocation — a False answer skips the pass, which is how bisection
-    replays stop the pipeline after exactly ``k`` invocations — and
-    ``after_pass`` sanitizes the function once the pass ran.
+    ``verifier`` is the translation-validation hook object
+    (:class:`repro.verify.verifier.Verifier`; a fresh mode-``off`` one
+    when none is given): ``allow_pass`` gates every pass invocation — a
+    False answer skips the pass, which is how bisection replays stop the
+    pipeline after exactly ``k`` invocations — ``after_pass`` sanitizes
+    the function once the pass ran, and ``after_sweep`` once each
+    replication sweep ran.
     """
+    if verifier is None:
+        verifier = _default_verifier()
     stats = ReplicationStats()
     obs = _active_observer()
     census = obs.tracer.enabled
 
     def step(name: str, pass_fn: Callable[[], object]) -> bool:
-        if verifier is not None and not verifier.allow_pass(func, name):
+        if not verifier.allow_pass(func, name):
             return False
         if census:
             rtls_before = func.insn_count()
@@ -160,16 +140,20 @@ def optimize_function(
         obs.metrics.inc("opt.pass_invocations")
         if outcome:
             obs.metrics.inc("opt.pass_changes")
-        if verifier is not None:
-            verifier.after_pass(func, name)
+        verifier.after_pass(func, name)
         return outcome
 
     def replicate(allow_irreducible: bool = False) -> bool:
-        after_sweep = verifier.after_sweep if verifier is not None else None
-        replicator = _make_replicator(config, allow_irreducible, after_sweep)
-        if replicator is None:
+        if config.replication == "none":
             return False
-        run_stats = replicator.run(func)
+        run_stats = CodeReplicator(
+            mode=ReplicationMode(config.replication),
+            policy=config.policy,
+            max_rtls=config.max_rtls,
+            allow_irreducible=allow_irreducible,
+            after_sweep=verifier.after_sweep,
+            convergence_guard=config.convergence_guard,
+        ).run(func)
         stats.merge(run_stats)
         return run_stats.jumps_replaced > 0
 
@@ -243,10 +227,11 @@ def optimize_program(
 ) -> ReplicationStats:
     """Optimize every function of ``program``; return merged replication stats.
 
-    With a ``verifier`` (see :mod:`repro.verify.verifier`), the pristine
-    program is snapshotted before the first pass and the differential
-    oracle re-checks observable behaviour after every function and at the
-    end; a divergence raises
+    The ``verifier`` (see :mod:`repro.verify.verifier`; a fresh
+    mode-``off`` one when none is given) sees the whole run: with mode
+    ``full`` the pristine program is snapshotted before the first pass
+    and the differential oracle re-checks observable behaviour after
+    every function and at the end; a divergence raises
     :class:`~repro.verify.errors.MiscompileError` after bisecting to the
     guilty pass.
     """
@@ -254,13 +239,23 @@ def optimize_program(
         target = get_target(target)
     if config is None:
         config = OptimizationConfig()
-    if verifier is not None:
-        verifier.begin(program, target, config)
+    if verifier is None:
+        verifier = _default_verifier()
+    verifier.begin(program, target, config)
     total = ReplicationStats()
     for func in program.functions.values():
         total.merge(optimize_function(func, target, config, verifier))
-        if verifier is not None:
-            verifier.after_function(func)
-    if verifier is not None:
-        verifier.finish()
+        verifier.after_function(func)
+    verifier.finish()
     return total
+
+
+def _default_verifier():
+    """A fresh ``Verifier("off")``: it keeps a pass trace, so one per run.
+
+    Imported here, not at module level, so that loading the optimizer
+    does not load the verification subsystem.
+    """
+    from ..verify.verifier import Verifier
+
+    return Verifier()

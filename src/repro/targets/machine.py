@@ -129,6 +129,9 @@ class Machine:
 #: that worker reuses it instead of paying per-cell construction.
 _INSTANCES: dict = {}
 
+#: The target names, one spelling each: ``CellSpec.target``, ``--target``.
+TARGETS = ("sparc", "m68020")
+
 
 def clear_target_cache() -> None:
     """Drop memoized machine instances (tests of the warm-up path)."""
@@ -145,26 +148,17 @@ def get_target(name: str) -> Machine:
     from ..obs import active as _active_observer
 
     obs = _active_observer()
-    key = name.lower()
-    machine = _INSTANCES.get(key)
+    machine = _INSTANCES.get(name)
     if machine is not None:
         obs.metrics.inc("targets.machine.reused")
         return machine
+    if name not in TARGETS:
+        raise ValueError(f"unknown target {name!r}; expected one of {list(TARGETS)}")
 
     from .m68020 import M68020
     from .sparc import Sparc
 
-    table = {
-        "m68020": M68020,
-        "68020": M68020,
-        "sparc": Sparc,
-    }
-    try:
-        machine = table[key]()
-    except KeyError:
-        raise ValueError(
-            f"unknown target {name!r}; expected one of {sorted(table)}"
-        ) from None
-    _INSTANCES[key] = machine
+    machine = {"m68020": M68020, "sparc": Sparc}[name]()
+    _INSTANCES[name] = machine
     obs.metrics.inc("targets.machine.constructed")
     return machine

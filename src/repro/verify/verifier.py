@@ -1,13 +1,15 @@
 """The verification orchestrator: sanitize, oracle, and pass bisection.
 
-One :class:`Verifier` instance accompanies one ``optimize_program`` run.
-The driver consults it at four points:
+One :class:`Verifier` instance accompanies one ``optimize_program`` run;
+there is always one (the optimizer builds a fresh ``Verifier()``, mode
+``off``, when the caller passes none).  The driver consults it at four
+points:
 
-* ``allow_pass(func, name)`` — before each pass invocation.  In a
-  primary run this always answers True while recording the invocation in
-  ``pass_trace``; a bisection *replay* (:class:`ReplayGate`) answers
-  False once its budget is exhausted, so the replayed pipeline stops
-  after exactly ``k`` pass invocations.
+* ``allow_pass(func, name)`` — before each pass invocation.  It records
+  the invocation in ``pass_trace`` and answers True — unless the
+  verifier has a pass ``budget`` and that many invocations already ran.
+  A bisection *replay* is ``Verifier("off", budget=k)``: the replayed
+  pipeline stops after exactly ``k`` pass invocations.
 * ``after_pass(func, name)`` — sanitize the function (every mode except
   ``off``).
 * ``after_sweep(func, sweep)`` — sanitize after each replication sweep.
@@ -55,43 +57,7 @@ from .oracle import (
 )
 from .sanitize import same_inputs, sanitize_function, sanitize_inputs
 
-__all__ = ["Verifier", "ReplayGate", "VERIFY_MODES"]
-
-
-class ReplayGate:
-    """Budgeted no-op verifier driving one bisection replay.
-
-    Allows exactly ``budget`` pass invocations, then denies the rest; no
-    sanitizing, no oracle — the replay's job is only to reproduce the
-    intermediate program.
-    """
-
-    def __init__(self, budget: int) -> None:
-        self.budget = budget
-        self.executed = 0
-        self.pass_trace: List[Tuple[str, str]] = []
-
-    def allow_pass(self, func: Function, name: str) -> bool:
-        if self.executed >= self.budget:
-            return False
-        self.executed += 1
-        self.pass_trace.append((func.name, name))
-        return True
-
-    def begin(self, program: Program, target=None, config=None) -> None:
-        pass
-
-    def after_pass(self, func: Function, name: str) -> None:
-        pass
-
-    def after_sweep(self, func: Function, sweep: int) -> None:
-        pass
-
-    def after_function(self, func: Function) -> None:
-        pass
-
-    def finish(self) -> Dict[str, object]:
-        return {}
+__all__ = ["Verifier", "VERIFY_MODES"]
 
 
 class Verifier:
@@ -103,6 +69,7 @@ class Verifier:
         inputs: Optional[Sequence[bytes]] = None,
         bisect: bool = True,
         max_steps: int = ORACLE_MAX_STEPS,
+        budget: Optional[int] = None,
     ) -> None:
         if mode not in VERIFY_MODES:
             raise ValueError(
@@ -112,6 +79,8 @@ class Verifier:
         self.inputs: List[bytes] = list(inputs) if inputs else [b""]
         self.bisect = bisect
         self.max_steps = max_steps
+        #: Pass invocations allowed (``None``: all); see :meth:`allow_pass`.
+        self.budget = budget
         self.pass_trace: List[Tuple[str, str]] = []
         self.executed = 0
         self.sanitize_checks = 0
@@ -168,6 +137,8 @@ class Verifier:
     # ------------------------------------------------------------ pass hooks
 
     def allow_pass(self, func: Function, name: str) -> bool:
+        if self.budget is not None and self.executed >= self.budget:
+            return False
         self.executed += 1
         self.pass_trace.append((func.name, name))
         return True
@@ -262,28 +233,28 @@ class Verifier:
 
     # ------------------------------------------------------------ bisection
 
-    def _replay(self, budget: int) -> Tuple[bool, ReplayGate]:
+    def _replay(self, budget: int) -> Tuple[bool, "Verifier"]:
         """Re-run the pipeline with a pass budget; True = behaviour diverges."""
         from ..opt.driver import optimize_program
 
         assert self.pristine is not None and self.reference is not None
         program = clone_program(self.pristine)
-        gate = ReplayGate(budget)
-        optimize_program(program, self.target, self.config, verifier=gate)
+        replay = Verifier("off", budget=budget)
+        optimize_program(program, self.target, self.config, verifier=replay)
         diverged = diff_behaviors(self.reference, self._capture(program))
-        return diverged is not None, gate
+        return diverged is not None, replay
 
     def _bisect(self) -> Dict[str, object]:
         """Binary-search the smallest failing pass-invocation prefix."""
         obs = _active_observer()
 
-        def probe(k: int) -> Tuple[bool, ReplayGate]:
+        def probe(k: int) -> Tuple[bool, Verifier]:
             self.bisect_steps += 1
             obs.metrics.inc("verify.bisect.steps")
             return self._replay(k)
 
         hi = self.executed
-        bad, gate = probe(hi)
+        bad, replay = probe(hi)
         if not bad:
             # The full replay does not reproduce the divergence: some pass
             # is nondeterministic within the process, which bisection
@@ -300,13 +271,13 @@ class Verifier:
                 "guilty_pass": None,
             }
         lo = 0
-        trace = gate.pass_trace
+        trace = replay.pass_trace
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            bad, gate = probe(mid)
+            bad, replay = probe(mid)
             if bad:
                 hi = mid
-                trace = gate.pass_trace
+                trace = replay.pass_trace
             else:
                 lo = mid
         func_name, pass_name = trace[hi - 1]

@@ -10,7 +10,7 @@ blocks are retargeted to the copies, avoiding partially overlapping loops.
 """
 
 from repro.cfg import find_loops, is_reducible
-from repro.core import replicate_jumps
+from repro.core import CodeReplicator
 from repro.verify import check_sanitized
 from tests.conftest import function_from_text
 
@@ -56,7 +56,7 @@ class TestFigure1:
         assert len(info_before.loops) == 1
         loop_size_before = len(info_before.loops[0].blocks)
 
-        stats = replicate_jumps(func)
+        stats = CodeReplicator().run(func)
         check_sanitized(func, "jumps")
         assert func.jump_count() == 0
         assert is_reducible(func)
@@ -101,7 +101,7 @@ class TestFigure1:
               PC=RT;
             """,
         )
-        stats = replicate_jumps(func)
+        stats = CodeReplicator().run(func)
         assert stats.jumps_replaced == 1
         # Only the two-RTL test was copied, not the loop body.
         assert stats.rtls_replicated == 2
@@ -110,7 +110,7 @@ class TestFigure1:
 class TestFigure2:
     def test_no_partially_overlapping_loops(self):
         func = function_from_text("fig2", FIGURE_2)
-        replicate_jumps(func)
+        CodeReplicator().run(func)
         check_sanitized(func, "jumps")
         assert is_reducible(func)
         assert func.jump_count() == 0
@@ -141,7 +141,7 @@ class TestFigure2:
             if type(insn).__name__ == "CondBranch"
         ]
         assert "L1" in before_targets
-        replicate_jumps(func)
+        CodeReplicator().run(func)
         # After replication at least one conditional branch that used to
         # target L1 now targets a replicated block instead, and the result
         # stays reducible (the point of step 5).

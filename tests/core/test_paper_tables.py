@@ -7,7 +7,7 @@ distinctive features of the "with replication" column.
 """
 
 from repro.cfg import build_function, find_loops
-from repro.core import replicate_jumps
+from repro.core import CodeReplicator
 from repro.frontend import compile_c
 from repro.opt import OptimizationConfig, optimize_function
 from repro.rtl import Compare, CondBranch, Jump, Return, parse_insns
@@ -34,7 +34,7 @@ class TestTable1:
 
     def _replicated(self):
         func = build_function("t1", parse_insns(self.WITHOUT))
-        replicate_jumps(func)
+        CodeReplicator().run(func)
         check_sanitized(func, "jumps")
         return func
 

@@ -27,7 +27,6 @@ from repro.core import (
     Policy,
     ReplicationMode,
     clone_function,
-    replicate_loop_tests,
 )
 from repro.ease import Interpreter
 from repro.rtl import (
@@ -172,7 +171,7 @@ class TestEngineOnRandomCFGs:
     def test_loops_mode_preserves_behaviour(self, func):
         reference = run(func)
         replicated = clone_function(func)
-        replicate_loop_tests(replicated)
+        CodeReplicator(ReplicationMode.LOOPS).run(replicated)
         check_sanitized(replicated, "loops")
         assert run(replicated) == reference
 

@@ -8,8 +8,6 @@ from repro.core import (
     Policy,
     ReplicationMode,
     clone_function,
-    replicate_jumps,
-    replicate_loop_tests,
 )
 from repro.rtl import Jump
 from repro.verify import check_sanitized
@@ -84,7 +82,7 @@ class TestJumps:
     )
     def test_all_jumps_eliminated(self, text):
         func = framed_function(text)
-        stats = replicate_jumps(func)
+        stats = CodeReplicator().run(func)
         check_sanitized(func, "jumps")
         assert func.jump_count() == 0
         assert stats.jumps_replaced >= 1
@@ -92,7 +90,7 @@ class TestJumps:
 
     def test_table2_paths_return_separately(self):
         func = function_from_text("f", IF_THEN_ELSE)
-        replicate_jumps(func)
+        CodeReplicator().run(func)
         returns = [b for b in func.blocks if b.ends_in_return()]
         assert len(returns) == 2
 
@@ -103,7 +101,7 @@ class TestJumps:
         before_relations = [
             insn.rel for insn in func.insns() if hasattr(insn, "rel")
         ]
-        replicate_jumps(func)
+        CodeReplicator().run(func)
         after_relations = [
             insn.rel for insn in func.insns() if hasattr(insn, "rel")
         ]
@@ -125,7 +123,7 @@ class TestJumps:
               PC=RT;
             """,
         )
-        stats = replicate_jumps(func)
+        stats = CodeReplicator().run(func)
         assert stats.jumps_replaced == 1
         assert stats.rtls_replicated == 0
         assert func.jump_count() == 0
@@ -139,7 +137,7 @@ class TestJumps:
               PC=L1;
             """,
         )
-        replicate_jumps(func)
+        CodeReplicator().run(func)
         assert func.jump_count() == 1  # nothing can replace it (§5.2)
 
     def test_jump_to_indirect_jump_kept(self):
@@ -158,14 +156,14 @@ class TestJumps:
               PC=RT;
             """,
         )
-        stats = replicate_jumps(func)
+        stats = CodeReplicator().run(func)
         assert func.jump_count() == 1
         assert stats.jumps_kept >= 1
 
     def test_max_rtls_limits_replication(self):
         # §6 future work: bounding the replication sequence length.
         func = function_from_text("f", IF_THEN_ELSE)
-        stats = replicate_jumps(func, max_rtls=1)
+        stats = CodeReplicator(max_rtls=1).run(func)
         assert stats.jumps_replaced == 0
         assert func.jump_count() == 1
 
@@ -174,7 +172,7 @@ class TestJumps:
         # ones: every non-transfer RTL of the original must still be there.
         func = function_from_text("f", MID_EXIT_LOOP)
         original = clone_function(func)
-        replicate_jumps(func)
+        CodeReplicator().run(func)
         original_texts = [
             repr(i) for b in original.blocks for i in b.insns if not i.is_transfer()
         ]
@@ -204,8 +202,8 @@ class TestJumps:
         """
         func_loops = function_from_text("f", text)
         func_returns = function_from_text("f", text)
-        stats_loops = replicate_jumps(func_loops, policy=Policy.FAVOR_LOOPS)
-        stats_returns = replicate_jumps(func_returns, policy=Policy.FAVOR_RETURNS)
+        stats_loops = CodeReplicator(policy=Policy.FAVOR_LOOPS).run(func_loops)
+        stats_returns = CodeReplicator(policy=Policy.FAVOR_RETURNS).run(func_returns)
         assert stats_returns.rtls_replicated > stats_loops.rtls_replicated
 
     def test_replication_count_capped(self):
@@ -221,7 +219,7 @@ class TestJumps:
 class TestLoopsMode:
     def test_for_loop_rotation(self):
         func = function_from_text("f", FOR_LOOP)
-        stats = replicate_loop_tests(func)
+        stats = CodeReplicator(ReplicationMode.LOOPS).run(func)
         check_sanitized(func, "loops")
         assert stats.jumps_replaced == 1
         assert func.jump_count() == 0
@@ -231,7 +229,7 @@ class TestLoopsMode:
 
     def test_while_loop_backjump_replaced(self):
         func = function_from_text("f", WHILE_LOOP)
-        stats = replicate_loop_tests(func)
+        stats = CodeReplicator(ReplicationMode.LOOPS).run(func)
         assert stats.jumps_replaced == 1
         assert func.jump_count() == 0
 
@@ -239,16 +237,27 @@ class TestLoopsMode:
         # LOOPS only replicates loop termination conditions; the jump over
         # an else-part stays.
         func = function_from_text("f", IF_THEN_ELSE)
-        stats = replicate_loop_tests(func)
+        stats = CodeReplicator(ReplicationMode.LOOPS).run(func)
         assert stats.jumps_replaced == 0
         assert func.jump_count() == 1
+
+    def test_loops_mode_ignores_policy_and_bound(self):
+        # LOOPS arbitrates favoring-loops and takes no §6 bound, whatever
+        # the caller asks for.
+        replicator = CodeReplicator(
+            ReplicationMode.LOOPS, policy=Policy.FAVOR_RETURNS, max_rtls=0
+        )
+        assert replicator.policy is Policy.FAVOR_LOOPS
+        assert replicator.max_rtls is None
+        func = function_from_text("f", FOR_LOOP)
+        assert replicator.run(func).jumps_replaced == 1
 
     def test_loops_mode_is_subset_of_jumps_mode(self):
         for text in (MID_EXIT_LOOP, IF_THEN_ELSE, FOR_LOOP, WHILE_LOOP):
             via_loops = function_from_text("f", text)
             via_jumps = function_from_text("f", text)
-            loops_stats = replicate_loop_tests(via_loops)
-            jumps_stats = replicate_jumps(via_jumps)
+            loops_stats = CodeReplicator(ReplicationMode.LOOPS).run(via_loops)
+            jumps_stats = CodeReplicator().run(via_jumps)
             assert loops_stats.jumps_replaced <= jumps_stats.jumps_replaced
 
 
@@ -258,7 +267,7 @@ class TestStructuralInvariants:
     )
     def test_reducibility_preserved(self, text):
         func = function_from_text("f", text)
-        replicate_jumps(func)
+        CodeReplicator().run(func)
         assert is_reducible(func)
 
     @pytest.mark.parametrize(
@@ -266,7 +275,7 @@ class TestStructuralInvariants:
     )
     def test_wellformed_after_replication(self, text):
         func = framed_function(text)
-        replicate_jumps(func)
+        CodeReplicator().run(func)
         check_sanitized(func, "jumps")
 
     def test_no_replicate_flag_respected(self):
@@ -274,7 +283,7 @@ class TestStructuralInvariants:
         for insn in func.insns():
             if isinstance(insn, Jump):
                 insn.no_replicate = True
-        stats = replicate_jumps(func)
+        stats = CodeReplicator().run(func)
         assert stats.jumps_replaced == 0
         assert func.jump_count() == 1
 
@@ -283,7 +292,7 @@ class TestStructuralInvariants:
         for insn in func.insns():
             if isinstance(insn, Jump):
                 insn.no_replicate = True
-        stats = replicate_jumps(func, allow_irreducible=True)
+        stats = CodeReplicator(allow_irreducible=True).run(func)
         assert stats.jumps_replaced == 1
         assert func.jump_count() == 0
 
@@ -318,7 +327,7 @@ class TestIndirectJumpsInLoops:
             PC=RT;
             """,
         )
-        replicate_jumps(func)
+        CodeReplicator().run(func)
         check_sanitized(func, "jumps")
         assert is_reducible(func)
 
@@ -337,7 +346,7 @@ class TestIndirectJumpsInLoops:
               PC=RT;
             """,
         )
-        stats = replicate_jumps(func)
+        stats = CodeReplicator().run(func)
         # The jump's target *is* the indirect-jump block and no path exists
         # through it; the jump stays (as in the paper's implementation).
         assert func.jump_count() >= 1

@@ -116,6 +116,23 @@ def test_key_changes_when_config_changes(tmp_path, store_kind, variant):
     assert cache.get_spec(replace(SPEC, **variant)) is None
 
 
+@pytest.mark.parametrize(
+    "variant",
+    [
+        {"target": "SPARC"},
+        {"target": "68020"},
+        {"target": "M68020"},
+        {"target": "vax"},
+        {"max_rtls": -3},
+    ],
+)
+def test_spec_rejects_unkeyable_spellings(variant):
+    """One spelling per target and no negative bound, so two specs that
+    mean the same cell never get two keys."""
+    with pytest.raises(ValueError):
+        replace(SPEC, **variant)
+
+
 def test_key_hashes_resolved_ease_engine(tmp_path):
     """A spec left at the default and one pinned to the compiled engine
     are the same cell."""

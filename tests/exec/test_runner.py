@@ -131,6 +131,22 @@ def test_runner_parallel_matches_serial():
         assert s.measurement.output == p.measurement.output
 
 
+def test_inline_run_stops_on_keyboard_interrupt(monkeypatch):
+    """Ctrl-C in an inline cell ends the run instead of becoming an
+    error envelope for that cell and moving on to the next."""
+    attempts = []
+
+    def interrupted(spec, result):
+        attempts.append(spec.program)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("repro.exec.runner.run_pipeline", interrupted)
+    specs = [CellSpec(program=name) for name in ("wc", "sieve", "queens")]
+    with pytest.raises(KeyboardInterrupt):
+        ParallelRunner(workers=1, cache=None).run(specs)
+    assert attempts == ["wc"]
+
+
 def _die_on_sieve(spec):
     """``execute_cell``, except that a sieve cell kills its worker."""
     import os

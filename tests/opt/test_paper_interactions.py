@@ -45,9 +45,9 @@ class TestConstantFoldingCreatesJumps:
         # The always-taken branch is now an unconditional jump — new
         # replication fodder, exactly as §3.3.1 describes.
         assert any(isinstance(i, Jump) for i in func.insns())
-        from repro.core import replicate_jumps
+        from repro.core import CodeReplicator
 
-        replicate_jumps(func)
+        CodeReplicator().run(func)
         eliminate_dead_code(func)
         assert func.jump_count() == 0
 

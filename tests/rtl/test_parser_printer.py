@@ -248,7 +248,7 @@ class TestFunctionRoundTrip:
             parse_function_text("")
 
     def test_replicated_function_round_trips(self):
-        from repro.core import replicate_jumps
+        from repro.core import CodeReplicator
         from repro.rtl import format_function, parse_function_text
         from tests.conftest import function_from_text
 
@@ -266,6 +266,6 @@ class TestFunctionRoundTrip:
             PC=RT;
             """,
         )
-        replicate_jumps(func)
+        CodeReplicator().run(func)
         printed = format_function(func)
         assert format_function(parse_function_text(printed)) == printed

@@ -130,3 +130,30 @@ class TestVerifierReportShape:
             "oracle_runs",
             "bisect_steps",
         }
+
+
+class TestBudgetedReplay:
+    """``Verifier("off", budget=k)`` — the bisection replay — lets
+    exactly ``k`` pass invocations run and skips every later one."""
+
+    @staticmethod
+    def _optimize(verifier):
+        from repro.frontend import compile_c
+        from repro.obs import observing
+        from repro.opt.driver import OptimizationConfig, optimize_program
+
+        with observing(spans=False) as obs:
+            optimize_program(
+                compile_c(SRC), "sparc", OptimizationConfig("jumps"), verifier
+            )
+        return obs.metrics.counters.get("opt.pass_invocations", 0)
+
+    @pytest.mark.parametrize("which", ["zero", "one", "all"])
+    def test_budget_runs_exactly_k_passes(self, which):
+        full = Verifier("off")
+        assert self._optimize(full) == len(full.pass_trace) > 1
+        k = {"zero": 0, "one": 1, "all": len(full.pass_trace)}[which]
+        replay = Verifier("off", budget=k)
+        assert self._optimize(replay) == k
+        assert len(replay.pass_trace) == k
+        assert replay.pass_trace == full.pass_trace[:k]

@@ -311,17 +311,15 @@ class TestPassOutcomesAreHonest:
             monkeypatch.setattr(
                 driver, pass_name, honest(pass_name, getattr(driver, pass_name))
             )
-        make_replicator = driver._make_replicator
-
-        def replicator(*args, **kwargs):
-            made = make_replicator(*args, **kwargs)
-            if made is not None:
-                made.run = honest(
-                    "replication", made.run, lambda stats: stats.jumps_replaced > 0
-                )
-            return made
-
-        monkeypatch.setattr(driver, "_make_replicator", replicator)
+        real_run = driver.CodeReplicator.run
+        run = honest(
+            "replication",
+            lambda func, replicator: real_run(replicator, func),
+            lambda stats: stats.jumps_replaced > 0,
+        )
+        monkeypatch.setattr(
+            driver.CodeReplicator, "run", lambda self, func: run(func, self)
+        )
         program = compile_c(PROGRAMS[name].source)
         optimize_program(
             program,
