@@ -22,14 +22,21 @@ Quickstart::
 
     result = compile_and_measure("sieve", target="sparc", replication="jumps")
     print(result.measurement.dynamic_insns, result.measurement.dynamic_jumps)
+
+Exports are lazy (PEP 562 ``__getattr__``, :mod:`repro._lazy`): ``import
+repro`` loads no submodule, and ``compile_and_measure`` imports the
+compiler on first use.  The subpackages ``core``, ``ease``, ``targets``
+and ``benchsuite`` resolve their public names the same way, so a warm
+``repro bench``, whose every cell is a result-cache hit, imports only key
+derivation, unpickling and printing: no front end, optimizer or
+interpreter.
 """
 
 __version__ = "1.0.0"
 
-from .api import CompilationResult, compile_and_measure
+from ._lazy import lazy_exports
 
-__all__ = [
-    "CompilationResult",
-    "compile_and_measure",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(), {".api": ("CompilationResult", "compile_and_measure")}
+)
+__all__.append("__version__")

@@ -1,12 +1,15 @@
-"""The 14-program test set (Table 3) and the evaluation matrix."""
+"""The 14-program test set (Table 3) and the evaluation matrix.
 
-from .programs import PROGRAMS, BenchmarkProgram, program_names
-from .runner import clear_cache, run_matrix
+Public names load lazily (:mod:`repro._lazy`): the programs are plain
+data, and :func:`run_matrix` loads the execution layer on first use.
+"""
 
-__all__ = [
-    "PROGRAMS",
-    "BenchmarkProgram",
-    "program_names",
-    "clear_cache",
-    "run_matrix",
-]
+from .._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        ".programs": ("PROGRAMS", "BenchmarkProgram", "program_names"),
+        ".runner": ("clear_cache", "run_matrix"),
+    },
+)

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..ease.measure import Measurement
+from ..ease.measurement import Measurement
 from ..exec import CellSpec, ParallelRunner, ResultCache
+from ..targets.names import TARGETS
 from .programs import PROGRAMS, program_names
 
 __all__ = ["run_matrix", "clear_cache"]
@@ -30,7 +31,7 @@ def clear_cache() -> None:
 
 def run_matrix(
     names: Optional[Sequence[str]] = None,
-    targets: Sequence[str] = ("sparc", "m68020"),
+    targets: Sequence[str] = TARGETS,
     configs: Sequence[str] = ("none", "loops", "jumps"),
     trace: bool = False,
     workers: Optional[int] = None,

@@ -41,12 +41,11 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .api import POLICIES, compile_and_measure
-from .benchsuite import PROGRAMS, program_names
-from .cache import CacheConfig, simulate_multi_cache
+from .benchsuite.programs import PROGRAMS, program_names
+from .core.policy import POLICIES
 from .exec.envelope import VERIFY_MODES
 from .report import format_table, pct
-from .rtl import format_function
+from .targets.names import TARGETS
 
 __all__ = ["main"]
 
@@ -108,7 +107,7 @@ def _max_rtls_argument(parser: argparse.ArgumentParser) -> None:
 def _config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--target",
-        choices=["m68020", "sparc"],
+        choices=TARGETS,
         default="sparc",
         help="machine model (default: sparc)",
     )
@@ -163,6 +162,8 @@ def _resolve(args) -> tuple:
 
 
 def _measure(args, replication: Optional[str] = None, trace: bool = False):
+    from .api import compile_and_measure
+
     source, stdin = _resolve(args)
     return compile_and_measure(
         source,
@@ -178,6 +179,8 @@ def _measure(args, replication: Optional[str] = None, trace: bool = False):
 
 def cmd_compile(args) -> int:
     """Print the optimized RTL of the program."""
+    from .rtl import format_function
+
     result = _measure(args)
     for func in result.program.functions.values():
         print(format_function(func))
@@ -287,6 +290,8 @@ def _parse_size(text: str) -> int:
 
 def _cache_size(text: str) -> int:
     """An instruction-cache size in bytes that :class:`CacheConfig` accepts."""
+    from .cache import CacheConfig
+
     try:
         size = int(text)
         CacheConfig(size=size)
@@ -376,6 +381,8 @@ def cmd_cache(args) -> int:
     """Instruction-cache sweep, or result-cache gc/stats maintenance."""
     if args.program in ("gc", "stats"):
         return _cmd_cache_maintenance(args)
+    from .cache import CacheConfig, simulate_multi_cache
+
     result = _measure(args, trace=True)
     m = result.measurement
     configs = [CacheConfig(size=size) for size in args.sizes]
@@ -598,8 +605,10 @@ def cmd_bench(args) -> int:
         f"\n{len(results)} cells in {elapsed:.2f}s "
         f"({runner.workers} workers, {hits} cache hits, {len(failures)} failed)"
     )
-    if cache is not None:
-        print(format_cache_stats(cache.stats()))
+    # One walk of the cache directory serves the summary and the JSON.
+    cache_stats = cache.stats() if cache is not None else None
+    if cache_stats is not None:
+        print(format_cache_stats(cache_stats))
     if passes:
         print("\nPer-pass table (opt.<pass> spans of fresh cells):")
         print(format_pass_table(passes))
@@ -609,7 +618,7 @@ def cmd_bench(args) -> int:
             "machine": {"cpu_count": os.cpu_count()},
             "workers": runner.workers,
             "elapsed_seconds": elapsed,
-            "cache": cache.stats() if cache is not None else None,
+            "cache": cache_stats,
             # --passes only; folded over fresh (non-cache-hit) cells.
             "passes": passes,
             "metrics": metrics.snapshot(),
@@ -824,8 +833,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--targets",
         nargs="+",
-        choices=["sparc", "m68020"],
-        default=["sparc", "m68020"],
+        choices=TARGETS,
+        default=list(TARGETS),
         help="machine models (default: both)",
     )
     p.add_argument(
@@ -885,7 +894,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--target",
-        choices=["m68020", "sparc"],
+        choices=TARGETS,
         default="sparc",
         help="machine model (default: sparc)",
     )

@@ -39,6 +39,7 @@ from ..cfg.loops import Loop, LoopInfo
 from ..obs import active as _active_observer
 from ..obs.decisions import ReplicationDecision
 from ..rtl.insn import CondBranch, IndirectJump, Jump, Return
+from .policy import POLICIES, Policy
 from .shortest_path import ShortestPaths
 
 __all__ = [
@@ -56,18 +57,6 @@ class ReplicationMode(enum.Enum):
 
     JUMPS = "jumps"  # the generalized algorithm of §4
     LOOPS = "loops"  # only loop termination conditions (§5, "LOOPS")
-
-
-class Policy(enum.Enum):
-    """Step-2 heuristic choosing between the two sequence options."""
-
-    SHORTEST = "shortest"  # fewest replicated RTLs first (minimal growth)
-    FAVOR_RETURNS = "returns"
-    FAVOR_LOOPS = "loops"
-
-
-#: Policies by wire name: ``CellSpec.policy``, ``--policy``.
-POLICIES = {policy.value: policy for policy in Policy}
 
 
 @dataclass

@@ -1,29 +1,19 @@
-"""EASE-like measurement: RTL interpreter, compiled engine, and counting."""
+"""EASE-like measurement: RTL interpreter, compiled engine, and counting.
 
-from .compile import CompiledInterpreter, make_interpreter
-from .interp import ExecutionResult, Interpreter, MachineState, StepLimitExceeded
-from .measure import Measurement, measure_program
-from .pipeline import (
-    PipelineModel,
-    PipelineResult,
-    measure_pipeline,
-    pipeline_cost,
+Public names load lazily (:mod:`repro._lazy`): unpickling a cached
+``Measurement`` or ``CompressedTrace`` loads neither engine.
+"""
+
+from .._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        ".compile": ("CompiledInterpreter", "make_interpreter"),
+        ".interp": ("ExecutionResult", "Interpreter", "MachineState", "StepLimitExceeded"),
+        ".measurement": ("Measurement",),
+        ".measure": ("measure_program",),
+        ".pipeline": ("PipelineModel", "PipelineResult", "measure_pipeline", "pipeline_cost"),
+        ".runtime": ("ProgramExit", "is_builtin"),
+    },
 )
-from .runtime import ProgramExit, is_builtin
-
-__all__ = [
-    "CompiledInterpreter",
-    "make_interpreter",
-    "ExecutionResult",
-    "Interpreter",
-    "MachineState",
-    "StepLimitExceeded",
-    "Measurement",
-    "measure_program",
-    "PipelineModel",
-    "PipelineResult",
-    "measure_pipeline",
-    "pipeline_cost",
-    "ProgramExit",
-    "is_builtin",
-]

@@ -26,44 +26,10 @@ from ..rtl.insn import Call, CondBranch, IndirectJump, Insn, Jump, Nop, Return
 from ..targets.machine import Machine
 from .compile import make_interpreter
 from .interp import Interpreter
+from .measurement import Measurement
 from .trace import CompressedTrace, TraceSink
 
 __all__ = ["Measurement", "measure_program"]
-
-
-class Measurement:
-    """Counts from one measured run of a program."""
-
-    def __init__(self) -> None:
-        self.static_insns = 0
-        self.static_jumps = 0
-        self.static_nops = 0
-        self.code_bytes = 0
-        self.dynamic_insns = 0
-        self.dynamic_jumps = 0
-        self.dynamic_nops = 0
-        self.dynamic_branches = 0  # executed control transfers
-        self.output = b""
-        self.exit_code = 0
-        # Per-global-block-id instruction fetch addresses (one entry per
-        # machine instruction fetched when the block executes).
-        self.block_fetches: Dict[int, List[int]] = {}
-        # Block-level trace: ``CompressedTrace`` by default (iterates as
-        # raw global block ids), a plain list under a ``RawListSink``.
-        self.trace = None
-
-    @property
-    def insns_between_branches(self) -> float:
-        """Average dynamic instructions per executed control transfer."""
-        if self.dynamic_branches == 0:
-            return float(self.dynamic_insns)
-        return self.dynamic_insns / self.dynamic_branches
-
-    def __repr__(self) -> str:
-        return (
-            f"<Measurement static={self.static_insns} "
-            f"dynamic={self.dynamic_insns} jumps={self.dynamic_jumps}>"
-        )
 
 
 def _is_transfer_for_stats(insn: Insn) -> bool:

@@ -41,7 +41,6 @@ import copy
 import hashlib
 import os
 import pickle
-import tempfile
 import time
 from pathlib import Path
 from typing import Dict, Iterator, Optional
@@ -159,6 +158,8 @@ class ResultCache:
 
     @staticmethod
     def _write(path: Path, result: CellResult) -> None:
+        import tempfile  # not on the read path: a warm run never writes
+
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
             prefix=f".{path.stem[:8]}-", suffix=".tmp", dir=path.parent
@@ -183,11 +184,12 @@ class ResultCache:
     # --- maintenance ----------------------------------------------------------
 
     def _entries(self) -> Iterator[Path]:
+        """This schema version's entry files, in directory order."""
         if self.root is None:
             return
         version_dir = self.root / f"v{self.schema_version}"
         if version_dir.is_dir():
-            yield from sorted(version_dir.glob("*/*.pkl"))
+            yield from version_dir.glob("*/*.pkl")
 
     def __len__(self) -> int:
         return len(self._memory) + sum(1 for _ in self._entries())

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..core.replication import POLICIES
-from ..ease.measure import Measurement
-from ..targets.machine import TARGETS
+from ..core.policy import POLICIES
+from ..ease.measurement import Measurement
+from ..targets.names import TARGETS
 
 __all__ = ["CellSpec", "CellResult", "CACHE_SCHEMA_VERSION", "VERIFY_MODES"]
 

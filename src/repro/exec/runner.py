@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import os
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from time import perf_counter
 from typing import Callable, List, Optional, Sequence
 
+from ..targets.names import TARGETS
 from .cache import ResultCache
 from .envelope import CellResult, CellSpec
 
@@ -50,7 +49,7 @@ def default_worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def warm_worker(target_names: Sequence[str] = ("sparc", "m68020")) -> None:
+def warm_worker(target_names: Sequence[str] = TARGETS) -> None:
     """Process-pool initializer: pre-construct per-worker shared state.
 
     Runs once per worker process, not once per cell: machine
@@ -248,6 +247,10 @@ class ParallelRunner:
         finish: Callable[[int, CellResult], None],
     ) -> List[int]:
         """Run ``indices`` in one pool; return those its breaking lost."""
+        # Imported here: a fully warm run never builds a pool.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
         targets = tuple(sorted({specs[i].target for i in indices}))
         lost: List[int] = []
         with ProcessPoolExecutor(

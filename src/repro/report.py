@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Sequence
 
+from .targets.names import TARGETS
+
 __all__ = [
     "format_table",
     "pct",
@@ -251,7 +253,6 @@ def format_trace_digest(events: Sequence[dict]) -> str:
 # section (the goldens under ``tests/golden/``); ``render`` turns them into
 # markdown.  Pipeline imports stay inside: ``import repro.cli`` loads no compiler.
 
-TARGETS = ("sparc", "m68020")
 CONFIGS = ("none", "loops", "jumps")
 CACHE_SIZES = (128, 256, 512, 1024, 2048, 4096, 8192)  # scaled [:4], paper [3:]
 MAX_RTLS_BOUNDS = (2, 4, 8, 16)

@@ -1,16 +1,18 @@
-"""Target machine models: a 68020-like CISC and a SPARC-like RISC."""
+"""Target machine models: a 68020-like CISC and a SPARC-like RISC.
 
-from .delay_slots import count_nops, fill_delay_slots
-from .m68020 import M68020
-from .machine import Machine, clear_target_cache, get_target
-from .sparc import Sparc
+Public names load lazily (:mod:`repro._lazy`); ``TARGETS``, the target
+spellings, comes from the leaf :mod:`repro.targets.names`.
+"""
 
-__all__ = [
-    "Machine",
-    "M68020",
-    "Sparc",
-    "get_target",
-    "clear_target_cache",
-    "fill_delay_slots",
-    "count_nops",
-]
+from .._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        ".names": ("TARGETS",),
+        ".machine": ("Machine", "get_target", "clear_target_cache"),
+        ".m68020": ("M68020",),
+        ".sparc": ("Sparc",),
+        ".delay_slots": ("fill_delay_slots", "count_nops"),
+    },
+)

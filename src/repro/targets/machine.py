@@ -31,6 +31,7 @@ from ..rtl.insn import (
     Nop,
     Return,
 )
+from .names import TARGETS
 
 __all__ = [
     "Machine",
@@ -128,9 +129,6 @@ class Machine:
 #: initializer constructs each target once, and every later cell in
 #: that worker reuses it instead of paying per-cell construction.
 _INSTANCES: dict = {}
-
-#: The target names, one spelling each: ``CellSpec.target``, ``--target``.
-TARGETS = ("sparc", "m68020")
 
 
 def clear_target_cache() -> None:

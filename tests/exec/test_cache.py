@@ -182,6 +182,25 @@ def test_round_trip(store):
     assert cache.stats()["writes"] == 1
 
 
+def test_entry_pickled_before_the_measurement_move_is_a_hit(tmp_path):
+    """Entries written while ``Measurement`` lived in ``repro.ease.measure``
+    name that module; they still load, as hits, not evictions."""
+    from repro.ease.measurement import Measurement as LeafMeasurement
+
+    cache = ResultCache(tmp_path)
+    key = cache.key(SPEC)
+    data = pickle.dumps(small_result(), protocol=2)
+    moved = b"crepro.ease.measurement\nMeasurement\n"
+    assert data.count(moved) == 1
+    path = cache._path(key)
+    path.parent.mkdir(parents=True)
+    path.write_bytes(data.replace(moved, b"crepro.ease.measure\nMeasurement\n"))
+    result = cache.get(key)
+    assert type(result.measurement) is LeafMeasurement
+    assert (result.measurement.static_insns, result.measurement.exit_code) == (3, 7)
+    assert (cache.hits, cache.misses, cache.evictions) == (1, 0, 0)
+
+
 def test_executed_cell_round_trips_with_instrumentation(tmp_path):
     """The observability snapshot (``opt.<pass>`` spans included) survives
     the disk round trip with the measurement."""

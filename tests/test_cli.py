@@ -184,6 +184,103 @@ class TestCommands:
         assert out.splitlines() == ["[]", "[]"]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("trace", [False, True], ids=["plain", "trace"])
+    def test_warm_bench_imports_no_compiler(self, tmp_path, trace):
+        """A fully warm ``repro bench`` derives keys, unpickles entries and
+        prints: it loads no front end, optimizer, CFG, RTL, interpreter,
+        cache simulator or replication engine, and builds no process pool
+        (``--trace`` entries unpickle a ``CompressedTrace`` too)."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        argv = [
+            "bench", "--parallel", "1", "--quiet",
+            "--cache-dir", str(tmp_path / "cache"),
+            "--programs", "wc", "queens", "--targets", "sparc",
+            "--configs", "none", "jumps",
+        ] + (["--trace"] if trace else [])
+        assert main(argv) == 0  # fills the cache
+        forbidden = (
+            "repro.frontend", "repro.opt", "repro.cfg", "repro.rtl",
+            "repro.ease.compile", "repro.cache.multi", "repro.core.replication",
+            "concurrent.futures.process",
+        )
+        probe = (
+            "import json, sys, repro.cli; code = repro.cli.main(sys.argv[1:]); "
+            f"forbidden = {forbidden!r}; "
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m in forbidden or m.startswith(tuple(f + '.' for f in forbidden))))); "
+            "sys.exit(code)"
+        )
+        out = tmp_path / "warm.json"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        run = subprocess.run(
+            [sys.executable, "-c", probe, *argv, "--json", str(out)],
+            env=env,
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        cells = json.loads(out.read_text())["cells"]
+        assert len(cells) == 4 and all(c["ok"] and c["cache_hit"] for c in cells)
+        assert json.loads(run.stdout.splitlines()[-1]) == []
+
+    def test_warm_bench_walks_the_cache_once(self, tmp_path, capsys, monkeypatch):
+        """The summary line and ``--json`` share one count of the entries:
+        a warm run lists the cache's version directory once."""
+        import json
+        import os
+        import re
+
+        cache = tmp_path / "cache"
+        out = tmp_path / "bench.json"
+        argv = [
+            "bench", "--parallel", "1", "--quiet", "--json", str(out),
+            "--programs", "wc", "--targets", "sparc", "--configs", "none", "jumps",
+            "--cache-dir", str(cache),
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        version_dir = os.fspath(next(cache.iterdir()))
+        walks = []
+        scandir = os.scandir
+
+        def counted(path="."):
+            if os.fspath(path) == version_dir:
+                walks.append(path)
+            return scandir(path)
+
+        monkeypatch.setattr(os, "scandir", counted)
+        assert main(argv) == 0
+        printed = re.search(r"(\d+) entries", capsys.readouterr().out)
+        stats = json.loads(out.read_text())["cache"]
+        assert len(walks) == 1
+        assert int(printed.group(1)) == stats["entries"] == stats["hits"] == 2
+
+    def test_every_target_option_offers_the_targets(self):
+        """Each ``--target``/``--targets`` lists :data:`TARGETS`, in its order."""
+        import argparse
+
+        from repro.cli import build_parser
+        from repro.targets.names import TARGETS
+
+        parser = build_parser()
+        (commands,) = [
+            action
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        checked = set()
+        for name, command in commands.choices.items():
+            for action in command._actions:
+                if action.dest in ("target", "targets"):
+                    assert tuple(action.choices) == TARGETS, name
+                    checked.add(name)
+        assert {"measure", "cache", "bench", "fuzz"} <= checked
+
     def test_policy_and_maxlen_flags(self, c_file):
         assert (
             main(
