@@ -49,26 +49,23 @@ class BenchmarkProgram:
     stdin: bytes = b""
 
 
+#: What follows a word, by a 0..11 roll: 7 spaces, 3 newlines, ". ", ", ".
+_SEPARATORS = (b" ",) * 7 + (b"\n",) * 3 + (b". ", b", ")
+
+
 def _lcg_text(seed: int, size: int) -> bytes:
     """Deterministic pseudo-text: words, punctuation and newlines."""
     out = bytearray()
+    append = out.append
+    extend = out.extend
     state = seed
     while len(out) < size:
         state = (state * 1103515245 + 12345) & 0x7FFFFFFF
-        word_len = 1 + (state >> 16) % 9
-        for i in range(word_len):
+        for _ in range((state >> 16) % 9 + 1):
             state = (state * 1103515245 + 12345) & 0x7FFFFFFF
-            out.append(ord("a") + (state >> 16) % 26)
+            append((state >> 16) % 26 + 97)  # a..z
         state = (state * 1103515245 + 12345) & 0x7FFFFFFF
-        roll = (state >> 16) % 12
-        if roll < 7:
-            out.append(ord(" "))
-        elif roll < 10:
-            out.append(ord("\n"))
-        elif roll == 10:
-            out.extend(b". ")
-        else:
-            out.extend(b", ")
+        extend(_SEPARATORS[(state >> 16) % 12])
     return bytes(out[:size])
 
 

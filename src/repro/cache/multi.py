@@ -138,7 +138,10 @@ class _CacheState:
     # --- exact per-line fallback (flush boundaries) ---------------------------
 
     def replay(self, lines: Sequence[int]) -> None:
-        """Replay one line sequence — byte-identical to the reference loop."""
+        """Replay one line sequence — byte-identical to the reference loop.
+
+        Only :meth:`replay_record` calls it, so a flush boundary is set.
+        """
         cache = self.cache
         index_mask = self.index_mask
         hit_time = self.hit_time
@@ -147,32 +150,21 @@ class _CacheState:
         accesses = self.accesses
         misses = self.misses
         cost = self.cost
-        if next_flush is None:
-            for line in lines:
-                accesses += 1
-                slot = line & index_mask
-                if cache[slot] == line:
-                    cost += hit_time
-                else:
-                    cache[slot] = line
-                    misses += 1
-                    cost += miss_time
-        else:
-            interval = self.interval
-            for line in lines:
-                accesses += 1
-                slot = line & index_mask
-                if cache[slot] == line:
-                    cost += hit_time
-                else:
-                    cache[slot] = line
-                    misses += 1
-                    cost += miss_time
-                if cost >= next_flush:
-                    cache = self.cache = [-1] * self.lines
-                    self.flushes += 1
-                    next_flush += interval
-            self.next_flush = next_flush
+        interval = self.interval
+        for line in lines:
+            accesses += 1
+            slot = line & index_mask
+            if cache[slot] == line:
+                cost += hit_time
+            else:
+                cache[slot] = line
+                misses += 1
+                cost += miss_time
+            if cost >= next_flush:
+                cache = self.cache = [-1] * self.lines
+                self.flushes += 1
+                next_flush += interval
+        self.next_flush = next_flush
         self.accesses = accesses
         self.misses = misses
         self.cost = cost
@@ -213,7 +205,11 @@ class _CacheState:
     def replay_record(
         self, summary: _BodySummary, lines: Sequence[int], count: int
     ) -> None:
-        """Replay ``count`` iterations of one record's body."""
+        """Replay ``count`` iterations of one record's body.
+
+        For a state with context switches on; :func:`simulate_multi_cache`
+        sends every other state to :meth:`replay_record_noflush`.
+        """
         n_access = summary.n_access
         if n_access == 0 or count <= 0:
             return
@@ -230,7 +226,7 @@ class _CacheState:
         remaining = count
         while remaining > 0:
             next_flush = self.next_flush
-            if next_flush is not None and self.cost + worst_cost < next_flush:
+            if self.cost + worst_cost < next_flush:
                 # Even an all-miss iteration stays below the boundary:
                 # fuse the miss scan and the tag install into one pass.
                 delta = base
@@ -263,33 +259,28 @@ class _CacheState:
             for slot, first, _last in touched:
                 if cache[slot] != first:
                     delta += 1
-            if next_flush is None:
-                iters = remaining
-            else:
-                first_end = self.cost + hit_cost + delta * extra
-                if first_end >= next_flush:
-                    # The flush boundary is reachable inside this
-                    # iteration: simulate it line by line (exact flush
-                    # accounting).
-                    self.replay(lines)
-                    cache = self.cache
-                    remaining -= 1
-                    continue
-                # Cost is monotone, so any prefix of iterations whose
-                # *final* cost stays below the boundary cannot trigger
-                # the flush at an intermediate access either; every
-                # iteration after the first costs exactly ``steady_cost``
-                # (tags are at their fixpoint).  Charge the longest
-                # provably-safe prefix.
-                iters = 1
-                if remaining > 1:
-                    if steady_cost:
-                        fit = (next_flush - 1 - first_end) // steady_cost
-                        if fit > remaining - 1:
-                            fit = remaining - 1
-                    else:
+            first_end = self.cost + hit_cost + delta * extra
+            if first_end >= next_flush:
+                # The flush boundary is reachable inside this iteration:
+                # simulate it line by line (exact flush accounting).
+                self.replay(lines)
+                cache = self.cache
+                remaining -= 1
+                continue
+            # Cost is monotone, so any prefix of iterations whose *final*
+            # cost stays below the boundary cannot trigger the flush at an
+            # intermediate access either; every iteration after the first
+            # costs exactly ``steady_cost`` (tags are at their fixpoint).
+            # Charge the longest provably-safe prefix.
+            iters = 1
+            if remaining > 1:
+                if steady_cost:
+                    fit = (next_flush - 1 - first_end) // steady_cost
+                    if fit > remaining - 1:
                         fit = remaining - 1
-                    iters += fit
+                else:
+                    fit = remaining - 1
+                iters += fit
             delta += (iters - 1) * steady
             n = n_access * iters
             self.accesses += n

@@ -510,6 +510,7 @@ def cmd_bench(args) -> int:
     import time
 
     from .exec import CellSpec, ParallelRunner, ResultCache
+    from .obs import Observer, active, install
     from .obs.digest import pass_table
     from .report import format_cache_stats, format_pass_table
 
@@ -530,7 +531,6 @@ def cmd_bench(args) -> int:
             max_rtls=args.max_rtls,
             trace=args.trace,
             verify=args.verify,
-            observe=args.passes,
         )
         for target in dict.fromkeys(args.targets)
         for config in dict.fromkeys(args.configs)
@@ -549,24 +549,32 @@ def cmd_bench(args) -> int:
     on_result = progress if not args.quiet else None
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     runner = ParallelRunner(workers=args.parallel, cache=cache)
+    # The run's own observer: the per-pass table and the JSON metrics read
+    # it (a cache hit records only ``exec.cache.*``).  It is merged into
+    # the enclosing observer (``REPRO_TRACE``) also when the run is
+    # interrupted, so that trace keeps every cell that finished.
+    outer = active()
+    observer = install(
+        Observer(
+            spans=args.passes or outer.tracer.enabled,
+            decisions=outer.decisions.enabled,
+        )
+    )
     start = time.perf_counter()
-    results = runner.run(specs, on_result=on_result)
-    elapsed = time.perf_counter() - start
-
-    from .obs.metrics import MetricsRegistry
+    try:
+        results = runner.run(specs, on_result=on_result)
+        elapsed = time.perf_counter() - start
+    finally:
+        install(outer)
+        snapshot = observer.snapshot()
+        outer.merge_snapshot(snapshot)
 
     rows = []
     failures = []
-    spans = []
-    metrics = MetricsRegistry()
     for result in results:
         if not result.ok:
             failures.append(result)
             continue
-        # A cache hit's snapshot describes work an earlier run performed.
-        if not result.cache_hit and result.obs is not None:
-            metrics.merge_snapshot(result.obs.get("metrics"))
-            spans.extend(result.obs.get("spans") or ())
         m = result.measurement
         rows.append(
             [
@@ -582,7 +590,7 @@ def cmd_bench(args) -> int:
                 "yes" if result.cache_hit else "",
             ]
         )
-    passes = pass_table(spans) if args.passes else {}
+    passes = pass_table(snapshot["spans"]) if args.passes else {}
     print(
         format_table(
             [
@@ -621,7 +629,8 @@ def cmd_bench(args) -> int:
             "cache": cache_stats,
             # --passes only; folded over fresh (non-cache-hit) cells.
             "passes": passes,
-            "metrics": metrics.snapshot(),
+            # The run's counters: fresh cells plus ``exec.cache.*``.
+            "metrics": snapshot["metrics"],
             "cells": [
                 {
                     "program": r.spec.program,

@@ -747,7 +747,7 @@ class _FunctionCompiler:
         n = len(func.blocks)
         if n == 0:
             raise CompileDeclined("empty function")
-        if n > self.interp.max_compiled_blocks:
+        if n > MAX_COMPILED_BLOCKS:
             raise CompileDeclined(f"{n} blocks exceeds compile limit")
         self.collect_regs()
         self.cc_live_out = self._cc_liveness()
@@ -829,9 +829,7 @@ class CompiledInterpreter(Interpreter):
         program: Program,
         mem_size: int = 1 << 22,
         max_steps: int = 200_000_000,
-        max_compiled_blocks: int = MAX_COMPILED_BLOCKS,
     ) -> None:
-        self.max_compiled_blocks = max_compiled_blocks
         self._plain: Dict[str, Callable] = {}
         self._traced: Dict[str, Callable] = {}
         self._active: Dict[str, Callable] = {}

@@ -93,10 +93,9 @@ class ExecutionResult:
         self.calls_executed = 0
         # Dense per-function count arrays the interpreter increments on
         # the hot path (one list index instead of a tuple-keyed dict
-        # update per executed block); folded into ``block_counts`` and
-        # ``_func_totals`` when the run ends.
+        # update per executed block); folded into ``block_counts`` when
+        # the run ends.
         self._func_counts: Dict[str, List[int]] = {}
-        self._func_totals: Dict[str, int] = {}
 
     def _counts_for(self, func_name: str, n_blocks: int) -> List[int]:
         counts = self._func_counts.get(func_name)
@@ -105,31 +104,13 @@ class ExecutionResult:
         return counts
 
     def _fold_counts(self) -> None:
-        """Fold the dense per-function arrays into the public mappings."""
+        """Fold the dense per-function arrays into ``block_counts``."""
         block_counts = self.block_counts
-        totals = self._func_totals
         for func_name, counts in self._func_counts.items():
-            subtotal = 0
             for index, count in enumerate(counts):
                 if count:
                     block_counts[(func_name, index)] = count
-                    subtotal += count
-            if subtotal:
-                totals[func_name] = subtotal
         self._func_counts.clear()
-
-    def count_for(self, func_name: str) -> int:
-        """Total block executions inside ``func_name`` (O(1)).
-
-        Subtotals are maintained when counts are recorded; the fallback
-        scan only runs for results whose ``block_counts`` were populated
-        by hand (it then memoizes, so repeated calls stay O(1)).
-        """
-        totals = self._func_totals
-        if not totals and self.block_counts:
-            for (name, _), count in self.block_counts.items():
-                totals[name] = totals.get(name, 0) + count
-        return totals.get(func_name, 0)
 
 
 class _CompiledBlock:

@@ -10,7 +10,8 @@ Layout (under the cache root, default ``.repro-cache/``)::
     .repro-cache/
         v1/                   # CACHE_SCHEMA_VERSION namespace
             3f/               # first two hex digits of the key
-                3fa4...e2.pkl # pickled CellResult
+                3fa4...e2.pkl # pickled CellResult (results only:
+                              # no spans, counters or decisions)
 
 A key is the SHA-256 over a canonical rendering of everything that
 determines a cell's outcome: the *resolved* program source and stdin
@@ -268,7 +269,6 @@ class ResultCache:
         max_bytes: Optional[int] = None,
         max_age: Optional[float] = None,
         dry_run: bool = False,
-        now: Optional[float] = None,
     ) -> dict:
         """LRU-by-mtime eviction over the whole cache directory.
 
@@ -284,7 +284,7 @@ class ResultCache:
         unreadable/undeletable entries are tolerated: failures are
         counted, never raised.  Returns a report dict.
         """
-        clock = time.time() if now is None else now
+        now = time.time()
         entries = []
         for path in self._files("*.pkl"):
             try:
@@ -311,7 +311,7 @@ class ResultCache:
 
         survivors = []
         for mtime, size, path in entries:
-            if max_age is not None and clock - mtime > max_age:
+            if max_age is not None and now - mtime > max_age:
                 survivors_bytes -= _evict(mtime, size, path, "age")
             else:
                 survivors.append((mtime, size, path))
@@ -327,7 +327,7 @@ class ResultCache:
         tmp_removed = 0
         for path in self._files(".*.tmp"):
             try:
-                if clock - path.stat().st_mtime > 3600.0:
+                if now - path.stat().st_mtime > 3600.0:
                     if not dry_run:
                         path.unlink()
                     tmp_removed += 1

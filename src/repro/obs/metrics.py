@@ -2,9 +2,9 @@
 
 Metrics are named by dotted strings (``"exec.cache.hits"``,
 ``"replication.sequence_rtls"``).  The registry is deliberately plain —
-dicts of numbers — so a snapshot crosses process boundaries inside the
-result envelopes of the parallel execution layer and merges
-associatively on the way back:
+dicts of numbers — so a snapshot crosses process boundaries beside the
+results of the parallel execution layer and merges associatively on the
+way back:
 
 * counters and histograms add;
 * gauges keep the latest value (last merge wins).

@@ -16,10 +16,11 @@ unconditionally; only building a decision event is guarded, by
         compile_and_measure("sieve", replication="jumps")
     # out.jsonl now holds spans, metrics and the decision log
 
-Observers are process-local.  Worker processes of the parallel
-execution layer build their own observer per cell and ship a
-:meth:`Observer.snapshot` back inside the result envelope; the parent
-folds it in with :meth:`Observer.merge_snapshot`.
+Observers are process-local.  A cell records into the observer of the
+process that runs it; a worker process of the parallel execution layer
+installs one per cell and ships its :meth:`Observer.snapshot` back
+beside the result, and the parent folds it in with
+:meth:`Observer.merge_snapshot`.
 """
 
 from __future__ import annotations

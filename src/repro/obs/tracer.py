@@ -13,8 +13,8 @@ tree.  A :class:`Tracer` hands out spans as context managers::
 
 Completed spans are plain dataclasses of ints/floats/strings/dicts, so a
 whole trace travels unharmed through ``pickle`` (the parallel execution
-layer ships worker traces back inside result envelopes) and serializes
-to JSON without custom encoders.
+layer ships worker traces back beside each result) and serializes to
+JSON without custom encoders.
 
 A disabled tracer (``Tracer(enabled=False)``) hands out a shared no-op
 span, records nothing and drops merged worker spans.  The quiet default

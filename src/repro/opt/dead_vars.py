@@ -35,10 +35,15 @@ def _one_pass(func: Function) -> bool:
     return changed
 
 
-def eliminate_dead_variables(func: Function, max_passes: int = 20) -> bool:
+#: Sweeps before giving up on a fixpoint (each sweep can expose more
+#: dead assignments upstream of the ones it removed).
+MAX_PASSES = 20
+
+
+def eliminate_dead_variables(func: Function) -> bool:
     """Remove dead register assignments; True if anything changed."""
     changed = False
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         if not _one_pass(func):
             break
         changed = True

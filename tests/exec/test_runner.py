@@ -24,11 +24,12 @@ GOOD2 = CellSpec(program="int main() { return 43; }")
 
 
 def test_execute_cell_success_envelope():
-    result = execute_cell(CellSpec(program="wc", replication="jumps"))
+    with observing(spans=False) as obs:
+        result = execute_cell(CellSpec(program="wc", replication="jumps"))
     assert result.ok
     assert result.measurement.dynamic_jumps == 0
     assert result.replication_stats["jumps_replaced"] > 0
-    assert result.obs["metrics"]["counters"]["opt.pass_invocations"] > 0
+    assert obs.metrics.counters["opt.pass_invocations"] > 0
     assert result.optimize_seconds > 0 and result.measure_seconds > 0
     assert "wc/sparc/jumps" in result.summary()
 
@@ -43,11 +44,13 @@ def test_execute_cell_reference_run():
 def test_execute_cell_records_ease_engine():
     """``ease_engine="interp"`` runs the closure interpreter (no compiled
     functions are counted) and gives counts identical to the default."""
-    default = execute_cell(CellSpec(program="wc"))
-    interp = execute_cell(CellSpec(program="wc", ease_engine="interp"))
+    with observing(spans=False) as default_obs:
+        default = execute_cell(CellSpec(program="wc"))
+    with observing(spans=False) as interp_obs:
+        interp = execute_cell(CellSpec(program="wc", ease_engine="interp"))
     assert default.ok and interp.ok
-    assert default.obs["metrics"]["counters"]["ease.compile.functions"] > 0
-    assert "ease.compile.functions" not in interp.obs["metrics"]["counters"]
+    assert default_obs.metrics.counters["ease.compile.functions"] > 0
+    assert "ease.compile.functions" not in interp_obs.metrics.counters
     for field in ("static_insns", "dynamic_insns", "dynamic_jumps", "output"):
         assert getattr(interp.measurement, field) == getattr(
             default.measurement, field

@@ -140,15 +140,19 @@ class TestBenchJson:
         assert payload["metrics"]["counters"]["replication.accepted"] >= 1
 
     def test_passes_skip_cache_hits(self, tmp_path, capsys):
-        """A warm re-run is all hits: no fresh metrics, no pass table."""
+        """A warm re-run is all hits: its metrics are the cache counters
+        alone (no ``ease.runs``, no ``opt.*``) and it has no pass table."""
         cache = ["--cache-dir", str(tmp_path / "cache")]
         cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
         assert main(BENCH_WC + cache + ["--passes", "--json", str(cold)]) == 0
         assert main(BENCH_WC + cache + ["--passes", "--json", str(warm)]) == 0
-        assert json.loads(cold.read_text())["passes"]
+        cold_payload = json.loads(cold.read_text())
+        assert cold_payload["passes"]
+        cells = len(cold_payload["cells"])
+        assert cold_payload["metrics"]["counters"]["ease.runs"] == cells
         payload = json.loads(warm.read_text())
         assert all(cell["cache_hit"] for cell in payload["cells"])
-        assert payload["metrics"]["counters"] == {}
+        assert payload["metrics"]["counters"] == {"exec.cache.hits": cells}
         assert payload["passes"] == {}
 
     def test_passes_empty_without_flag(self, tmp_path, capsys):
