@@ -33,20 +33,29 @@ the experiments compare — see DESIGN.md §5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from functools import cached_property, partial
+from typing import Callable, Dict
 
 __all__ = ["BenchmarkProgram", "PROGRAMS", "program_names"]
 
 
 @dataclass
 class BenchmarkProgram:
-    """One Table-3 program: source text plus its deterministic workload."""
+    """One Table-3 program: source text plus its deterministic workload.
+
+    ``workload`` builds the stdin bytes; :attr:`stdin` calls it on first
+    read, so importing the suite (and ``repro --help``) builds none.
+    """
 
     name: str
     category: str
     description: str
     source: str
-    stdin: bytes = b""
+    workload: Callable[[], bytes] = bytes
+
+    @cached_property
+    def stdin(self) -> bytes:
+        return self.workload()
 
 
 #: What follows a word, by a 0..11 roll: 7 spaces, 3 newlines, ". ", ", ".
@@ -790,7 +799,7 @@ def _build_programs() -> Dict[str, BenchmarkProgram]:
             "Utilities",
             "banner generator",
             BANNER_SOURCE,
-            b"TOREROS 2019\n",
+            lambda: b"TOREROS 2019\n",
         ),
         BenchmarkProgram("cal", "Utilities", "calendar generator", CAL_SOURCE),
         BenchmarkProgram(
@@ -798,34 +807,34 @@ def _build_programs() -> Dict[str, BenchmarkProgram]:
             "Utilities",
             "file compression",
             COMPACT_SOURCE,
-            _lcg_text(3, 6000),
+            partial(_lcg_text, 3, 6000),
         ),
         BenchmarkProgram(
             "deroff",
             "Utilities",
             "remove nroff constructs",
             DEROFF_SOURCE,
-            _nroff_text(),
+            _nroff_text,
         ),
         BenchmarkProgram(
             "grep",
             "Utilities",
             "pattern search",
             GREP_SOURCE,
-            b"ab.*s\n" + _lcg_text(11, 5000),
+            lambda: b"ab.*s\n" + _lcg_text(11, 5000),
         ),
         BenchmarkProgram(
-            "od", "Utilities", "octal dump", OD_SOURCE, _lcg_text(5, 3000)
+            "od", "Utilities", "octal dump", OD_SOURCE, partial(_lcg_text, 5, 3000)
         ),
         BenchmarkProgram(
             "sort",
             "Utilities",
             "sort or merge files",
             SORT_SOURCE,
-            _lcg_text(17, 4500),
+            partial(_lcg_text, 17, 4500),
         ),
         BenchmarkProgram(
-            "wc", "Utilities", "word count", WC_SOURCE, _lcg_text(23, 9000)
+            "wc", "Utilities", "word count", WC_SOURCE, partial(_lcg_text, 23, 9000)
         ),
         BenchmarkProgram(
             "bubblesort", "Benchmarks", "sort numbers", BUBBLESORT_SOURCE

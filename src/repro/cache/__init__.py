@@ -1,14 +1,17 @@
-"""Instruction-cache simulation (Table 6 substrate + associative extension).
+"""Instruction-cache simulation: one engine for every configuration.
 
-Table 6 runs on the single-pass multi-configuration engine with
-steady-state loop fast-forwarding (:func:`simulate_multi_cache`, behind
-``repro tables`` and ``repro cache``).  Its test oracle, a
-per-configuration replay, lives beside the tier-1 parity suite
-(``tests/cache/test_engine_parity.py``), which checks both produce
-byte-identical :class:`CacheResult`\\ s on fuzzed and real traces.
+:func:`simulate_multi_cache` walks a trace once for any mix of cache
+configurations (:class:`CacheConfig`): the paper's direct-mapped Table-6
+sizes, with and without context switches, and the §6 N-way LRU caches
+(``CacheConfig(associativity=...)``).  It consumes compressed trace
+records with per-body replay summaries and steady-state loop
+fast-forwarding, behind ``repro tables`` and ``repro cache``.  Its test
+oracles, per-configuration replays, live beside the tier-1 parity suite
+(``tests/cache/test_engine_parity.py``), which checks the engine and
+the oracles produce byte-identical :class:`CacheResult`\\ s on fuzzed
+and real traces.
 """
 
-from .associative import AssociativeCacheConfig, simulate_associative_cache
 from .direct_mapped import PAPER_CACHE_SIZES, CacheConfig, CacheResult
 from .multi import MultiCacheStats, simulate_multi_cache
 
@@ -18,6 +21,4 @@ __all__ = [
     "CacheResult",
     "simulate_multi_cache",
     "MultiCacheStats",
-    "AssociativeCacheConfig",
-    "simulate_associative_cache",
 ]

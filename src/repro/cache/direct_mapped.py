@@ -1,4 +1,4 @@
-"""Direct-mapped instruction-cache simulation (§5.3 of the paper).
+"""Instruction-cache configurations and results (§5.3 of the paper).
 
 Parameters follow the paper exactly:
 
@@ -9,8 +9,10 @@ Parameters follow the paper exactly:
 * context switches are simulated by invalidating the entire cache every
   10 000 units of time (of accumulated fetch cost).
 
-The simulator (:func:`repro.cache.multi.simulate_multi_cache`) consumes
-the block-level trace plus the per-block fetch addresses produced by
+The paper studies direct-mapped caches only; ``associativity`` above 1
+is the §6 extension, an N-way cache with LRU replacement.  The simulator
+(:func:`repro.cache.multi.simulate_multi_cache`) consumes the block-level
+trace plus the per-block fetch addresses produced by
 :func:`repro.ease.measure.measure_program`.
 """
 
@@ -28,17 +30,22 @@ PAPER_CACHE_SIZES = (1024, 2048, 4096, 8192)
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """A direct-mapped instruction cache configuration."""
+    """An instruction cache configuration (direct mapped by default)."""
 
     size: int = 1024
     line_size: int = 16
     hit_time: int = 1
     miss_penalty: int = 10  # "misses are ten times as expensive as hits"
     context_switch_interval: int = 10_000
+    associativity: int = 1  # ways per set, LRU replacement
 
     @property
     def lines(self) -> int:
         return self.size // self.line_size
+
+    @property
+    def sets(self) -> int:
+        return self.lines // self.associativity
 
     def __post_init__(self) -> None:
         if self.size <= 0 or self.size % self.line_size != 0:
@@ -47,6 +54,10 @@ class CacheConfig:
             )
         if self.lines & (self.lines - 1):
             raise ValueError("number of cache lines must be a power of two")
+        if self.associativity < 1 or self.lines % self.associativity:
+            raise ValueError(
+                "associativity must be at least 1 and divide the line count"
+            )
 
 
 @dataclass

@@ -1,44 +1,50 @@
-"""Single-pass multi-configuration cache engine with loop fast-forwarding.
+"""The instruction-cache engine: every configuration in one trace walk.
 
-The Table-6 evaluation simulates every traced run against four direct-
-mapped cache sizes.  The reference path replays the full block trace
-once *per configuration*, re-deriving per-block line sequences each
-time; on the longer benchmarks that is four passes over millions of
-block ids.  This engine:
+The Table-6 evaluation simulates every traced run against many cache
+configurations, and the §6 extension adds N-way LRU caches.  This
+engine serves them all from one walk over the trace:
 
-* derives each block's cache-line sequence **once** (all paper
-  configurations share the 16-byte line size, so line numbers are
+* each block's cache-line sequence is derived **once** per line size
+  (all paper configurations share the 16-byte line, so line numbers are
   configuration-independent — only the index mask differs);
-* walks the trace **once**, maintaining every configuration's cache
-  state side by side;
-* consumes the compressed records of a
-  :class:`~repro.ease.trace.CompressedTrace` directly, exploiting the
-  fact that trace bodies are *interned*: for each distinct body and
-  configuration a **replay summary** is computed once — per touched
-  cache slot, the first and last line fetched, plus the body's internal
-  (tag-change) miss count.  Direct-mapped state evolution within a body
-  is fully determined by those: replaying a body from any cache state
-  costs ``base_misses`` plus one miss per touched slot whose resident
-  tag differs from the slot's first line, and leaves each touched slot
-  holding its last line.  A record is therefore charged in
-  O(touched slots) — and a ``(body, n)`` loop record in O(1) per
-  steady-state iteration — instead of O(instruction fetches);
-* keeps the exact per-line replay as the fallback for records that
-  might cross a context-switch boundary.
+* it consumes the records of a
+  :class:`~repro.ease.trace.CompressedTrace` directly.  Trace bodies are
+  *interned*, so for each distinct body and direct-mapped geometry a
+  **replay summary** is computed once: per touched cache slot, the first
+  and last line fetched, plus the body's internal (tag-change) miss
+  count.  Replaying a body from any cache state costs those internal
+  misses plus one per touched slot whose resident line differs from the
+  slot's first line, and leaves each touched slot holding its last line.
+  Every iteration after the first of a ``(body, n)`` loop record starts
+  from the body's own last lines, so it costs the same *steady* count;
+* one pass over a record charges every direct-mapped configuration
+  inline, with no per-configuration call.  A state without context
+  switches only counts first-iteration mismatches and installs the last
+  lines; its accesses and its base and steady misses are folded in once
+  per body at the end, from how many records and iterations referenced
+  that body;
+* an N-way LRU state replays a record's first iteration access by
+  access and charges the rest at the cost of an iteration from the
+  body's LRU fixed point, found once per body: after a full iteration
+  each set holds the body's lines by last use, then older residents in
+  their old order, and a further iteration leaves that unchanged.
 
-Context-switch flush accounting stays *exact*: the summary path is only
-taken when the record's final cost provably stays below the next flush
-boundary (cost grows monotonically, so no intermediate access can
-trigger the flush either); a record that might cross the boundary is
-simulated line by line, so flush counts, positions and post-flush cold
-misses match the reference engine bit for bit.  Parity with the
-per-configuration reference replay (``tests/cache/reference_cache.py``)
-over every program, size and context-switch setting is asserted in
-``tests/cache/test_engine_parity.py`` and gated in CI.
+Context-switch flush accounting stays *exact*: a record is charged in
+bulk only when its exact final cost stays below the next flush boundary
+(cost only grows, so no access inside it can trigger the flush either).
+Otherwise its iterations are charged in runs that stay below the
+boundary, and the one that reaches it is simulated line by line, so
+flush counts, positions and post-flush cold misses match the
+per-configuration reference replays (``tests/cache/reference_cache.py``)
+bit for bit; ``tests/cache/test_engine_parity.py`` asserts it.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from itertools import groupby
+from math import inf
+from operator import itemgetter, ne
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .direct_mapped import CacheConfig, CacheResult
@@ -58,76 +64,88 @@ class MultiCacheStats:
         self.raw_blocks = 0  # block ids the records expand to
 
 
-class _BodySummary:
-    """Replay algebra of one body under one index mask.
+class _Summary:
+    """Replay algebra of one body in one direct-mapped geometry.
 
     For each touched slot, a direct-mapped cache's accesses to that slot
-    form a line subsequence ``L1..Lk``; replaying from resident tag ``t``
-    misses ``changes(L1..Lk) + (1 if t != L1 else 0)`` times and leaves
-    ``Lk`` resident.  Summing over slots: ``base`` internal misses plus
-    one per mismatched first line, final state = ``last`` — independent
-    of access order, which is why the summary path needs no per-line
-    walk (order only matters to flush timing, and the summary path is
-    gated on no flush being reachable).
+    form a line subsequence ``L1..Lk``; replaying from resident line
+    ``t`` misses ``changes(L1..Lk) + (1 if t != L1 else 0)`` times and
+    leaves ``Lk`` resident.  Summing over slots: ``base`` internal misses
+    plus one per mismatched first line, final state = the last lines —
+    independent of access order, which is why a record needs no per-line
+    walk unless a flush falls inside it.
     """
 
-    __slots__ = ("n_access", "base", "touched", "steady")
+    __slots__ = (
+        "n_access", "base", "steady", "first", "last", "get", "firsts",
+        "multi", "moves",
+    )
 
-    def __init__(self, lines: Sequence[int], index_mask: int) -> None:
-        prev: Dict[int, int] = {}
-        first: List[Tuple[int, int]] = []
+    def __init__(self, n_access: int, runs: Sequence[int], mask: int) -> None:
+        first: Dict[int, int] = {}
+        last: Dict[int, int] = {}
         base = 0
-        for line in lines:
-            slot = line & index_mask
-            resident = prev.get(slot)
+        # A repeated line hits and changes nothing, so ``runs``, the
+        # body's lines with consecutive repeats dropped, decide it all.
+        for line in runs:
+            slot = line & mask
+            resident = last.get(slot)
             if resident is None:
-                first.append((slot, line))
+                first[slot] = line
             elif resident != line:
                 base += 1
-            prev[slot] = line
-        self.n_access = len(lines)
+            last[slot] = line
+        #: Per touched slot, the first and the last line fetched.
+        self.first = first
+        self.last = last
+        self.n_access = n_access
         self.base = base
-        #: Per touched slot: (slot, first line fetched, last line fetched).
-        self.touched = [
-            (slot, line, prev[slot]) for slot, line in first
-        ]
         #: Misses of every iteration after the first, when the body
         #: repeats back to back: each touched slot then starts at its
         #: own last line.
         self.steady = base + sum(
-            1 for slot, line in first if prev[slot] != line
+            map(ne, first.values(), map(last.__getitem__, first))
         )
+        # The walk reads the touched slots with one C call and compares
+        # them with the first lines as a whole: ``get(cache)`` is a
+        # tuple, or a lone line when one slot is touched (``multi``
+        # false).  ``moves``: some slot's last line is not its first.
+        self.get = itemgetter(*first)
+        self.firsts = self.get(first)
+        self.multi = len(first) > 1
+        self.moves = first != last
 
 
-class _CacheState:
-    """One configuration's live simulation state."""
+class _State:
+    """One configuration's counters, read and written inline by the walk.
+
+    ``misses`` and the fast-forward counters hold only what the records
+    cost beyond the per-body fold: first-iteration misses and flush
+    corrections.  ``cost`` is kept only under context switches.
+    """
 
     __slots__ = (
-        "index_mask",
-        "lines",
-        "hit_time",
-        "miss_time",
-        "interval",
-        "next_flush",
-        "cache",
-        "accesses",
-        "misses",
-        "cost",
-        "flushes",
-        "ff_iters",
+        "mask", "ways", "hit_time", "miss_time", "interval", "next_flush",
+        "cache", "accesses", "misses", "cost", "flushes", "ff_iters",
         "ff_hits",
     )
 
-    def __init__(self, config: CacheConfig, context_switches: bool) -> None:
-        self.index_mask = config.lines - 1
-        self.lines = config.lines
+    def __init__(self, config: CacheConfig, switches: bool) -> None:
+        self.mask = config.sets - 1
+        self.ways = config.associativity
         self.hit_time = config.hit_time
         self.miss_time = config.miss_penalty
         self.interval = config.context_switch_interval
-        self.next_flush: Optional[int] = (
-            self.interval if context_switches else None
+        self.next_flush = self.interval if switches else inf
+        # Direct mapped: slot -> resident line (-1: empty), a dict so a
+        # body's last lines install with one update.  N-way: per set, its
+        # resident lines, most recently used first.  A flush clears it in
+        # place, so the walk's plans may hold it.
+        self.cache = (
+            dict.fromkeys(range(config.sets), -1)
+            if self.ways == 1
+            else [[] for _ in range(config.sets)]
         )
-        self.cache: List[int] = [-1] * config.lines
         self.accesses = 0
         self.misses = 0
         self.cost = 0
@@ -135,166 +153,167 @@ class _CacheState:
         self.ff_iters = 0
         self.ff_hits = 0
 
-    # --- exact per-line fallback (flush boundaries) ---------------------------
-
-    def replay(self, lines: Sequence[int]) -> None:
-        """Replay one line sequence — byte-identical to the reference loop.
-
-        Only :meth:`replay_record` calls it, so a flush boundary is set.
-        """
-        cache = self.cache
-        index_mask = self.index_mask
-        hit_time = self.hit_time
-        miss_time = self.miss_time
-        next_flush = self.next_flush
-        accesses = self.accesses
-        misses = self.misses
-        cost = self.cost
-        interval = self.interval
-        for line in lines:
-            accesses += 1
-            slot = line & index_mask
-            if cache[slot] == line:
-                cost += hit_time
-            else:
-                cache[slot] = line
-                misses += 1
-                cost += miss_time
-            if cost >= next_flush:
-                cache = self.cache = [-1] * self.lines
-                self.flushes += 1
-                next_flush += interval
-        self.next_flush = next_flush
-        self.accesses = accesses
-        self.misses = misses
-        self.cost = cost
-
-    # --- summary fast path ----------------------------------------------------
-
-    def replay_record_noflush(
-        self, summary: _BodySummary, lines: Sequence[int], count: int
-    ) -> None:
-        """Replay ``count`` body iterations with context switches off.
-
-        With no flush boundary to respect the whole record collapses to
-        one fused pass over the touched slots: count the first
-        iteration's mismatch misses, install the final tags, and charge
-        the remaining ``count - 1`` iterations at the steady-state rate.
-        ``lines`` is unused (no exact fallback is ever needed); it is
-        accepted so both replay methods share a call shape.
-        """
-        n_access = summary.n_access
-        if n_access == 0 or count <= 0:
-            return
-        cache = self.cache
-        delta = summary.base
-        for slot, first, last in summary.touched:
-            if cache[slot] != first:
-                delta += 1
-            cache[slot] = last
-        steady = summary.steady
-        delta += (count - 1) * steady
-        n = n_access * count
-        self.accesses += n
-        self.misses += delta
-        self.cost += n * self.hit_time + delta * (self.miss_time - self.hit_time)
-        if count > 1:
-            self.ff_iters += count - 1
-            self.ff_hits += (count - 1) * (n_access - steady)
-
-    def replay_record(
-        self, summary: _BodySummary, lines: Sequence[int], count: int
-    ) -> None:
-        """Replay ``count`` iterations of one record's body.
-
-        For a state with context switches on; :func:`simulate_multi_cache`
-        sends every other state to :meth:`replay_record_noflush`.
-        """
-        n_access = summary.n_access
-        if n_access == 0 or count <= 0:
-            return
-        touched = summary.touched
-        base = summary.base
-        steady = summary.steady
-        hit_time = self.hit_time
-        extra = self.miss_time - hit_time
-        hit_cost = n_access * hit_time
-        steady_cost = hit_cost + steady * extra
-        # Worst-case first-iteration cost: every touched slot misses.
-        worst_cost = hit_cost + (base + len(touched)) * extra
-        cache = self.cache
-        remaining = count
-        while remaining > 0:
-            next_flush = self.next_flush
-            if self.cost + worst_cost < next_flush:
-                # Even an all-miss iteration stays below the boundary:
-                # fuse the miss scan and the tag install into one pass.
-                delta = base
-                for slot, first, last in touched:
-                    if cache[slot] != first:
-                        delta += 1
-                    cache[slot] = last
-                first_end = self.cost + hit_cost + delta * extra
-                iters = 1
-                if remaining > 1:
-                    if steady_cost:
-                        fit = (next_flush - 1 - first_end) // steady_cost
-                        if fit > remaining - 1:
-                            fit = remaining - 1
-                    else:
-                        fit = remaining - 1
-                    iters += fit
-                delta += (iters - 1) * steady
-                n = n_access * iters
-                self.accesses += n
-                self.misses += delta
-                self.cost += n * hit_time + delta * extra
-                if iters > 1:
-                    self.ff_iters += iters - 1
-                    self.ff_hits += (iters - 1) * (n_access - steady)
-                remaining -= iters
-                continue
-            # Misses of the next iteration, from the current tags.
-            delta = base
-            for slot, first, _last in touched:
-                if cache[slot] != first:
-                    delta += 1
-            first_end = self.cost + hit_cost + delta * extra
-            if first_end >= next_flush:
-                # The flush boundary is reachable inside this iteration:
-                # simulate it line by line (exact flush accounting).
-                self.replay(lines)
-                cache = self.cache
-                remaining -= 1
-                continue
-            # Cost is monotone, so any prefix of iterations whose *final*
-            # cost stays below the boundary cannot trigger the flush at an
-            # intermediate access either; every iteration after the first
-            # costs exactly ``steady_cost`` (tags are at their fixpoint).
-            # Charge the longest provably-safe prefix.
-            iters = 1
-            if remaining > 1:
-                if steady_cost:
-                    fit = (next_flush - 1 - first_end) // steady_cost
-                    if fit > remaining - 1:
-                        fit = remaining - 1
-                else:
-                    fit = remaining - 1
-                iters += fit
-            delta += (iters - 1) * steady
-            n = n_access * iters
-            self.accesses += n
-            self.misses += delta
-            self.cost += n * hit_time + delta * extra
-            for slot, _first, last in touched:
-                cache[slot] = last
-            if iters > 1:
-                self.ff_iters += iters - 1
-                self.ff_hits += (iters - 1) * (n_access - steady)
-            remaining -= iters
+    def flush(self) -> None:
+        """A context switch: invalidate every line."""
+        if self.ways == 1:
+            self.cache.update(dict.fromkeys(self.cache, -1))
+        else:
+            for bucket in self.cache:
+                bucket.clear()
+        self.flushes += 1
+        self.next_flush += self.interval
 
     def result(self) -> CacheResult:
-        return CacheResult(self.accesses, self.misses, self.cost, self.flushes)
+        hits = self.accesses - self.misses
+        cost = hits * self.hit_time + self.misses * self.miss_time
+        return CacheResult(self.accesses, self.misses, cost, self.flushes)
+
+
+def _charge_across_flush(
+    state: _State, summary: _Summary, lines: Sequence[int], count: int
+) -> None:
+    """Charge a record that reaches a direct-mapped state's next flush.
+
+    Runs of iterations that stay below the boundary are charged from the
+    summary; the iteration that reaches it is replayed line by line,
+    byte-identical to the reference loop.
+    """
+    n_access = summary.n_access
+    base = summary.base
+    steady = summary.steady
+    first = summary.first.items()
+    hit_time = state.hit_time
+    extra = state.miss_time - hit_time
+    steady_cost = n_access * hit_time + steady * extra
+    cache = state.cache
+    mask = state.mask
+    misses = ff_iters = 0
+    remaining = count
+    while remaining:
+        delta = base + sum(cache[slot] != line for slot, line in first)
+        first_end = state.cost + n_access * hit_time + delta * extra
+        if first_end >= state.next_flush:
+            for line in lines:
+                slot = line & mask
+                if cache[slot] == line:
+                    state.cost += hit_time
+                else:
+                    cache[slot] = line
+                    misses += 1
+                    state.cost += state.miss_time
+                if state.cost >= state.next_flush:
+                    state.flush()
+            remaining -= 1
+            continue
+        # Every iteration after the first costs ``steady_cost`` (the tags
+        # are at their fixed point): charge the longest run whose final
+        # cost stays below the boundary.
+        iters = remaining
+        if steady_cost:
+            iters = min(iters, 1 + (state.next_flush - 1 - first_end) // steady_cost)
+        misses += delta + (iters - 1) * steady
+        state.cost = first_end + (iters - 1) * steady_cost
+        ff_iters += iters - 1
+        cache.update(summary.last)
+        remaining -= iters
+    # The per-body fold charges every record ``base + (count - 1) *
+    # steady`` misses and ``count - 1`` fast-forwarded iterations: book
+    # the difference.
+    state.misses += misses - base - (count - 1) * steady
+    lost = count - 1 - ff_iters
+    state.ff_iters -= lost
+    state.ff_hits -= lost * (n_access - steady)
+
+
+def _lru_pass(sets, lines: Sequence[int], mask: int, ways: int) -> int:
+    """Replay ``lines`` through N-way LRU ``sets`` with no flush; the misses."""
+    misses = 0
+    for line in lines:
+        bucket = sets[line & mask]
+        if line in bucket:
+            if bucket[0] != line:
+                bucket.remove(line)
+                bucket.insert(0, line)
+        else:
+            misses += 1
+            bucket.insert(0, line)
+            if len(bucket) > ways:
+                bucket.pop()
+    return misses
+
+
+def _lru_steady(runs: Sequence[int], mask: int, ways: int) -> int:
+    """Misses of one iteration of a body from its LRU fixed point.
+
+    After a whole iteration with no flush, each set holds the body's
+    lines by last use (its ``ways`` most recent), then older residents
+    in their old order.  An iteration from there only reorders the
+    body's own lines, so what it misses depends on the body alone: the
+    second of two passes from empty sets.
+    """
+    sets = defaultdict(list)
+    _lru_pass(sets, runs, mask, ways)
+    return _lru_pass(sets, runs, mask, ways)
+
+
+def _charge_lru(state: _State, lines: Sequence[int], steady: int, count: int) -> None:
+    """Charge one record to an N-way LRU state with context switches.
+
+    An iteration is replayed access by access whenever the state may be
+    off the body's fixed point: at the record's start and after a flush.
+    From the fixed point every iteration misses ``steady`` times, so the
+    rest are charged at once, as many as stay below the next flush.
+    """
+    sets = state.cache
+    mask = state.mask
+    ways = state.ways
+    hit_time = state.hit_time
+    miss_time = state.miss_time
+    n_access = len(lines)
+    step_cost = n_access * hit_time + steady * (miss_time - hit_time)
+    cost = state.cost
+    misses = ff_iters = 0
+    fixed = False
+    remaining = count
+    while remaining:
+        if fixed:
+            # The last iteration had no flush, so ``room`` >= 0.
+            fit = remaining
+            room = state.next_flush - 1 - cost
+            if room < fit * step_cost:
+                fit = room // step_cost
+            if fit:
+                cost += fit * step_cost
+                misses += fit * steady
+                ff_iters += fit
+                remaining -= fit
+                continue
+        flushes = state.flushes
+        for line in lines:
+            bucket = sets[line & mask]
+            if line in bucket:
+                cost += hit_time
+                if bucket[0] != line:
+                    bucket.remove(line)
+                    bucket.insert(0, line)
+            else:
+                misses += 1
+                cost += miss_time
+                bucket.insert(0, line)
+                if len(bucket) > ways:
+                    bucket.pop()
+            if cost >= state.next_flush:
+                state.flush()
+        remaining -= 1
+        fixed = state.flushes == flushes
+    state.cost = cost
+    # The per-body fold charges every record ``(count - 1) * steady``
+    # misses and ``count - 1`` fast-forwarded iterations: book the
+    # difference.
+    state.misses += misses - (count - 1) * steady
+    lost = count - 1 - ff_iters
+    state.ff_iters -= lost
+    state.ff_hits -= lost * (n_access - steady)
 
 
 def _records_of(trace) -> Iterable[Tuple[Sequence[int], int]]:
@@ -317,117 +336,166 @@ def simulate_multi_cache(
     :param trace: a ``CompressedTrace`` (fast path: compressed records,
         per-body replay summaries, loop fast-forwarding) or any iterable
         of global block ids.
+    :param configs: direct-mapped or N-way LRU caches, in any mix.
     :param context_switches: a single bool for every config, or one bool
-        per config — the full Table-6 grid (4 sizes x with/without
-        context switches) can thus run as 8 states in a single walk,
-        sharing one plan build per distinct body.
+        per config — the full Table-6 grid (sizes x with/without context
+        switches) thus runs in a single walk, sharing one plan build per
+        distinct body.
     :param stats: optional accounting object filled with fast-forward
         coverage counters.
     :returns: one :class:`CacheResult` per config, in input order —
         each byte-identical to the per-configuration reference replay.
     """
     if isinstance(context_switches, bool):
-        ctx_flags = [context_switches] * len(configs)
+        flags = [context_switches] * len(configs)
     else:
-        ctx_flags = [bool(flag) for flag in context_switches]
-        if len(ctx_flags) != len(configs):
+        flags = [bool(flag) for flag in context_switches]
+        if len(flags) != len(configs):
             raise ValueError(
                 "context_switches must be a bool or one flag per config "
-                f"(got {len(ctx_flags)} flags for {len(configs)} configs)"
+                f"(got {len(flags)} flags for {len(configs)} configs)"
             )
-    states = [
-        _CacheState(config, ctx) for config, ctx in zip(configs, ctx_flags)
-    ]
+    states = [_State(config, flag) for config, flag in zip(configs, flags)]
+    shifts = [config.line_size.bit_length() - 1 for config in configs]
 
     # One line table per distinct line size (a single one in practice:
-    # every paper configuration uses 16-byte lines), and per (body,
-    # shift) one flattened line list / per (body, mask) one summary —
-    # bodies are interned, so identity-keyed memos pay off across the
-    # thousands of records a hot loop seals.
-    tables: Dict[int, Dict[int, List[int]]] = {}
-    shifts: List[int] = []
-    for config in configs:
-        shift = config.line_size.bit_length() - 1
-        shifts.append(shift)
-        if shift not in tables:
-            tables[shift] = {
-                block_id: [addr >> shift for addr in fetches]
-                for block_id, fetches in block_fetches.items()
-            }
+    # every paper configuration uses 16-byte lines).  dict.fromkeys, not
+    # set(): first-seen order is hash-seed independent, so plan
+    # construction is identical run to run under randomized hashing.
+    tables = {
+        shift: {
+            block_id: [addr >> shift for addr in fetches]
+            for block_id, fetches in block_fetches.items()
+        }
+        for shift in dict.fromkeys(shifts)
+    }
 
-    no_fetches: List[int] = []
-    # Per interned body: [(state, summary, lines), ...] — built on first
-    # sight, reused by every later record referencing the same body.
-    plans: Dict[int, tuple] = {}
+    def build_plan(body) -> tuple:
+        """What every state does with one body, built on first sight.
 
-    def build_plan(body) -> List[tuple]:
-        flats: Dict[int, List[int]] = {}
-        # dict.fromkeys, not set(): first-seen order is hash-seed
-        # independent, so plan construction (and any float accumulation
-        # downstream) is identical run to run under randomized hashing.
-        for shift in dict.fromkeys(shifts):
-            table = tables[shift]
+        ``(body, [records, iterations], plain, switching, lru,
+        lru_switching, folds)``: the inline arguments of the
+        direct-mapped and of the N-way states, each without and with
+        context switches, and per state what the end-of-walk fold needs.
+        """
+        flats = {}
+        for shift, table in tables.items():
             lines: List[int] = []
-            extend = lines.extend
             for block_id in body:
-                extend(table.get(block_id, no_fetches))
-            flats[shift] = lines
-        plan = []
-        seen: Dict[Tuple[int, int], _BodySummary] = {}
-        for state, shift, ctx in zip(states, shifts, ctx_flags):
-            key = (shift, state.index_mask)
-            summary = seen.get(key)
-            if summary is None:
-                summary = seen[key] = _BodySummary(
-                    flats[shift], state.index_mask
-                )
-            # A state with no flush boundary gets the fused single-pass
-            # replay; summaries are shared across the two context-switch
-            # settings (they only depend on shift and mask).
-            replay = state.replay_record if ctx else state.replay_record_noflush
-            plan.append((replay, summary, flats[shift]))
-        return plan
+                lines.extend(table.get(block_id, ()))
+            flats[shift] = lines, [line for line, _ in groupby(lines)]
+        summaries: Dict[Tuple[int, int], _Summary] = {}
+        steadies: Dict[Tuple[int, int, int], int] = {}
+        plain, switching, lru, lru_switching, folds = [], [], [], [], []
+        for state, shift, flag in zip(states, shifts, flags):
+            lines, runs = flats[shift]
+            if not lines:
+                continue
+            if state.ways > 1:
+                key = (shift, state.mask, state.ways)
+                steady = steadies.get(key)
+                if steady is None:
+                    steady = steadies[key] = _lru_steady(runs, state.mask, state.ways)
+                folds.append((state, len(lines), 0, steady))
+                if flag:
+                    lru_switching.append((state, lines, steady))
+                else:
+                    # With no flush a repeated line is a hit: replay runs.
+                    lru.append((state, state.cache, runs, state.mask, state.ways))
+                continue
+            # Summaries are shared across the two context-switch
+            # settings: they only depend on shift and mask.
+            key = (shift, state.mask)
+            s = summaries.get(key)
+            if s is None:
+                s = summaries[key] = _Summary(len(lines), runs, state.mask)
+            folds.append((state, s.n_access, s.base, s.steady))
+            inline = (state, state.cache, s.get, s.firsts, s.last, s.multi, s.moves)
+            if not flag:
+                plain.append(inline)
+                continue
+            hit_cost = s.n_access * state.hit_time
+            extra = state.miss_time - state.hit_time
+            first_cost = hit_cost + s.base * extra
+            steady_cost = hit_cost + s.steady * extra
+            switching.append(inline + (first_cost, steady_cost, extra, s, lines))
+        return body, [0, 0], plain, switching, lru, lru_switching, folds
 
-    # Record/block totals are O(1) on a CompressedTrace; only unknown
-    # record streams need per-record counting inside the hot loop.
-    inline_stats = None
-    if stats is not None:
-        record_count = getattr(trace, "record_count", None)
-        if record_count is not None:
-            stats.records += record_count
-            stats.raw_blocks += len(trace)
-        else:
-            inline_stats = stats
-
+    # Per interned body, its plan.  Keyed by identity, with the body
+    # pinned in the entry: a custom record stream could yield ephemeral
+    # bodies whose ids get recycled after collection.
+    plans: Dict[int, tuple] = {}
     for body, count in _records_of(trace):
-        if inline_stats is not None:
-            inline_stats.records += 1
-            inline_stats.raw_blocks += len(body) * count
         entry = plans.get(id(body))
         if entry is None or entry[0] is not body:
-            # Key by identity but pin the body in the entry: a custom
-            # record stream could yield ephemeral bodies whose ids get
-            # recycled after collection.
-            entry = plans[id(body)] = (body, build_plan(body))
-        for replay, summary, lines in entry[1]:
-            replay(summary, lines, count)
+            entry = plans[id(body)] = build_plan(body)
+        tally = entry[1]
+        tally[0] += 1
+        tally[1] += count
+        # No context switches: count the first lines not resident and
+        # install the last ones; the fold charges the rest.
+        for state, cache, get, firsts, lasts, multi, moves in entry[2]:
+            now = get(cache)
+            if now != firsts:
+                state.misses += sum(map(ne, now, firsts)) if multi else 1
+                cache.update(lasts)
+            elif moves:
+                cache.update(lasts)
+        # Context switches: the same, when the record's exact final cost
+        # stays below the next flush.
+        for (state, cache, get, firsts, lasts, multi, moves,
+             first_cost, steady_cost, extra, summary, lines) in entry[3]:
+            now = get(cache)
+            delta = 0
+            if now != firsts:
+                delta = sum(map(ne, now, firsts)) if multi else 1
+            end = state.cost + first_cost + delta * extra + (count - 1) * steady_cost
+            if end < state.next_flush:
+                state.cost = end
+                if delta:
+                    state.misses += delta
+                    cache.update(lasts)
+                elif moves:
+                    cache.update(lasts)
+            else:
+                _charge_across_flush(state, summary, lines, count)
+        # N-way: the first iteration replayed, the rest at the fixed
+        # point (charged by the fold, or per record across flushes).
+        for state, sets, runs, mask, ways in entry[4]:
+            state.misses += _lru_pass(sets, runs, mask, ways)
+        for state, lines, steady in entry[5]:
+            _charge_lru(state, lines, steady, count)
 
+    # The per-body fold, for every state: the accesses, each record's
+    # base misses (direct mapped) and, for every iteration after a
+    # record's first, its steady misses as a fast-forwarded iteration.
+    records = raw_blocks = 0
+    for body, (body_records, iters), *_, folds in plans.values():
+        records += body_records
+        raw_blocks += len(body) * iters
+        repeats = iters - body_records
+        for state, n_access, base, steady in folds:
+            state.accesses += n_access * iters
+            state.misses += body_records * base + repeats * steady
+            state.ff_iters += repeats
+            state.ff_hits += repeats * (n_access - steady)
+
+    ff_iters = sum(state.ff_iters for state in states)
+    ff_hits = sum(state.ff_hits for state in states)
     if stats is not None:
-        stats.fastforward_iters = sum(state.ff_iters for state in states)
-        stats.fastforward_hits = sum(state.ff_hits for state in states)
-    _observe(states, stats)
+        stats.records += records
+        stats.raw_blocks += raw_blocks
+        stats.fastforward_iters = ff_iters
+        stats.fastforward_hits = ff_hits
+    _observe(ff_iters, ff_hits)
     return [state.result() for state in states]
 
 
-def _observe(states: List[_CacheState], stats: Optional[MultiCacheStats]) -> None:
+def _observe(ff_iters: int, ff_hits: int) -> None:
     """Publish fast-forward coverage to the ambient observer."""
     from ..obs import active as _active_observer
 
     metrics = _active_observer().metrics
     metrics.inc("cachesim.multi.runs")
-    metrics.inc(
-        "cachesim.fastforward.iters", sum(state.ff_iters for state in states)
-    )
-    metrics.inc(
-        "cachesim.fastforward.hits", sum(state.ff_hits for state in states)
-    )
+    metrics.inc("cachesim.fastforward.iters", ff_iters)
+    metrics.inc("cachesim.fastforward.hits", ff_hits)

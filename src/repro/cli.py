@@ -385,19 +385,22 @@ def cmd_cache(args) -> int:
 
     result = _measure(args, trace=True)
     m = result.measurement
-    configs = [CacheConfig(size=size) for size in args.sizes]
-    plain = simulate_multi_cache(m.trace, m.block_fetches, configs, False)
-    flushed = simulate_multi_cache(m.trace, m.block_fetches, configs, True)
+    # One walk: every size without, then with context switches.
+    configs = [CacheConfig(size=size) for size in args.sizes] * 2
+    flags = [False] * len(args.sizes) + [True] * len(args.sizes)
+    results = simulate_multi_cache(m.trace, m.block_fetches, configs, flags)
     rows = []
-    for size, cold, warm in zip(args.sizes, plain, flushed):
+    for size, plain, flushed in zip(
+        args.sizes, results, results[len(args.sizes):]
+    ):
         rows.append(
             [
                 f"{size}B" if size < 1024 else f"{size // 1024}KB",
-                cold.accesses,
-                f"{cold.miss_ratio * 100:.3f}%",
-                cold.fetch_cost,
-                f"{warm.miss_ratio * 100:.3f}%",
-                warm.fetch_cost,
+                plain.accesses,
+                f"{plain.miss_ratio * 100:.3f}%",
+                plain.fetch_cost,
+                f"{flushed.miss_ratio * 100:.3f}%",
+                flushed.fetch_cost,
             ]
         )
     print(

@@ -306,7 +306,7 @@ def extension_cells(matrix: Mapping[tuple, object]) -> Dict[str, dict]:
     """
     from .api import compile_and_measure
     from .benchsuite import PROGRAMS, program_names
-    from .cache import AssociativeCacheConfig, simulate_associative_cache
+    from .cache import CacheConfig, simulate_multi_cache
     from .core.profile_guided import profile_guided_replication
     from .ease import measure_pipeline, measure_program
     from .frontend import compile_c
@@ -314,6 +314,8 @@ def extension_cells(matrix: Mapping[tuple, object]) -> Dict[str, dict]:
     from .targets import get_target
 
     sparc = get_target("sparc")
+    assoc = [(ways, size) for size in ASSOC_SIZES for ways in ASSOC_WAYS]
+    caches = [CacheConfig(size=size, associativity=ways) for ways, size in assoc]
     cells: Dict[str, dict] = {s: {} for s in ("maxlen", "policy", "profile", "assoc", "pipeline")}
     for name in program_names():
         bench = PROGRAMS[name]
@@ -336,11 +338,9 @@ def extension_cells(matrix: Mapping[tuple, object]) -> Dict[str, dict]:
             ]
         for config in ("none", "jumps"):
             m = matrix[("sparc", config, name)]
-            for size in ASSOC_SIZES:
-                for ways in ASSOC_WAYS:
-                    cache = AssociativeCacheConfig(size=size, associativity=ways)
-                    r = simulate_associative_cache(m.trace, m.block_fetches, cache)
-                    cells["assoc"][_key(ways, size, config, name)] = [r.misses, r.fetch_cost]
+            results = simulate_multi_cache(m.trace, m.block_fetches, caches)
+            for (ways, size), r in zip(assoc, results):
+                cells["assoc"][_key(ways, size, config, name)] = [r.misses, r.fetch_cost]
             program = compile_c(bench.source)
             optimize_program(program, sparc, OptimizationConfig(replication=config))
             p = measure_pipeline(program, sparc, stdin=bench.stdin)

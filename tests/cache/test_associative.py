@@ -1,24 +1,22 @@
-"""Set-associative cache tests, including equivalence with direct-mapped."""
+"""N-way LRU caches (``CacheConfig(associativity=...)``), including
+equivalence with direct mapping."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache import (
-    AssociativeCacheConfig,
-    CacheConfig,
-    simulate_associative_cache,
-)
-from tests.cache.reference_cache import simulate_cache
+from repro.cache import CacheConfig, simulate_multi_cache
+from tests.cache.reference_cache import simulate_associative_cache, simulate_cache
 from tests.cache.test_direct_mapped import traces
 
 
 def run(addresses, size=64, ways=2, ctx=False, interval=10_000):
-    config = AssociativeCacheConfig(
+    config = CacheConfig(
         size=size, associativity=ways, context_switch_interval=interval
     )
-    return simulate_associative_cache(
-        [0], {0: list(addresses)}, config, context_switches=ctx
+    [result] = simulate_multi_cache(
+        [0], {0: list(addresses)}, [config], context_switches=ctx
     )
+    return result
 
 
 class TestBasics:
@@ -42,20 +40,17 @@ class TestBasics:
         assert result.misses == 3  # A, B, C miss; both A re-touches hit
 
     def test_fully_associative(self):
-        config = AssociativeCacheConfig(size=64, associativity=4)
-        result = simulate_associative_cache(
-            [0], {0: [0, 16, 32, 48, 0, 16, 32, 48]}, config
-        )
+        result = run([0, 16, 32, 48, 0, 16, 32, 48], size=64, ways=4)
         assert result.misses == 4
         assert result.hits == 4
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            AssociativeCacheConfig(size=64, associativity=3)
+            CacheConfig(size=64, associativity=3)
         with pytest.raises(ValueError):
-            AssociativeCacheConfig(size=100)
+            CacheConfig(size=100)
         with pytest.raises(ValueError):
-            AssociativeCacheConfig(size=64, associativity=0)
+            CacheConfig(size=64, associativity=0)
 
     def test_context_switch_flush(self):
         cold = run([0] * 30, ways=2, ctx=True, interval=10)
@@ -69,9 +64,7 @@ class TestProperties:
     def test_one_way_equals_direct_mapped(self, data, size):
         trace, fetches = data
         direct = simulate_cache(trace, fetches, CacheConfig(size=size))
-        assoc = simulate_associative_cache(
-            trace, fetches, AssociativeCacheConfig(size=size, associativity=1)
-        )
+        assoc = simulate_associative_cache(trace, fetches, CacheConfig(size=size))
         assert direct.misses == assoc.misses
         assert direct.fetch_cost == assoc.fetch_cost
 
@@ -85,10 +78,8 @@ class TestProperties:
         # universally true for misses. The robust property: a fully
         # associative LRU cache of *unbounded* size only cold-misses.
         trace, fetches = data
-        big = simulate_associative_cache(
-            trace,
-            fetches,
-            AssociativeCacheConfig(size=1 << 15, associativity=1 << 11),
+        [big] = simulate_multi_cache(
+            trace, fetches, [CacheConfig(size=1 << 15, associativity=1 << 11)]
         )
         distinct = {a >> 4 for b in trace for a in fetches[b]}
         assert big.misses == len(distinct)
@@ -97,7 +88,7 @@ class TestProperties:
     @given(traces())
     def test_cost_identity(self, data):
         trace, fetches = data
-        result = simulate_associative_cache(
-            trace, fetches, AssociativeCacheConfig(size=128, associativity=2)
+        [result] = simulate_multi_cache(
+            trace, fetches, [CacheConfig(size=128, associativity=2)]
         )
         assert result.fetch_cost == result.hits + 10 * result.misses

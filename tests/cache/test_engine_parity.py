@@ -1,7 +1,8 @@
-"""Engine parity: the single-pass multi-configuration cache engine must
-return byte-identical ``CacheResult``s to the per-size reference replay,
-for all four paper cache sizes and both context-switch settings — the
-differential oracle that gates the fast-forward optimization.
+"""Engine parity: the one cache engine must return byte-identical
+``CacheResult``s to the per-configuration reference replays — direct
+mapped at every Table-6 size, N-way LRU at 1, 2 and 4 ways, with and
+without context switches — the differential oracle that gates the
+summary walk and the fast-forward optimization.
 """
 
 import pytest
@@ -19,21 +20,50 @@ from repro.ease.trace import RleTraceSink
 from repro.frontend import compile_c
 from repro.opt import OptimizationConfig, optimize_program
 from repro.targets import get_target
-from tests.cache.reference_cache import simulate_cache
+from tests.cache.reference_cache import simulate_associative_cache, simulate_cache
 
 PAPER_CONFIGS = [CacheConfig(size=size) for size in PAPER_CACHE_SIZES]
 
+#: The scaled Table-6 grid as perfbench and ``repro tables`` walk it:
+#: 128 B to 1 KB, context switches on and off, in one call.
+SCALED_GRID = [CacheConfig(size=size) for size in (128, 256, 512, 1024)] * 2
+SCALED_FLAGS = [True] * 4 + [False] * 4
 
-def assert_parity(trace, fetches, configs, ctx, interval=10_000):
-    multi = simulate_multi_cache(
-        trace, fetches, configs, context_switches=ctx
-    )
-    for config, got in zip(configs, multi):
-        want = simulate_cache(trace, fetches, config, context_switches=ctx)
-        assert got.accesses == want.accesses, config
-        assert got.misses == want.misses, config
-        assert got.fetch_cost == want.fetch_cost, config
-        assert got.flushes == want.flushes, config
+
+def reference(trace, fetches, config, ctx):
+    """The oracle replay of one configuration."""
+    oracle = simulate_cache if config.associativity == 1 else simulate_associative_cache
+    return oracle(trace, fetches, config, context_switches=ctx)
+
+
+def assert_parity(trace, fetches, configs, ctx):
+    """``ctx``: one bool for every config, or one per config."""
+    flags = [ctx] * len(configs) if isinstance(ctx, bool) else ctx
+    multi = simulate_multi_cache(trace, fetches, configs, context_switches=ctx)
+    assert len(multi) == len(configs)
+    for config, flag, got in zip(configs, flags, multi):
+        want = reference(trace, fetches, config, flag)
+        assert (got.accesses, got.misses, got.fetch_cost, got.flushes) == (
+            want.accesses,
+            want.misses,
+            want.fetch_cost,
+            want.flushes,
+        ), (config, flag)
+
+
+def n_way_configs(sizes, interval):
+    return [
+        CacheConfig(size=size, associativity=ways, context_switch_interval=interval)
+        for size in sizes
+        for ways in (1, 2, 4)
+    ]
+
+
+def compress(trace):
+    sink = RleTraceSink()
+    for block_id in trace:
+        sink.emit(block_id)
+    return sink.finish()
 
 
 @st.composite
@@ -95,15 +125,25 @@ class TestFuzzedTraces:
         trace, fetches = data
         configs = PAPER_CONFIGS * 2
         flags = [False] * len(PAPER_CONFIGS) + [True] * len(PAPER_CONFIGS)
-        multi = simulate_multi_cache(trace, fetches, configs, flags)
-        for config, ctx, got in zip(configs, flags, multi):
-            want = simulate_cache(trace, fetches, config, context_switches=ctx)
-            assert (got.accesses, got.misses, got.fetch_cost, got.flushes) == (
-                want.accesses,
-                want.misses,
-                want.fetch_cost,
-                want.flushes,
-            )
+        assert_parity(trace, fetches, configs, flags)
+
+    @settings(max_examples=80, deadline=None)
+    @given(traces(), st.booleans())
+    def test_n_way_parity(self, data, ctx):
+        # 1, 2 and 4 ways at tiny sizes and a short flush interval: LRU
+        # fast-forwarding must stop at every flush boundary.
+        trace, fetches = data
+        configs = n_way_configs((64, 128), interval=50)
+        for form in (trace, compress(trace)):
+            assert_parity(form, fetches, configs, ctx)
+
+    @settings(max_examples=40, deadline=None)
+    @given(traces())
+    def test_n_way_and_direct_mapped_in_one_walk(self, data):
+        trace, fetches = data
+        configs = n_way_configs((64, 256), interval=50) * 2
+        flags = [False] * 6 + [True] * 6
+        assert_parity(compress(trace), fetches, configs, flags)
 
     def test_context_flags_length_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -115,21 +155,21 @@ class TestFuzzedTraces:
         # The engine consumes RLE records directly; the reference engine
         # iterates the expanded trace.  Results must still match.
         trace, fetches = data
-        sink = RleTraceSink()
-        for block_id in trace:
-            sink.emit(block_id)
-        compressed = sink.finish()
-        multi = simulate_multi_cache(
-            compressed, fetches, PAPER_CONFIGS, context_switches=ctx
-        )
-        for config, got in zip(PAPER_CONFIGS, multi):
-            want = simulate_cache(trace, fetches, config, context_switches=ctx)
-            assert (got.accesses, got.misses, got.fetch_cost, got.flushes) == (
-                want.accesses,
-                want.misses,
-                want.fetch_cost,
-                want.flushes,
-            )
+        assert_parity(compress(trace), fetches, PAPER_CONFIGS, ctx)
+
+    @settings(max_examples=40, deadline=None)
+    @given(traces())
+    def test_stats_count_records_and_blocks(self, data):
+        trace, fetches = data
+        compressed = compress(trace)
+        stats = MultiCacheStats()
+        simulate_multi_cache(compressed, fetches, SCALED_GRID, SCALED_FLAGS, stats=stats)
+        assert stats.records == compressed.record_count
+        assert stats.raw_blocks == len(compressed) == len(trace)
+        # A plain block list is one record.
+        stats = MultiCacheStats()
+        simulate_multi_cache(trace, fetches, SCALED_GRID, SCALED_FLAGS, stats=stats)
+        assert (stats.records, stats.raw_blocks) == (1, len(trace))
 
 
 class TestRealPrograms:
@@ -152,6 +192,28 @@ class TestRealPrograms:
     def test_interpreter_traces_parity(self, measurements, ctx):
         for (name, replication), (trace, fetches) in measurements.items():
             assert_parity(trace, fetches, PAPER_CONFIGS, ctx)
+
+    def test_scaled_table6_grid_parity(self, measurements):
+        # The shape perfbench and ``repro tables`` use: every scaled
+        # size, switches on and off, as 8 states of one walk.
+        for trace, fetches in measurements.values():
+            assert_parity(trace, fetches, SCALED_GRID, SCALED_FLAGS)
+
+    def test_n_way_parity(self, measurements):
+        # The JUMPS traces only: each LRU oracle replays every access.
+        configs = n_way_configs((128, 512), interval=1_000)
+        for (name, replication), (trace, fetches) in measurements.items():
+            if replication == "jumps":
+                assert_parity(trace, fetches, configs, True)
+
+    def test_stats_count_records_and_blocks(self, measurements):
+        for trace, fetches in measurements.values():
+            stats = MultiCacheStats()
+            simulate_multi_cache(
+                trace, fetches, SCALED_GRID, SCALED_FLAGS, stats=stats
+            )
+            assert stats.records == trace.record_count
+            assert stats.raw_blocks == len(trace)
 
     def test_fastforward_actually_fires(self, measurements):
         # The optimization must engage on real loopy programs, not just
@@ -187,11 +249,9 @@ class TestZeroFetchBlocks:
         assert result.accesses == 1
 
     def test_associative_engine_skips_unknown_blocks(self):
-        from repro.cache import AssociativeCacheConfig, simulate_associative_cache
-
-        result = simulate_associative_cache(
-            [0, 9], {0: [0, 4]}, AssociativeCacheConfig(size=64, associativity=2)
-        )
+        config = CacheConfig(size=64, associativity=2)
+        assert simulate_associative_cache([0, 9], {0: [0, 4]}, config).accesses == 2
+        [result] = simulate_multi_cache([0, 9], {0: [0, 4]}, [config])
         assert result.accesses == 2
 
 

@@ -83,6 +83,36 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "128B" in out and "1KB" in out
 
+    def test_cache_rows_equal_the_reference_replays(self, capsys, monkeypatch):
+        """``repro cache`` walks the trace once for both context-switch
+        settings; every printed number is the per-size oracle's."""
+        from repro import cli
+        from repro.cache import CacheConfig
+        from tests.cache.reference_cache import simulate_cache
+
+        measured = []
+        measure = cli._measure
+        monkeypatch.setattr(
+            cli, "_measure", lambda *a, **k: measured.append(measure(*a, **k)) or measured[-1]
+        )
+        assert main(["cache", "sieve", "--sizes", "128", "1024"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        m = measured[0].measurement
+        for row, (label, size) in zip(rows, [("128B", 128), ("1KB", 1024)]):
+            plain, flushed = (
+                simulate_cache(m.trace, m.block_fetches, CacheConfig(size=size), ctx)
+                for ctx in (False, True)
+            )
+            assert row.split() == [
+                label,
+                str(plain.accesses),
+                f"{plain.miss_ratio * 100:.3f}%",
+                str(plain.fetch_cost),
+                f"{flushed.miss_ratio * 100:.3f}%",
+                str(flushed.fetch_cost),
+            ]
+        assert len(rows) == 2
+
     @pytest.mark.parametrize("size", ["100", "0", "1k"])
     def test_cache_rejects_bad_size_before_any_work(
         self, c_file, capsys, monkeypatch, size
@@ -183,6 +213,31 @@ class TestCommands:
         ).stdout
         assert out.splitlines() == ["[]", "[]"]
         assert list(tmp_path.iterdir()) == []
+
+    def test_import_builds_no_workload_stdin(self, tmp_path):
+        """``import repro.cli`` (and so ``repro --help``) builds no
+        benchmark's stdin: each is built on its first read."""
+        import os
+        import subprocess
+        import sys
+
+        probe = (
+            "import repro.cli; "
+            "from repro.benchsuite.programs import PROGRAMS; "
+            "print(sorted(n for n, p in PROGRAMS.items() if 'stdin' in vars(p))); "
+            "PROGRAMS['wc'].stdin; "
+            "print(sorted(n for n, p in PROGRAMS.items() if 'stdin' in vars(p)))"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.splitlines() == ["[]", "['wc']"]
 
     @pytest.mark.parametrize("trace", [False, True], ids=["plain", "trace"])
     def test_warm_bench_imports_no_compiler(self, tmp_path, trace):
