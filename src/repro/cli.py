@@ -7,8 +7,7 @@ Commands
 ``run``       compile, optimize, execute; print the program output
 ``measure``   print the measurement summary (counts, jumps, no-ops)
 ``compare``   SIMPLE / LOOPS / JUMPS side by side for one program
-``cache``     instruction-cache sweep for one program; ``cache stats`` /
-              ``cache gc`` maintain the persistent result cache
+``cache``     instruction-cache sweep for one program
 ``stats``     static-analysis census (instruction mix, loops, jumps)
 ``dot``       Graphviz DOT rendering of the control-flow graphs
 ``list``      list the Table-3 benchmark programs
@@ -42,7 +41,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .benchsuite.programs import PROGRAMS, program_names
-from .core.policy import POLICIES
+from .core.policy import POLICIES, REPLICATIONS
 from .exec.envelope import VERIFY_MODES
 from .report import format_table, pct
 from .targets.names import TARGETS
@@ -113,7 +112,7 @@ def _config_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--replication",
-        choices=["none", "loops", "jumps"],
+        choices=REPLICATIONS,
         default="none",
         help="code replication configuration (default: none = SIMPLE)",
     )
@@ -262,32 +261,6 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _scaled(text: str, number: str, units, what: str) -> float:
-    """``number`` (``text`` normalized) with an optional unit suffix, in
-    base units; an argparse error unless it is finite and >= 0."""
-    factor = 1
-    for suffix, mult in units:
-        if number.endswith(suffix):
-            number, factor = number[: -len(suffix)], mult
-            break
-    try:
-        value = float(number) * factor
-    except ValueError:
-        value = float("nan")
-    if not 0 <= value < float("inf"):  # also rejects nan
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative {what}, got {text!r}"
-        )
-    return value
-
-
-def _parse_size(text: str) -> int:
-    """A byte count with an optional K/M/G suffix (``"64M"`` → bytes)."""
-    units = (("K", 1024), ("M", 1024**2), ("G", 1024**3))
-    number = text.strip().upper().removesuffix("B")
-    return int(_scaled(text, number, units, "size"))
-
-
 def _cache_size(text: str) -> int:
     """An instruction-cache size in bytes that :class:`CacheConfig` accepts."""
     from .cache import CacheConfig
@@ -300,87 +273,8 @@ def _cache_size(text: str) -> int:
     return size
 
 
-def _parse_age(text: str) -> float:
-    """Seconds with an optional s/m/h/d suffix (``"7d"`` → seconds)."""
-    units = (("s", 1), ("m", 60), ("h", 3600), ("d", 86400))
-    return _scaled(text, text.strip().lower(), units, "age")
-
-
-def _human_bytes(count: Optional[float]) -> str:
-    if count is None:
-        return "-"
-    value = float(count)
-    for unit in ("B", "KB", "MB", "GB"):
-        if value < 1024 or unit == "GB":
-            return f"{value:.1f}{unit}" if unit != "B" else f"{int(value)}B"
-        value /= 1024
-    return f"{value:.1f}GB"  # pragma: no cover - unreachable
-
-
-def _cmd_cache_maintenance(args) -> int:
-    """``repro cache stats`` / ``repro cache gc`` over the result cache."""
-    import time as _time
-
-    from .exec import ResultCache
-
-    cache = ResultCache(args.cache_dir)
-    if args.program == "stats":
-        info = cache.disk_stats()
-        now = _time.time()
-        rows = [
-            ["root", info["root"]],
-            ["schema version", f"v{info['schema_version']} (current)"],
-            ["entries", info["entries"]],
-            ["bytes", _human_bytes(info["bytes"])],
-            [
-                "oldest entry",
-                f"{(now - info['oldest_mtime']) / 3600:.1f}h ago"
-                if info["oldest_mtime"]
-                else "-",
-            ],
-            [
-                "newest entry",
-                f"{(now - info['newest_mtime']) / 60:.1f}m ago"
-                if info["newest_mtime"]
-                else "-",
-            ],
-        ]
-        for version, bucket in sorted(info["versions"].items()):
-            rows.append(
-                [
-                    f"  {version}",
-                    f"{bucket['entries']} entries, "
-                    f"{_human_bytes(bucket['bytes'])}",
-                ]
-            )
-        print(format_table(["cache", "value"], rows))
-        return 0
-
-    # gc
-    if args.max_bytes is None and args.max_age is None:
-        raise SystemExit(
-            "error: repro cache gc needs --max-bytes and/or --max-age"
-        )
-    report = cache.gc(
-        max_bytes=args.max_bytes,
-        max_age=args.max_age,
-        dry_run=args.dry_run,
-    )
-    verb = "would remove" if report["dry_run"] else "removed"
-    print(
-        f"{verb} {report['removed']} of {report['examined']} entries "
-        f"({_human_bytes(report['freed_bytes'])} freed, "
-        f"{report['remaining_entries']} entries / "
-        f"{_human_bytes(report['remaining_bytes'])} kept, "
-        f"{report['tmp_removed']} stale tmp files)"
-    )
-    return 0
-
-
 def cmd_cache(args) -> int:
-    """Instruction-cache sweep, or result-cache gc/stats maintenance."""
-    if args.program in ("gc", "stats"):
-        return _cmd_cache_maintenance(args)
+    """Instruction-cache sweep for one program."""
     from .cache import CacheConfig, simulate_multi_cache
 
     result = _measure(args, trace=True)
@@ -761,38 +655,9 @@ def build_parser() -> argparse.ArgumentParser:
     _config_arguments(p)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser(
-        "cache",
-        help="instruction-cache sweep for a program, or result-cache "
-        "maintenance (`repro cache stats`, `repro cache gc`)",
-    )
+    p = sub.add_parser("cache", help="instruction-cache sweep for a program")
     _source_argument(p)
     _config_arguments(p)
-    p.add_argument(
-        "--cache-dir",
-        default=".repro-cache",
-        help="result cache directory for gc/stats (default: .repro-cache)",
-    )
-    p.add_argument(
-        "--max-bytes",
-        type=_parse_size,
-        default=None,
-        metavar="SIZE",
-        help="gc: evict least-recently-used entries until the cache fits "
-        "SIZE (suffixes K/M/G)",
-    )
-    p.add_argument(
-        "--max-age",
-        type=_parse_age,
-        default=None,
-        metavar="AGE",
-        help="gc: evict entries older than AGE (suffixes s/m/h/d)",
-    )
-    p.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="gc: report what would be evicted without removing anything",
-    )
     p.add_argument(
         "--sizes",
         type=_cache_size,
@@ -852,8 +717,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--configs",
         nargs="+",
-        choices=["none", "loops", "jumps"],
-        default=["none", "loops", "jumps"],
+        choices=REPLICATIONS,
+        default=list(REPLICATIONS),
         help="replication configurations (default: all three)",
     )
     p.add_argument(
@@ -912,7 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--replication",
-        choices=["none", "loops", "jumps"],
+        choices=REPLICATIONS,
         default="jumps",
         help="replication configuration (default: jumps)",
     )

@@ -1,7 +1,8 @@
-"""The JUMPS step-2 policies and their wire names.
+"""The replication modes, the JUMPS step-2 policies and their wire names.
 
 A leaf module: :class:`~repro.exec.envelope.CellSpec` validates its
-``policy`` against :data:`POLICIES` and the CLI offers them as choices,
+``replication`` and ``policy`` against :data:`REPLICATIONS` and
+:data:`POLICIES` and the CLI offers them as choices,
 so keying a cached cell must not load the replication engine.
 """
 
@@ -9,7 +10,10 @@ from __future__ import annotations
 
 import enum
 
-__all__ = ["Policy", "POLICIES"]
+__all__ = ["Policy", "POLICIES", "REPLICATIONS"]
+
+#: Replication modes by wire name: SIMPLE, LOOPS and JUMPS.
+REPLICATIONS = ("none", "loops", "jumps")
 
 
 class Policy(enum.Enum):

@@ -13,7 +13,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".interp": ("ExecutionResult", "Interpreter", "MachineState", "StepLimitExceeded"),
         ".measurement": ("Measurement",),
         ".measure": ("measure_program",),
-        ".pipeline": ("PipelineModel", "PipelineResult", "measure_pipeline", "pipeline_cost"),
         ".runtime": ("ProgramExit", "is_builtin"),
     },
 )

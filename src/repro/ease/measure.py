@@ -13,11 +13,14 @@ program and a target machine:
 The statistics mirror what the paper reports: total instructions (Table
 5), unconditional-jump counts (Table 4), no-ops executed and instructions
 between branches (§5.2), and the fetch-address stream for the cache
-simulations (Table 6).
+simulations (Table 6).  A traced run also counts its taken transfers,
+the input of the §6 pipeline model.
 """
 
 from __future__ import annotations
 
+from itertools import islice
+from operator import eq
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..cfg.block import Program
@@ -34,6 +37,34 @@ __all__ = ["Measurement", "measure_program"]
 
 def _is_transfer_for_stats(insn: Insn) -> bool:
     return isinstance(insn, (Jump, CondBranch, Return, IndirectJump, Call))
+
+
+def _taken_transfers(
+    trace: Union[CompressedTrace, List[int]], successor: Dict[int, int]
+) -> int:
+    """Transfers in ``trace`` to a block other than the positional
+    successor, plus the final return (the pipeline model's penalty).
+
+    Walks the compressed records: each distinct body's fall-throughs
+    are counted once, then charged per lap.
+    """
+    if not trace:
+        return 0
+    records = trace.records() if isinstance(trace, CompressedTrace) else [(trace, 1)]
+    follows = successor.get
+    bodies: Dict[int, Tuple[int, int, int, bool]] = {}
+    falls = 0
+    last = None
+    for body, count in records:
+        summary = bodies.get(id(body))
+        if summary is None:
+            inner = sum(map(eq, map(follows, body), islice(body, 1, None)))
+            summary = (body[0], body[-1], inner, follows(body[-1]) == body[0])
+            bodies[id(body)] = summary
+        first, end, inner, wraps = summary
+        falls += inner * count + wraps * (count - 1) + (follows(last) == first)
+        last = end
+    return len(trace) - falls
 
 
 def measure_program(
@@ -61,7 +92,9 @@ def measure_program(
     with obs.span("ease.layout") as layout_span:
         address = 0x1000
         block_weights: Dict[int, Tuple[int, int, int, int]] = {}
+        successor: Dict[int, int] = {}  # block id -> positional successor's
         for func in program.functions.values():
+            previous = None
             for index, block in enumerate(func.blocks):
                 fetches: List[int] = []
                 insn_weight = 0
@@ -87,6 +120,9 @@ def measure_program(
                         fetches.append(address + k * step)
                     address += size
                 global_id = interp.global_block_id(func.name, index)
+                if previous is not None:
+                    successor[previous] = global_id
+                previous = global_id
                 measurement.block_fetches[global_id] = fetches
                 block_weights[global_id] = (insn_weight, jumps, nops, branches)
                 # Indirect-jump tables occupy data space after the block.
@@ -122,6 +158,8 @@ def measure_program(
             measurement.dynamic_jumps += jumps * count
             measurement.dynamic_nops += nops * count
             measurement.dynamic_branches += branches * count
+        if trace:
+            measurement.taken_transfers = _taken_transfers(result.trace, successor)
     interp_span.set(
         dynamic_insns=measurement.dynamic_insns,
         dynamic_jumps=measurement.dynamic_jumps,

@@ -9,7 +9,7 @@ that module re-exports it.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 __all__ = ["Measurement"]
 
@@ -26,6 +26,9 @@ class Measurement:
         self.dynamic_jumps = 0
         self.dynamic_nops = 0
         self.dynamic_branches = 0  # executed control transfers
+        # Executed transfers to a block other than the positional
+        # successor, the final return included (traced runs only).
+        self.taken_transfers: Optional[int] = None
         self.output = b""
         self.exit_code = 0
         # Per-global-block-id instruction fetch addresses (one entry per

@@ -90,9 +90,9 @@ class CompressedTrace:
     """An RLE/loop-compressed block trace.
 
     Iterating yields the raw block ids in execution order, so existing
-    consumers (the reference cache simulator, the pipeline model) work
-    unchanged; :meth:`records` exposes the compressed form for engines
-    that can exploit it.
+    consumers (the reference cache simulators) work unchanged;
+    :meth:`records` exposes the compressed form for the cache engine and
+    the taken-transfer count, which exploit it.
 
     Storage is packed: bodies (loop-body tuples and literal ``array('i')``
     segments) are *interned* — each distinct sequence is stored once, no

@@ -42,7 +42,6 @@ import copy
 import hashlib
 import os
 import pickle
-import time
 from pathlib import Path
 from typing import Dict, Iterator, Optional
 
@@ -76,6 +75,7 @@ class ResultCache:
     def key(self, spec: CellSpec) -> str:
         """Content hash of everything that determines the cell's result."""
         source, stdin = spec.resolve()
+        threshold = spec.profile_threshold
         hasher = hashlib.sha256()
         for part in (
             f"schema={self.schema_version}",
@@ -83,6 +83,8 @@ class ResultCache:
             f"replication={spec.replication if spec.optimize else '<reference>'}",
             f"policy={spec.policy}",
             f"max_rtls={spec.max_rtls}",
+            # One spelling per threshold: 0 and 0.0 are one cell.
+            f"profile_threshold={None if threshold is None else float(threshold)}",
             f"trace={spec.trace}",
             f"optimize={spec.optimize}",
             # ``None`` is the compiled default: one entry for both.
@@ -219,11 +221,11 @@ class ResultCache:
             "write_errors": self.write_errors,
         }
 
-    # --- garbage collection ---------------------------------------------------
+    # --- census ---------------------------------------------------------------
 
     def _files(self, pattern: str) -> Iterator[Path]:
         """Files matching ``pattern`` in every shard of *all* schema
-        versions (gc sweeps old ones too)."""
+        versions."""
         if self.root is None or not self.root.is_dir():
             return
         for version_dir in sorted(self.root.glob("v*")):
@@ -233,7 +235,7 @@ class ResultCache:
     def disk_stats(self) -> dict:
         """On-disk census: entries, bytes and age range, per schema version.
 
-        Unstatable files (racing gc, permissions) are skipped, never
+        Unstatable files (racing deletes, permissions) are skipped, never
         fatal — the cache directory is shared with concurrent writers.
         """
         per_version: dict = {}
@@ -262,88 +264,4 @@ class ResultCache:
             "oldest_mtime": oldest,
             "newest_mtime": newest,
             "versions": per_version,
-        }
-
-    def gc(
-        self,
-        max_bytes: Optional[int] = None,
-        max_age: Optional[float] = None,
-        dry_run: bool = False,
-    ) -> dict:
-        """LRU-by-mtime eviction over the whole cache directory.
-
-        Two independent policies, either or both:
-
-        * ``max_age`` (seconds): every entry older than this goes;
-        * ``max_bytes``: after the age sweep, the oldest surviving
-          entries go until the total fits the budget.
-
-        mtime is the recency signal (entries are write-once; a re-write
-        of the same key refreshes it), so eviction order is
-        oldest-first.  Stale ``.tmp`` droppings from crashed writers and
-        unreadable/undeletable entries are tolerated: failures are
-        counted, never raised.  Returns a report dict.
-        """
-        now = time.time()
-        entries = []
-        for path in self._files("*.pkl"):
-            try:
-                info = path.stat()
-            except OSError:
-                continue
-            entries.append((info.st_mtime, info.st_size, path))
-        entries.sort()  # oldest first
-
-        removed = []
-        failed = 0
-        survivors_bytes = sum(size for _, size, _ in entries)
-
-        def _evict(mtime: float, size: int, path: Path, reason: str) -> int:
-            nonlocal failed
-            if not dry_run:
-                try:
-                    path.unlink()
-                except OSError:
-                    failed += 1
-                    return 0
-            removed.append({"path": str(path), "bytes": size, "reason": reason})
-            return size
-
-        survivors = []
-        for mtime, size, path in entries:
-            if max_age is not None and now - mtime > max_age:
-                survivors_bytes -= _evict(mtime, size, path, "age")
-            else:
-                survivors.append((mtime, size, path))
-        if max_bytes is not None:
-            for mtime, size, path in survivors:
-                if survivors_bytes <= max_bytes:
-                    break
-                survivors_bytes -= _evict(mtime, size, path, "bytes")
-
-        # Orphans: a writer that died between mkstemp and os.replace
-        # leaves a .tmp behind (none older than an hour can still be in
-        # flight).
-        tmp_removed = 0
-        for path in self._files(".*.tmp"):
-            try:
-                if now - path.stat().st_mtime > 3600.0:
-                    if not dry_run:
-                        path.unlink()
-                    tmp_removed += 1
-            except OSError:
-                failed += 1
-        freed = sum(item["bytes"] for item in removed)
-        if removed and not dry_run:
-            self.evictions += len(removed)
-        return {
-            "examined": len(entries),
-            "removed": len(removed),
-            "freed_bytes": freed,
-            "remaining_entries": len(entries) - len(removed),
-            "remaining_bytes": survivors_bytes,
-            "tmp_removed": tmp_removed,
-            "unlink_failures": failed,
-            "dry_run": dry_run,
-            "entries": removed,
         }

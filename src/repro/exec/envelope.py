@@ -3,13 +3,14 @@
 A :class:`CellSpec` names one cell of the evaluation matrix — one
 (program × target × configuration) point of the paper's Tables 4–6 —
 plus the knobs that change what a run produces (tracing, the JUMPS
-policy, the §6 RTL bound, or skipping optimization entirely for the
-differential-testing reference).  A :class:`CellResult` is the envelope
-a worker process ships back: the measurement, replication statistics
-and timings on success, or a captured traceback on failure.  Both sides
-are plain data so they cross process boundaries and live in the on-disk
-result cache unchanged.  Observations (spans, counters, the decision
-log) are not part of either: they go to the running process's observer.
+policy, the §6 RTL bound or profile threshold, or skipping optimization
+entirely for the differential-testing reference).  A :class:`CellResult`
+is the envelope a worker process ships back: the measurement,
+replication statistics and timings on success, or a captured traceback
+on failure.  Both sides are plain data so they cross process boundaries
+and live in the on-disk result cache unchanged.  Observations (spans,
+counters, the decision log) are not part of either: they go to the
+running process's observer.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..core.policy import POLICIES
+from ..core.policy import POLICIES, REPLICATIONS
 from ..ease.measurement import Measurement
 from ..targets.names import TARGETS
 
@@ -59,7 +60,10 @@ VERIFY_MODES = ("off", "sanitize", "full")
 #: v11: CellSpec lost ``observe`` and CellResult lost ``obs``: a cell
 #: records into the running process's observer, so entries hold results
 #: only (29 % fewer pickled bytes over the 84 untraced cells).
-CACHE_SCHEMA_VERSION = 11
+#: v12: CellSpec grew ``profile_threshold`` (profile-guided JUMPS, whose
+#: hot/cold jump counts ride in ``replication_stats``) and traced
+#: measurements carry ``taken_transfers``.
+CACHE_SCHEMA_VERSION = 12
 
 
 @dataclass(frozen=True)
@@ -91,11 +95,20 @@ class CellSpec:
     #: nothing), and its timings are poisoned by oracle overhead, so it
     #: must not shadow a clean run either.
     verify: str = "off"
+    #: Profile-guided JUMPS (:mod:`repro.core.profile_guided`): replicate
+    #: only jumps executed at least this fraction of all executed jumps
+    #: on a training run over the cell's stdin; ``None`` replicates all.
+    profile_threshold: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.target not in TARGETS:
             raise ValueError(
                 f"unknown target {self.target!r}; expected one of {list(TARGETS)}"
+            )
+        if self.replication not in REPLICATIONS:
+            raise ValueError(
+                f"replication must be one of {'/'.join(REPLICATIONS)}, "
+                f"got {self.replication!r}"
             )
         if self.max_rtls is not None and self.max_rtls < 0:
             raise ValueError(f"max_rtls must be non-negative, got {self.max_rtls}")
@@ -112,6 +125,15 @@ class CellSpec:
                 f"verify mode must be one of {'/'.join(VERIFY_MODES)}, "
                 f"got {self.verify!r}"
             )
+        if self.profile_threshold is not None:
+            if self.profile_threshold < 0:
+                raise ValueError(
+                    f"profile_threshold must be non-negative, got {self.profile_threshold}"
+                )
+            if (self.replication, self.optimize, self.verify) != ("jumps", True, "off"):
+                raise ValueError(
+                    "profile_threshold needs an optimized, unverified jumps cell"
+                )
 
     def resolve(self) -> Tuple[str, bytes]:
         """The (source text, stdin bytes) this cell actually runs."""
@@ -128,6 +150,12 @@ class CellSpec:
         """Short human-readable cell id for progress and error reports."""
         name = self.program if "\n" not in self.program else "<source>"
         config = self.replication if self.optimize else "reference"
+        if self.policy != "shortest":
+            config += f"+{self.policy}"
+        if self.max_rtls is not None:
+            config += f"+max_rtls={self.max_rtls}"
+        if self.profile_threshold is not None:
+            config += f"+profile={self.profile_threshold:g}"
         suffix = "+trace" if self.trace else ""
         return f"{name}/{self.target}/{config}{suffix}"
 

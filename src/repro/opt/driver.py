@@ -42,6 +42,7 @@ from typing import Callable, Optional
 
 from ..cfg.block import Function, Program
 from ..cfg.graph import compute_flow
+from ..core.policy import REPLICATIONS
 from ..core.replication import CodeReplicator, Policy, ReplicationMode, ReplicationStats
 from ..obs import active as _active_observer
 from ..targets.delay_slots import fill_delay_slots
@@ -86,7 +87,7 @@ class OptimizationConfig:
     convergence_guard: bool = True
 
     def __post_init__(self) -> None:
-        if self.replication not in ("none", "loops", "jumps"):
+        if self.replication not in REPLICATIONS:
             raise ValueError(
                 f"replication must be none/loops/jumps, got {self.replication!r}"
             )

@@ -253,12 +253,13 @@ def format_trace_digest(events: Sequence[dict]) -> str:
 # section (the goldens under ``tests/golden/``); ``render`` turns them into
 # markdown.  Pipeline imports stay inside: ``import repro.cli`` loads no compiler.
 
-CONFIGS = ("none", "loops", "jumps")
 CACHE_SIZES = (128, 256, 512, 1024, 2048, 4096, 8192)  # scaled [:4], paper [3:]
 MAX_RTLS_BOUNDS = (2, 4, 8, 16)
 PROFILE_THRESHOLDS = (0.0, 0.02, 0.1, 0.5)
 ASSOC_SIZES = (128, 256, 512)
 ASSOC_WAYS = (2, 4)
+#: Pipeline model: refill bubbles per taken control transfer.
+TAKEN_PENALTY = 2
 
 _TARGET = {"sparc": "SPARC", "m68020": "68020"}
 _CONFIG = {"none": "SIMPLE", "loops": "LOOPS", "jumps": "JUMPS"}
@@ -273,8 +274,38 @@ def _key(*parts: object) -> str:
     return "/".join(f"{p:g}" if isinstance(p, float) else str(p) for p in parts)
 
 
+def cell_specs() -> dict:
+    """Every cell :func:`collect` measures, by ``(section, key)``.
+
+    Section ``"matrix"`` is the traced Table 4–6 matrix, keyed
+    ``target/config/name``; ``"maxlen"``, ``"policy"`` and ``"profile"``
+    are the §6 SPARC JUMPS cells, keyed ``bound/name``, ``policy/name``
+    and ``threshold/name``.
+    """
+    from .benchsuite.programs import program_names
+    from .core.policy import REPLICATIONS
+    from .exec.envelope import CellSpec
+
+    names = program_names()
+    specs = {
+        ("matrix", _key(target, config, name)): CellSpec(name, target, config, trace=True)
+        for target in TARGETS for config in REPLICATIONS for name in names
+    }
+    for name in names:
+        for bound in MAX_RTLS_BOUNDS:
+            specs["maxlen", _key(bound, name)] = CellSpec(name, replication="jumps", max_rtls=bound)
+        for policy in ("returns", "loops"):
+            specs["policy", _key(policy, name)] = CellSpec(name, replication="jumps", policy=policy)
+        for threshold in PROFILE_THRESHOLDS:
+            specs["profile", _key(threshold, name)] = CellSpec(
+                name, replication="jumps", profile_threshold=threshold
+            )
+    return specs
+
+
 def matrix_cells(matrix: Mapping[tuple, object]) -> Dict[str, dict]:
-    """Tables 4, 5, 6 and §5.2 as integers, from a traced ``run_matrix``.
+    """Tables 4, 5, 6 and §5.2 as integers, from traced measurements
+    keyed ``(target, config, name)``.
 
     Table 6 is one multi-configuration cache walk per cell: every size
     from 128 B to 8 KB, context switches on and off.
@@ -298,63 +329,67 @@ def matrix_cells(matrix: Mapping[tuple, object]) -> Dict[str, dict]:
     return cells
 
 
-def extension_cells(matrix: Mapping[tuple, object]) -> Dict[str, dict]:
+def extension_cells(
+    matrix: Mapping[tuple, object], measured: Mapping[tuple, object]
+) -> Dict[str, dict]:
     """The five §6 tables as integers (SPARC, all 14 programs).
 
-    ``matrix`` must be traced: its SPARC SIMPLE and JUMPS cells are the
-    baseline, the ``shortest``/unbounded rows and the 1-way caches.
+    ``measured`` maps :func:`cell_specs` keys to results; its ``maxlen``,
+    ``policy`` and ``profile`` cells are read here.  ``matrix`` must be
+    traced: its SPARC SIMPLE and JUMPS cells are the baseline, the
+    associativity sweep's traces and the pipeline model's counts.
     """
-    from .api import compile_and_measure
-    from .benchsuite import PROGRAMS, program_names
+    from .benchsuite.programs import program_names
     from .cache import CacheConfig, simulate_multi_cache
-    from .core.profile_guided import profile_guided_replication
-    from .ease import measure_pipeline, measure_program
-    from .frontend import compile_c
-    from .opt.driver import OptimizationConfig, optimize_program
-    from .targets import get_target
 
-    sparc = get_target("sparc")
     assoc = [(ways, size) for size in ASSOC_SIZES for ways in ASSOC_WAYS]
     caches = [CacheConfig(size=size, associativity=ways) for ways, size in assoc]
     cells: Dict[str, dict] = {s: {} for s in ("maxlen", "policy", "profile", "assoc", "pipeline")}
-    for name in program_names():
-        bench = PROGRAMS[name]
-        for bound in MAX_RTLS_BOUNDS:
-            m = compile_and_measure(name, "sparc", "jumps", max_rtls=bound).measurement
-            cells["maxlen"][_key(bound, name)] = [m.static_insns, m.dynamic_insns]
-        for policy in ("returns", "loops"):
-            m = compile_and_measure(name, "sparc", "jumps", policy=policy).measurement
-            cells["policy"][_key(policy, name)] = [m.static_insns, m.dynamic_insns]
-        for threshold in PROFILE_THRESHOLDS:
-            program = compile_c(bench.source)
-            result = profile_guided_replication(
-                program, sparc, train_stdin=bench.stdin, threshold=threshold
-            )
-            m = measure_program(program, sparc, stdin=bench.stdin)
+    for (section, key), result in measured.items():
+        if section == "matrix":
+            continue
+        m = result.measurement
+        cells[section][key] = [m.static_insns, m.dynamic_insns]
+        if section == "profile":
+            name = result.spec.program
             if m.output != matrix[("sparc", "none", name)].output:
                 raise RuntimeError(f"profile-guided {name} changed its output")
-            cells["profile"][_key(threshold, name)] = [
-                m.static_insns, m.dynamic_insns, result.hot_jumps, result.cold_jumps
-            ]
+            stats = result.replication_stats
+            cells[section][key] += [stats["hot_jumps"], stats["cold_jumps"]]
+    for name in program_names():
         for config in ("none", "jumps"):
             m = matrix[("sparc", config, name)]
             results = simulate_multi_cache(m.trace, m.block_fetches, caches)
             for (ways, size), r in zip(assoc, results):
                 cells["assoc"][_key(ways, size, config, name)] = [r.misses, r.fetch_cost]
-            program = compile_c(bench.source)
-            optimize_program(program, sparc, OptimizationConfig(replication=config))
-            p = measure_pipeline(program, sparc, stdin=bench.stdin)
-            cells["pipeline"][_key(config, name)] = [p.instructions, p.transfers_taken, p.cycles]
+            cycles = m.dynamic_insns + TAKEN_PENALTY * m.taken_transfers
+            cells["pipeline"][_key(config, name)] = [m.dynamic_insns, m.taken_transfers, cycles]
     return cells
 
 
 def collect() -> Dict[str, dict]:
-    """Measure every EXPERIMENTS table: one traced matrix, its Table-6
-    sweep and the §6 extension cells."""
-    from .benchsuite import run_matrix
+    """Measure every EXPERIMENTS table.
 
-    matrix = run_matrix(trace=True)
-    return {**matrix_cells(matrix), **extension_cells(matrix)}
+    Every cell of :func:`cell_specs` runs in one parallel run (one
+    worker per core) through the default on-disk result cache,
+    ``.repro-cache``, so a second call in the same directory runs no
+    cell; the Table-6 and associativity sweeps then walk the matrix's
+    traces here.  Raises ``RuntimeError`` listing every failed cell.
+    """
+    from .exec import ParallelRunner, ResultCache
+
+    specs = cell_specs()
+    results = ParallelRunner(cache=ResultCache()).run(list(specs.values()))
+    failures = [f"{r.spec.label}:\n{r.error}" for r in results if not r.ok]
+    if failures:
+        raise RuntimeError(f"{len(failures)} table cell(s) failed:\n" + "\n".join(failures))
+    measured = dict(zip(specs, results))
+    matrix = {
+        (r.spec.target, r.spec.replication, r.spec.program): r.measurement
+        for (section, _), r in measured.items()
+        if section == "matrix"
+    }
+    return {**matrix_cells(matrix), **extension_cells(matrix, measured)}
 
 
 #: Section name -> title, in ``render`` order.
@@ -368,7 +403,7 @@ TABLE_TITLES = {
     "policy": "§6 — step-2 policy (SPARC, vs SIMPLE)",
     "profile": "§6 — profile-guided replication (SPARC, mean vs SIMPLE)",
     "assoc": "§6 — associativity × replication (SPARC, no context switches)",
-    "pipeline": "§6 — pipeline model (SPARC, taken-branch penalty 2)",
+    "pipeline": f"§6 — pipeline model (SPARC, taken-branch penalty {TAKEN_PENALTY})",
 }
 
 # The paper's own columns: Table 4 (static, dynamic) and Table 5 (SPARC, 68020).

@@ -1,11 +1,19 @@
-"""Pipeline cost-model tests."""
+"""The pipeline model's input: ``Measurement.taken_transfers``.
+
+The §6 pipeline table charges ``dynamic_insns + 2 × taken`` cycles, where
+a taken transfer is an executed block followed by one other than its
+positional successor (the final return counts too).  A traced
+``measure_program`` counts them over the compressed trace's records.
+"""
 
 import pytest
 
-from repro.ease import PipelineModel, measure_pipeline
+from repro.ease import make_interpreter, measure_program
+from repro.ease.trace import RawListSink, RleTraceSink
 from repro.frontend import compile_c
 from repro.opt import OptimizationConfig, optimize_program
 from repro.targets import get_target
+from repro.verify.fuzz import generate_program
 
 LOOP_SOURCE = """
 int main() {
@@ -18,51 +26,57 @@ int main() {
 """
 
 
-def measured(replication, source=LOOP_SOURCE, model=PipelineModel()):
+def measured(replication, source=LOOP_SOURCE, trace=True):
     program = compile_c(source)
     target = get_target("sparc")
     optimize_program(program, target, OptimizationConfig(replication=replication))
-    return measure_pipeline(program, target, model=model)
+    return measure_program(program, target, trace=trace)
+
+
+def pairwise_taken(program, interpreter, trace):
+    """Brute force: every adjacent pair of the raw trace, one at a time."""
+    successor = {}
+    for name, func in program.functions.items():
+        for index in range(len(func.blocks) - 1):
+            successor[interpreter.global_block_id(name, index)] = (
+                interpreter.global_block_id(name, index + 1)
+            )
+    falls = sum(successor.get(a) == b for a, b in zip(trace, trace[1:]))
+    return len(trace) - falls
 
 
 class TestPipelineModel:
-    def test_cycles_decompose(self):
-        result = measured("none")
-        assert result.cycles == result.instructions + 2 * result.transfers_taken
-
     def test_straight_line_has_one_taken_transfer(self):
         # Only the final return is taken.
-        result = measured("none", source="int main() { return 1 + 2; }")
-        assert result.transfers_taken == 1
-        assert result.transfers_not_taken == 0
+        assert measured("none", source="int main() { return 1 + 2; }").taken_transfers == 1
 
     def test_replication_reduces_taken_transfers(self):
-        simple = measured("none")
-        jumps = measured("jumps")
         # The loop's per-iteration unconditional jump (always taken)
         # becomes a fall-through + reversed branch (taken only at the
         # loop back edge, which was taken before too) — strictly fewer
         # taken transfers.
-        assert jumps.transfers_taken < simple.transfers_taken
-        assert jumps.cycles < simple.cycles
+        assert measured("jumps").taken_transfers < measured("none").taken_transfers
 
-    def test_zero_penalty_reduces_to_instruction_count(self):
-        result = measured("none", model=PipelineModel(taken_penalty=0))
-        assert result.cycles == result.instructions
+    def test_untraced_run_counts_no_taken_transfers(self):
+        assert measured("none", trace=False).taken_transfers is None
 
-    def test_penalty_scaling(self):
-        cheap = measured("none", model=PipelineModel(taken_penalty=1))
-        steep = measured("none", model=PipelineModel(taken_penalty=10))
-        assert steep.cycles > cheap.cycles
-        assert steep.instructions == cheap.instructions
-
-    def test_needs_trace(self):
-        from repro.ease import Interpreter, measure_program, pipeline_cost
-
-        program = compile_c("int main() { return 0; }")
+    @pytest.mark.parametrize(
+        "source",
+        [pytest.param(LOOP_SOURCE, id="loop")]
+        + [pytest.param(generate_program(seed), id=f"fuzz{seed}") for seed in range(6)],
+    )
+    @pytest.mark.parametrize("replication", ["none", "jumps"])
+    def test_count_equals_a_pairwise_count(self, source, replication):
+        program = compile_c(source)
         target = get_target("sparc")
-        optimize_program(program, target, OptimizationConfig())
-        interp = Interpreter(program)
-        m = measure_program(program, target, interpreter=interp)  # no trace
-        with pytest.raises(ValueError):
-            pipeline_cost(m, interp, program)
+        optimize_program(program, target, OptimizationConfig(replication=replication))
+        interpreter = make_interpreter(program)
+        raw = measure_program(program, target, trace=RawListSink(), interpreter=interpreter)
+        expected = pairwise_taken(program, interpreter, raw.trace)
+        assert raw.taken_transfers == expected
+        # Tiny literal chunks and loop bodies put many record boundaries
+        # and folded laps in the way of the compressed count.
+        for sink in (True, RleTraceSink(max_body=3, chunk_size=2)):
+            compressed = measure_program(program, target, trace=sink, interpreter=interpreter)
+            assert compressed.trace == raw.trace
+            assert compressed.taken_transfers == expected

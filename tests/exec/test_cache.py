@@ -86,6 +86,7 @@ KEYED_VARIANTS = [
     # A zero bound is a bound, not "unbounded" (None).
     {"max_rtls": 0},
     {"policy": "loops"},
+    {"replication": "jumps", "profile_threshold": 0.0},
 ]
 
 #: CellSpec fields that do not change the result, so must not change the
@@ -131,6 +132,51 @@ def test_spec_rejects_unkeyable_spellings(variant):
     mean the same cell never get two keys."""
     with pytest.raises(ValueError):
         replace(SPEC, **variant)
+
+
+def test_key_hashes_profile_threshold(tmp_path):
+    """Profile-guided JUMPS is its own cell at every threshold, and a
+    threshold has one key however it is spelled."""
+    cache = ResultCache(tmp_path)
+    jumps = replace(SPEC, replication="jumps")
+    keys = {cache.key(replace(jumps, profile_threshold=t)) for t in (None, 0.0, 0, 0.5)}
+    assert len(keys) == 3
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [
+        {"replication": "bogus"},
+        {"replication": "JUMPS"},
+        {"replication": "jumps", "profile_threshold": -0.1},
+        {"replication": "loops", "profile_threshold": 0.1},
+        {"replication": "jumps", "profile_threshold": 0.1, "optimize": False},
+        {"replication": "jumps", "profile_threshold": 0.1, "verify": "full"},
+    ],
+)
+def test_spec_rejects_a_cell_no_worker_could_run(variant):
+    """An unknown replication, or a profile threshold off an optimized,
+    unverified JUMPS cell, fails at construction, before any compile."""
+    with pytest.raises(ValueError):
+        replace(SPEC, **variant)
+
+
+@pytest.mark.parametrize(
+    "variant, label",
+    [
+        ({}, "wc/sparc/jumps"),
+        ({"trace": True}, "wc/sparc/jumps+trace"),
+        ({"policy": "returns"}, "wc/sparc/jumps+returns"),
+        ({"max_rtls": 4}, "wc/sparc/jumps+max_rtls=4"),
+        ({"max_rtls": 0}, "wc/sparc/jumps+max_rtls=0"),
+        ({"profile_threshold": 0.02}, "wc/sparc/jumps+profile=0.02"),
+        ({"profile_threshold": 0.0}, "wc/sparc/jumps+profile=0"),
+    ],
+)
+def test_label_names_every_non_default_knob(variant, label):
+    """Cells of one program that differ only in policy, bound or profile
+    threshold get distinct labels, so a failure list names each."""
+    assert CellSpec(program="wc", replication="jumps", **variant).label == label
 
 
 def test_key_hashes_resolved_ease_engine(tmp_path):

@@ -4,8 +4,10 @@ Run after an *intended* change to a reproduced number::
 
     PYTHONPATH=src python tests/golden/regen_table_snapshots.py
 
-It measures every table once (:func:`repro.report.collect`, about
-80 s on two cores), writes each section's integers to
+It measures every table once (:func:`repro.report.collect`: one
+parallel run of every cell through ``.repro-cache`` in the working
+directory, so a re-run after ``repro tables`` reads the cache and runs
+no cell), writes each section's integers to
 ``<section>_counts.json`` next to this file, and rewrites every block of
 EXPERIMENTS.md between ``<!-- repro tables: NAME -->`` and
 ``<!-- /repro tables -->`` with :func:`repro.report.render` of them.

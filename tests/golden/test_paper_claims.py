@@ -3,8 +3,8 @@
 Each test is one shape claim about Tables 4–6, §5.2 or the §6
 extensions, and its docstring quotes the sentence it checks.  The tests
 read the goldens rather than measuring: ``test_table_snapshots.py``
-ties the Table 4/5/6 and §5.2 goldens to a fresh run, and CI's
-``bench-smoke`` job rebuilds the §6 goldens and fails on any diff.
+ties every golden, the §6 ones included, to one fresh
+:func:`repro.report.collect`.
 """
 
 import pytest

@@ -1,10 +1,12 @@
-"""Golden-snapshot regression tests for the paper's Tables 4, 5, 6 and §5.2.
+"""Golden-snapshot regression tests for every EXPERIMENTS table.
 
 Every cell's integers — static and dynamic instruction and jump counts
 (``table45_counts.json``), executed no-ops and control transfers
-(``sec52_counts.json``), and misses and fetch cost at every Table-6
-cache size with context switches on and off (``table6_counts.json``) —
-are pinned and compared against one fresh traced matrix.  Any change
+(``sec52_counts.json``), misses and fetch cost at every Table-6 cache
+size with context switches on and off (``table6_counts.json``), and the
+five §6 sections (``maxlen``, ``policy``, ``profile``, ``assoc`` and
+``pipeline``) — are pinned and compared against one fresh
+:func:`repro.report.collect` in an empty cache directory.  Any change
 that silently shifts the paper's numbers fails here, with a per-cell
 diff.  EXPERIMENTS.md's rendered tables are pinned to the goldens too.
 
@@ -18,18 +20,21 @@ diff is reviewed.
 
 import pytest
 
-from repro.benchsuite import program_names, run_matrix
-from repro.report import TABLE_TITLES, matrix_cells, render
+from repro.benchsuite import program_names
+from repro.report import TABLE_TITLES, collect, render
 
-from tests.golden.regen_table_snapshots import EXPERIMENTS, marked_tables
+from tests.golden.regen_table_snapshots import EXPERIMENTS, SECTIONS, marked_tables
 
 TARGETS = ("sparc", "m68020")
 CONFIGS = ("none", "loops", "jumps")
 
 
 @pytest.fixture(scope="session")
-def measured():
-    return matrix_cells(run_matrix(targets=TARGETS, configs=CONFIGS, trace=True))
+def measured(tmp_path_factory):
+    """Every section, from one ``collect()`` through an empty result cache."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp_path_factory.mktemp("tables"))
+        return collect()
 
 
 def _assert_matches(golden, measured, section, cells):
@@ -64,8 +69,9 @@ def test_counts_match_golden(golden, measured, target, config):
     _assert_matches(golden, measured, "table45", cells)
 
 
-@pytest.mark.parametrize("section", ("sec52", "table6"))
+@pytest.mark.parametrize("section", [s for s in SECTIONS if s != "table45"])
 def test_matrix_section_matches_golden(golden, measured, section):
+    assert set(measured[section]) == set(golden[section]), section
     _assert_matches(golden, measured, section, sorted(golden[section]))
 
 

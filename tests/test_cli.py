@@ -126,50 +126,21 @@ class TestCommands:
         assert exc.value.code == 2
         assert f"invalid cache size {size!r}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "limit",
-        [
-            "--max-bytes=-5K",
-            "--max-bytes=1e400",
-            "--max-bytes=inf",
-            "--max-bytes=nan",
-            "--max-bytes=lots",
-            "--max-age=-1d",
-            "--max-age=1e400d",
-            "--max-age=nanh",
-            "--max-age=forever",
-        ],
-    )
-    def test_cache_gc_rejects_bad_limit_before_any_work(
-        self, tmp_path, capsys, monkeypatch, limit
+    @pytest.mark.parametrize("name", ["gc", "stats"])
+    def test_cache_sweeps_a_source_file_named_like_a_verb(
+        self, tmp_path, capsys, monkeypatch, name
     ):
-        def no_work(*args, **kwargs):
-            raise AssertionError("collected before validating the limit")
-
-        monkeypatch.setattr("repro.exec.ResultCache.gc", no_work)
-        with pytest.raises(SystemExit) as exc:
-            main(["cache", "gc", "--cache-dir", str(tmp_path), limit])
-        assert exc.value.code == 2
-        option = limit.split("=")[0]
-        assert f"error: argument {option}: expected a non-negative" in (
-            capsys.readouterr().err
-        )
-
-    def test_cache_gc_parses_limits(self, tmp_path, monkeypatch):
-        seen = {}
-
-        def fake_gc(self, max_bytes=None, max_age=None, dry_run=False):
-            seen.update(max_bytes=max_bytes, max_age=max_age)
-            return {
-                "dry_run": dry_run, "removed": 0, "examined": 0,
-                "freed_bytes": 0, "remaining_entries": 0,
-                "remaining_bytes": 0, "tmp_removed": 0,
-            }
-
-        monkeypatch.setattr("repro.exec.ResultCache.gc", fake_gc)
-        argv = ["cache", "gc", "--cache-dir", str(tmp_path)]
-        assert main(argv + ["--max-bytes", "5KB", "--max-age", "0"]) == 0
-        assert seen == {"max_bytes": 5 * 1024, "max_age": 0.0}
+        """``repro cache`` has no maintenance verbs: any program name is
+        a program, and ``--help`` offers only the sweep's options."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_text("int main() { return 0; }")
+        assert main(["cache", name, "--sizes", "128"]) == 0
+        assert "128B" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["cache", "--help"])
+        usage = capsys.readouterr().out
+        assert "--sizes" in usage
+        assert not any(gone in usage for gone in ("--max-bytes", "--max-age", "--dry-run", "--cache-dir"))
 
     def test_stdin_file(self, tmp_path, capsys):
         prog = tmp_path / "echo.c"
