@@ -10,7 +10,8 @@ engine serves them all from one walk over the trace:
 * it consumes the records of a
   :class:`~repro.ease.trace.CompressedTrace` directly.  Trace bodies are
   *interned*, so for each distinct body and direct-mapped geometry a
-  **replay summary** is computed once: per touched cache slot, the first
+  **replay summary** is computed once (one walk of the body fills every
+  geometry's): per touched cache slot, the first
   and last line fetched, plus the body's internal (tag-change) miss
   count.  Replaying a body from any cache state costs those internal
   misses plus one per touched slot whose resident line differs from the
@@ -81,20 +82,7 @@ class _Summary:
         "multi", "moves",
     )
 
-    def __init__(self, n_access: int, runs: Sequence[int], mask: int) -> None:
-        first: Dict[int, int] = {}
-        last: Dict[int, int] = {}
-        base = 0
-        # A repeated line hits and changes nothing, so ``runs``, the
-        # body's lines with consecutive repeats dropped, decide it all.
-        for line in runs:
-            slot = line & mask
-            resident = last.get(slot)
-            if resident is None:
-                first[slot] = line
-            elif resident != line:
-                base += 1
-            last[slot] = line
+    def __init__(self, n_access: int, first: dict, last: dict, base: int) -> None:
         #: Per touched slot, the first and the last line fetched.
         self.first = first
         self.last = last
@@ -114,6 +102,28 @@ class _Summary:
         self.firsts = self.get(first)
         self.multi = len(first) > 1
         self.moves = first != last
+
+
+def _summaries(n_access: int, runs: list, masks: list) -> Dict[int, _Summary]:
+    """A body's summary per index mask, from one walk of its ``runs`` (a
+    repeated line hits and changes nothing).  ``masks`` ascend, and a cache
+    holds every line a smaller one holds: a hit ends a line's walk up them.
+    """
+    geometries = [(mask, {}, {}, i) for i, mask in enumerate(masks)]
+    bases = [0] * len(geometries)
+    for line in runs:
+        for mask, first, last, i in geometries:
+            slot = line & mask
+            resident = last.get(slot, -1)
+            if resident == line:
+                break
+            if resident < 0:
+                first[slot] = line
+            else:
+                bases[i] += 1
+            last[slot] = line
+    return {mask: _Summary(n_access, first, last, bases[i])
+            for mask, first, last, i in geometries}
 
 
 class _State:
@@ -369,6 +379,9 @@ def simulate_multi_cache(
         }
         for shift in dict.fromkeys(shifts)
     }
+    # Per line size, its direct-mapped index masks, ascending.
+    masks = {shift: sorted({s.mask for s, at in zip(states, shifts)
+                            if at == shift and s.ways == 1}) for shift in tables}
 
     def build_plan(body) -> tuple:
         """What every state does with one body, built on first sight.
@@ -379,12 +392,15 @@ def simulate_multi_cache(
         context switches, and per state what the end-of-walk fold needs.
         """
         flats = {}
+        summaries: Dict[int, Dict[int, _Summary]] = {}
         for shift, table in tables.items():
             lines: List[int] = []
             for block_id in body:
                 lines.extend(table.get(block_id, ()))
-            flats[shift] = lines, [line for line, _ in groupby(lines)]
-        summaries: Dict[Tuple[int, int], _Summary] = {}
+            runs = [line for line, _ in groupby(lines)]
+            flats[shift] = lines, runs
+            if runs:  # shared by both context-switch settings
+                summaries[shift] = _summaries(len(lines), runs, masks[shift])
         steadies: Dict[Tuple[int, int, int], int] = {}
         plain, switching, lru, lru_switching, folds = [], [], [], [], []
         for state, shift, flag in zip(states, shifts, flags):
@@ -403,12 +419,7 @@ def simulate_multi_cache(
                     # With no flush a repeated line is a hit: replay runs.
                     lru.append((state, state.cache, runs, state.mask, state.ways))
                 continue
-            # Summaries are shared across the two context-switch
-            # settings: they only depend on shift and mask.
-            key = (shift, state.mask)
-            s = summaries.get(key)
-            if s is None:
-                s = summaries[key] = _Summary(len(lines), runs, state.mask)
+            s = summaries[shift][state.mask]
             folds.append((state, s.n_access, s.base, s.steady))
             inline = (state, state.cache, s.get, s.firsts, s.last, s.multi, s.moves)
             if not flag:

@@ -46,7 +46,7 @@ from __future__ import annotations
 from struct import pack_into as _pack_into
 from struct import unpack_from as _unpack_from
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..cfg.block import Function, Program
 from ..obs import ReplicationDecision
@@ -86,7 +86,7 @@ _WRAP_LO = -(1 << 31)
 def make_interpreter(program: Program, **kwargs) -> CompiledInterpreter:
     """Build the measurement engine for ``program``.
 
-    Keyword arguments go to the constructor (``mem_size``, ``max_steps``).
+    Keyword arguments go to the constructor (``mem_size``, ``max_steps``, ``trace``).
     """
     return CompiledInterpreter(program, **kwargs)
 
@@ -816,12 +816,11 @@ class _FunctionCompiler:
 class CompiledInterpreter(Interpreter):
     """Executes RTL through per-function generated Python code objects.
 
-    Construction links the program and builds the interpreter's
-    threaded-code blocks first (they are the per-function fallback and
-    the branch-target metadata source), then compiles each function's
-    untraced executor.  Traced executors — identical except for the
-    per-block ``RleTraceSink.emit`` call — are generated lazily on the
-    first traced run, so Table-5 measurements never pay for them.
+    Construction links the program, builds the interpreter's threaded-code
+    blocks (the per-function fallback and branch-target metadata source)
+    and compiles the executors of the first run's mode, ``trace``.  The
+    other mode's (traced ones add a per-block ``RleTraceSink.emit`` call)
+    compile on its first run, so no run pays for a mode it does not use.
     """
 
     def __init__(
@@ -829,33 +828,31 @@ class CompiledInterpreter(Interpreter):
         program: Program,
         mem_size: int = 1 << 22,
         max_steps: int = 200_000_000,
+        trace: Union[bool, TraceSink] = False,
     ) -> None:
-        self._plain: Dict[str, Callable] = {}
-        self._traced: Dict[str, Callable] = {}
-        self._active: Dict[str, Callable] = {}
+        #: traced? -> function name -> executor, per mode compiled so far.
+        self._tables: Dict[bool, Dict[str, Callable]] = {}
         self._footprints: Dict[str, List[Tuple[str, int]]] = {}
         #: function name -> decline reason for every fallback.
         self.fallbacks: Dict[str, str] = {}
         self.blocks_fused = 0
         self.compile_seconds = 0.0
-        self._traced_ready = False
         #: (exec namespace, direct-callee names, traced?) per compiled
         #: function — the link table for direct compiled-to-compiled
         #: calls, resolved after each compile pass (callees may compile
         #: after their callers, or fall back at any point).
         self._exec_links: List[Tuple[dict, Dict[str, None], bool]] = []
         super().__init__(program, mem_size=mem_size, max_steps=max_steps)
-        self._compile_all(traced=False)
-        self._active = self._plain
-        self._report_compile_metrics()
+        self._select(trace)
 
     # ------------------------------------------------------------ compilation
 
-    def _compile_all(self, traced: bool) -> None:
-        table = self._traced if traced else self._plain
+    def _compile_all(self, traced: bool) -> Dict[str, Callable]:
+        table = self._tables[traced] = {}
         start = perf_counter()
+        fused = self.blocks_fused
         for func in self.program.functions.values():
-            if traced and func.name in self.fallbacks:
+            if func.name in self.fallbacks:
                 continue  # declined shapes stay interpreted in both modes
             try:
                 table[func.name] = self._pycompile(func, traced)
@@ -874,9 +871,13 @@ class CompiledInterpreter(Interpreter):
             if link_traced == traced:
                 for callee in callees:
                     namespace[f"_x_{callee}"] = table.get(callee)
-        if traced:
-            self._traced_ready = True
-        self.compile_seconds += perf_counter() - start
+        seconds = perf_counter() - start
+        self.compile_seconds += seconds
+        metrics = _active_observer().metrics
+        metrics.inc("ease.compile.functions", len(table))
+        metrics.inc("ease.compiled.blocks_fused", self.blocks_fused - fused)
+        metrics.inc("ease.compile.time_ms", round(seconds * 1000.0, 3))
+        return table
 
     def _pycompile(self, func: Function, traced: bool) -> Callable:
         generator = _FunctionCompiler(self, func, traced)
@@ -893,24 +894,23 @@ class CompiledInterpreter(Interpreter):
         code = compile(source, f"<ease-compiled:{func.name}>", "exec")
         exec(code, namespace)
         self._exec_links.append((namespace, generator.direct_calls, traced))
-        if not traced:
-            self.blocks_fused += generator.blocks_fused
-            # The callee-save footprint: a compiled function can change
-            # no bank slot outside its own cached registers (nested
-            # calls restore everything else themselves), so _do_call
-            # need only save/restore these — rv excluded, it carries
-            # the return value.
-            self._footprints[func.name] = [
-                pair for pair in generator.regs_used if pair != ("rv", 0)
-            ]
+        self.blocks_fused += generator.blocks_fused
+        # The callee-save footprint (the same in both modes): a compiled
+        # function can change no bank slot outside its own cached
+        # registers (nested calls restore everything else themselves),
+        # so _do_call need only save/restore these — rv excluded, it
+        # carries the return value.
+        self._footprints[func.name] = [
+            pair for pair in generator.regs_used if pair != ("rv", 0)
+        ]
         return namespace["__ease_exec"]
 
     def _register_fallback(self, name: str, reason: str) -> None:
-        # A traced-pass decline of an already-compiled function would be
-        # a bug (same codegen); record the first reason only.
+        # One mode declining a function the other compiled would be a
+        # bug (same codegen); it falls back in both, first reason kept.
         self.fallbacks.setdefault(name, reason)
-        self._plain.pop(name, None)
-        self._traced.pop(name, None)
+        for table in self._tables.values():
+            table.pop(name, None)
         self._footprints.pop(name, None)
         # Unlink: direct call sites to this function take the generic
         # path from now on (linked namespaces may already exist).
@@ -933,15 +933,13 @@ class CompiledInterpreter(Interpreter):
                 )
             )
 
-    def _report_compile_metrics(self) -> None:
-        obs = _active_observer()
-        obs.metrics.inc("ease.compile.functions", len(self._plain))
-        obs.metrics.inc("ease.compiled.blocks_fused", self.blocks_fused)
-        obs.metrics.inc(
-            "ease.compile.time_ms", round(self.compile_seconds * 1000.0, 3)
-        )
-
     # ------------------------------------------------------------ execution
+
+    def _select(self, trace: Union[bool, TraceSink]) -> None:
+        """Run ``trace``'s mode from now on, compiling it on first use."""
+        traced = not (trace is None or trace is False)
+        table = self._tables.get(traced)
+        self._active = self._compile_all(traced) if table is None else table
 
     def run(
         self,
@@ -949,17 +947,7 @@ class CompiledInterpreter(Interpreter):
         trace: Union[bool, TraceSink] = False,
         entry: str = "main",
     ):
-        traced = not (trace is None or trace is False)
-        if traced and not self._traced_ready:
-            start = len(self.fallbacks)
-            self._compile_all(traced=True)
-            if len(self.fallbacks) != start:  # pragma: no cover - defensive
-                # A function that compiled untraced but declined traced
-                # would leave the two modes inconsistent; fall back fully.
-                for name in list(self._plain):
-                    if name not in self._traced:
-                        self._register_fallback(name, "traced-codegen-error")
-        self._active = self._traced if traced else self._plain
+        self._select(trace)
         return super().run(stdin=stdin, trace=trace, entry=entry)
 
     def _run_function(self, state, name, result, frame_base) -> None:

@@ -85,7 +85,7 @@ def measure_program(
     (the closure :class:`~repro.ease.interp.Interpreter`, for instance).
     """
     measurement = Measurement()
-    interp = interpreter or make_interpreter(program, max_steps=max_steps)
+    interp = interpreter or make_interpreter(program, max_steps=max_steps, trace=trace)
     obs = _active_observer()
 
     # --- static layout ---------------------------------------------------------

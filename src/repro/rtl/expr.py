@@ -1,9 +1,9 @@
 """RTL expression trees.
 
-Expressions are immutable (frozen dataclasses) so that they can be hashed,
-compared structurally, and shared freely between instructions.  This mirrors
-the register transfer lists (RTLs) of VPO, where an instruction is an
-assignment of an expression to a register or memory cell.
+Expressions are immutable and hash-consed (one live node per structure, so
+``==`` and ``hash`` are identity) and shared freely between instructions.
+This mirrors the register transfer lists (RTLs) of VPO, where an instruction
+is an assignment of an expression to a register or memory cell.
 
 The vocabulary follows the paper's notation:
 
@@ -16,7 +16,7 @@ The vocabulary follows the paper's notation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
 from typing import Callable, Dict, FrozenSet, Iterator, Tuple
 
 __all__ = [
@@ -47,36 +47,81 @@ BINARY_OPS = ("+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>")
 UNARY_OPS = ("-", "~")
 
 
-class Expr:
-    """Base class of all RTL expressions."""
+class _Ref(weakref.ref):
+    __slots__ = ("key",)  # an intern-table entry knows its own key
 
-    __slots__ = ()
+
+#: Every live node, weakly, keyed by its class and fields: children by
+#: identity, numbers by type and value (``Const(1)``, ``Const(1.0)`` and
+#: ``Const(True)`` are three nodes).  No lock: no thread builds RTL.
+_TABLE: Dict[tuple, _Ref] = {}
+
+
+def _forget(ref: _Ref) -> None:
+    if _TABLE.get(ref.key) is ref:  # not yet replaced by a newer node
+        del _TABLE[ref.key]
+
+
+def _intern(cls: type, key: tuple, *values: object) -> "Expr":
+    """The live node for ``key``; on a miss, ``cls`` filled with ``values``."""
+    ref = _TABLE.get(key)
+    node = ref and ref()
+    if node is None:
+        node = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(node, name, value)
+        ref = _TABLE[key] = _Ref(node, _forget)
+        ref.key = key
+    return node
+
+
+class Expr:
+    """Base class of all RTL expressions; a subclass's slots are its fields."""
+
+    __slots__ = ("__weakref__", "_regs")  # _regs: the reg_set memo
 
     def children(self) -> Tuple["Expr", ...]:
         return ()
 
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-@dataclass(frozen=True)
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:  # unpickling re-interns; copies are the node
+        cls = type(self)
+        return cls, tuple(getattr(self, name) for name in cls.__slots__)
+
+    def __copy__(self, memo: object = None) -> "Expr":
+        return self
+
+    __deepcopy__ = __copy__
+
+
 class Const(Expr):
     """An integer constant."""
 
-    value: int
+    __slots__ = ("value",)
+
+    def __new__(cls, value: int) -> "Const":
+        return _intern(cls, (cls, value.__class__, value), value)
 
     def __repr__(self) -> str:
         return f"Const({self.value})"
 
 
-@dataclass(frozen=True)
 class Sym(Expr):
     """The address of a global symbol (printed ``name.`` as in the paper)."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __new__(cls, name: str) -> "Sym":
+        return _intern(cls, (cls, name), name)
 
     def __repr__(self) -> str:
         return f"Sym({self.name!r})"
 
 
-@dataclass(frozen=True)
 class Local(Expr):
     """The address of a local (frame) slot.
 
@@ -85,13 +130,15 @@ class Local(Expr):
     assigned late (by the code generator) and resolved by the interpreter.
     """
 
-    name: str
+    __slots__ = ("name",)
+
+    def __new__(cls, name: str) -> "Local":
+        return _intern(cls, (cls, name), name)
 
     def __repr__(self) -> str:
         return f"Local({self.name!r})"
 
 
-@dataclass(frozen=True)
 class Reg(Expr):
     """A register: ``bank`` selects the register file, ``index`` the member.
 
@@ -106,19 +153,22 @@ class Reg(Expr):
     * ``"cc"``  -- the condition-code register (printed ``NZ``)
     """
 
-    bank: str
-    index: int
+    __slots__ = ("bank", "index")
+
+    def __new__(cls, bank: str, index: int) -> "Reg":
+        return _intern(cls, (cls, bank, index.__class__, index), bank, index)
 
     def __repr__(self) -> str:
         return f"Reg({self.bank!r},{self.index})"
 
 
-@dataclass(frozen=True)
 class Mem(Expr):
     """A memory reference of the given width whose address is ``addr``."""
 
-    addr: Expr
-    width: str  # "B", "W" or "L"
+    __slots__ = ("addr", "width")
+
+    def __new__(cls, addr: Expr, width: str) -> "Mem":
+        return _intern(cls, (cls, addr, width), addr, width)
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.addr,)
@@ -127,11 +177,11 @@ class Mem(Expr):
         return f"Mem({self.addr!r},{self.width!r})"
 
 
-@dataclass(frozen=True)
 class BinOp(Expr):
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
+
+    def __new__(cls, op: str, left: Expr, right: Expr) -> "BinOp":
+        return _intern(cls, (cls, op, left, right), op, left, right)
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.left, self.right)
@@ -140,10 +190,11 @@ class BinOp(Expr):
         return f"BinOp({self.op!r},{self.left!r},{self.right!r})"
 
 
-@dataclass(frozen=True)
 class UnOp(Expr):
-    op: str
-    operand: Expr
+    __slots__ = ("op", "operand")
+
+    def __new__(cls, op: str, operand: Expr) -> "UnOp":
+        return _intern(cls, (cls, op, operand), op, operand)
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.operand,)
@@ -178,15 +229,13 @@ _NO_REGS: FrozenSet["Reg"] = frozenset()
 def reg_set(expr: Expr) -> FrozenSet[Reg]:
     """The registers occurring in ``expr``, memoized on the node.
 
-    Expressions are immutable, so the set is computed once per node and
-    stored in the instance ``__dict__`` (outside the dataclass fields, so
-    it never enters ``__eq__``, ``__hash__`` or ``repr``).  Sub-trees
-    shared between expressions and between cloned instructions share the
-    memo too.
+    Expressions are immutable and interned, so the set is computed once
+    per node and kept in its ``_regs`` slot (never part of ``repr``).
+    Every expression and cloned instruction holding the node shares it.
     """
     try:
-        return expr.__dict__["_reg_set"]
-    except KeyError:
+        return expr._regs
+    except AttributeError:
         pass
     if isinstance(expr, Reg):
         regs: FrozenSet[Reg] = frozenset((expr,))
@@ -198,7 +247,7 @@ def reg_set(expr: Expr) -> FrozenSet[Reg]:
             regs = reg_set(children[0])
         else:
             regs = reg_set(children[0]).union(*map(reg_set, children[1:]))
-    object.__setattr__(expr, "_reg_set", regs)
+    object.__setattr__(expr, "_regs", regs)
     return regs
 
 
@@ -236,7 +285,8 @@ def map_expr(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
 def subst(expr: Expr, mapping: Dict[Expr, Expr]) -> Expr:
     """Replace occurrences of keys of ``mapping`` in ``expr`` by their values.
 
-    Matching is performed bottom-up and structurally, so substituting
+    Matching is performed bottom-up by identity (that is, structurally:
+    nodes are interned), so substituting
     ``{Reg('v', 1): Const(3)}`` rewrites every use of the virtual register.
     """
 

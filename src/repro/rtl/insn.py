@@ -22,10 +22,11 @@ Class              Meaning                        Printed form
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
-from .expr import NZ, Expr, Mem, Reg, reg_set, subst
+from .expr import _NO_REGS, NZ, Expr, Mem, Reg, reg_set, subst
 
 __all__ = [
     "Insn",
@@ -55,6 +56,20 @@ REVERSED_RELATION: Dict[str, str] = {
 
 _uid_counter = itertools.count(1)
 
+# Register queries allocate nothing: fixed operand sets are constants.
+RV = Reg("rv", 0)
+_NZ_REGS = reg_set(NZ)
+_RV_REGS = reg_set(RV)
+
+
+@functools.lru_cache(maxsize=None)
+def _arg_regs(nargs: int) -> FrozenSet[Reg]:
+    return frozenset(Reg("arg", i) for i in range(nargs))
+
+
+def _union(a: FrozenSet[Reg], b: FrozenSet[Reg]) -> FrozenSet[Reg]:
+    return a | b if a and b else a or b  # an operand itself if one is empty
+
 
 def reverse_relation(rel: str) -> str:
     """Return the logical negation of a branch relation."""
@@ -82,15 +97,12 @@ class Insn:
         return ()
 
     def used_regs(self) -> FrozenSet[Reg]:
-        """Registers read by this instruction.
+        """Registers read by this instruction (those of :meth:`used_exprs`).
 
         Built from the expressions' memoized :func:`~repro.rtl.expr.reg_set`,
         so the (immutable) set may be shared with other instructions.
         """
-        exprs = self.used_exprs()
-        if len(exprs) == 1:
-            return reg_set(exprs[0])
-        return frozenset().union(*map(reg_set, exprs))
+        return _NO_REGS
 
     def stores_mem(self) -> bool:
         return False
@@ -137,6 +149,10 @@ class Assign(Insn):
             return (self.dst.addr, self.src)
         return (self.src,)
 
+    def used_regs(self) -> FrozenSet[Reg]:
+        dst, regs = self.dst, reg_set(self.src)
+        return _union(reg_set(dst.addr), regs) if isinstance(dst, Mem) else regs
+
     def stores_mem(self) -> bool:
         return isinstance(self.dst, Mem)
 
@@ -168,6 +184,9 @@ class Compare(Insn):
     def used_exprs(self) -> Tuple[Expr, ...]:
         return (self.left, self.right)
 
+    def used_regs(self) -> FrozenSet[Reg]:
+        return _union(reg_set(self.left), reg_set(self.right))
+
     def clone(self) -> "Compare":
         return Compare(self.left, self.right)
 
@@ -193,6 +212,9 @@ class CondBranch(Insn):
 
     def used_exprs(self) -> Tuple[Expr, ...]:
         return (NZ,)
+
+    def used_regs(self) -> FrozenSet[Reg]:
+        return _NZ_REGS
 
     def is_transfer(self) -> bool:
         return True
@@ -258,6 +280,9 @@ class IndirectJump(Insn):
     def used_exprs(self) -> Tuple[Expr, ...]:
         return (self.addr,)
 
+    def used_regs(self) -> FrozenSet[Reg]:
+        return reg_set(self.addr)
+
     def is_transfer(self) -> bool:
         return True
 
@@ -290,8 +315,11 @@ class Call(Insn):
     def used_exprs(self) -> Tuple[Expr, ...]:
         return tuple(Reg("arg", i) for i in range(self.nargs))
 
+    def used_regs(self) -> FrozenSet[Reg]:
+        return _arg_regs(self.nargs)
+
     def defined_reg(self) -> Optional[Reg]:
-        return Reg("rv", 0)
+        return RV
 
     def stores_mem(self) -> bool:
         # Conservatively assume the callee may write memory.
@@ -313,7 +341,10 @@ class Return(Insn):
         return True
 
     def used_exprs(self) -> Tuple[Expr, ...]:
-        return (Reg("rv", 0),)
+        return (RV,)
+
+    def used_regs(self) -> FrozenSet[Reg]:
+        return _RV_REGS
 
     def clone(self) -> "Return":
         return Return()

@@ -478,10 +478,10 @@ def sanitize_inputs(
 
     Two snapshots that agree element by element *by identity*
     (:func:`same_inputs`) describe states on which the sanitizer gives the
-    same verdict.  Identity, not ``==``: frozen-dataclass equality says
-    ``Const(1.0) == Const(1)``, and the sanitizer rejects the first.
-    Holding a snapshot keeps its objects alive, so their identities
-    cannot be reused by new objects.
+    same verdict.  Expressions are interned, so their identity is their
+    structure: ``Const(1.0)`` (rejected) and ``Const(1)`` are two nodes, and
+    an expression a pass rebuilt unchanged is the node it replaced.  Holding
+    a snapshot keeps its objects alive, so no new object reuses an identity.
     """
     manager = getattr(func, "_analysis_manager", None)
     flat: List[object] = [func, post_regalloc, func.cfg_edition, program, manager]

@@ -199,3 +199,79 @@ class TestEngineSelection:
 
         with pytest.raises(ValueError, match="compiled/interp"):
             CellSpec(program="wc", ease_engine="turbo")
+
+
+class TestCompileModes:
+    """Construction compiles the first run's mode; the other mode compiles
+    on its own first run, once."""
+
+    NAME = "queens"  # several functions, with compiled-to-compiled calls
+
+    @pytest.fixture(scope="class")
+    def program(self):
+        return optimized(PROGRAMS[self.NAME].source)
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        compiled = []
+        original = CompiledInterpreter._pycompile
+
+        def counting(self, func, traced):
+            compiled.append((func.name, traced))
+            return original(self, func, traced)
+
+        monkeypatch.setattr(CompiledInterpreter, "_pycompile", counting)
+        return compiled
+
+    def test_traced_only_run_compiles_each_function_once(self, program, compiles):
+        interp = make_interpreter(program, trace=True)
+        interp.run(stdin=PROGRAMS[self.NAME].stdin, trace=True)
+        interp.run(stdin=PROGRAMS[self.NAME].stdin, trace=True)
+        assert sorted(compiles) == sorted((name, True) for name in program.functions)
+        # Direct calls get their callee-save footprints in traced mode too.
+        assert set(interp._footprints) == set(program.functions)
+
+    def test_other_mode_compiles_on_its_first_run(self, program, compiles):
+        interp = CompiledInterpreter(program)
+        assert sorted(compiles) == sorted((name, False) for name in program.functions)
+        for _ in range(2):
+            interp.run(stdin=PROGRAMS[self.NAME].stdin, trace=True)
+            interp.run(stdin=PROGRAMS[self.NAME].stdin)
+        assert sorted(compiles) == sorted(
+            (name, traced) for name in program.functions for traced in (False, True)
+        )
+
+    def test_traced_only_run_equals_plain_run(self, program):
+        stdin = PROGRAMS[self.NAME].stdin
+        traced = observe(CompiledInterpreter(program, trace=True), stdin, trace=True)
+        plain = observe(CompiledInterpreter(program), stdin, trace=False)
+        for field in (
+            "output", "exit_code", "globals_image", "block_counts", "calls_executed"
+        ):
+            assert traced[field] == plain[field], field
+
+    def test_compile_time_counter_covers_every_compile(self, program):
+        from repro.obs import observing
+
+        stdin = PROGRAMS[self.NAME].stdin
+        with observing(spans=False) as obs:
+            interp = CompiledInterpreter(program, trace=True)
+            traced_ms = obs.metrics.counters["ease.compile.time_ms"]
+            assert traced_ms == pytest.approx(interp.compile_seconds * 1000.0, abs=0.01)
+            assert traced_ms > 0
+            interp.run(stdin=stdin)
+            counters = obs.metrics.counters
+        assert counters["ease.compile.time_ms"] > traced_ms
+        assert counters["ease.compile.time_ms"] == pytest.approx(
+            interp.compile_seconds * 1000.0, abs=0.01
+        )
+        assert counters["ease.compile.functions"] == 2 * len(program.functions)
+
+    def test_traced_measurement_compiles_only_traced_executors(self, compiles):
+        from repro.ease import measure_program
+
+        program = optimized(PROGRAMS["wc"].source)
+        measure_program(
+            program, get_target("sparc"), stdin=PROGRAMS["wc"].stdin, trace=True
+        )
+        assert compiles and all(traced for _, traced in compiles)

@@ -178,8 +178,9 @@ class TestSanitizerCatchesStructuralDamage:
 def _floaten_first_const(func) -> bool:
     """Turn the first ``Const(n)`` operand into ``Const(float(n))``.
 
-    ``Const(5.0) == Const(5)`` and both hash alike, so only an identity
-    comparison of the sanitizer's inputs notices the swap.
+    The value is equal, but constants intern by type and value, so
+    ``Const(5.0)`` is a node of its own: the identity comparison of the
+    sanitizer's inputs notices the swap.
     """
     for block in func.blocks:
         for insn in block.insns:

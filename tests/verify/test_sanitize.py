@@ -101,6 +101,18 @@ class TestCfgViolations:
 
 
 class TestRtlViolations:
+    def test_float_and_bool_consts_are_their_own_nodes(self):
+        # Constants intern by type and value: neither compares equal to
+        # Const(1), so the sanitizer's identity snapshot sees the swap.
+        assert Const(1.0) is not Const(1) and Const(1.0) != Const(1)
+        assert Const(True) is not Const(1) and Const(True) != Const(1)
+        assert Const(1.0) is not Const(True)
+        program, func = _main()
+        func.blocks[0].insns.insert(0, Assign(Reg("v", 7), Const(1.0)))
+        assert "Const holds 1.0 (not int)" in "\n".join(
+            sanitize_function(func, program)
+        )
+
     def test_unknown_register_bank(self):
         _, func = _main()
         func.blocks[0].insns.insert(0, Assign(Reg("z", 0), Const(1)))
