@@ -46,7 +46,7 @@ from __future__ import annotations
 from struct import pack_into as _pack_into
 from struct import unpack_from as _unpack_from
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from ..cfg.block import Function, Program
 from ..obs import ReplicationDecision

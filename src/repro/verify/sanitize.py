@@ -40,12 +40,26 @@ RTL:
   exempt — they model source variables read before first assignment,
   which the zero-initialised machine defines as 0);
 * post-regalloc: no ``v``-bank register survives colouring.
+
+Carried verdicts
+----------------
+
+A :class:`Sanitizer` serves one run and re-checks only what differs, by
+identity (``is``), from a function's last *clean* check.  It finds an
+expression node's faults once per run (``Local``/``Sym`` names are looked
+up each time), skips an instruction whose fields are the objects they
+were unless its context (post-regalloc flag, frame slot, global and
+function names) changed, reuses a block's ``v``-register bitsets while its
+instructions are unchanged, and recomputes no edge while every block
+keeps its position, label, ``preds``, ``succs`` and final instruction.
+Carried state was clean and holds its objects (no identity is reused), so
+a check reports what a fresh one does, in order; an unchanged one is skipped.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter, is_
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..cfg.block import BasicBlock, Function, Program
 from ..cfg.traversal import reverse_postorder
@@ -65,22 +79,18 @@ from ..rtl.insn import (
 )
 from .errors import SanitizeError
 
-__all__ = ["sanitize_function", "check_sanitized", "sanitize_inputs", "same_inputs"]
+__all__ = ["Sanitizer", "sanitize_function", "check_sanitized"]
 
 _KNOWN_BANKS = {"d", "a", "r", "v", "arg", "rv", "cc"}
 _KNOWN_WIDTHS = {"B", "W", "L"}
 _KNOWN_BINOPS = {"+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>"}
 _KNOWN_UNOPS = {"-", "~"}
-_KNOWN_INSNS = (
-    Assign,
-    Compare,
-    CondBranch,
-    Jump,
-    IndirectJump,
-    Call,
-    Return,
-    Nop,
-)
+_KNOWN_INSNS = (Assign, Compare, CondBranch, Jump, IndirectJump, Call, Return, Nop)
+
+
+def _same(old: Sequence[object], new: Sequence[object]) -> bool:
+    """True when two sequences hold the same objects (``is``) in order."""
+    return len(old) == len(new) and all(map(is_, old, new))
 
 
 # --------------------------------------------------------------------------
@@ -147,12 +157,15 @@ def _expected_edges(
     return succs
 
 
-def _check_cfg(func: Function, problems: List[str]) -> None:
+def _check_cfg(
+    func: Function, problems: List[str], bodies: Sequence[BasicBlock], edges: bool
+) -> None:
+    """Check the CFG; only ``bodies`` for transfers, and the edges if ``edges``."""
     if not func.blocks:
         problems.append("function has no blocks")
         return
 
-    for block in func.blocks:
+    for block in bodies:
         for insn in block.insns[:-1]:
             if insn.is_transfer():
                 problems.append(
@@ -165,6 +178,8 @@ def _check_cfg(func: Function, problems: List[str]) -> None:
             f"final block {last.label} falls off the end of the function"
         )
 
+    if not edges:
+        return
     expected_succs = _expected_edges(func, problems)
 
     # Expected predecessor lists, rebuilt in compute_flow's append order.
@@ -178,7 +193,7 @@ def _check_cfg(func: Function, problems: List[str]) -> None:
     for block in func.blocks:
         want = expected_succs[id(block)]
         got = block.succs
-        if len(want) != len(got) or any(a is not b for a, b in zip(want, got)):
+        if not _same(want, got):
             problems.append(
                 f"block {block.label}: stale successors "
                 f"{[s.label for s in got]} vs fresh "
@@ -186,9 +201,7 @@ def _check_cfg(func: Function, problems: List[str]) -> None:
             )
         want_p = expected_preds[id(block)]
         got_p = block.preds
-        if len(want_p) != len(got_p) or any(
-            a is not b for a, b in zip(want_p, got_p)
-        ):
+        if not _same(want_p, got_p):
             problems.append(
                 f"block {block.label}: stale predecessors "
                 f"{[p.label for p in got_p]} vs fresh "
@@ -212,9 +225,7 @@ def _check_edition_coherence(func: Function, problems: List[str]) -> None:
     cached_rpo = manager._cache.get("rpo")
     if cached_rpo is not None:
         fresh = reverse_postorder(func)
-        if len(cached_rpo) != len(fresh) or any(
-            a is not b for a, b in zip(cached_rpo, fresh)
-        ):
+        if not _same(cached_rpo, fresh):
             problems.append(
                 "cached reverse postorder "
                 f"{[b.label for b in cached_rpo]} disagrees with a fresh "
@@ -229,44 +240,42 @@ def _check_edition_coherence(func: Function, problems: List[str]) -> None:
 # --------------------------------------------------------------------------
 
 
-def _check_expr(
-    expr: Expr,
-    func: Function,
-    program: Optional[Program],
-    faults: List[str],
-) -> None:
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Const):
-            if not isinstance(node.value, int):
-                faults.append(f"Const holds {node.value!r} (not int)")
-        elif isinstance(node, Reg):
-            if node.bank not in _KNOWN_BANKS:
-                faults.append(f"unknown register bank {node.bank!r}")
-            if not isinstance(node.index, int) or node.index < 0:
-                faults.append(f"bad register index {node.index!r}")
-        elif isinstance(node, Sym):
-            if program is not None and node.name not in program.globals:
-                faults.append(f"Sym {node.name!r} names no program global")
-        elif isinstance(node, Local):
-            if node.name not in func.frame:
-                faults.append(f"Local {node.name!r} names no frame slot")
-        elif isinstance(node, Mem):
-            if node.width not in _KNOWN_WIDTHS:
-                faults.append(f"bad memory width {node.width!r}")
-            stack.append(node.addr)
-        elif isinstance(node, BinOp):
-            if node.op not in _KNOWN_BINOPS:
-                faults.append(f"unknown binary operator {node.op!r}")
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, UnOp):
-            if node.op not in _KNOWN_UNOPS:
-                faults.append(f"unknown unary operator {node.op!r}")
-            stack.append(node.operand)
-        else:
-            faults.append(f"unknown expression node {node!r}")
+def _expr_facts(node: Expr, memo: Dict[Expr, tuple]) -> tuple:
+    """The faults of ``node``'s tree, found once per interned node.
+
+    In right-operand-first pre-order: messages, and ``(Local | Sym, name)``
+    pairs, faults unless the frame or the program has the name.
+    """
+    facts = memo.get(node) if isinstance(node, Expr) else None
+    if facts is not None:
+        return facts
+    facts = ()
+    if isinstance(node, Const):
+        if not isinstance(node.value, int):
+            facts = (f"Const holds {node.value!r} (not int)",)
+    elif isinstance(node, Reg):
+        if node.bank not in _KNOWN_BANKS:
+            facts += (f"unknown register bank {node.bank!r}",)
+        if not isinstance(node.index, int) or node.index < 0:
+            facts += (f"bad register index {node.index!r}",)
+    elif isinstance(node, (Sym, Local)):
+        facts = ((node.__class__, node.name),)
+    elif isinstance(node, Mem):
+        if node.width not in _KNOWN_WIDTHS:
+            facts = (f"bad memory width {node.width!r}",)
+        facts += _expr_facts(node.addr, memo)
+    elif isinstance(node, BinOp):
+        if node.op not in _KNOWN_BINOPS:
+            facts = (f"unknown binary operator {node.op!r}",)
+        facts += _expr_facts(node.right, memo) + _expr_facts(node.left, memo)
+    elif isinstance(node, UnOp):
+        if node.op not in _KNOWN_UNOPS:
+            facts = (f"unknown unary operator {node.op!r}",)
+        facts += _expr_facts(node.operand, memo)
+    else:
+        return (f"unknown expression node {node!r}",)
+    memo[node] = facts
+    return facts
 
 
 def _insn_faults(
@@ -274,6 +283,7 @@ def _insn_faults(
     func: Function,
     program: Optional[Program],
     post_regalloc: bool,
+    memo: Dict[Expr, tuple],
 ) -> List[str]:
     """The violations of one instruction, without their location."""
     if not isinstance(insn, _KNOWN_INSNS):
@@ -292,10 +302,18 @@ def _insn_faults(
             and not is_builtin(insn.func)
         ):
             faults.append(f"call to unknown function {insn.func!r}")
-    for expr in insn.used_exprs():
-        _check_expr(expr, func, program, faults)
+    exprs = insn.used_exprs()
     if isinstance(insn, Assign) and isinstance(insn.dst, Reg):
-        _check_expr(insn.dst, func, program, faults)
+        exprs += (insn.dst,)
+    for expr in exprs:
+        for item in _expr_facts(expr, memo):
+            if isinstance(item, str):
+                faults.append(item)
+            elif item[0] is Local:
+                if item[1] not in func.frame:
+                    faults.append(f"Local {item[1]!r} names no frame slot")
+            elif program is not None and item[1] not in program.globals:
+                faults.append(f"Sym {item[1]!r} names no program global")
     if post_regalloc:
         regs = set(insn.used_regs())
         defined = insn.defined_reg()
@@ -309,90 +327,229 @@ def _insn_faults(
     return faults
 
 
-def _check_insns(
+#: A block's ``v``-register bitsets: those it defines, and reads first.
+_Summary = Tuple[int, int]
+
+
+def _summary(
+    insns: Sequence[Insn], bits: Dict[Reg, int], defs: int = 0, uses: Any = None
+) -> _Summary:
+    """Scan ``insns``; ``uses`` collects each ``(insn, reg, bit)`` undefined."""
+    exposed = 0
+    for insn in insns:
+        for reg in insn.used_regs():
+            if reg.bank == "v":
+                bit = bits.setdefault(reg, 1 << len(bits))
+                if not bit & defs:
+                    exposed |= bit
+                    if uses is not None:
+                        uses.append((insn, reg, bit))
+        reg = insn.defined_reg()
+        if reg is not None and reg.bank == "v":
+            defs |= bits.setdefault(reg, 1 << len(bits))
+    return defs, exposed
+
+
+def _check_vreg_defined_before_use(
     func: Function,
-    program: Optional[Program],
-    post_regalloc: bool,
+    summaries: Dict[BasicBlock, _Summary],
+    bits: Dict[Reg, int],
     problems: List[str],
 ) -> None:
-    for block in func.blocks:
-        for insn in block.insns:
-            faults = _insn_faults(insn, func, program, post_regalloc)
-            if faults:
-                # The location costs a repr; build it only for a report.
-                where = f"{block.label}/{insn!r}"
-                problems.extend(f"{where}: {fault}" for fault in faults)
-
-
-def _check_vreg_defined_before_use(func: Function, problems: List[str]) -> None:
     """Flag ``v``-bank uses that no definition reaches on any path.
 
     Only *reachable* blocks participate: a pass that proves a branch
     constant (``fold_branches``) may strand blocks until the next dead
-    code sweep, and uses inside stranded blocks are vacuous.
+    code sweep, and uses inside stranded blocks are vacuous.  The
+    may-defined sets are solved by a worklist in reverse postorder;
+    problems are reported in the order of a depth-first stack walk.
     """
     if not func.blocks:
         return
-    reachable: List[BasicBlock] = []
-    seen: Set[int] = set()
-    stack = [func.blocks[0]]
+    order = reverse_postorder(func)
+    all_defs = 0
+    for block in order:
+        if block not in summaries:  # reached through a stale edge only
+            summaries[block] = _summary(block.insns, bits)
+        all_defs |= summaries[block][0]
+    index = {block: i for i, block in enumerate(order)}
+    may_in = [0] * len(order)
+    pending = (1 << len(order)) - 1 if all_defs else 0  # bit i: order[i]
+    while pending:
+        low = pending & -pending
+        pending ^= low
+        i = low.bit_length() - 1
+        out = may_in[i] | summaries[order[i]][0]
+        for succ in order[i].succs:
+            j = index[succ]
+            if out & ~may_in[j]:
+                may_in[j] |= out
+                pending |= 1 << j
+    if not any(summaries[b][1] & all_defs & ~may_in[i] for i, b in enumerate(order)):
+        return
+    seen, stack = set(), [func.blocks[0]]
     while stack:
         block = stack.pop()
-        if id(block) in seen:
-            continue
-        seen.add(id(block))
-        reachable.append(block)
-        stack.extend(block.succs)
+        if block not in seen:
+            seen.add(block)
+            stack.extend(block.succs)
+            uses: list = []
+            _summary(block.insns, bits, may_in[index[block]], uses)
+            problems.extend(
+                f"{block.label}/{insn!r}: virtual register {reg!r} used before "
+                "any definition can reach it (on every path)"
+                for insn, reg, bit in uses
+                if bit & all_defs
+            )
 
-    all_defs: Set[Reg] = set()
-    for block in reachable:
+
+# --------------------------------------------------------------------------
+# Carried verdicts
+# --------------------------------------------------------------------------
+
+#: Closes every variable-length run in a walk (no two layouts flatten alike).
+_END = object()
+
+
+class _FieldGetters(dict):
+    """Per instruction class, a function returning every slot of one."""
+
+    def __missing__(self, cls: type) -> Callable[[Insn], Tuple[object, ...]]:
+        names = [
+            name
+            for klass in reversed(cls.__mro__)
+            for name in klass.__dict__.get("__slots__", ())
+        ]
+        getter: Callable[[Insn], Tuple[object, ...]]
+        if not names:
+            getter = lambda insn: ()  # noqa: E731
+        elif len(names) == 1:
+            name = names[0]
+            getter = lambda insn: (getattr(insn, name),)  # noqa: E731
+        else:
+            getter = attrgetter(*names)
+        if issubclass(cls, IndirectJump):
+            # The one list-valued field: its labels count elementwise.
+            fields = getter
+            getter = lambda insn: (*fields(insn), *insn.targets, _END)  # noqa: E731
+        self[cls] = getter
+        return getter
+
+
+_FIELD_GETTERS = _FieldGetters()
+
+#: A block's span in a walk: start, first instruction, last one, end.
+_Span = Tuple[int, int, int, int]
+
+
+def _walk(func: Function) -> Tuple[List[object], Dict[BasicBlock, _Span]]:
+    """All the sanitizer reads of ``func`` but its context, and block spans.
+
+    That is ``cfg_edition``, the analysis manager, its edition and cached
+    RPO, and per block the block, label, ``preds``, ``succs``, and each
+    instruction and its fields.
+    """
+    manager = getattr(func, "_analysis_manager", None)
+    walk: List[object] = [func.cfg_edition, manager]
+    if manager is not None:
+        rpo = manager._cache.get("rpo")
+        walk += (manager._edition, rpo, *(rpo or ()), _END)
+    spans: Dict[BasicBlock, _Span] = {}
+    getters = _FIELD_GETTERS
+    for block in func.blocks:
+        start = len(walk)
+        walk += (block, block.label, *block.preds, _END, *block.succs, _END)
+        body = tail = len(walk)
         for insn in block.insns:
-            defined = insn.defined_reg()
-            if defined is not None and defined.bank == "v":
-                all_defs.add(defined)
-    if not all_defs:
-        return
+            tail = len(walk)
+            walk.append(insn)
+            walk += getters[insn.__class__](insn)
+        spans[block] = (start, body, tail, len(walk))
+        walk.append(_END)
+    return walk, spans
 
-    # Forward may-defined dataflow over virtual registers only.
-    may_in: Dict[int, Set[Reg]] = {id(block): set() for block in reachable}
-    gen: Dict[int, Set[Reg]] = {}
-    for block in reachable:
-        defs: Set[Reg] = set()
-        for insn in block.insns:
-            defined = insn.defined_reg()
-            if defined is not None and defined.bank == "v":
-                defs.add(defined)
-        gen[id(block)] = defs
 
-    changed = True
-    while changed:
-        changed = False
-        for block in reachable:
-            out = may_in[id(block)] | gen[id(block)]
-            for succ in block.succs:
-                before = may_in[id(succ)]
-                merged = before | out
-                if len(merged) != len(before):
-                    may_in[id(succ)] = merged
-                    changed = True
+class _Clean(NamedTuple):
+    """What a function's last clean check established."""
 
-    for block in reachable:
-        available = set(may_in[id(block)])
-        for insn in block.insns:
-            for reg in insn.used_regs():
-                if (
-                    reg.bank == "v"
-                    and reg in all_defs
-                    and reg not in available
-                ):
-                    problems.append(
-                        f"{block.label}/{insn!r}: virtual register {reg!r} "
-                        "used before any definition can reach it "
-                        "(on every path)"
-                    )
-            defined = insn.defined_reg()
-            if defined is not None and defined.bank == "v":
-                available.add(defined)
+    context: Sequence[object]
+    walk: Sequence[object]
+    spans: Dict[BasicBlock, _Span]  # in block order
+    summaries: Dict[BasicBlock, _Summary]
+    verdicts: Dict[Insn, Tuple[object, ...]]  # a clean instruction's fields
+
+
+_NEVER = _Clean((), (), {}, {}, {})
+
+
+class Sanitizer:
+    """One run's sanitizer, carrying verdicts (above) from clean checks."""
+
+    def __init__(self) -> None:
+        self._facts: Dict[Expr, tuple] = {}
+        self._bits: Dict[Reg, int] = {}
+        self._clean: Dict[str, _Clean] = {}
+
+    def check(
+        self,
+        func: Function,
+        program: Optional[Program] = None,
+        post_regalloc: bool = False,
+    ) -> Optional[List[str]]:
+        """``func``'s violations as a fresh check lists them (empty: clean).
+
+        ``None`` when nothing the sanitizer reads changed since the
+        function's last clean check.  Never mutates the function.
+        """
+        context: List[object] = [func, post_regalloc, program, *func.frame, _END]
+        if program is not None:
+            context += (*program.globals, _END, *program.functions, _END)
+        walk, spans = _walk(func)
+        last = self._clean.get(func.name, _NEVER)
+        same_context = _same(last.context, context)
+        if same_context and _same(last.walk, walk):
+            return None
+
+        old_walk = last.walk
+        summaries: Dict[BasicBlock, _Summary] = {}
+        changed = set()  # blocks whose instructions or their fields changed
+        # Does each block keep its position, label, edges and last instruction?
+        same_cfg = _same(list(last.spans), func.blocks)
+        for block, (start, body, tail, end) in spans.items():
+            old = last.spans.get(block)
+            if old is not None and _same(old_walk[old[1] : old[3]], walk[body:end]):
+                summaries[block] = last.summaries[block]
+            else:
+                changed.add(block)
+                summaries[block] = _summary(block.insns, self._bits)
+            same_cfg = same_cfg and _same(old_walk[old[0] : old[1]], walk[start:body])
+            same_cfg = same_cfg and _same(old_walk[old[2] : old[3]], walk[tail:end])
+
+        problems: List[str] = []
+        bodies = [block for block in func.blocks if block in changed]
+        _check_cfg(func, problems, bodies, not same_cfg)
+        _check_edition_coherence(func, problems)
+        verdicts = last.verdicts if same_context else {}
+        checked = []
+        for block in func.blocks:
+            if same_context and block not in changed:
+                continue
+            for insn in block.insns:
+                fields = _FIELD_GETTERS[insn.__class__](insn)
+                clean = verdicts.get(insn)
+                if clean is not None and _same(clean, fields):
+                    continue
+                checked.append((insn, fields))
+                faults = _insn_faults(insn, func, program, post_regalloc, self._facts)
+                # The location costs a repr; build it only for a report.
+                problems.extend(f"{block.label}/{insn!r}: {f}" for f in faults)
+        if not same_cfg or any(summaries[b] != last.summaries[b] for b in changed):
+            _check_vreg_defined_before_use(func, summaries, self._bits, problems)
+
+        if not problems:
+            verdicts.update(checked)
+            self._clean[func.name] = _Clean(context, walk, spans, summaries, verdicts)
+        return problems
 
 
 # --------------------------------------------------------------------------
@@ -407,14 +564,10 @@ def sanitize_function(
 ) -> List[str]:
     """Collect every violated invariant of ``func`` (empty list = clean).
 
-    Never mutates the function; safe to interpose after any pass.
+    A from-scratch check: one check on a fresh :class:`Sanitizer`.  Never
+    mutates the function; safe to interpose after any pass.
     """
-    problems: List[str] = []
-    _check_cfg(func, problems)
-    _check_edition_coherence(func, problems)
-    _check_insns(func, program, post_regalloc, problems)
-    _check_vreg_defined_before_use(func, problems)
-    return problems
+    return Sanitizer().check(func, program, post_regalloc) or []
 
 
 def check_sanitized(
@@ -427,92 +580,3 @@ def check_sanitized(
     problems = sanitize_function(func, program, post_regalloc)
     if problems:
         raise SanitizeError(func.name, stage, problems)
-
-
-# --------------------------------------------------------------------------
-# What the sanitizer reads (the verifier's skip rule)
-# --------------------------------------------------------------------------
-
-#: Closes every variable-length run in a snapshot, so two different
-#: layouts can never flatten to the same sequence.
-_END = object()
-
-def _field_getter(cls: type) -> Callable[[Insn], Tuple[object, ...]]:
-    """A function returning every slot of an instruction class."""
-    names = [
-        name
-        for klass in reversed(cls.__mro__)
-        for name in klass.__dict__.get("__slots__", ())
-    ]
-    getter: Callable[[Insn], Tuple[object, ...]]
-    if not names:
-        getter = lambda insn: ()  # noqa: E731
-    elif len(names) == 1:
-        name = names[0]
-        getter = lambda insn: (getattr(insn, name),)  # noqa: E731
-    else:
-        getter = attrgetter(*names)
-    if issubclass(cls, IndirectJump):
-        # The one list-valued field: its labels count elementwise.
-        fields = getter
-        getter = lambda insn: (*fields(insn), *insn.targets, _END)  # noqa: E731
-    return getter
-
-
-_FIELD_GETTERS = {cls: _field_getter(cls) for cls in _KNOWN_INSNS}
-
-
-def sanitize_inputs(
-    func: Function,
-    program: Optional[Program] = None,
-    post_regalloc: bool = False,
-) -> List[object]:
-    """Everything :func:`sanitize_function` reads, as one flat list.
-
-    The list holds the post-regalloc flag, ``cfg_edition``, the analysis
-    manager's edition and cached reverse postorder, the frame slot names,
-    the program's global and function names, and per block the block,
-    its label, ``preds`` and ``succs``, and per instruction the object
-    and each of its fields (list fields elementwise).  Expressions are
-    immutable, so an expression object stands for its whole tree.
-
-    Two snapshots that agree element by element *by identity*
-    (:func:`same_inputs`) describe states on which the sanitizer gives the
-    same verdict.  Expressions are interned, so their identity is their
-    structure: ``Const(1.0)`` (rejected) and ``Const(1)`` are two nodes, and
-    an expression a pass rebuilt unchanged is the node it replaced.  Holding
-    a snapshot keeps its objects alive, so no new object reuses an identity.
-    """
-    manager = getattr(func, "_analysis_manager", None)
-    flat: List[object] = [func, post_regalloc, func.cfg_edition, program, manager]
-    if manager is not None:
-        rpo = manager._cache.get("rpo")
-        flat += (manager._edition, rpo)
-        if rpo is not None:
-            flat.extend(rpo)
-            flat.append(_END)
-    flat.extend(func.frame)
-    flat.append(_END)
-    if program is not None:
-        flat.extend(program.globals)
-        flat.append(_END)
-        flat.extend(program.functions)
-        flat.append(_END)
-    getters = _FIELD_GETTERS
-    for block in func.blocks:
-        flat += (block, block.label)
-        flat.extend(block.preds)
-        flat.append(_END)
-        flat.extend(block.succs)
-        flat.append(_END)
-        for insn in block.insns:
-            cls = insn.__class__
-            flat.append(insn)
-            flat.extend((getters.get(cls) or _field_getter(cls))(insn))
-        flat.append(_END)
-    return flat
-
-
-def same_inputs(old: Sequence[object], new: Sequence[object]) -> bool:
-    """True when two :func:`sanitize_inputs` snapshots match by identity."""
-    return len(old) == len(new) and all(map(is_, old, new))

@@ -17,12 +17,11 @@ points:
   ``full`` mode: the current program is interpreted against the recorded
   inputs and compared with the pristine program's behaviour.
 
-A sanitizer check is skipped when the function is in exactly the state
-of its last clean check: after each clean check the verifier keeps
-:func:`~repro.verify.sanitize.sanitize_inputs` — a flat snapshot of
-everything the sanitizer reads — and the next check of that function
-runs only if some element of a fresh snapshot is not the *same object*
-(``is``) as before.  The rule trusts no pass's "changed" flag and needs
+The verifier's :class:`~repro.verify.sanitize.Sanitizer` (a fresh one
+per ``begin``) keeps what each function's last clean check established
+and re-checks only the expressions, instructions, blocks and edges that
+are not the *same objects* (``is``) as then.  A check in which nothing
+changed is skipped.  The rule trusts no pass's "changed" flag and needs
 no edit API.  ``sanitize_checks`` counts requested checks,
 ``sanitize_skipped`` the ones skipped (metric ``verify.sanitize.skipped``);
 ``verify.sanitize.pass``/``fail`` count the checks that ran.
@@ -55,7 +54,7 @@ from .oracle import (
     clone_program,
     diff_behaviors,
 )
-from .sanitize import same_inputs, sanitize_function, sanitize_inputs
+from .sanitize import Sanitizer
 
 __all__ = ["Verifier", "VERIFY_MODES"]
 
@@ -93,8 +92,7 @@ class Verifier:
         self.pristine: Optional[Program] = None
         self.reference = None
         self._post_regalloc: set = set()
-        #: Per function name, the sanitizer inputs of its last clean check.
-        self._clean: Dict[str, List[object]] = {}
+        self._sanitizer = Sanitizer()
         self._failure: Optional[Dict[str, object]] = None
 
     # ------------------------------------------------------------ lifecycle
@@ -107,7 +105,7 @@ class Verifier:
         self.pass_trace.clear()
         self.executed = 0
         self._post_regalloc.clear()
-        self._clean.clear()
+        self._sanitizer = Sanitizer()
         self._failure = None
         if self.mode == "full":
             self.pristine = clone_program(program)
@@ -164,17 +162,14 @@ class Verifier:
 
     def _sanitize(self, func: Function, stage: str) -> None:
         self.sanitize_checks += 1
-        post_regalloc = func.name in self._post_regalloc
-        inputs = sanitize_inputs(func, self.program, post_regalloc)
-        last = self._clean.get(func.name)
+        violations = self._sanitizer.check(
+            func, self.program, func.name in self._post_regalloc
+        )
         obs = _active_observer()
-        if last is not None and same_inputs(last, inputs):
+        if violations is None:
             self.sanitize_skipped += 1
             obs.metrics.inc("verify.sanitize.skipped")
             return
-        violations = sanitize_function(
-            func, program=self.program, post_regalloc=post_regalloc
-        )
         obs.metrics.inc(
             "verify.sanitize.fail" if violations else "verify.sanitize.pass"
         )
@@ -186,7 +181,6 @@ class Verifier:
                 "violations": violations,
             }
             raise SanitizeError(func.name, stage, violations)
-        self._clean[func.name] = inputs
 
     # ------------------------------------------------------------ the oracle
 
