@@ -46,9 +46,12 @@ from collections import defaultdict
 from itertools import groupby
 from math import inf
 from operator import itemgetter, ne
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .direct_mapped import CacheConfig, CacheResult
+
+if TYPE_CHECKING:
+    from ..ease.trace import CompressedTrace
 
 __all__ = ["simulate_multi_cache", "MultiCacheStats"]
 
@@ -326,16 +329,8 @@ def _charge_lru(state: _State, lines: Sequence[int], steady: int, count: int) ->
     state.ff_hits -= lost * (n_access - steady)
 
 
-def _records_of(trace) -> Iterable[Tuple[Sequence[int], int]]:
-    """The ``(body, count)`` record stream of any trace representation."""
-    records = getattr(trace, "records", None)
-    if callable(records):
-        return records()
-    return [(trace, 1)]
-
-
 def simulate_multi_cache(
-    trace,
+    trace: CompressedTrace,
     block_fetches: Dict[int, List[int]],
     configs: Sequence[CacheConfig],
     context_switches=False,
@@ -343,9 +338,7 @@ def simulate_multi_cache(
 ) -> List[CacheResult]:
     """Simulate all ``configs`` in one walk over ``trace``.
 
-    :param trace: a ``CompressedTrace`` (fast path: compressed records,
-        per-body replay summaries, loop fast-forwarding) or any iterable
-        of global block ids.
+    :param trace: the run's block trace, walked record by record.
     :param configs: direct-mapped or N-way LRU caches, in any mix.
     :param context_switches: a single bool for every config, or one bool
         per config — the full Table-6 grid (sizes x with/without context
@@ -432,13 +425,12 @@ def simulate_multi_cache(
             switching.append(inline + (first_cost, steady_cost, extra, s, lines))
         return body, [0, 0], plain, switching, lru, lru_switching, folds
 
-    # Per interned body, its plan.  Keyed by identity, with the body
-    # pinned in the entry: a custom record stream could yield ephemeral
-    # bodies whose ids get recycled after collection.
+    # Per interned body, its plan, keyed by identity: the trace holds
+    # every body for the whole walk.
     plans: Dict[int, tuple] = {}
-    for body, count in _records_of(trace):
+    for body, count in trace.records():
         entry = plans.get(id(body))
-        if entry is None or entry[0] is not body:
+        if entry is None:
             entry = plans[id(body)] = build_plan(body)
         tally = entry[1]
         tally[0] += 1

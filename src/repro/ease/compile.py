@@ -46,7 +46,7 @@ from __future__ import annotations
 from struct import pack_into as _pack_into
 from struct import unpack_from as _unpack_from
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..cfg.block import Function, Program
 from ..obs import ReplicationDecision
@@ -66,7 +66,6 @@ from ..rtl.insn import (
 )
 from .interp import Interpreter, StepLimitExceeded
 from .runtime import call_builtin, is_builtin
-from .trace import TraceSink
 
 __all__ = [
     "CompiledInterpreter",
@@ -86,7 +85,7 @@ _WRAP_LO = -(1 << 31)
 def make_interpreter(program: Program, **kwargs) -> CompiledInterpreter:
     """Build the measurement engine for ``program``.
 
-    Keyword arguments go to the constructor (``mem_size``, ``max_steps``, ``trace``).
+    Keyword arguments go to the constructor (``max_steps``, ``trace``).
     """
     return CompiledInterpreter(program, **kwargs)
 
@@ -826,9 +825,8 @@ class CompiledInterpreter(Interpreter):
     def __init__(
         self,
         program: Program,
-        mem_size: int = 1 << 22,
         max_steps: int = 200_000_000,
-        trace: Union[bool, TraceSink] = False,
+        trace: bool = False,
     ) -> None:
         #: traced? -> function name -> executor, per mode compiled so far.
         self._tables: Dict[bool, Dict[str, Callable]] = {}
@@ -842,7 +840,7 @@ class CompiledInterpreter(Interpreter):
         #: calls, resolved after each compile pass (callees may compile
         #: after their callers, or fall back at any point).
         self._exec_links: List[Tuple[dict, Dict[str, None], bool]] = []
-        super().__init__(program, mem_size=mem_size, max_steps=max_steps)
+        super().__init__(program, max_steps=max_steps)
         self._select(trace)
 
     # ------------------------------------------------------------ compilation
@@ -935,16 +933,15 @@ class CompiledInterpreter(Interpreter):
 
     # ------------------------------------------------------------ execution
 
-    def _select(self, trace: Union[bool, TraceSink]) -> None:
+    def _select(self, trace: bool) -> None:
         """Run ``trace``'s mode from now on, compiling it on first use."""
-        traced = not (trace is None or trace is False)
-        table = self._tables.get(traced)
-        self._active = self._compile_all(traced) if table is None else table
+        table = self._tables.get(trace)
+        self._active = self._compile_all(trace) if table is None else table
 
     def run(
         self,
         stdin: bytes = b"",
-        trace: Union[bool, TraceSink] = False,
+        trace: bool = False,
         entry: str = "main",
     ):
         self._select(trace)

@@ -25,7 +25,7 @@ into instruction fetch addresses.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..cfg.block import BasicBlock, Function, Program
 from ..rtl.arith import eval_binop, eval_unop, wrap32
@@ -42,11 +42,15 @@ from ..rtl.insn import (
     Return,
 )
 from .runtime import ProgramExit, call_builtin, is_builtin
-from .trace import TraceSink, make_sink
+from .trace import RleTraceSink
 
 __all__ = ["Interpreter", "MachineState", "ExecutionResult", "StepLimitExceeded"]
 
 _REG_BANK_SIZES = {"d": 16, "a": 16, "r": 32, "arg": 16, "rv": 2, "cc": 2}
+
+#: Bytes of the flat memory of one run: guard page, globals, heap, and
+#: the top megabyte for the stack.
+MEM_SIZE = 1 << 22
 
 
 class StepLimitExceeded(RuntimeError):
@@ -87,8 +91,7 @@ class ExecutionResult:
         self.globals_image = b""
         # (function name, block index) -> execution count.
         self.block_counts: Dict[Tuple[str, int], int] = {}
-        # Optional block-level trace: a plain list of global block ids
-        # (``RawListSink``) or a ``CompressedTrace`` (the default sink).
+        # The block-level trace of a traced run: a ``CompressedTrace``.
         self.trace = None
         self.calls_executed = 0
         # Dense per-function count arrays the interpreter increments on
@@ -141,11 +144,9 @@ class Interpreter:
     def __init__(
         self,
         program: Program,
-        mem_size: int = 1 << 22,
         max_steps: int = 200_000_000,
     ) -> None:
         self.program = program
-        self.mem_size = mem_size
         self.max_steps = max_steps
         self.symaddr: Dict[str, int] = {}
         self._globals_end = 64  # a null guard region below the globals
@@ -405,26 +406,24 @@ class Interpreter:
     def run(
         self,
         stdin: bytes = b"",
-        trace: Union[bool, TraceSink] = False,
+        trace: bool = False,
         entry: str = "main",
     ) -> ExecutionResult:
         """Execute the program from ``entry``; return the results.
 
-        ``trace=True`` records the block-level trace through the default
-        compressing sink (``result.trace`` is a ``CompressedTrace``);
-        pass a :class:`~repro.ease.trace.TraceSink` instance — e.g. a
-        ``RawListSink`` — to choose the representation explicitly.
+        ``trace=True`` records the block-level trace (``result.trace``
+        is a :class:`~repro.ease.trace.CompressedTrace`).
         """
         if entry not in self._functions:
             raise KeyError(f"no function named {entry!r}")
-        state = MachineState(self.mem_size, stdin, self._bank_sizes)
+        state = MachineState(MEM_SIZE, stdin, self._bank_sizes)
         self._install_globals(state)
         state.heap_ptr = (self._globals_end + 15) & ~15
-        state.stack_limit = self.mem_size - (1 << 20)
-        entry_frame = self.mem_size - self._functions[entry].frame_size - 64
+        state.stack_limit = MEM_SIZE - (1 << 20)
+        entry_frame = MEM_SIZE - self._functions[entry].frame_size - 64
 
         result = ExecutionResult()
-        sink = make_sink(trace)
+        sink = RleTraceSink() if trace else None
         self._sink = sink
         self._steps_left = self.max_steps
         try:
@@ -462,7 +461,7 @@ class Interpreter:
         state.regs["rv"][0] = rv
 
     _current_result: ExecutionResult
-    _sink: Optional[TraceSink] = None
+    _sink: Optional[RleTraceSink] = None
 
     def _run_function(
         self,

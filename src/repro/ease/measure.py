@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from itertools import islice
 from operator import eq
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from ..cfg.block import Program
 from ..obs import active as _active_observer
@@ -30,7 +30,7 @@ from ..targets.machine import Machine
 from .compile import make_interpreter
 from .interp import Interpreter
 from .measurement import Measurement
-from .trace import CompressedTrace, TraceSink
+from .trace import CompressedTrace
 
 __all__ = ["Measurement", "measure_program"]
 
@@ -39,23 +39,18 @@ def _is_transfer_for_stats(insn: Insn) -> bool:
     return isinstance(insn, (Jump, CondBranch, Return, IndirectJump, Call))
 
 
-def _taken_transfers(
-    trace: Union[CompressedTrace, List[int]], successor: Dict[int, int]
-) -> int:
+def _taken_transfers(trace: CompressedTrace, successor: Dict[int, int]) -> int:
     """Transfers in ``trace`` to a block other than the positional
     successor, plus the final return (the pipeline model's penalty).
 
     Walks the compressed records: each distinct body's fall-throughs
     are counted once, then charged per lap.
     """
-    if not trace:
-        return 0
-    records = trace.records() if isinstance(trace, CompressedTrace) else [(trace, 1)]
     follows = successor.get
     bodies: Dict[int, Tuple[int, int, int, bool]] = {}
     falls = 0
     last = None
-    for body, count in records:
+    for body, count in trace.records():
         summary = bodies.get(id(body))
         if summary is None:
             inner = sum(map(eq, map(follows, body), islice(body, 1, None)))
@@ -71,15 +66,15 @@ def measure_program(
     program: Program,
     target: Machine,
     stdin: bytes = b"",
-    trace: Union[bool, TraceSink] = False,
+    trace: bool = False,
     interpreter: Optional[Interpreter] = None,
     max_steps: int = 200_000_000,
 ) -> Measurement:
     """Run ``program`` and measure it with the target's size/count model.
 
-    ``trace`` follows :meth:`repro.ease.interp.Interpreter.run`:
-    ``True`` records through the default compressing sink; pass a
-    :class:`~repro.ease.trace.TraceSink` to pick the representation.
+    ``trace=True`` records the block trace (``Measurement.trace``, a
+    :class:`~repro.ease.trace.CompressedTrace`) and counts its taken
+    transfers.
 
     Runs on the compiled engine unless an ``interpreter`` is passed in
     (the closure :class:`~repro.ease.interp.Interpreter`, for instance).
@@ -143,12 +138,7 @@ def measure_program(
     measurement.exit_code = result.exit_code
     if trace:
         measurement.trace = result.trace
-        if isinstance(result.trace, CompressedTrace):
-            obs.metrics.inc("trace.rle.records", result.trace.record_count)
-            obs.metrics.set_gauge(
-                "trace.compression_ratio",
-                round(result.trace.compression_ratio, 2),
-            )
+        obs.metrics.inc("trace.rle.records", result.trace.record_count)
 
     with obs.span("ease.account"):
         for (func_name, block_index), count in result.block_counts.items():

@@ -34,8 +34,8 @@ class Measurement:
         # Per-global-block-id instruction fetch addresses (one entry per
         # machine instruction fetched when the block executes).
         self.block_fetches: Dict[int, List[int]] = {}
-        # Block-level trace: ``CompressedTrace`` by default (iterates as
-        # raw global block ids), a plain list under a ``RawListSink``.
+        # The block-level trace of a traced run: a ``CompressedTrace``
+        # of global block ids.
         self.trace = None
 
     @property

@@ -1,25 +1,20 @@
-"""Streaming block-trace layer: sinks and the RLE/loop-compressed trace.
+"""Streaming block-trace layer: the RLE/loop-compressed trace.
 
 The interpreter used to materialize every executed block id into one
 Python ``List[int]`` — millions of pointer-sized entries on the longer
 benchmarks, replayed four separate times by the Table-6 cache sweep.
-This module replaces that with an online sink protocol:
+A traced run instead feeds each id to an :class:`RleTraceSink`, which
+compresses the stream *while it is produced*: literal stretches are
+buffered into chunked ``array('i')`` segments (4-byte entries instead of
+8-byte pointers), and hot-loop bodies — repeated block *sequences*,
+detected online via a last-occurrence digram table — are folded into
+``(body, repeat_count)`` run records.
 
-* :class:`RawListSink` keeps the old behaviour (a plain list of global
-  block ids) for tests and for consumers that genuinely need random
-  access;
-* :class:`RleTraceSink` compresses the stream *while it is produced*:
-  literal stretches are buffered into chunked ``array('i')`` segments
-  (4-byte entries instead of 8-byte pointers), and hot-loop bodies —
-  repeated block *sequences*, detected online via a last-occurrence
-  digram table — are folded into ``(body, repeat_count)`` run records.
-
-The result, a :class:`CompressedTrace`, behaves like the old list where
-it matters (iteration yields raw block ids in order; ``len``/``==``
-match), but exposes :meth:`CompressedTrace.records` so downstream
-consumers — the single-pass multi-configuration cache engine, most
-importantly — can walk compressed records and fast-forward steady-state
-loops instead of touching every executed block.
+The result, a :class:`CompressedTrace`, is the one trace form: its
+consumers — the single-pass multi-configuration cache engine and the
+taken-transfer count — walk :meth:`CompressedTrace.records` and
+fast-forward steady-state loops instead of touching every executed
+block.
 
 Compression is loss-free by construction: a run record is only created
 after the candidate body has been verified element-by-element against
@@ -31,11 +26,9 @@ from __future__ import annotations
 
 import sys
 from array import array
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "TraceSink",
-    "RawListSink",
     "RleTraceSink",
     "CompressedTrace",
     "TraceRecord",
@@ -55,44 +48,11 @@ LITERAL_CHUNK = 4096
 TraceRecord = Tuple[Sequence[int], int]
 
 
-class TraceSink:
-    """Protocol for consumers of the interpreter's block-id stream.
-
-    ``emit`` is called once per executed basic block (the hot path —
-    implementations should keep it cheap); ``finish`` is called once at
-    the end of the run and returns the trace object stored on
-    ``ExecutionResult.trace``.
-    """
-
-    __slots__ = ()
-
-    def emit(self, block_id: int) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def finish(self):  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class RawListSink(TraceSink):
-    """The compatibility sink: a plain ``List[int]`` of global block ids."""
-
-    __slots__ = ("trace", "emit")
-
-    def __init__(self) -> None:
-        self.trace: List[int] = []
-        self.emit = self.trace.append  # bound method: zero-overhead emit
-
-    def finish(self) -> List[int]:
-        return self.trace
-
-
 class CompressedTrace:
     """An RLE/loop-compressed block trace.
 
-    Iterating yields the raw block ids in execution order, so existing
-    consumers (the reference cache simulators) work unchanged;
-    :meth:`records` exposes the compressed form for the cache engine and
-    the taken-transfer count, which exploit it.
+    :meth:`records` yields it as ``(body, count)`` records in execution
+    order; ``len`` is the raw number of executed blocks.
 
     Storage is packed: bodies (loop-body tuples and literal ``array('i')``
     segments) are *interned* — each distinct sequence is stored once, no
@@ -168,43 +128,8 @@ class CompressedTrace:
             total += sys.getsizeof(body)
         return total
 
-    # --- raw-list compatibility ------------------------------------------------
-
-    def __iter__(self) -> Iterator[int]:
-        for body, count in self.records():
-            if count == 1:
-                yield from body
-            else:
-                for _ in range(count):
-                    yield from body
-
     def __len__(self) -> int:
         return self._raw_length
-
-    def __bool__(self) -> bool:
-        return self._raw_length > 0
-
-    def to_list(self) -> List[int]:
-        return list(self)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, CompressedTrace):
-            if other._raw_length != self._raw_length:
-                return False
-            other = other.to_list()
-        if isinstance(other, (list, tuple)):
-            if len(other) != self._raw_length:
-                return False
-            index = 0
-            for block_id in self:
-                if other[index] != block_id:
-                    return False
-                index += 1
-            return True
-        return NotImplemented
-
-    def __hash__(self) -> None:  # type: ignore[override]
-        raise TypeError("CompressedTrace is unhashable (compares like a list)")
 
     def __repr__(self) -> str:
         return (
@@ -224,12 +149,12 @@ class CompressedTrace:
         self._bodies, self._seq, self._counts, self._raw_length = state
 
 
-class RleTraceSink(TraceSink):
+class RleTraceSink:
     """Online loop-compressing sink.
 
     Literal ids accumulate in a bounded ``array('i')`` buffer.  For each
     id the sink remembers where in the buffer it last occurred; when the
-    id recurs at distance ``d <= max_body`` and the last ``d`` buffered
+    id recurs at distance ``d <=`` :data:`MAX_LOOP_BODY` and the last ``d`` buffered
     ids equal the ``d`` before them, those ``2d`` entries fold into an
     active run ``(body, count=2)``.  While a run is active each incoming
     id is matched against the body cursor — one compare per block — and
@@ -238,8 +163,6 @@ class RleTraceSink(TraceSink):
     """
 
     __slots__ = (
-        "_max_body",
-        "_chunk_size",
         "_bodies",
         "_body_index",
         "_seq",
@@ -253,17 +176,7 @@ class RleTraceSink(TraceSink):
         "_finished",
     )
 
-    def __init__(
-        self,
-        max_body: int = MAX_LOOP_BODY,
-        chunk_size: int = LITERAL_CHUNK,
-    ) -> None:
-        if max_body < 1:
-            raise ValueError("max_body must be at least 1")
-        if chunk_size < 2:
-            raise ValueError("chunk_size must be at least 2")
-        self._max_body = max_body
-        self._chunk_size = chunk_size
+    def __init__(self) -> None:
         # Packed record storage (see CompressedTrace): interned bodies
         # plus the signed token stream and run-count array.
         self._bodies: List[Sequence[int]] = []
@@ -306,7 +219,7 @@ class RleTraceSink(TraceSink):
         if previous is not None:
             distance = position - previous
             if (
-                distance <= self._max_body
+                distance <= MAX_LOOP_BODY
                 and position + 1 >= 2 * distance
                 # One-element precheck: the candidate's final interior
                 # pair must match before paying for the slice compare.
@@ -324,7 +237,7 @@ class RleTraceSink(TraceSink):
                 self._run_count = 2
                 self._run_pos = 0
                 return
-        if position + 1 >= self._chunk_size:
+        if position + 1 >= LITERAL_CHUNK:
             self._flush_pending()
 
     # --- record management -----------------------------------------------------
@@ -400,15 +313,3 @@ class RleTraceSink(TraceSink):
             )
         return self._finished
 
-
-def make_sink(trace: Union[bool, TraceSink, None]) -> Optional[TraceSink]:
-    """Normalize the ``trace=`` argument of ``Interpreter.run``.
-
-    ``False``/``None`` disables tracing, ``True`` selects the default
-    compressing sink, and a :class:`TraceSink` instance is used as-is.
-    """
-    if trace is None or trace is False:
-        return None
-    if trace is True:
-        return RleTraceSink()
-    return trace

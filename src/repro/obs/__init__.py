@@ -3,7 +3,7 @@
 The unified observability subsystem (zero external dependencies):
 
 * :mod:`repro.obs.tracer` — nested spans with monotonic timing;
-* :mod:`repro.obs.metrics` — counters, gauges, fixed-bucket histograms,
+* :mod:`repro.obs.metrics` — counters and fixed-bucket histograms,
   mergeable across worker processes;
 * :mod:`repro.obs.decisions` — one structured event per candidate jump
   the replication engine examined (accept / reject / rollback + reason);

@@ -1,13 +1,12 @@
-"""The metrics registry: counters, gauges and fixed-bucket histograms.
+"""The metrics registry: counters and fixed-bucket histograms.
 
 Metrics are named by dotted strings (``"exec.cache.hits"``,
 ``"replication.sequence_rtls"``).  The registry is deliberately plain —
 dicts of numbers — so a snapshot crosses process boundaries beside the
 results of the parallel execution layer and merges associatively on the
-way back:
-
-* counters and histograms add;
-* gauges keep the latest value (last merge wins).
+way back: counters and histograms add.  (A snapshot written before
+gauges were retired may still carry a ``"gauges"`` key; merging and
+rendering ignore it.)
 
 Histograms use fixed bucket upper bounds (Prometheus-style cumulative
 counts are *not* used; each bucket counts observations within its own
@@ -28,11 +27,10 @@ DEFAULT_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 
 class MetricsRegistry:
-    """A process-local bag of counters, gauges and histograms."""
+    """A process-local bag of counters and histograms."""
 
     def __init__(self) -> None:
         self.counters: Dict[str, float] = {}
-        self.gauges: Dict[str, float] = {}
         #: name -> {"buckets": [bounds...], "counts": [len(bounds)+1 slots],
         #:          "sum": float, "count": int}
         self.histograms: Dict[str, dict] = {}
@@ -42,10 +40,6 @@ class MetricsRegistry:
     def inc(self, name: str, amount: float = 1) -> None:
         """Add ``amount`` to counter ``name`` (created at zero)."""
         self.counters[name] = self.counters.get(name, 0) + amount
-
-    def set_gauge(self, name: str, value: float) -> None:
-        """Set gauge ``name`` to ``value``."""
-        self.gauges[name] = value
 
     def observe(
         self,
@@ -78,7 +72,6 @@ class MetricsRegistry:
         """A deep plain-data copy, safe to pickle/JSON and to mutate."""
         return {
             "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
             "histograms": {
                 name: {
                     "buckets": list(h["buckets"]),
@@ -96,8 +89,6 @@ class MetricsRegistry:
             return
         for name, value in (snap.get("counters") or {}).items():
             self.inc(name, value)
-        for name, value in (snap.get("gauges") or {}).items():
-            self.set_gauge(name, value)
         for name, other in (snap.get("histograms") or {}).items():
             mine = self.histograms.get(name)
             if mine is None:
@@ -120,4 +111,4 @@ class MetricsRegistry:
             mine["count"] += other["count"]
 
     def is_empty(self) -> bool:
-        return not (self.counters or self.gauges or self.histograms)
+        return not (self.counters or self.histograms)

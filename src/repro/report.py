@@ -142,16 +142,12 @@ def format_span_tree(roots: Sequence[dict], max_depth: int = 6) -> str:
 
 
 def format_metrics(snapshot: Mapping[str, dict]) -> str:
-    """Render a metrics-registry snapshot: counters, gauges, histograms."""
+    """Render a metrics-registry snapshot: counters and histograms."""
     sections: List[str] = []
     counters = snapshot.get("counters") or {}
     if counters:
         rows = [[name, counters[name]] for name in sorted(counters)]
         sections.append(format_table(["counter", "value"], rows))
-    gauges = snapshot.get("gauges") or {}
-    if gauges:
-        rows = [[name, gauges[name]] for name in sorted(gauges)]
-        sections.append(format_table(["gauge", "value"], rows))
     histograms = snapshot.get("histograms") or {}
     if histograms:
         rows = []

@@ -8,18 +8,27 @@ the way §5.3 of the paper describes the simulation:
 configurations and fast-forwards steady-state loops; the parity suite
 (``test_engine_parity.py``) checks they agree byte for byte.  They live
 beside the tests that use them, outside the installed package, because
-nothing else calls them.
+nothing else calls them.  A trace is a run's ``CompressedTrace``,
+replayed expanded, or a plain list of block ids.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Union
 
 from repro.cache import CacheConfig, CacheResult
+from repro.ease.trace import CompressedTrace
+from tests.traces import expand
+
+Trace = Union[CompressedTrace, Sequence[int]]
+
+
+def _block_ids(trace: Trace) -> Sequence[int]:
+    return expand(trace) if isinstance(trace, CompressedTrace) else trace
 
 
 def simulate_cache(
-    trace: Sequence[int],
+    trace: Trace,
     block_fetches: Dict[int, List[int]],
     config: CacheConfig,
     context_switches: bool = False,
@@ -56,7 +65,7 @@ def simulate_cache(
     interval = config.context_switch_interval
     next_flush = interval if context_switches else None
 
-    for block_id in trace:
+    for block_id in _block_ids(trace):
         for line in block_lines.get(block_id, no_fetches):
             accesses += 1
             slot = line & index_mask
@@ -74,7 +83,7 @@ def simulate_cache(
 
 
 def simulate_associative_cache(
-    trace: Sequence[int],
+    trace: Trace,
     block_fetches: Dict[int, List[int]],
     config: CacheConfig,
     context_switches: bool = False,
@@ -105,7 +114,7 @@ def simulate_associative_cache(
     interval = config.context_switch_interval
     next_flush = interval if context_switches else None
 
-    for block_id in trace:
+    for block_id in _block_ids(trace):
         for line in block_lines.get(block_id, no_fetches):
             accesses += 1
             bucket = sets[line & index_mask]

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cache import CacheConfig, simulate_multi_cache
 from tests.cache.reference_cache import simulate_associative_cache, simulate_cache
 from tests.cache.test_direct_mapped import traces
+from tests.traces import compress
 
 
 def run(addresses, size=64, ways=2, ctx=False, interval=10_000):
@@ -14,7 +15,7 @@ def run(addresses, size=64, ways=2, ctx=False, interval=10_000):
         size=size, associativity=ways, context_switch_interval=interval
     )
     [result] = simulate_multi_cache(
-        [0], {0: list(addresses)}, [config], context_switches=ctx
+        compress([0]), {0: list(addresses)}, [config], context_switches=ctx
     )
     return result
 
@@ -79,7 +80,7 @@ class TestProperties:
         # associative LRU cache of *unbounded* size only cold-misses.
         trace, fetches = data
         [big] = simulate_multi_cache(
-            trace, fetches, [CacheConfig(size=1 << 15, associativity=1 << 11)]
+            compress(trace), fetches, [CacheConfig(size=1 << 15, associativity=1 << 11)]
         )
         distinct = {a >> 4 for b in trace for a in fetches[b]}
         assert big.misses == len(distinct)
@@ -89,6 +90,6 @@ class TestProperties:
     def test_cost_identity(self, data):
         trace, fetches = data
         [result] = simulate_multi_cache(
-            trace, fetches, [CacheConfig(size=128, associativity=2)]
+            compress(trace), fetches, [CacheConfig(size=128, associativity=2)]
         )
         assert result.fetch_cost == result.hits + 10 * result.misses

@@ -18,8 +18,12 @@ _SRC = str(Path(__file__).resolve().parents[2] / "src")
 # shifts, interleaved, so the de-duplicated iteration order is exercised.
 _SCRIPT = """
 from repro.cache import CacheConfig, simulate_multi_cache
+from repro.ease.trace import RleTraceSink
 
-trace = ([0, 1, 2, 1] * 50 + [3, 4]) * 3
+sink = RleTraceSink()
+for block_id in ([0, 1, 2, 1] * 50 + [3, 4]) * 3:
+    sink.emit(block_id)
+trace = sink.finish()
 fetches = {i: [i * 64 + j * 4 for j in range(5)] for i in range(5)}
 configs = [
     CacheConfig(size=256, line_size=16),

@@ -2,20 +2,21 @@
 
 from repro.cache import PAPER_CACHE_SIZES, CacheConfig, simulate_multi_cache
 from tests.cache.reference_cache import simulate_cache
+from tests.traces import compress
 
 PAPER_CONFIGS = [CacheConfig(size) for size in PAPER_CACHE_SIZES]
 
 
 class TestPaperConfigurations:
     def test_all_four_sizes(self):
-        trace = [0] * 5
+        trace = compress([0] * 5)
         fetches = {0: [0, 16, 32, 48]}
         results = simulate_multi_cache(trace, fetches, PAPER_CONFIGS)
         assert len(results) == len(PAPER_CACHE_SIZES)
         assert all(result.accesses == 20 for result in results)
 
     def test_matches_individual_runs(self):
-        trace = [0, 0, 0]
+        trace = compress([0, 0, 0])
         fetches = {0: [0, 1024, 2048, 16]}
         sweep = simulate_multi_cache(trace, fetches, PAPER_CONFIGS)
         for config, result in zip(PAPER_CONFIGS, sweep):
@@ -24,7 +25,7 @@ class TestPaperConfigurations:
             assert result.fetch_cost == single.fetch_cost
 
     def test_context_switch_variant(self):
-        trace = [0] * 2000
+        trace = compress([0] * 2000)
         fetches = {0: [0, 16]}
         plain = simulate_multi_cache(trace, fetches, PAPER_CONFIGS, False)
         flushed = simulate_multi_cache(trace, fetches, PAPER_CONFIGS, True)

@@ -48,7 +48,7 @@ def observe(interp, stdin=b"", trace=True):
         "globals_image": result.globals_image,
         "block_counts": dict(result.block_counts),
         "calls_executed": result.calls_executed,
-        "trace": result.trace if trace else None,
+        "trace": list(result.trace.records()) if trace else None,
     }
 
 
@@ -61,8 +61,8 @@ def assert_engine_parity(program, stdin=b"", max_steps=200_000_000):
     for field in ("output", "exit_code", "globals_image", "calls_executed"):
         assert got[field] == want[field], field
     assert got["block_counts"] == want["block_counts"]
-    # CompressedTrace equality is record-exact: the compiled engine must
-    # feed the RLE sink the *same stream*, not a rearrangement of it.
+    # Record by record: the compiled engine must feed the RLE sink the
+    # *same stream*, not a rearrangement of it.
     assert got["trace"] == want["trace"]
     return compiled
 

@@ -6,6 +6,7 @@ from repro.cfg import Program
 from repro.ease import Interpreter, StepLimitExceeded
 from repro.cfg.block import GlobalData
 from tests.conftest import function_from_text
+from tests.traces import expand
 
 
 def program_with(main_text, globals_=(), extra_funcs=()):
@@ -271,4 +272,4 @@ class TestTrace:
         entry = interp.global_block_id("main", 0)
         loop = interp.global_block_id("main", 1)
         exit_ = interp.global_block_id("main", 2)
-        assert result.trace == [entry, loop, loop, loop, exit_]
+        assert expand(result.trace) == [entry, loop, loop, loop, exit_]

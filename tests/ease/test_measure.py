@@ -4,6 +4,7 @@ from repro.ease import Interpreter, measure_program
 from repro.frontend import compile_c
 from repro.opt import OptimizationConfig, optimize_program
 from repro.targets import get_target
+from tests.traces import expand
 
 SOURCE = """
 int main() {
@@ -67,7 +68,7 @@ class TestLayoutAndTrace:
     def test_block_fetches_cover_all_blocks(self):
         m = measured(trace=True)
         assert m.trace is not None
-        for block_id in set(m.trace):
+        for block_id in set(expand(m.trace)):
             assert block_id in m.block_fetches
 
     def test_fetch_addresses_are_increasing_within_block(self):
@@ -77,7 +78,7 @@ class TestLayoutAndTrace:
 
     def test_trace_expands_to_dynamic_count(self):
         m = measured(trace=True)
-        total_fetches = sum(len(m.block_fetches[b]) for b in m.trace)
+        total_fetches = sum(len(m.block_fetches[b]) for b in expand(m.trace))
         assert total_fetches == m.dynamic_insns
 
     def test_insns_between_branches(self):

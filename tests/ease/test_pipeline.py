@@ -9,11 +9,11 @@ positional successor (the final return counts too).  A traced
 import pytest
 
 from repro.ease import make_interpreter, measure_program
-from repro.ease.trace import RawListSink, RleTraceSink
 from repro.frontend import compile_c
 from repro.opt import OptimizationConfig, optimize_program
 from repro.targets import get_target
 from repro.verify.fuzz import generate_program
+from tests.traces import expand, limits
 
 LOOP_SOURCE = """
 int main() {
@@ -34,15 +34,16 @@ def measured(replication, source=LOOP_SOURCE, trace=True):
 
 
 def pairwise_taken(program, interpreter, trace):
-    """Brute force: every adjacent pair of the raw trace, one at a time."""
+    """Brute force: every adjacent pair of the expanded trace, one at a time."""
     successor = {}
     for name, func in program.functions.items():
         for index in range(len(func.blocks) - 1):
             successor[interpreter.global_block_id(name, index)] = (
                 interpreter.global_block_id(name, index + 1)
             )
-    falls = sum(successor.get(a) == b for a, b in zip(trace, trace[1:]))
-    return len(trace) - falls
+    ids = expand(trace)
+    falls = sum(successor.get(a) == b for a, b in zip(ids, ids[1:]))
+    return len(ids) - falls
 
 
 class TestPipelineModel:
@@ -71,12 +72,13 @@ class TestPipelineModel:
         target = get_target("sparc")
         optimize_program(program, target, OptimizationConfig(replication=replication))
         interpreter = make_interpreter(program)
-        raw = measure_program(program, target, trace=RawListSink(), interpreter=interpreter)
-        expected = pairwise_taken(program, interpreter, raw.trace)
-        assert raw.taken_transfers == expected
+        plain = measure_program(program, target, trace=True, interpreter=interpreter)
+        expected = pairwise_taken(program, interpreter, plain.trace)
+        assert plain.taken_transfers == expected
         # Tiny literal chunks and loop bodies put many record boundaries
         # and folded laps in the way of the compressed count.
-        for sink in (True, RleTraceSink(max_body=3, chunk_size=2)):
-            compressed = measure_program(program, target, trace=sink, interpreter=interpreter)
-            assert compressed.trace == raw.trace
-            assert compressed.taken_transfers == expected
+        with limits(max_body=3, chunk_size=2):
+            chopped = measure_program(program, target, trace=True, interpreter=interpreter)
+        assert all(len(body) <= 3 for body, _ in chopped.trace.records())
+        assert expand(chopped.trace) == expand(plain.trace)
+        assert chopped.taken_transfers == expected

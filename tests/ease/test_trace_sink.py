@@ -1,47 +1,37 @@
-"""Trace-layer tests: RLE round-trip, chunk/flush edges, sink protocol."""
+"""Trace-layer tests: RLE round-trip, chunk/flush edges, the traced run."""
 
 import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.ease.interp as interp_module
 from repro.benchsuite.programs import PROGRAMS
-from repro.ease import Interpreter, measure_program
-from repro.ease.trace import (
-    CompressedTrace,
-    RawListSink,
-    RleTraceSink,
-    make_sink,
-)
+from repro.ease import Interpreter
+from repro.ease.trace import CompressedTrace, RleTraceSink
 from repro.frontend import compile_c
 from repro.opt import OptimizationConfig, optimize_program
 from repro.targets import get_target
-
-
-def compress(ids, **kwargs):
-    sink = RleTraceSink(**kwargs)
-    for block_id in ids:
-        sink.emit(block_id)
-    return sink.finish()
+from tests.traces import compress, expand, limits
 
 
 class TestRoundTrip:
     def test_empty(self):
         trace = compress([])
-        assert trace.to_list() == []
+        assert expand(trace) == []
         assert len(trace) == 0
-        assert not trace
+        assert trace.record_count == 0
 
     def test_plain_literals(self):
         ids = [1, 2, 3, 4, 5]
         trace = compress(ids)
-        assert trace.to_list() == ids
-        assert trace == ids
+        assert expand(trace) == ids
+        assert len(trace) == len(ids)
 
     def test_simple_loop_folds(self):
         ids = [7, 8, 9] * 500
         trace = compress(ids)
-        assert trace.to_list() == ids
+        assert expand(trace) == ids
         assert trace.run_records >= 1
         assert trace.compression_ratio > 100
 
@@ -49,26 +39,28 @@ class TestRoundTrip:
         # The run ends mid-body: the matched prefix must re-surface.
         ids = [1, 2, 3] * 10 + [1, 2, 99]
         trace = compress(ids)
-        assert trace.to_list() == ids
+        assert expand(trace) == ids
 
     def test_nested_repetition_in_prefix(self):
         # Sealing a run re-buffers its prefix; a repetition inside the
         # prefix may itself start a run.  Expansion must survive both.
         ids = ([5, 5, 6] * 8) + [5, 5, 99] + [4] * 20
         trace = compress(ids)
-        assert trace.to_list() == ids
+        assert expand(trace) == ids
 
     def test_single_block_loop(self):
         ids = [3] * 1000
         trace = compress(ids)
-        assert trace.to_list() == ids
+        assert expand(trace) == ids
         assert trace.record_count <= 2
 
     def test_body_longer_than_max_not_folded(self):
         body = list(range(10))
         ids = body * 6
-        trace = compress(ids, max_body=4)
-        assert trace.to_list() == ids
+        with limits(max_body=4):
+            trace = compress(ids)
+        assert expand(trace) == ids
+        assert trace.run_records == 0
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -77,24 +69,26 @@ class TestRoundTrip:
         st.sampled_from([2, 3, 17, 4096]),
     )
     def test_fuzzed_round_trip(self, ids, max_body, chunk_size):
-        trace = compress(ids, max_body=max_body, chunk_size=chunk_size)
-        assert trace.to_list() == ids
+        with limits(max_body, chunk_size):
+            trace = compress(ids)
+        assert expand(trace) == ids
         assert len(trace) == len(ids)
-        assert trace == ids
 
 
 class TestChunkAndFlushEdges:
     def test_chunk_boundary_splits_literals(self):
         ids = list(range(10))
-        trace = compress(ids, chunk_size=4)
-        assert trace.to_list() == ids
+        with limits(chunk_size=4):
+            trace = compress(ids)
+        assert expand(trace) == ids
         assert trace.record_count >= 2
 
     def test_loop_spanning_chunk_boundary(self):
         # Detection state resets at a chunk seal; correctness must not.
         ids = [1, 2] * 50
         for chunk in (2, 3, 5, 7):
-            assert compress(ids, chunk_size=chunk).to_list() == ids
+            with limits(chunk_size=chunk):
+                assert expand(compress(ids)) == ids
 
     def test_finish_idempotent(self):
         sink = RleTraceSink()
@@ -107,34 +101,17 @@ class TestChunkAndFlushEdges:
     def test_finish_seals_open_run(self):
         ids = [4, 5] * 100  # run still active at finish time
         trace = compress(ids)
-        assert trace.to_list() == ids
-
-    def test_bad_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            RleTraceSink(max_body=0)
-        with pytest.raises(ValueError):
-            RleTraceSink(chunk_size=1)
+        assert expand(trace) == ids
 
 
 class TestCompressedTraceBehaviour:
-    def test_equality_against_lists_and_traces(self):
-        ids = [1, 2, 3, 1, 2, 3]
-        trace = compress(ids)
-        assert trace == ids
-        assert trace == compress(ids)
-        assert not (trace == ids + [9])
-        assert trace != [9] * 6
-
-    def test_unhashable_like_a_list(self):
-        with pytest.raises(TypeError):
-            hash(compress([1, 2]))
-
     def test_pickle_round_trip(self):
         ids = [1, 2, 3] * 40 + [7, 8]
         trace = compress(ids)
         clone = pickle.loads(pickle.dumps(trace))
         assert isinstance(clone, CompressedTrace)
-        assert clone.to_list() == ids
+        assert list(clone.records()) == list(trace.records())
+        assert expand(clone) == ids
         assert clone.record_count == trace.record_count
 
     def test_nbytes_smaller_than_raw_for_loops(self):
@@ -145,45 +122,55 @@ class TestCompressedTraceBehaviour:
         assert trace.nbytes < sys.getsizeof(ids) / 10
 
 
-class TestMakeSink:
-    def test_false_and_none_disable(self):
-        assert make_sink(False) is None
-        assert make_sink(None) is None
+class RecordingSink:
+    """The product sink, with the raw stream it was fed kept beside it."""
 
-    def test_true_selects_compression(self):
-        assert isinstance(make_sink(True), RleTraceSink)
+    def __init__(self):
+        self.sink = RleTraceSink()
+        self.raw = []
 
-    def test_instance_passes_through(self):
-        sink = RawListSink()
-        assert make_sink(sink) is sink
+    def emit(self, block_id):
+        self.raw.append(block_id)
+        self.sink.emit(block_id)
+
+    def finish(self):
+        return self.sink.finish()
 
 
 class TestInterpreterIntegration:
-    def run_both(self, name):
+    def run_traced(self, name, monkeypatch):
+        """A traced run of ``name`` and the raw block stream it emitted."""
         bench = PROGRAMS[name]
         program = compile_c(bench.source)
         target = get_target("sparc")
         optimize_program(program, target, OptimizationConfig(replication="jumps"))
+        sinks = []
+
+        def recording_sink():
+            sinks.append(RecordingSink())
+            return sinks[-1]
+
+        monkeypatch.setattr(interp_module, "RleTraceSink", recording_sink)
         interp = Interpreter(program)
-        raw = interp.run(stdin=bench.stdin, trace=RawListSink())
-        compressed = interp.run(stdin=bench.stdin, trace=True)
-        return raw, compressed
+        result = interp.run(stdin=bench.stdin, trace=True)
+        (sink,) = sinks
+        return interp, result, sink.raw
 
     @pytest.mark.parametrize("name", ["wc", "sieve", "queens"])
-    def test_compressed_equals_raw_sink_output(self, name):
-        raw, compressed = self.run_both(name)
-        assert isinstance(raw.trace, list)
-        assert isinstance(compressed.trace, CompressedTrace)
-        assert compressed.trace.to_list() == raw.trace
-        assert len(compressed.trace) == len(raw.trace)
+    def test_compressed_equals_raw_sink_output(self, name, monkeypatch):
+        interp, result, raw = self.run_traced(name, monkeypatch)
+        assert isinstance(result.trace, CompressedTrace)
+        assert expand(result.trace) == raw
+        assert len(result.trace) == len(raw)
+        # The stream is the executed blocks: it agrees with the counts.
+        counts = {}
+        for block_id in raw:
+            counts[block_id] = counts.get(block_id, 0) + 1
+        assert counts == {
+            interp.global_block_id(*key): count
+            for key, count in result.block_counts.items()
+        }
 
-    def test_loopy_program_compresses(self):
-        _, compressed = self.run_both("sieve")
-        assert compressed.trace.compression_ratio > 5
-
-    def test_measure_program_raw_sink_passthrough(self):
-        program = compile_c("int main() { return 0; }")
-        target = get_target("sparc")
-        optimize_program(program, target, OptimizationConfig())
-        m = measure_program(program, target, trace=RawListSink())
-        assert isinstance(m.trace, list)
+    def test_loopy_program_compresses(self, monkeypatch):
+        _, result, _ = self.run_traced("sieve", monkeypatch)
+        assert result.trace.compression_ratio > 5

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, histograms and their merge law."""
+"""Metrics registry: counters, histograms and their merge law."""
 
 import pytest
 
@@ -11,12 +11,6 @@ class TestInstruments:
         reg.inc("hits")
         reg.inc("hits", 4)
         assert reg.counters["hits"] == 5
-
-    def test_gauges_overwrite(self):
-        reg = MetricsRegistry()
-        reg.set_gauge("workers", 4)
-        reg.set_gauge("workers", 8)
-        assert reg.gauges["workers"] == 8
 
     def test_histogram_bucket_placement(self):
         reg = MetricsRegistry()
@@ -69,14 +63,6 @@ class TestSnapshotAndMerge:
         assert a.histograms["h"]["counts"] == [0, 2, 0]
         assert a.histograms["h"]["count"] == 2
 
-    def test_merge_gauge_last_wins(self):
-        a = MetricsRegistry()
-        a.set_gauge("g", 1)
-        b = MetricsRegistry()
-        b.set_gauge("g", 7)
-        a.merge_snapshot(b.snapshot())
-        assert a.gauges["g"] == 7
-
     def test_merge_into_empty_registry(self):
         a = MetricsRegistry()
         b = MetricsRegistry()
@@ -117,3 +103,8 @@ class TestSnapshotAndMerge:
         a = MetricsRegistry()
         a.merge_snapshot(None)
         assert a.is_empty()
+
+    def test_merge_passes_over_an_old_gauges_key(self):
+        a = MetricsRegistry()
+        a.merge_snapshot({"counters": {"n": 2}, "gauges": {"g": 7}})
+        assert a.snapshot() == {"counters": {"n": 2}, "histograms": {}}

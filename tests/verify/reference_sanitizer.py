@@ -243,10 +243,14 @@ def _insn_faults(
     if not isinstance(insn, _KNOWN_INSNS):
         return ["unknown instruction kind"]
     faults: List[str] = []
-    if isinstance(insn, Assign) and not isinstance(insn.dst, (Reg, Mem)):
-        faults.append(
-            f"assignment destination {insn.dst!r} is neither Reg nor Mem"
-        )
+    if isinstance(insn, Assign):
+        if not isinstance(insn.dst, (Reg, Mem)):
+            faults.append(
+                f"assignment destination {insn.dst!r} is neither Reg nor Mem"
+            )
+        elif isinstance(insn.dst, Mem) and insn.dst.width not in _KNOWN_WIDTHS:
+            # The store's cell: its address is walked with the operands.
+            faults.append(f"bad memory width {insn.dst.width!r}")
     if isinstance(insn, CondBranch) and insn.rel not in RELATIONS:
         faults.append(f"bad branch relation {insn.rel!r}")
     if isinstance(insn, Call):

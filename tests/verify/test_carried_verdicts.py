@@ -99,7 +99,7 @@ class TestFreshCheckMatchesTheReference:
         func.blocks[0].insns[:0] = damaged
         got = sanitize_function(func, program)
         assert got == reference_sanitize(func, program)
-        assert len(got) == 11
+        assert len(got) == 12
 
     def test_definition_carried_round_a_loop(self):
         # v[2] is defined only at the bottom of the loop and read in the

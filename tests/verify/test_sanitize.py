@@ -4,9 +4,9 @@ import pytest
 
 from repro.cfg.graph import compute_flow
 from repro.frontend import compile_c
-from repro.rtl.expr import Const, Reg
+from repro.rtl.expr import Const, Mem, Reg
 from repro.rtl.insn import Assign, CondBranch, Jump
-from repro.verify import SanitizeError, check_sanitized, sanitize_function
+from repro.verify import SanitizeError, Verifier, check_sanitized, sanitize_function
 from tests.conftest import function_from_text
 
 LOOP = """
@@ -112,6 +112,20 @@ class TestRtlViolations:
         assert "Const holds 1.0 (not int)" in "\n".join(
             sanitize_function(func, program)
         )
+
+    def test_store_memory_width(self):
+        # A store's Mem node is its destination, not one of the
+        # expressions it reads: its width is checked there, by both the
+        # from-scratch check and a verifier carrying a clean verdict.
+        program, func = _main()
+        verifier = Verifier("sanitize")
+        verifier.begin(program)
+        verifier.after_pass(func, "clean")
+        func.blocks[0].insns.insert(0, Assign(Mem(Const(64), "Q"), Const(1)))
+        assert "bad memory width 'Q'" in "\n".join(sanitize_function(func, program))
+        with pytest.raises(SanitizeError) as exc:
+            verifier.after_pass(func, "damage")
+        assert any("bad memory width 'Q'" in v for v in exc.value.violations)
 
     def test_unknown_register_bank(self):
         _, func = _main()
