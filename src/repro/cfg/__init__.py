@@ -2,7 +2,7 @@
 
 from .analyses import AnalysisManager, get_analyses
 from .block import BasicBlock, Function, GlobalData, Program
-from .dominators import DominatorTree, compute_dominators, dominates
+from .dominators import DominatorTree, compute_dominators
 from .graph import build_function, compute_flow, reachable_blocks
 from .loops import Loop, LoopInfo, find_loops
 from .reducibility import is_reducible
@@ -17,7 +17,6 @@ __all__ = [
     "Program",
     "DominatorTree",
     "compute_dominators",
-    "dominates",
     "build_function",
     "compute_flow",
     "reachable_blocks",

@@ -51,15 +51,6 @@ class AnalysisManager:
 
     # --- cache plumbing -------------------------------------------------------
 
-    def invalidate(self) -> None:
-        """Force recomputation of every analysis on next use.
-
-        Normally unnecessary — ``compute_flow`` advances the edition for
-        any real structural change — but available for callers that
-        mutate edges behind the graph module's back.
-        """
-        self.func.cfg_edition += 1
-
     def _get(self, kind: str, compute: Callable[[], object]) -> object:
         edition = self.func.cfg_edition
         if edition != self._edition:

@@ -13,7 +13,7 @@ from typing import Dict, Optional
 from .block import BasicBlock, Function
 from .traversal import reverse_postorder
 
-__all__ = ["compute_dominators", "dominates", "DominatorTree"]
+__all__ = ["compute_dominators", "DominatorTree"]
 
 
 class DominatorTree:
@@ -73,17 +73,3 @@ def compute_dominators(func: Function) -> DominatorTree:
                 idom[block] = new_idom
                 changed = True
     return DominatorTree(idom)
-
-
-def dominates(func: Function, a: BasicBlock, b: BasicBlock) -> bool:
-    """Convenience one-shot dominance query.
-
-    .. deprecated:: delegates to the per-function :class:`AnalysisManager`
-       (see :mod:`repro.cfg.analyses`), which caches the dominator tree
-       until the CFG actually changes.  Prefer
-       ``get_analyses(func).dominates(a, b)`` — kept for source
-       compatibility with existing callers.
-    """
-    from .analyses import get_analyses
-
-    return get_analyses(func).dominates(a, b)

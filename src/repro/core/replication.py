@@ -51,6 +51,15 @@ __all__ = [
     "clone_function",
 ]
 
+# The two safety valves.  The convergence guard alone makes every run
+# terminate (see :meth:`CodeReplicator._replace_jump`); these bound a
+# run's growth as backstops only.  :meth:`CodeReplicator.run` reads
+# them as it goes, so patching this module changes the next run.
+#: Replacements one run may make before it stops mid-progress.
+MAX_REPLICATIONS = 2000
+#: Block count at which a run stops growing its function.
+MAX_FUNCTION_BLOCKS = 4000
+
 
 class ReplicationMode(enum.Enum):
     """Which configuration of the paper is being run."""
@@ -75,7 +84,7 @@ class ReplicationStats:
     rollbacks: int = 0
     jumps_kept: int = 0
     #: Times the block-count safety valve ended a run early (the function
-    #: grew to ``max_function_blocks``).  A non-zero count means remaining
+    #: grew to :data:`MAX_FUNCTION_BLOCKS`).  A non-zero count means remaining
     #: jumps are a bounded-growth artifact, not an algorithmic leftover.
     valve_block_trips: int = 0
     #: Times the per-run replication budget ran out while sweeps were
@@ -161,38 +170,22 @@ class CodeReplicator:
         policy: Policy = Policy.SHORTEST,
         max_rtls: Optional[int] = None,
         allow_irreducible: bool = False,
-        max_replications_per_function: int = 2000,
-        max_function_blocks: int = 4000,
         jump_filter: Optional[
             Callable[[Function, BasicBlock, Jump], bool]
         ] = None,
         after_sweep: Callable[[Function, int], None] = _no_sweep_hook,
-        convergence_guard: bool = True,
     ) -> None:
         loops = mode is ReplicationMode.LOOPS
         self.mode = mode
         self.policy = Policy.FAVOR_LOOPS if loops else policy
         self.max_rtls = None if loops else max_rtls
         self.allow_irreducible = allow_irreducible
-        self.max_replications = max_replications_per_function
-        # The primary termination mechanism: refuse to replicate a jump
-        # whose identity — the (origin, origin) label pair the jump stands
-        # for — already appears in its own block's replication ancestry.
-        # Such a jump exists only because an earlier replication of the
-        # *same* identity copied it; replicating it again expands the same
-        # structure inside its own expansion, the non-terminating cascade
-        # of §5.2.  Disabled only by tests pinning the safety valves.
-        self.convergence_guard = convergence_guard
         # Optional predicate deciding whether a particular jump should be
         # replaced at all — the hook used by profile-guided replication.
         self.jump_filter = jump_filter
         # Called as ``after_sweep(func, sweep_number)`` once each sweep
         # finishes — the translation validator sanitizes the CFG here.
         self.after_sweep = after_sweep
-        # A safeguard against pathological cascades on adversarial flow
-        # graphs ("replication ad infinitum", §5.2): stop growing once the
-        # function reaches this many blocks.
-        self.max_function_blocks = max_function_blocks
 
     # ------------------------------------------------------------------ driver
 
@@ -200,11 +193,11 @@ class CodeReplicator:
         """Replace unconditional jumps in ``func``; return statistics."""
         stats = ReplicationStats()
         obs = _active_observer()
-        budget = self.max_replications
+        budget = MAX_REPLICATIONS
         progress = True
         sweep = 0
         while progress and budget > 0:
-            if len(func.blocks) >= self.max_function_blocks:
+            if len(func.blocks) >= MAX_FUNCTION_BLOCKS:
                 stats.valve_block_trips += 1
                 self._record_valve(func, obs, "max_function_blocks")
                 break
@@ -243,7 +236,8 @@ class CodeReplicator:
     @staticmethod
     def _record_valve(func: Function, obs, reason: str) -> None:
         """Count a valve trip, labelled by cause (the two are distinct:
-        ``max_function_blocks`` means the function exploded,
+        ``max_function_blocks`` means the function grew to
+        :data:`MAX_FUNCTION_BLOCKS`,
         ``budget_exhausted`` means the run was cut short mid-progress)."""
         obs.metrics.inc("replication.valve_trips")
         obs.metrics.inc(f"replication.valve_trips.{reason}")
@@ -327,10 +321,10 @@ class CodeReplicator:
         # before — copying it again is the self-similar expansion that
         # never reaches a fixpoint.  Jump identities are drawn from the
         # finite set of original label pairs and every replica's ancestry
-        # strictly grows, so with the guard every run terminates; the
-        # block/budget valves remain as backstops only.
+        # strictly grows, so the guard alone makes every run terminate;
+        # the block/budget valves remain as backstops only.
         identity = (block.origin_label, target.origin_label)
-        if self.convergence_guard and identity in block.replica_ancestry:
+        if identity in block.replica_ancestry:
             jump.no_replicate = True
             stats.jumps_kept += 1
             stats.guard_stops += 1

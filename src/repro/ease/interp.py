@@ -62,11 +62,10 @@ class MachineState:
 
     def __init__(
         self,
-        mem_size: int,
         stdin: bytes,
         bank_sizes: Optional[Dict[str, int]] = None,
     ) -> None:
-        self.mem = bytearray(mem_size)
+        self.mem = bytearray(MEM_SIZE)
         self.regs: Dict[str, List[int]] = {
             bank: [0] * size
             for bank, size in (bank_sizes or _REG_BANK_SIZES).items()
@@ -416,7 +415,7 @@ class Interpreter:
         """
         if entry not in self._functions:
             raise KeyError(f"no function named {entry!r}")
-        state = MachineState(MEM_SIZE, stdin, self._bank_sizes)
+        state = MachineState(stdin, self._bank_sizes)
         self._install_globals(state)
         state.heap_ptr = (self._globals_end + 15) & ~15
         state.stack_limit = MEM_SIZE - (1 << 20)

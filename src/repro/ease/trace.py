@@ -102,11 +102,6 @@ class CompressedTrace:
         return len(self._seq)
 
     @property
-    def run_records(self) -> int:
-        """How many records are folded loop bodies (count > 1)."""
-        return len(self._counts)
-
-    @property
     def compression_ratio(self) -> float:
         """Raw trace length over *stored* elements (interned bodies store
         each distinct sequence once; >= 1.0, higher is better)."""

@@ -82,9 +82,6 @@ class OptimizationConfig:
     #: Fill RISC delay slots at the end (disabled by the profile-guided
     #: extension, which replicates after an instrumented training run).
     fill_delay_slots: bool = True
-    #: The replication engine's §5.2 convergence guard.  Always on in
-    #: production; tests pinning the backstop valves switch it off.
-    convergence_guard: bool = True
 
     def __post_init__(self) -> None:
         if self.replication not in REPLICATIONS:
@@ -153,7 +150,6 @@ def optimize_function(
             max_rtls=config.max_rtls,
             allow_irreducible=allow_irreducible,
             after_sweep=verifier.after_sweep,
-            convergence_guard=config.convergence_guard,
         ).run(func)
         stats.merge(run_stats)
         return run_stats.jumps_replaced > 0

@@ -129,10 +129,7 @@ def _address_regs(func: Function) -> Set[Reg]:
     """Registers that appear inside some memory-address expression."""
     found: Set[Reg] = set()
     for insn in func.insns():
-        exprs = list(insn.used_exprs())
-        if isinstance(insn, Assign) and isinstance(insn.dst, Mem):
-            exprs.append(insn.dst.addr)
-        for expr in exprs:
+        for expr in insn.used_exprs():
             for node in walk(expr):
                 if isinstance(node, Mem):
                     for sub in walk(node.addr):

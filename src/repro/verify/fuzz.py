@@ -231,14 +231,11 @@ def run_campaign(
 
     The campaign stops at the first program that fails verification.
 
-    Campaigns run the unbounded engine by default.  Historically this
-    defaulted to the paper's §6 ``max_rtls=64`` bound because a fuzzed
-    program occasionally handed the JUMPS engine a shape where unbounded
-    replication cascaded to the 4000-block safety valve, costing minutes
-    per program.  The convergence guard
-    (:class:`repro.core.replication.CodeReplicator`) now stops that
-    cascade at its root, so the workaround is gone; pass an explicit
-    ``max_rtls`` to exercise the bounded engine.
+    Campaigns run the unbounded engine by default: the replication
+    engine's convergence guard, always on, stops the §5.2 cascade that
+    some fuzzed shapes start, so every run reaches a fixpoint without
+    the paper's §6 ``max_rtls`` bound.  Pass an explicit ``max_rtls`` to
+    exercise the bounded engine.
     """
     result = CampaignResult()
     for index in range(count):

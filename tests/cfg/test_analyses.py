@@ -4,7 +4,6 @@ from repro.cfg import (
     BasicBlock,
     compute_dominators,
     compute_flow,
-    dominates,
     find_loops,
     get_analyses,
 )
@@ -70,13 +69,6 @@ class TestCaching:
         assert am.dominators() is not dom
         assert not am.loops().loops  # the loop is gone
 
-    def test_explicit_invalidate_forces_recompute(self):
-        func = _loop_func()
-        am = get_analyses(func)
-        loops = am.loops()
-        am.invalidate()
-        assert am.loops() is not loops
-
     def test_clone_gets_a_fresh_manager(self):
         from repro.core import clone_function
 
@@ -125,12 +117,12 @@ class TestConsistencyAndDelegation:
             l.header.label for l in direct_loops.loops
         }
 
-    def test_dominates_helper_delegates_to_the_manager(self):
+    def test_dominates_query_uses_the_cached_tree(self):
         func = _loop_func()
         entry, header = func.blocks[0], func.blocks[1]
         with observing(spans=False) as obs:
-            assert dominates(func, entry, header)
-            assert not dominates(func, header, entry)
+            assert get_analyses(func).dominates(entry, header)
+            assert not get_analyses(func).dominates(header, entry)
         # One miss computed the tree; the second query hit the cache.
         assert obs.metrics.counters["analysis.cache.miss.dominators"] == 1
         assert obs.metrics.counters["analysis.cache.hit.dominators"] >= 1

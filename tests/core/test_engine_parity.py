@@ -29,6 +29,7 @@ from repro.targets import get_target
 from tests.core.floyd_warshall import ShortestPathMatrix
 from repro.verify import check_sanitized
 from tests.core.test_random_cfgs import fuzzed_function, random_functions
+from tests.core.valves import valves
 from tests.integration.test_random_programs import programs
 
 ENGINES = ("lazy", "dense")
@@ -41,25 +42,18 @@ def step1(engine):
     return mock.patch("repro.core.replication.ShortestPaths", ShortestPathMatrix)
 
 
-def _bounded():
-    return CodeReplicator(
-        mode=ReplicationMode.JUMPS,
-        policy=Policy.SHORTEST,
-        max_replications_per_function=60,
-        max_function_blocks=120,
-    )
-
-
 def _assert_engine_ran(obs, engine):
     if engine == "dense":  # the patch took: no Dijkstra ran
         assert "sssp.dijkstra_runs" not in obs.metrics.counters
 
 
-def _run_engine(func, engine, make_replicator=_bounded):
-    """(decision rows, final RTL text) of one bounded JUMPS run."""
+def _run_engine(func, engine, max_rtls=None, replications=60, blocks=120):
+    """(decision rows, final RTL text) of one JUMPS run under small valves."""
     work = clone_function(func)
-    with observing(spans=False) as obs, step1(engine):
-        make_replicator().run(work)
+    with observing(spans=False) as obs, step1(engine), valves(
+        replications, blocks
+    ):
+        CodeReplicator(max_rtls=max_rtls).run(work)
     check_sanitized(work, "jumps")
     _assert_engine_ran(obs, engine)
     return obs.decisions.as_dicts(), format_function(work)
@@ -116,18 +110,9 @@ class TestLargeCFGParity:
     )
     def test_identical_decision_log_and_rtl(self, n_blocks, seed):
         func = fuzzed_function(n_blocks, seed)
-
-        def bounded():
-            return CodeReplicator(
-                mode=ReplicationMode.JUMPS,
-                policy=Policy.SHORTEST,
-                max_replications_per_function=80,
-                max_function_blocks=len(func.blocks) * 2,
-                max_rtls=16,
-            )
-
-        lazy_decisions, lazy_rtl = _run_engine(func, "lazy", bounded)
-        dense_decisions, dense_rtl = _run_engine(func, "dense", bounded)
+        bounded = dict(max_rtls=16, replications=80, blocks=len(func.blocks) * 2)
+        lazy_decisions, lazy_rtl = _run_engine(func, "lazy", **bounded)
+        dense_decisions, dense_rtl = _run_engine(func, "dense", **bounded)
         assert lazy_decisions, "no replication decision was made"
         assert lazy_decisions == dense_decisions
         assert lazy_rtl == dense_rtl

@@ -22,12 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cfg import Program, compute_flow, is_reducible
 from repro.cfg.block import BasicBlock, Function
-from repro.core import (
-    CodeReplicator,
-    Policy,
-    ReplicationMode,
-    clone_function,
-)
+from repro.core import CodeReplicator, ReplicationMode, clone_function
 from repro.ease import Interpreter
 from repro.rtl import (
     Assign,
@@ -40,6 +35,7 @@ from repro.rtl import (
     Return,
 )
 from repro.verify import check_sanitized
+from tests.core.valves import valves
 
 FUEL = Reg("d", 6)
 ACC = Reg("d", 0)
@@ -138,13 +134,9 @@ def fuzzed_function(n_blocks: int, seed: int) -> Function:
 
 
 def bounded_jumps(func: Function) -> None:
-    """JUMPS with small budgets: adversarial graphs can cascade."""
-    CodeReplicator(
-        mode=ReplicationMode.JUMPS,
-        policy=Policy.SHORTEST,
-        max_replications_per_function=60,
-        max_function_blocks=120,
-    ).run(func)
+    """JUMPS with small valves: adversarial graphs can cascade."""
+    with valves(replications=60, blocks=120):
+        CodeReplicator().run(func)
 
 
 def run(func: Function) -> int:

@@ -12,6 +12,7 @@ from repro.core import (
 from repro.rtl import Jump
 from repro.verify import check_sanitized
 from tests.conftest import function_from_text
+from tests.core.valves import valves
 
 
 MID_EXIT_LOOP = """
@@ -207,12 +208,13 @@ class TestJumps:
         assert stats_returns.rtls_replicated > stats_loops.rtls_replicated
 
     def test_replication_count_capped(self):
-        replicator = CodeReplicator(max_replications_per_function=1)
+        replicator = CodeReplicator()
         func = function_from_text("f", IF_THEN_ELSE)
         func2 = function_from_text("g", MID_EXIT_LOOP)
-        stats = replicator.run(func)
+        with valves(replications=1):
+            stats = replicator.run(func)
+            stats2 = replicator.run(func2)
         assert stats.jumps_replaced <= 1
-        stats2 = replicator.run(func2)
         assert stats2.jumps_replaced <= 1
 
 

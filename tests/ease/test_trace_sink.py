@@ -12,7 +12,7 @@ from repro.ease.trace import CompressedTrace, RleTraceSink
 from repro.frontend import compile_c
 from repro.opt import OptimizationConfig, optimize_program
 from repro.targets import get_target
-from tests.traces import compress, expand, limits
+from tests.traces import compress, expand, folded, limits
 
 
 class TestRoundTrip:
@@ -32,7 +32,7 @@ class TestRoundTrip:
         ids = [7, 8, 9] * 500
         trace = compress(ids)
         assert expand(trace) == ids
-        assert trace.run_records >= 1
+        assert folded(trace) >= 1
         assert trace.compression_ratio > 100
 
     def test_partial_final_lap(self):
@@ -60,7 +60,7 @@ class TestRoundTrip:
         with limits(max_body=4):
             trace = compress(ids)
         assert expand(trace) == ids
-        assert trace.run_records == 0
+        assert folded(trace) == 0
 
     @settings(max_examples=200, deadline=None)
     @given(

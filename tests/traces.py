@@ -3,9 +3,10 @@
 A traced run yields a :class:`~repro.ease.trace.CompressedTrace` and
 nothing else; tests that think in raw block ids build one with
 :func:`compress` (through the product sink, so every record shape the
-product makes can appear) and read one back with :func:`expand`; :func:`limits` shortens the
-sink's loop-body bound and literal chunk, so short traces break into
-many records.
+product makes can appear) and read one back with :func:`expand`;
+:func:`folded` counts its folded loop records; :func:`limits` shortens
+the sink's loop-body bound and literal chunk, so short traces break
+into many records.
 """
 
 from typing import Iterable, List
@@ -31,6 +32,11 @@ def expand(trace: CompressedTrace) -> List[int]:
         for _ in range(count)
         for block_id in body
     ]
+
+
+def folded(trace: CompressedTrace) -> int:
+    """How many records of ``trace`` are folded loop bodies (count > 1)."""
+    return sum(1 for _, count in trace.records() if count > 1)
 
 
 def limits(
