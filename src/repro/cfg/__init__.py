@@ -6,7 +6,7 @@ from .dominators import DominatorTree, compute_dominators
 from .graph import build_function, compute_flow, reachable_blocks
 from .loops import Loop, LoopInfo, find_loops
 from .reducibility import is_reducible
-from .traversal import dfs_preorder, postorder, reverse_postorder
+from .traversal import postorder, reverse_postorder
 
 __all__ = [
     "AnalysisManager",
@@ -24,7 +24,6 @@ __all__ = [
     "LoopInfo",
     "find_loops",
     "is_reducible",
-    "dfs_preorder",
     "postorder",
     "reverse_postorder",
 ]

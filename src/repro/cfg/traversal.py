@@ -6,23 +6,7 @@ from typing import Dict, List
 
 from .block import BasicBlock, Function
 
-__all__ = ["dfs_preorder", "reverse_postorder", "postorder"]
-
-
-def dfs_preorder(func: Function) -> List[BasicBlock]:
-    """Depth-first preorder from the entry block (reachable blocks only)."""
-    seen: Dict[int, bool] = {}
-    order: List[BasicBlock] = []
-    stack = [func.entry]
-    while stack:
-        block = stack.pop()
-        if id(block) in seen:
-            continue
-        seen[id(block)] = True
-        order.append(block)
-        # Push successors in reverse so the first successor is visited first.
-        stack.extend(reversed(block.succs))
-    return order
+__all__ = ["reverse_postorder", "postorder"]
 
 
 def postorder(func: Function) -> List[BasicBlock]:

@@ -56,11 +56,9 @@ class ProfileGuidedResult:
         self.cold_jumps = cold_jumps
 
 
-def _collect_profile(
-    program: Program, stdin: bytes, max_steps: int
-) -> Dict[Tuple[str, str], int]:
+def _collect_profile(program: Program, stdin: bytes) -> Dict[Tuple[str, str], int]:
     """(function, block label) -> execution count, from one training run."""
-    interp = make_interpreter(program, max_steps=max_steps)
+    interp = make_interpreter(program)
     result = interp.run(stdin=stdin)
     # Every existing block gets an entry (0 when never executed) so that
     # blocks *created later by replication* are distinguishable: they are
@@ -83,7 +81,6 @@ def profile_guided_replication(
     threshold: float = 0.0,
     policy: Policy = Policy.SHORTEST,
     max_rtls: Optional[int] = None,
-    max_steps: int = 200_000_000,
 ) -> ProfileGuidedResult:
     """Optimize ``program`` in place with profile-guided JUMPS.
 
@@ -97,7 +94,7 @@ def profile_guided_replication(
     # Phase 1: SIMPLE optimization without delay slots, then profile.
     config = OptimizationConfig(replication="none", fill_delay_slots=False)
     optimize_program(program, target, config)
-    profile = _collect_profile(program, train_stdin, max_steps)
+    profile = _collect_profile(program, train_stdin)
 
     # Total executed jumps define the hotness scale.
     total_jumps = 0

@@ -13,9 +13,11 @@ call per RTL.
 Semantics are the interpreter's, by construction:
 
 * every arithmetic template mirrors :func:`repro.rtl.arith.eval_binop`
-  exactly (32-bit wrap-around inlined branch-free, shift counts masked
-  with the declared ``Machine.shift_mask`` model, C-style division via
-  the *same* ``_div_trunc``/``_rem_trunc`` helpers);
+  exactly (32-bit wrap-around inlined, shift counts masked with the
+  declared ``Machine.shift_mask`` model, C-style division via the
+  *same* ``_div_trunc``/``_rem_trunc`` helpers; operators that keep
+  in-range operands in range are wrapped only in a program with a
+  constant outside signed-32 range);
 * step accounting debits one block-step at every basic-block entry —
   including blocks fused into a predecessor's dispatch arm — so
   :class:`StepLimitExceeded` fires on exactly the same executed block
@@ -24,16 +26,18 @@ Semantics are the interpreter's, by construction:
   emitted at block entry in execution order, so a traced run feeds the
   existing :class:`~repro.ease.trace.RleTraceSink` a byte-identical
   stream and every Table-5/6 number is unchanged;
-* calls flush promoted registers back to the machine state, delegate to
-  the interpreter's ``_do_call`` (callee-save snapshot, builtins, stack
-  checks), and reload only ``rv`` — exactly the callee-save contract.
+* a call to a program function calls that function's generated
+  executor directly, with the interpreter's stack check, call count and
+  callee-save contract inlined (registers flushed before the call, the
+  callee's footprint restored after it, only ``rv`` reloaded); a
+  builtin runs in place; a call to any other name raises
+  :class:`NameError` where it executes.
 
-Functions the compiler declines — pathologically large block counts
-(the 4000-block replication-valve shapes), empty bodies, or any
-codegen surprise — fall back *per function* to the interpreter's
-threaded-code path, with a decision-log event and an
-``ease.compile.fallbacks`` metric recording the reason; the two engines
-interoperate freely through ``_do_call`` within one run.
+Every function of a program compiles, whatever its size; a shape the
+code generator rejects (an unknown operator, a block falling off the
+end) raises ``TypeError`` or ``ValueError`` at compile time, as the
+interpreter's closure build does, and the run fails.  A compiled run
+executes generated code only.
 
 Product measurement runs on this engine only
 (:func:`make_interpreter`).  The closure interpreter stays the
@@ -46,13 +50,12 @@ from __future__ import annotations
 from struct import pack_into as _pack_into
 from struct import unpack_from as _unpack_from
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..cfg.block import Function, Program
-from ..obs import ReplicationDecision
 from ..obs import active as _active_observer
 from ..rtl.arith import SHIFT_MASK, _div_trunc, _rem_trunc, wrap32
-from ..rtl.expr import BinOp, Const, Expr, Local, Mem, Reg, Sym, UnOp
+from ..rtl.expr import BinOp, Const, Expr, Local, Mem, Reg, Sym, UnOp, walk
 from ..rtl.insn import (
     Assign,
     Call,
@@ -64,20 +67,10 @@ from ..rtl.insn import (
     Nop,
     Return,
 )
-from .interp import Interpreter, StepLimitExceeded
+from .interp import LinkedProgram, StepLimitExceeded
 from .runtime import call_builtin, is_builtin
 
-__all__ = [
-    "CompiledInterpreter",
-    "CompileDeclined",
-    "make_interpreter",
-    "MAX_COMPILED_BLOCKS",
-]
-
-#: Functions with more basic blocks than this are declined and fall
-#: back to the interpreter: generating and ``compile()``ing a dispatch
-#: body for a replication-valve-sized CFG costs more than it saves.
-MAX_COMPILED_BLOCKS = 1024
+__all__ = ["CompiledInterpreter", "make_interpreter"]
 
 _WRAP_LO = -(1 << 31)
 
@@ -88,14 +81,6 @@ def make_interpreter(program: Program, **kwargs) -> CompiledInterpreter:
     Keyword arguments go to the constructor (``max_steps``, ``trace``).
     """
     return CompiledInterpreter(program, **kwargs)
-
-
-class CompileDeclined(Exception):
-    """Internal: this function shape should use the interpreter instead."""
-
-    def __init__(self, reason: str) -> None:
-        self.reason = reason
-        super().__init__(reason)
 
 
 def _is_atom(text: str) -> bool:
@@ -152,7 +137,6 @@ class _FunctionCompiler:
         self.uses_unpack = False
         self.uses_pack = False
         self.uses_call = False
-        self.uses_builtin = False
         #: Reverse map of register locals, for compare/branch fusion.
         self._local_names: Dict[str, Tuple[str, int]] = {}
         #: Per-block: is cc live after the block's terminator?
@@ -162,9 +146,6 @@ class _FunctionCompiler:
         self._fused_operands: Optional[Tuple[str, str]] = None
         #: Registers redefined between the fused Compare and its branch.
         self._fuse_written: Set[Tuple[str, int]] = set()
-        #: Callee names referenced as ``_x_{name}`` globals; the compile
-        #: pass injects the executors after every function is compiled.
-        self.direct_calls: Dict[str, None] = {}
 
     # ------------------------------------------------------------ helpers
 
@@ -191,6 +172,17 @@ class _FunctionCompiler:
         pre.append(f"if {temp} >= 2147483648: {temp} -= 4294967296")
         return temp
 
+    def _wrap_wide(self, text: str, pre: List[str]) -> str:
+        """``text``, wrapped like :meth:`_wrap_pre` in a wide program.
+
+        Every operator result is in signed-32 range, so a value outside
+        it comes only from a constant outside it (``4294967297``, or the
+        ``2147483648`` of ``-2147483648``), directly or through a
+        register.  In a program without one, the operators that keep
+        in-range operands in range need no wrap.
+        """
+        return self._wrap_pre(text, pre) if self.interp._wide else text
+
     def _bind(self, text: str, pre: List[str]) -> str:
         """Materialize a non-atomic expression into a temp."""
         if _is_atom(text):
@@ -205,21 +197,24 @@ class _FunctionCompiler:
         """Python source for ``node``; prelude statements go to ``pre``."""
         if isinstance(node, Const):
             value = node.value
-            if not _WRAP_LO <= value < -_WRAP_LO:
-                # The interpreter carries out-of-range constants through
-                # eval_binop's per-op wrapping; our inline templates
-                # assume in-range operands, so decline rather than risk
-                # a divergence (the front end never emits these).
-                raise CompileDeclined("constant outside signed-32 range")
             return str(value) if value >= 0 else f"(-{-value})"
         if isinstance(node, Reg):
             return self._reg(node.bank, node.index)
         if isinstance(node, Sym):
-            # Link-time constant; the base constructor already resolved
-            # every symbol (unknown ones raised there).
-            return str(self.interp.symaddr[node.name])
+            # Link-time constant.
+            address = self.interp.symaddr.get(node.name)
+            if address is None:
+                raise KeyError(
+                    f"{self.func.name}: unknown global symbol {node.name!r}"
+                )
+            return str(address)
         if isinstance(node, Local):
-            offset = self.func.frame[node.name][0]
+            try:
+                offset = self.func.frame[node.name][0]
+            except KeyError:
+                raise KeyError(
+                    f"{self.func.name}: unknown frame slot {node.name!r}"
+                ) from None
             return "fp" if offset == 0 else f"(fp + {offset})"
         if isinstance(node, Mem):
             addr = self.expr(node.addr, pre)
@@ -240,14 +235,16 @@ class _FunctionCompiler:
                 return self._wrap_pre(f"({left}) {op} ({right})", pre)
             if op in ("&", "|", "^"):
                 # Bitwise ops on in-range signed-32 values stay in range.
-                return f"(({left}) {op} ({right}))"
+                return self._wrap_wide(f"(({left}) {op} ({right}))", pre)
             if op == "<<":
                 return self._wrap_pre(
                     f"({left}) << (({right}) & {SHIFT_MASK})", pre
                 )
             if op == ">>":
                 # Arithmetic shift of an in-range value stays in range.
-                return f"(({left}) >> (({right}) & {SHIFT_MASK}))"
+                return self._wrap_wide(
+                    f"(({left}) >> (({right}) & {SHIFT_MASK}))", pre
+                )
             if op == "/":
                 if isinstance(node.right, Const) and node.right.value > 0:
                     # Truncating division by a known positive divisor
@@ -255,9 +252,10 @@ class _FunctionCompiler:
                     # exceed |dividend|, so no wrap is needed.
                     value = self._bind(left, pre)
                     c = node.right.value
-                    return (
+                    return self._wrap_wide(
                         f"(-((-{value}) // {c}) if {value} < 0"
-                        f" else {value} // {c})"
+                        f" else {value} // {c})",
+                        pre,
                     )
                 return self._wrap_pre(f"_div(({left}), ({right}))", pre)
             if op == "%":
@@ -265,20 +263,21 @@ class _FunctionCompiler:
                 if isinstance(node.right, Const) and node.right.value > 0:
                     value = self._bind(left, pre)
                     c = node.right.value
-                    return (
+                    return self._wrap_wide(
                         f"({value} % {c} if {value} >= 0"
-                        f" else -((-{value}) % {c}))"
+                        f" else -((-{value}) % {c}))",
+                        pre,
                     )
-                return f"_rem(({left}), ({right}))"
-            raise CompileDeclined(f"unknown binary operator {op!r}")
+                return self._wrap_wide(f"_rem(({left}), ({right}))", pre)
+            raise ValueError(f"unknown binary operator {op!r}")
         if isinstance(node, UnOp):
             operand = self.expr(node.operand, pre)
             if node.op == "-":
                 return self._wrap_pre(f"-({operand})", pre)
             if node.op == "~":
-                return f"(~({operand}))"
-            raise CompileDeclined(f"unknown unary operator {node.op!r}")
-        raise CompileDeclined(f"cannot compile expression {node!r}")
+                return self._wrap_wide(f"(~({operand}))", pre)
+            raise ValueError(f"unknown unary operator {node.op!r}")
+        raise TypeError(f"cannot compile expression {node!r}")
 
     # ------------------------------------------------------------ instructions
 
@@ -322,13 +321,18 @@ class _FunctionCompiler:
         if isinstance(node, Call):
             rv = self._reg("rv", 0)  # calls define rv
             name = node.func
-            if name not in self.interp._functions and is_builtin(name):
+            callee = self.interp.program.functions.get(name)
+            if callee is None:
+                if not is_builtin(name):
+                    out.append(
+                        f"raise NameError({f'call to unknown function {name!r}'!r})"
+                    )
+                    return
                 # Builtins read the arg bank (plus memory/stdio, which
                 # are always current) and write rv directly — no
                 # callee-save snapshot, no step accounting, exactly the
                 # interpreter's builtin fast path.  Flush only the
                 # cached arg registers and keep rv in its local.
-                self.uses_builtin = True
                 for (bank, index) in self.regs_used:
                     if bank == "arg":
                         out.append(f"_K_{bank}[{index}] = _R_{bank}_{index}")
@@ -337,59 +341,37 @@ class _FunctionCompiler:
             # Flush every promoted register so the callee sees current
             # state; the callee-save contract then guarantees each bank
             # except rv is back to the flushed value on return — reload
-            # only rv.
+            # only rv.  The callee is its executor ``_x_{name}``, a
+            # global of the namespace every function of this mode shares,
+            # with the step budget threaded as a parameter.  Only the
+            # callee's footprint registers the caller does NOT cache
+            # need bank saves: cached slots were just flushed (their
+            # locals stay authoritative — the next consumer of any
+            # cached slot re-flushes first), and a callee's bank delta
+            # is confined to its own footprint plus rv.
             self.uses_call = True
             for (bank, index) in self.regs_used:
                 out.append(f"_K_{bank}[{index}] = _R_{bank}_{index}")
-            callee = self.interp.program.functions.get(name)
-            if callee is not None:
-                # Direct compiled-to-compiled call: the whole _do_call
-                # protocol inlined, with the step budget threaded as a
-                # parameter instead of four attribute accesses.  Only
-                # the callee's footprint registers the caller does NOT
-                # cache need bank saves: cached slots were just flushed
-                # (their locals stay authoritative — the next consumer
-                # of any cached slot re-flushes first), and a compiled
-                # callee's bank delta is confined to its own footprint
-                # plus rv.  ``_x_{name}`` is injected after the compile
-                # pass; ``None`` (fallback callee) takes the generic
-                # path.
-                self.direct_calls[name] = None
-                footprint = _static_footprint(callee)
-                saves = [
-                    (self._temp(), bank, index)
-                    for bank, index in footprint
-                    if (bank, index) not in self.regs_used
-                ]
-                for _temp, bank, _index in saves:
-                    self.banks_used[bank] = None  # preamble binds _K_{bank}
-                out.append(f"if _x_{name} is not None:")
-                for temp, bank, index in saves:
-                    out.append(f"    {temp} = _K_{bank}[{index}]")
-                out.append(f"    _fb = state.fp - {callee.frame_size + 32}")
-                out.append("    if _fb <= state.heap_ptr:")
-                out.append(
-                    "        raise MemoryError('interpreted stack overflow')"
-                )
-                out.append("    _ncalls += 1")
-                out.append(
-                    f"    _steps = _x_{name}(interp, state, result, _fb, _steps)"
-                )
-                for temp, bank, index in saves:
-                    out.append(f"    _K_{bank}[{index}] = {temp}")
-                out.append("else:")
-                out.append("    interp._steps_left = _steps")
-                out.append(f"    _call(state, {name!r}, {node.nargs})")
-                out.append("    _steps = interp._steps_left")
-            else:
-                out.append("interp._steps_left = _steps")
-                out.append(f"_call(state, {name!r}, {node.nargs})")
-                out.append("_steps = interp._steps_left")
+            saves = [
+                (self._temp(), bank, index)
+                for bank, index in _static_footprint(callee)
+                if (bank, index) not in self.regs_used
+            ]
+            for temp, bank, index in saves:
+                self.banks_used[bank] = None  # preamble binds _K_{bank}
+                out.append(f"{temp} = _K_{bank}[{index}]")
+            out.append(f"_fb = state.fp - {self.interp._frame_sizes[name] + 32}")
+            out.append("if _fb <= state.heap_ptr:")
+            out.append("    raise MemoryError('interpreted stack overflow')")
+            out.append("_ncalls += 1")
+            out.append(f"_steps = _x_{name}(interp, state, result, _fb, _steps)")
+            for temp, bank, index in saves:
+                out.append(f"_K_{bank}[{index}] = {temp}")
             out.append(f"{rv} = _K_rv[0]")
             return
         if isinstance(node, Nop):
             return  # counted via the block, no effect
-        raise CompileDeclined(f"cannot compile instruction {node!r}")
+        raise TypeError(f"cannot compile instruction {node!r}")
 
     # ------------------------------------------------------------ blocks
 
@@ -584,7 +566,9 @@ class _FunctionCompiler:
             term = block.terminator
             if term is None:
                 if i + 1 >= n:
-                    raise CompileDeclined("block falls off the end")
+                    raise ValueError(
+                        f"{func.name}: block {block.label} falls off the end"
+                    )
                 preds[i + 1] += 1
             elif isinstance(term, Jump):
                 preds[index_of[term.target]] += 1
@@ -600,7 +584,7 @@ class _FunctionCompiler:
                     preds[target] += 1
                     forced.add(target)
             elif not isinstance(term, Return):
-                raise CompileDeclined(f"cannot compile terminator {term!r}")
+                raise TypeError(f"cannot compile terminator {term!r}")
         arms = sorted(
             i for i in range(n) if i in forced or preds[i] >= 2
         )
@@ -619,12 +603,11 @@ class _FunctionCompiler:
         func = self.func
         n = len(func.blocks)
         index_of = {block.label: i for i, block in enumerate(func.blocks)}
-        visited: Set[int] = set()
         index = start
+        # Every block after ``start`` has one predecessor, the block
+        # before it, so the chain cannot revisit a block before it
+        # reaches an arm.
         while True:
-            if index in visited:  # pragma: no cover - defensive
-                raise CompileDeclined("cyclic fuse chain")
-            visited.add(index)
             if index != start:
                 self.blocks_fused += 1
             self.block_body(index, out)
@@ -667,8 +650,8 @@ class _FunctionCompiler:
                 out.append(f"_b = ({body},)[{value}]")
                 out.append("GOTODYN")
                 return
-            else:  # pragma: no cover - plan() already declined
-                raise CompileDeclined(f"cannot compile terminator {term!r}")
+            else:  # pragma: no cover - plan() already raised
+                raise TypeError(f"cannot compile terminator {term!r}")
             if follow in arm_set:
                 out.append(f"GOTO {follow}")
                 return
@@ -744,10 +727,9 @@ class _FunctionCompiler:
         """The complete generated source of this function's executor."""
         func = self.func
         n = len(func.blocks)
+        head = f"def _x_{func.name}(interp, state, result, frame_base, _steps):"
         if n == 0:
-            raise CompileDeclined("empty function")
-        if n > MAX_COMPILED_BLOCKS:
-            raise CompileDeclined(f"{n} blocks exceeds compile limit")
+            return f"{head}\n    return _steps\n"
         self.collect_regs()
         self.cc_live_out = self._cc_liveness()
         arms, _preds = self.plan()
@@ -768,7 +750,7 @@ class _FunctionCompiler:
             bodies[ret_arm] = ["break"]
 
         lines: List[str] = [
-            f"def __ease_exec(interp, state, result, frame_base, _steps):",
+            head,
             "    mem = state.mem",
             "    _regs = state.regs",
         ]
@@ -781,12 +763,10 @@ class _FunctionCompiler:
             lines.append("    _up = _unpack_from")
         if self.uses_pack:
             lines.append("    _pk = _pack_into")
-        if self.uses_call:
-            lines.append("    _call = interp._do_call")
         lines.append("    _saved_fp = state.fp")
         lines.append("    state.fp = frame_base")
         lines.append("    fp = frame_base")
-        if self.direct_calls:
+        if self.uses_call:
             lines.append("    _ncalls = 0")
         counters = sorted(self.emitted)
         for chunk_start in range(0, len(counters), 16):
@@ -802,7 +782,7 @@ class _FunctionCompiler:
         lines.extend(self.dispatch_tree(tree_arms, bodies, "            "))
         lines.append("    finally:")
         lines.append("        state.fp = _saved_fp")
-        if self.direct_calls:
+        if self.uses_call:
             lines.append("        if _ncalls: result.calls_executed += _ncalls")
         for i in counters:
             lines.append(f"        if _c{i}: _counts[{i}] += _c{i}")
@@ -812,14 +792,13 @@ class _FunctionCompiler:
         return "\n".join(lines) + "\n"
 
 
-class CompiledInterpreter(Interpreter):
+class CompiledInterpreter(LinkedProgram):
     """Executes RTL through per-function generated Python code objects.
 
-    Construction links the program, builds the interpreter's threaded-code
-    blocks (the per-function fallback and branch-target metadata source)
-    and compiles the executors of the first run's mode, ``trace``.  The
-    other mode's (traced ones add a per-block ``RleTraceSink.emit`` call)
-    compile on its first run, so no run pays for a mode it does not use.
+    Construction links the program and compiles the executors of the
+    first run's mode, ``trace``.  The other mode's (traced ones add a
+    per-block ``RleTraceSink.emit`` call) compile on its first run, so
+    no run pays for a mode it does not use.
     """
 
     def __init__(
@@ -828,59 +807,30 @@ class CompiledInterpreter(Interpreter):
         max_steps: int = 200_000_000,
         trace: bool = False,
     ) -> None:
-        #: traced? -> function name -> executor, per mode compiled so far.
-        self._tables: Dict[bool, Dict[str, Callable]] = {}
-        self._footprints: Dict[str, List[Tuple[str, int]]] = {}
-        #: function name -> decline reason for every fallback.
-        self.fallbacks: Dict[str, str] = {}
+        super().__init__(program, max_steps=max_steps)
+        #: Does a constant lie outside signed-32 range?  See
+        #: :meth:`_FunctionCompiler._wrap_wide`.
+        self._wide = any(
+            isinstance(node, Const) and not _WRAP_LO <= node.value < -_WRAP_LO
+            for func in program.functions.values()
+            for block in func.blocks
+            for insn in block.insns
+            for expr in insn.used_exprs()
+            for node in walk(expr)
+        )
+        #: traced? -> the namespace of that mode's executors: each
+        #: function's ``_x_{name}``, beside the helpers they call.
+        self._tables: Dict[bool, Dict[str, object]] = {}
         self.blocks_fused = 0
         self.compile_seconds = 0.0
-        #: (exec namespace, direct-callee names, traced?) per compiled
-        #: function — the link table for direct compiled-to-compiled
-        #: calls, resolved after each compile pass (callees may compile
-        #: after their callers, or fall back at any point).
-        self._exec_links: List[Tuple[dict, Dict[str, None], bool]] = []
-        super().__init__(program, max_steps=max_steps)
         self._select(trace)
 
     # ------------------------------------------------------------ compilation
 
-    def _compile_all(self, traced: bool) -> Dict[str, Callable]:
-        table = self._tables[traced] = {}
+    def _compile_all(self, traced: bool) -> Dict[str, object]:
         start = perf_counter()
         fused = self.blocks_fused
-        for func in self.program.functions.values():
-            if func.name in self.fallbacks:
-                continue  # declined shapes stay interpreted in both modes
-            try:
-                table[func.name] = self._pycompile(func, traced)
-            except CompileDeclined as declined:
-                self._register_fallback(func.name, declined.reason)
-            except (RecursionError, SyntaxError, MemoryError) as exc:
-                # Codegen surprises must never take the run down: the
-                # interpreter executes anything the linker accepted.
-                self._register_fallback(
-                    func.name, f"codegen-error: {type(exc).__name__}"
-                )
-        # Link pass: resolve every direct-call global against what this
-        # pass actually compiled.  A ``None`` executor (declined callee)
-        # routes that call site through the generic _do_call path.
-        for namespace, callees, link_traced in self._exec_links:
-            if link_traced == traced:
-                for callee in callees:
-                    namespace[f"_x_{callee}"] = table.get(callee)
-        seconds = perf_counter() - start
-        self.compile_seconds += seconds
-        metrics = _active_observer().metrics
-        metrics.inc("ease.compile.functions", len(table))
-        metrics.inc("ease.compiled.blocks_fused", self.blocks_fused - fused)
-        metrics.inc("ease.compile.time_ms", round(seconds * 1000.0, 3))
-        return table
-
-    def _pycompile(self, func: Function, traced: bool) -> Callable:
-        generator = _FunctionCompiler(self, func, traced)
-        source = generator.generate()
-        namespace = {
+        namespace: Dict[str, object] = {
             "StepLimitExceeded": StepLimitExceeded,
             "_div": _div_trunc,
             "_rem": _rem_trunc,
@@ -889,47 +839,25 @@ class CompiledInterpreter(Interpreter):
             "_w32": wrap32,
             "_builtin": call_builtin,
         }
-        code = compile(source, f"<ease-compiled:{func.name}>", "exec")
-        exec(code, namespace)
-        self._exec_links.append((namespace, generator.direct_calls, traced))
-        self.blocks_fused += generator.blocks_fused
-        # The callee-save footprint (the same in both modes): a compiled
-        # function can change no bank slot outside its own cached
-        # registers (nested calls restore everything else themselves),
-        # so _do_call need only save/restore these — rv excluded, it
-        # carries the return value.
-        self._footprints[func.name] = [
-            pair for pair in generator.regs_used if pair != ("rv", 0)
-        ]
-        return namespace["__ease_exec"]
+        for func in self.program.functions.values():
+            self._pycompile(func, traced, namespace)
+        self._tables[traced] = namespace
+        seconds = perf_counter() - start
+        self.compile_seconds += seconds
+        metrics = _active_observer().metrics
+        metrics.inc("ease.compile.functions", len(self.program.functions))
+        metrics.inc("ease.compiled.blocks_fused", self.blocks_fused - fused)
+        metrics.inc("ease.compile.time_ms", round(seconds * 1000.0, 3))
+        return namespace
 
-    def _register_fallback(self, name: str, reason: str) -> None:
-        # One mode declining a function the other compiled would be a
-        # bug (same codegen); it falls back in both, first reason kept.
-        self.fallbacks.setdefault(name, reason)
-        for table in self._tables.values():
-            table.pop(name, None)
-        self._footprints.pop(name, None)
-        # Unlink: direct call sites to this function take the generic
-        # path from now on (linked namespaces may already exist).
-        key = f"_x_{name}"
-        for namespace, callees, _link_traced in self._exec_links:
-            if name in callees:
-                namespace[key] = None
-        obs = _active_observer()
-        obs.metrics.inc("ease.compile.fallbacks")
-        if obs.decisions.enabled:
-            obs.decisions.record(
-                ReplicationDecision(
-                    function=name,
-                    block="",
-                    target="",
-                    mode="ease",
-                    policy="compile",
-                    outcome="ease_fallback",
-                    reason=reason,
-                )
-            )
+    def _pycompile(
+        self, func: Function, traced: bool, namespace: Dict[str, object]
+    ) -> None:
+        """Define ``func``'s executor ``_x_{name}`` in ``namespace``."""
+        generator = _FunctionCompiler(self, func, traced)
+        source = generator.generate()
+        exec(compile(source, f"<ease-compiled:{func.name}>", "exec"), namespace)
+        self.blocks_fused += generator.blocks_fused
 
     # ------------------------------------------------------------ execution
 
@@ -948,37 +876,7 @@ class CompiledInterpreter(Interpreter):
         return super().run(stdin=stdin, trace=trace, entry=entry)
 
     def _run_function(self, state, name, result, frame_base) -> None:
-        executor = self._active.get(name)
-        if executor is None:
-            super()._run_function(state, name, result, frame_base)
-            return
-        self._current_result = result
-        # The step budget travels as a parameter between compiled frames
-        # (direct calls never touch the attribute); sync it at this
-        # boundary so interpreted frames above and below see the debits.
+        executor = self._active[f"_x_{name}"]
         self._steps_left = executor(
             self, state, result, frame_base, self._steps_left
         )
-
-    def _do_call(self, state, name: str, nargs: int) -> None:
-        footprint = self._footprints.get(name)
-        if footprint is None:
-            # Builtins, interpreter-fallback functions, unknown names:
-            # the inherited path (full bank snapshot) handles them.
-            super()._do_call(state, name, nargs)
-            return
-        # A compiled callee touches only its footprint (nested calls
-        # restore everything but rv themselves), so callee-save costs
-        # O(registers actually used) instead of O(all banks).
-        regs = state.regs
-        saved = [
-            (regs[bank], index, regs[bank][index]) for bank, index in footprint
-        ]
-        result = self._current_result
-        result.calls_executed += 1
-        frame_base = state.fp - self._functions[name].frame_size - 32
-        if frame_base <= state.heap_ptr:
-            raise MemoryError("interpreted stack overflow")
-        self._run_function(state, name, result, frame_base)
-        for values, index, value in saved:
-            values[index] = value

@@ -1,8 +1,11 @@
 """The RTL interpreter — the execution half of the EASE substitute.
 
-Programs are *linked* (globals laid out in a flat byte-addressed memory,
-relocations patched) and each basic block is compiled once into a list of
-Python closures (threaded code), so repeated execution is reasonably fast.
+Programs are *linked* (:class:`LinkedProgram`: globals laid out in a flat
+byte-addressed memory, relocations patched, blocks numbered) and the
+:class:`Interpreter` compiles each basic block once into a list of Python
+closures (threaded code), so repeated execution is reasonably fast.  The
+compiled engine (:mod:`repro.ease.compile`) shares the linking and the
+run harness and replaces the closures with generated code.
 
 Machine model:
 
@@ -137,8 +140,15 @@ class _CompiledFunction:
 # None means "return from the function".
 
 
-class Interpreter:
-    """Links a program and executes it."""
+class LinkedProgram:
+    """A program linked for execution, and the run harness of both engines.
+
+    Linking lays out the globals, numbers every block globally (traces
+    and ``block_fetches`` key on these ids: per function in program
+    order, blocks in index order), and records frame sizes and
+    register-bank sizes.  A subclass executes a function
+    (:meth:`_run_function`).
+    """
 
     def __init__(
         self,
@@ -149,15 +159,18 @@ class Interpreter:
         self.max_steps = max_steps
         self.symaddr: Dict[str, int] = {}
         self._globals_end = 64  # a null guard region below the globals
-        self._bank_sizes: Dict[str, int] = dict(_REG_BANK_SIZES)
         self._layout_globals()
-        self._functions: Dict[str, _CompiledFunction] = {}
+        self._bank_sizes: Dict[str, int] = dict(_REG_BANK_SIZES)
+        self._frame_sizes: Dict[str, int] = {}
         self._global_block_ids: Dict[Tuple[str, int], int] = {}
-        self._next_block_id = 0
         for func in program.functions.values():
-            self._compile_function(func)
-
-    # --- linking ------------------------------------------------------------------
+            self._frame_sizes[func.name] = func.frame_size
+            for index, block in enumerate(func.blocks):
+                self._global_block_ids[(func.name, index)] = len(
+                    self._global_block_ids
+                )
+                for insn in block.insns:
+                    self._note_regs(insn, block)
 
     def _layout_globals(self) -> None:
         addr = self._globals_end
@@ -166,6 +179,25 @@ class Interpreter:
             self.symaddr[data.name] = addr
             addr += data.size
         self._globals_end = addr
+
+    def _note_regs(self, insn: Insn, block: BasicBlock) -> None:
+        """Size the banks for the registers that ``insn`` evaluates.
+
+        Those of its operands and destination, for every instruction
+        but a call and a transfer other than the block's terminator.
+        """
+        if isinstance(insn, Call) or (
+            insn.is_transfer() and insn is not block.terminator
+        ):
+            return
+        regs = list(insn.used_regs())
+        defined = insn.defined_reg()
+        if defined is not None:
+            regs.append(defined)
+        sizes = self._bank_sizes
+        for reg in regs:
+            if reg.index >= sizes.get(reg.bank, 0):
+                sizes[reg.bank] = reg.index + 1
 
     def _install_globals(self, state: MachineState) -> None:
         for data in self.program.globals.values():
@@ -177,6 +209,74 @@ class Interpreter:
                     "<I", target
                 )
 
+    def global_block_id(self, func_name: str, block_index: int) -> int:
+        return self._global_block_ids[(func_name, block_index)]
+
+    # --- execution ------------------------------------------------------------------
+
+    _sink: Optional[RleTraceSink] = None
+
+    def run(
+        self,
+        stdin: bytes = b"",
+        trace: bool = False,
+        entry: str = "main",
+    ) -> ExecutionResult:
+        """Execute the program from ``entry``; return the results.
+
+        ``trace=True`` records the block-level trace (``result.trace``
+        is a :class:`~repro.ease.trace.CompressedTrace`).
+        """
+        if entry not in self._frame_sizes:
+            raise KeyError(f"no function named {entry!r}")
+        state = MachineState(stdin, self._bank_sizes)
+        self._install_globals(state)
+        state.heap_ptr = (self._globals_end + 15) & ~15
+        state.stack_limit = MEM_SIZE - (1 << 20)
+        entry_frame = MEM_SIZE - self._frame_sizes[entry] - 64
+
+        result = ExecutionResult()
+        sink = RleTraceSink() if trace else None
+        self._sink = sink
+        self._steps_left = self.max_steps
+        try:
+            self._run_function(state, entry, result, entry_frame)
+        except ProgramExit as stop:
+            result.exit_code = stop.code
+        else:
+            result.exit_code = wrap32(state.regs["rv"][0])
+        finally:
+            self._sink = None
+        result._fold_counts()
+        if sink is not None:
+            result.trace = sink.finish()
+        result.output = bytes(state.stdout)
+        result.globals_image = bytes(state.mem[64 : self._globals_end])
+        return result
+
+    def _run_function(
+        self,
+        state: MachineState,
+        name: str,
+        result: ExecutionResult,
+        frame_base: int,
+    ) -> None:
+        raise NotImplementedError
+
+
+class Interpreter(LinkedProgram):
+    """Executes a linked program as threaded code: one closure per RTL."""
+
+    def __init__(
+        self,
+        program: Program,
+        max_steps: int = 200_000_000,
+    ) -> None:
+        super().__init__(program, max_steps=max_steps)
+        self._functions: Dict[str, _CompiledFunction] = {}
+        for func in program.functions.values():
+            self._compile_function(func)
+
     # --- compilation ------------------------------------------------------------------
 
     def _compile_function(self, func: Function) -> None:
@@ -187,10 +287,7 @@ class Interpreter:
         # capture the successor *block objects* (forward branches
         # included), then fill in ops and terminators.
         for index in range(len(func.blocks)):
-            key = (func.name, index)
-            global_id = self._next_block_id
-            self._next_block_id += 1
-            self._global_block_ids[key] = global_id
+            global_id = self.global_block_id(func.name, index)
             compiled.blocks.append(_CompiledBlock(None, None, index, global_id))
         for index, block in enumerate(func.blocks):
             ops = [
@@ -211,7 +308,6 @@ class Interpreter:
             return lambda state: value
         if isinstance(expr, Reg):
             bank, index = expr.bank, expr.index
-            self._note_reg(bank, index)
             return lambda state: state.regs[bank][index]
         if isinstance(expr, Sym):
             address = self.symaddr.get(expr.name)
@@ -270,7 +366,6 @@ class Interpreter:
             src = self._compile_expr(insn.src, func)
             if isinstance(insn.dst, Reg):
                 bank, index = insn.dst.bank, insn.dst.index
-                self._note_reg(bank, index)
 
                 def write_reg(state: MachineState) -> None:
                     state.regs[bank][index] = src(state)
@@ -402,44 +497,6 @@ class Interpreter:
 
     # --- execution ------------------------------------------------------------------
 
-    def run(
-        self,
-        stdin: bytes = b"",
-        trace: bool = False,
-        entry: str = "main",
-    ) -> ExecutionResult:
-        """Execute the program from ``entry``; return the results.
-
-        ``trace=True`` records the block-level trace (``result.trace``
-        is a :class:`~repro.ease.trace.CompressedTrace`).
-        """
-        if entry not in self._functions:
-            raise KeyError(f"no function named {entry!r}")
-        state = MachineState(stdin, self._bank_sizes)
-        self._install_globals(state)
-        state.heap_ptr = (self._globals_end + 15) & ~15
-        state.stack_limit = MEM_SIZE - (1 << 20)
-        entry_frame = MEM_SIZE - self._functions[entry].frame_size - 64
-
-        result = ExecutionResult()
-        sink = RleTraceSink() if trace else None
-        self._sink = sink
-        self._steps_left = self.max_steps
-        try:
-            self._run_function(state, entry, result, entry_frame)
-        except ProgramExit as stop:
-            result.exit_code = stop.code
-        else:
-            result.exit_code = wrap32(state.regs["rv"][0])
-        finally:
-            self._sink = None
-        result._fold_counts()
-        if sink is not None:
-            result.trace = sink.finish()
-        result.output = bytes(state.stdout)
-        result.globals_image = bytes(state.mem[64 : self._globals_end])
-        return result
-
     def _do_call(self, state: MachineState, name: str, nargs: int) -> None:
         if name not in self._functions:
             if is_builtin(name):
@@ -460,7 +517,6 @@ class Interpreter:
         state.regs["rv"][0] = rv
 
     _current_result: ExecutionResult
-    _sink: Optional[RleTraceSink] = None
 
     def _run_function(
         self,
@@ -509,16 +565,3 @@ class Interpreter:
         finally:
             state.fp = saved_fp
             self._current_result = result
-
-    def _note_reg(self, bank: str, index: int) -> None:
-        if index >= self._bank_sizes.get(bank, 0):
-            self._bank_sizes[bank] = index + 1
-
-    # --- introspection ----------------------------------------------------------------
-
-    def global_block_id(self, func_name: str, block_index: int) -> int:
-        return self._global_block_ids[(func_name, block_index)]
-
-    @property
-    def functions(self) -> Dict[str, _CompiledFunction]:
-        return self._functions

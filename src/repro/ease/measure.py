@@ -28,7 +28,7 @@ from ..obs import active as _active_observer
 from ..rtl.insn import Call, CondBranch, IndirectJump, Insn, Jump, Nop, Return
 from ..targets.machine import Machine
 from .compile import make_interpreter
-from .interp import Interpreter
+from .interp import LinkedProgram
 from .measurement import Measurement
 from .trace import CompressedTrace
 
@@ -67,8 +67,7 @@ def measure_program(
     target: Machine,
     stdin: bytes = b"",
     trace: bool = False,
-    interpreter: Optional[Interpreter] = None,
-    max_steps: int = 200_000_000,
+    interpreter: Optional[LinkedProgram] = None,
 ) -> Measurement:
     """Run ``program`` and measure it with the target's size/count model.
 
@@ -80,7 +79,7 @@ def measure_program(
     (the closure :class:`~repro.ease.interp.Interpreter`, for instance).
     """
     measurement = Measurement()
-    interp = interpreter or make_interpreter(program, max_steps=max_steps, trace=trace)
+    interp = interpreter or make_interpreter(program, trace=trace)
     obs = _active_observer()
 
     # --- static layout ---------------------------------------------------------

@@ -32,8 +32,6 @@ __all__ = [
     "subst",
     "regs_in",
     "reg_set",
-    "mems_in",
-    "locals_in",
     "map_expr",
 ]
 
@@ -249,20 +247,6 @@ def reg_set(expr: Expr) -> FrozenSet[Reg]:
             regs = reg_set(children[0]).union(*map(reg_set, children[1:]))
     object.__setattr__(expr, "_regs", regs)
     return regs
-
-
-def mems_in(expr: Expr) -> Iterator[Mem]:
-    """Yield every memory reference occurring in ``expr``."""
-    for node in walk(expr):
-        if isinstance(node, Mem):
-            yield node
-
-
-def locals_in(expr: Expr) -> Iterator[Local]:
-    """Yield every local-address leaf occurring in ``expr``."""
-    for node in walk(expr):
-        if isinstance(node, Local):
-            yield node
 
 
 def map_expr(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:

@@ -25,7 +25,7 @@ reference ran fine, optimized program traps — is a miscompile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..cfg.block import Program
@@ -79,13 +79,12 @@ def clone_program(program: Program) -> Program:
     return copy
 
 
-def capture_behavior(
-    program: Program,
-    inputs: Sequence[bytes],
-    max_steps: int = ORACLE_MAX_STEPS,
-) -> List[Behavior]:
-    """Run ``program`` on every input; traps become ``Behavior.trap``."""
-    interp = Interpreter(program, max_steps=max_steps)
+def capture_behavior(program: Program, inputs: Sequence[bytes]) -> List[Behavior]:
+    """Run ``program`` on every input; traps become ``Behavior.trap``.
+
+    Each run stops after :data:`ORACLE_MAX_STEPS` block steps.
+    """
+    interp = Interpreter(program, max_steps=ORACLE_MAX_STEPS)
     behaviors: List[Behavior] = []
     for stdin in inputs:
         try:

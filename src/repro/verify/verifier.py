@@ -48,12 +48,7 @@ from ..exec.envelope import VERIFY_MODES
 from ..obs import active as _active_observer
 from ..obs.decisions import ReplicationDecision
 from .errors import MiscompileError, SanitizeError
-from .oracle import (
-    ORACLE_MAX_STEPS,
-    capture_behavior,
-    clone_program,
-    diff_behaviors,
-)
+from .oracle import capture_behavior, clone_program, diff_behaviors
 from .sanitize import Sanitizer
 
 __all__ = ["Verifier", "VERIFY_MODES"]
@@ -67,7 +62,6 @@ class Verifier:
         mode: str = "off",
         inputs: Optional[Sequence[bytes]] = None,
         bisect: bool = True,
-        max_steps: int = ORACLE_MAX_STEPS,
         budget: Optional[int] = None,
     ) -> None:
         if mode not in VERIFY_MODES:
@@ -77,7 +71,6 @@ class Verifier:
         self.mode = mode
         self.inputs: List[bytes] = list(inputs) if inputs else [b""]
         self.bisect = bisect
-        self.max_steps = max_steps
         #: Pass invocations allowed (``None``: all); see :meth:`allow_pass`.
         self.budget = budget
         self.pass_trace: List[Tuple[str, str]] = []
@@ -109,9 +102,7 @@ class Verifier:
         self._failure = None
         if self.mode == "full":
             self.pristine = clone_program(program)
-            self.reference = capture_behavior(
-                self.pristine, self.inputs, self.max_steps
-            )
+            self.reference = capture_behavior(self.pristine, self.inputs)
 
     def finish(self) -> Dict[str, object]:
         """Final oracle checkpoint; returns the verification report."""
@@ -187,7 +178,7 @@ class Verifier:
     def _capture(self, program: Program) -> List:
         self.oracle_runs += 1
         _active_observer().metrics.inc("verify.oracle.runs")
-        return capture_behavior(program, self.inputs, self.max_steps)
+        return capture_behavior(program, self.inputs)
 
     def _oracle_checkpoint(self, checkpoint: str) -> None:
         assert self.program is not None and self.reference is not None

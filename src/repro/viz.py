@@ -2,9 +2,8 @@
 
 ``to_dot`` renders a function's CFG as Graphviz DOT text (one record node
 per basic block with its RTLs, fall-through edges solid, branch-taken
-edges dashed, back edges bold).  ``cfg_summary`` prints a quick
-adjacency overview for terminals.  Neither requires graphviz to be
-installed — they produce plain text.
+edges dashed, back edges bold).  It does not require graphviz to be
+installed — it produces plain text.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from .cfg.block import BasicBlock, Function
 from .rtl.insn import CondBranch, IndirectJump, Jump, Return
 from .rtl.printer import format_insn
 
-__all__ = ["to_dot", "cfg_summary"]
+__all__ = ["to_dot"]
 
 
 def _escape(text: str) -> str:
@@ -104,22 +103,3 @@ def to_dot(
     lines.append("}")
     return "\n".join(lines)
 
-
-def cfg_summary(func: Function) -> str:
-    """A terminal-friendly adjacency and loop overview."""
-    analyses = get_analyses(func)
-    info = analyses.loops()
-    dom = analyses.dominators()
-    lines = [f"function {func.name}: {len(func.blocks)} blocks, "
-             f"{func.insn_count()} insns, {func.jump_count()} jumps, "
-             f"{len(info.loops)} loops"]
-    headers = {loop.header.label for loop in info.loops}
-    for block in func.blocks:
-        succs = ",".join(s.label for s in block.succs) or "-"
-        idom = dom.idom(block)
-        mark = " [loop header]" if block.label in headers else ""
-        lines.append(
-            f"  {block.label:>10} ({block.size():3} insns) -> {succs:30} "
-            f"idom={idom.label if idom else '-'}{mark}"
-        )
-    return "\n".join(lines)

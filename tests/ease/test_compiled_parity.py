@@ -18,6 +18,7 @@ same message, including limits landing mid-way through a fused chain.
 import pytest
 
 from repro.benchsuite.programs import PROGRAMS, program_names
+from repro.cfg import Function, Program
 from repro.ease import (
     CompiledInterpreter,
     Interpreter,
@@ -28,6 +29,7 @@ from repro.frontend import compile_c
 from repro.opt import OptimizationConfig, optimize_program
 from repro.targets import get_target
 from repro.verify.fuzz import generate_program
+from tests.conftest import function_from_text
 
 FUZZ_SEEDS = list(range(16))
 
@@ -54,7 +56,7 @@ def observe(interp, stdin=b"", trace=True):
 
 def assert_engine_parity(program, stdin=b"", max_steps=200_000_000):
     """Run both engines; every observable must match.  Returns the
-    compiled engine so callers can inspect fallbacks."""
+    compiled engine so callers can inspect it."""
     want = observe(Interpreter(program, max_steps=max_steps), stdin)
     compiled = CompiledInterpreter(program, max_steps=max_steps)
     got = observe(compiled, stdin)
@@ -81,10 +83,6 @@ class TestSuitePrograms:
     def test_parity(self, suite, name):
         program, stdin = suite[name]
         compiled = assert_engine_parity(program, stdin=stdin)
-        # Every suite function must actually go through the compiler —
-        # a silent fallback would make this parity test vacuous for the
-        # functions that matter.
-        assert compiled.fallbacks == {}, compiled.fallbacks
         # Block fusion must engage on the shapes Table 5 runs, not just
         # be correct when idle.
         assert compiled.blocks_fused > 0
@@ -188,6 +186,86 @@ class TestStepLimitParity:
             assert sum(result.block_counts.values()) == total_steps
 
 
+# One function of 400 if/else statements: 1,202 blocks unoptimized.
+LARGE_SOURCE = "int main() {\n    int s;\n    s = getchar();\n" + "".join(
+    f"    if (s % 7 == {k % 7}) {{ s = s + {k}; }} else {{ s = s - 1; }}\n"
+    for k in range(400)
+) + '    printf("%d\\n", s);\n    return s & 255;\n}\n'
+
+
+# The front end emits literals unwrapped (``-2147483648`` negates the
+# constant 2147483648), and the interpreter wraps each operator's result.
+WIDE_SOURCE = """int third(int x) {
+    return (x | 0) / 3;
+}
+int main() {
+    int s;
+    s = third(4294967297) + (4294967297 >> 1) / 3 + (4294967297 & 4294967295) / 3;
+    s = s + ~4294967297 / 3 + (4294967297 ^ 1) / 3 + 8589934594 / 2 / 3;
+    s = s + 4294967300 % 8589934592 / 3 + -2147483648 / 3;
+    if (4294967297 > 5) {
+        s = s + 1;
+    }
+    printf("%d\\n", s);
+    return s & 255;
+}
+"""
+
+
+class TestCompiledOnly:
+    """A compiled run executes generated code and nothing else."""
+
+    def test_function_over_1024_blocks_compiles(self):
+        program = compile_c(LARGE_SOURCE)
+        assert len(program.functions["main"].blocks) > 1024
+        compiled = assert_engine_parity(program, stdin=b"A")
+        assert compiled.blocks_fused > 0
+
+    def test_constants_outside_signed_32_range(self):
+        assert_engine_parity(compile_c(WIDE_SOURCE))
+        # Through registers, into every operator the compiler leaves
+        # unwrapped for in-range operands.
+        program = Program()
+        program.add_function(function_from_text("main", """
+            d[0]=4294967300;
+            d[1]=8589934592;
+            d[2]=d[0]%d[1];
+            d[3]=d[0]>>1;
+            d[4]=d[0]|d[1];
+            d[5]=~d[0];
+            d[6]=d[1]/d[0];
+            rv[0]=d[2]/3+d[3]/3+d[4]/3+d[5]/3+d[6];
+            PC=RT;
+            """))
+        assert_engine_parity(program)
+
+    def test_runs_without_building_closures(self, monkeypatch):
+        program = optimized(PROGRAMS["queens"].source)
+        stdin = PROGRAMS["queens"].stdin
+        want = observe(Interpreter(program), stdin)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the compiled engine built a closure")
+
+        monkeypatch.setattr(Interpreter, "_compile_insn", refuse)
+        monkeypatch.setattr(Interpreter, "_compile_terminator", refuse)
+        assert observe(CompiledInterpreter(program), stdin) == want
+
+    def test_unknown_callee_raises_where_called(self):
+        program = Program()
+        program.add_function(function_from_text("main", "CALL _nosuch,0;\nPC=RT;"))
+        for engine_cls in (Interpreter, CompiledInterpreter):
+            engine = engine_cls(program)
+            with pytest.raises(NameError, match="call to unknown function 'nosuch'"):
+                engine.run()
+
+    def test_empty_function_runs(self):
+        program = Program()
+        program.add_function(function_from_text("main", "CALL _f,0;\nPC=RT;"))
+        program.add_function(Function("f"))
+        assert_engine_parity(program)
+
+
 class TestEngineSelection:
     def test_make_interpreter_default_is_compiled(self):
         program = compile_c("int main() { return 7; }")
@@ -216,9 +294,9 @@ class TestCompileModes:
         compiled = []
         original = CompiledInterpreter._pycompile
 
-        def counting(self, func, traced):
+        def counting(self, func, traced, namespace):
             compiled.append((func.name, traced))
-            return original(self, func, traced)
+            return original(self, func, traced, namespace)
 
         monkeypatch.setattr(CompiledInterpreter, "_pycompile", counting)
         return compiled
@@ -228,8 +306,6 @@ class TestCompileModes:
         interp.run(stdin=PROGRAMS[self.NAME].stdin, trace=True)
         interp.run(stdin=PROGRAMS[self.NAME].stdin, trace=True)
         assert sorted(compiles) == sorted((name, True) for name in program.functions)
-        # Direct calls get their callee-save footprints in traced mode too.
-        assert set(interp._footprints) == set(program.functions)
 
     def test_other_mode_compiles_on_its_first_run(self, program, compiles):
         interp = CompiledInterpreter(program)

@@ -10,9 +10,7 @@ from repro.rtl import (
     Reg,
     Sym,
     UnOp,
-    locals_in,
     map_expr,
-    mems_in,
     reg_set,
     regs_in,
     subst,
@@ -71,15 +69,6 @@ class TestWalk:
         reg_set(cached)
         assert cached == fresh and hash(cached) == hash(fresh)
         assert repr(cached) == repr(fresh)
-
-    def test_mems_in_finds_nested_memory(self):
-        inner = Mem(Reg("a", 0), "L")
-        outer = Mem(BinOp("+", inner, Const(4)), "B")
-        assert set(mems_in(outer)) == {inner, outer}
-
-    def test_locals_in(self):
-        expr = BinOp("+", Mem(Local("i"), "L"), Mem(Local("j"), "L"))
-        assert {loc.name for loc in locals_in(expr)} == {"i", "j"}
 
 
 class TestSubstitution:

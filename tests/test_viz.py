@@ -1,6 +1,6 @@
 """CFG visualization tests."""
 
-from repro.viz import cfg_summary, to_dot
+from repro.viz import to_dot
 from tests.conftest import function_from_text
 
 LOOPY = """
@@ -159,12 +159,3 @@ class TestReplicatedAnnotation:
             surviving = labels & {b.label for b in func.blocks}
             assert dot.count('fillcolor="lightblue"') == len(surviving)
         assert annotated >= 1
-
-
-class TestSummary:
-    def test_summary_lines(self):
-        func = function_from_text("f", LOOPY)
-        text = cfg_summary(func)
-        assert "3 blocks" in text or f"{len(func.blocks)} blocks" in text
-        assert "[loop header]" in text
-        assert "idom=" in text
