@@ -12,7 +12,6 @@ Run:  python examples/profile_guided.py [benchmark]
 import sys
 
 from repro.benchsuite import PROGRAMS
-from repro.core import profile_guided_replication
 from repro.ease import measure_program
 from repro.frontend import compile_c
 from repro.opt import OptimizationConfig, optimize_program
@@ -63,11 +62,12 @@ def _classic(bench, target, replication):
 
 def _pgo(bench, target, threshold):
     program = compile_c(bench.source)
-    result = profile_guided_replication(
-        program, target, train_stdin=bench.stdin, threshold=threshold
+    config = OptimizationConfig(
+        replication="jumps", profile_threshold=threshold, train_stdin=bench.stdin
     )
+    stats = optimize_program(program, target, config)
     m = measure_program(program, target, stdin=bench.stdin)
-    return m, f"{result.hot_jumps}/{result.cold_jumps}"
+    return m, f"{stats.hot_jumps}/{stats.cold_jumps}"
 
 
 if __name__ == "__main__":

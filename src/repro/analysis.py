@@ -13,7 +13,6 @@ from typing import Dict, List, Optional, Tuple
 
 from .cfg.analyses import get_analyses
 from .cfg.block import Program
-from .cfg.reducibility import is_reducible
 from .rtl.insn import (
     Assign,
     Call,

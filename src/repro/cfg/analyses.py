@@ -35,7 +35,7 @@ from ..obs import active as _active_observer
 from .block import BasicBlock, Function
 from .dominators import DominatorTree, compute_dominators
 from .loops import LoopInfo, find_loops
-from .reducibility import is_reducible
+from .reducibility import reducible
 from .traversal import reverse_postorder
 
 __all__ = ["AnalysisManager", "get_analyses"]
@@ -84,8 +84,11 @@ class AnalysisManager:
         return self._get("rpo", lambda: reverse_postorder(self.func))
 
     def reducible(self) -> bool:
-        """Whether the reachable flow graph is reducible (T1/T2 test)."""
-        return self._get("reducible", lambda: is_reducible(self.func))
+        """Whether the reachable flow graph is reducible, off the cached
+        reverse postorder and dominator tree."""
+        return self._get(
+            "reducible", lambda: reducible(self.reverse_postorder(), self.dominators())
+        )
 
     def dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
         """True when ``a`` dominates ``b``, off the cached tree."""

@@ -1,77 +1,40 @@
-"""Flow-graph reducibility via T1/T2 interval collapsing.
+"""Flow-graph reducibility, read off the dominator tree.
 
 Step 6 of the paper's JUMPS algorithm requires checking whether the flow
 graph is still reducible after a replication; if not, the replication is
-rolled back.  The classic test: repeatedly apply
-
-* **T1** — remove a self edge ``n -> n``;
-* **T2** — if node ``n`` (other than the entry) has exactly one
-  predecessor ``p``, merge ``n`` into ``p``;
-
-the graph is reducible iff it collapses to a single node.
+rolled back.  The test (Hecht & Ullman): the graph is reducible iff every
+edge that does not go forward in reverse postorder — a retreating edge of
+the depth-first search — is a back edge, its target dominating its
+source.  Both inputs are the analyses the replicator already caches
+(:meth:`repro.cfg.analyses.AnalysisManager.reducible`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Sequence
 
-from .block import Function
-from .graph import reachable_blocks
+from .block import BasicBlock, Function
+from .dominators import DominatorTree, compute_dominators
+from .traversal import reverse_postorder
 
-__all__ = ["is_reducible", "collapse"]
+__all__ = ["is_reducible", "reducible"]
 
 
-def collapse(succs: Dict[int, Set[int]], entry: int) -> int:
-    """Apply T1/T2 until fixpoint; return the number of remaining nodes.
+def reducible(order: Sequence[BasicBlock], dominators: DominatorTree) -> bool:
+    """True when every retreating edge of ``order`` is a back edge.
 
-    ``succs`` maps node id -> set of successor ids and is modified in place.
+    ``order`` is the reverse postorder of the reachable blocks and
+    ``dominators`` their dominator tree.
     """
-    preds: Dict[int, Set[int]] = {node: set() for node in succs}
-    for node, targets in succs.items():
-        for target in targets:
-            preds[target].add(node)
-
-    worklist: List[int] = list(succs)
-    in_worklist: Set[int] = set(worklist)
-    while worklist:
-        node = worklist.pop()
-        in_worklist.discard(node)
-        if node not in succs:
-            continue
-        # T1: remove self edges.
-        if node in succs[node]:
-            succs[node].discard(node)
-            preds[node].discard(node)
-        # T2: merge into a unique predecessor.
-        if node != entry and len(preds[node]) == 1:
-            (parent,) = preds[node]
-            # Redirect node's out-edges to come from parent.
-            succs[parent].discard(node)
-            for target in succs[node]:
-                preds[target].discard(node)
-                if target != node:
-                    succs[parent].add(target)
-                    preds[target].add(parent)
-            del succs[node]
-            del preds[node]
-            if parent not in in_worklist:
-                worklist.append(parent)
-                in_worklist.add(parent)
-            # Parent's successors may now be T2 candidates.
-            for target in list(succs[parent]):
-                if target not in in_worklist:
-                    worklist.append(target)
-                    in_worklist.add(target)
-    return len(succs)
+    index = {block: i for i, block in enumerate(order)}
+    return all(
+        dominators.dominates(succ, block)
+        for block in order
+        for succ in block.succs
+        if index[succ] <= index[block]
+    )
 
 
 def is_reducible(func: Function) -> bool:
     """True when the reachable flow graph of ``func`` is reducible."""
-    reachable = reachable_blocks(func)
-    succs: Dict[int, Set[int]] = {
-        id(block): {id(s) for s in block.succs if s in reachable}
-        for block in reachable
-    }
-    if not succs:
-        return True
-    return collapse(succs, id(func.entry)) == 1
+    return reducible(reverse_postorder(func), compute_dominators(func))

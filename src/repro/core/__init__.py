@@ -18,6 +18,5 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "clone_function",
         ),
         ".shortest_path": ("ShortestPaths",),
-        ".profile_guided": ("ProfileGuidedResult", "profile_guided_replication"),
     },
 )

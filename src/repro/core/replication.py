@@ -96,6 +96,10 @@ class ReplicationStats:
     #: "replication ad infinitum" self-similarity, stopped at its root
     #: rather than by a growth valve.
     guard_stops: int = 0
+    #: Profile-guided JUMPS only: jumps whose block the training run
+    #: executed often enough to replicate, and the rest.
+    hot_jumps: int = 0
+    cold_jumps: int = 0
 
     @property
     def valve_trips(self) -> int:
@@ -181,7 +185,7 @@ class CodeReplicator:
         self.max_rtls = None if loops else max_rtls
         self.allow_irreducible = allow_irreducible
         # Optional predicate deciding whether a particular jump should be
-        # replaced at all — the hook used by profile-guided replication.
+        # replaced at all — the hook used by profile-guided JUMPS.
         self.jump_filter = jump_filter
         # Called as ``after_sweep(func, sweep_number)`` once each sweep
         # finishes — the translation validator sanitizes the CFG here.

@@ -47,6 +47,7 @@ verification oracle's engine and the differential reference
 
 from __future__ import annotations
 
+from struct import error as _StructError
 from struct import pack_into as _pack_into
 from struct import unpack_from as _unpack_from
 from time import perf_counter
@@ -877,6 +878,11 @@ class CompiledInterpreter(LinkedProgram):
 
     def _run_function(self, state, name, result, frame_base) -> None:
         executor = self._active[f"_x_{name}"]
-        self._steps_left = executor(
-            self, state, result, frame_base, self._steps_left
-        )
+        try:
+            self._steps_left = executor(
+                self, state, result, frame_base, self._steps_left
+            )
+        except _StructError as error:
+            # A word or long access past the end of memory: raise what the
+            # interpreter's bytearray indexing raises.
+            raise IndexError(str(error)) from error

@@ -95,9 +95,10 @@ class CellSpec:
     #: nothing), and its timings are poisoned by oracle overhead, so it
     #: must not shadow a clean run either.
     verify: str = "off"
-    #: Profile-guided JUMPS (:mod:`repro.core.profile_guided`): replicate
-    #: only jumps executed at least this fraction of all executed jumps
-    #: on a training run over the cell's stdin; ``None`` replicates all.
+    #: Profile-guided JUMPS (``OptimizationConfig.profile_threshold``):
+    #: replicate only jumps executed at least this fraction of all
+    #: executed jumps on a training run over the cell's stdin; ``None``
+    #: replicates all.
     profile_threshold: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -130,10 +131,8 @@ class CellSpec:
                 raise ValueError(
                     f"profile_threshold must be non-negative, got {self.profile_threshold}"
                 )
-            if (self.replication, self.optimize, self.verify) != ("jumps", True, "off"):
-                raise ValueError(
-                    "profile_threshold needs an optimized, unverified jumps cell"
-                )
+            if (self.replication, self.optimize) != ("jumps", True):
+                raise ValueError("profile_threshold needs an optimized jumps cell")
 
     def resolve(self) -> Tuple[str, bytes]:
         """The (source text, stdin bytes) this cell actually runs."""

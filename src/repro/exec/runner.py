@@ -77,19 +77,16 @@ def warm_worker(target_names: Sequence[str] = TARGETS) -> None:
 def run_pipeline(spec: CellSpec, result: CellResult) -> tuple:
     """The single-program pipeline: front end, Figure-3 optimizer, EASE.
 
-    Resolves the spec's source and stdin, turns its policy name into an
+    Resolves the spec's source and stdin, turns its policy name (and
+    profile threshold, trained on the same stdin) into an
     :class:`~repro.opt.driver.OptimizationConfig`,
     optimizes under a :class:`~repro.verify.verifier.Verifier` in the
-    spec's verify mode (or, given a ``profile_threshold``, with
-    profile-guided JUMPS trained on the same stdin), and measures.
-    Timings, replication stats (with the profile's ``hot_jumps`` and
-    ``cold_jumps``), the measurement and — unless the mode is ``"off"``
-    — the verification report (also when verification fails) land in
-    ``result``; failures raise.  Returns
-    ``(program, config, stats)``; ``config`` and ``stats`` are ``None``
-    for an unoptimized reference run.
+    spec's verify mode, and measures.  Timings, replication stats, the
+    measurement and — unless the mode is ``"off"`` — the verification
+    report (also when verification fails) land in ``result``; failures
+    raise.  Returns ``(program, config, stats)``; ``config`` and
+    ``stats`` are ``None`` for an unoptimized reference run.
     """
-    from ..core.profile_guided import profile_guided_replication
     from ..core.replication import POLICIES
     from ..ease.interp import Interpreter
     from ..ease.measure import measure_program
@@ -111,29 +108,19 @@ def run_pipeline(spec: CellSpec, result: CellResult) -> tuple:
             replication=spec.replication,
             policy=POLICIES[spec.policy],
             max_rtls=spec.max_rtls,
+            profile_threshold=spec.profile_threshold,
+            train_stdin=b"" if spec.profile_threshold is None else stdin,
         )
         verifier = Verifier(spec.verify, inputs=[stdin])
         start = perf_counter()
         try:
-            if spec.profile_threshold is None:
-                stats = optimize_program(program, target, config, verifier=verifier)
-            else:
-                guided = profile_guided_replication(
-                    program, target, train_stdin=stdin,
-                    threshold=spec.profile_threshold,
-                    policy=config.policy, max_rtls=config.max_rtls,
-                )
-                stats = guided.stats
+            stats = optimize_program(program, target, config, verifier=verifier)
         finally:
             # A failed verification's report carries the bisection verdict.
             if spec.verify != "off":
                 result.verification = verifier.report()
         result.optimize_seconds = perf_counter() - start
         result.replication_stats = stats.as_dict()
-        if spec.profile_threshold is not None:
-            result.replication_stats.update(
-                hot_jumps=guided.hot_jumps, cold_jumps=guided.cold_jumps
-            )
 
     start = perf_counter()
     result.measurement = measure_program(

@@ -136,10 +136,12 @@ class TestMetrics:
             am.loops()  # miss: loops + dominators
             am.loops()  # hit
             am.dominators()  # hit
-            am.reducible()  # miss
+            am.reducible()  # miss: reducible + rpo; dominators hit
         counters = obs.metrics.counters
-        assert counters["analysis.cache.miss"] == 3
-        assert counters["analysis.cache.hit"] == 2
+        assert counters["analysis.cache.miss"] == 4
+        assert counters["analysis.cache.hit"] == 3
         assert counters["analysis.cache.miss.loops"] == 1
         assert counters["analysis.cache.hit.loops"] == 1
         assert counters["analysis.cache.miss.reducible"] == 1
+        assert counters["analysis.cache.miss.rpo"] == 1
+        assert counters["analysis.cache.hit.dominators"] == 2

@@ -1,6 +1,9 @@
-"""T1/T2 reducibility tests."""
+"""Reducibility tests: known graphs, and random graphs against T1/T2."""
 
-from repro.cfg import is_reducible
+import random
+
+from repro.cfg import get_analyses, is_reducible
+from tests.cfg.t1t2 import t1t2_reducible
 from tests.cfg.test_dominators import build_graph
 from tests.conftest import function_from_text
 
@@ -56,3 +59,22 @@ class TestReducibility:
         )
         # Blocks L1/L2 are unreachable; only the reachable part matters.
         assert is_reducible(func)
+
+
+class TestAgainstIntervalCollapse:
+    def test_random_graphs_agree_with_t1_t2(self):
+        """The dominator test and T1/T2 collapsing give one verdict on
+        random graphs of up to 12 nodes, reducible and irreducible."""
+        rng = random.Random(0)
+        verdicts = []
+        for _ in range(2000):
+            n = rng.randint(1, 12)
+            edges = [
+                (a, rng.randrange(n)) for a in range(n) for _ in range(rng.randint(0, 2))
+            ]
+            func = build_graph(edges, n)
+            expected = t1t2_reducible(func)
+            assert is_reducible(func) == expected, edges
+            assert get_analyses(func).reducible() == expected, edges
+            verdicts.append(expected)
+        assert 0 < verdicts.count(False) < len(verdicts)

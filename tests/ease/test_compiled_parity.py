@@ -259,6 +259,15 @@ class TestCompiledOnly:
             with pytest.raises(NameError, match="call to unknown function 'nosuch'"):
                 engine.run()
 
+    @pytest.mark.parametrize(
+        "body", ["p[2097152] = 1; return 0;", "return p[2097152];"], ids=["store", "load"]
+    )
+    def test_access_past_end_of_memory_raises_index_error(self, body):
+        program = compile_c(f"int main() {{ int *p; p = 0; {body} }}")
+        for engine_cls in (Interpreter, CompiledInterpreter):
+            with pytest.raises(IndexError):
+                engine_cls(program).run()
+
     def test_empty_function_runs(self):
         program = Program()
         program.add_function(function_from_text("main", "CALL _f,0;\nPC=RT;"))

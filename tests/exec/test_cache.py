@@ -151,14 +151,38 @@ def test_key_hashes_profile_threshold(tmp_path):
         {"replication": "jumps", "profile_threshold": -0.1},
         {"replication": "loops", "profile_threshold": 0.1},
         {"replication": "jumps", "profile_threshold": 0.1, "optimize": False},
-        {"replication": "jumps", "profile_threshold": 0.1, "verify": "full"},
     ],
 )
 def test_spec_rejects_a_cell_no_worker_could_run(variant):
-    """An unknown replication, or a profile threshold off an optimized,
-    unverified JUMPS cell, fails at construction, before any compile."""
+    """An unknown replication, or a profile threshold off an optimized
+    JUMPS cell, fails at construction, before any compile."""
     with pytest.raises(ValueError):
         replace(SPEC, **variant)
+
+
+@pytest.mark.parametrize("verify", ["sanitize", "full"])
+def test_verified_profile_cell_runs_clean(verify):
+    """A profile-guided cell runs under the sanitizer and the oracle; its
+    post-profile passes are spans and counted pass invocations."""
+    spec = CellSpec("wc", replication="jumps", profile_threshold=0.1, verify=verify)
+    with observing() as obs:
+        result = execute_cell(spec)
+    assert result.ok, result.error
+    report = result.verification
+    assert report["mode"] == verify and "failure" not in report
+    assert report["sanitize_checks"] > 0
+    assert (report["oracle_runs"] > 0) == (verify == "full")
+    assert obs.metrics.counters["opt.pass_invocations"] == report["pass_invocations"]
+    guided = [
+        span for span in obs.tracer.spans
+        if span.name == "opt.function" and span.attrs.get("profile_threshold") == 0.1
+    ]
+    assert guided
+    post = {span.name for span in obs.tracer.spans if span.parent_id == guided[0].span_id}
+    assert post == {
+        "opt.replication", "opt.branch_chaining", "opt.dead_code", "opt.dead_vars",
+        "opt.delay_slots",
+    }
 
 
 @pytest.mark.parametrize(

@@ -44,29 +44,29 @@ def test_execute_cell_reference_run():
 @pytest.mark.parametrize("threshold", [0.0, 0.5])
 def test_execute_cell_runs_profile_guided_jumps(threshold):
     """A ``profile_threshold`` cell trains on its own stdin and measures
-    what :func:`profile_guided_replication` compiles; the hot/cold jump
-    counts ride in ``replication_stats``."""
+    what ``optimize_program`` compiles with that threshold; the hot/cold
+    jump counts ride in ``replication_stats``."""
     from repro.benchsuite import PROGRAMS
-    from repro.core.profile_guided import profile_guided_replication
     from repro.ease.measure import measure_program
     from repro.frontend import compile_c
+    from repro.opt import OptimizationConfig, optimize_program
     from repro.targets import get_target
 
     result = execute_cell(CellSpec("wc", replication="jumps", profile_threshold=threshold))
     assert result.ok, result.error
     bench, sparc = PROGRAMS["wc"], get_target("sparc")
     program = compile_c(bench.source)
-    guided = profile_guided_replication(
-        program, sparc, train_stdin=bench.stdin, threshold=threshold
+    config = OptimizationConfig(
+        replication="jumps", profile_threshold=threshold, train_stdin=bench.stdin
     )
+    stats = optimize_program(program, sparc, config)
     expected = measure_program(program, sparc, stdin=bench.stdin)
     m = result.measurement
     assert (m.static_insns, m.dynamic_insns, m.output) == (
         expected.static_insns, expected.dynamic_insns, expected.output
     )
-    stats = result.replication_stats
-    assert (stats["hot_jumps"], stats["cold_jumps"]) == (guided.hot_jumps, guided.cold_jumps)
-    assert stats["jumps_replaced"] == guided.stats.jumps_replaced
+    assert result.replication_stats == stats.as_dict()
+    assert stats.hot_jumps > 0
 
 
 def test_execute_cell_records_ease_engine():
