@@ -3,7 +3,7 @@
 from .analyses import AnalysisManager, get_analyses
 from .block import BasicBlock, Function, GlobalData, Program
 from .dominators import DominatorTree, compute_dominators
-from .graph import build_function, compute_flow, reachable_blocks
+from .graph import build_function, compute_flow
 from .loops import Loop, LoopInfo, find_loops
 from .reducibility import is_reducible
 from .traversal import postorder, reverse_postorder
@@ -19,7 +19,6 @@ __all__ = [
     "compute_dominators",
     "build_function",
     "compute_flow",
-    "reachable_blocks",
     "Loop",
     "LoopInfo",
     "find_loops",

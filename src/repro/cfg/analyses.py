@@ -1,16 +1,13 @@
 """Cached CFG analyses with explicit edition-based invalidation.
 
-Dominator trees, natural loops, reverse postorder and the reducibility
-verdict are pure functions of the flow graph's *structure*, yet the seed
-code base recomputed them from scratch at every use — once per candidate
-jump inside a replication sweep, once per optimizer pass that needs loop
-or dominance information.  :class:`AnalysisManager` caches them per
-function, keyed on ``Function.cfg_edition``: :func:`repro.cfg.graph.compute_flow`
-bumps that counter whenever the block list or any edge actually changes
-(and every structural transformation in this code base calls
-``compute_flow`` afterwards — the system-wide invariant the CFG
-validator enforces), so a cached result is served exactly until the
-graph really changed.
+Reverse postorder, the dominator tree (computed from it), natural loops
+(members in layout order) and the reducibility verdict are functions of
+the flow graph and its layout.  :class:`AnalysisManager` derives each
+once per ``Function.cfg_edition``, which :func:`repro.cfg.graph.compute_flow`
+bumps on any permutation, insertion or deletion of blocks and any edge
+change.  A pass calls ``compute_flow`` after it changes the block list or
+a terminator's targets; the sanitizer reports a block list that
+``compute_flow`` never saw while the cache is at the current edition.
 
 Usage::
 
@@ -71,7 +68,10 @@ class AnalysisManager:
 
     def dominators(self) -> DominatorTree:
         """The dominator tree of the reachable part of the function."""
-        return self._get("dominators", lambda: compute_dominators(self.func))
+        return self._get(
+            "dominators",
+            lambda: compute_dominators(self.func, self.reverse_postorder()),
+        )
 
     def loops(self) -> LoopInfo:
         """All natural loops (reuses the cached dominator tree)."""

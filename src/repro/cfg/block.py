@@ -121,6 +121,9 @@ class Function:
         #: bumps it whenever the block list or any edge actually changed;
         #: cached analyses (see :mod:`repro.cfg.analyses`) key off it.
         self.cfg_edition = 0
+        #: The block list as :func:`repro.cfg.graph.compute_flow` last saw
+        #: it: the layout the current edition describes.
+        self.flow_layout: Tuple[BasicBlock, ...] = ()
 
     # --- frame management ---------------------------------------------------
 

@@ -8,7 +8,7 @@ elimination first or must tolerate missing entries.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from .block import BasicBlock, Function
 from .traversal import reverse_postorder
@@ -39,9 +39,12 @@ class DominatorTree:
         return False
 
 
-def compute_dominators(func: Function) -> DominatorTree:
-    """Compute the dominator tree for the reachable part of ``func``."""
-    order = reverse_postorder(func)
+def compute_dominators(
+    func: Function, order: Optional[List[BasicBlock]] = None
+) -> DominatorTree:
+    """The dominator tree of the reachable part of ``func``, from its
+    reverse postorder ``order`` (computed here when not given)."""
+    order = reverse_postorder(func) if order is None else order
     index = {block: i for i, block in enumerate(order)}
     idom: Dict[BasicBlock, Optional[BasicBlock]] = {func.entry: None}
 

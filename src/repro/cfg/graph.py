@@ -5,13 +5,15 @@ Two entry points matter to the rest of the system:
 * :func:`build_function` splits a flat ``(label, insn)`` listing into basic
   blocks (used by the front-end and by the RTL parser based tests).
 * :func:`compute_flow` (re)computes predecessor/successor edges from the
-  block terminators and the positional layout.  Passes call it after any
-  structural change; it is cheap and keeps edge state authoritative.
+  block terminators and the positional layout.  A pass calls it after it
+  changes the block list or a terminator's targets, and only then:
+  straight-line edits, no-ops and dropping a jump to the positional
+  successor (the fall-through successor anyway) keep every edge.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..rtl.insn import CondBranch, IndirectJump, Insn, Jump, Return
 from .block import BasicBlock, Function
@@ -19,7 +21,6 @@ from .block import BasicBlock, Function
 __all__ = [
     "build_function",
     "compute_flow",
-    "reachable_blocks",
     "split_into_blocks",
 ]
 
@@ -71,21 +72,21 @@ def build_function(
 def compute_flow(func: Function) -> None:
     """Recompute predecessor/successor edges of every block in ``func``.
 
-    Bumps ``func.cfg_edition`` when the block list or any successor list
-    actually changed, which is what invalidates the cached analyses of
-    :mod:`repro.cfg.analyses`.  A recomputation that reproduces the
-    existing edges exactly (the common case for passes that only touch
-    straight-line code) leaves the edition — and the caches — intact.
+    Bumps ``func.cfg_edition`` when the block list differs from
+    ``func.flow_layout``, the one the previous call saw (a permutation,
+    insertion or deletion), or any successor list changed: that is what
+    invalidates the cached analyses of :mod:`repro.cfg.analyses`.
     """
-    old_shape = [(id(block), block.succs) for block in func.blocks]
+    layout = tuple(func.blocks)
+    old_succs = [block.succs for block in layout]
     by_label: Dict[str, BasicBlock] = {}
-    for block in func.blocks:
+    for block in layout:
         by_label[block.label] = block
         block.preds = []
         block.succs = []
 
-    for index, block in enumerate(func.blocks):
-        nxt = func.blocks[index + 1] if index + 1 < len(func.blocks) else None
+    for index, block in enumerate(layout):
+        nxt = layout[index + 1] if index + 1 < len(layout) else None
         term = block.terminator
         succs: List[BasicBlock] = []
         if isinstance(term, Jump):
@@ -111,13 +112,11 @@ def compute_flow(func: Function) -> None:
         for succ in succs:
             succ.preds.append(block)
 
-    changed = len(old_shape) != len(func.blocks) or any(
-        ident != id(block)
-        or len(old_succs) != len(block.succs)
-        or any(a is not b for a, b in zip(old_succs, block.succs))
-        for (ident, old_succs), block in zip(old_shape, func.blocks)
-    )
-    if changed:
+    # Blocks compare by identity, so inequality is a layout or edge change.
+    if layout != func.flow_layout or any(
+        old != block.succs for old, block in zip(old_succs, layout)
+    ):
+        func.flow_layout = layout
         func.cfg_edition += 1
 
 
@@ -130,18 +129,3 @@ def _lookup(
         raise KeyError(
             f"{func.name}: block {src.label} targets unknown label {label!r}"
         ) from None
-
-
-def reachable_blocks(func: Function) -> Set[BasicBlock]:
-    """The set of blocks reachable from the entry (ids, not labels)."""
-    seen: Set[int] = set()
-    result: Set[BasicBlock] = set()
-    stack = [func.entry]
-    while stack:
-        block = stack.pop()
-        if id(block) in seen:
-            continue
-        seen.add(id(block))
-        result.add(block)
-        stack.extend(block.succs)
-    return result

@@ -17,20 +17,17 @@ __all__ = ["Loop", "LoopInfo", "find_loops"]
 
 
 class Loop:
-    """A natural loop: its header and the set of member blocks."""
+    """A natural loop: its header and its member blocks, as a set and
+    (``members``) in the layout order :func:`find_loops` saw."""
 
     def __init__(self, header: BasicBlock) -> None:
         self.header = header
         self.blocks: Set[BasicBlock] = {header}
+        self.members: List[BasicBlock] = []
         self.back_edges: List[Tuple[BasicBlock, BasicBlock]] = []
 
     def __contains__(self, block: BasicBlock) -> bool:
         return block in self.blocks
-
-    def members_in_layout_order(self, func: Function) -> List[BasicBlock]:
-        """Loop members sorted by their position in the function layout."""
-        positions = {id(block): i for i, block in enumerate(func.blocks)}
-        return sorted(self.blocks, key=lambda b: positions[id(b)])
 
     def exits(self) -> List[Tuple[BasicBlock, BasicBlock]]:
         """Edges leaving the loop, as (inside block, outside successor)."""
@@ -84,6 +81,9 @@ def find_loops(func: Function, dom: Optional[DominatorTree] = None) -> LoopInfo:
                 loop = loops.setdefault(succ, Loop(succ))
                 loop.back_edges.append((block, succ))
                 _collect(loop, block, dom)
+    position = {block: i for i, block in enumerate(func.blocks)}
+    for loop in loops.values():
+        loop.members = sorted(loop.blocks, key=position.__getitem__)
     return LoopInfo(list(loops.values()), dom)
 
 

@@ -37,4 +37,5 @@ def reducible(order: Sequence[BasicBlock], dominators: DominatorTree) -> bool:
 
 def is_reducible(func: Function) -> bool:
     """True when the reachable flow graph of ``func`` is reducible."""
-    return reducible(reverse_postorder(func), compute_dominators(func))
+    order = reverse_postorder(func)
+    return reducible(order, compute_dominators(func, order))

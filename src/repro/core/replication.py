@@ -208,7 +208,6 @@ class CodeReplicator:
             progress = False
             sweep += 1
             with obs.span("jumps.sweep", function=func.name, sweep=sweep):
-                compute_flow(func)
                 with obs.span("jumps.step1.shortest_paths"):
                     paths = ShortestPaths(func)  # step 1
                 # Step 2: traverse the blocks sequentially.  The snapshot stays
@@ -312,8 +311,7 @@ class CodeReplicator:
 
         # A jump straight to the next block is simply redundant.
         if target is follow:
-            block.insns.pop()
-            compute_flow(func)
+            block.insns.pop()  # the fall-through edge is the jump's edge
             stats.jumps_replaced += 1
             decide("redundant")
             return True
@@ -486,7 +484,7 @@ class CodeReplicator:
                 and previous not in loop.blocks
                 and self._completion_needed(collected, loop, jump_block, index == 0)
             ):
-                members = loop.members_in_layout_order(func)
+                members = loop.members
                 # The copied control flow must still *enter* at the collected
                 # header, so rotate the positional order to start there.
                 start = next(i for i, m in enumerate(members) if m is collected)

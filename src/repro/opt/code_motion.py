@@ -152,16 +152,14 @@ def _hoist_from_loop(func: Function, loop: Loop, liveness: Liveness) -> bool:
     # loop is the identical invariant, non-trapping assignment (a common
     # result of replicating loop entries — e.g. address formation repeated
     # in two rotated-loop headers), hoist one copy and delete the rest.
-    multi = _identical_invariant_defs(
-        func, loop, defs, loop_writes_mem, header_live_in
-    )
+    multi = _identical_invariant_defs(loop, defs, loop_writes_mem, header_live_in)
     for reg, (keeper, keeper_block, duplicates) in multi.items():
         candidates.append(keeper)
         homes[id(keeper)] = keeper_block
         hoisted_regs.add(reg)
         extra_deletions.extend(duplicates)
 
-    for block in loop.members_in_layout_order(func):
+    for block in loop.members:
         for insn in block.insns:
             if not isinstance(insn, Assign) or not isinstance(insn.dst, Reg):
                 continue
@@ -204,12 +202,10 @@ def _hoist_from_loop(func: Function, loop: Loop, liveness: Liveness) -> bool:
         preheader.insns.append(insn)
     for block, duplicate in extra_deletions:
         block.insns.remove(duplicate)
-    compute_flow(func)
     return True
 
 
 def _identical_invariant_defs(
-    func: Function,
     loop: Loop,
     defs: Dict[Reg, int],
     loop_writes_mem: bool,
@@ -221,7 +217,7 @@ def _identical_invariant_defs(
     the duplicate definitions to delete.
     """
     sites: Dict[Reg, List[Tuple[BasicBlock, Insn]]] = {}
-    for block in loop.members_in_layout_order(func):
+    for block in loop.members:
         for insn in block.insns:
             if isinstance(insn, Assign) and isinstance(insn.dst, Reg):
                 sites.setdefault(insn.dst, []).append((block, insn))

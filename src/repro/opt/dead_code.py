@@ -15,72 +15,67 @@ Three cleanups, iterated to a fixpoint:
 
 from __future__ import annotations
 
-from typing import Set
-
+from ..cfg.analyses import get_analyses
 from ..cfg.block import Function
-from ..cfg.graph import compute_flow, reachable_blocks
+from ..cfg.graph import compute_flow
 from ..rtl.insn import Jump
 
 __all__ = ["eliminate_dead_code", "remove_unreachable", "merge_blocks"]
 
 
 def remove_unreachable(func: Function) -> bool:
-    """Delete blocks not reachable from the entry; True if changed."""
-    reachable = reachable_blocks(func)
+    """Delete blocks not in the cached reverse postorder; True if changed."""
+    reachable = set(get_analyses(func).reverse_postorder())
     if len(reachable) == len(func.blocks):
         return False
-    kept = [block for block in func.blocks if block in reachable]
     # Deleting a block must not break a fall-through of a survivor: the
     # predecessor of a deleted block never falls through into it (a
     # fall-through edge would have made it reachable), so layout is safe.
-    func.blocks = kept
+    func.blocks = [block for block in func.blocks if block in reachable]
     compute_flow(func)
     return True
 
 
-def _referenced_labels(func: Function) -> Set[str]:
-    labels: Set[str] = set()
-    for block in func.blocks:
-        term = block.terminator
-        if term is not None:
-            labels.update(term.branch_targets())
-    return labels
-
-
 def remove_redundant_jumps(func: Function) -> bool:
-    """Drop ``PC=L;`` when block L is positionally next; True if changed."""
+    """Drop ``PC=L;`` when block L is positionally next; True if changed.
+
+    The block then falls through to L, its successor already: no edge moves.
+    """
     changed = False
     for index, block in enumerate(func.blocks[:-1]):
         term = block.terminator
         if isinstance(term, Jump) and func.blocks[index + 1].label == term.target:
             block.insns.pop()
             changed = True
-    if changed:
-        compute_flow(func)
     return changed
 
 
 def merge_blocks(func: Function) -> bool:
-    """Merge fall-through-only successors into their predecessor."""
+    """Merge fall-through-only successors into their predecessor.
+
+    A block no branch names has one way in, the fall-through.  Merging
+    moves a terminator, not a target, so the named labels hold for the
+    whole sweep and one ``compute_flow`` at its end serves every merge.
+    """
+    referenced = {
+        label
+        for block in func.blocks
+        if block.terminator is not None
+        for label in block.terminator.branch_targets()
+    }
     changed = False
-    referenced = _referenced_labels(func)
     index = 0
     while index + 1 < len(func.blocks):
         block = func.blocks[index]
         nxt = func.blocks[index + 1]
-        if (
-            block.falls_through()
-            and block.terminator is None
-            and nxt.label not in referenced
-            and all(p is block for p in nxt.preds)
-        ):
+        if block.terminator is None and nxt.label not in referenced:
             block.insns.extend(nxt.insns)
             del func.blocks[index + 1]
-            compute_flow(func)
-            referenced = _referenced_labels(func)
             changed = True
             continue  # the merged block may merge again
         index += 1
+    if changed:
+        compute_flow(func)
     return changed
 
 

@@ -46,7 +46,6 @@ from functools import partial
 from typing import Callable, Optional
 
 from ..cfg.block import BasicBlock, Function, Program
-from ..cfg.graph import compute_flow
 from ..core.policy import REPLICATIONS
 from ..core.replication import CodeReplicator, Policy, ReplicationMode, ReplicationStats
 from ..obs import active as _active_observer
@@ -244,7 +243,6 @@ def optimize_function(
         step("dead_code", lambda: eliminate_dead_code(func))
         if target.has_delay_slots and not guided:
             step("delay_slots", lambda: fill_delay_slots(func))
-        compute_flow(func)
         function_span.set(
             iterations=iterations,
             jumps_replaced=stats.jumps_replaced,

@@ -17,9 +17,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..cfg.analyses import get_analyses
 from ..cfg.block import BasicBlock, Function
-from ..cfg.graph import compute_flow
 from ..cfg.loops import Loop
-from ..rtl.expr import BinOp, Const, Expr, Reg, map_expr
+from ..rtl.expr import BinOp, Const, Expr, Reg
 from ..rtl.insn import Assign, Insn
 from .code_motion import ensure_preheader
 from .instruction_selection import RegFactory
@@ -42,9 +41,7 @@ def _increment_of(insn: Insn, reg: Reg) -> Optional[int]:
     return None
 
 
-def _find_basic_ivs(
-    func: Function, loop: Loop
-) -> Dict[Reg, List[Tuple[Insn, int, BasicBlock]]]:
+def _find_basic_ivs(loop: Loop) -> Dict[Reg, List[Tuple[Insn, int, BasicBlock]]]:
     """Registers whose every in-loop def is ``i = i ± c`` (same ``c``).
 
     Code replication duplicates loop-closing increments, so a basic
@@ -54,7 +51,7 @@ def _find_basic_ivs(
     hence derived-register numbering) is deterministic.
     """
     defs: Dict[Reg, List[Tuple[Insn, BasicBlock]]] = {}
-    for block in loop.members_in_layout_order(func):
+    for block in loop.members:
         for insn in block.insns:
             reg = insn.defined_reg()
             if reg is not None:
@@ -71,10 +68,10 @@ def _find_basic_ivs(
     return ivs
 
 
-def _multiplications_of(func: Function, loop: Loop, iv: Reg) -> List[Expr]:
+def _multiplications_of(loop: Loop, iv: Reg) -> List[Expr]:
     """Distinct ``iv * k`` expressions used inside the loop, layout order."""
     found: Dict[Expr, None] = {}
-    for block in loop.members_in_layout_order(func):
+    for block in loop.members:
         for insn in block.insns:
             for expr in insn.used_exprs():
                 for node in _walk(expr):
@@ -121,12 +118,12 @@ def strength_reduce(func: Function) -> bool:
 
 
 def _reduce_loop(func: Function, loop: Loop, factory: RegFactory) -> bool:
-    ivs = _find_basic_ivs(func, loop)
+    ivs = _find_basic_ivs(loop)
     if not ivs:
         return False
     plans = []
     for iv, sites in ivs.items():
-        for product in _multiplications_of(func, loop, iv):
+        for product in _multiplications_of(loop, iv):
             plans.append((iv, sites, product))
     if not plans:
         return False
@@ -142,16 +139,11 @@ def _reduce_loop(func: Function, loop: Loop, factory: RegFactory) -> bool:
 
         # Replace iv*k everywhere in the loop, *before* inserting the
         # updates so the updates themselves are not rewritten.
-        def replace(node: Expr) -> Expr:
-            if node == product:
-                return derived
-            return node
-
+        mapping = {product: derived}
         for block in loop.blocks:
             for insn in block.insns:
-                if id(insn) in update_sites:
-                    continue
-                _rewrite_insn(insn, replace)
+                if id(insn) not in update_sites:
+                    insn.substitute(mapping)
 
         # Advance the derived register right after *each* IV increment.
         for iv_insn, step, iv_block in sites:
@@ -160,20 +152,5 @@ def _reduce_loop(func: Function, loop: Loop, factory: RegFactory) -> bool:
                 position,
                 Assign(derived, BinOp("+", derived, Const(step * k.value))),
             )
-    compute_flow(func)
     return True
 
-
-def _rewrite_insn(insn: Insn, replace) -> None:
-    from ..rtl.expr import Mem
-    from ..rtl.insn import Compare, IndirectJump
-
-    if isinstance(insn, Assign):
-        insn.src = map_expr(insn.src, replace)
-        if isinstance(insn.dst, Mem):
-            insn.dst = Mem(map_expr(insn.dst.addr, replace), insn.dst.width)
-    elif isinstance(insn, Compare):
-        insn.left = map_expr(insn.left, replace)
-        insn.right = map_expr(insn.right, replace)
-    elif isinstance(insn, IndirectJump):
-        insn.addr = map_expr(insn.addr, replace)

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import List
 
 from ..cfg.block import Function
-from ..cfg.graph import compute_flow
 from ..rtl.insn import Assign, Call, Insn, Nop
 
 __all__ = ["fill_delay_slots", "count_nops"]
@@ -70,8 +69,7 @@ def fill_delay_slots(func: Function) -> int:
             if _is_movable(insn):
                 available += 1
             new_insns.append(insn)
-        block.insns = new_insns
-    compute_flow(func)
+        block.insns = new_insns  # each transfer still ends its block
     return inserted
 
 

@@ -23,9 +23,11 @@ CFG:
   recomputation exactly — same blocks, same order;
 * ``cfg_edition`` coherence: the :class:`~repro.cfg.analyses.AnalysisManager`
   attached to the function must not be *ahead* of the function's
-  edition, and a reverse-postorder cached at the current edition must
-  match a fresh recomputation (a pass that mutated structure without
-  ``compute_flow`` bumping the edition shows up here).
+  edition; at the current edition the block list must be the one
+  ``compute_flow`` last saw (``Function.flow_layout``), a cached reverse
+  postorder must match a fresh one and cached loop members follow the
+  layout (a pass that changed layout or edges without ``compute_flow``
+  shows up here).
 
 RTL:
 
@@ -222,6 +224,12 @@ def _check_edition_coherence(func: Function, problems: List[str]) -> None:
         return
     if manager._edition != func.cfg_edition:
         return  # stale cache: will be rebuilt on next use; nothing to check
+    if not _same(func.flow_layout, func.blocks):
+        problems.append(
+            f"block list {[b.label for b in func.blocks]} is not the layout "
+            f"{[b.label for b in func.flow_layout]} of cfg_edition "
+            f"{func.cfg_edition} — a pass changed the layout without compute_flow"
+        )
     cached_rpo = manager._cache.get("rpo")
     if cached_rpo is not None:
         fresh = reverse_postorder(func)
@@ -232,6 +240,15 @@ def _check_edition_coherence(func: Function, problems: List[str]) -> None:
                 f"recomputation {[b.label for b in fresh]} at the same "
                 f"cfg_edition {func.cfg_edition} — a pass mutated the "
                 "graph without compute_flow noticing"
+            )
+    cached_loops = manager._cache.get("loops")
+    for loop in cached_loops.loops if cached_loops is not None else ():
+        in_layout = [block for block in func.blocks if block in loop.blocks]
+        if not _same(loop.members, in_layout):
+            problems.append(
+                f"cached loop of {loop.header.label} lists members "
+                f"{[b.label for b in loop.members]}, the layout "
+                f"{[b.label for b in in_layout]}"
             )
 
 
@@ -449,15 +466,19 @@ _Span = Tuple[int, int, int, int]
 def _walk(func: Function) -> Tuple[List[object], Dict[BasicBlock, _Span]]:
     """All the sanitizer reads of ``func`` but its context, and block spans.
 
-    That is ``cfg_edition``, the analysis manager, its edition and cached
-    RPO, and per block the block, label, ``preds``, ``succs``, and each
-    instruction and its fields.
+    That is ``cfg_edition``, ``flow_layout``, the analysis manager, its
+    edition, cached RPO and loops, and per block the block, label,
+    ``preds``, ``succs``, and each instruction and its fields.
     """
     manager = getattr(func, "_analysis_manager", None)
-    walk: List[object] = [func.cfg_edition, manager]
+    walk: List[object] = [func.cfg_edition, func.flow_layout, manager]
     if manager is not None:
         rpo = manager._cache.get("rpo")
         walk += (manager._edition, rpo, *(rpo or ()), _END)
+        loops = manager._cache.get("loops")
+        walk.append(loops)
+        for loop in loops.loops if loops is not None else ():
+            walk += (loop, *loop.members, _END)
     spans: Dict[BasicBlock, _Span] = {}
     getters = _FIELD_GETTERS
     for block in func.blocks:

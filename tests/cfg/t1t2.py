@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set
 
-from repro.cfg import Function, reachable_blocks
+from repro.cfg import Function, postorder
 
 
 def collapse(succs: Dict[int, Set[int]], entry: int) -> int:
@@ -63,7 +63,7 @@ def collapse(succs: Dict[int, Set[int]], entry: int) -> int:
 
 def t1t2_reducible(func: Function) -> bool:
     """True when the reachable flow graph of ``func`` collapses to one node."""
-    reachable = reachable_blocks(func)
+    reachable = set(postorder(func))
     succs: Dict[int, Set[int]] = {
         id(block): {id(s) for s in block.succs if s in reachable}
         for block in reachable

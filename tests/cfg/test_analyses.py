@@ -133,15 +133,16 @@ class TestMetrics:
         func = _loop_func()
         with observing(spans=False) as obs:
             am = get_analyses(func)
-            am.loops()  # miss: loops + dominators
+            am.loops()  # miss: loops + dominators + rpo
             am.loops()  # hit
             am.dominators()  # hit
-            am.reducible()  # miss: reducible + rpo; dominators hit
+            am.reducible()  # miss: reducible; rpo and dominators hit
         counters = obs.metrics.counters
         assert counters["analysis.cache.miss"] == 4
-        assert counters["analysis.cache.hit"] == 3
+        assert counters["analysis.cache.hit"] == 4
         assert counters["analysis.cache.miss.loops"] == 1
         assert counters["analysis.cache.hit.loops"] == 1
         assert counters["analysis.cache.miss.reducible"] == 1
         assert counters["analysis.cache.miss.rpo"] == 1
+        assert counters["analysis.cache.hit.rpo"] == 1
         assert counters["analysis.cache.hit.dominators"] == 2

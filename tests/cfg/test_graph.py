@@ -5,7 +5,7 @@ import pytest
 from repro.cfg import (
     build_function,
     compute_flow,
-    reachable_blocks,
+    postorder,
 )
 from repro.rtl import parse_insns
 from repro.verify import SanitizeError, check_sanitized
@@ -112,6 +112,55 @@ class TestFlowEdges:
             function_from_text("f", "NZ=d[0]?1;\nPC=NZ==0,B1;")
 
 
+class TestEdition:
+    """``compute_flow`` bumps ``cfg_edition`` on any layout or edge change."""
+
+    @staticmethod
+    def _jumps_only():
+        # Every block ends in a jump or a return: no fall-through edge, so
+        # a permutation keeps every successor list.
+        return function_from_text(
+            "f",
+            """
+            PC=L3;
+            L2:
+              d[0]=2;
+              PC=RT;
+            L3:
+              d[0]=3;
+              PC=L2;
+            L4:
+              d[0]=4;
+              PC=L2;
+            """,
+        )
+
+    def test_unchanged_recompute_keeps_the_edition(self):
+        func = self._jumps_only()
+        edition, layout = func.cfg_edition, func.flow_layout
+        compute_flow(func)
+        assert func.cfg_edition == edition
+        assert func.flow_layout is layout
+
+    def test_permutation_keeping_every_successor_bumps(self):
+        func = self._jumps_only()
+        succs = {block.label: list(block.succs) for block in func.blocks}
+        edition = func.cfg_edition
+        func.blocks[1], func.blocks[2] = func.blocks[2], func.blocks[1]
+        compute_flow(func)
+        assert {block.label: block.succs for block in func.blocks} == succs
+        assert func.cfg_edition == edition + 1
+        assert func.flow_layout == tuple(func.blocks)
+
+    def test_deleting_an_unreachable_block_bumps(self):
+        func = self._jumps_only()
+        edition = func.cfg_edition
+        assert func.blocks[3].label == "L4" and not func.blocks[3].preds
+        del func.blocks[3]
+        compute_flow(func)
+        assert func.cfg_edition == edition + 1
+
+
 class TestReachability:
     def test_unreachable_block_detected(self):
         func = function_from_text(
@@ -124,7 +173,7 @@ class TestReachability:
               PC=RT;
             """,
         )
-        reachable = reachable_blocks(func)
+        reachable = postorder(func)
         labels = {b.label for b in reachable}
         assert labels == {"B1", "L2"}
 

@@ -99,7 +99,7 @@ class TestNaturalLoops:
             """,
         )
         info = find_loops(func)
-        members = info.loops[0].members_in_layout_order(func)
+        members = info.loops[0].members
         assert [b.label for b in members] == ["L1", "B2"]
 
     def test_exits(self):

@@ -173,6 +173,15 @@ def _check_edition_coherence(func: Function, problems: List[str]) -> None:
         return
     if manager._edition != func.cfg_edition:
         return  # stale cache: will be rebuilt on next use; nothing to check
+    layout = func.flow_layout
+    if len(layout) != len(func.blocks) or any(
+        a is not b for a, b in zip(layout, func.blocks)
+    ):
+        problems.append(
+            f"block list {[b.label for b in func.blocks]} is not the layout "
+            f"{[b.label for b in layout]} of cfg_edition "
+            f"{func.cfg_edition} — a pass changed the layout without compute_flow"
+        )
     cached_rpo = manager._cache.get("rpo")
     if cached_rpo is not None:
         fresh = reverse_postorder(func)
@@ -186,6 +195,22 @@ def _check_edition_coherence(func: Function, problems: List[str]) -> None:
                 f"cfg_edition {func.cfg_edition} — a pass mutated the "
                 "graph without compute_flow noticing"
             )
+    cached_loops = manager._cache.get("loops")
+    if cached_loops is not None:
+        position = {id(block): i for i, block in enumerate(func.blocks)}
+        for loop in cached_loops.loops:
+            in_layout = sorted(
+                (b for b in loop.blocks if id(b) in position),
+                key=lambda b: position[id(b)],
+            )
+            if len(in_layout) != len(loop.members) or any(
+                a is not b for a, b in zip(loop.members, in_layout)
+            ):
+                problems.append(
+                    f"cached loop of {loop.header.label} lists members "
+                    f"{[b.label for b in loop.members]}, the layout "
+                    f"{[b.label for b in in_layout]}"
+                )
 
 
 # --------------------------------------------------------------------------

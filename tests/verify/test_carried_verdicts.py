@@ -73,7 +73,7 @@ def _optimize(source, target="sparc", replication="jumps"):
 
 
 class TestParity:
-    @pytest.mark.parametrize("replication", ["loops", "jumps"])
+    @pytest.mark.parametrize("replication", ["none", "loops", "jumps"])
     @pytest.mark.parametrize("target_name", ["m68020", "sparc"])
     @pytest.mark.parametrize("name", program_names())
     def test_suite_program(self, name, target_name, replication, cross_check):

@@ -7,6 +7,7 @@ from repro.frontend import compile_c
 from repro.rtl.expr import Const, Mem, Reg
 from repro.rtl.insn import Assign, CondBranch, Jump
 from repro.verify import SanitizeError, Verifier, check_sanitized, sanitize_function
+from repro.verify.sanitize import Sanitizer
 from tests.conftest import function_from_text
 
 LOOP = """
@@ -98,6 +99,39 @@ class TestCfgViolations:
         assert exc.value.function == "main"
         assert exc.value.stage == "unit-test-stage"
         assert exc.value.violations
+
+
+class TestEditionCoherence:
+    """A layout change that ``compute_flow`` never saw is reported while
+    the analysis cache is at the current edition."""
+
+    @staticmethod
+    def _reordered_behind_a_cached_loop_forest():
+        from repro.cfg import get_analyses
+        from tests.verify.reference_sanitizer import reference_sanitize
+
+        program, func = _main()
+        sanitizer = Sanitizer()
+        assert sanitizer.check(func, program) == []
+        loop = get_analyses(func).loops().loops[0]
+        first, second = loop.members[:2]
+        i, j = func.blocks.index(first), func.blocks.index(second)
+        func.blocks[i], func.blocks[j] = second, first
+        return program, func, sanitizer, reference_sanitize
+
+    def test_reordered_blocks_and_loop_members_are_reported(self):
+        program, func, sanitizer, reference = self._reordered_behind_a_cached_loop_forest()
+        problems = sanitize_function(func, program)
+        assert any("changed the layout without compute_flow" in p for p in problems)
+        assert any("cached loop of" in p for p in problems)
+        assert sanitizer.check(func, program) == problems
+        assert reference(func, program) == problems
+
+    def test_compute_flow_clears_the_fault(self):
+        program, func, _, _ = self._reordered_behind_a_cached_loop_forest()
+        compute_flow(func)
+        problems = sanitize_function(func, program)
+        assert not any("without compute_flow" in p or "cached loop" in p for p in problems)
 
 
 class TestRtlViolations:
