@@ -91,11 +91,7 @@ def jump_census(program: Program) -> List[JumpRecord]:
             term = block.terminator
             if not isinstance(term, Jump):
                 continue
-            try:
-                target = func.block_by_label(term.target)
-            except KeyError:
-                records.append(JumpRecord(name, block.label, term.target, "other"))
-                continue
+            target = block.succs[0]
             if target is block:
                 category = "self-loop"
             elif target.ends_in_indirect_jump():

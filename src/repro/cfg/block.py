@@ -147,25 +147,6 @@ class Function:
             if label not in existing:
                 return label
 
-    def block_by_label(self, label: str) -> BasicBlock:
-        for block in self.blocks:
-            if block.label == label:
-                return block
-        raise KeyError(f"no block labelled {label!r} in {self.name}")
-
-    def block_index(self, block: BasicBlock) -> int:
-        for index, candidate in enumerate(self.blocks):
-            if candidate is block:
-                return index
-        raise ValueError(f"block {block.label} not in function {self.name}")
-
-    def next_block(self, block: BasicBlock) -> Optional[BasicBlock]:
-        """The positional successor of ``block`` (fall-through target)."""
-        index = self.block_index(block)
-        if index + 1 < len(self.blocks):
-            return self.blocks[index + 1]
-        return None
-
     @property
     def entry(self) -> BasicBlock:
         if not self.blocks:

@@ -9,6 +9,14 @@ Two entry points matter to the rest of the system:
   changes the block list or a terminator's targets, and only then:
   straight-line edits, no-ops and dropping a jump to the positional
   successor (the fall-through successor anyway) keep every edge.
+
+It is the one place the optimizer turns a label into a block.  Edges are
+current at every pass and replication-sweep boundary (the sanitizer
+checks them against a fresh recomputation), so passes read ``succs``,
+not labels: a jump's target is ``succs[0]``, a conditional branch's
+edges are ``(fall, taken)`` and an indirect jump's follow its table.
+Branch chaining alone follows labels, because it retargets transfers
+before its one ``compute_flow``.
 """
 
 from __future__ import annotations

@@ -203,7 +203,7 @@ class CodeReplicator:
         while progress and budget > 0:
             if len(func.blocks) >= MAX_FUNCTION_BLOCKS:
                 stats.valve_block_trips += 1
-                self._record_valve(func, obs, "max_function_blocks")
+                self._record_valve(obs, "max_function_blocks")
                 break
             progress = False
             sweep += 1
@@ -223,7 +223,7 @@ class CodeReplicator:
                         self.allow_irreducible or not term.no_replicate
                     ):
                         if self._replace_jump(
-                            func, block, term, paths, stats, obs
+                            func, position, term, paths, stats, obs
                         ):
                             progress = True
                             budget -= 1
@@ -233,41 +233,33 @@ class CodeReplicator:
             # The replication budget ran out while sweeps were still
             # finding work — the cascade valve, not a fixpoint.
             stats.valve_budget_trips += 1
-            self._record_valve(func, obs, "budget_exhausted")
+            self._record_valve(obs, "budget_exhausted")
         return stats
 
     @staticmethod
-    def _record_valve(func: Function, obs, reason: str) -> None:
+    def _record_valve(obs, reason: str) -> None:
         """Count a valve trip, labelled by cause (the two are distinct:
         ``max_function_blocks`` means the function grew to
         :data:`MAX_FUNCTION_BLOCKS`,
-        ``budget_exhausted`` means the run was cut short mid-progress)."""
+        ``budget_exhausted`` means the run was cut short mid-progress).
+        A trip is not a decision about a jump, so the log records none."""
         obs.metrics.inc("replication.valve_trips")
         obs.metrics.inc(f"replication.valve_trips.{reason}")
-        if obs.decisions.enabled:
-            obs.decisions.record(
-                ReplicationDecision(
-                    function=func.name,
-                    block="",
-                    target="",
-                    mode="valve",
-                    policy="",
-                    outcome="valve",
-                    reason=reason,
-                )
-            )
 
     # ----------------------------------------------------------- jump handling
 
     def _replace_jump(
         self,
         func: Function,
-        block: BasicBlock,
+        position: int,
         jump: Jump,
         paths: ShortestPaths,
         stats: ReplicationStats,
         obs,
     ) -> bool:
+        """Try to replace ``jump``, the terminator of ``func.blocks[position]``."""
+        block = func.blocks[position]
+
         def decide(outcome: str, reason: str = "", **extra) -> None:
             """Emit one decision-log event + outcome counters."""
             obs.metrics.inc(f"replication.{outcome}")
@@ -292,17 +284,15 @@ class CodeReplicator:
         ):
             decide("kept", "filtered")
             return False
-        try:
-            target = func.block_by_label(jump.target)
-        except KeyError:
-            decide("kept", "unresolved_target")
-            return False
+        target = block.succs[0]
         if target is block:
             # A jump to the start of its own block: an infinite loop.  The
             # paper notes these provide no replacement opportunity.
             decide("kept", "self_loop")
             return False
-        follow = func.next_block(block)
+        follow = (
+            func.blocks[position + 1] if position + 1 < len(func.blocks) else None
+        )
         if id(target) not in paths.index and target is not follow:
             # The target was created by a replication during this sweep and
             # is not in the snapshot yet; retry with a fresh one next sweep.
@@ -365,7 +355,7 @@ class CodeReplicator:
             with obs.span("jumps.step4_5.apply", blocks=last_blocks):
                 undo, copies = self._apply(
                     func,
-                    block,
+                    position,
                     completed,
                     follow,
                     ends_by_fallthrough,
@@ -530,14 +520,15 @@ class CodeReplicator:
     def _apply(
         self,
         func: Function,
-        jump_block: BasicBlock,
+        jump_at: int,
         sequence: List[BasicBlock],
         follow: Optional[BasicBlock],
         ends_by_fallthrough: bool,
         loops: LoopInfo,
         identity: Tuple[str, str],
     ) -> Tuple[Callable[[], None], List[str]]:
-        """Copy ``sequence`` after ``jump_block`` and rewire the control flow.
+        """Copy ``sequence`` after ``func.blocks[jump_at]``, the jump block,
+        and rewire the control flow.
 
         ``identity`` is the replicated jump's identity — the (origin,
         origin) label pair — recorded in every created block's ancestry
@@ -547,6 +538,7 @@ class CodeReplicator:
         by the step-6 reducibility rollback) plus the labels of the new
         blocks (replica copies and branch stubs) for the decision log.
         """
+        jump_block = func.blocks[jump_at]
         copies = [BasicBlock(func.new_label()) for _ in sequence]
 
         def map_target(position: int, original: BasicBlock) -> str:
@@ -602,7 +594,7 @@ class CodeReplicator:
         # a terminator-less block, silently dropping the copied back
         # edge and falling through into unrelated code.
         removed_jump = jump_block.insns.pop()
-        insert_at = func.block_index(jump_block) + 1
+        insert_at = jump_at + 1
         func.blocks[insert_at:insert_at] = new_blocks
 
         # Step 5: retarget conditional branches of uncopied blocks of a
@@ -619,11 +611,9 @@ class CodeReplicator:
                     continue
                 term = member.terminator
                 if isinstance(term, CondBranch):
-                    try:
-                        dest = func.block_by_label(term.target)
-                    except KeyError:
-                        continue
-                    new_label = copied_in_loop.get(id(dest))
+                    # ``succs`` still describes the layout before the
+                    # insertion: its taken edge is the branch's target.
+                    new_label = copied_in_loop.get(id(member.succs[1]))
                     if new_label is not None:
                         retargets.append((term, term.target))
                         term.target = new_label
@@ -657,9 +647,7 @@ class CodeReplicator:
         """
         if term is None:
             # The original fell through to its positional successor.
-            dest = func.next_block(original)
-            assert dest is not None, f"{original.label} falls off the function end"
-            mapped = map_target(position, dest)
+            mapped = map_target(position, original.succs[0])
             if mapped != next_label:
                 copy.insns.append(Jump(mapped))
             return None
@@ -667,16 +655,14 @@ class CodeReplicator:
             copy.insns.append(term.clone())
             return None
         if isinstance(term, Jump):
-            mapped = map_target(position, func.block_by_label(term.target))
+            mapped = map_target(position, original.succs[0])
             if mapped != next_label:
                 # Cannot fall through (e.g. a completed loop's back edge):
                 # keep an explicit jump; a later sweep may replace it too.
                 copy.insns.append(Jump(mapped))
             return None
         if isinstance(term, CondBranch):
-            taken = func.block_by_label(term.target)
-            fall = func.next_block(original)
-            assert fall is not None
+            fall, taken = original.succs
             mapped_taken = map_target(position, taken)
             mapped_fall = map_target(position, fall)
             if mapped_fall == next_label:
@@ -697,10 +683,7 @@ class CodeReplicator:
             # loop member.  Copying it is safe: the jump table's labels map
             # like any other target (the §6 future-work extension notes
             # "the jump destinations do not need to be copied").
-            mapped_targets = [
-                map_target(position, func.block_by_label(t))
-                for t in term.targets
-            ]
+            mapped_targets = [map_target(position, succ) for succ in original.succs]
             copy.insns.append(IndirectJump(term.addr, mapped_targets))
             return None
         raise AssertionError(f"cannot replicate terminator {term!r}")

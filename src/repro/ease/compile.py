@@ -137,7 +137,6 @@ class _FunctionCompiler:
         self.blocks_fused = 0
         self.uses_unpack = False
         self.uses_pack = False
-        self.uses_call = False
         #: Reverse map of register locals, for compare/branch fusion.
         self._local_names: Dict[str, Tuple[str, int]] = {}
         #: Per-block: is cc live after the block's terminator?
@@ -147,6 +146,12 @@ class _FunctionCompiler:
         self._fused_operands: Optional[Tuple[str, str]] = None
         #: Registers redefined between the fused Compare and its branch.
         self._fuse_written: Set[Tuple[str, int]] = set()
+        #: Per block: successor indices, resolved from the RTL's own
+        #: labels (the engine executes labels, not the optimizer's
+        #: edges).  A conditional branch lists its taken target first,
+        #: then its fall-through when there is a next block; an indirect
+        #: jump lists its table in order.
+        self.succs: List[List[int]] = self._successors()
 
     # ------------------------------------------------------------ helpers
 
@@ -350,7 +355,6 @@ class _FunctionCompiler:
             # locals stay authoritative — the next consumer of any
             # cached slot re-flushes first), and a callee's bank delta
             # is confined to its own footprint plus rv.
-            self.uses_call = True
             for (bank, index) in self.regs_used:
                 out.append(f"_K_{bank}[{index}] = _R_{bank}_{index}")
             saves = [
@@ -364,7 +368,6 @@ class _FunctionCompiler:
             out.append(f"_fb = state.fp - {self.interp._frame_sizes[name] + 32}")
             out.append("if _fb <= state.heap_ptr:")
             out.append("    raise MemoryError('interpreted stack overflow')")
-            out.append("_ncalls += 1")
             out.append(f"_steps = _x_{name}(interp, state, result, _fb, _steps)")
             for temp, bank, index in saves:
                 out.append(f"_K_{bank}[{index}] = {temp}")
@@ -395,6 +398,23 @@ class _FunctionCompiler:
         defined = insn.defined_reg()
         return defined is not None and defined.bank == "cc" and defined.index == 0
 
+    def _successors(self) -> List[List[int]]:
+        """Each block's successor indices (see :attr:`succs`)."""
+        blocks = self.func.blocks
+        n = len(blocks)
+        index_of = {block.label: i for i, block in enumerate(blocks)}
+        succs: List[List[int]] = []
+        for i, block in enumerate(blocks):
+            term = block.terminator
+            if term is None:
+                s = [i + 1] if i + 1 < n else []
+            else:
+                s = [index_of[label] for label in term.branch_targets()]
+                if isinstance(term, CondBranch) and i + 1 < n:
+                    s.append(i + 1)
+            succs.append(s)
+        return succs
+
     def _cc_liveness(self) -> List[bool]:
         """Per block: is cc read on some path after the terminator?
 
@@ -404,24 +424,9 @@ class _FunctionCompiler:
         """
         blocks = self.func.blocks
         n = len(blocks)
-        index_of = {block.label: i for i, block in enumerate(blocks)}
-        succs: List[List[int]] = []
+        succs = self.succs
         summary: List[Tuple[bool, bool]] = []  # (reads before write, writes)
-        for i, block in enumerate(blocks):
-            term = block.terminator
-            s: List[int] = []
-            if term is None:
-                if i + 1 < n:
-                    s.append(i + 1)
-            elif isinstance(term, Jump):
-                s.append(index_of[term.target])
-            elif isinstance(term, CondBranch):
-                s.append(index_of[term.target])
-                if i + 1 < n:
-                    s.append(i + 1)
-            elif isinstance(term, IndirectJump):
-                s.extend(index_of[label] for label in term.targets)
-            succs.append(s)
+        for block in blocks:
             reads = writes = False
             for insn in block.insns:
                 if self._reads_cc(insn):
@@ -560,32 +565,24 @@ class _FunctionCompiler:
         """
         func = self.func
         n = len(func.blocks)
-        index_of = {block.label: i for i, block in enumerate(func.blocks)}
         preds: Dict[int, int] = {i: 0 for i in range(n)}
         forced: Set[int] = {0}
         for i, block in enumerate(func.blocks):
             term = block.terminator
+            succs = self.succs[i]
             if term is None:
                 if i + 1 >= n:
                     raise ValueError(
                         f"{func.name}: block {block.label} falls off the end"
                     )
-                preds[i + 1] += 1
-            elif isinstance(term, Jump):
-                preds[index_of[term.target]] += 1
             elif isinstance(term, CondBranch):
-                target = index_of[term.target]
-                preds[target] += 1
-                forced.add(target)
-                if i + 1 < n:
-                    preds[i + 1] += 1
+                forced.add(succs[0])
             elif isinstance(term, IndirectJump):
-                for label in term.targets:
-                    target = index_of[label]
-                    preds[target] += 1
-                    forced.add(target)
-            elif not isinstance(term, Return):
+                forced.update(succs)
+            elif not isinstance(term, (Jump, Return)):
                 raise TypeError(f"cannot compile terminator {term!r}")
+            for target in succs:
+                preds[target] += 1
         arms = sorted(
             i for i in range(n) if i in forced or preds[i] >= 2
         )
@@ -603,7 +600,6 @@ class _FunctionCompiler:
         """
         func = self.func
         n = len(func.blocks)
-        index_of = {block.label: i for i, block in enumerate(func.blocks)}
         index = start
         # Every block after ``start`` has one predecessor, the block
         # before it, so the chain cannot revisit a block before it
@@ -616,12 +612,12 @@ class _FunctionCompiler:
             if term is None:
                 follow = index + 1
             elif isinstance(term, Jump):
-                follow = index_of[term.target]
+                follow = self.succs[index][0]
             elif isinstance(term, Return):
                 out.append("RETURN")
                 return
             elif isinstance(term, CondBranch):
-                target = index_of[term.target]
+                target = self.succs[index][0]
                 if self._fused_operands is not None:
                     left, right = self._fused_operands
                     out.append(f"if {left} {term.rel} {right}:")
@@ -641,7 +637,7 @@ class _FunctionCompiler:
                 pre: List[str] = []
                 value = self._bind(self.expr(term.addr, pre), pre)
                 out.extend(pre)
-                targets = tuple(index_of[label] for label in term.targets)
+                targets = self.succs[index]
                 out.append(f"if not 0 <= {value} < {len(targets)}:")
                 out.append(
                     "    raise IndexError(f\"indirect jump index "
@@ -767,8 +763,6 @@ class _FunctionCompiler:
         lines.append("    _saved_fp = state.fp")
         lines.append("    state.fp = frame_base")
         lines.append("    fp = frame_base")
-        if self.uses_call:
-            lines.append("    _ncalls = 0")
         counters = sorted(self.emitted)
         for chunk_start in range(0, len(counters), 16):
             chunk = counters[chunk_start : chunk_start + 16]
@@ -783,8 +777,6 @@ class _FunctionCompiler:
         lines.extend(self.dispatch_tree(tree_arms, bodies, "            "))
         lines.append("    finally:")
         lines.append("        state.fp = _saved_fp")
-        if self.uses_call:
-            lines.append("        if _ncalls: result.calls_executed += _ncalls")
         for i in counters:
             lines.append(f"        if _c{i}: _counts[{i}] += _c{i}")
         for (bank, index) in self.regs_used:

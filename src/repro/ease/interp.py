@@ -95,7 +95,6 @@ class ExecutionResult:
         self.block_counts: Dict[Tuple[str, int], int] = {}
         # The block-level trace of a traced run: a ``CompressedTrace``.
         self.trace = None
-        self.calls_executed = 0
         # Dense per-function count arrays the interpreter increments on
         # the hot path (one list index instead of a tuple-keyed dict
         # update per executed block); folded into ``block_counts`` when
@@ -506,7 +505,6 @@ class Interpreter(LinkedProgram):
         # Callee-save semantics: snapshot every bank, restore all but rv.
         snapshot = {bank: list(values) for bank, values in state.regs.items()}
         result = self._current_result
-        result.calls_executed += 1
         frame_base = state.fp - self._functions[name].frame_size - 32
         if frame_base <= state.heap_ptr:
             raise MemoryError("interpreted stack overflow")

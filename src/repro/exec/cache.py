@@ -197,18 +197,6 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._memory) + sum(1 for _ in self._entries())
 
-    def clear(self) -> int:
-        """Delete every entry of this schema version; return the count."""
-        removed = len(self._memory)
-        self._memory.clear()
-        for path in self._entries():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
     def stats(self) -> dict:
         return {
             "root": "<memory>" if self.root is None else str(self.root),

@@ -8,6 +8,11 @@ recording where the jump sat, which policy arbitrated the step-2
 sequence options, how long the chosen sequence was, and whether the
 replication was accepted, rejected or rolled back (and why).
 
+The log holds these decisions only.  A safety-valve trip and a
+miscompile the oracle catches are not decisions about a jump; they are
+counted by the ``replication.valve_trips.*`` and ``verify.miscompiles``
+metrics (and a miscompile by the verification report).
+
 Outcomes
 --------
 
@@ -15,7 +20,7 @@ Outcomes
 ``redundant``    the jump targeted its fall-through and was deleted
 ``rejected``     every candidate sequence failed; the jump stays
 ``kept``         the jump was examined but never attempted (filtered,
-                 self-loop, unresolved or stale target)
+                 self-loop, stale target, or the convergence guard)
 
 Reasons (for ``rejected``/``kept``, or the rollback note on an
 ``accepted`` decision that succeeded on its second sequence):
@@ -27,8 +32,10 @@ Reasons (for ``rejected``/``kept``, or the rollback note on an
 ``no_candidates``        no sequence to a return or the fall-through
 ``filtered``             the profile-guided jump filter declined it
 ``self_loop``            the jump targets its own block
-``unresolved_target``    the jump target label does not exist
 ``stale_target``         target created mid-sweep; retried next sweep
+``convergence_guard``    the jump's identity is already in its block's
+                         replication ancestry (§5.2's replication ad
+                         infinitum)
 """
 
 from __future__ import annotations

@@ -10,22 +10,19 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..cfg.block import Function
+from ..cfg.block import BasicBlock, Function
 from ..cfg.graph import compute_flow
 from ..rtl.insn import Jump
 
 __all__ = ["branch_chaining"]
 
 
-def _final_destination(func: Function, label: str) -> str:
+def _final_destination(by_label: Dict[str, BasicBlock], label: str) -> str:
     """Follow jump-only blocks from ``label``; return the last label."""
     seen = {label}
     current = label
     while True:
-        try:
-            block = func.block_by_label(current)
-        except KeyError:
-            return current
+        block = by_label[current]
         if len(block.insns) == 1 and isinstance(block.insns[0], Jump):
             nxt = block.insns[0].target
             if nxt in seen:
@@ -37,8 +34,14 @@ def _final_destination(func: Function, label: str) -> str:
 
 
 def branch_chaining(func: Function) -> bool:
-    """Apply branch chaining to every transfer; return True if changed."""
+    """Apply branch chaining to every transfer; return True if changed.
+
+    Chains follow the transfers' current labels, not ``succs``: transfers
+    are retargeted as the walk goes, and the edges are recomputed once at
+    the end.
+    """
     changed = False
+    by_label = {block.label: block for block in func.blocks}
     cache: Dict[str, str] = {}
     for block in func.blocks:
         term = block.terminator
@@ -47,7 +50,7 @@ def branch_chaining(func: Function) -> bool:
         for target in term.branch_targets():
             final = cache.get(target)
             if final is None:
-                final = _final_destination(func, target)
+                final = _final_destination(by_label, target)
                 cache[target] = final
             if final != target:
                 term.retarget(target, final)

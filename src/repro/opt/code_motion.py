@@ -35,7 +35,7 @@ def ensure_preheader(func: Function, loop: Loop) -> BasicBlock:
     """
     header = loop.header
     external = [p for p in header.preds if p not in loop.blocks]
-    index = func.block_index(header)
+    index = func.blocks.index(header)
     if (
         len(external) == 1
         and index > 0

@@ -53,7 +53,8 @@ up each time), skips an instruction whose fields are the objects they
 were unless its context (post-regalloc flag, frame slot, global and
 function names) changed, reuses a block's ``v``-register bitsets while its
 instructions are unchanged, and recomputes no edge while every block
-keeps its position, label, ``preds``, ``succs`` and final instruction.
+keeps its position, label, ``preds``, ``succs`` and terminator (a final
+instruction that is a transfer before or after the change).
 Carried state was clean and holds its objects (no identity is reused), so
 a check reports what a fresh one does, in order; an unchanged one is skipped.
 """
@@ -494,6 +495,12 @@ def _walk(func: Function) -> Tuple[List[object], Dict[BasicBlock, _Span]]:
     return walk, spans
 
 
+def _ends_in_transfer(walk: Sequence[object], span: _Span) -> bool:
+    """Does the block whose span in ``walk`` is ``span`` end in a transfer?"""
+    tail, end = span[2], span[3]
+    return tail < end and walk[tail].is_transfer()
+
+
 class _Clean(NamedTuple):
     """What a function's last clean check established."""
 
@@ -538,9 +545,10 @@ class Sanitizer:
         old_walk = last.walk
         summaries: Dict[BasicBlock, _Summary] = {}
         changed = set()  # blocks whose instructions or their fields changed
-        # Does each block keep its position, label, edges and last instruction?
+        # Does each block keep its position, label, edges and terminator?
         same_cfg = _same(list(last.spans), func.blocks)
-        for block, (start, body, tail, end) in spans.items():
+        for block, span in spans.items():
+            start, body, tail, end = span
             old = last.spans.get(block)
             if old is not None and _same(old_walk[old[1] : old[3]], walk[body:end]):
                 summaries[block] = last.summaries[block]
@@ -548,7 +556,12 @@ class Sanitizer:
                 changed.add(block)
                 summaries[block] = _summary(block.insns, self._bits)
             same_cfg = same_cfg and _same(old_walk[old[0] : old[1]], walk[start:body])
-            same_cfg = same_cfg and _same(old_walk[old[2] : old[3]], walk[tail:end])
+            # A changed final instruction that is no transfer, before or
+            # after, leaves the block falling through: no edge depends on it.
+            if same_cfg and not _same(old_walk[old[2] : old[3]], walk[tail:end]):
+                same_cfg = not (
+                    _ends_in_transfer(old_walk, old) or _ends_in_transfer(walk, span)
+                )
 
         problems: List[str] = []
         bodies = [block for block in func.blocks if block in changed]

@@ -46,7 +46,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..cfg.block import Function, Program
 from ..exec.envelope import VERIFY_MODES
 from ..obs import active as _active_observer
-from ..obs.decisions import ReplicationDecision
 from .errors import MiscompileError, SanitizeError
 from .oracle import capture_behavior, clone_program, diff_behaviors
 from .sanitize import Sanitizer
@@ -194,20 +193,7 @@ class Verifier:
             failure["bisection"] = self._bisect()
         self._failure = failure
         guilty = (failure.get("bisection") or {}).get("guilty_pass")
-        obs = _active_observer()
-        obs.metrics.inc("verify.miscompiles")
-        if obs.decisions.enabled:
-            obs.decisions.record(
-                ReplicationDecision(
-                    function=checkpoint,
-                    block="",
-                    target="",
-                    mode="verify",
-                    policy="oracle",
-                    outcome="verify_miscompile",
-                    reason=str(guilty or divergence["diff"]),
-                )
-            )
+        _active_observer().metrics.inc("verify.miscompiles")
         message = (
             f"miscompile detected at checkpoint {checkpoint!r} "
             f"(input #{divergence['input_index']}): {divergence['diff']}"

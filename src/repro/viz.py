@@ -12,7 +12,7 @@ from typing import Iterable, List, Optional, Set, Tuple
 
 from .cfg.analyses import get_analyses
 from .cfg.block import BasicBlock, Function
-from .rtl.insn import CondBranch, IndirectJump, Jump, Return
+from .rtl.insn import CondBranch, IndirectJump, Jump
 from .rtl.printer import format_insn
 
 __all__ = ["to_dot"]
@@ -33,20 +33,19 @@ def _escape(text: str) -> str:
 def _edges(func: Function) -> List[Tuple[BasicBlock, BasicBlock, str]]:
     """(src, dst, kind) with kind in fall/taken/jump/indirect."""
     edges = []
-    for index, block in enumerate(func.blocks):
+    for block in func.blocks:
         term = block.terminator
         if isinstance(term, Jump):
-            edges.append((block, func.block_by_label(term.target), "jump"))
+            kinds = ["jump"]
         elif isinstance(term, CondBranch):
-            edges.append((block, func.blocks[index + 1], "fall"))
-            edges.append((block, func.block_by_label(term.target), "taken"))
+            kinds = ["fall", "taken"]
         elif isinstance(term, IndirectJump):
-            for target in term.targets:
-                edges.append((block, func.block_by_label(target), "indirect"))
-        elif isinstance(term, Return):
-            pass
-        elif index + 1 < len(func.blocks):
-            edges.append((block, func.blocks[index + 1], "fall"))
+            kinds = ["indirect"] * len(block.succs)
+        else:
+            # A return has no successor; any other block falls through.
+            kinds = ["fall"]
+        for succ, kind in zip(block.succs, kinds):
+            edges.append((block, succ, kind))
     return edges
 
 

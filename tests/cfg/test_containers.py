@@ -39,21 +39,6 @@ class TestLabels:
         assert label != "L1000"
         assert all(label != b.label for b in func.blocks)
 
-    def test_block_by_label_missing(self):
-        func = function_from_text("f", "PC=RT;")
-        with pytest.raises(KeyError):
-            func.block_by_label("nope")
-
-    def test_next_block_of_last_is_none(self):
-        func = function_from_text("f", "PC=RT;")
-        assert func.next_block(func.blocks[-1]) is None
-
-    def test_block_index_requires_membership(self):
-        func = function_from_text("f", "PC=RT;")
-        other = function_from_text("g", "PC=RT;")
-        with pytest.raises(ValueError):
-            func.block_index(other.blocks[0])
-
 
 class TestProgram:
     def test_duplicate_function_rejected(self):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cfg import BasicBlock, Function, compute_dominators, compute_flow
 from repro.rtl import Assign, Compare, CondBranch, Const, Jump, Reg, Return
+from tests.conftest import labelled
 
 
 def build_graph(edges, n):
@@ -41,8 +42,8 @@ def build_graph(edges, n):
     owned = [b for b in func.blocks if b.label.startswith("T")]
     for tramp in owned:
         func.blocks.remove(tramp)
-        owner = func.block_by_label(f"N{tramp.label[1:]}")
-        func.blocks.insert(func.block_index(owner) + 1, tramp)
+        owner = labelled(func, f"N{tramp.label[1:]}")
+        func.blocks.insert(func.blocks.index(owner) + 1, tramp)
     compute_flow(func)
     return func
 

@@ -1,7 +1,7 @@
 """Natural-loop detection tests."""
 
 from repro.cfg import find_loops
-from tests.conftest import function_from_text
+from tests.conftest import function_from_text, labelled
 from tests.cfg.test_dominators import build_graph
 
 
@@ -35,8 +35,8 @@ class TestNaturalLoops:
         headers = {loop.header.label for loop in info.loops}
         assert "N1" in headers
         assert "N0" in headers
-        inner = info.loop_with_header(func.block_by_label("N1"))
-        outer = info.loop_with_header(func.block_by_label("N0"))
+        inner = info.loop_with_header(labelled(func, "N1"))
+        outer = info.loop_with_header(labelled(func, "N0"))
         assert inner is not None and outer is not None
         assert len(inner.blocks) < len(outer.blocks)
         assert inner.blocks <= outer.blocks
@@ -136,7 +136,7 @@ class TestNaturalLoops:
             """,
         )
         info = find_loops(func)
-        inner_body = func.block_by_label("L2")
+        inner_body = labelled(func, "L2")
         innermost = info.innermost_loop_of(inner_body)
         assert innermost is not None
         assert innermost.header.label == "L2"

@@ -6,7 +6,7 @@ from typing import Optional, Tuple
 
 import pytest
 
-from repro.cfg import Function, build_function
+from repro.cfg import BasicBlock, Function, build_function
 from repro.ease import Interpreter
 from repro.frontend import compile_c
 from repro.opt import OptimizationConfig, optimize_program
@@ -18,6 +18,12 @@ from repro.verify import Verifier
 def function_from_text(name: str, text: str) -> Function:
     """Build a function from RTL text in the paper's notation."""
     return build_function(name, parse_insns(text))
+
+
+def labelled(func: Function, label: str) -> BasicBlock:
+    """The one block of ``func`` labelled ``label``."""
+    [block] = [b for b in func.blocks if b.label == label]
+    return block
 
 
 def run_c(

@@ -35,6 +35,7 @@ from repro.rtl import (
     Return,
 )
 from repro.verify import check_sanitized
+from tests.conftest import labelled
 from tests.core.valves import valves
 
 FUEL = Reg("d", 6)
@@ -174,7 +175,7 @@ class TestEngineOnRandomCFGs:
         bounded_jumps(replicated)
         for insn in replicated.insns():
             if isinstance(insn, Jump):
-                target = replicated.block_by_label(insn.target)
+                target = labelled(replicated, insn.target)
                 # Every surviving jump is either flagged unreplaceable or a
                 # genuine self-loop.
                 assert insn.no_replicate or target.insns[0] is insn or True

@@ -33,6 +33,7 @@ from repro.rtl import (
     Return,
 )
 from repro.verify import check_sanitized
+from tests.conftest import labelled
 
 OUTER = Reg("d", 0)
 INNER = Reg("d", 1)
@@ -94,13 +95,13 @@ def apply_self_copy(func: Function):
     along the sequence ``T, B`` with fall-through follow ``E``.
     """
     replicator = CodeReplicator(mode=ReplicationMode.JUMPS, policy=Policy.SHORTEST)
-    t = func.block_by_label("T")
-    b = func.block_by_label("B")
-    e = func.block_by_label("E")
+    t = labelled(func, "T")
+    b = labelled(func, "B")
+    e = labelled(func, "E")
     loops = get_analyses(func).loops()
     return replicator._apply(
         func,
-        b,
+        func.blocks.index(b),
         [t, b],
         e,
         True,
@@ -126,9 +127,9 @@ class TestJumpBlockInOwnSequence:
         assert term.target == t_copy.label
         # The jump block itself lost its jump and now falls through into
         # the copied loop.
-        b = func.block_by_label("B")
+        b = labelled(func, "B")
         assert b.terminator is None
-        assert func.next_block(b) is t_copy
+        assert func.blocks[func.blocks.index(b) + 1] is t_copy
 
     def test_self_copy_preserves_behaviour(self):
         func = nested_while_function()
@@ -146,7 +147,7 @@ class TestJumpBlockInOwnSequence:
         undo, _created = apply_self_copy(func)
         undo()
         assert [bl.label for bl in func.blocks] == reference_labels
-        b = func.block_by_label("B")
+        b = labelled(func, "B")
         assert isinstance(b.terminator, Jump)
         assert b.terminator.target == "T"
         assert run(func) == EXPECTED

@@ -32,6 +32,7 @@ from repro.frontend.codegen import compile_c
 from repro.opt.driver import OptimizationConfig, optimize_program
 from repro.rtl.insn import Jump
 from repro.targets.machine import get_target
+from tests.conftest import labelled
 from tests.core.valves import valves
 
 # ``repro.verify.fuzz.generate_program(10)``: a switch inside a nested
@@ -121,7 +122,7 @@ def _assert_jump_targets_resolve(func):
     for block in func.blocks:
         term = block.terminator
         if isinstance(term, Jump):
-            func.block_by_label(term.target)  # raises KeyError if broken
+            labelled(func, term.target)  # raises ValueError if broken
 
 
 #: A block cap and a budget below the guarded cascade's 143 blocks and

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from tests.core.floyd_warshall import ShortestPathMatrix
 from tests.cfg.test_dominators import build_graph, random_edge_lists
-from tests.conftest import function_from_text
+from tests.conftest import function_from_text, labelled
 
 
 class TestMatrixBasics:
@@ -74,7 +74,7 @@ class TestMatrixBasics:
         )
         matrix = ShortestPathMatrix(func)
         entry = func.blocks[0]
-        join = func.block_by_label("Ljoin")
+        join = labelled(func, "Ljoin")
         path = matrix.path(entry, join)
         assert path is not None
         labels = [b.label for b in path]
@@ -93,8 +93,8 @@ class TestMatrixBasics:
         )
         matrix = ShortestPathMatrix(func)
         src = func.blocks[0]
-        assert matrix.dist(src, func.block_by_label("L1")) == float("inf")
-        assert matrix.dist(src, func.block_by_label("L2")) == float("inf")
+        assert matrix.dist(src, labelled(func, "L1")) == float("inf")
+        assert matrix.dist(src, labelled(func, "L2")) == float("inf")
 
     def test_sequence_to_return(self):
         func = function_from_text(
@@ -108,7 +108,7 @@ class TestMatrixBasics:
             """,
         )
         matrix = ShortestPathMatrix(func)
-        l1 = func.block_by_label("L1")
+        l1 = labelled(func, "L1")
         seq = matrix.shortest_sequence_to_return(l1)
         assert seq is not None
         assert [b.label for b in seq] == ["L1", "L2"]
@@ -116,7 +116,7 @@ class TestMatrixBasics:
     def test_sequence_to_return_when_start_returns(self):
         func = function_from_text("f", "PC=L1;\nL1:\n  PC=RT;")
         matrix = ShortestPathMatrix(func)
-        l1 = func.block_by_label("L1")
+        l1 = labelled(func, "L1")
         seq = matrix.shortest_sequence_to_return(l1)
         assert seq is not None and [b.label for b in seq] == ["L1"]
 
@@ -135,8 +135,8 @@ class TestMatrixBasics:
             """,
         )
         matrix = ShortestPathMatrix(func)
-        l2 = func.block_by_label("L2")
-        l1 = func.block_by_label("L1")
+        l2 = labelled(func, "L2")
+        l1 = labelled(func, "L1")
         seq = matrix.shortest_sequence_to_fallthrough(l2, l1)
         assert seq is not None
         assert [b.label for b in seq] == ["L2"]

@@ -49,7 +49,6 @@ def observe(interp, stdin=b"", trace=True):
         "exit_code": result.exit_code,
         "globals_image": result.globals_image,
         "block_counts": dict(result.block_counts),
-        "calls_executed": result.calls_executed,
         "trace": list(result.trace.records()) if trace else None,
     }
 
@@ -60,7 +59,7 @@ def assert_engine_parity(program, stdin=b"", max_steps=200_000_000):
     want = observe(Interpreter(program, max_steps=max_steps), stdin)
     compiled = CompiledInterpreter(program, max_steps=max_steps)
     got = observe(compiled, stdin)
-    for field in ("output", "exit_code", "globals_image", "calls_executed"):
+    for field in ("output", "exit_code", "globals_image"):
         assert got[field] == want[field], field
     assert got["block_counts"] == want["block_counts"]
     # Record by record: the compiled engine must feed the RLE sink the
@@ -330,9 +329,7 @@ class TestCompileModes:
         stdin = PROGRAMS[self.NAME].stdin
         traced = observe(CompiledInterpreter(program, trace=True), stdin, trace=True)
         plain = observe(CompiledInterpreter(program), stdin, trace=False)
-        for field in (
-            "output", "exit_code", "globals_image", "block_counts", "calls_executed"
-        ):
+        for field in ("output", "exit_code", "globals_image", "block_counts"):
             assert traced[field] == plain[field], field
 
     def test_compile_time_counter_covers_every_compile(self, program):

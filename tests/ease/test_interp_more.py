@@ -121,24 +121,6 @@ class TestLifecycle:
         with pytest.raises(KeyError):
             Interpreter(program).run(entry="nothere")
 
-    def test_calls_executed_counter(self):
-        program = Program()
-        program.add_function(
-            function_from_text(
-                "main",
-                """
-                arg[0]=0;
-                CALL _f,1;
-                CALL _f,1;
-                rv[0]=0;
-                PC=RT;
-                """,
-            )
-        )
-        program.add_function(function_from_text("f", "rv[0]=arg[0];\nPC=RT;"))
-        result = Interpreter(program).run()
-        assert result.calls_executed == 2
-
     def test_count_for_helper(self):
         program = program_of("rv[0]=0;\nPC=RT;")
         result = Interpreter(program).run()

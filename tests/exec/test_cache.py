@@ -319,15 +319,6 @@ def test_cached_envelope_carries_ease_engine(tmp_path):
     assert cache.get_spec(CellSpec(program="wc")) is None
 
 
-def test_clear(store):
-    cache = store
-    cache.put_spec(SPEC, small_result())
-    assert len(cache) == 1
-    assert cache.clear() == 1
-    assert len(cache) == 0
-    assert cache.get_spec(SPEC) is None
-
-
 # --- the in-memory store -----------------------------------------------------------
 
 

@@ -1,8 +1,12 @@
 """Replication decision log — unit behavior and real-run coverage."""
 
 from repro.api import compile_and_measure
+from repro.core import CodeReplicator
 from repro.obs import observing
 from repro.obs.decisions import DecisionLog, ReplicationDecision
+from repro.obs.digest import decision_digest
+from tests.core.test_replication_valve import CASCADING_SOURCE, _main_function
+from tests.core.valves import valves
 
 VALID_OUTCOMES = {"accepted", "redundant", "rejected", "kept"}
 VALID_REASONS = {
@@ -14,8 +18,8 @@ VALID_REASONS = {
     "no_candidates",
     "filtered",
     "self_loop",
-    "unresolved_target",
     "stale_target",
+    "convergence_guard",
 }
 
 
@@ -109,3 +113,33 @@ class TestRealRuns:
         decisions, _ = self._decisions("wc", replication="loops")
         assert decisions
         assert all(d.mode == "loops" for d in decisions)
+
+    def test_guarded_cascade_reasons_are_documented(self):
+        # The cascade is the one shape whose run reaches the convergence
+        # guard, so its reason is checked against the documented set.
+        func = _main_function(CASCADING_SOURCE)
+        with observing(spans=False) as obs:
+            stats = CodeReplicator().run(func)
+        assert stats.guard_stops >= 1
+        decisions = obs.decisions.decisions
+        assert any(d.reason == "convergence_guard" for d in decisions)
+        for d in decisions:
+            assert d.outcome in VALID_OUTCOMES
+            assert d.reason in VALID_REASONS
+
+    def test_valve_trip_is_counted_not_logged(self):
+        # A lowered block valve trips mid-cascade: the trip shows in the
+        # metrics, and the log still holds one row per examined jump.
+        func = _main_function(CASCADING_SOURCE)
+        with observing(spans=False) as obs, valves(blocks=100):
+            stats = CodeReplicator().run(func)
+        assert stats.valve_block_trips == 1
+        counters = obs.metrics.counters
+        assert counters["replication.valve_trips.max_function_blocks"] == 1
+        rows = obs.decisions.as_dicts()
+        assert {row["outcome"] for row in rows} <= VALID_OUTCOMES
+        examined = sum(
+            counters.get(f"replication.{outcome}", 0)
+            for outcome in ("accepted", "redundant", "rejected", "kept")
+        )
+        assert decision_digest(rows)["total"] == examined

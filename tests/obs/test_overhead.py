@@ -69,10 +69,15 @@ def _hook_executions() -> Tuple[int, int, int]:
 
 
 def _seconds_per_call(hook: Callable[[], None], n: int = 200_000) -> float:
-    start = perf_counter()
-    for _ in range(n):
-        hook()
-    return (perf_counter() - start) / n
+    """Per call, the fastest of ``ROUNDS`` loops of ``n`` calls: timed
+    like the pipeline, so one noisy loop cannot fail the budget."""
+    best = float("inf")
+    for _ in range(ROUNDS):
+        start = perf_counter()
+        for _ in range(n):
+            hook()
+        best = min(best, perf_counter() - start)
+    return best / n
 
 
 def _span_hook() -> None:

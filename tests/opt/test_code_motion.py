@@ -177,7 +177,7 @@ class TestEnsurePreheader:
         loop = info.loops[0]
         preheader = ensure_preheader(func, loop)
         check_sanitized(func, "ensure_preheader")
-        assert func.next_block(preheader) is loop.header
+        assert func.blocks[func.blocks.index(preheader) + 1] is loop.header
         assert preheader not in loop.blocks
 
     def test_existing_preheader_reused(self):

@@ -26,7 +26,7 @@ from repro.rtl.insn import Assign, CondBranch, Return
 from repro.targets import get_target
 from repro.verify import SanitizeError, Verifier, generate_program, sanitize_function
 from repro.verify.sanitize import Sanitizer
-from tests.conftest import function_from_text
+from tests.conftest import function_from_text, labelled
 from tests.verify import test_mutation_smoke as smoke
 from tests.verify.reference_sanitizer import reference_sanitize
 
@@ -237,7 +237,7 @@ class TestCarriedVerdictsAreSound:
         assert sanitizer.check(func) == []
         # L2's definition of v[1] reached L3's use by falling through;
         # a returning block in between removes that edge.
-        position = func.blocks.index(func.block_by_label("L3"))
+        position = func.blocks.index(labelled(func, "L3"))
         func.blocks.insert(position, BasicBlock("L7", [Return()]))
         compute_flow(func)
         got = _recheck(sanitizer, func, None)
@@ -292,6 +292,50 @@ class TestOnlyWhatChangedIsRechecked:
         insn.src = Const(12345)
         assert sanitizer.check(func, program) == []
         assert rechecked == [insn]
+
+    def test_edges_recomputed_only_for_a_changed_transfer(self, monkeypatch):
+        func = function_from_text(
+            "f",
+            """
+            v[1]=0;
+            NZ=v[1]?0;
+            PC=NZ==0,L3;
+            L2:
+              v[2]=1;
+            L3:
+              d[0]=v[1];
+              PC=RT;
+            """,
+        )
+        sanitizer = Sanitizer()
+        assert sanitizer.check(func) == []
+        rechecked = []
+        recomputed = []
+        real_faults = sanitize._insn_faults
+        real_edges = sanitize._expected_edges
+
+        def counting_faults(insn, *args):
+            rechecked.append(insn)
+            return real_faults(insn, *args)
+
+        def counting_edges(*args):
+            recomputed.append(args)
+            return real_edges(*args)
+
+        monkeypatch.setattr(sanitize, "_insn_faults", counting_faults)
+        monkeypatch.setattr(sanitize, "_expected_edges", counting_edges)
+        # L2 still falls through to L3: its new final instruction is
+        # re-checked, and no edge is recomputed.
+        block = labelled(func, "L2")
+        block.insns[-1] = Assign(Reg("v", 2), Const(2))
+        assert sanitizer.check(func) == []
+        assert rechecked == [block.insns[-1]]
+        assert recomputed == []
+        # A retargeted branch changes the edges it stands for.
+        branch = func.blocks[0].terminator
+        branch.target = "L2"
+        assert any("stale successors" in p for p in sanitizer.check(func))
+        assert len(recomputed) == 1
 
     def test_failed_check_keeps_no_state(self):
         program = compile_c(smoke.LOOP_SUM)

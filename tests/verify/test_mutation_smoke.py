@@ -354,9 +354,10 @@ class TestObservability:
         assert counters.get("verify.oracle.runs", 0) >= 1
         assert counters.get("verify.bisect.steps", 0) >= 1
         assert counters.get("verify.sanitize.pass", 0) > 0
-        decisions = snapshot["decisions"]
-        assert any(
-            d.get("outcome") == "verify_miscompile" for d in decisions
+        # The miscompile is a counter, not a replication decision.
+        assert all(
+            d["outcome"] in ("accepted", "redundant", "rejected", "kept")
+            for d in snapshot["decisions"]
         )
 
     def test_metrics_on_clean_run(self):
