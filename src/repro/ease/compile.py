@@ -15,9 +15,10 @@ Semantics are the interpreter's, by construction:
 * every arithmetic template mirrors :func:`repro.rtl.arith.eval_binop`
   exactly (32-bit wrap-around inlined, shift counts masked with the
   declared ``Machine.shift_mask`` model, C-style division via the
-  *same* ``_div_trunc``/``_rem_trunc`` helpers; operators that keep
-  in-range operands in range are wrapped only in a program with a
-  constant outside signed-32 range);
+  *same* ``_div_trunc``/``_rem_trunc`` helpers; every operand is a
+  signed-32 word, since a :class:`~repro.rtl.expr.Const` is one by
+  construction, so operators that keep in-range operands in range are
+  not wrapped);
 * step accounting debits one block-step at every basic-block entry —
   including blocks fused into a predecessor's dispatch arm — so
   :class:`StepLimitExceeded` fires on exactly the same executed block
@@ -56,7 +57,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..cfg.block import Function, Program
 from ..obs import active as _active_observer
 from ..rtl.arith import SHIFT_MASK, _div_trunc, _rem_trunc, wrap32
-from ..rtl.expr import BinOp, Const, Expr, Local, Mem, Reg, Sym, UnOp, walk
+from ..rtl.expr import BinOp, Const, Expr, Local, Mem, Reg, Sym, UnOp
 from ..rtl.insn import (
     Assign,
     Call,
@@ -72,8 +73,6 @@ from .interp import LinkedProgram, StepLimitExceeded
 from .runtime import call_builtin, is_builtin
 
 __all__ = ["CompiledInterpreter", "make_interpreter"]
-
-_WRAP_LO = -(1 << 31)
 
 
 def make_interpreter(program: Program, **kwargs) -> CompiledInterpreter:
@@ -178,17 +177,6 @@ class _FunctionCompiler:
         pre.append(f"if {temp} >= 2147483648: {temp} -= 4294967296")
         return temp
 
-    def _wrap_wide(self, text: str, pre: List[str]) -> str:
-        """``text``, wrapped like :meth:`_wrap_pre` in a wide program.
-
-        Every operator result is in signed-32 range, so a value outside
-        it comes only from a constant outside it (``4294967297``, or the
-        ``2147483648`` of ``-2147483648``), directly or through a
-        register.  In a program without one, the operators that keep
-        in-range operands in range need no wrap.
-        """
-        return self._wrap_pre(text, pre) if self.interp._wide else text
-
     def _bind(self, text: str, pre: List[str]) -> str:
         """Materialize a non-atomic expression into a temp."""
         if _is_atom(text):
@@ -241,16 +229,14 @@ class _FunctionCompiler:
                 return self._wrap_pre(f"({left}) {op} ({right})", pre)
             if op in ("&", "|", "^"):
                 # Bitwise ops on in-range signed-32 values stay in range.
-                return self._wrap_wide(f"(({left}) {op} ({right}))", pre)
+                return f"(({left}) {op} ({right}))"
             if op == "<<":
                 return self._wrap_pre(
                     f"({left}) << (({right}) & {SHIFT_MASK})", pre
                 )
             if op == ">>":
                 # Arithmetic shift of an in-range value stays in range.
-                return self._wrap_wide(
-                    f"(({left}) >> (({right}) & {SHIFT_MASK}))", pre
-                )
+                return f"(({left}) >> (({right}) & {SHIFT_MASK}))"
             if op == "/":
                 if isinstance(node.right, Const) and node.right.value > 0:
                     # Truncating division by a known positive divisor
@@ -258,10 +244,9 @@ class _FunctionCompiler:
                     # exceed |dividend|, so no wrap is needed.
                     value = self._bind(left, pre)
                     c = node.right.value
-                    return self._wrap_wide(
+                    return (
                         f"(-((-{value}) // {c}) if {value} < 0"
-                        f" else {value} // {c})",
-                        pre,
+                        f" else {value} // {c})"
                     )
                 return self._wrap_pre(f"_div(({left}), ({right}))", pre)
             if op == "%":
@@ -269,19 +254,18 @@ class _FunctionCompiler:
                 if isinstance(node.right, Const) and node.right.value > 0:
                     value = self._bind(left, pre)
                     c = node.right.value
-                    return self._wrap_wide(
+                    return (
                         f"({value} % {c} if {value} >= 0"
-                        f" else -((-{value}) % {c}))",
-                        pre,
+                        f" else -((-{value}) % {c}))"
                     )
-                return self._wrap_wide(f"_rem(({left}), ({right}))", pre)
+                return f"_rem(({left}), ({right}))"
             raise ValueError(f"unknown binary operator {op!r}")
         if isinstance(node, UnOp):
             operand = self.expr(node.operand, pre)
             if node.op == "-":
                 return self._wrap_pre(f"-({operand})", pre)
             if node.op == "~":
-                return self._wrap_wide(f"(~({operand}))", pre)
+                return f"(~({operand}))"
             raise ValueError(f"unknown unary operator {node.op!r}")
         raise TypeError(f"cannot compile expression {node!r}")
 
@@ -801,16 +785,6 @@ class CompiledInterpreter(LinkedProgram):
         trace: bool = False,
     ) -> None:
         super().__init__(program, max_steps=max_steps)
-        #: Does a constant lie outside signed-32 range?  See
-        #: :meth:`_FunctionCompiler._wrap_wide`.
-        self._wide = any(
-            isinstance(node, Const) and not _WRAP_LO <= node.value < -_WRAP_LO
-            for func in program.functions.values()
-            for block in func.blocks
-            for insn in block.insns
-            for expr in insn.used_exprs()
-            for node in walk(expr)
-        )
         #: traced? -> the namespace of that mode's executors: each
         #: function's ``_x_{name}``, beside the helpers they call.
         self._tables: Dict[bool, Dict[str, object]] = {}

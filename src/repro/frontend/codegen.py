@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..cfg.block import Function, GlobalData, Program
 from ..cfg.graph import build_function
+from ..rtl.arith import eval_binop, wrap32
 from ..rtl.expr import BinOp, Const, Expr, Local, Mem, Reg, Sym, UnOp
 from ..rtl.insn import (
     Assign,
@@ -648,7 +649,7 @@ class _UnitEnv:
 def _const_eval(expr: ast.Expr, env: _UnitEnv) -> Tuple[int, Optional[str]]:
     """Evaluate a global initializer: (value, relocation symbol or None)."""
     if isinstance(expr, ast.IntLit):
-        return expr.value, None
+        return wrap32(expr.value), None  # as ``Const`` takes a literal
     if isinstance(expr, ast.StrLit):
         return 0, env.program.intern_string(expr.value)
     if isinstance(expr, ast.Unary) and expr.op == "-":
@@ -661,8 +662,6 @@ def _const_eval(expr: ast.Expr, env: _UnitEnv) -> Tuple[int, Optional[str]]:
         right, rr = _const_eval(expr.right, env)
         if lr is not None or rr is not None:
             raise CompileError("address arithmetic in initializers unsupported")
-        from ..rtl.arith import eval_binop
-
         return eval_binop(expr.op, left, right), None
     raise CompileError("global initializers must be constant expressions")
 
@@ -689,7 +688,7 @@ def _encode_global(decl: ast.GlobalDecl, env: _UnitEnv) -> GlobalData:
             if var_type.width == "B":
                 data[0] = value & 0xFF
             else:
-                data[0:4] = struct.pack("<i", value)
+                data[0:4] = struct.pack("<I", value & 0xFFFFFFFF)
     elif decl.init_list is not None:
         elem = var_type.element()
         if len(decl.init_list) > var_type.length:
@@ -702,7 +701,7 @@ def _encode_global(decl: ast.GlobalDecl, env: _UnitEnv) -> GlobalData:
             elif elem.size == 1:
                 data[offset] = value & 0xFF
             else:
-                data[offset : offset + 4] = struct.pack("<i", value)
+                data[offset : offset + 4] = struct.pack("<I", value & 0xFFFFFFFF)
     elif decl.init_string is not None:
         payload = decl.init_string.encode("latin-1") + b"\x00"
         if len(payload) > size:

@@ -19,6 +19,8 @@ from __future__ import annotations
 import weakref
 from typing import Callable, Dict, FrozenSet, Iterator, Tuple
 
+from .arith import wrap32
+
 __all__ = [
     "Expr",
     "Const",
@@ -97,11 +99,22 @@ class Expr:
 
 
 class Const(Expr):
-    """An integer constant."""
+    """An integer constant: a machine word, signed 32-bit.
+
+    An ``int`` is stored as its two's-complement value in signed-32 range
+    (``Const(2**31) is Const(-2**31)``, ``Const(2**32 + 1) is Const(1)``),
+    as a 32-bit compiler truncates an over-wide constant; so every
+    producer (the front end's literals, the folder, strength reduction,
+    the RTL parser) makes words alike, and a constant reads the same from
+    memory as from a register.  Any other value (``1.0``, ``True``) is kept
+    as given, a node of its own.
+    """
 
     __slots__ = ("value",)
 
     def __new__(cls, value: int) -> "Const":
+        if value.__class__ is int and not -0x80000000 <= value <= 0x7FFFFFFF:
+            value = wrap32(value)
         return _intern(cls, (cls, value.__class__, value), value)
 
     def __repr__(self) -> str:

@@ -15,6 +15,8 @@ accounting gets its own boundary tests: both engines must raise
 same message, including limits landing mid-way through a fused chain.
 """
 
+import re
+
 import pytest
 
 from repro.benchsuite.programs import PROGRAMS, program_names
@@ -27,6 +29,7 @@ from repro.ease import (
 )
 from repro.frontend import compile_c
 from repro.opt import OptimizationConfig, optimize_program
+from repro.rtl.arith import wrap32
 from repro.targets import get_target
 from repro.verify.fuzz import generate_program
 from tests.conftest import function_from_text
@@ -192,16 +195,18 @@ LARGE_SOURCE = "int main() {\n    int s;\n    s = getchar();\n" + "".join(
 ) + '    printf("%d\\n", s);\n    return s & 255;\n}\n'
 
 
-# The front end emits literals unwrapped (``-2147483648`` negates the
-# constant 2147483648), and the interpreter wraps each operator's result.
-WIDE_SOURCE = """int third(int x) {
+# A literal outside signed-32 range is the word a 32-bit compiler keeps,
+# its value modulo 2^32 (``Const`` stores it so): 4294967297 reads 1,
+# 2147483648 reads -2147483648, and ``-2147483648`` negates that word.
+WIDE_SOURCE = """int g = 2147483648;
+int third(int x) {
     return (x | 0) / 3;
 }
 int main() {
     int s;
     s = third(4294967297) + (4294967297 >> 1) / 3 + (4294967297 & 4294967295) / 3;
     s = s + ~4294967297 / 3 + (4294967297 ^ 1) / 3 + 8589934594 / 2 / 3;
-    s = s + 4294967300 % 8589934592 / 3 + -2147483648 / 3;
+    s = s + 4294967300 % 8589934593 / 3 + -2147483648 / 3 + g / 5;
     if (4294967297 > 5) {
         s = s + 1;
     }
@@ -209,6 +214,11 @@ int main() {
     return s & 255;
 }
 """
+
+
+def as_words(source):
+    """``source`` with each literal of ten or more digits as its 32-bit word."""
+    return re.sub(r"\d{10,}", lambda m: f"({wrap32(int(m.group()))})", source)
 
 
 class TestCompiledOnly:
@@ -220,23 +230,14 @@ class TestCompiledOnly:
         compiled = assert_engine_parity(program, stdin=b"A")
         assert compiled.blocks_fused > 0
 
-    def test_constants_outside_signed_32_range(self):
-        assert_engine_parity(compile_c(WIDE_SOURCE))
-        # Through registers, into every operator the compiler leaves
-        # unwrapped for in-range operands.
-        program = Program()
-        program.add_function(function_from_text("main", """
-            d[0]=4294967300;
-            d[1]=8589934592;
-            d[2]=d[0]%d[1];
-            d[3]=d[0]>>1;
-            d[4]=d[0]|d[1];
-            d[5]=~d[0];
-            d[6]=d[1]/d[0];
-            rv[0]=d[2]/3+d[3]/3+d[4]/3+d[5]/3+d[6];
-            PC=RT;
-            """))
-        assert_engine_parity(program)
+    def test_wide_literals_read_as_words(self):
+        want = observe(CompiledInterpreter(compile_c(as_words(WIDE_SOURCE))))
+        for program in (compile_c(WIDE_SOURCE), optimized(WIDE_SOURCE)):
+            got = observe(assert_engine_parity(program))
+            assert (got["output"], got["exit_code"]) == (
+                want["output"],
+                want["exit_code"],
+            )
 
     def test_runs_without_building_closures(self, monkeypatch):
         program = optimized(PROGRAMS["queens"].source)

@@ -82,6 +82,13 @@ class TestOneNodePerStructure:
         assert Reg("d", True) is not Reg("d", 1)
         assert Const(2) is Const(1 + 1)
 
+    def test_an_int_is_stored_as_its_signed_32_bit_word(self):
+        assert Const(2**31) is Const(-(2**31))
+        assert Const(2**32 + 1) is Const(1)
+        assert Const(2**32 - 1).value == -1
+        assert Const(2**31 - 1).value == 2**31 - 1
+        assert Const(float(2**32)).value == 2**32  # other types as given
+
     def test_hash_and_equality_are_the_object_defaults(self):
         node = BinOp("+", Reg("d", 0), Const(1))
         assert hash(node) == object.__hash__(node)
