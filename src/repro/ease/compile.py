@@ -38,7 +38,9 @@ Every function of a program compiles, whatever its size; a shape the
 code generator rejects (an unknown operator, a block falling off the
 end) raises ``TypeError`` or ``ValueError`` at compile time, as the
 interpreter's closure build does, and the run fails.  A compiled run
-executes generated code only.
+executes generated code only.  Its source depends on the RTL alone:
+registers load, flush and save in (bank, index) order, not in the
+address order of the interned register nodes.
 
 Product measurement runs on this engine only
 (:func:`make_interpreter`).  The closure interpreter stays the
@@ -90,24 +92,23 @@ def _is_atom(text: str) -> bool:
     )
 
 
-def _static_footprint(func: Function) -> List[Tuple[str, int]]:
-    """Every register ``func`` touches, minus rv — its callee-save set.
+def _registers(func: Function) -> List[Tuple[str, int]]:
+    """Every register ``func`` reads or writes, ordered by (bank, index).
 
-    Derivable from the RTL alone (no compilation needed), and identical
-    to the compiled function's promoted-register set: a direct call
-    site uses it to save/restore exactly the slots the callee can
-    disturb.
+    Derivable from the RTL alone: the registers its executor promotes,
+    and so the slots a call to it can disturb.  Sorted, because
+    ``used_regs()`` sets iterate in the order of the interned nodes'
+    addresses: generated source must not depend on them.
     """
-    seen: Dict[Tuple[str, int], None] = {}
+    seen: Set[Tuple[str, int]] = set()
     for block in func.blocks:
         for insn in block.insns:
             for reg in insn.used_regs():
-                seen[(reg.bank, reg.index)] = None
+                seen.add((reg.bank, reg.index))
             defined = insn.defined_reg()
             if defined is not None:
-                seen[(defined.bank, defined.index)] = None
-    seen.pop(("rv", 0), None)
-    return list(seen)
+                seen.add((defined.bank, defined.index))
+    return sorted(seen)
 
 
 class _FunctionCompiler:
@@ -338,12 +339,13 @@ class _FunctionCompiler:
             # need bank saves: cached slots were just flushed (their
             # locals stay authoritative — the next consumer of any
             # cached slot re-flushes first), and a callee's bank delta
-            # is confined to its own footprint plus rv.
+            # is confined to its own registers (rv, which the call
+            # defines, is cached).
             for (bank, index) in self.regs_used:
                 out.append(f"_K_{bank}[{index}] = _R_{bank}_{index}")
             saves = [
                 (self._temp(), bank, index)
-                for bank, index in _static_footprint(callee)
+                for bank, index in _registers(callee)
                 if (bank, index) not in self.regs_used
             ]
             for temp, bank, index in saves:
@@ -488,13 +490,8 @@ class _FunctionCompiler:
         order, so discovering registers lazily would leave stale bank
         values visible to callees.
         """
-        for block in self.func.blocks:
-            for insn in block.insns:
-                for reg in insn.used_regs():
-                    self._reg(reg.bank, reg.index)
-                defined = insn.defined_reg()
-                if defined is not None:
-                    self._reg(defined.bank, defined.index)
+        for bank, index in _registers(self.func):
+            self._reg(bank, index)
 
     def block_body(self, index: int, out: List[str]) -> None:
         """Emit block ``index``'s entry accounting and fused ops."""

@@ -129,7 +129,10 @@ def _address_regs(func: Function) -> Set[Reg]:
     """Registers that appear inside some memory-address expression."""
     found: Set[Reg] = set()
     for insn in func.insns():
-        for expr in insn.used_exprs():
+        exprs = insn.used_exprs()
+        if isinstance(insn, Assign) and isinstance(insn.dst, Mem):
+            exprs += (insn.dst,)  # used_exprs() holds its address only
+        for expr in exprs:
             for node in walk(expr):
                 if isinstance(node, Mem):
                     for sub in walk(node.addr):

@@ -3,7 +3,10 @@ RTL interpreter.
 
 Semantics follow C on the modelled machines: 32-bit wrap-around for
 add/sub/mul, truncation toward zero for division and remainder, shift
-counts masked to 5 bits.
+counts masked to 5 bits.  Every operand is a signed 32-bit word: a
+:class:`~repro.rtl.expr.Const` stores its ``int`` as :func:`wrap32` of
+it (so a literal is taken modulo 2^32), loads sign-fix, and every
+result below is wrapped.
 
 Shift-count model
 -----------------

@@ -199,6 +199,7 @@ LARGE_SOURCE = "int main() {\n    int s;\n    s = getchar();\n" + "".join(
 # its value modulo 2^32 (``Const`` stores it so): 4294967297 reads 1,
 # 2147483648 reads -2147483648, and ``-2147483648`` negates that word.
 WIDE_SOURCE = """int g = 2147483648;
+int h = 4294967297 >> 1;
 int third(int x) {
     return (x | 0) / 3;
 }
@@ -206,7 +207,7 @@ int main() {
     int s;
     s = third(4294967297) + (4294967297 >> 1) / 3 + (4294967297 & 4294967295) / 3;
     s = s + ~4294967297 / 3 + (4294967297 ^ 1) / 3 + 8589934594 / 2 / 3;
-    s = s + 4294967300 % 8589934593 / 3 + -2147483648 / 3 + g / 5;
+    s = s + 4294967300 % 8589934593 / 3 + -2147483648 / 3 + g / 5 + h;
     if (4294967297 > 5) {
         s = s + 1;
     }

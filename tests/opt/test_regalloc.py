@@ -185,6 +185,23 @@ class TestRegisterPreferences:
         assert result.assigned[Reg("v", 1)].bank == "a"
         assert result.assigned[Reg("v", 2)].bank == "d"
 
+    def test_store_addresses_prefer_address_registers_on_68020(self):
+        func = function_from_text(
+            "f",
+            """
+            v[1]=FP+buf.;
+            v[2]=7;
+            L[v[1]]=v[2];
+            rv[0]=v[2];
+            PC=RT;
+            """,
+        )
+        func.add_local("buf", 16)
+        result = color_registers(func, get_target("m68020"))
+        # v[1] is only ever a store's base address.
+        assert result.assigned[Reg("v", 1)].bank == "a"
+        assert result.assigned[Reg("v", 2)].bank == "d"
+
     def test_sparc_has_single_uniform_pool(self):
         func = function_from_text(
             "f",
