@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..cfg.block import Function, GlobalData, Program
 from ..cfg.graph import build_function
-from ..rtl.arith import eval_binop, wrap32
+from ..rtl.arith import eval_binop, eval_unop, wrap32
 from ..rtl.expr import BinOp, Const, Expr, Local, Mem, Reg, Sym, UnOp
 from ..rtl.insn import (
     Assign,
@@ -656,7 +656,7 @@ def _const_eval(expr: ast.Expr, env: _UnitEnv) -> Tuple[int, Optional[str]]:
         value, reloc = _const_eval(expr.operand, env)
         if reloc is not None:
             raise CompileError("cannot negate an address in an initializer")
-        return -value, None
+        return eval_unop("-", value), None
     if isinstance(expr, ast.Binary):
         left, lr = _const_eval(expr.left, env)
         right, rr = _const_eval(expr.right, env)
@@ -688,7 +688,7 @@ def _encode_global(decl: ast.GlobalDecl, env: _UnitEnv) -> GlobalData:
             if var_type.width == "B":
                 data[0] = value & 0xFF
             else:
-                data[0:4] = struct.pack("<I", value & 0xFFFFFFFF)
+                data[0:4] = struct.pack("<i", value)
     elif decl.init_list is not None:
         elem = var_type.element()
         if len(decl.init_list) > var_type.length:
@@ -701,7 +701,7 @@ def _encode_global(decl: ast.GlobalDecl, env: _UnitEnv) -> GlobalData:
             elif elem.size == 1:
                 data[offset] = value & 0xFF
             else:
-                data[offset : offset + 4] = struct.pack("<I", value & 0xFFFFFFFF)
+                data[offset : offset + 4] = struct.pack("<i", value)
     elif decl.init_string is not None:
         payload = decl.init_string.encode("latin-1") + b"\x00"
         if len(payload) > size:

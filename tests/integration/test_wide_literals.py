@@ -27,7 +27,13 @@ PROGRAMS = {
     "global": (
         "int g = 2147483648;\n"
         "int a[2] = {4294967295, 2147483648};\n"
-        "int main() { if (g < 0 && a[0] + a[1] > 0) return 7; return 3; }",
+        "int h = -2147483648 / 3;\n"
+        "int r = -2147483648 % 7;\n"
+        "int main() {\n"
+        "  if (g < 0 && a[0] + a[1] > 0 && h == -715827882 && r == -2)\n"
+        "    return 7;\n"
+        "  return 3;\n"
+        "}",
         7,
     ),
 }
