@@ -1,22 +1,26 @@
 """Control-flow graph construction and maintenance.
 
-Two entry points matter to the rest of the system:
+Three entry points matter to the rest of the system:
 
 * :func:`build_function` splits a flat ``(label, insn)`` listing into basic
   blocks (used by the front-end and by the RTL parser based tests).
-* :func:`compute_flow` (re)computes predecessor/successor edges from the
-  block terminators and the positional layout.  A pass calls it after it
-  changes the block list or a terminator's targets, and only then:
-  straight-line edits, no-ops and dropping a jump to the positional
-  successor (the fall-through successor anyway) keep every edge.
+* :func:`successors` is the one place a label becomes a block: it
+  resolves every block's edges from the terminators and the positional
+  layout, and reports what it cannot resolve.  The optimizer (through
+  :func:`compute_flow`), the sanitizer (against the stored edges) and
+  the compiled EASE engine (as block indices) all read it.
+* :func:`compute_flow` stores those edges as ``preds``/``succs``.  A pass
+  calls it after it changes the block list or a terminator's targets,
+  and only then: straight-line edits, no-ops and dropping a jump to the
+  positional successor (the fall-through successor anyway) keep every
+  edge.
 
-It is the one place the optimizer turns a label into a block.  Edges are
-current at every pass and replication-sweep boundary (the sanitizer
-checks them against a fresh recomputation), so passes read ``succs``,
-not labels: a jump's target is ``succs[0]``, a conditional branch's
-edges are ``(fall, taken)`` and an indirect jump's follow its table.
-Branch chaining alone follows labels, because it retargets transfers
-before its one ``compute_flow``.
+Edges are current at every pass and replication-sweep boundary (the
+sanitizer checks them), so passes read ``succs``, not labels: a jump's
+target is ``succs[0]``, a conditional branch's edges are ``(fall,
+taken)`` and an indirect jump's follow its table.  Branch chaining alone
+follows labels, because it retargets transfers before its one
+``compute_flow``.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ __all__ = [
     "build_function",
     "compute_flow",
     "split_into_blocks",
+    "successors",
 ]
 
 
@@ -77,63 +82,77 @@ def build_function(
     return func
 
 
+def successors(
+    blocks: Sequence[BasicBlock], problems: List[str]
+) -> List[List[BasicBlock]]:
+    """Each block's successors, resolved from the terminators' labels.
+
+    In ``blocks`` order: the positional successor first when a block
+    falls through (for a conditional branch, ``(fall, taken)``), then its
+    branch targets in order.  A duplicate label, a target that names no
+    block, a conditional branch with no next block and an empty indirect
+    table are appended to ``problems``, and the faulty edge is left out.
+    Pure: reads the blocks, mutates nothing.
+    """
+    by_label: Dict[str, BasicBlock] = {}
+    for block in blocks:
+        if block.label in by_label:
+            problems.append(f"duplicate label {block.label!r}")
+        by_label[block.label] = block
+
+    edges: List[List[BasicBlock]] = []
+    for index, block in enumerate(blocks, 1):
+        term = block.terminator
+        succs: List[BasicBlock] = []
+        if not isinstance(term, (Jump, Return, IndirectJump)):
+            if index < len(blocks):
+                succs.append(blocks[index])
+            elif isinstance(term, CondBranch):
+                problems.append(
+                    f"block {block.label}: conditional branch at the "
+                    "function end has no fall-through block"
+                )
+        elif isinstance(term, IndirectJump) and not term.targets:
+            problems.append(
+                f"block {block.label}: indirect jump with an empty target table"
+            )
+        for label in term.branch_targets() if term is not None else ():
+            target = by_label.get(label)
+            if target is None:
+                problems.append(
+                    f"block {block.label}: branch target {label!r} "
+                    "resolves to no block (label table broken)"
+                )
+            else:
+                succs.append(target)
+        edges.append(succs)
+    return edges
+
+
 def compute_flow(func: Function) -> None:
     """Recompute predecessor/successor edges of every block in ``func``.
 
-    Bumps ``func.cfg_edition`` when the block list differs from
-    ``func.flow_layout``, the one the previous call saw (a permutation,
-    insertion or deletion), or any successor list changed: that is what
-    invalidates the cached analyses of :mod:`repro.cfg.analyses`.
+    Raises ``ValueError`` naming the first fault :func:`successors`
+    finds, before it changes any edge.  Bumps ``func.cfg_edition`` when
+    the block list differs from ``func.flow_layout``, the one the
+    previous call saw (a permutation, insertion or deletion), or any
+    successor list changed: that is what invalidates the cached analyses
+    of :mod:`repro.cfg.analyses`.
     """
     layout = tuple(func.blocks)
-    old_succs = [block.succs for block in layout]
-    by_label: Dict[str, BasicBlock] = {}
-    for block in layout:
-        by_label[block.label] = block
-        block.preds = []
-        block.succs = []
-
-    for index, block in enumerate(layout):
-        nxt = layout[index + 1] if index + 1 < len(layout) else None
-        term = block.terminator
-        succs: List[BasicBlock] = []
-        if isinstance(term, Jump):
-            succs.append(_lookup(by_label, term.target, func, block))
-        elif isinstance(term, CondBranch):
-            # Fall-through edge first, branch-taken edge second.
-            if nxt is None:
-                raise ValueError(
-                    f"{func.name}: block {block.label} ends in a conditional "
-                    "branch but has no fall-through block"
-                )
-            succs.append(nxt)
-            succs.append(_lookup(by_label, term.target, func, block))
-        elif isinstance(term, Return):
-            pass
-        elif isinstance(term, IndirectJump):
-            for target in term.targets:
-                succs.append(_lookup(by_label, target, func, block))
-        else:
-            if nxt is not None:
-                succs.append(nxt)
-        block.succs = succs
-        for succ in succs:
-            succ.preds.append(block)
-
+    problems: List[str] = []
+    edges = successors(layout, problems)
+    if problems:
+        raise ValueError(f"{func.name}: {problems[0]}")
     # Blocks compare by identity, so inequality is a layout or edge change.
     if layout != func.flow_layout or any(
-        old != block.succs for old, block in zip(old_succs, layout)
+        block.succs != succs for block, succs in zip(layout, edges)
     ):
         func.flow_layout = layout
         func.cfg_edition += 1
-
-
-def _lookup(
-    by_label: Dict[str, BasicBlock], label: str, func: Function, src: BasicBlock
-) -> BasicBlock:
-    try:
-        return by_label[label]
-    except KeyError:
-        raise KeyError(
-            f"{func.name}: block {src.label} targets unknown label {label!r}"
-        ) from None
+    for block in layout:
+        block.preds = []
+    for block, succs in zip(layout, edges):
+        block.succs = succs
+        for succ in succs:
+            succ.preds.append(block)

@@ -13,8 +13,8 @@ call per RTL.
 Semantics are the interpreter's, by construction:
 
 * every arithmetic template mirrors :func:`repro.rtl.arith.eval_binop`
-  exactly (32-bit wrap-around inlined, shift counts masked with the
-  declared ``Machine.shift_mask`` model, C-style division via the
+  exactly (32-bit wrap-around inlined, shift counts masked with its
+  ``SHIFT_MASK``, C-style division via the
   *same* ``_div_trunc``/``_rem_trunc`` helpers; every operand is a
   signed-32 word, since a :class:`~repro.rtl.expr.Const` is one by
   construction, so operators that keep in-range operands in range are
@@ -36,8 +36,9 @@ Semantics are the interpreter's, by construction:
 
 Every function of a program compiles, whatever its size; a shape the
 code generator rejects (an unknown operator, a block falling off the
-end) raises ``TypeError`` or ``ValueError`` at compile time, as the
-interpreter's closure build does, and the run fails.  A compiled run
+end, a final conditional branch, a label :func:`repro.cfg.graph.successors`
+cannot resolve) raises ``TypeError`` or ``ValueError`` at compile time,
+and the run fails.  A compiled run
 executes generated code only.  Its source depends on the RTL alone:
 registers load, flush and save in (bank, index) order, not in the
 address order of the interned register nodes.
@@ -57,6 +58,7 @@ from time import perf_counter
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..cfg.block import Function, Program
+from ..cfg.graph import successors
 from ..obs import active as _active_observer
 from ..rtl.arith import SHIFT_MASK, _div_trunc, _rem_trunc, wrap32
 from ..rtl.expr import BinOp, Const, Expr, Local, Mem, Reg, Sym, UnOp
@@ -146,12 +148,18 @@ class _FunctionCompiler:
         self._fused_operands: Optional[Tuple[str, str]] = None
         #: Registers redefined between the fused Compare and its branch.
         self._fuse_written: Set[Tuple[str, int]] = set()
-        #: Per block: successor indices, resolved from the RTL's own
-        #: labels (the engine executes labels, not the optimizer's
-        #: edges).  A conditional branch lists its taken target first,
-        #: then its fall-through when there is a next block; an indirect
-        #: jump lists its table in order.
-        self.succs: List[List[int]] = self._successors()
+        #: Per block: successor indices, :func:`~repro.cfg.graph.successors`
+        #: resolved afresh from the RTL's labels (the engine executes
+        #: labels, not the optimizer's stored edges): a conditional
+        #: branch's are ``(fall, taken)``, an indirect jump's its table.
+        problems: List[str] = []
+        index_of = {block: i for i, block in enumerate(func.blocks)}
+        self.succs = [
+            [index_of[succ] for succ in succs]
+            for succs in successors(func.blocks, problems)
+        ]
+        if problems:
+            raise ValueError(f"{func.name}: {problems[0]}")
 
     # ------------------------------------------------------------ helpers
 
@@ -384,23 +392,6 @@ class _FunctionCompiler:
         defined = insn.defined_reg()
         return defined is not None and defined.bank == "cc" and defined.index == 0
 
-    def _successors(self) -> List[List[int]]:
-        """Each block's successor indices (see :attr:`succs`)."""
-        blocks = self.func.blocks
-        n = len(blocks)
-        index_of = {block.label: i for i, block in enumerate(blocks)}
-        succs: List[List[int]] = []
-        for i, block in enumerate(blocks):
-            term = block.terminator
-            if term is None:
-                s = [i + 1] if i + 1 < n else []
-            else:
-                s = [index_of[label] for label in term.branch_targets()]
-                if isinstance(term, CondBranch) and i + 1 < n:
-                    s.append(i + 1)
-            succs.append(s)
-        return succs
-
     def _cc_liveness(self) -> List[bool]:
         """Per block: is cc read on some path after the terminator?
 
@@ -557,7 +548,7 @@ class _FunctionCompiler:
                         f"{func.name}: block {block.label} falls off the end"
                     )
             elif isinstance(term, CondBranch):
-                forced.add(succs[0])
+                forced.add(succs[1])
             elif isinstance(term, IndirectJump):
                 forced.update(succs)
             elif not isinstance(term, (Jump, Return)):
@@ -577,10 +568,9 @@ class _FunctionCompiler:
         The chain follows unconditional single-predecessor edges
         (fall-through and jumps), fusing each such block inline; every
         path ends in a transfer marker (``GOTO n`` / ``GOTODYN`` /
-        ``RETURN``, resolved by :meth:`_finalize_arm`) or a raise.
+        ``RETURN``, resolved by :meth:`_finalize_arm`).
         """
         func = self.func
-        n = len(func.blocks)
         index = start
         # Every block after ``start`` has one predecessor, the block
         # before it, so the chain cannot revisit a block before it
@@ -598,22 +588,13 @@ class _FunctionCompiler:
                 out.append("RETURN")
                 return
             elif isinstance(term, CondBranch):
-                target = self.succs[index][0]
+                follow, target = self.succs[index]
                 if self._fused_operands is not None:
                     left, right = self._fused_operands
                     out.append(f"if {left} {term.rel} {right}:")
                 else:
                     out.append(f"if {self._reg('cc', 0)} {term.rel} 0:")
                 out.append(f"    GOTO {target}")
-                if index + 1 >= n:
-                    # Falling through past the last block is the same
-                    # runtime error as in the interpreter.
-                    out.append(
-                        "raise IndexError("
-                        f"{func.name + ': block ' + func.blocks[index].label + ' falls off the end'!r})"
-                    )
-                    return
-                follow = index + 1
             elif isinstance(term, IndirectJump):
                 pre: List[str] = []
                 value = self._bind(self.expr(term.addr, pre), pre)
@@ -734,7 +715,7 @@ class _FunctionCompiler:
         ]
         for bank in self.banks_used:
             lines.append(f"    _K_{bank} = _regs[{bank!r}]")
-        lines.append(f"    _counts = result._counts_for({func.name!r}, {n})")
+        lines.append("    _counts = result.block_counts")
         if self.traced:
             lines.append("    _emit = interp._sink.emit")
         if self.uses_unpack:
@@ -758,8 +739,9 @@ class _FunctionCompiler:
         lines.extend(self.dispatch_tree(tree_arms, bodies, "            "))
         lines.append("    finally:")
         lines.append("        state.fp = _saved_fp")
+        base = self.interp.global_block_id(func.name, 0)
         for i in counters:
-            lines.append(f"        if _c{i}: _counts[{i}] += _c{i}")
+            lines.append(f"        if _c{i}: _counts[{base + i}] += _c{i}")
         for (bank, index) in self.regs_used:
             lines.append(f"        _K_{bank}[{index}] = _R_{bank}_{index}")
         lines.append("    return _steps")

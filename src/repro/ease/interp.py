@@ -20,15 +20,15 @@ Machine model:
 * an ``IndirectJump`` transfers to ``targets[value]`` where ``value`` is
   its (bounds-checked by construction) index expression.
 
-Execution records, per function, how many times each basic block ran, and
-optionally a global block-level trace that the cache simulator expands
-into instruction fetch addresses.
+Execution records how many times each basic block ran, by global block
+id, and optionally a global block-level trace that the cache simulator
+expands into instruction fetch addresses.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..cfg.block import BasicBlock, Function, Program
 from ..rtl.arith import eval_binop, eval_unop, wrap32
@@ -85,45 +85,24 @@ class MachineState:
 class ExecutionResult:
     """What one run produced and touched."""
 
-    def __init__(self) -> None:
+    def __init__(self, n_blocks: int) -> None:
         self.output = b""
         self.exit_code = 0
         # Final image of the globals region (guard page excluded); the
         # translation validator compares it across pipeline stages.
         self.globals_image = b""
-        # (function name, block index) -> execution count.
-        self.block_counts: Dict[Tuple[str, int], int] = {}
+        # Execution count per global block id (``global_block_id``).
+        self.block_counts: List[int] = [0] * n_blocks
         # The block-level trace of a traced run: a ``CompressedTrace``.
         self.trace = None
-        # Dense per-function count arrays the interpreter increments on
-        # the hot path (one list index instead of a tuple-keyed dict
-        # update per executed block); folded into ``block_counts`` when
-        # the run ends.
-        self._func_counts: Dict[str, List[int]] = {}
-
-    def _counts_for(self, func_name: str, n_blocks: int) -> List[int]:
-        counts = self._func_counts.get(func_name)
-        if counts is None:
-            counts = self._func_counts[func_name] = [0] * n_blocks
-        return counts
-
-    def _fold_counts(self) -> None:
-        """Fold the dense per-function arrays into ``block_counts``."""
-        block_counts = self.block_counts
-        for func_name, counts in self._func_counts.items():
-            for index, count in enumerate(counts):
-                if count:
-                    block_counts[(func_name, index)] = count
-        self._func_counts.clear()
 
 
 class _CompiledBlock:
-    __slots__ = ("ops", "terminator", "index", "global_id")
+    __slots__ = ("ops", "terminator", "global_id")
 
-    def __init__(self, ops, terminator, index: int, global_id: int) -> None:
+    def __init__(self, ops, terminator, global_id: int) -> None:
         self.ops = ops
         self.terminator = terminator
-        self.index = index
         self.global_id = global_id
 
 
@@ -142,10 +121,10 @@ class _CompiledFunction:
 class LinkedProgram:
     """A program linked for execution, and the run harness of both engines.
 
-    Linking lays out the globals, numbers every block globally (traces
-    and ``block_fetches`` key on these ids: per function in program
-    order, blocks in index order), and records frame sizes and
-    register-bank sizes.  A subclass executes a function
+    Linking lays out the globals, numbers every block globally (traces,
+    ``block_counts`` and ``block_fetches`` key on these ids: per function
+    in program order, blocks in index order), and records frame sizes
+    and register-bank sizes.  A subclass executes a function
     (:meth:`_run_function`).
     """
 
@@ -161,13 +140,14 @@ class LinkedProgram:
         self._layout_globals()
         self._bank_sizes: Dict[str, int] = dict(_REG_BANK_SIZES)
         self._frame_sizes: Dict[str, int] = {}
-        self._global_block_ids: Dict[Tuple[str, int], int] = {}
+        #: The global id of each function's first block.
+        self._block_base: Dict[str, int] = {}
+        self._n_blocks = 0
         for func in program.functions.values():
             self._frame_sizes[func.name] = func.frame_size
-            for index, block in enumerate(func.blocks):
-                self._global_block_ids[(func.name, index)] = len(
-                    self._global_block_ids
-                )
+            self._block_base[func.name] = self._n_blocks
+            self._n_blocks += len(func.blocks)
+            for block in func.blocks:
                 for insn in block.insns:
                     self._note_regs(insn, block)
 
@@ -209,7 +189,7 @@ class LinkedProgram:
                 )
 
     def global_block_id(self, func_name: str, block_index: int) -> int:
-        return self._global_block_ids[(func_name, block_index)]
+        return self._block_base[func_name] + block_index
 
     # --- execution ------------------------------------------------------------------
 
@@ -234,7 +214,7 @@ class LinkedProgram:
         state.stack_limit = MEM_SIZE - (1 << 20)
         entry_frame = MEM_SIZE - self._frame_sizes[entry] - 64
 
-        result = ExecutionResult()
+        result = ExecutionResult(self._n_blocks)
         sink = RleTraceSink() if trace else None
         self._sink = sink
         self._steps_left = self.max_steps
@@ -246,7 +226,6 @@ class LinkedProgram:
             result.exit_code = wrap32(state.regs["rv"][0])
         finally:
             self._sink = None
-        result._fold_counts()
         if sink is not None:
             result.trace = sink.finish()
         result.output = bytes(state.stdout)
@@ -285,9 +264,9 @@ class Interpreter(LinkedProgram):
         # Two phases: allocate every block shell first so terminators can
         # capture the successor *block objects* (forward branches
         # included), then fill in ops and terminators.
+        base = self._block_base[func.name]
         for index in range(len(func.blocks)):
-            global_id = self.global_block_id(func.name, index)
-            compiled.blocks.append(_CompiledBlock(None, None, index, global_id))
+            compiled.blocks.append(_CompiledBlock(None, None, base + index))
         for index, block in enumerate(func.blocks):
             ops = [
                 self._compile_insn(insn, func)
@@ -444,29 +423,10 @@ class Interpreter(LinkedProgram):
             target = blocks[compiled.label_to_index[term.target]]
             rel = term.rel
             if fall_index >= len(blocks):
-                # A conditional branch ending the function: taking it is
-                # fine, falling through is the same runtime error as
-                # indexing past the block list used to be.
-                import operator
-
-                compare = {
-                    "<": operator.lt,
-                    "<=": operator.le,
-                    ">": operator.gt,
-                    ">=": operator.ge,
-                    "==": operator.eq,
-                    "!=": operator.ne,
-                }[rel]
-                fname, label = func.name, block.label
-
-                def cond_no_fall(state: MachineState) -> _CompiledBlock:
-                    if compare(state.regs["cc"][0], 0):
-                        return target
-                    raise IndexError(
-                        f"{fname}: block {label} falls off the end"
-                    )
-
-                return cond_no_fall
+                raise ValueError(
+                    f"{func.name}: block {block.label}: conditional branch "
+                    "at the function end has no fall-through block"
+                )
             fall = blocks[fall_index]
             if rel == "<":
                 return lambda state: target if state.regs["cc"][0] < 0 else fall
@@ -528,11 +488,10 @@ class Interpreter(LinkedProgram):
         state.fp = frame_base
         self._current_result = result
         blocks = compiled.blocks
-        # Hot loop: everything it touches per step is a local — the dense
-        # per-function count list (one list index instead of a tuple-keyed
-        # dict update), the sink's bound emit, and the block object itself
+        # Hot loop: everything it touches per step is a local — the count
+        # list, the sink's bound emit, and the block object itself
         # (terminators return the next _CompiledBlock directly).
-        counts = result._counts_for(compiled.name, len(blocks))
+        counts = result.block_counts
         sink = self._sink
         block = blocks[0] if blocks else None
         try:
@@ -543,7 +502,7 @@ class Interpreter(LinkedProgram):
                         raise StepLimitExceeded(
                             f"exceeded {self.max_steps} block steps"
                         )
-                    counts[block.index] += 1
+                    counts[block.global_id] += 1
                     for op in block.ops:
                         op(state)
                     block = block.terminator(state)
@@ -555,7 +514,7 @@ class Interpreter(LinkedProgram):
                         raise StepLimitExceeded(
                             f"exceeded {self.max_steps} block steps"
                         )
-                    counts[block.index] += 1
+                    counts[block.global_id] += 1
                     emit(block.global_id)
                     for op in block.ops:
                         op(state)

@@ -85,7 +85,8 @@ def measure_program(
     # --- static layout ---------------------------------------------------------
     with obs.span("ease.layout") as layout_span:
         address = 0x1000
-        block_weights: Dict[int, Tuple[int, int, int, int]] = {}
+        # Indexed by global block id: blocks are numbered in this order.
+        block_weights: List[Tuple[int, int, int, int]] = []
         successor: Dict[int, int] = {}  # block id -> positional successor's
         for func in program.functions.values():
             previous = None
@@ -118,7 +119,7 @@ def measure_program(
                     successor[previous] = global_id
                 previous = global_id
                 measurement.block_fetches[global_id] = fetches
-                block_weights[global_id] = (insn_weight, jumps, nops, branches)
+                block_weights.append((insn_weight, jumps, nops, branches))
                 # Indirect-jump tables occupy data space after the block.
                 term = block.terminator
                 if isinstance(term, IndirectJump):
@@ -140,9 +141,9 @@ def measure_program(
         obs.metrics.inc("trace.rle.records", result.trace.record_count)
 
     with obs.span("ease.account"):
-        for (func_name, block_index), count in result.block_counts.items():
-            global_id = interp.global_block_id(func_name, block_index)
-            weight, jumps, nops, branches = block_weights[global_id]
+        for count, (weight, jumps, nops, branches) in zip(
+            result.block_counts, block_weights
+        ):
             measurement.dynamic_insns += weight * count
             measurement.dynamic_jumps += jumps * count
             measurement.dynamic_nops += nops * count

@@ -304,11 +304,12 @@ def _profile_guided_jumps(
     """
     from ..ease.compile import make_interpreter
 
-    counts = make_interpreter(program).run(stdin=config.train_stdin).block_counts
+    engine = make_interpreter(program)
+    counts = engine.run(stdin=config.train_stdin).block_counts
     # Every block gets an entry (0 when never executed), so blocks that
     # replication creates later are the ones absent from the profile.
     profile = {
-        (name, block.label): counts.get((name, index), 0)
+        (name, block.label): counts[engine.global_block_id(name, index)]
         for name, func in program.functions.items()
         for index, block in enumerate(func.blocks)
     }

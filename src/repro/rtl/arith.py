@@ -21,11 +21,10 @@ construction and can never be a translation-validation divergence.
 
 The real MC68020 masks shift counts modulo 64 instead, so ``x << 32``
 is 0 there; C leaves over-wide shifts undefined, so a C compiler may
-pick either.  This repro deliberately models mod-32 *uniformly* —
-machine descriptions declare the model via ``Machine.shift_mask`` and a
-cross-check test pins them to this module — because a target-dependent
-fold would make optimized programs behaviorally target-dependent, which
-the paper's measurements (and our differential oracle) assume away.
+pick either.  This repro deliberately models mod-32 *uniformly*, on
+every target, because a target-dependent fold would make optimized
+programs behaviorally target-dependent, which the paper's measurements
+(and our differential oracle) assume away.
 """
 
 from __future__ import annotations

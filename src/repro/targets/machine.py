@@ -68,16 +68,6 @@ class Machine:
     has_delay_slots = False
     allows_memory_operands = False
 
-    #: Shift counts are reduced ``count & shift_mask`` before shifting.
-    #: Both modelled machines declare the mod-32 model of
-    #: :mod:`repro.rtl.arith` (the real MC68020 masks mod 64, but a
-    #: target-dependent shift would make constant folding — and thus
-    #: optimized program behavior — target-dependent; see the shift-count
-    #: note in ``rtl/arith.py``).  A future target wanting a different
-    #: model must also parametrize ``eval_binop``; the cross-check test
-    #: in ``tests/rtl/test_shift_semantics.py`` enforces the agreement.
-    shift_mask = 31
-
     #: Registers available to the colouring allocator.
     pool: Tuple[Reg, ...] = ()
     #: Registers reserved for spill shuttling (never allocated).

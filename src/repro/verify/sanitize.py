@@ -20,7 +20,8 @@ CFG:
   integrity; ``IndirectJump`` tables are non-empty);
 * a block ending in a conditional branch has a positional successor;
 * predecessor/successor lists match a fresh (non-mutating) edge
-  recomputation exactly — same blocks, same order;
+  recomputation by :func:`repro.cfg.graph.successors` exactly — same
+  blocks, same order;
 * ``cfg_edition`` coherence: the :class:`~repro.cfg.analyses.AnalysisManager`
   attached to the function must not be *ahead* of the function's
   edition; at the current edition the block list must be the one
@@ -65,6 +66,7 @@ from operator import attrgetter, is_
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..cfg.block import BasicBlock, Function, Program
+from ..cfg.graph import successors
 from ..cfg.traversal import reverse_postorder
 from ..ease.runtime import is_builtin
 from ..rtl.expr import BinOp, Const, Expr, Local, Mem, Reg, Sym, UnOp
@@ -101,65 +103,6 @@ def _same(old: Sequence[object], new: Sequence[object]) -> bool:
 # --------------------------------------------------------------------------
 
 
-def _expected_edges(
-    func: Function, problems: List[str]
-) -> Dict[int, List[BasicBlock]]:
-    """Recompute successor lists into a local table (no mutation)."""
-    by_label: Dict[str, BasicBlock] = {}
-    for block in func.blocks:
-        if block.label in by_label:
-            problems.append(f"duplicate label {block.label!r}")
-        by_label[block.label] = block
-
-    succs: Dict[int, List[BasicBlock]] = {}
-    for index, block in enumerate(func.blocks):
-        nxt = func.blocks[index + 1] if index + 1 < len(func.blocks) else None
-        term = block.terminator
-        expected: List[BasicBlock] = []
-
-        def resolve(label: str) -> Optional[BasicBlock]:
-            target = by_label.get(label)
-            if target is None:
-                problems.append(
-                    f"block {block.label}: branch target {label!r} "
-                    "resolves to no block (label table broken)"
-                )
-            return target
-
-        if isinstance(term, Jump):
-            target = resolve(term.target)
-            if target is not None:
-                expected.append(target)
-        elif isinstance(term, CondBranch):
-            if nxt is None:
-                problems.append(
-                    f"block {block.label}: conditional branch at the "
-                    "function end has no fall-through block"
-                )
-            else:
-                expected.append(nxt)
-            target = resolve(term.target)
-            if target is not None:
-                expected.append(target)
-        elif isinstance(term, Return):
-            pass
-        elif isinstance(term, IndirectJump):
-            if not term.targets:
-                problems.append(
-                    f"block {block.label}: indirect jump with an empty "
-                    "target table"
-                )
-            for label in term.targets:
-                target = resolve(label)
-                if target is not None:
-                    expected.append(target)
-        else:
-            if nxt is not None:
-                expected.append(nxt)
-        succs[id(block)] = expected
-    return succs
-
-
 def _check_cfg(
     func: Function, problems: List[str], bodies: Sequence[BasicBlock], edges: bool
 ) -> None:
@@ -183,18 +126,17 @@ def _check_cfg(
 
     if not edges:
         return
-    expected_succs = _expected_edges(func, problems)
+    expected_succs = successors(func.blocks, problems)
 
     # Expected predecessor lists, rebuilt in compute_flow's append order.
     expected_preds: Dict[int, List[BasicBlock]] = {
         id(block): [] for block in func.blocks
     }
-    for block in func.blocks:
-        for succ in expected_succs[id(block)]:
+    for block, succs in zip(func.blocks, expected_succs):
+        for succ in succs:
             expected_preds[id(succ)].append(block)
 
-    for block in func.blocks:
-        want = expected_succs[id(block)]
+    for block, want in zip(func.blocks, expected_succs):
         got = block.succs
         if not _same(want, got):
             problems.append(
@@ -468,18 +410,15 @@ def _walk(func: Function) -> Tuple[List[object], Dict[BasicBlock, _Span]]:
     """All the sanitizer reads of ``func`` but its context, and block spans.
 
     That is ``cfg_edition``, ``flow_layout``, the analysis manager, its
-    edition, cached RPO and loops, and per block the block, label,
-    ``preds``, ``succs``, and each instruction and its fields.
+    edition, and per block the block, label, ``preds``, ``succs``, and
+    each instruction and its fields.  Not the cached RPO and loops: a
+    cache fills only from the current graph at the current edition, and
+    every graph change is in the walk, so a fill alone is no change.
     """
     manager = getattr(func, "_analysis_manager", None)
     walk: List[object] = [func.cfg_edition, func.flow_layout, manager]
     if manager is not None:
-        rpo = manager._cache.get("rpo")
-        walk += (manager._edition, rpo, *(rpo or ()), _END)
-        loops = manager._cache.get("loops")
-        walk.append(loops)
-        for loop in loops.loops if loops is not None else ():
-            walk += (loop, *loop.members, _END)
+        walk.append(manager._edition)
     spans: Dict[BasicBlock, _Span] = {}
     getters = _FIELD_GETTERS
     for block in func.blocks:

@@ -7,6 +7,7 @@ from repro.cfg import (
     compute_flow,
     postorder,
 )
+from repro.cfg.graph import successors
 from repro.rtl import parse_insns
 from repro.verify import SanitizeError, check_sanitized
 from tests.conftest import function_from_text
@@ -104,12 +105,81 @@ class TestFlowEdges:
         assert {s.label for s in func.blocks[0].succs} == {"L1", "L2"}
 
     def test_unknown_target_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="resolves to no block"):
             function_from_text("f", "PC=Lmissing;\nPC=RT;")
 
     def test_cond_branch_at_function_end_raises(self):
         with pytest.raises(ValueError):
             function_from_text("f", "NZ=d[0]?1;\nPC=NZ==0,B1;")
+
+    def test_duplicate_label_raises(self):
+        func = function_from_text("f", "PC=L2;\nL2:\n  PC=RT;\nL3:\n  PC=RT;")
+        func.blocks[2].label = "L2"
+        with pytest.raises(ValueError, match="duplicate label 'L2'"):
+            compute_flow(func)
+
+    def test_empty_indirect_table_raises(self):
+        func = function_from_text("f", "PC=L[a[0]]<L1>;\nL1:\n  PC=RT;")
+        func.blocks[0].terminator.targets = []
+        with pytest.raises(ValueError, match="empty target table"):
+            compute_flow(func)
+
+    def test_a_fault_leaves_the_edges_alone(self):
+        func = function_from_text("f", "PC=L2;\nL2:\n  PC=RT;")
+        entry, exit_ = func.blocks
+        edition = func.cfg_edition
+        entry.terminator.target = "Lmissing"
+        with pytest.raises(ValueError, match="f: block B1: branch target"):
+            compute_flow(func)
+        assert entry.succs == [exit_] and exit_.preds == [entry]
+        assert func.cfg_edition == edition
+
+
+class TestSuccessors:
+    """The one edge rule, as the sanitizer and the compiled engine read it."""
+
+    def test_reports_every_fault_and_leaves_out_its_edge(self):
+        func = function_from_text(
+            "f",
+            """
+            NZ=d[0]?1;
+            PC=NZ==0,L3;
+            L2:
+              PC=L[a[0]]<L3,L2>;
+            L3:
+              PC=RT;
+            """,
+        )
+        entry, table, exit_ = func.blocks
+        entry.terminator.target = "Lnone"
+        entry.label = "L3"
+        table.terminator.targets = ["L3", "Lgone"]
+        problems = []
+        assert successors(func.blocks, problems) == [[table], [exit_], []]
+        assert problems == [
+            "duplicate label 'L3'",
+            "block L3: branch target 'Lnone' resolves to no block "
+            "(label table broken)",
+            "block L2: branch target 'Lgone' resolves to no block "
+            "(label table broken)",
+        ]
+
+    def test_cond_branch_edges_are_fall_then_taken(self):
+        func = function_from_text(
+            "f", "NZ=d[0]?1;\nPC=NZ==0,L2;\nd[0]=1;\nL2:\n  PC=RT;"
+        )
+        entry, fall, taken = func.blocks
+        assert successors(func.blocks, [])[0] == [fall, taken]
+
+    def test_final_cond_branch_keeps_its_taken_edge(self):
+        func = function_from_text("f", "L1:\n  NZ=d[0]?1;\n  PC=NZ==0,L1;\n  PC=RT;")
+        del func.blocks[1]
+        problems = []
+        assert successors(func.blocks, problems) == [[func.blocks[0]]]
+        assert problems == [
+            "block L1: conditional branch at the function end has no "
+            "fall-through block"
+        ]
 
 
 class TestEdition:

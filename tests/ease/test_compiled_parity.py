@@ -51,7 +51,7 @@ def observe(interp, stdin=b"", trace=True):
         "output": result.output,
         "exit_code": result.exit_code,
         "globals_image": result.globals_image,
-        "block_counts": dict(result.block_counts),
+        "block_counts": result.block_counts,
         "trace": list(result.trace.records()) if trace else None,
     }
 
@@ -145,7 +145,7 @@ class TestStepLimitParity:
     @pytest.fixture(scope="class")
     def total_steps(self, program):
         result = Interpreter(program, max_steps=10_000_000).run()
-        return sum(result.block_counts.values())
+        return sum(result.block_counts)
 
     def test_exact_limit_passes_both_engines(self, program, total_steps):
         # max_steps == blocks executed: the final block's debit leaves
@@ -185,7 +185,7 @@ class TestStepLimitParity:
                 interp.run()
             interp.max_steps = total_steps
             result = interp.run()
-            assert sum(result.block_counts.values()) == total_steps
+            assert sum(result.block_counts) == total_steps
 
 
 # One function of 400 if/else statements: 1,202 blocks unoptimized.
@@ -268,6 +268,20 @@ class TestCompiledOnly:
         for engine_cls in (Interpreter, CompiledInterpreter):
             with pytest.raises(IndexError):
                 engine_cls(program).run()
+
+    def test_final_cond_branch_is_rejected_when_built(self):
+        func = function_from_text(
+            "main", "L1:\n  NZ=d[0]?0;\n  PC=NZ!=0,L1;\n  PC=RT;"
+        )
+        del func.blocks[1]
+        program = Program()
+        program.add_function(func)
+        for engine_cls in (Interpreter, CompiledInterpreter):
+            with pytest.raises(
+                ValueError,
+                match="main: block L1: conditional branch at the function end",
+            ):
+                engine_cls(program)
 
     def test_empty_function_runs(self):
         program = Program()

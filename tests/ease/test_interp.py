@@ -62,9 +62,10 @@ class TestBasics:
             PC=RT;
             """
         )
-        result = Interpreter(program).run()
+        interp = Interpreter(program)
+        result = interp.run()
         assert result.exit_code == 10
-        loop_count = result.block_counts[("main", 1)]
+        loop_count = result.block_counts[interp.global_block_id("main", 1)]
         assert loop_count == 10
 
     def test_memory_widths(self):

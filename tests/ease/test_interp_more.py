@@ -16,12 +16,13 @@ def program_of(text, name="main", globals_=()):
     return program
 
 
-def _count_for(result, func_name):
+def _count_for(interp, result, func_name):
     """Total block executions inside ``func_name``."""
-    return sum(
-        count for (func, _block), count in result.block_counts.items()
-        if func == func_name
-    )
+    func = interp.program.functions.get(func_name)
+    if func is None:
+        return 0
+    first = interp.global_block_id(func_name, 0)
+    return sum(result.block_counts[first : first + len(func.blocks)])
 
 
 class TestWidths:
@@ -123,9 +124,10 @@ class TestLifecycle:
 
     def test_count_for_helper(self):
         program = program_of("rv[0]=0;\nPC=RT;")
-        result = Interpreter(program).run()
-        assert _count_for(result, "main") == 1
-        assert _count_for(result, "ghost") == 0
+        interp = Interpreter(program)
+        result = interp.run()
+        assert _count_for(interp, result, "main") == 1
+        assert _count_for(interp, result, "ghost") == 0
 
     def test_count_for_sums_all_blocks_of_a_function(self):
         program = Program()
@@ -143,6 +145,8 @@ class TestLifecycle:
             )
         )
         program.add_function(function_from_text("f", "rv[0]=arg[0];\nPC=RT;"))
-        result = Interpreter(program).run()
-        assert result.block_counts[("f", 0)] == 3  # entry block runs once per call
-        assert _count_for(result, "f") >= 3
+        interp = Interpreter(program)
+        result = interp.run()
+        # The entry block runs once per call.
+        assert result.block_counts[interp.global_block_id("f", 0)] == 3
+        assert _count_for(interp, result, "f") >= 3

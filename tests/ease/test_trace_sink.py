@@ -163,13 +163,10 @@ class TestInterpreterIntegration:
         assert expand(result.trace) == raw
         assert len(result.trace) == len(raw)
         # The stream is the executed blocks: it agrees with the counts.
-        counts = {}
+        counts = [0] * len(result.block_counts)
         for block_id in raw:
-            counts[block_id] = counts.get(block_id, 0) + 1
-        assert counts == {
-            interp.global_block_id(*key): count
-            for key, count in result.block_counts.items()
-        }
+            counts[block_id] += 1
+        assert counts == result.block_counts
 
     def test_loopy_program_compresses(self, monkeypatch):
         _, result, _ = self.run_traced("sieve", monkeypatch)

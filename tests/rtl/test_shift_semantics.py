@@ -4,16 +4,14 @@ One model, everywhere: :func:`repro.rtl.arith.eval_binop` masks shift
 counts with ``SHIFT_MASK`` (31), and every consumer — the front-end's
 literal folder, ``const_fold``, CSE, the EASE interpreter — calls that
 one function, so compile-time folding and run-time evaluation agree by
-construction.  These tests pin the model itself, pin the machine
-descriptions to it, and cross-check folder-vs-interpreter on whole
-programs where one side folds at compile time and the other shifts at
-run time.
+construction.  These tests pin the model itself and cross-check
+folder-vs-interpreter on whole programs where one side folds at compile
+time and the other shifts at run time.
 """
 
 import pytest
 
 from repro.rtl.arith import SHIFT_MASK, eval_binop
-from repro.targets import get_target
 from tests.conftest import run_c
 
 COUNTS = [0, 1, 5, 31, 32, 33, 40, 63, 64, 65]
@@ -38,13 +36,6 @@ class TestModel:
         assert eval_binop(">>", -8, 1) == -4  # arithmetic, not logical
         assert eval_binop(">>", -1, 63) == -1
         assert eval_binop("<<", 1, -1) == eval_binop("<<", 1, 31)
-
-    @pytest.mark.parametrize("target", ["sparc", "m68020"])
-    def test_machines_declare_the_shared_model(self, target):
-        # A target diverging from arith's model (e.g. a true mod-64
-        # 68020) must parametrize eval_binop first; until then the
-        # declaration and the implementation must match.
-        assert get_target(target).shift_mask == SHIFT_MASK
 
 
 def _const_source(count: int) -> str:

@@ -17,6 +17,7 @@ import pytest
 import repro.verify.sanitize as sanitize
 import repro.verify.verifier as verifier_module
 from repro.benchsuite import PROGRAMS, program_names
+from repro.cfg import get_analyses
 from repro.cfg.block import BasicBlock
 from repro.cfg.graph import compute_flow
 from repro.frontend import compile_c
@@ -312,7 +313,7 @@ class TestOnlyWhatChangedIsRechecked:
         rechecked = []
         recomputed = []
         real_faults = sanitize._insn_faults
-        real_edges = sanitize._expected_edges
+        real_edges = sanitize.successors
 
         def counting_faults(insn, *args):
             rechecked.append(insn)
@@ -323,7 +324,7 @@ class TestOnlyWhatChangedIsRechecked:
             return real_edges(*args)
 
         monkeypatch.setattr(sanitize, "_insn_faults", counting_faults)
-        monkeypatch.setattr(sanitize, "_expected_edges", counting_edges)
+        monkeypatch.setattr(sanitize, "successors", counting_edges)
         # L2 still falls through to L3: its new final instruction is
         # re-checked, and no edge is recomputed.
         block = labelled(func, "L2")
@@ -336,6 +337,20 @@ class TestOnlyWhatChangedIsRechecked:
         branch.target = "L2"
         assert any("stale successors" in p for p in sanitizer.check(func))
         assert len(recomputed) == 1
+
+    def test_a_cache_fill_is_no_change(self):
+        program = compile_c(smoke.LOOP_SUM)
+        func = program.functions["main"]
+        analyses = get_analyses(func)
+        analyses.reverse_postorder()  # the manager is at the current edition
+        sanitizer = Sanitizer()
+        assert sanitizer.check(func, program) == []
+        analyses.reverse_postorder()
+        assert analyses.loops().loops  # fills the dominator tree and loops
+        assert sanitizer.check(func, program) is None
+        # A graph change behind the filled cache is still checked.
+        func.blocks[0].succs.clear()
+        assert sanitizer.check(func, program)
 
     def test_failed_check_keeps_no_state(self):
         program = compile_c(smoke.LOOP_SUM)
