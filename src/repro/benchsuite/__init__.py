@@ -10,6 +10,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
     globals(),
     {
         ".programs": ("PROGRAMS", "BenchmarkProgram", "program_names"),
-        ".runner": ("clear_cache", "run_matrix"),
+        ".runner": ("run_matrix",),
     },
 )

@@ -3,8 +3,9 @@
 A spec builder over :mod:`repro.exec`: :func:`run_matrix` turns
 (target, configuration, program) cells into :class:`~repro.exec.CellSpec`
 s and runs them through one :class:`~repro.exec.ParallelRunner`.
-Without an explicit ``cache`` it uses one process-wide in-memory
-:class:`~repro.exec.ResultCache`.  One cell alone is
+Without an explicit ``cache`` it uses the working directory's
+``.repro-cache``, the default of ``repro bench`` and
+:func:`repro.report.collect`.  One cell alone is
 :func:`repro.api.compile_and_measure`.
 """
 
@@ -17,16 +18,9 @@ from ..exec import CellSpec, ParallelRunner, ResultCache
 from ..targets.names import TARGETS
 from .programs import PROGRAMS, program_names
 
-__all__ = ["run_matrix", "clear_cache"]
+__all__ = ["run_matrix"]
 
 Cell = Tuple[str, str, str]
-_default_cache: Optional[ResultCache] = None
-
-
-def clear_cache() -> None:
-    """Drop the default cache (frees its entries and their traces)."""
-    global _default_cache
-    _default_cache = None
 
 
 def run_matrix(
@@ -42,12 +36,12 @@ def run_matrix(
 
     Fans out over ``workers`` processes (``None`` = one per core,
     ``0``/``1`` = inline) through ``cache``, else (with ``use_memo``)
-    the default cache.  Returns ``{(target, config, name): Measurement}``
-    — the shape :func:`repro.report.matrix_cells` consumes.  Raises
-    ``KeyError`` for an unknown program and ``RuntimeError`` listing
-    every failed cell, if any.
+    the working directory's ``ResultCache()``, else uncached.  Returns
+    ``{(target, config, name): Measurement}`` — the shape
+    :func:`repro.report.matrix_cells` consumes.  Raises ``KeyError`` for
+    an unknown program and ``RuntimeError`` listing every failed cell,
+    if any.
     """
-    global _default_cache
     selected = list(names) if names is not None else program_names()
     unknown = [name for name in selected if name not in PROGRAMS]
     if unknown:
@@ -55,9 +49,7 @@ def run_matrix(
             f"unknown benchmark {unknown[0]!r}; expected one of {program_names()}"
         )
     if cache is None and use_memo:
-        if _default_cache is None:
-            _default_cache = ResultCache(None)
-        cache = _default_cache
+        cache = ResultCache()
     order = [(t, c, name) for t in targets for c in configs for name in selected]
     specs = [
         CellSpec(program=name, target=target, replication=config, trace=trace)

@@ -37,8 +37,8 @@ Semantics are the interpreter's, by construction:
 Every function of a program compiles, whatever its size; a shape the
 code generator rejects (an unknown operator, a block falling off the
 end, a final conditional branch, a label :func:`repro.cfg.graph.successors`
-cannot resolve) raises ``TypeError`` or ``ValueError`` at compile time,
-and the run fails.  A compiled run
+cannot resolve, a transfer before a block's end) raises ``TypeError`` or
+``ValueError`` at compile time, and the run fails.  A compiled run
 executes generated code only.  Its source depends on the RTL alone:
 registers load, flush and save in (bank, index) order, not in the
 address order of the interned register nodes.
@@ -160,6 +160,13 @@ class _FunctionCompiler:
         ]
         if problems:
             raise ValueError(f"{func.name}: {problems[0]}")
+        for block in func.blocks:
+            for insn in block.insns[:-1]:
+                if insn.is_transfer():
+                    raise ValueError(
+                        f"{func.name}: block {block.label}: transfer {insn!r} "
+                        "not at block end"
+                    )
 
     # ------------------------------------------------------------ helpers
 

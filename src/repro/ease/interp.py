@@ -149,7 +149,7 @@ class LinkedProgram:
             self._n_blocks += len(func.blocks)
             for block in func.blocks:
                 for insn in block.insns:
-                    self._note_regs(insn, block)
+                    self._note_regs(insn)
 
     def _layout_globals(self) -> None:
         addr = self._globals_end
@@ -159,15 +159,13 @@ class LinkedProgram:
             addr += data.size
         self._globals_end = addr
 
-    def _note_regs(self, insn: Insn, block: BasicBlock) -> None:
+    def _note_regs(self, insn: Insn) -> None:
         """Size the banks for the registers that ``insn`` evaluates.
 
         Those of its operands and destination, for every instruction
-        but a call and a transfer other than the block's terminator.
+        but a call.
         """
-        if isinstance(insn, Call) or (
-            insn.is_transfer() and insn is not block.terminator
-        ):
+        if isinstance(insn, Call):
             return
         regs = list(insn.used_regs())
         defined = insn.defined_reg()
@@ -268,6 +266,12 @@ class Interpreter(LinkedProgram):
         for index in range(len(func.blocks)):
             compiled.blocks.append(_CompiledBlock(None, None, base + index))
         for index, block in enumerate(func.blocks):
+            for insn in block.insns[:-1]:
+                if insn.is_transfer():
+                    raise ValueError(
+                        f"{func.name}: block {block.label}: transfer {insn!r} "
+                        "not at block end"
+                    )
             ops = [
                 self._compile_insn(insn, func)
                 for insn in block.insns

@@ -60,6 +60,15 @@ def _read_cstring(state: "MachineState", addr: int) -> bytes:
     return bytes(out)
 
 
+def _store(state: "MachineState", addr: int, data: bytes) -> None:
+    """Write ``data`` at ``addr``; a range leaving memory raises
+    ``IndexError`` (slice assignment would resize the memory instead)."""
+    end = addr + len(data)
+    if addr < 0 or end > len(state.mem):
+        raise IndexError(f"store of {len(data)} bytes at {addr} leaves memory")
+    state.mem[addr:end] = data
+
+
 def _format_printf(state: "MachineState", fmt: bytes, args: List[int]) -> bytes:
     out = bytearray()
     arg_index = 0
@@ -174,9 +183,7 @@ def call_builtin(state: "MachineState", name: str, nargs: int) -> int:
         return 0
     if name == "strcpy":
         dst, src = args[0], args[1]
-        data = _read_cstring(state, src)
-        state.mem[dst : dst + len(data)] = data
-        state.mem[dst + len(data)] = 0
+        _store(state, dst, _read_cstring(state, src) + b"\0")
         return dst
     if name == "atoi":
         text = _read_cstring(state, args[0]).decode("latin-1").strip()
@@ -195,7 +202,7 @@ def call_builtin(state: "MachineState", name: str, nargs: int) -> int:
         return -args[0] if args[0] < 0 else args[0]
     if name == "memset":
         addr, value, size = args[0], args[1] & 0xFF, args[2]
-        state.mem[addr : addr + size] = bytes([value]) * size
+        _store(state, addr, bytes([value]) * size)
         return addr
     if name == "exit":
         raise ProgramExit(args[0] if args else 0)

@@ -6,12 +6,11 @@ tests, ablations) re-measures cells of that matrix.  This package makes
 the matrix the unit of work:
 
 * :class:`CellSpec` / :class:`CellResult` — pickle-safe work units;
-* :class:`ResultCache` — content-addressed result cache, on disk or in
-  memory (``root=None``);
+* :class:`ResultCache` — content-addressed result cache, one directory;
 * :class:`ParallelRunner` — process-pool fan-out with graceful per-cell
   failure capture; the one execution path every caller shares.
 
-Concurrent processes may share one on-disk cache: the atomic publish of
+Concurrent processes may share one cache: the atomic publish of
 each entry is the cache's one concurrency rule (last writer wins).
 """
 

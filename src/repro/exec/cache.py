@@ -1,9 +1,8 @@
 """Content-addressed cache for measured matrix cells.
 
-``ResultCache(root)`` keeps its entries on disk; ``ResultCache(None)``
-keeps them in a per-instance dict (the in-process cache
-:func:`repro.benchsuite.run_matrix` defaults to).  Both share the key,
-the counters and the ``exec.cache.*`` metrics.
+A ``ResultCache`` is a directory: every cached cell, from ``repro
+bench``, :func:`repro.report.collect` or :func:`repro.benchsuite.run_matrix`,
+is one pickled file under its root.
 
 Layout (under the cache root, default ``.repro-cache/``)::
 
@@ -31,19 +30,16 @@ Robustness properties, each covered by unit tests:
   writer wins;
 * a failed write (full disk, read-only directory) is counted in
   ``write_errors``, never raised: the caller keeps its result;
-* hit/miss/eviction/write counters are kept per instance for reporting;
-* a memory-store hit is a shallow copy, so flagging it (``cache_hit``)
-  never mutates the stored envelope.
+* hit/miss/eviction/write counters are kept per instance for reporting.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import os
 import pickle
 from pathlib import Path
-from typing import Dict, Iterator, Optional
+from typing import Iterator, Optional
 
 from .envelope import CACHE_SCHEMA_VERSION, CellResult, CellSpec
 
@@ -53,16 +49,14 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 
 
 class ResultCache:
-    """Cache of :class:`CellResult` envelopes: on disk, or in memory."""
+    """On-disk cache of :class:`CellResult` envelopes under ``root``."""
 
     def __init__(
         self,
-        root: Optional[os.PathLike] = DEFAULT_CACHE_DIR,
+        root: os.PathLike = DEFAULT_CACHE_DIR,
         schema_version: int = CACHE_SCHEMA_VERSION,
     ) -> None:
-        self.root = None if root is None else Path(root)
-        #: The in-memory store's entries (empty for a disk cache).
-        self._memory: Dict[str, CellResult] = {}
+        self.root = Path(root)
         self.schema_version = schema_version
         self.hits = 0
         self.misses = 0
@@ -115,11 +109,7 @@ class ResultCache:
         that cannot be read at all (say, the root is a regular file) is
         a plain miss.
         """
-        if self.root is None:
-            stored = self._memory.get(key)
-            result = None if stored is None else copy.copy(stored)
-        else:
-            result = self._load(self._path(key))
+        result = self._load(self._path(key))
         self._count("misses" if result is None else "hits")
         return result
 
@@ -149,14 +139,11 @@ class ResultCache:
         An ``OSError`` while writing is counted in ``write_errors``, not
         raised: losing a cache entry must not lose the computed cell.
         """
-        if self.root is None:
-            self._memory[key] = result
-        else:
-            try:
-                self._write(self._path(key), result)
-            except OSError:
-                self._count("write_errors")
-                return
+        try:
+            self._write(self._path(key), result)
+        except OSError:
+            self._count("write_errors")
+            return
         self._count("writes")
 
     @staticmethod
@@ -188,18 +175,16 @@ class ResultCache:
 
     def _entries(self) -> Iterator[Path]:
         """This schema version's entry files, in directory order."""
-        if self.root is None:
-            return
         version_dir = self.root / f"v{self.schema_version}"
         if version_dir.is_dir():
             yield from version_dir.glob("*/*.pkl")
 
     def __len__(self) -> int:
-        return len(self._memory) + sum(1 for _ in self._entries())
+        return sum(1 for _ in self._entries())
 
     def stats(self) -> dict:
         return {
-            "root": "<memory>" if self.root is None else str(self.root),
+            "root": str(self.root),
             "schema_version": self.schema_version,
             "entries": len(self),
             "hits": self.hits,
@@ -214,7 +199,7 @@ class ResultCache:
     def _files(self, pattern: str) -> Iterator[Path]:
         """Files matching ``pattern`` in every shard of *all* schema
         versions."""
-        if self.root is None or not self.root.is_dir():
+        if not self.root.is_dir():
             return
         for version_dir in sorted(self.root.glob("v*")):
             if version_dir.is_dir():

@@ -180,18 +180,3 @@ class CellResult:
     @property
     def ok(self) -> bool:
         return self.error is None
-
-    @property
-    def total_seconds(self) -> float:
-        return self.compile_seconds + self.optimize_seconds + self.measure_seconds
-
-    def summary(self) -> str:
-        if not self.ok:
-            first = (self.error or "").strip().splitlines()
-            return f"{self.spec.label}: FAILED ({first[-1] if first else 'unknown'})"
-        m = self.measurement
-        return (
-            f"{self.spec.label}: static={m.static_insns} dynamic={m.dynamic_insns} "
-            f"jumps={m.dynamic_jumps} ({self.total_seconds:.2f}s"
-            f"{', cached' if self.cache_hit else ''})"
-        )

@@ -6,9 +6,9 @@ also runs; :func:`execute_cell` wraps it in an ``exec.cell`` span and
 captures every exception into the result envelope instead of
 propagating.  :class:`ParallelRunner` fans a list of :class:`CellSpec`
 out over a ``ProcessPoolExecutor``, short-circuiting cells already
-present in the :class:`~repro.exec.cache.ResultCache` (on disk or in
-memory) and writing fresh results back.  Processes sharing one on-disk
-cache need no coordination: the cache's atomic publish keeps every entry
+present in the on-disk :class:`~repro.exec.cache.ResultCache` and
+writing fresh results back.  Processes sharing one cache need no
+coordination: the cache's atomic publish keeps every entry
 whole, so a cold cell two of them compute at once is merely written
 twice (last writer wins).
 

@@ -300,47 +300,53 @@ def cell_specs() -> dict:
 
 
 def matrix_cells(matrix: Mapping[tuple, object]) -> Dict[str, dict]:
-    """Tables 4, 5, 6 and §5.2 as integers, from traced measurements
-    keyed ``(target, config, name)``.
+    """Tables 4, 5, 6, §5.2 and the §6 associativity sweep as integers,
+    from traced measurements keyed ``(target, config, name)``.
 
-    Table 6 is one multi-configuration cache walk per cell: every size
-    from 128 B to 8 KB, context switches on and off.
+    Each cell's trace is walked once: every Table-6 size from 128 B to
+    8 KB with context switches on and off, plus, for the SPARC SIMPLE and
+    JUMPS cells, the 2- and 4-way caches without context switches.
     """
     from .cache import CacheConfig, simulate_multi_cache
 
     sweep = [(size, ctx) for size in CACHE_SIZES for ctx in ("on", "off")]
-    configs = [CacheConfig(size=size) for size, _ in sweep]
-    flags = [ctx == "on" for _, ctx in sweep]
-    cells: Dict[str, dict] = {"table45": {}, "sec52": {}, "table6": {}}
+    assoc = [(ways, size) for size in ASSOC_SIZES for ways in ASSOC_WAYS]
+    table6 = [(CacheConfig(size=size), ctx == "on") for size, ctx in sweep]
+    with_assoc = table6 + [
+        (CacheConfig(size=size, associativity=ways), False) for ways, size in assoc
+    ]
+    cells: Dict[str, dict] = {"table45": {}, "sec52": {}, "table6": {}, "assoc": {}}
     for (target, config, name), m in sorted(matrix.items()):
         key = _key(target, config, name)
         for section, fields in _MATRIX_FIELDS.items():
             cells[section][key] = {field: getattr(m, field) for field in fields}
+        grid = with_assoc if target == "sparc" and config in ("none", "jumps") else table6
+        configs, flags = zip(*grid)
         results = simulate_multi_cache(
             m.trace, m.block_fetches, configs, context_switches=flags
         )
         row = cells["table6"][key] = {"accesses": results[0].accesses}
         for (size, ctx), result in zip(sweep, results):
             row[_key(size, ctx)] = [result.misses, result.fetch_cost]
+        for (ways, size), r in zip(assoc, results[len(sweep):]):
+            cells["assoc"][_key(ways, size, config, name)] = [r.misses, r.fetch_cost]
     return cells
 
 
 def extension_cells(
     matrix: Mapping[tuple, object], measured: Mapping[tuple, object]
 ) -> Dict[str, dict]:
-    """The five §6 tables as integers (SPARC, all 14 programs).
+    """Four §6 tables as integers (SPARC, all 14 programs); the fifth,
+    associativity, comes from :func:`matrix_cells`' walk.
 
     ``measured`` maps :func:`cell_specs` keys to results; its ``maxlen``,
-    ``policy`` and ``profile`` cells are read here.  ``matrix`` must be
-    traced: its SPARC SIMPLE and JUMPS cells are the baseline, the
-    associativity sweep's traces and the pipeline model's counts.
+    ``policy`` and ``profile`` cells are read here.  ``matrix``'s SPARC
+    SIMPLE and JUMPS cells are the baseline and the pipeline model's
+    counts; they must be traced.
     """
     from .benchsuite.programs import program_names
-    from .cache import CacheConfig, simulate_multi_cache
 
-    assoc = [(ways, size) for size in ASSOC_SIZES for ways in ASSOC_WAYS]
-    caches = [CacheConfig(size=size, associativity=ways) for ways, size in assoc]
-    cells: Dict[str, dict] = {s: {} for s in ("maxlen", "policy", "profile", "assoc", "pipeline")}
+    cells: Dict[str, dict] = {s: {} for s in ("maxlen", "policy", "profile", "pipeline")}
     for (section, key), result in measured.items():
         if section == "matrix":
             continue
@@ -355,9 +361,6 @@ def extension_cells(
     for name in program_names():
         for config in ("none", "jumps"):
             m = matrix[("sparc", config, name)]
-            results = simulate_multi_cache(m.trace, m.block_fetches, caches)
-            for (ways, size), r in zip(assoc, results):
-                cells["assoc"][_key(ways, size, config, name)] = [r.misses, r.fetch_cost]
             cycles = m.dynamic_insns + TAKEN_PENALTY * m.taken_transfers
             cells["pipeline"][_key(config, name)] = [m.dynamic_insns, m.taken_transfers, cycles]
     return cells
@@ -369,8 +372,9 @@ def collect() -> Dict[str, dict]:
     Every cell of :func:`cell_specs` runs in one parallel run (one
     worker per core) through the default on-disk result cache,
     ``.repro-cache``, so a second call in the same directory runs no
-    cell; the Table-6 and associativity sweeps then walk the matrix's
-    traces here.  Raises ``RuntimeError`` listing every failed cell.
+    cell; one cache walk per matrix trace then serves Table 6 and the
+    associativity sweep here.  Raises ``RuntimeError`` listing every
+    failed cell.
     """
     from .exec import ParallelRunner, ResultCache
 

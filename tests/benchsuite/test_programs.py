@@ -3,7 +3,8 @@
 import pytest
 
 from repro import compile_and_measure
-from repro.benchsuite import PROGRAMS, clear_cache, program_names, run_matrix
+from repro.benchsuite import PROGRAMS, program_names, run_matrix
+from repro.obs import observing
 
 
 class TestCatalog:
@@ -54,10 +55,9 @@ class TestCatalog:
 
 class TestRunner:
     @pytest.fixture(autouse=True)
-    def fresh_default_cache(self):
-        clear_cache()
-        yield
-        clear_cache()
+    def empty_working_directory(self, tmp_path, monkeypatch):
+        """``run_matrix``'s default cache is ``.repro-cache`` here."""
+        monkeypatch.chdir(tmp_path)
 
     def test_unknown_program_raises(self):
         with pytest.raises(KeyError, match="unknown benchmark 'doom'"):
@@ -67,20 +67,25 @@ class TestRunner:
         program = compile_and_measure("wc", target="sparc").program
         assert "main" in program.functions
 
-    def test_memoization_returns_same_object(self):
+    def test_memoization_reads_the_cache_directory(self, tmp_path):
         cell = ("sparc", "none", "wc")
         a = run_matrix(names=["wc"], targets=["sparc"], configs=["none"], workers=1)
-        b = run_matrix(names=["wc"], targets=["sparc"], configs=["none"], workers=1)
-        assert a[cell] is b[cell]
+        assert len(list((tmp_path / ".repro-cache").glob("v*/*/*.pkl"))) == 1
+        with observing(spans=False) as obs:
+            b = run_matrix(names=["wc"], targets=["sparc"], configs=["none"], workers=1)
+        assert obs.metrics.counters["exec.cache.hits"] == 1
+        assert vars(a[cell]) == vars(b[cell])
 
     def test_cache_bypass(self):
         cell = ("sparc", "none", "wc")
         a = run_matrix(names=["wc"], targets=["sparc"], configs=["none"], workers=1)
-        b = run_matrix(
-            names=["wc"], targets=["sparc"], configs=["none"], workers=1,
-            use_memo=False,
-        )
-        assert a[cell] is not b[cell]
+        with observing(spans=False) as obs:
+            b = run_matrix(
+                names=["wc"], targets=["sparc"], configs=["none"], workers=1,
+                use_memo=False,
+            )
+        assert "exec.cache.hits" not in obs.metrics.counters
+        assert obs.metrics.counters["ease.runs"] == 1
         assert a[cell].dynamic_insns == b[cell].dynamic_insns
 
     @pytest.mark.parametrize("name", ["wc", "sieve", "queens"])

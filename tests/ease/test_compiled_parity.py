@@ -30,6 +30,7 @@ from repro.ease import (
 from repro.frontend import compile_c
 from repro.opt import OptimizationConfig, optimize_program
 from repro.rtl.arith import wrap32
+from repro.rtl.insn import Jump
 from repro.targets import get_target
 from repro.verify.fuzz import generate_program
 from tests.conftest import function_from_text
@@ -281,6 +282,29 @@ class TestCompiledOnly:
                 ValueError,
                 match="main: block L1: conditional branch at the function end",
             ):
+                engine_cls(program)
+
+    @pytest.mark.parametrize(
+        "call",
+        ["memset(p + 4194300, 7, 16)", 'strcpy(p + 4194295, "past the end")'],
+        ids=["memset", "strcpy"],
+    )
+    def test_builtin_store_past_end_of_memory_raises_index_error(self, call):
+        """A builtin's destination range that leaves memory traps; slice
+        assignment would grow the memory instead."""
+        program = compile_c(f"int main() {{ char *p; p = malloc(16); {call}; return 0; }}")
+        for engine_cls in (Interpreter, CompiledInterpreter):
+            with pytest.raises(IndexError, match="leaves memory"):
+                engine_cls(program).run()
+
+    def test_mid_block_transfer_is_rejected_when_built(self):
+        program = compile_c("int main() { int i; i = 3; return i + 4; }")
+        func = program.functions["main"]
+        block = func.blocks[0]
+        assert len(block.insns) > 1
+        block.insns.insert(0, Jump(func.blocks[-1].label))
+        for engine_cls in (Interpreter, CompiledInterpreter):
+            with pytest.raises(ValueError, match=r"main: block \S+: transfer .* not at block end"):
                 engine_cls(program)
 
     def test_empty_function_runs(self):

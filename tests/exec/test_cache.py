@@ -16,17 +16,24 @@ from repro.exec import CellResult, CellSpec, ParallelRunner, ResultCache, execut
 from repro.obs import observing
 
 SPEC = CellSpec(program="int main() { return 7; }", target="sparc")
+#: A cache under an explicit root, and ``run_matrix``'s memo: the default
+#: ``ResultCache()``, ``.repro-cache`` in the working directory.  The memo's
+#: cases keep the id ``memory`` of the in-memory store it replaced.
 STORES = ("disk", "memory")
 
 
-def make_cache(store: str, root) -> ResultCache:
-    """The same cache on disk under ``root``, or in memory."""
-    return ResultCache(root if store == "disk" else None)
+def make_cache(store: str, root, monkeypatch) -> ResultCache:
+    """A cache rooted at ``root``, or the default one with ``root`` as the
+    working directory."""
+    if store == "disk":
+        return ResultCache(root)
+    monkeypatch.chdir(root)
+    return ResultCache()
 
 
 @pytest.fixture(params=STORES)
-def store(request, tmp_path) -> ResultCache:
-    return make_cache(request.param, tmp_path)
+def store(request, tmp_path, monkeypatch) -> ResultCache:
+    return make_cache(request.param, tmp_path, monkeypatch)
 
 
 def small_result(spec=SPEC) -> CellResult:
@@ -104,13 +111,13 @@ UNKEYED_VARIANTS = {"verify": "full"}
         for index in range(len(KEYED_VARIANTS))
     ],
 )
-def test_key_changes_when_config_changes(tmp_path, store_kind, variant):
+def test_key_changes_when_config_changes(tmp_path, monkeypatch, store_kind, variant):
     # Every CellSpec field is classified: a new field must be added to
     # one of the two tables before any variant passes.
     keyed = {name for v in KEYED_VARIANTS for name in v}
     assert keyed.isdisjoint(UNKEYED_VARIANTS)
     assert keyed | set(UNKEYED_VARIANTS) == {f.name for f in fields(CellSpec)}
-    cache = make_cache(store_kind, tmp_path)
+    cache = make_cache(store_kind, tmp_path, monkeypatch)
     assert cache.key(replace(SPEC, **variant)) != cache.key(SPEC)
     # A distinct key is a distinct entry in either store.
     cache.put_spec(SPEC, small_result())
@@ -317,31 +324,6 @@ def test_cached_envelope_carries_ease_engine(tmp_path):
     assert loaded.spec.ease_engine == "interp"
     assert loaded.measurement.dynamic_insns == result.measurement.dynamic_insns
     assert cache.get_spec(CellSpec(program="wc")) is None
-
-
-# --- the in-memory store -----------------------------------------------------------
-
-
-def test_memory_hit_is_a_copy():
-    """A hit is flagged on a copy: the first caller's envelope, which is
-    the stored one, never turns into a cache hit behind its back."""
-    cache = ResultCache(None)
-    (first,) = ParallelRunner(workers=1, cache=cache).run([SPEC])
-    (again,) = ParallelRunner(workers=1, cache=cache).run([SPEC])
-    assert again.cache_hit and not first.cache_hit
-    assert again is not first and again.measurement is first.measurement
-    assert not cache.get_spec(SPEC).cache_hit
-
-
-def test_memory_store_touches_no_disk(tmp_path, monkeypatch):
-    """No entry or tmp file: not even the default cache directory is
-    created."""
-    monkeypatch.chdir(tmp_path)
-    cache = ResultCache(None)
-    for _ in range(2):
-        ParallelRunner(workers=1, cache=cache).run([SPEC])
-    assert cache.stats()["writes"] == 1 and cache.stats()["hits"] == 1
-    assert list(tmp_path.iterdir()) == []
 
 
 # --- corruption recovery ----------------------------------------------------------

@@ -3,8 +3,7 @@
 import pytest
 
 from repro import compile_and_measure
-from repro.benchsuite import clear_cache, run_matrix
-from repro.benchsuite import runner as benchsuite_runner
+from repro.benchsuite import run_matrix
 from repro.core.replication import Policy
 from repro.exec import (
     CellResult,
@@ -31,7 +30,7 @@ def test_execute_cell_success_envelope():
     assert result.replication_stats["jumps_replaced"] > 0
     assert obs.metrics.counters["opt.pass_invocations"] > 0
     assert result.optimize_seconds > 0 and result.measure_seconds > 0
-    assert "wc/sparc/jumps" in result.summary()
+    assert result.spec.label == "wc/sparc/jumps"
 
 
 def test_execute_cell_reference_run():
@@ -90,7 +89,7 @@ def test_execute_cell_captures_failure():
     assert not result.ok
     assert "CompileError" in result.error
     assert result.measurement is None
-    assert "FAILED" in result.summary()
+    assert result.spec.label == CRASHING.label
 
 
 # --- ParallelRunner ---------------------------------------------------------------
@@ -218,31 +217,37 @@ def test_dying_worker_fails_only_its_own_cell(monkeypatch):
 
 
 @pytest.fixture
-def default_cache():
-    """A fresh in-memory default cache for ``run_matrix``."""
-    clear_cache()
-    yield lambda: benchsuite_runner._default_cache
-    clear_cache()
+def default_cache(tmp_path, monkeypatch):
+    """``run_matrix``'s default cache: ``.repro-cache`` in an empty
+    working directory."""
+    monkeypatch.chdir(tmp_path)
+    return ResultCache(tmp_path / ".repro-cache")
 
 
 def test_run_matrix_shape_and_memo(default_cache):
+    cell = ("sparc", "jumps", "wc")
     matrix = run_matrix(
         names=["wc"], targets=["sparc"], configs=["none", "jumps"], workers=1
     )
-    assert set(matrix) == {("sparc", "none", "wc"), ("sparc", "jumps", "wc")}
-    assert default_cache().root is None  # in memory, whatever the environment
-    # The matrix seeded the default cache: a rerun hits and returns the
-    # very same Measurement objects.
-    again = run_matrix(names=["wc"], targets=["sparc"], configs=["jumps"], workers=1)
-    assert again[("sparc", "jumps", "wc")] is matrix[("sparc", "jumps", "wc")]
-    stats = default_cache().stats()
-    assert (stats["entries"], stats["writes"], stats["hits"]) == (2, 2, 1)
-    # Opting out of the default cache runs the cell afresh.
-    fresh = run_matrix(
-        names=["wc"], targets=["sparc"], configs=["jumps"], workers=1, use_memo=False
-    )
-    assert fresh[("sparc", "jumps", "wc")] is not matrix[("sparc", "jumps", "wc")]
-    assert default_cache().stats()["hits"] == 1
+    assert set(matrix) == {("sparc", "none", "wc"), cell}
+    assert len(default_cache) == 2
+    # The matrix seeded the working directory's cache: a rerun without a
+    # cache reads it and runs nothing.
+    with observing(spans=False) as obs:
+        again = run_matrix(names=["wc"], targets=["sparc"], configs=["jumps"], workers=1)
+    assert obs.metrics.counters["exec.cache.hits"] == 1
+    assert "ease.runs" not in obs.metrics.counters
+    assert vars(again[cell]) == vars(matrix[cell])
+    # Opting out of the default cache runs the cell afresh and writes
+    # nothing.
+    with observing(spans=False) as obs:
+        fresh = run_matrix(
+            names=["wc"], targets=["sparc"], configs=["jumps"], workers=1, use_memo=False
+        )
+    assert obs.metrics.counters["ease.runs"] == 1
+    assert not any(name.startswith("exec.cache.") for name in obs.metrics.counters)
+    assert vars(fresh[cell]) == vars(matrix[cell])
+    assert len(default_cache) == 2
 
 
 def test_run_matrix_reports_failures(default_cache, monkeypatch):

@@ -123,8 +123,9 @@ def _check_cfg(func: Function, problems: List[str]) -> None:
                     f"block {block.label}: transfer {insn!r} not at block end"
                 )
 
+    # A final conditional branch is reported once, by the edge rule.
     last = func.blocks[-1]
-    if last.falls_through():
+    if last.terminator is None:
         problems.append(
             f"final block {last.label} falls off the end of the function"
         )

@@ -70,8 +70,9 @@ class TestApiWiring:
 
 
 class TestExecCacheHygiene:
-    """Verified cells and the result cache, on disk; the subclass below
-    runs every case again on an in-memory cache."""
+    """Verified cells and the result cache; the subclass below runs every
+    case again on ``run_matrix``'s memo, the default cache in the working
+    directory."""
 
     @pytest.fixture
     def cache(self, tmp_path):
@@ -113,9 +114,12 @@ class TestExecCacheHygiene:
 
 
 class TestMemoryCacheHygiene(TestExecCacheHygiene):
+    """Named for the in-memory store the memo's ``.repro-cache`` replaced."""
+
     @pytest.fixture
-    def cache(self):
-        return ResultCache(None)
+    def cache(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        return ResultCache()
 
 
 class TestVerifierReportShape:

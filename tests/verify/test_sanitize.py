@@ -91,6 +91,22 @@ class TestCfgViolations:
             "falls off the end" in p for p in sanitize_function(func)
         )
 
+    def test_final_cond_branch_is_one_problem(self):
+        """The edge rule reports a final conditional branch; the
+        final-block check leaves a block with a terminator to it."""
+        from tests.verify.reference_sanitizer import reference_sanitize
+
+        func = function_from_text("main", "L1:\n  NZ=d[0]?0;\n  PC=NZ!=0,L1;\n  PC=RT;")
+        del func.blocks[1]
+        (last,) = func.blocks
+        last.succs[:] = [last]  # the fresh edges: the taken one alone
+        problems = [
+            "block L1: conditional branch at the function end has no fall-through block"
+        ]
+        assert sanitize_function(func) == problems
+        assert Sanitizer().check(func) == problems
+        assert reference_sanitize(func) == problems
+
     def test_check_sanitized_raises_with_stage(self):
         _, func = _main()
         func.blocks[0].succs.clear()
