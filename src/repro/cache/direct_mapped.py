@@ -1,16 +1,20 @@
 """Instruction-cache configurations and results (§5.3 of the paper).
 
-Parameters follow the paper exactly:
+Parameters follow the paper exactly, as the module constants below:
 
 * cache sizes of 1, 2, 4 and 8 KB are studied, each direct-mapped with
-  16 bytes per line;
-* fetch cost = hits * 1 + misses * 10 (cache access time 1, miss penalty
-  10, after Smith's cache studies);
+  16 bytes per line (:data:`LINE_SIZE`);
+* fetch cost = hits * 1 + misses * 10 (cache access time
+  :data:`HIT_TIME`, miss penalty :data:`MISS_PENALTY`, after Smith's
+  cache studies);
 * context switches are simulated by invalidating the entire cache every
-  10 000 units of time (of accumulated fetch cost).
+  10 000 units of time (:data:`CONTEXT_SWITCH_INTERVAL`, of accumulated
+  fetch cost).
 
-The paper studies direct-mapped caches only; ``associativity`` above 1
-is the §6 extension, an N-way cache with LRU replacement.  The simulator
+A :class:`CacheConfig` is a size and an associativity.  The paper
+studies direct-mapped caches only; ``associativity`` above 1 is the §6
+extension, an N-way cache with LRU replacement, simulated without
+context switches (the §6 table measures none).  The simulator
 (:func:`repro.cache.multi.simulate_multi_cache`) consumes the block-level
 trace plus the per-block fetch addresses produced by
 :func:`repro.ease.measure.measure_program`.
@@ -28,27 +32,29 @@ __all__ = [
 
 PAPER_CACHE_SIZES = (1024, 2048, 4096, 8192)
 
+LINE_SIZE = 16
+HIT_TIME = 1
+MISS_PENALTY = 10  # "misses are ten times as expensive as hits"
+CONTEXT_SWITCH_INTERVAL = 10_000
+
+
 @dataclass(frozen=True)
 class CacheConfig:
     """An instruction cache configuration (direct mapped by default)."""
 
     size: int = 1024
-    line_size: int = 16
-    hit_time: int = 1
-    miss_penalty: int = 10  # "misses are ten times as expensive as hits"
-    context_switch_interval: int = 10_000
     associativity: int = 1  # ways per set, LRU replacement
 
     @property
     def lines(self) -> int:
-        return self.size // self.line_size
+        return self.size // LINE_SIZE
 
     @property
     def sets(self) -> int:
         return self.lines // self.associativity
 
     def __post_init__(self) -> None:
-        if self.size <= 0 or self.size % self.line_size != 0:
+        if self.size <= 0 or self.size % LINE_SIZE != 0:
             raise ValueError(
                 "cache size must be a positive multiple of the line size"
             )

@@ -4,8 +4,8 @@ The Table-6 evaluation simulates every traced run against many cache
 configurations, and the §6 extension adds N-way LRU caches.  This
 engine serves them all from one walk over the trace:
 
-* each block's cache-line sequence is derived **once** per line size
-  (all paper configurations share the 16-byte line, so line numbers are
+* each block's cache-line sequence is derived **once** (every
+  configuration has the paper's 16-byte line, so line numbers are
   configuration-independent — only the index mask differs);
 * it consumes the records of a
   :class:`~repro.ease.trace.CompressedTrace` directly.  Trace bodies are
@@ -24,7 +24,8 @@ engine serves them all from one walk over the trace:
   lines; its accesses and its base and steady misses are folded in once
   per body at the end, from how many records and iterations referenced
   that body;
-* an N-way LRU state replays a record's first iteration access by
+* an N-way LRU state, simulated without context switches (the §6
+  table measures none), replays a record's first iteration access by
   access and charges the rest at the cost of an iteration from the
   body's LRU fixed point, found once per body: after a full iteration
   each set holds the body's lines by last use, then older residents in
@@ -37,7 +38,9 @@ Otherwise its iterations are charged in runs that stay below the
 boundary, and the one that reaches it is simulated line by line, so
 flush counts, positions and post-flush cold misses match the
 per-configuration reference replays (``tests/cache/reference_cache.py``)
-bit for bit; ``tests/cache/test_engine_parity.py`` asserts it.
+bit for bit; ``tests/cache/test_engine_parity.py`` asserts it.  The
+flush interval is :data:`~repro.cache.direct_mapped.CONTEXT_SWITCH_INTERVAL`,
+read from that module, so a test may lower it around a call.
 """
 
 from __future__ import annotations
@@ -46,9 +49,10 @@ from collections import defaultdict
 from itertools import groupby
 from math import inf
 from operator import itemgetter, ne
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from .direct_mapped import CacheConfig, CacheResult
+from . import direct_mapped
+from .direct_mapped import HIT_TIME, LINE_SIZE, MISS_PENALTY, CacheConfig, CacheResult
 
 if TYPE_CHECKING:
     from ..ease.trace import CompressedTrace
@@ -138,22 +142,19 @@ class _State:
     """
 
     __slots__ = (
-        "mask", "ways", "hit_time", "miss_time", "interval", "next_flush",
-        "cache", "accesses", "misses", "cost", "flushes", "ff_iters",
-        "ff_hits",
+        "mask", "ways", "next_flush", "cache", "accesses", "misses", "cost",
+        "flushes", "ff_iters", "ff_hits",
     )
 
     def __init__(self, config: CacheConfig, switches: bool) -> None:
         self.mask = config.sets - 1
         self.ways = config.associativity
-        self.hit_time = config.hit_time
-        self.miss_time = config.miss_penalty
-        self.interval = config.context_switch_interval
-        self.next_flush = self.interval if switches else inf
+        self.next_flush = direct_mapped.CONTEXT_SWITCH_INTERVAL if switches else inf
         # Direct mapped: slot -> resident line (-1: empty), a dict so a
-        # body's last lines install with one update.  N-way: per set, its
-        # resident lines, most recently used first.  A flush clears it in
-        # place, so the walk's plans may hold it.
+        # body's last lines install with one update.  N-way (never
+        # flushed): per set, its resident lines, most recently used
+        # first.  A flush clears it in place, so the walk's plans may
+        # hold it.
         self.cache = (
             dict.fromkeys(range(config.sets), -1)
             if self.ways == 1
@@ -167,18 +168,14 @@ class _State:
         self.ff_hits = 0
 
     def flush(self) -> None:
-        """A context switch: invalidate every line."""
-        if self.ways == 1:
-            self.cache.update(dict.fromkeys(self.cache, -1))
-        else:
-            for bucket in self.cache:
-                bucket.clear()
+        """A context switch: invalidate every line of a direct-mapped cache."""
+        self.cache.update(dict.fromkeys(self.cache, -1))
         self.flushes += 1
-        self.next_flush += self.interval
+        self.next_flush += direct_mapped.CONTEXT_SWITCH_INTERVAL
 
     def result(self) -> CacheResult:
         hits = self.accesses - self.misses
-        cost = hits * self.hit_time + self.misses * self.miss_time
+        cost = hits * HIT_TIME + self.misses * MISS_PENALTY
         return CacheResult(self.accesses, self.misses, cost, self.flushes)
 
 
@@ -195,25 +192,24 @@ def _charge_across_flush(
     base = summary.base
     steady = summary.steady
     first = summary.first.items()
-    hit_time = state.hit_time
-    extra = state.miss_time - hit_time
-    steady_cost = n_access * hit_time + steady * extra
+    extra = MISS_PENALTY - HIT_TIME
+    steady_cost = n_access * HIT_TIME + steady * extra
     cache = state.cache
     mask = state.mask
     misses = ff_iters = 0
     remaining = count
     while remaining:
         delta = base + sum(cache[slot] != line for slot, line in first)
-        first_end = state.cost + n_access * hit_time + delta * extra
+        first_end = state.cost + n_access * HIT_TIME + delta * extra
         if first_end >= state.next_flush:
             for line in lines:
                 slot = line & mask
                 if cache[slot] == line:
-                    state.cost += hit_time
+                    state.cost += HIT_TIME
                 else:
                     cache[slot] = line
                     misses += 1
-                    state.cost += state.miss_time
+                    state.cost += MISS_PENALTY
                 if state.cost >= state.next_flush:
                     state.flush()
             remaining -= 1
@@ -269,66 +265,6 @@ def _lru_steady(runs: Sequence[int], mask: int, ways: int) -> int:
     return _lru_pass(sets, runs, mask, ways)
 
 
-def _charge_lru(state: _State, lines: Sequence[int], steady: int, count: int) -> None:
-    """Charge one record to an N-way LRU state with context switches.
-
-    An iteration is replayed access by access whenever the state may be
-    off the body's fixed point: at the record's start and after a flush.
-    From the fixed point every iteration misses ``steady`` times, so the
-    rest are charged at once, as many as stay below the next flush.
-    """
-    sets = state.cache
-    mask = state.mask
-    ways = state.ways
-    hit_time = state.hit_time
-    miss_time = state.miss_time
-    n_access = len(lines)
-    step_cost = n_access * hit_time + steady * (miss_time - hit_time)
-    cost = state.cost
-    misses = ff_iters = 0
-    fixed = False
-    remaining = count
-    while remaining:
-        if fixed:
-            # The last iteration had no flush, so ``room`` >= 0.
-            fit = remaining
-            room = state.next_flush - 1 - cost
-            if room < fit * step_cost:
-                fit = room // step_cost
-            if fit:
-                cost += fit * step_cost
-                misses += fit * steady
-                ff_iters += fit
-                remaining -= fit
-                continue
-        flushes = state.flushes
-        for line in lines:
-            bucket = sets[line & mask]
-            if line in bucket:
-                cost += hit_time
-                if bucket[0] != line:
-                    bucket.remove(line)
-                    bucket.insert(0, line)
-            else:
-                misses += 1
-                cost += miss_time
-                bucket.insert(0, line)
-                if len(bucket) > ways:
-                    bucket.pop()
-            if cost >= state.next_flush:
-                state.flush()
-        remaining -= 1
-        fixed = state.flushes == flushes
-    state.cost = cost
-    # The per-body fold charges every record ``(count - 1) * steady``
-    # misses and ``count - 1`` fast-forwarded iterations: book the
-    # difference.
-    state.misses += misses - (count - 1) * steady
-    lost = count - 1 - ff_iters
-    state.ff_iters -= lost
-    state.ff_hits -= lost * (n_access - steady)
-
-
 def simulate_multi_cache(
     trace: CompressedTrace,
     block_fetches: Dict[int, List[int]],
@@ -343,7 +279,9 @@ def simulate_multi_cache(
     :param context_switches: a single bool for every config, or one bool
         per config — the full Table-6 grid (sizes x with/without context
         switches) thus runs in a single walk, sharing one plan build per
-        distinct body.
+        distinct body.  An N-way cache takes ``False``: a
+        ``ValueError`` is raised, before the walk, for one with its
+        flag set.
     :param stats: optional accounting object filled with fast-forward
         coverage counters.
     :returns: one :class:`CacheResult` per config, in input order —
@@ -358,72 +296,60 @@ def simulate_multi_cache(
                 "context_switches must be a bool or one flag per config "
                 f"(got {len(flags)} flags for {len(configs)} configs)"
             )
+    for config, flag in zip(configs, flags):
+        if flag and config.associativity > 1:
+            raise ValueError(
+                "an N-way cache is simulated without context switches "
+                f"(got {config.associativity} ways with context switches)"
+            )
     states = [_State(config, flag) for config, flag in zip(configs, flags)]
-    shifts = [config.line_size.bit_length() - 1 for config in configs]
-
-    # One line table per distinct line size (a single one in practice:
-    # every paper configuration uses 16-byte lines).  dict.fromkeys, not
-    # set(): first-seen order is hash-seed independent, so plan
-    # construction is identical run to run under randomized hashing.
-    tables = {
-        shift: {
-            block_id: [addr >> shift for addr in fetches]
-            for block_id, fetches in block_fetches.items()
-        }
-        for shift in dict.fromkeys(shifts)
+    shift = LINE_SIZE.bit_length() - 1
+    table = {
+        block_id: [addr >> shift for addr in fetches]
+        for block_id, fetches in block_fetches.items()
     }
-    # Per line size, its direct-mapped index masks, ascending.
-    masks = {shift: sorted({s.mask for s, at in zip(states, shifts)
-                            if at == shift and s.ways == 1}) for shift in tables}
+    # The direct-mapped index masks, ascending.
+    masks = sorted({state.mask for state in states if state.ways == 1})
+    extra = MISS_PENALTY - HIT_TIME
 
     def build_plan(body) -> tuple:
         """What every state does with one body, built on first sight.
 
-        ``(body, [records, iterations], plain, switching, lru,
-        lru_switching, folds)``: the inline arguments of the
-        direct-mapped and of the N-way states, each without and with
-        context switches, and per state what the end-of-walk fold needs.
+        ``(body, [records, iterations], plain, switching, lru, folds)``:
+        the inline arguments of the direct-mapped states without and
+        with context switches and of the N-way states, and per state
+        what the end-of-walk fold needs.
         """
-        flats = {}
-        summaries: Dict[int, Dict[int, _Summary]] = {}
-        for shift, table in tables.items():
-            lines: List[int] = []
-            for block_id in body:
-                lines.extend(table.get(block_id, ()))
-            runs = [line for line, _ in groupby(lines)]
-            flats[shift] = lines, runs
-            if runs:  # shared by both context-switch settings
-                summaries[shift] = _summaries(len(lines), runs, masks[shift])
-        steadies: Dict[Tuple[int, int, int], int] = {}
-        plain, switching, lru, lru_switching, folds = [], [], [], [], []
-        for state, shift, flag in zip(states, shifts, flags):
-            lines, runs = flats[shift]
-            if not lines:
-                continue
+        lines: List[int] = []
+        for block_id in body:
+            lines.extend(table.get(block_id, ()))
+        plain, switching, lru, folds = [], [], [], []
+        if not lines:
+            return body, [0, 0], plain, switching, lru, folds
+        runs = [line for line, _ in groupby(lines)]
+        summaries = _summaries(len(lines), runs, masks)
+        steadies: Dict[tuple, int] = {}
+        for state, flag in zip(states, flags):
             if state.ways > 1:
-                key = (shift, state.mask, state.ways)
+                key = (state.mask, state.ways)
                 steady = steadies.get(key)
                 if steady is None:
                     steady = steadies[key] = _lru_steady(runs, state.mask, state.ways)
                 folds.append((state, len(lines), 0, steady))
-                if flag:
-                    lru_switching.append((state, lines, steady))
-                else:
-                    # With no flush a repeated line is a hit: replay runs.
-                    lru.append((state, state.cache, runs, state.mask, state.ways))
+                # With no flush a repeated line is a hit: replay runs.
+                lru.append((state, state.cache, runs, state.mask, state.ways))
                 continue
-            s = summaries[shift][state.mask]
+            s = summaries[state.mask]
             folds.append((state, s.n_access, s.base, s.steady))
             inline = (state, state.cache, s.get, s.firsts, s.last, s.multi, s.moves)
             if not flag:
                 plain.append(inline)
                 continue
-            hit_cost = s.n_access * state.hit_time
-            extra = state.miss_time - state.hit_time
+            hit_cost = s.n_access * HIT_TIME
             first_cost = hit_cost + s.base * extra
             steady_cost = hit_cost + s.steady * extra
-            switching.append(inline + (first_cost, steady_cost, extra, s, lines))
-        return body, [0, 0], plain, switching, lru, lru_switching, folds
+            switching.append(inline + (first_cost, steady_cost, s, lines))
+        return body, [0, 0], plain, switching, lru, folds
 
     # Per interned body, its plan, keyed by identity: the trace holds
     # every body for the whole walk.
@@ -447,7 +373,7 @@ def simulate_multi_cache(
         # Context switches: the same, when the record's exact final cost
         # stays below the next flush.
         for (state, cache, get, firsts, lasts, multi, moves,
-             first_cost, steady_cost, extra, summary, lines) in entry[3]:
+             first_cost, steady_cost, summary, lines) in entry[3]:
             now = get(cache)
             delta = 0
             if now != firsts:
@@ -463,11 +389,9 @@ def simulate_multi_cache(
             else:
                 _charge_across_flush(state, summary, lines, count)
         # N-way: the first iteration replayed, the rest at the fixed
-        # point (charged by the fold, or per record across flushes).
+        # point, charged by the fold.
         for state, sets, runs, mask, ways in entry[4]:
             state.misses += _lru_pass(sets, runs, mask, ways)
-        for state, lines, steady in entry[5]:
-            _charge_lru(state, lines, steady, count)
 
     # The per-body fold, for every state: the accesses, each record's
     # base misses (direct mapped) and, for every iteration after a

@@ -43,7 +43,7 @@ from typing import List, Optional
 from .benchsuite.programs import PROGRAMS, program_names
 from .core.policy import POLICIES, REPLICATIONS
 from .exec.envelope import VERIFY_MODES
-from .report import format_table, pct
+from .report import CACHE_SIZES, format_table, pct
 from .targets.names import TARGETS
 
 __all__ = ["main"]
@@ -662,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sizes",
         type=_cache_size,
         nargs="+",
-        default=[128, 256, 512, 1024, 2048, 4096, 8192],
+        default=CACHE_SIZES,
         help="cache sizes in bytes",
     )
     p.set_defaults(func=cmd_cache)

@@ -73,7 +73,7 @@ from ..rtl.insn import (
     Nop,
     Return,
 )
-from .interp import LinkedProgram, StepLimitExceeded
+from .interp import LinkedProgram, StepLimitExceeded, _registers
 from .runtime import call_builtin, is_builtin
 
 __all__ = ["CompiledInterpreter", "make_interpreter"]
@@ -92,25 +92,6 @@ def _is_atom(text: str) -> bool:
     return text.isidentifier() or text.isdigit() or (
         text.startswith("(-") and text.endswith(")") and text[2:-1].isdigit()
     )
-
-
-def _registers(func: Function) -> List[Tuple[str, int]]:
-    """Every register ``func`` reads or writes, ordered by (bank, index).
-
-    Derivable from the RTL alone: the registers its executor promotes,
-    and so the slots a call to it can disturb.  Sorted, because
-    ``used_regs()`` sets iterate in the order of the interned nodes'
-    addresses: generated source must not depend on them.
-    """
-    seen: Set[Tuple[str, int]] = set()
-    for block in func.blocks:
-        for insn in block.insns:
-            for reg in insn.used_regs():
-                seen.add((reg.bank, reg.index))
-            defined = insn.defined_reg()
-            if defined is not None:
-                seen.add((defined.bank, defined.index))
-    return sorted(seen)
 
 
 class _FunctionCompiler:
@@ -758,10 +739,9 @@ class _FunctionCompiler:
 class CompiledInterpreter(LinkedProgram):
     """Executes RTL through per-function generated Python code objects.
 
-    Construction links the program and compiles the executors of the
-    first run's mode, ``trace``.  The other mode's (traced ones add a
-    per-block ``RleTraceSink.emit`` call) compile on its first run, so
-    no run pays for a mode it does not use.
+    Construction links the program and compiles every function's
+    executor in the engine's one mode, ``trace`` (a traced executor adds
+    a per-block ``RleTraceSink.emit`` call).
     """
 
     def __init__(
@@ -770,19 +750,17 @@ class CompiledInterpreter(LinkedProgram):
         max_steps: int = 200_000_000,
         trace: bool = False,
     ) -> None:
-        super().__init__(program, max_steps=max_steps)
-        #: traced? -> the namespace of that mode's executors: each
-        #: function's ``_x_{name}``, beside the helpers they call.
-        self._tables: Dict[bool, Dict[str, object]] = {}
+        super().__init__(program, max_steps=max_steps, trace=trace)
         self.blocks_fused = 0
         self.compile_seconds = 0.0
-        self._select(trace)
+        #: Each function's executor ``_x_{name}``, beside the helpers
+        #: they call.
+        self._executors = self._compile_all(trace)
 
     # ------------------------------------------------------------ compilation
 
     def _compile_all(self, traced: bool) -> Dict[str, object]:
         start = perf_counter()
-        fused = self.blocks_fused
         namespace: Dict[str, object] = {
             "StepLimitExceeded": StepLimitExceeded,
             "_div": _div_trunc,
@@ -794,13 +772,11 @@ class CompiledInterpreter(LinkedProgram):
         }
         for func in self.program.functions.values():
             self._pycompile(func, traced, namespace)
-        self._tables[traced] = namespace
-        seconds = perf_counter() - start
-        self.compile_seconds += seconds
+        self.compile_seconds = perf_counter() - start
         metrics = _active_observer().metrics
         metrics.inc("ease.compile.functions", len(self.program.functions))
-        metrics.inc("ease.compiled.blocks_fused", self.blocks_fused - fused)
-        metrics.inc("ease.compile.time_ms", round(seconds * 1000.0, 3))
+        metrics.inc("ease.compiled.blocks_fused", self.blocks_fused)
+        metrics.inc("ease.compile.time_ms", round(self.compile_seconds * 1000.0, 3))
         return namespace
 
     def _pycompile(
@@ -814,22 +790,8 @@ class CompiledInterpreter(LinkedProgram):
 
     # ------------------------------------------------------------ execution
 
-    def _select(self, trace: bool) -> None:
-        """Run ``trace``'s mode from now on, compiling it on first use."""
-        table = self._tables.get(trace)
-        self._active = self._compile_all(trace) if table is None else table
-
-    def run(
-        self,
-        stdin: bytes = b"",
-        trace: bool = False,
-        entry: str = "main",
-    ):
-        self._select(trace)
-        return super().run(stdin=stdin, trace=trace, entry=entry)
-
     def _run_function(self, state, name, result, frame_base) -> None:
-        executor = self._active[f"_x_{name}"]
+        executor = self._executors[f"_x_{name}"]
         try:
             self._steps_left = executor(
                 self, state, result, frame_base, self._steps_left

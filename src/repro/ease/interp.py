@@ -21,14 +21,14 @@ Machine model:
   its (bounds-checked by construction) index expression.
 
 Execution records how many times each basic block ran, by global block
-id, and optionally a global block-level trace that the cache simulator
-expands into instruction fetch addresses.
+id, and, on an engine built with ``trace=True``, a global block-level
+trace that the cache simulator expands into instruction fetch addresses.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..cfg.block import BasicBlock, Function, Program
 from ..rtl.arith import eval_binop, eval_unop, wrap32
@@ -118,23 +118,46 @@ class _CompiledFunction:
 # None means "return from the function".
 
 
+def _registers(func: Function) -> List[Tuple[str, int]]:
+    """Every register ``func`` reads or writes, ordered by (bank, index).
+
+    Derivable from the RTL alone: the registers the compiled engine's
+    executor promotes, and so the slots a call to it can disturb, and
+    what the register banks are sized for.  Sorted, because
+    ``used_regs()`` sets iterate in the order of the interned nodes'
+    addresses: generated source must not depend on them.
+    """
+    seen: Set[Tuple[str, int]] = set()
+    for block in func.blocks:
+        for insn in block.insns:
+            for reg in insn.used_regs():
+                seen.add((reg.bank, reg.index))
+            defined = insn.defined_reg()
+            if defined is not None:
+                seen.add((defined.bank, defined.index))
+    return sorted(seen)
+
+
 class LinkedProgram:
     """A program linked for execution, and the run harness of both engines.
 
     Linking lays out the globals, numbers every block globally (traces,
     ``block_counts`` and ``block_fetches`` key on these ids: per function
     in program order, blocks in index order), and records frame sizes
-    and register-bank sizes.  A subclass executes a function
-    (:meth:`_run_function`).
+    and register-bank sizes.  An engine runs in one mode, fixed at
+    construction: ``trace=True`` records every run's block trace.  A
+    subclass executes a function (:meth:`_run_function`).
     """
 
     def __init__(
         self,
         program: Program,
         max_steps: int = 200_000_000,
+        trace: bool = False,
     ) -> None:
         self.program = program
         self.max_steps = max_steps
+        self.trace = trace
         self.symaddr: Dict[str, int] = {}
         self._globals_end = 64  # a null guard region below the globals
         self._layout_globals()
@@ -147,9 +170,9 @@ class LinkedProgram:
             self._frame_sizes[func.name] = func.frame_size
             self._block_base[func.name] = self._n_blocks
             self._n_blocks += len(func.blocks)
-            for block in func.blocks:
-                for insn in block.insns:
-                    self._note_regs(insn)
+            for bank, index in _registers(func):
+                if index >= self._bank_sizes.get(bank, 0):
+                    self._bank_sizes[bank] = index + 1
 
     def _layout_globals(self) -> None:
         addr = self._globals_end
@@ -158,23 +181,6 @@ class LinkedProgram:
             self.symaddr[data.name] = addr
             addr += data.size
         self._globals_end = addr
-
-    def _note_regs(self, insn: Insn) -> None:
-        """Size the banks for the registers that ``insn`` evaluates.
-
-        Those of its operands and destination, for every instruction
-        but a call.
-        """
-        if isinstance(insn, Call):
-            return
-        regs = list(insn.used_regs())
-        defined = insn.defined_reg()
-        if defined is not None:
-            regs.append(defined)
-        sizes = self._bank_sizes
-        for reg in regs:
-            if reg.index >= sizes.get(reg.bank, 0):
-                sizes[reg.bank] = reg.index + 1
 
     def _install_globals(self, state: MachineState) -> None:
         for data in self.program.globals.values():
@@ -193,31 +199,28 @@ class LinkedProgram:
 
     _sink: Optional[RleTraceSink] = None
 
-    def run(
-        self,
-        stdin: bytes = b"",
-        trace: bool = False,
-        entry: str = "main",
-    ) -> ExecutionResult:
-        """Execute the program from ``entry``; return the results.
+    def run(self, stdin: bytes = b"") -> ExecutionResult:
+        """Execute the program from ``main``; return the results.
 
-        ``trace=True`` records the block-level trace (``result.trace``
-        is a :class:`~repro.ease.trace.CompressedTrace`).
+        An engine built with ``trace=True`` records the block-level
+        trace (``result.trace`` is a
+        :class:`~repro.ease.trace.CompressedTrace`).  A program without
+        ``main`` raises ``KeyError``.
         """
-        if entry not in self._frame_sizes:
-            raise KeyError(f"no function named {entry!r}")
+        if "main" not in self._frame_sizes:
+            raise KeyError("no function named 'main'")
         state = MachineState(stdin, self._bank_sizes)
         self._install_globals(state)
         state.heap_ptr = (self._globals_end + 15) & ~15
         state.stack_limit = MEM_SIZE - (1 << 20)
-        entry_frame = MEM_SIZE - self._frame_sizes[entry] - 64
+        entry_frame = MEM_SIZE - self._frame_sizes["main"] - 64
 
         result = ExecutionResult(self._n_blocks)
-        sink = RleTraceSink() if trace else None
+        sink = RleTraceSink() if self.trace else None
         self._sink = sink
         self._steps_left = self.max_steps
         try:
-            self._run_function(state, entry, result, entry_frame)
+            self._run_function(state, "main", result, entry_frame)
         except ProgramExit as stop:
             result.exit_code = stop.code
         else:
@@ -247,8 +250,9 @@ class Interpreter(LinkedProgram):
         self,
         program: Program,
         max_steps: int = 200_000_000,
+        trace: bool = False,
     ) -> None:
-        super().__init__(program, max_steps=max_steps)
+        super().__init__(program, max_steps=max_steps, trace=trace)
         self._functions: Dict[str, _CompiledFunction] = {}
         for func in program.functions.values():
             self._compile_function(func)

@@ -71,15 +71,21 @@ def measure_program(
 ) -> Measurement:
     """Run ``program`` and measure it with the target's size/count model.
 
-    ``trace=True`` records the block trace (``Measurement.trace``, a
+    A traced run records the block trace (``Measurement.trace``, a
     :class:`~repro.ease.trace.CompressedTrace`) and counts its taken
     transfers.
 
-    Runs on the compiled engine unless an ``interpreter`` is passed in
-    (the closure :class:`~repro.ease.interp.Interpreter`, for instance).
+    Runs on the compiled engine, built in ``trace``'s mode, unless an
+    ``interpreter`` is passed in (the closure
+    :class:`~repro.ease.interp.Interpreter`, for instance): the run then
+    takes that engine's mode, and ``trace=True`` with an untraced engine
+    raises ``ValueError``.
     """
-    measurement = Measurement()
     interp = interpreter or make_interpreter(program, trace=trace)
+    if trace and not interp.trace:
+        raise ValueError("trace=True needs an engine built with trace=True")
+    trace = interp.trace
+    measurement = Measurement()
     obs = _active_observer()
 
     # --- static layout ---------------------------------------------------------
@@ -104,7 +110,6 @@ def measure_program(
                         measurement.static_jumps += 1
                         jumps += 1
                     if isinstance(insn, Nop):
-                        measurement.static_nops += 1
                         nops += 1
                     if _is_transfer_for_stats(insn):
                         branches += 1
@@ -133,7 +138,7 @@ def measure_program(
 
     # --- dynamic run --------------------------------------------------------------
     with obs.span("ease.interp", trace=trace) as interp_span:
-        result = interp.run(stdin=stdin, trace=trace)
+        result = interp.run(stdin)
     measurement.output = result.output
     measurement.exit_code = result.exit_code
     if trace:

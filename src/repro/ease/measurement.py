@@ -20,7 +20,6 @@ class Measurement:
     def __init__(self) -> None:
         self.static_insns = 0
         self.static_jumps = 0
-        self.static_nops = 0
         self.code_bytes = 0
         self.dynamic_insns = 0
         self.dynamic_jumps = 0

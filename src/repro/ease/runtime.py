@@ -52,21 +52,24 @@ def is_builtin(name: str) -> bool:
 
 
 def _read_cstring(state: "MachineState", addr: int) -> bytes:
-    out = bytearray()
+    """The NUL-terminated string at ``addr``; a string that starts or
+    runs outside memory raises ``IndexError`` (Python would index a
+    negative address from the end)."""
     mem = state.mem
-    while mem[addr] != 0:
-        out.append(mem[addr])
-        addr += 1
-    return bytes(out)
+    end = mem.find(0, addr) if 0 <= addr < len(mem) else -1
+    if end < 0:
+        raise IndexError(f"string at {addr} leaves memory")
+    return bytes(mem[addr:end])
 
 
-def _store(state: "MachineState", addr: int, data: bytes) -> None:
-    """Write ``data`` at ``addr``; a range leaving memory raises
-    ``IndexError`` (slice assignment would resize the memory instead)."""
-    end = addr + len(data)
+def _end(state: "MachineState", addr: int, size: int) -> int:
+    """``addr + size``, once ``[addr, addr + size)`` is checked to lie in
+    memory: a range leaving it raises ``IndexError`` (slice assignment
+    would resize the memory instead)."""
+    end = addr + size
     if addr < 0 or end > len(state.mem):
-        raise IndexError(f"store of {len(data)} bytes at {addr} leaves memory")
-    state.mem[addr:end] = data
+        raise IndexError(f"store of {size} bytes at {addr} leaves memory")
+    return end
 
 
 def _format_printf(state: "MachineState", fmt: bytes, args: List[int]) -> bytes:
@@ -182,8 +185,8 @@ def call_builtin(state: "MachineState", name: str, nargs: int) -> int:
             return 1
         return 0
     if name == "strcpy":
-        dst, src = args[0], args[1]
-        _store(state, dst, _read_cstring(state, src) + b"\0")
+        dst, data = args[0], _read_cstring(state, args[1]) + b"\0"
+        state.mem[dst : _end(state, dst, len(data))] = data
         return dst
     if name == "atoi":
         text = _read_cstring(state, args[0]).decode("latin-1").strip()
@@ -201,8 +204,11 @@ def call_builtin(state: "MachineState", name: str, nargs: int) -> int:
     if name == "abs":
         return -args[0] if args[0] < 0 else args[0]
     if name == "memset":
-        addr, value, size = args[0], args[1] & 0xFF, args[2]
-        _store(state, addr, bytes([value]) * size)
+        # ``size`` is C's unsigned 32-bit size_t; the range is checked
+        # before the fill is built.
+        addr, value, size = args[0], args[1] & 0xFF, args[2] & 0xFFFFFFFF
+        end = _end(state, addr, size)
+        state.mem[addr:end] = bytes([value]) * size
         return addr
     if name == "exit":
         raise ProgramExit(args[0] if args else 0)

@@ -123,12 +123,10 @@ def run_pipeline(spec: CellSpec, result: CellResult) -> tuple:
         result.replication_stats = stats.as_dict()
 
     start = perf_counter()
+    closures = spec.ease_engine == "interp"
+    engine = Interpreter(program, trace=spec.trace) if closures else None
     result.measurement = measure_program(
-        program,
-        target,
-        stdin=stdin,
-        trace=spec.trace,
-        interpreter=Interpreter(program) if spec.ease_engine == "interp" else None,
+        program, target, stdin=stdin, trace=spec.trace, interpreter=engine
     )
     result.measure_seconds = perf_counter() - start
     return program, config, stats

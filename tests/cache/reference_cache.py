@@ -9,14 +9,17 @@ configurations and fast-forwards steady-state loops; the parity suite
 (``test_engine_parity.py``) checks they agree byte for byte.  They live
 beside the tests that use them, outside the installed package, because
 nothing else calls them.  A trace is a run's ``CompressedTrace``,
-replayed expanded, or a plain list of block ids.
+replayed expanded, or a plain list of block ids.  Line size, hit and
+miss costs and the context-switch interval are the constants of
+:mod:`repro.cache.direct_mapped`, read as a replay starts (a test may
+lower the interval with :func:`tests.cache.switches.interval`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Union
 
-from repro.cache import CacheConfig, CacheResult
+from repro.cache import CacheConfig, CacheResult, direct_mapped
 from repro.ease.trace import CompressedTrace
 from tests.traces import expand
 
@@ -39,9 +42,9 @@ def simulate_cache(
     :param block_fetches: per block id, the fetch address of each machine
         instruction in the block.
     :param context_switches: flush the cache every
-        ``config.context_switch_interval`` time units when set.
+        ``CONTEXT_SWITCH_INTERVAL`` time units when set.
     """
-    line_shift = config.line_size.bit_length() - 1
+    line_shift = direct_mapped.LINE_SIZE.bit_length() - 1
     index_mask = config.lines - 1
 
     # Precompute each block's line-number sequence once.
@@ -58,11 +61,11 @@ def simulate_cache(
     misses = 0
     cost = 0
     flushes = 0
-    hit_time = config.hit_time
+    hit_time = direct_mapped.HIT_TIME
     # "fetch cost = cache hits * cache access time + cache misses * miss
     # penalty" — a miss costs the penalty (10 units), not penalty + hit.
-    miss_time = config.miss_penalty
-    interval = config.context_switch_interval
+    miss_time = direct_mapped.MISS_PENALTY
+    interval = direct_mapped.CONTEXT_SWITCH_INTERVAL
     next_flush = interval if context_switches else None
 
     for block_id in _block_ids(trace):
@@ -93,7 +96,7 @@ def simulate_associative_cache(
     ``config.associativity`` ways per set; one way is a direct-mapped
     cache.
     """
-    line_shift = config.line_size.bit_length() - 1
+    line_shift = direct_mapped.LINE_SIZE.bit_length() - 1
     index_mask = config.sets - 1
     ways = config.associativity
 
@@ -109,9 +112,9 @@ def simulate_associative_cache(
     misses = 0
     cost = 0
     flushes = 0
-    hit_time = config.hit_time
-    miss_time = config.miss_penalty
-    interval = config.context_switch_interval
+    hit_time = direct_mapped.HIT_TIME
+    miss_time = direct_mapped.MISS_PENALTY
+    interval = direct_mapped.CONTEXT_SWITCH_INTERVAL
     next_flush = interval if context_switches else None
 
     for block_id in _block_ids(trace):

@@ -10,13 +10,9 @@ from tests.cache.test_direct_mapped import traces
 from tests.traces import compress
 
 
-def run(addresses, size=64, ways=2, ctx=False, interval=10_000):
-    config = CacheConfig(
-        size=size, associativity=ways, context_switch_interval=interval
-    )
-    [result] = simulate_multi_cache(
-        compress([0]), {0: list(addresses)}, [config], context_switches=ctx
-    )
+def run(addresses, size=64, ways=2):
+    config = CacheConfig(size=size, associativity=ways)
+    [result] = simulate_multi_cache(compress([0]), {0: list(addresses)}, [config])
     return result
 
 
@@ -53,10 +49,17 @@ class TestBasics:
         with pytest.raises(ValueError):
             CacheConfig(size=64, associativity=0)
 
-    def test_context_switch_flush(self):
-        cold = run([0] * 30, ways=2, ctx=True, interval=10)
-        assert cold.flushes > 0
-        assert cold.misses > 1
+    def test_context_switches_are_rejected(self):
+        # The §6 associativity table measures no context switches; an
+        # N-way cache with its flag set fails before the walk, even in a
+        # list whose direct-mapped caches switch.
+        configs = [CacheConfig(size=64), CacheConfig(size=64, associativity=2)]
+        with pytest.raises(ValueError, match="N-way"):
+            simulate_multi_cache(compress([0]), {0: [0]}, configs, [True, True])
+        plain, two_way = simulate_multi_cache(
+            compress([0]), {0: [0]}, configs, [True, False]
+        )
+        assert plain.accesses == two_way.accesses == 1
 
 
 class TestProperties:

@@ -3,14 +3,18 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache import CacheConfig, CacheResult
+from repro.cache import CacheConfig, CacheResult, direct_mapped
 from tests.cache.reference_cache import simulate_cache
+from tests.cache.switches import interval
 
 
-def run(addresses, size=64, line=16, ctx=False, interval=10_000):
-    """Replay a flat address list as one block repeated once."""
-    config = CacheConfig(size=size, line_size=line, context_switch_interval=interval)
-    return simulate_cache([0], {0: list(addresses)}, config, context_switches=ctx)
+def run(addresses, size=64, ctx=False, units=direct_mapped.CONTEXT_SWITCH_INTERVAL):
+    """Replay a flat address list as one block run once, a context switch
+    every ``units`` of fetch cost when ``ctx`` is set."""
+    with interval(units):
+        return simulate_cache(
+            [0], {0: list(addresses)}, CacheConfig(size=size), context_switches=ctx
+        )
 
 
 class TestBasics:
@@ -54,18 +58,18 @@ class TestBasics:
 class TestContextSwitches:
     def test_flush_causes_rereferences_to_miss(self):
         # With an interval of 10 units, a cost of 10 triggers a flush.
-        warm = run([0] * 30, ctx=False, interval=10)
-        cold = run([0] * 30, ctx=True, interval=10)
+        warm = run([0] * 30, ctx=False, units=10)
+        cold = run([0] * 30, ctx=True, units=10)
         assert cold.misses > warm.misses
         assert cold.flushes > 0
 
     def test_interval_counts_cost_not_accesses(self):
-        result = run([0, 16, 32, 48] * 10, ctx=True, interval=10)
+        result = run([0, 16, 32, 48] * 10, ctx=True, units=10)
         # Every miss costs 10 -> a flush roughly every miss.
         assert result.flushes >= result.misses // 2
 
     def test_no_flushes_without_context_switching(self):
-        result = run([0] * 1000, ctx=False, interval=10)
+        result = run([0] * 1000, ctx=False, units=10)
         assert result.flushes == 0
 
 
@@ -76,13 +80,14 @@ class TestConfigValidation:
 
     def test_line_count_power_of_two(self):
         with pytest.raises(ValueError):
-            CacheConfig(size=48, line_size=16)
+            CacheConfig(size=48)
 
     def test_paper_configuration_defaults(self):
         config = CacheConfig()
-        assert config.line_size == 16
-        assert config.miss_penalty == 10
-        assert config.context_switch_interval == 10_000
+        assert (config.size, config.associativity) == (1024, 1)
+        assert direct_mapped.LINE_SIZE == 16
+        assert (direct_mapped.HIT_TIME, direct_mapped.MISS_PENALTY) == (1, 10)
+        assert direct_mapped.CONTEXT_SWITCH_INTERVAL == 10_000
 
 
 @st.composite
@@ -136,7 +141,8 @@ class TestProperties:
     @given(traces())
     def test_context_switching_never_reduces_misses(self, data):
         trace, fetches = data
-        config = CacheConfig(size=128, context_switch_interval=50)
-        plain = simulate_cache(trace, fetches, config, context_switches=False)
-        flushed = simulate_cache(trace, fetches, config, context_switches=True)
+        config = CacheConfig(size=128)
+        with interval(50):
+            plain = simulate_cache(trace, fetches, config, context_switches=False)
+            flushed = simulate_cache(trace, fetches, config, context_switches=True)
         assert flushed.misses >= plain.misses

@@ -1,8 +1,8 @@
 """Engine parity: the one cache engine must return byte-identical
 ``CacheResult``s to the per-configuration reference replays — direct
-mapped at every Table-6 size, N-way LRU at 1, 2 and 4 ways, with and
-without context switches — the differential oracle that gates the
-summary walk and the fast-forward optimization.
+mapped at every Table-6 size, with and without context switches, and
+N-way LRU at 1, 2 and 4 ways without them — the differential oracle that
+gates the summary walk and the fast-forward optimization.
 """
 
 import pytest
@@ -20,6 +20,7 @@ from repro.frontend import compile_c
 from repro.opt import OptimizationConfig, optimize_program
 from repro.targets import get_target
 from tests.cache.reference_cache import simulate_associative_cache, simulate_cache
+from tests.cache.switches import interval
 from tests.traces import compress, limits
 
 PAPER_CONFIGS = [CacheConfig(size=size) for size in PAPER_CACHE_SIZES]
@@ -51,9 +52,9 @@ def assert_parity(trace, fetches, configs, ctx):
         ), (config, flag)
 
 
-def n_way_configs(sizes, interval):
+def n_way_configs(sizes):
     return [
-        CacheConfig(size=size, associativity=ways, context_switch_interval=interval)
+        CacheConfig(size=size, associativity=ways)
         for size in sizes
         for ways in (1, 2, 4)
     ]
@@ -103,12 +104,9 @@ class TestFuzzedTraces:
         # Tiny caches + a short flush interval stress conflict misses and
         # the fast-forward/flush boundary far harder than the paper sizes.
         trace, fetches = data
-        configs = [
-            CacheConfig(size=64, context_switch_interval=50),
-            CacheConfig(size=128, context_switch_interval=50),
-            CacheConfig(size=1024, context_switch_interval=50),
-        ]
-        assert_parity(compress(trace), fetches, configs, ctx)
+        configs = [CacheConfig(size=size) for size in (64, 128, 1024)]
+        with interval(50):
+            assert_parity(compress(trace), fetches, configs, ctx)
 
     @settings(max_examples=60, deadline=None)
     @given(traces())
@@ -121,21 +119,23 @@ class TestFuzzedTraces:
         assert_parity(compress(trace), fetches, configs, flags)
 
     @settings(max_examples=80, deadline=None)
-    @given(traces(), st.booleans())
-    def test_n_way_parity(self, data, ctx):
-        # 1, 2 and 4 ways at tiny sizes and a short flush interval: LRU
-        # fast-forwarding must stop at every flush boundary.
+    @given(traces())
+    def test_n_way_parity(self, data):
+        # 1, 2 and 4 ways at tiny sizes: conflict-heavy LRU sets.
         trace, fetches = data
-        configs = n_way_configs((64, 128), interval=50)
-        assert_parity(compress(trace), fetches, configs, ctx)
+        configs = n_way_configs((64, 128))
+        assert_parity(compress(trace), fetches, configs, False)
 
     @settings(max_examples=40, deadline=None)
     @given(traces())
     def test_n_way_and_direct_mapped_in_one_walk(self, data):
+        # N-way caches beside direct-mapped ones with and without
+        # context switches, at a short flush interval.
         trace, fetches = data
-        configs = n_way_configs((64, 256), interval=50) * 2
-        flags = [False] * 6 + [True] * 6
-        assert_parity(compress(trace), fetches, configs, flags)
+        configs = n_way_configs((64, 256)) + [CacheConfig(size=64), CacheConfig(size=256)]
+        flags = [False] * 6 + [True] * 2
+        with interval(50):
+            assert_parity(compress(trace), fetches, configs, flags)
 
     def test_context_flags_length_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -193,10 +193,10 @@ class TestRealPrograms:
 
     def test_n_way_parity(self, measurements):
         # The JUMPS traces only: each LRU oracle replays every access.
-        configs = n_way_configs((128, 512), interval=1_000)
+        configs = n_way_configs((128, 512))
         for (name, replication), (trace, fetches) in measurements.items():
             if replication == "jumps":
-                assert_parity(trace, fetches, configs, True)
+                assert_parity(trace, fetches, configs, False)
 
     def test_stats_count_records_and_blocks(self, measurements):
         for trace, fetches in measurements.values():

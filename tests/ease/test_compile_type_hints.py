@@ -1,6 +1,8 @@
-"""Every annotation in ``repro.ease.compile`` resolves.
+"""Every annotation in ``repro.ease.compile`` and in
+``repro.ease.interp`` (the linking and run harness it builds on)
+resolves.
 
-The module uses postponed annotations, so a name missing from its
+The modules use postponed annotations, so a name missing from their
 imports shows only when something resolves the hints.
 """
 
@@ -10,18 +12,20 @@ import typing
 import pytest
 
 import repro.ease.compile as compile_module
+import repro.ease.interp as interp_module
 
 
 def _functions():
-    for name, obj in vars(compile_module).items():
-        if getattr(obj, "__module__", None) != compile_module.__name__:
-            continue
-        if inspect.isfunction(obj):
-            yield name, obj
-        elif inspect.isclass(obj):
-            for attr, member in vars(obj).items():
-                if inspect.isfunction(member):
-                    yield f"{name}.{attr}", member
+    for module in (compile_module, interp_module):
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield name, obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if inspect.isfunction(member):
+                        yield f"{name}.{attr}", member
 
 
 FUNCTIONS = list(_functions())

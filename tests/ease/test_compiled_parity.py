@@ -46,22 +46,23 @@ def optimized(source):
     return program
 
 
-def observe(interp, stdin=b"", trace=True):
-    result = interp.run(stdin=stdin, trace=trace)
+def observe(interp, stdin=b""):
+    """What one run of ``interp`` shows; its trace if the engine is traced."""
+    result = interp.run(stdin)
     return {
         "output": result.output,
         "exit_code": result.exit_code,
         "globals_image": result.globals_image,
         "block_counts": result.block_counts,
-        "trace": list(result.trace.records()) if trace else None,
+        "trace": list(result.trace.records()) if interp.trace else None,
     }
 
 
 def assert_engine_parity(program, stdin=b"", max_steps=200_000_000):
-    """Run both engines; every observable must match.  Returns the
-    compiled engine so callers can inspect it."""
-    want = observe(Interpreter(program, max_steps=max_steps), stdin)
-    compiled = CompiledInterpreter(program, max_steps=max_steps)
+    """Run both engines, traced; every observable must match.  Returns
+    the compiled engine so callers can inspect it."""
+    want = observe(Interpreter(program, max_steps=max_steps, trace=True), stdin)
+    compiled = CompiledInterpreter(program, max_steps=max_steps, trace=True)
     got = observe(compiled, stdin)
     for field in ("output", "exit_code", "globals_image"):
         assert got[field] == want[field], field
@@ -244,14 +245,14 @@ class TestCompiledOnly:
     def test_runs_without_building_closures(self, monkeypatch):
         program = optimized(PROGRAMS["queens"].source)
         stdin = PROGRAMS["queens"].stdin
-        want = observe(Interpreter(program), stdin)
+        want = observe(Interpreter(program, trace=True), stdin)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the compiled engine built a closure")
 
         monkeypatch.setattr(Interpreter, "_compile_insn", refuse)
         monkeypatch.setattr(Interpreter, "_compile_terminator", refuse)
-        assert observe(CompiledInterpreter(program), stdin) == want
+        assert observe(CompiledInterpreter(program, trace=True), stdin) == want
 
     def test_unknown_callee_raises_where_called(self):
         program = Program()
@@ -328,8 +329,8 @@ class TestEngineSelection:
 
 
 class TestCompileModes:
-    """Construction compiles the first run's mode; the other mode compiles
-    on its own first run, once."""
+    """Construction compiles the engine's one mode, once per function;
+    a run compiles nothing."""
 
     NAME = "queens"  # several functions, with compiled-to-compiled calls
 
@@ -351,24 +352,15 @@ class TestCompileModes:
 
     def test_traced_only_run_compiles_each_function_once(self, program, compiles):
         interp = make_interpreter(program, trace=True)
-        interp.run(stdin=PROGRAMS[self.NAME].stdin, trace=True)
-        interp.run(stdin=PROGRAMS[self.NAME].stdin, trace=True)
+        interp.run(PROGRAMS[self.NAME].stdin)
+        interp.run(PROGRAMS[self.NAME].stdin)
         assert sorted(compiles) == sorted((name, True) for name in program.functions)
-
-    def test_other_mode_compiles_on_its_first_run(self, program, compiles):
-        interp = CompiledInterpreter(program)
-        assert sorted(compiles) == sorted((name, False) for name in program.functions)
-        for _ in range(2):
-            interp.run(stdin=PROGRAMS[self.NAME].stdin, trace=True)
-            interp.run(stdin=PROGRAMS[self.NAME].stdin)
-        assert sorted(compiles) == sorted(
-            (name, traced) for name in program.functions for traced in (False, True)
-        )
 
     def test_traced_only_run_equals_plain_run(self, program):
         stdin = PROGRAMS[self.NAME].stdin
-        traced = observe(CompiledInterpreter(program, trace=True), stdin, trace=True)
-        plain = observe(CompiledInterpreter(program), stdin, trace=False)
+        traced = observe(CompiledInterpreter(program, trace=True), stdin)
+        plain = observe(CompiledInterpreter(program), stdin)
+        assert traced["trace"] and plain["trace"] is None
         for field in ("output", "exit_code", "globals_image", "block_counts"):
             assert traced[field] == plain[field], field
 
@@ -378,16 +370,13 @@ class TestCompileModes:
         stdin = PROGRAMS[self.NAME].stdin
         with observing(spans=False) as obs:
             interp = CompiledInterpreter(program, trace=True)
-            traced_ms = obs.metrics.counters["ease.compile.time_ms"]
-            assert traced_ms == pytest.approx(interp.compile_seconds * 1000.0, abs=0.01)
-            assert traced_ms > 0
-            interp.run(stdin=stdin)
+            compiled_ms = obs.metrics.counters["ease.compile.time_ms"]
+            assert compiled_ms == pytest.approx(interp.compile_seconds * 1000.0, abs=0.01)
+            assert compiled_ms > 0
+            interp.run(stdin)
             counters = obs.metrics.counters
-        assert counters["ease.compile.time_ms"] > traced_ms
-        assert counters["ease.compile.time_ms"] == pytest.approx(
-            interp.compile_seconds * 1000.0, abs=0.01
-        )
-        assert counters["ease.compile.functions"] == 2 * len(program.functions)
+        assert counters["ease.compile.time_ms"] == compiled_ms
+        assert counters["ease.compile.functions"] == len(program.functions)
 
     def test_traced_measurement_compiles_only_traced_executors(self, compiles):
         from repro.ease import measure_program

@@ -268,8 +268,8 @@ class TestTrace:
             PC=RT;
             """
         )
-        interp = Interpreter(program)
-        result = interp.run(trace=True)
+        interp = Interpreter(program, trace=True)
+        result = interp.run()
         entry = interp.global_block_id("main", 0)
         loop = interp.global_block_id("main", 1)
         exit_ = interp.global_block_id("main", 2)

@@ -110,17 +110,12 @@ class TestLifecycle:
         assert interp.run().exit_code == 7
         assert interp.run().exit_code == 7  # fresh memory each run
 
-    def test_custom_entry_point(self):
-        program = Program()
-        program.add_function(function_from_text("main", "rv[0]=1;\nPC=RT;"))
-        program.add_function(function_from_text("other", "rv[0]=2;\nPC=RT;"))
-        interp = Interpreter(program)
-        assert interp.run(entry="other").exit_code == 2
-
     def test_unknown_entry_raises(self):
-        program = program_of("PC=RT;")
-        with pytest.raises(KeyError):
-            Interpreter(program).run(entry="nothere")
+        # A run enters ``main``: a program without one cannot run.
+        program = Program()
+        program.add_function(function_from_text("other", "rv[0]=2;\nPC=RT;"))
+        with pytest.raises(KeyError, match="main"):
+            Interpreter(program).run()
 
     def test_count_for_helper(self):
         program = program_of("rv[0]=0;\nPC=RT;")

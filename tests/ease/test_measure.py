@@ -1,5 +1,7 @@
 """Measurement-layer tests (EASE substitute)."""
 
+import pytest
+
 from repro.ease import Interpreter, measure_program
 from repro.frontend import compile_c
 from repro.opt import OptimizationConfig, optimize_program
@@ -60,8 +62,8 @@ class TestCounts:
 
     def test_nops_counted_on_sparc_only(self):
         source = "int main() { return 0; }"
-        assert measured("sparc", source=source).static_nops >= 0
-        assert measured("m68020", source=source).static_nops == 0
+        assert measured("sparc", source=source).dynamic_nops >= 0
+        assert measured("m68020", source=source).dynamic_nops == 0
 
 
 class TestLayoutAndTrace:
@@ -85,6 +87,16 @@ class TestLayoutAndTrace:
         m = measured()
         assert 1.0 <= m.insns_between_branches <= 50.0
 
+    def test_run_takes_the_mode_of_its_engine(self):
+        program = compile_c(SOURCE)
+        target = get_target("sparc")
+        with pytest.raises(ValueError, match="trace=True"):
+            measure_program(program, target, trace=True, interpreter=Interpreter(program))
+        traced = measure_program(
+            program, target, interpreter=Interpreter(program, trace=True)
+        )
+        assert traced.trace is not None and traced.taken_transfers is not None
+
 
 class TestLayoutDetails:
     def test_68020_fetch_addresses_follow_variable_sizes(self):
@@ -93,7 +105,7 @@ class TestLayoutDetails:
         optimize_program(program, target, OptimizationConfig())
         from repro.ease import Interpreter
 
-        interp = Interpreter(program)
+        interp = Interpreter(program, trace=True)
         m = measure_program(program, target, trace=True, interpreter=interp)
         func = program.functions["main"]
         block_id = interp.global_block_id("main", 0)

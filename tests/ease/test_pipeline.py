@@ -71,7 +71,7 @@ class TestPipelineModel:
         program = compile_c(source)
         target = get_target("sparc")
         optimize_program(program, target, OptimizationConfig(replication=replication))
-        interpreter = make_interpreter(program)
+        interpreter = make_interpreter(program, trace=True)
         plain = measure_program(program, target, trace=True, interpreter=interpreter)
         expected = pairwise_taken(program, interpreter, plain.trace)
         assert plain.taken_transfers == expected

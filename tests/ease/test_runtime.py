@@ -1,5 +1,9 @@
 """Runtime (builtin library) tests, via small C programs."""
 
+import pytest
+
+from repro.ease import CompiledInterpreter, Interpreter
+from repro.frontend import compile_c
 from tests.conftest import run_c
 
 
@@ -116,3 +120,22 @@ class TestAllocator:
             """
         )
         assert code == 45
+
+
+@pytest.mark.parametrize("engine_cls", [Interpreter, CompiledInterpreter])
+class TestMemoryBounds:
+    """A builtin touches memory only inside it, on both engines."""
+
+    def test_string_below_memory_raises(self, engine_cls):
+        # Python indexing would read address -4 from the end of memory.
+        program = compile_c("int main() { char *p; p = 0; puts(p - 4); return 0; }")
+        with pytest.raises(IndexError, match="leaves memory"):
+            engine_cls(program).run()
+
+    def test_memset_negative_size_raises(self, engine_cls):
+        # 0 - 5 is a size_t of 4294967291 bytes: far past the end.
+        program = compile_c(
+            "int main() { char *p; p = malloc(16); memset(p + 8, 0, 0 - 5); return 0; }"
+        )
+        with pytest.raises(IndexError, match="leaves memory"):
+            engine_cls(program).run()

@@ -151,8 +151,8 @@ class TestInterpreterIntegration:
             return sinks[-1]
 
         monkeypatch.setattr(interp_module, "RleTraceSink", recording_sink)
-        interp = Interpreter(program)
-        result = interp.run(stdin=bench.stdin, trace=True)
+        interp = Interpreter(program, trace=True)
+        result = interp.run(bench.stdin)
         (sink,) = sinks
         return interp, result, sink.raw
 
