@@ -3,12 +3,20 @@
 The closure interpreter (:class:`~repro.ease.interp.Interpreter`) pays
 one Python call per executed RTL plus one per block terminator.  This
 module removes both: each function is translated *once* into the source
-of a single Python function — straight-line basic blocks fused into
-runs of plain statements, registers promoted to Python locals, branches
-lowered to a ``while`` dispatch loop over a binary decision tree keyed
-on block index — and ``compile()``d into one code object.  Executing a
-block then costs inline local-variable arithmetic instead of a closure
-call per RTL.
+of a single Python function, with registers promoted to Python locals
+and its control flow structured from :mod:`repro.cfg`'s dominator tree
+and natural loops — a loop is a ``while True:`` whose back edges are
+``continue`` and whose exits are ``break``, a branch target with one
+in-edge is an ``if`` arm, a join follows the ``if``/``else`` it joins,
+and a return leaves the function's own ``while True:`` (CPython compiles
+a ``finally`` block again at every ``return`` inside its ``try``) — and
+``compile()``d into one code object.  A
+transfer that skips code to reach a join sets ``_b`` and the join's
+``if _b == n:`` guard lets it through.  Only an indirect jump's targets,
+an irreducible edge's target and code nested past what CPython compiles
+go through a binary decision tree on ``_b`` (``dispatch_arms``).  Long
+loads and stores at aligned, non-negative addresses index
+``MachineState.words``; the rest go through ``struct``.
 
 Semantics are the interpreter's, by construction:
 
@@ -19,10 +27,12 @@ Semantics are the interpreter's, by construction:
   signed-32 word, since a :class:`~repro.rtl.expr.Const` is one by
   construction, so operators that keep in-range operands in range are
   not wrapped);
-* step accounting debits one block-step at every basic-block entry —
-  including blocks fused into a predecessor's dispatch arm — so
+* step accounting compares the budget at every basic-block entry with
+  the blocks entered since its last debit (``if _steps < k``), and
+  debits it once at each back edge, region exit, call and return, so
   :class:`StepLimitExceeded` fires on exactly the same executed block
-  as the interpreter (regression-tested at the limit boundary);
+  as the interpreter, before that block's first effect (tested at every
+  limit of a program with all of those shapes);
 * per-block execution counts and the block-level trace stream are
   emitted at block entry in execution order, so a traced run feeds the
   existing :class:`~repro.ease.trace.RleTraceSink` a byte-identical
@@ -51,14 +61,18 @@ verification oracle's engine and the differential reference
 
 from __future__ import annotations
 
+import sys
 from struct import error as _StructError
 from struct import pack_into as _pack_into
 from struct import unpack_from as _unpack_from
 from time import perf_counter
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..cfg.block import Function, Program
+from ..cfg.block import BasicBlock, Function, Program
+from ..cfg.dominators import compute_dominators
 from ..cfg.graph import successors
+from ..cfg.loops import find_loops
+from ..cfg.traversal import reverse_postorder
 from ..obs import active as _active_observer
 from ..rtl.arith import SHIFT_MASK, _div_trunc, _rem_trunc, wrap32
 from ..rtl.expr import BinOp, Const, Expr, Local, Mem, Reg, Sym, UnOp
@@ -73,10 +87,24 @@ from ..rtl.insn import (
     Nop,
     Return,
 )
-from .interp import LinkedProgram, StepLimitExceeded, _registers
+from .interp import LinkedProgram, StepLimitExceeded
 from .runtime import call_builtin, is_builtin
 
 __all__ = ["CompiledInterpreter", "make_interpreter"]
+
+# ``MachineState.words`` reads memory as native 32-bit words; the
+# program's memory is little-endian.
+assert sys.byteorder == "little", "the compiled engine needs a little-endian host"
+
+#: Nesting bounds (indentation, emitter frames, open loops: CPython allows
+#: 20 nested loop and ``try`` blocks); past them, a block is dispatched.
+_MAX_INDENT = 40
+_MAX_DEPTH = 100
+_MAX_LOOPS = 12
+
+#: A ``Return``'s target: the end of the function's ``while True:``, so
+#: ``finally`` is compiled once, not at every ``return``.
+_RET = -1
 
 
 def make_interpreter(program: Program, **kwargs) -> CompiledInterpreter:
@@ -92,6 +120,15 @@ def _is_atom(text: str) -> bool:
     return text.isidentifier() or text.isdigit() or (
         text.startswith("(-") and text.endswith(")") and text[2:-1].isdigit()
     )
+
+
+class _Loop:
+    """An open ``while True:``, the blocks after it and its escapes."""
+
+    def __init__(self, header: int, after: List[int]) -> None:
+        self.header = header
+        self.after = after
+        self.escapes: Set[int] = set()
 
 
 class _FunctionCompiler:
@@ -117,7 +154,11 @@ class _FunctionCompiler:
         #: Block indices actually emitted (reachable); only these get
         #: execution counters.
         self.emitted: Set[int] = set()
-        self.blocks_fused = 0
+        #: Blocks entered through a dispatch tree on ``_b``.
+        self.dispatch_arms = 0
+        #: Region blocks entered and not yet debited from ``_steps``.
+        self._unsettled = 0
+        self.uses_words = False
         self.uses_unpack = False
         self.uses_pack = False
         #: Reverse map of register locals, for compare/branch fusion.
@@ -174,6 +215,23 @@ class _FunctionCompiler:
         pre.append(f"if {temp} >= 2147483648: {temp} -= 4294967296")
         return temp
 
+    def _word(self, addr: str) -> str:
+        """The long at ``addr`` in ``MachineState.words``, read where
+        ``not addr & -2147483645``: aligned and in ``[0, 2**31)`` (past the
+        end of memory, ``IndexError`` as in the interpreter)."""
+        self.uses_words = True
+        return f"_wd[{addr} >> 2]"
+
+    def _address(self, node: Expr, pre: List[str]) -> Tuple[str, str]:
+        """A long access's address, bound, and its wrapped spelling for
+        ``struct``: a sum in ``[0, 2**31)`` is its own wrap."""
+        if isinstance(node, BinOp) and node.op == "+":
+            temp = self._temp()
+            pre.append(f"{temp} = ({self.expr(node.left, pre)}) + ({self.expr(node.right, pre)})")
+            return temp, f"_w32({temp})"
+        addr = self._bind(self.expr(node, pre), pre)
+        return addr, addr
+
     def _bind(self, text: str, pre: List[str]) -> str:
         """Materialize a non-atomic expression into a temp."""
         if _is_atom(text):
@@ -208,16 +266,19 @@ class _FunctionCompiler:
                 ) from None
             return "fp" if offset == 0 else f"(fp + {offset})"
         if isinstance(node, Mem):
-            addr = self.expr(node.addr, pre)
-            if node.width == "B":
-                return f"mem[{addr}]"
             # One struct call replaces the interpreter's per-byte
             # assembly: ``<H`` is its unsigned word read, ``<i`` its
             # sign-fixed long read, bit for bit.
+            if node.width == "B":
+                return f"mem[{self.expr(node.addr, pre)}]"
             self.uses_unpack = True
             if node.width == "W":
-                return f"_up('<H', mem, {addr})[0]"
-            return f"_up('<i', mem, {addr})[0]"
+                return f"_up('<H', mem, {self.expr(node.addr, pre)})[0]"
+            addr, exact = self._address(node.addr, pre)
+            return (
+                f"{self._word(addr)} if not {addr} & -2147483645"
+                f" else _up('<i', mem, {exact})[0]"
+            )
         if isinstance(node, BinOp):
             left = self.expr(node.left, pre)
             right = self.expr(node.right, pre)
@@ -227,13 +288,16 @@ class _FunctionCompiler:
             if op in ("&", "|", "^"):
                 # Bitwise ops on in-range signed-32 values stay in range.
                 return f"(({left}) {op} ({right}))"
-            if op == "<<":
-                return self._wrap_pre(
-                    f"({left}) << (({right}) & {SHIFT_MASK})", pre
+            if op in ("<<", ">>"):
+                count = (
+                    node.right.value & SHIFT_MASK
+                    if isinstance(node.right, Const)
+                    else f"(({right}) & {SHIFT_MASK})"
                 )
-            if op == ">>":
+                if op == "<<":
+                    return self._wrap_pre(f"({left}) << {count}", pre)
                 # Arithmetic shift of an in-range value stays in range.
-                return f"(({left}) >> (({right}) & {SHIFT_MASK}))"
+                return f"(({left}) >> {count})"
             if op == "/":
                 if isinstance(node.right, Const) and node.right.value > 0:
                     # Truncating division by a known positive divisor
@@ -273,11 +337,21 @@ class _FunctionCompiler:
             pre: List[str] = []
             src = self.expr(node.src, pre)
             if isinstance(node.dst, Reg):
+                reg = self._reg(node.dst.bank, node.dst.index)
+                if pre[-1:] == [f"if {src} >= 2147483648: {src} -= 4294967296"]:
+                    # Wrap straight into the register, not through a temp.
+                    pre[-2:] = [
+                        reg + pre[-2][len(src) :],
+                        f"if {reg} >= 2147483648: {reg} -= 4294967296",
+                    ]
+                    out.extend(pre)
+                    return
                 out.extend(pre)
-                out.append(f"{self._reg(node.dst.bank, node.dst.index)} = {src}")
+                out.append(f"{reg} = {src}")
                 return
-            addr = self.expr(node.dst.addr, pre)
             width = node.dst.width
+            if width != "L":
+                addr = self.expr(node.dst.addr, pre)
             out.extend(pre)
             if width == "B":
                 out.append(f"mem[{addr}] = ({src}) & 255")
@@ -288,7 +362,9 @@ class _FunctionCompiler:
             if width == "W":
                 out.append(f"_pk('<H', mem, {addr}, ({src}) & 65535)")
                 return
-            out.append(f"_pk('<I', mem, {addr}, ({src}) & 4294967295)")
+            addr, exact = self._address(node.dst.addr, out)
+            out.append(f"if not {addr} & -2147483645: {self._word(addr)} = {src}")
+            out.append(f"else: _pk('<I', mem, {exact}, ({src}) & 4294967295)")
             return
         if isinstance(node, Compare):
             pre = []
@@ -341,7 +417,7 @@ class _FunctionCompiler:
                 out.append(f"_K_{bank}[{index}] = _R_{bank}_{index}")
             saves = [
                 (self._temp(), bank, index)
-                for bank, index in _registers(callee)
+                for bank, index in self.interp.registers[name]
                 if (bank, index) not in self.regs_used
             ]
             for temp, bank, index in saves:
@@ -350,6 +426,9 @@ class _FunctionCompiler:
             out.append(f"_fb = state.fp - {self.interp._frame_sizes[name] + 32}")
             out.append("if _fb <= state.heap_ptr:")
             out.append("    raise MemoryError('interpreted stack overflow')")
+            if self._unsettled:
+                out.append(f"_steps -= {self._unsettled}")
+                self._unsettled = 0
             out.append(f"_steps = _x_{name}(interp, state, result, _fb, _steps)")
             for temp, bank, index in saves:
                 out.append(f"_K_{bank}[{index}] = {temp}")
@@ -469,19 +548,22 @@ class _FunctionCompiler:
         order, so discovering registers lazily would leave stale bank
         values visible to callees.
         """
-        for bank, index in _registers(self.func):
+        for bank, index in self.interp.registers[self.func.name]:
             self._reg(bank, index)
 
-    def block_body(self, index: int, out: List[str]) -> None:
-        """Emit block ``index``'s entry accounting and fused ops."""
+    def block_body(self, index: int, k: int, ind: str) -> int:
+        """Emit block ``index``'s entry accounting and fused ops; it is the
+        ``k``-th block entered since ``_steps`` was debited.  Returns how
+        many entered blocks are still undebited (a call debits them)."""
         self.emitted.add(index)
         func = self.func
         block = func.blocks[index]
         gid = self.interp.global_block_id(func.name, index)
-        out.append("_steps -= 1")
-        out.append("if _steps < 0:")
-        out.append(f"    raise StepLimitExceeded({self._limit_message!r})")
+        out: List[str] = []
+        out.append(f"if _steps < {k}:")
+        out.append(f"    raise StepLimitExceeded('exceeded {self.interp.max_steps} block steps')")
         out.append(f"_c{index} += 1")
+        self._unsettled = k
         if self.traced:
             out.append(f"_emit({gid})")
         # Compare/branch fusion: when the block ends in a conditional
@@ -507,194 +589,251 @@ class _FunctionCompiler:
         for insn in block.insns:
             if not insn.is_transfer():
                 self.insn(insn, out)
-
-    @property
-    def _limit_message(self) -> str:
-        return f"exceeded {self.interp.max_steps} block steps"
+        self.out.extend((ind, line) for line in out)
+        return self._unsettled
 
     # ------------------------------------------------------------ layout
 
-    def plan(self) -> Tuple[List[int], Dict[int, int]]:
-        """Pick dispatch arms and count predecessors.
-
-        A block needs its own dispatch arm when it is the entry, a
-        conditional/indirect branch target, or has more than one
-        predecessor.  Every other reachable block is reached through
-        exactly one unconditional edge (fall-through or jump) and is
-        fused into that predecessor's arm.
-        """
+    def plan(self) -> None:
+        """Give every reachable block its place, from :mod:`repro.cfg`'s
+        dominators and natural loops on a shadow graph of the
+        label-resolved edges.  A block goes where its immediate dominator
+        ``p`` puts it: inline at ``p``'s branch when it has one in-edge
+        besides back edges, after ``p``'s code when it has more
+        (``merges``), and after the ``while`` of the outermost loop
+        holding ``p`` but not the block when it is outside (``exits``)."""
         func = self.func
         n = len(func.blocks)
-        preds: Dict[int, int] = {i: 0 for i in range(n)}
-        forced: Set[int] = {0}
-        for i, block in enumerate(func.blocks):
-            term = block.terminator
-            succs = self.succs[i]
-            if term is None:
-                if i + 1 >= n:
-                    raise ValueError(
-                        f"{func.name}: block {block.label} falls off the end"
-                    )
-            elif isinstance(term, CondBranch):
-                forced.add(succs[1])
-            elif isinstance(term, IndirectJump):
-                forced.update(succs)
-            elif not isinstance(term, (Jump, Return)):
-                raise TypeError(f"cannot compile terminator {term!r}")
-            for target in succs:
-                preds[target] += 1
-        arms = sorted(
-            i for i in range(n) if i in forced or preds[i] >= 2
-        )
-        return arms, preds
-
-    def arm_body(
-        self, start: int, arm_set: Set[int], out: List[str]
-    ) -> None:
-        """Emit the chain of blocks starting at arm ``start``.
-
-        The chain follows unconditional single-predecessor edges
-        (fall-through and jumps), fusing each such block inline; every
-        path ends in a transfer marker (``GOTO n`` / ``GOTODYN`` /
-        ``RETURN``, resolved by :meth:`_finalize_arm`).
-        """
-        func = self.func
-        index = start
-        # Every block after ``start`` has one predecessor, the block
-        # before it, so the chain cannot revisit a block before it
-        # reaches an arm.
-        while True:
-            if index != start:
-                self.blocks_fused += 1
-            self.block_body(index, out)
-            term = func.blocks[index].terminator
-            if term is None:
-                follow = index + 1
-            elif isinstance(term, Jump):
-                follow = self.succs[index][0]
-            elif isinstance(term, Return):
-                out.append("RETURN")
-                return
-            elif isinstance(term, CondBranch):
-                follow, target = self.succs[index]
-                if self._fused_operands is not None:
-                    left, right = self._fused_operands
-                    out.append(f"if {left} {term.rel} {right}:")
-                else:
-                    out.append(f"if {self._reg('cc', 0)} {term.rel} 0:")
-                out.append(f"    GOTO {target}")
-            elif isinstance(term, IndirectJump):
-                pre: List[str] = []
-                value = self._bind(self.expr(term.addr, pre), pre)
-                out.extend(pre)
-                targets = self.succs[index]
-                out.append(f"if not 0 <= {value} < {len(targets)}:")
-                out.append(
-                    "    raise IndexError(f\"indirect jump index "
-                    f"{{{value}}} out of range in {func.name}\")"
-                )
-                body = ", ".join(str(t) for t in targets)
-                out.append(f"_b = ({body},)[{value}]")
-                out.append("GOTODYN")
-                return
-            else:  # pragma: no cover - plan() already raised
-                raise TypeError(f"cannot compile terminator {term!r}")
-            if follow in arm_set:
-                out.append(f"GOTO {follow}")
-                return
-            index = follow
-
-    def _finalize_arm(
-        self, start: int, lines: List[str], ret_arm: int
-    ) -> Tuple[List[str], bool]:
-        """Resolve transfer markers; thread self-loops.
-
-        An arm none of whose transfers target itself lowers ``GOTO``
-        to ``_b = n; continue`` against the outer dispatch loop.  An
-        arm with a backedge to its own head — the shape block
-        replication manufactures for loops — is wrapped in an inner
-        ``while True`` so the backedge becomes a bare ``continue``,
-        skipping the dispatch tree entirely on the hot path; its other
-        exits ``break`` to the dispatcher, and returns go through the
-        synthetic ``ret_arm`` (whose body is a lone outer ``break``).
-        Returns the lines and whether ``ret_arm`` is needed.
-        """
-        self_goto = f"GOTO {start}"
-        if not any(line.lstrip() == self_goto for line in lines):
-            out: List[str] = []
-            for line in lines:
-                stripped = line.lstrip()
-                pad = line[: len(line) - len(stripped)]
-                if stripped.startswith("GOTO "):
-                    out.append(f"{pad}_b = {stripped[5:]}")
-                    out.append(f"{pad}continue")
-                elif stripped == "RETURN":
-                    out.append(f"{pad}break")
-                elif stripped == "GOTODYN":
-                    out.append(f"{pad}continue")
-                else:
-                    out.append(line)
-            return out, False
-        out = ["while True:"]
-        used_ret = False
-        for line in lines:
-            stripped = line.lstrip()
-            pad = "    " + line[: len(line) - len(stripped)]
-            if stripped == self_goto:
-                out.append(f"{pad}continue")
-            elif stripped.startswith("GOTO "):
-                out.append(f"{pad}_b = {stripped[5:]}")
-                out.append(f"{pad}break")
-            elif stripped == "RETURN":
-                out.append(f"{pad}_b = {ret_arm}")
-                out.append(f"{pad}break")
-                used_ret = True
-            elif stripped == "GOTODYN":
-                out.append(f"{pad}break")
+        if func.blocks[-1].terminator is None:
+            raise ValueError(f"{func.name}: block {func.blocks[-1].label} falls off the end")
+        shadow = Function(func.name)
+        shadow.blocks = nodes = [BasicBlock(str(i)) for i in range(n)]
+        for node, succs in zip(nodes, self.succs):
+            node.succs = [nodes[s] for s in succs]
+            for succ in node.succs:
+                succ.preds.append(node)
+        order = reverse_postorder(shadow)
+        dom = compute_dominators(shadow, order)
+        reachable = [int(node.label) for node in order]
+        #: Header -> the blocks of its natural loop.
+        self.loops = {
+            int(loop.header.label): {int(b.label) for b in loop.blocks}
+            for loop in find_loops(shadow, dom).loops
+        }
+        #: The innermost loop holding a block, not counting its own.
+        self.level: Dict[Optional[int], Optional[int]] = dict.fromkeys(reachable)
+        for header in sorted(self.loops, key=lambda h: -len(self.loops[h])):
+            for member in self.loops[header] - {header}:
+                self.level[member] = header
+        #: Block -> the block whose branch it is emitted at.
+        self.inline: Dict[int, int] = {}
+        self.merges: Dict[int, List[int]] = {}
+        self.exits: Dict[int, List[int]] = {}
+        for c in reachable[1:]:
+            p = int(dom.idom(nodes[c]).label)
+            inner = p if p in self.loops else self.level[p]
+            joins = sum(int(b.label) not in self.loops.get(c, ()) for b in nodes[c].preds)
+            if self.level[c] == inner and joins == 1:
+                self.inline[c] = p
+            elif self.level[c] == inner:
+                self.merges.setdefault(p, []).append(c)
             else:
-                out.append("    " + line)
-        return out, used_ret
+                while self.level[inner] != self.level[c]:
+                    inner = self.level[inner]
+                self.exits.setdefault(inner, []).append(c)
 
-    def dispatch_tree(
-        self, arms: List[int], bodies: Dict[int, List[str]], indent: str
-    ) -> List[str]:
-        """A binary decision tree over arm indices; leaves are arm bodies."""
-        if len(arms) == 1:
-            return [indent + line for line in bodies[arms[0]]]
-        mid = len(arms) // 2
-        lines = [f"{indent}if _b < {arms[mid]}:"]
-        lines.extend(self.dispatch_tree(arms[:mid], bodies, indent + "    "))
-        lines.append(f"{indent}else:")
-        lines.extend(self.dispatch_tree(arms[mid:], bodies, indent + "    "))
-        return lines
+    def _line(self, ind: str, text: object) -> None:
+        self.out.append((ind, text))
+
+    def _debit(self, ind: str, k: int) -> None:
+        if k:
+            self._line(ind, f"_steps -= {k}")
+
+    def _tree(
+        self, x: int, k: int, ind: str, in_loop: bool = False, arm: bool = False
+    ) -> None:
+        """Emit block ``x``, ``k`` blocks into its region, and every block
+        placed under it: a loop header opens a ``while True:`` (unless
+        ``in_loop``), and the blocks placed after a block follow its code,
+        each behind an ``if _b == n:`` guard if a transfer skips it.  A
+        dispatcher arm (unless ``arm``: this is its code) or a block past
+        the nesting bounds is entered through the dispatcher."""
+        while True:
+            if not in_loop and (
+                (x in self.dispatched and not arm)
+                or len(ind) > 4 * _MAX_INDENT
+                or len(self.frames) > _MAX_DEPTH
+                or x in self.loops
+                and sum(isinstance(f, _Loop) for f in self.frames) >= _MAX_LOOPS
+            ):
+                self._debit(ind, k)
+                self.dispatched.add(x)
+                return self._escape(x, ind, preset=False)
+            if x in self.loops and not in_loop:
+                self._debit(ind, k)
+                # A dispatcher arm's place is dead: transfers to it escape.
+                loop = _Loop(x, [m for m in self.exits.get(x, []) if m not in self.dispatched])
+                self._line(ind, "while True:")
+                self.frames.append(loop)
+                self._tree(x, 0, ind + "    ", in_loop=True)
+                self.frames.pop()
+                nodes = loop.after
+                self.frames.append(nodes)
+                for i, target in enumerate(sorted(loop.escapes)):
+                    self._line(ind, f"{'el' if i else ''}if _b == {target}:")
+                    self._transfer(target, ind + "    ", preset=True)
+                self.frames.pop()
+            else:
+                nodes = [m for m in self.merges.get(x, []) if m not in self.dispatched]
+                self.frames.append(nodes)
+                self._block(x, k, ind)
+                self.frames.pop()
+            for i, m in enumerate(nodes[:-1]):
+                self.frames.append(nodes[i + 1 :])
+                guarded = m in self.guarded
+                if guarded:
+                    self._line(ind, f"if _b == {m}:")
+                self._tree(m, 0, ind + "    " * guarded)
+                self.frames.pop()
+            if not nodes:
+                return None
+            x, k, in_loop, arm = nodes[-1], 0, False, False
+            if x in self.guarded:
+                self._line(ind, f"if _b == {x}:")
+                ind += "    "
+
+    def _block(self, x: int, k: int, ind: str) -> None:
+        """Emit block ``x``'s body and its transfers."""
+        k = self.block_body(x, k + 1, ind)
+        term = self.func.blocks[x].terminator
+        succs = self.succs[x]
+        if isinstance(term, Return):
+            self._debit(ind, k)
+            self._transfer(_RET, ind, preset=False)
+        elif isinstance(term, CondBranch):
+            if self._fused_operands is not None:
+                left, right = self._fused_operands
+                self._line(ind, f"if {left} {term.rel} {right}:")
+            else:
+                self._line(ind, f"if {self._reg('cc', 0)} {term.rel} 0:")
+            self._branch(x, succs[1], k, ind + "    ")
+            self._line(ind, "else:")
+            self._branch(x, succs[0], k, ind + "    ")
+        elif isinstance(term, IndirectJump):
+            pre: List[str] = []
+            value = self._bind(self.expr(term.addr, pre), pre)
+            pre.append(f"if not 0 <= {value} < {len(succs)}:")
+            pre.append(
+                "    raise IndexError(f\"indirect jump index "
+                f"{{{value}}} out of range in {self.func.name}\")"
+            )
+            self.out.extend((ind, line) for line in pre)
+            self._debit(ind, k)
+            self._line(ind, f"_b = ({', '.join(map(str, succs))},)[{value}]")
+            targets = sorted(set(succs))
+            self.dispatch_arms += len(targets)
+            self.dispatch_tree(targets, ind, lambda t, ind: (
+                self._tree(t, 0, ind) if self.inline.get(t) == x
+                else self._transfer(t, ind, preset=True)
+            ))
+        else:  # a jump, or a fall into the next block
+            self._branch(x, succs[0], k, ind)
+
+    def _branch(self, x: int, t: int, k: int, ind: str) -> None:
+        """Go from block ``x``, ``k`` blocks into its region, to ``t``."""
+        if self.inline.get(t) == x:
+            return self._tree(t, k, ind)
+        self._debit(ind, k)
+        return self._transfer(t, ind, preset=False)
+
+    def _transfer(self, t: int, ind: str, preset: bool) -> None:
+        """Reach ``t``'s place: ``continue`` to the innermost loop's
+        header, ``break`` to a block after its ``while``, or fall through
+        to a block placed ahead, setting ``_b`` (unless ``preset``: it
+        holds ``t``) where a guard or escape check reads it.  Anything
+        else escapes (:meth:`_escape`)."""
+        passed: List[int] = []
+        for frame in reversed(self.frames if t not in self.dispatched else ()):
+            if isinstance(frame, _Loop):
+                if t == frame.header:
+                    return self._line(ind, "continue")
+                if t in frame.after:
+                    skipped = frame.after[: frame.after.index(t)]
+                    self.guarded.update(skipped)
+                    self._line(ind, "pass" if preset else ("_b", t, skipped, frame))
+                    return self._line(ind, "break")
+                break
+            if t in frame:
+                passed += frame[: frame.index(t)]
+                self.guarded.update(passed)
+                return self._line(ind, "pass" if preset else ("_b", t, passed, None))
+            passed += frame
+        else:
+            if t != _RET:  # placed nowhere ahead: an irreducible edge
+                self.dispatched.add(t)
+        return self._escape(t, ind, preset)
+
+    def _escape(self, t: int, ind: str, preset: bool) -> None:
+        """``break`` out of the innermost loop, whose escape checks take
+        ``t`` on, or out of the function's loop for a return, or
+        ``continue`` the dispatcher, which enters ``t``."""
+        loops = [f for f in self.frames if isinstance(f, _Loop)]
+        if not loops and t == _RET:
+            return self._line(ind, "break")
+        if loops:
+            loops[-1].escapes.add(t)
+        if not preset:
+            self._line(ind, f"_b = {t}")
+        self._line(ind, "break" if loops else "continue")
+
+    def dispatch_tree(self, targets: List[int], ind: str, leaf) -> None:
+        """A binary decision tree on ``_b``; ``leaf(t, ind)`` emits each
+        target's code."""
+        if len(targets) == 1:
+            return leaf(targets[0], ind)
+        mid = len(targets) // 2
+        self._line(ind, f"if _b < {targets[mid]}:")
+        self.dispatch_tree(targets[:mid], ind + "    ", leaf)
+        self._line(ind, "else:")
+        return self.dispatch_tree(targets[mid:], ind + "    ", leaf)
 
     # ------------------------------------------------------------ assembly
 
     def generate(self) -> str:
         """The complete generated source of this function's executor."""
         func = self.func
-        n = len(func.blocks)
         head = f"def _x_{func.name}(interp, state, result, frame_base, _steps):"
-        if n == 0:
+        if not func.blocks:
             return f"{head}\n    return _steps\n"
         self.collect_regs()
         self.cc_live_out = self._cc_liveness()
-        arms, _preds = self.plan()
-        arm_set = set(arms)
-        # ``n`` doubles as the synthetic return arm: self-loop arms break
-        # out with ``_b = n`` and this arm's lone ``break`` ends the run.
-        ret_arm = n
-        need_ret = False
-        bodies: Dict[int, List[str]] = {}
-        for arm in arms:
-            body: List[str] = []
-            self.arm_body(arm, arm_set, body)
-            bodies[arm], used_ret = self._finalize_arm(arm, body, ret_arm)
-            need_ret = need_ret or used_ret
-        tree_arms = list(arms)
-        if need_ret:
-            tree_arms.append(ret_arm)
-            bodies[ret_arm] = ["break"]
+        self.plan()
+        #: Blocks entered through the dispatcher (irreducible or too deep).
+        self.dispatched: Set[int] = set()
+        while True:
+            # Each block is emitted once: in its place, or as the arm its
+            # code moved to when a pass found it must be dispatched.
+            known = set(self.dispatched)
+            self.frames: list = []
+            self.guarded: Set[int] = set()
+            self.dispatch_arms = 0
+            bodies: Dict[int, list] = {}
+            roots = [0]
+            while roots:  # new arms' code finds the arms it needs
+                for root in roots:
+                    self.out = bodies[root] = []
+                    self._tree(root, 0, "", arm=True)
+                roots = sorted(self.dispatched - bodies.keys())
+            if self.dispatched == known:
+                break
+        # The function's loop: the dispatcher, when there are arms.
+        self.out = [("", "_b = 0")] if len(bodies) > 1 else []
+        self.out.append(("", "while True:"))
+        if len(bodies) > 1:
+            self.dispatch_arms += len(bodies)
+        self.dispatch_tree(sorted(bodies), "    ", lambda arm, ind: self.out.extend(
+            (ind + i, text) for i, text in bodies[arm]
+        ))
 
         lines: List[str] = [
             head,
@@ -706,6 +845,8 @@ class _FunctionCompiler:
         lines.append("    _counts = result.block_counts")
         if self.traced:
             lines.append("    _emit = interp._sink.emit")
+        if self.uses_words:
+            lines.append("    _wd = state.words")
         if self.uses_unpack:
             lines.append("    _up = _unpack_from")
         if self.uses_pack:
@@ -722,9 +863,12 @@ class _FunctionCompiler:
         for (bank, index) in self.regs_used:
             lines.append(f"    _R_{bank}_{index} = _K_{bank}[{index}]")
         lines.append("    try:")
-        lines.append("        _b = 0")
-        lines.append("        while True:")
-        lines.extend(self.dispatch_tree(tree_arms, bodies, "            "))
+        for ind, text in self.out:
+            if isinstance(text, tuple):  # ("_b", t, passed, loop): set if read
+                _, t, passed, loop = text
+                read = passed or t in self.guarded or (loop and loop.escapes)
+                text = f"_b = {t}" if read else "pass"
+            lines.append("        " + ind + text)
         lines.append("    finally:")
         lines.append("        state.fp = _saved_fp")
         base = self.interp.global_block_id(func.name, 0)
@@ -751,7 +895,7 @@ class CompiledInterpreter(LinkedProgram):
         trace: bool = False,
     ) -> None:
         super().__init__(program, max_steps=max_steps, trace=trace)
-        self.blocks_fused = 0
+        self.dispatch_arms = 0
         self.compile_seconds = 0.0
         #: Each function's executor ``_x_{name}``, beside the helpers
         #: they call.
@@ -775,7 +919,7 @@ class CompiledInterpreter(LinkedProgram):
         self.compile_seconds = perf_counter() - start
         metrics = _active_observer().metrics
         metrics.inc("ease.compile.functions", len(self.program.functions))
-        metrics.inc("ease.compiled.blocks_fused", self.blocks_fused)
+        metrics.inc("ease.compile.dispatch_arms", self.dispatch_arms)
         metrics.inc("ease.compile.time_ms", round(self.compile_seconds * 1000.0, 3))
         return namespace
 
@@ -786,7 +930,7 @@ class CompiledInterpreter(LinkedProgram):
         generator = _FunctionCompiler(self, func, traced)
         source = generator.generate()
         exec(compile(source, f"<ease-compiled:{func.name}>", "exec"), namespace)
-        self.blocks_fused += generator.blocks_fused
+        self.dispatch_arms += generator.dispatch_arms
 
     # ------------------------------------------------------------ execution
 

@@ -69,6 +69,9 @@ class MachineState:
         bank_sizes: Optional[Dict[str, int]] = None,
     ) -> None:
         self.mem = bytearray(MEM_SIZE)
+        #: The same memory as native 32-bit words, for the compiled
+        #: engine's aligned long accesses.
+        self.words = memoryview(self.mem).cast("i")
         self.regs: Dict[str, List[int]] = {
             bank: [0] * size
             for bank, size in (bank_sizes or _REG_BANK_SIZES).items()
@@ -166,11 +169,14 @@ class LinkedProgram:
         #: The global id of each function's first block.
         self._block_base: Dict[str, int] = {}
         self._n_blocks = 0
+        #: Each function's register footprint (:func:`_registers`).
+        self.registers: Dict[str, List[Tuple[str, int]]] = {}
         for func in program.functions.values():
             self._frame_sizes[func.name] = func.frame_size
             self._block_base[func.name] = self._n_blocks
             self._n_blocks += len(func.blocks)
-            for bank, index in _registers(func):
+            self.registers[func.name] = _registers(func)
+            for bank, index in self.registers[func.name]:
                 if index >= self._bank_sizes.get(bank, 0):
                     self._bank_sizes[bank] = index + 1
 

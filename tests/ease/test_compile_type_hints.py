@@ -33,7 +33,7 @@ FUNCTIONS = list(_functions())
 
 def test_the_module_has_annotated_methods():
     names = {name for name, _ in FUNCTIONS}
-    assert {"_FunctionCompiler.arm_body", "_FunctionCompiler._fuse_operand"} <= names
+    assert {"_FunctionCompiler._tree", "_FunctionCompiler._fuse_operand"} <= names
 
 
 @pytest.mark.parametrize("name,function", FUNCTIONS, ids=[n for n, _ in FUNCTIONS])

@@ -8,11 +8,12 @@ of interpreted calls, *and* the compressed block-trace stream (the
 Table-6 input — byte-identical, not just equivalent).
 
 Coverage is the full 14-program Table-5 suite (optimized, ``jumps``
-replication — the block shapes the compiler actually fuses) plus fuzzed
-mini-C from the verification campaign's generator.  Step-limit
-accounting gets its own boundary tests: both engines must raise
-:class:`StepLimitExceeded` on exactly the same executed block with the
-same message, including limits landing mid-way through a fused chain.
+replication — the block shapes the compiler structures) plus fuzzed
+mini-C from the verification campaign's generator, irreducible and
+deeply nested shapes.  Step-limit accounting gets its own boundary
+tests: both engines must raise :class:`StepLimitExceeded` on exactly the
+same executed block with the same message, at every limit of a program
+with every kind of point where the compiled engine debits its budget.
 """
 
 import re
@@ -27,23 +28,35 @@ from repro.ease import (
     StepLimitExceeded,
     make_interpreter,
 )
+from repro.ease.interp import MEM_SIZE
 from repro.frontend import compile_c
 from repro.opt import OptimizationConfig, optimize_program
 from repro.rtl.arith import wrap32
-from repro.rtl.insn import Jump
+from repro.rtl.insn import IndirectJump, Jump
 from repro.targets import get_target
 from repro.verify.fuzz import generate_program
 from tests.conftest import function_from_text
+from tests.core.test_random_cfgs import fuzzed_function
 
 FUZZ_SEEDS = list(range(16))
 
 
-def optimized(source):
+def optimized(source, target="sparc", replication="jumps"):
     program = compile_c(source)
     optimize_program(
-        program, get_target("sparc"), OptimizationConfig(replication="jumps")
+        program, get_target(target), OptimizationConfig(replication=replication)
     )
     return program
+
+
+def switch_targets(program):
+    """Distinct indirect-jump targets, summed over the program's blocks."""
+    return sum(
+        len(set(block.terminator.targets))
+        for func in program.functions.values()
+        for block in func.blocks
+        if isinstance(block.terminator, IndirectJump)
+    )
 
 
 def observe(interp, stdin=b""):
@@ -87,9 +100,9 @@ class TestSuitePrograms:
     def test_parity(self, suite, name):
         program, stdin = suite[name]
         compiled = assert_engine_parity(program, stdin=stdin)
-        # Block fusion must engage on the shapes Table 5 runs, not just
-        # be correct when idle.
-        assert compiled.blocks_fused > 0
+        # The shapes Table 5 runs are reducible: loops run as loops, and
+        # only switch targets are entered through a dispatch tree.
+        assert compiled.dispatch_arms == switch_targets(program)
 
     def test_unoptimized_parity(self, suite):
         # The engines must also agree on front-end output (no
@@ -190,6 +203,120 @@ class TestStepLimitParity:
             assert sum(result.block_counts) == total_steps
 
 
+# Every point at which the compiled engine debits its step budget: a
+# nested loop, a diamond in its body, a ``break``, a call inside the loop
+# and a dense ``switch`` (an indirect jump).
+SHAPES_SOURCE = """int sq(int x) {
+    return x * x;
+}
+int main() {
+    int i;
+    int j;
+    int s;
+    s = 0;
+    for (i = 0; i < 4; i++) {
+        for (j = 0; j < 3; j++) {
+            if ((i + j) % 2 == 0) {
+                s = s + j;
+            } else {
+                s = s - 1;
+            }
+            if (s > 6) {
+                break;
+            }
+        }
+        s = s + sq(i);
+        switch (i) {
+        case 0: s = s + 1; break;
+        case 1: s = s + 2; break;
+        case 2: s = s + 3; break;
+        case 3: s = s + 4; break;
+        }
+    }
+    printf("%d\\n", s);
+    return s & 255;
+}
+"""
+
+# The block after a run of loop iterations divides by zero (the divisor
+# is read from stdin, so no pass folds it).
+DIVIDE_SOURCE = """int main() {
+    int i;
+    int s;
+    int z;
+    z = getchar() - 65;
+    s = 0;
+    for (i = 0; i < 5; i++) {
+        if (i % 2 == 0) {
+            s = s + i;
+        }
+    }
+    return s / z;
+}
+"""
+
+
+def outcome(engine_cls, program, limit, stdin=b""):
+    """The exception type and message a run raises (``None`` if none)."""
+    try:
+        engine_cls(program, max_steps=limit).run(stdin)
+    except Exception as error:  # noqa: BLE001 - the outcome is compared
+        return type(error), str(error)
+    return None
+
+
+@pytest.mark.parametrize("shape", ["optimized", "unoptimized"])
+class TestStepLimitAtEveryDebit:
+    """The compiled engine debits its budget per region (back edges,
+    region exits, calls, returns), yet must trip on exactly the block the
+    interpreter trips on, at every limit."""
+
+    @staticmethod
+    def build(source, shape):
+        return optimized(source) if shape == "optimized" else compile_c(source)
+
+    def test_every_limit_agrees(self, shape):
+        program = self.build(SHAPES_SOURCE, shape)
+        compiled = assert_engine_parity(program)
+        assert compiled.dispatch_arms == switch_targets(program) > 0
+        total = sum(Interpreter(program).run().block_counts)
+        for limit in range(1, total + 1):
+            want = outcome(Interpreter, program, limit)
+            assert outcome(CompiledInterpreter, program, limit) == want, limit
+            if limit < total:
+                assert want == (StepLimitExceeded, f"exceeded {limit} block steps")
+        assert want is None
+
+    def test_limit_lands_just_before_a_fault(self, shape):
+        program = self.build(DIVIDE_SOURCE, shape)
+        # k: the blocks the interpreter enters before the one that
+        # divides by zero.
+        k = 1
+        while outcome(Interpreter, program, k + 1, b"A")[0] is StepLimitExceeded:
+            k += 1
+        for engine_cls in (Interpreter, CompiledInterpreter):
+            assert outcome(engine_cls, program, k, b"A")[0] is StepLimitExceeded
+            assert outcome(engine_cls, program, k + 1, b"A")[0] is ZeroDivisionError
+
+    def test_exit_inside_a_loop(self, shape):
+        program = self.build(
+            """int main() {
+    int i;
+    for (i = 0; i < 10; i++) {
+        if (i == 3) {
+            exit(7);
+        }
+        putchar(65 + i);
+    }
+    return 0;
+}
+""",
+            shape,
+        )
+        got = observe(assert_engine_parity(program))
+        assert (got["output"], got["exit_code"]) == (b"ABC", 7)
+
+
 # One function of 400 if/else statements: 1,202 blocks unoptimized.
 LARGE_SOURCE = "int main() {\n    int s;\n    s = getchar();\n" + "".join(
     f"    if (s % 7 == {k % 7}) {{ s = s + {k}; }} else {{ s = s - 1; }}\n"
@@ -219,6 +346,39 @@ int main() {
 """
 
 
+# A cycle with two entries (L1 and L2): no block of it dominates the
+# other, so it is no natural loop.
+IRREDUCIBLE_TEXT = """d[1]=0;
+NZ=rv[0]?{first};
+PC=NZ==0,L2;
+L1:
+d[1]=d[1]+1;
+NZ=d[1]?50;
+PC=NZ>0,L3;
+L2:
+d[1]=d[1]+3;
+NZ=d[1]?40;
+PC=NZ<0,L1;
+L3:
+rv[0]=d[1];
+PC=RT;"""
+
+# 24 nested loops and 70 nested ifs: past the nesting the generated
+# Python may have, so some blocks are entered through the dispatcher.
+DEEP_SOURCE = (
+    "int main() {\n    int s;\n"
+    + "".join(f"    int i{d};\n" for d in range(24))
+    + "    s = getchar();\n"
+    + "".join(f"    for (i{d} = 0; i{d} < 1; i{d}++) {{\n" for d in range(24))
+    + "    s = s + 1;\n"
+    + "    }\n" * 24
+    + "".join(f"    if (s > {k}) {{\n" for k in range(70))
+    + "    s = s * 3;\n"
+    + "    }\n" * 70
+    + '    printf("%d\\n", s);\n    return s & 255;\n}\n'
+)
+
+
 def as_words(source):
     """``source`` with each literal of ten or more digits as its 32-bit word."""
     return re.sub(r"\d{10,}", lambda m: f"({wrap32(int(m.group()))})", source)
@@ -231,7 +391,34 @@ class TestCompiledOnly:
         program = compile_c(LARGE_SOURCE)
         assert len(program.functions["main"].blocks) > 1024
         compiled = assert_engine_parity(program, stdin=b"A")
-        assert compiled.blocks_fused > 0
+        assert compiled.dispatch_arms == 0
+
+    @pytest.mark.parametrize("first", [0, 1], ids=["enter-L2", "enter-L1"])
+    def test_irreducible_cycle_runs_through_the_dispatcher(self, first):
+        program = Program()
+        program.add_function(
+            function_from_text("main", IRREDUCIBLE_TEXT.format(first=first))
+        )
+        compiled = assert_engine_parity(program)
+        assert compiled.dispatch_arms > 0
+
+    @pytest.mark.parametrize("size", [15, 60, 250])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unstructured_cfgs_match(self, size, seed):
+        # Fuel-bounded random CFGs, most of them irreducible: whatever
+        # part of a function the dispatcher enters, the run is the same.
+        func = fuzzed_function(size, seed)
+        func.name = "main"
+        program = Program()
+        program.add_function(func)
+        assert_engine_parity(program)
+
+    @pytest.mark.parametrize("shape", ["unoptimized", "optimized"])
+    def test_deep_nesting_compiles(self, shape):
+        program = optimized(DEEP_SOURCE) if shape == "optimized" else compile_c(DEEP_SOURCE)
+        compiled = assert_engine_parity(program, stdin=b"A")
+        assert compiled.dispatch_arms > 0
+        assert observe(compiled, b"A")["output"] == b"66\n"
 
     def test_wide_literals_read_as_words(self):
         want = observe(CompiledInterpreter(compile_c(as_words(WIDE_SOURCE))))
@@ -308,6 +495,52 @@ class TestCompiledOnly:
             with pytest.raises(ValueError, match=r"main: block \S+: transfer .* not at block end"):
                 engine_cls(program)
 
+    @staticmethod
+    def access_outcomes(width, address):
+        """Per load/store shape, what each engine returns or raises."""
+        texts = [
+            f"d[0]={address};\nrv[0]={width}[d[0]];\nPC=RT;",
+            f"rv[0]={width}[{address}];\nPC=RT;",
+            f"d[0]={address};\n{width}[d[0]]=-123457;\nrv[0]={width}[d[0]];\nPC=RT;",
+            f"{width}[{address}]=70000;\nrv[0]={width}[{address}];\nPC=RT;",
+        ]
+        for text in texts:
+            program = Program()
+            program.add_function(function_from_text("main", text))
+            outcomes = []
+            for engine_cls in (Interpreter, CompiledInterpreter):
+                try:
+                    outcomes.append(engine_cls(program).run().exit_code)
+                except Exception as error:  # noqa: BLE001 - compared by callers
+                    outcomes.append(type(error))
+            yield text, outcomes
+
+    @pytest.mark.parametrize(
+        "width,address",
+        [
+            (width, address)
+            for width in ("L", "W")
+            for address in (64, 66, 65, -8, -6, -4, MEM_SIZE - 4, MEM_SIZE - 2, MEM_SIZE, MEM_SIZE + 2)
+        ]
+        + [("W", -2)],
+    )
+    def test_word_access_parity(self, width, address):
+        """Long and word loads and stores agree at aligned, unaligned,
+        negative and past-the-end addresses: the compiled engine's
+        aligned longs go through ``MachineState.words``, everything else
+        through ``struct``."""
+        for text, (want, got) in self.access_outcomes(width, address):
+            assert got == want, text
+
+    @pytest.mark.parametrize("width,address", [("L", -2), ("L", -1), ("W", -1)])
+    def test_access_across_the_wrap_point_differs(self, width, address):
+        """Known difference, left to the bounds rule (ROADMAP item 6): an
+        access whose bytes run from the end of memory past address 0
+        wraps byte by byte in the interpreter, while ``struct`` raises
+        ``IndexError``.  Once that rule lands both engines raise."""
+        for text, (want, got) in self.access_outcomes(width, address):
+            assert isinstance(want, int) and got is IndexError, text
+
     def test_empty_function_runs(self):
         program = Program()
         program.add_function(function_from_text("main", "CALL _f,0;\nPC=RT;"))
@@ -377,6 +610,22 @@ class TestCompileModes:
             counters = obs.metrics.counters
         assert counters["ease.compile.time_ms"] == compiled_ms
         assert counters["ease.compile.functions"] == len(program.functions)
+
+    def test_one_register_scan_per_function(self, program, monkeypatch):
+        # Bank sizing, each executor's register set and every call
+        # site's callee footprint read one scan per function.
+        import repro.ease.interp as interp_module
+
+        scans = []
+        scan = interp_module._registers
+
+        def counting(func):
+            scans.append(func.name)
+            return scan(func)
+
+        monkeypatch.setattr(interp_module, "_registers", counting)
+        CompiledInterpreter(program, trace=True)
+        assert sorted(scans) == sorted(program.functions)
 
     def test_traced_measurement_compiles_only_traced_executors(self, compiles):
         from repro.ease import measure_program
